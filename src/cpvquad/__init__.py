@@ -11,6 +11,7 @@ the roundoff amplification specific to this decomposition.
 from .cpv import (
     CpvProblem,
     CpvResult,
+    QuotientOverflowError,
     cpv_general,
     cpv_standard,
     endpoint_distance,
@@ -57,6 +58,7 @@ __all__ = [
     "IntervalEstimate",
     "NonfiniteIntegrandError",
     "QuadratureRule",
+    "QuotientOverflowError",
     "adaptive_integrate",
     "apply_rule",
     "cpv_general",

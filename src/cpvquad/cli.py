@@ -100,19 +100,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _print_result(result: CpvResult, as_json: bool) -> None:
     if as_json:
-        budget = result.budget
         obj = {
             "value": result.value,
             "estimate": result.error_estimate,
-            "budget": {
-                "quad_left": budget.quad_left,
-                "quad_right": budget.quad_right,
-                "quad_h": budget.quad_h,
-                "roundoff": budget.roundoff,
-                "log_sensitivity": budget.log_sensitivity,
-                "curvature_sensitivity": budget.curvature_sensitivity,
-                "cutoff": budget.cutoff,
-            },
+            "budget": result.budget.as_dict(),
             "evaluations": result.evaluations,
         }
         print(json.dumps(obj, indent=2))

@@ -47,6 +47,7 @@ from .quadrature import (
 __all__ = [
     "CpvProblem",
     "CpvResult",
+    "QuotientOverflowError",
     "endpoint_distance",
     "make_difference_quotient",
     "make_symmetric_quotient",
@@ -56,6 +57,40 @@ __all__ = [
     "longman_split",
     "subtract_singularity",
 ]
+
+
+class QuotientOverflowError(NonfiniteIntegrandError):
+    """Raised when a quotient overflows although the integrand is finite.
+
+    ``x`` is the quotient's abscissa and ``quotient`` names the quotient,
+    "difference" or "symmetric".  A steep integrand such as 1e308 * x
+    overflows (f(tau+x) - f(tau-x)) / x near 2 f'(tau) while every f value
+    stays finite.
+    """
+
+    def __init__(self, quotient: str, x: float):
+        ValueError.__init__(
+            self,
+            f"{quotient} quotient overflowed at x = {x!r} although the "
+            "integrand is finite at its abscissae",
+        )
+        self.x = x
+        self.quotient = quotient
+
+
+def _quotient_failure(
+    f: Integrand, quotient: str, x: float, abscissae: tuple[float, ...]
+) -> NonfiniteIntegrandError:
+    """The error for a non-finite quotient value at x.
+
+    `abscissae` are the points where the quotient evaluated f.  Only the
+    failure path re-evaluates f there, so the quadrature loop carries no
+    extra check.
+    """
+    for t in abscissae:
+        if not math.isfinite(f(t)):
+            return NonfiniteIntegrandError(t)
+    return QuotientOverflowError(quotient, x)
 
 
 def endpoint_distance(tau: float) -> float:
@@ -202,16 +237,23 @@ def cpv_standard(problem: CpvProblem) -> CpvResult:
     left_end = tau - delta
     right_start = tau + delta
 
-    if left_end == -1.0:
-        left = _EMPTY_PIECE
-    else:
-        left = adaptive_integrate(g, -1.0, left_end, piece_tol)
-    if right_start == 1.0:
-        right = _EMPTY_PIECE
-    else:
-        right = adaptive_integrate(g, right_start, 1.0, piece_tol)
+    try:
+        if left_end == -1.0:
+            left = _EMPTY_PIECE
+        else:
+            left = adaptive_integrate(g, -1.0, left_end, piece_tol)
+        if right_start == 1.0:
+            right = _EMPTY_PIECE
+        else:
+            right = adaptive_integrate(g, right_start, 1.0, piece_tol)
+    except NonfiniteIntegrandError as exc:
+        raise _quotient_failure(f, "difference", exc.x, (exc.x,)) from exc
     lower = 0.0 if problem.method == "open" else problem.mu
-    symmetric = adaptive_integrate(h, lower, delta, piece_tol)
+    try:
+        symmetric = adaptive_integrate(h, lower, delta, piece_tol)
+    except NonfiniteIntegrandError as exc:
+        x = exc.x
+        raise _quotient_failure(f, "symmetric", x, (tau + x, tau - x)) from exc
 
     log_term = f_tau * math.log((1.0 - tau) / (1.0 + tau))
     value = log_term + left.value + right.value + symmetric.value

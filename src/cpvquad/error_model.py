@@ -15,7 +15,7 @@ default to :data:`EPS`, the bound for IEEE double arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 from .quadrature import Integrand, NonfiniteIntegrandError
@@ -69,6 +69,10 @@ class ErrorBudget:
             + self.curvature_sensitivity
             + self.cutoff
         )
+
+    def as_dict(self) -> dict[str, float]:
+        """The seven terms by field name, in field order."""
+        return asdict(self)
 
 
 @dataclass(frozen=True)

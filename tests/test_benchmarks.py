@@ -21,7 +21,9 @@ from cpvquad.benchmarks import (
     write_csv,
     write_json,
 )
+from cpvquad import benchmarks
 from cpvquad.error_model import ErrorBudget
+from cpvquad.quadrature import gauss_legendre_rule, kronrod_pair_g7k15
 from cpvquad.expressions import compile_expression
 from cpvquad.oracles import (
     oracle_breakpoints,
@@ -190,6 +192,20 @@ class TestRunBenchmark:
             assert a.error_estimate == b.error_estimate
             assert a.evaluations == b.evaluations
             assert a.budget == b.budget
+
+    def test_rule_build_precedes_the_first_timed_case(self, monkeypatch):
+        gauss_legendre_rule.cache_clear()
+        kronrod_pair_g7k15.cache_clear()
+        built = []
+        solve = benchmarks.cpv_standard
+
+        def record(problem):
+            built.append(kronrod_pair_g7k15.cache_info().currsize)
+            return solve(problem)
+
+        monkeypatch.setattr(benchmarks, "cpv_standard", record)
+        run_benchmark(cases=builtin_problems()[:2])
+        assert built == [1, 1]
 
     def test_case_subset(self):
         rows = run_benchmark(tol=1e-12, cases=[_case("case1")])

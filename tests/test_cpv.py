@@ -7,6 +7,7 @@ import pytest
 from cpvquad import cpv as cpv_module
 from cpvquad.cpv import (
     CpvProblem,
+    QuotientOverflowError,
     cpv_general,
     cpv_standard,
     endpoint_distance,
@@ -167,6 +168,34 @@ class TestProblemValidation:
         with pytest.raises(NonfiniteIntegrandError) as excinfo:
             cpv_standard(CpvProblem(f=f, tau=0.5))
         assert excinfo.value.x == 0.5
+
+    def test_symmetric_quotient_overflow_is_named(self):
+        # f stays finite, but (f(tau+x) - f(tau-x)) / x approaches 2e308
+        with pytest.raises(QuotientOverflowError) as excinfo:
+            cpv_standard(CpvProblem(f=lambda x: 1e308 * x, tau=0.5))
+        assert excinfo.value.quotient == "symmetric"
+        assert "symmetric quotient overflowed" in str(excinfo.value)
+        assert 0.0 < excinfo.value.x <= 0.5
+
+    def test_difference_quotient_overflow_is_named(self):
+        # f(x) - f(tau) overflows on the left piece while f stays finite
+        def f(x):
+            return -1.5e308 if x < -0.5 else 1.5e308
+
+        with pytest.raises(QuotientOverflowError) as excinfo:
+            cpv_standard(CpvProblem(f=f, tau=0.6))
+        assert excinfo.value.quotient == "difference"
+        assert -1.0 < excinfo.value.x < -0.5
+
+    def test_nan_inside_reports_the_integrand_abscissa(self):
+        def f(x):
+            return math.nan if x > 0.55 else x
+
+        with pytest.raises(NonfiniteIntegrandError) as excinfo:
+            cpv_standard(CpvProblem(f=f, tau=0.5))
+        assert type(excinfo.value) is NonfiniteIntegrandError
+        assert excinfo.value.x > 0.55
+        assert math.isnan(f(excinfo.value.x))
 
 
 class TestStandardAccuracy:

@@ -293,6 +293,18 @@ class TestTotalErrorEstimate:
         budget = ErrorBudget(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0)
         assert budget.total == 28.0
 
+    def test_as_dict_lists_every_term_in_field_order(self):
+        budget = ErrorBudget(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0)
+        assert list(budget.as_dict().items()) == [
+            ("quad_left", 1.0),
+            ("quad_right", 2.0),
+            ("quad_h", 3.0),
+            ("roundoff", 4.0),
+            ("log_sensitivity", 5.0),
+            ("curvature_sensitivity", 6.0),
+            ("cutoff", 7.0),
+        ]
+
 
 class TestSinglePrecisionValidation:
     """Quotient bounds checked against measured float32 arithmetic error.

@@ -3,8 +3,11 @@
 import io
 import math
 
+import numpy as np
 import pytest
 
+from cpvquad import logbound
+from cpvquad.cli import main
 from cpvquad.logbound import (
     MAX_SUBINTERVALS,
     MAX_TRIALS_PER_CELL,
@@ -186,6 +189,75 @@ class TestRandomPartition:
             random_partition(0, 1, "uniform")
         with pytest.raises(ValueError):
             random_partition(5, 1, "dyadic")
+
+
+class TestBatchDraw:
+    @pytest.mark.parametrize(
+        "m, n", [(2, 1), (3, 2), (7, 13), (30, 50), (2, MAX_SUBINTERVALS)]
+    )
+    @pytest.mark.parametrize("seed", [0, 801])
+    def test_rows_match_random_partition(self, m, n, seed):
+        trial_seeds, schemes, stack = logbound._cell_partitions(seed, m, n, 60)
+        assert set(schemes) == {0, 1, 2}
+        a_values, x00 = logbound._composite_values(stack, m)
+        for t, (ts, scheme, row) in enumerate(zip(trial_seeds, schemes, stack)):
+            p = random_partition(n, int(ts), logbound._SCHEMES[scheme])
+            assert p.breakpoints == tuple(row)
+            assert composite_value(p, m) == (a_values[t], x00[t])
+
+    def test_forced_redraw_touches_only_the_failing_row(self, monkeypatch):
+        n, bad = 9, 4
+        draw = logbound._draw
+
+        def repeat_a_breakpoint(keys, attempt, n, schemes):
+            rows = draw(keys, attempt, n, schemes)
+            if attempt == 0:
+                rows[bad, 3] = rows[bad, 2]
+            return rows
+
+        trial_seeds, schemes, clean = logbound._cell_partitions(5, 3, n, 12)
+        monkeypatch.setattr(logbound, "_draw", repeat_a_breakpoint)
+        _, _, patched = logbound._cell_partitions(5, 3, n, 12)
+        keys = logbound._absorb(np.zeros_like(trial_seeds), trial_seeds)
+        redrawn = draw(keys[bad : bad + 1], 1, n, schemes[bad : bad + 1])[0]
+        assert np.all(np.diff(redrawn) > 0.0)
+        assert np.array_equal(patched[bad], redrawn)
+        assert not np.array_equal(patched[bad], clean[bad])
+        others = np.arange(12) != bad
+        assert np.array_equal(patched[others], clean[others])
+
+    def test_gives_up_after_the_attempt_cap(self, monkeypatch):
+        def always_repeat(keys, attempt, n, schemes):
+            return np.tile([0.0, 0.5, 0.5, 1.0], (len(keys), 1))
+
+        monkeypatch.setattr(logbound, "_draw", always_repeat)
+        with pytest.raises(RuntimeError, match="64 attempts"):
+            random_partition(3, 1, "uniform")
+
+    def test_negative_seeds_are_rejected(self, capsys):
+        with pytest.raises(ValueError):
+            random_partition(3, -1, "uniform")
+        with pytest.raises(ValueError):
+            sweep(range(2, 3), range(1, 3), 3, seed=-1)
+        assert main(["observation", "--seed", "-1"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [2**64, 2**64 + 3, 2**200 + 7])
+    def test_large_seeds_fold_64_bits_at_a_time(self, seed):
+        low = seed & (2**64 - 1)
+        a = random_partition(6, seed, "mixed")
+        assert a == random_partition(6, seed, "mixed")
+        assert a != random_partition(6, low, "mixed")
+        report = sweep(range(2, 4), range(1, 4), 6, seed=seed)
+        assert report == sweep(range(2, 4), range(1, 4), 6, seed=seed)
+        assert report.cells != sweep(range(2, 4), range(1, 4), 6, seed=low).cells
+        for cell in report.cells:
+            p = random_partition(cell.n, cell.witness_seed, cell.witness_scheme)
+            assert make_sample(p, cell.m).ratio == cell.max_ratio
+
+    def test_witness_seeds_fit_64_bits(self):
+        report = sweep(range(2, 4), range(2, 6), 9, seed=3)
+        assert all(0 <= cell.witness_seed < 2**64 for cell in report.cells)
 
 
 class TestSweep:
