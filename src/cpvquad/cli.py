@@ -2,15 +2,18 @@
 
 Exit codes follow the usual convention: 0 for success, 1 when a result was
 computed but failed its quality gate (requested tolerance not met, battery
-bound violated, sweep ratio out of range), 2 for unusable flags.  A result
-that fails its gate is still printed; a near-endpoint singularity, for
-example, carries an honest error floor far above any requested tolerance,
-and the caller decides what to do with it.
+bound violated, sweep ratio out of range) or could not be computed because
+the integrand or a quotient of it turned non-finite, 2 for unusable flags,
+an --f expression that does not parse or is nested too deeply included.  A
+result that fails its gate is still printed; a near-endpoint singularity,
+for example, carries an honest error floor far above any requested
+tolerance, and the caller decides what to do with it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -26,7 +29,12 @@ from .quadrature import NonfiniteIntegrandError
 __all__ = ["main"]
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls.
+
+    Parsing leaves no state in it: each call returns a fresh namespace.
+    """
     parser = argparse.ArgumentParser(
         prog="cpvquad",
         description="Cauchy principal value integrals of f(x)/(x - tau).",
@@ -105,6 +113,7 @@ def _print_result(result: CpvResult, as_json: bool) -> None:
             "estimate": result.error_estimate,
             "budget": result.budget.as_dict(),
             "evaluations": result.evaluations,
+            "converged": result.converged,
         }
         print(json.dumps(obj, indent=2))
     else:
@@ -130,13 +139,14 @@ def _cmd_integrate(args: argparse.Namespace) -> int:
                 f, args.tau, args.a, args.b,
                 tol=args.tol, method=args.method, mu=args.mu,
             )
+    except NonfiniteIntegrandError as exc:
+        # a ValueError too, so it must be caught first
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         # covers invalid problem setups (tau at an endpoint, bad mu, ...)
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NonfiniteIntegrandError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     _print_result(result, args.json)
     if not result.converged or result.error_estimate > args.tol:
         return 1

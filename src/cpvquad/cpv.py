@@ -290,7 +290,9 @@ def cpv_general(
 
     The affine substitution to [-1, 1] leaves the Cauchy kernel invariant,
     so the reference-interval result is returned unscaled.  The reported
-    evaluations and budget refer to the transformed problem.
+    evaluations and budget refer to the transformed problem; a non-finite
+    integrand or quotient is reported at the caller's abscissa x, or at the
+    caller's offset from tau for the symmetric quotient.
     """
     problem = CpvProblem(
         f=f, tau=tau, a=a, b=b, tol=tol, method=method,
@@ -304,7 +306,16 @@ def cpv_general(
         f=mapped, tau=problem.unit_tau(), tol=tol, method=method,
         mu=EPS if mu is None else mu,
     )
-    return cpv_standard(unit)
+    try:
+        return cpv_standard(unit)
+    except QuotientOverflowError as exc:
+        if exc.quotient == "symmetric":
+            x = half * exc.x
+        else:
+            x = mid + half * exc.x
+        raise QuotientOverflowError(exc.quotient, x) from exc
+    except NonfiniteIntegrandError as exc:
+        raise NonfiniteIntegrandError(mid + half * exc.x) from exc
 
 
 def longman_split(f: Integrand, tau: float, tol: float = 1e-12) -> float:

@@ -16,6 +16,18 @@ resolved at parse time, so an Expr never fails to evaluate: domain
 violations (log of a nonpositive value, even roots of negative values,
 division by zero) evaluate to NaN, which the quadrature engine then reports
 as a nonfinite integrand at that point.
+
+`compile_expression` turns the validated tree, never the source text, into
+the source of one Python function, compiled once: literals are written as
+the repr of their float, '^' as a call to math.pow, and the tree's
+association is kept with explicit parentheses where Python's precedence
+would differ.  Its floating-point operations and their order are those of
+`evaluate`, so the two agree bit for bit, NaN and signed zero included;
+`evaluate` stays as the reference the tests compare against.  An
+expression nested deeper than the parser or Python's compiler can follow
+(hundreds of parenthesis levels, unary minus signs or '^' operators, or
+thousands of terms) is refused with ParseError "expression nested too
+deeply".
 """
 
 from __future__ import annotations
@@ -207,7 +219,10 @@ class _Parser:
     def primary(self) -> Expr:
         kind, value, pos = self._advance()
         if kind == "number":
-            return Num(float(value))
+            number = float(value)
+            if not math.isfinite(number):
+                raise ParseError(f"number {value!r} out of range", pos)
+            return Num(number)
         if kind == "name":
             if value == "x":
                 return Var()
@@ -233,7 +248,13 @@ class _Parser:
 
 def parse(source: str) -> Expr:
     """Parse `source` into an Expr, or raise ParseError with the offset."""
-    return _Parser(source).parse()
+    parser = _Parser(source)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ParseError(
+            "expression nested too deeply", parser._peek()[2]
+        ) from None
 
 
 def _eval(expr: Expr, x: float) -> float:
@@ -321,9 +342,76 @@ def to_source(expr: Expr) -> str:
     return _render(expr, _PREC_ADD)
 
 
+# The generated function sees only these names.  '^' is math.pow, never
+# '**', which would return a complex number for (-8)**(1/3).
+_NAMESPACE = {**_FUNCTIONS, **_CONSTANTS, "_pow": math.pow, "_nan": math.nan}
+
+_FUNCTION_TEMPLATE = """\
+def f(x):
+    try:
+        return {body}
+    except (ValueError, ZeroDivisionError, OverflowError):
+        return _nan
+"""
+
+
+def _python(expr: Expr, min_prec: int) -> str:
+    """Python source computing expr, parenthesized below `min_prec`.
+
+    Names come from the validated tree and literals from repr(float), so no
+    text of the source string reaches the result.  Chains of one operator
+    class and runs of unary minus are walked in a loop, not by recursion,
+    so a long sum costs no stack.
+    """
+    if isinstance(expr, Num):
+        return repr(expr.value)
+    if isinstance(expr, Var):
+        return "x"
+    if isinstance(expr, Const):
+        return expr.name
+    if isinstance(expr, Call):
+        return f"{expr.name}({_python(expr.arg, _PREC_ADD)})"
+    if isinstance(expr, BinOp) and expr.op == "^":
+        left = _python(expr.left, _PREC_ADD)
+        right = _python(expr.right, _PREC_ADD)
+        return f"_pow({left}, {right})"
+    prec = _node_prec(expr)
+    if isinstance(expr, Neg):
+        signs = 0
+        while isinstance(expr, Neg):
+            signs += 1
+            expr = expr.operand
+        text = "-" * signs + _python(expr, _PREC_NEG)
+    else:
+        # left-associative: the left spine needs no parentheses, a right
+        # operand of the same class does
+        tail = []
+        while isinstance(expr, BinOp) and _OP_PREC[expr.op] == prec:
+            tail.append(f" {expr.op} {_python(expr.right, prec + 1)}")
+            expr = expr.left
+        text = _python(expr, prec) + "".join(reversed(tail))
+    if prec < min_prec:
+        return f"({text})"
+    return text
+
+
 def compile_expression(source: str) -> Callable[[float], float]:
-    """Parse once and return a plain float function of x."""
+    """Parse once and return a plain float function of x.
+
+    The function is compiled once from the parsed tree and returns exactly
+    what `evaluate` returns at every x.  Raises ParseError for a syntax
+    error or an expression nested too deeply to compile.
+    """
     expr = parse(source)
-    def f(x: float) -> float:
-        return evaluate(expr, x)
-    return f
+    try:
+        code = compile(
+            _FUNCTION_TEMPLATE.format(body=_python(expr, _PREC_ADD)),
+            "<expression>", "exec",
+        )
+    except (RecursionError, SyntaxError):
+        # RecursionError from _python or Python's compiler, SyntaxError
+        # from its limit on nested parentheses
+        raise ParseError("expression nested too deeply", 0) from None
+    namespace = dict(_NAMESPACE)
+    exec(code, namespace)
+    return namespace["f"]

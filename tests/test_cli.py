@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from cpvquad import cli
 from cpvquad.benchmarks import read_csv
 from cpvquad.cli import main
 
@@ -40,7 +41,10 @@ class TestIntegrate:
         out = capsys.readouterr().out
         assert code == 0
         obj = json.loads(out)
-        assert set(obj) == {"value", "estimate", "budget", "evaluations"}
+        assert set(obj) == {
+            "value", "estimate", "budget", "evaluations", "converged",
+        }
+        assert obj["converged"] is True
         assert set(obj["budget"]) == {
             "quad_left",
             "quad_right",
@@ -104,6 +108,28 @@ class TestIntegrate:
         assert "invalid --f expression" in captured.err
         assert captured.out == ""
 
+    def test_too_deep_expression_is_usage_error(self, capsys):
+        source = "(" * 400 + "x" + ")" * 400
+        code = main(["integrate", "--f", source, "--tau", "0.5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "nested too deeply" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "source,message",
+        [
+            ("log(x)", "integrand returned a non-finite value"),
+            ("1e308*x", "symmetric quotient overflowed"),
+        ],
+    )
+    def test_nonfinite_integrand_exits_one(self, capsys, source, message):
+        code = main(["integrate", "--f", source, "--tau", "0.5"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert message in captured.err
+        assert captured.out == ""
+
     def test_tau_on_endpoint_is_usage_error(self, capsys):
         code = main(["integrate", "--f", "exp(x)", "--tau", "1"])
         captured = capsys.readouterr()
@@ -124,6 +150,37 @@ class TestIntegrate:
         )
         capsys.readouterr()
         assert code == 2
+
+
+class TestRepeatedCalls:
+    """main() reuses one argument parser; no call may leak into the next."""
+
+    PLAIN = ["integrate", "--f", "exp(x)", "--tau", "0.5"]
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_options_do_not_carry_over(self, capsys):
+        main(self.PLAIN)
+        first = capsys.readouterr().out
+        code = main(self.PLAIN + ["--method", "cutoff", "--mu", "1e-10",
+                                  "--json"])
+        cutoff = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert main(self.PLAIN) == 0
+        again = capsys.readouterr().out
+        assert again == first
+        assert _extract(again, "value") != cutoff["value"]
+
+    def test_invalid_call_changes_nothing(self, capsys):
+        main(self.PLAIN)
+        first = capsys.readouterr()
+        assert main(["integrate", "--f", "exp(x)", "--tau", "0.5",
+                     "--method", "midpoint"]) == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert main(self.PLAIN) == 0
+        again = capsys.readouterr()
+        assert (again.out, again.err) == (first.out, first.err)
 
 
 class TestBench:

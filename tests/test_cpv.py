@@ -377,6 +377,47 @@ class TestGeneralInterval:
         with pytest.raises(ValueError):
             cpv_general(math.exp, 0.0, 1.0, 2.0)
 
+    def test_nan_reported_at_the_callers_abscissa(self):
+        def f(x):
+            return math.nan if x > 1.9 else x
+
+        with pytest.raises(NonfiniteIntegrandError) as excinfo:
+            cpv_general(f, 1.0, 0.0, 2.0)
+        assert type(excinfo.value) is NonfiniteIntegrandError
+        x = excinfo.value.x
+        assert 1.9 < x <= 2.0
+        assert math.isnan(f(x))
+        assert repr(x) in str(excinfo.value)
+
+    def test_symmetric_overflow_reported_at_the_callers_offset(self):
+        # f stays below 1.5e308 on [3.5, 4.5], while its symmetric quotient
+        # about tau = 4 is 6e308 in the caller's coordinates (3e308 mapped)
+        def f(x):
+            return 3.0 * (1e308 * (x - 4.0))
+
+        with pytest.raises(QuotientOverflowError) as excinfo:
+            cpv_general(f, 4.0, 3.5, 4.5)
+        assert excinfo.value.quotient == "symmetric"
+        x = excinfo.value.x
+        assert 0.0 < x <= 0.5
+        assert math.isfinite(f(4.0 + x)) and math.isfinite(f(4.0 - x))
+        assert (f(4.0 + x) - f(4.0 - x)) / x == math.inf
+        assert repr(x) in str(excinfo.value)
+        with pytest.raises(QuotientOverflowError) as mapped:
+            cpv_standard(CpvProblem(f=lambda t: f(4.0 + 0.5 * t), tau=0.0))
+        assert x == 0.5 * mapped.value.x
+
+    def test_difference_overflow_reported_at_the_callers_abscissa(self):
+        def f(x):
+            return 3.0 * (1e308 * (x - 4.0))
+
+        with pytest.raises(QuotientOverflowError) as excinfo:
+            cpv_general(f, 4.2, 3.5, 4.5)
+        assert excinfo.value.quotient == "difference"
+        x = excinfo.value.x
+        assert 3.5 <= x < 4.0
+        assert math.isinf(f(x) - f(4.2))
+
 
 class TestCrossCheckSchemes:
     def test_longman_constant(self):

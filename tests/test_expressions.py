@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cpvquad.expressions import (
     BinOp,
@@ -125,6 +125,8 @@ class TestParseErrors:
             ("(", 1),
             (")", 0),
             ("x)", 1),
+            ("1e999", 0),
+            ("x+1e400", 2),
         ],
     )
     def test_position_reported(self, source, position):
@@ -227,23 +229,92 @@ class TestPrinterProperty:
         assert parse(to_source(tree)) == tree
 
 
+# the x values every compiled function is compared at: signed zeros, domain
+# errors (log(-3), sqrt(-0.5)) and overflow (exp(1e300)) among them
+_XS = (0.0, -0.0, 0.5, -0.5, -3.0, 1e300)
+
+# letters of every name in the grammar, digits and operators
+_ALPHABET = "0123456789.eE+-*/^() xpisncotalgqrb"
+_TOKENS = ["x", "pi", "e", "2", ".5", "1e999", "+", "-", "*", "/", "^",
+           "(", ")", "sin(", "log(", "sqrt(", "abs("]
+
+
+def _same_float(a: float, b: float) -> bool:
+    """Equal bit for bit, or both NaN."""
+    return (math.isnan(a) and math.isnan(b)) or a.hex() == b.hex()
+
+
 class TestCompileExpression:
     def test_returns_callable(self):
         f = compile_expression("x^2+1")
         assert f(0.0) == 1.0
         assert f(3.0) == 10.0
 
-    def test_closure_matches_evaluate(self):
-        source = "exp(-100*(x+0.4)^2)*sin(exp(-10*x))"
-        f = compile_expression(source)
+    @given(tree=_expr_trees())
+    @example(tree=parse("exp(-100*(x+0.4)^2)*sin(exp(-10*x))"))
+    @example(tree=parse("-0*x - -(x-(1-x))/x/-x^-x^2"))
+    def test_closure_matches_evaluate(self, tree):
+        f = compile_expression(to_source(tree))
+        for x in _XS:
+            assert _same_float(f(x), evaluate(tree, x)), x
+
+    @given(source=st.one_of(
+        st.text(alphabet=_ALPHABET, max_size=30),
+        st.lists(st.sampled_from(_TOKENS), max_size=12).map("".join),
+    ))
+    def test_any_string_compiles_or_raises_parse_error(self, source):
+        try:
+            f = compile_expression(source)
+        except ParseError:
+            return
         tree = parse(source)
-        for i in range(-10, 11):
-            x = i / 10.0
-            assert f(x) == evaluate(tree, x)
+        for x in _XS:
+            assert _same_float(f(x), evaluate(tree, x)), x
 
     def test_propagates_parse_error(self):
         with pytest.raises(ParseError):
             compile_expression("2+")
+
+    @pytest.mark.parametrize(
+        "source",
+        ["+".join(["x"] * 900), "sin(" * 150 + "x" + ")" * 150,
+         "x-(" * 150 + "x" + ")" * 150],
+        ids=["sum900", "calls150", "parentheses150"],
+    )
+    def test_deep_but_supported_nesting_matches_evaluate(self, source):
+        f = compile_expression(source)
+        tree = parse(source)
+        for x in _XS:
+            assert _same_float(f(x), evaluate(tree, x)), x
+
+    # the first five are twice the depth at which the tree-walking parser or
+    # evaluator ran out of stack: 996 terms, 197 parentheses or calls, 988
+    # minus signs and 495 '^' operators; the last parses, but its 299
+    # nested calls of math.pow exceed the 200 nested parentheses Python's
+    # tokenizer accepts
+    @pytest.mark.parametrize(
+        "source,value",
+        [
+            ("+".join(["x"] * 1992), 996.0),
+            ("(" * 394 + "x" + ")" * 394, 0.5),
+            ("sin(" * 394 + "x" + ")" * 394, None),
+            ("-" * 1976 + "x", 0.5),
+            ("^".join(["x"] * 991), None),
+            ("^".join(["x"] * 300), None),
+        ],
+        ids=["sum1992", "parentheses394", "calls394", "minus1976", "power990",
+             "power299"],
+    )
+    def test_too_deep_compiles_or_raises_parse_error(self, source, value):
+        try:
+            f = compile_expression(source)
+        except ParseError as exc:
+            assert "nested too deeply" in str(exc)
+            return
+        result = f(0.5)
+        assert isinstance(result, float)
+        if value is not None:
+            assert result == value
 
 
 class TestNodeValidation:
