@@ -15,11 +15,8 @@ from .cpv import (
     cpv_general,
     cpv_standard,
     endpoint_distance,
-    longman_split,
     make_difference_quotient,
     make_symmetric_quotient,
-    singular_log_term,
-    subtract_singularity,
 )
 from .error_model import (
     EPS,
@@ -71,11 +68,8 @@ __all__ = [
     "gauss_legendre_rule",
     "kronrod_pair_g7k15",
     "log_term_sensitivity",
-    "longman_split",
     "make_difference_quotient",
     "make_symmetric_quotient",
-    "singular_log_term",
-    "subtract_singularity",
     "symmetric_quotient_roundoff",
     "total_error_estimate",
 ]

@@ -20,7 +20,9 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .benchmarks import run_benchmark, rows_pass, write_csv, write_json
-from .cpv import CpvProblem, CpvResult, cpv_general, cpv_standard
+from .cpv import CpvProblem, CpvResult, cpv_standard
+# unused here, but perfbench/spans.py patches cli.cpv_general by name
+from .cpv import cpv_general  # noqa: F401
 from .error_model import EPS
 from .expressions import ParseError, compile_expression
 from .logbound import boundary_case, sweep, write_sweep_csv
@@ -66,8 +68,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_int.add_argument("--method", choices=("open", "cutoff"), default="open",
                        help="treatment of the symmetric quotient near 0")
     p_int.add_argument("--mu", type=float, default=EPS,
-                       help="cutoff radius for --method cutoff "
-                            "(default: the rounding unit)")
+                       help="cutoff radius for --method cutoff, in the units "
+                            "of x (default: the rounding unit)")
     p_int.add_argument("--json", action="store_true",
                        help="print a JSON object instead of plain lines")
 
@@ -129,16 +131,10 @@ def _cmd_integrate(args: argparse.Namespace) -> int:
         print(f"error: invalid --f expression: {exc}", file=sys.stderr)
         return 2
     try:
-        if (args.a, args.b) == (-1.0, 1.0):
-            result = cpv_standard(CpvProblem(
-                f=f, tau=args.tau, tol=args.tol,
-                method=args.method, mu=args.mu,
-            ))
-        else:
-            result = cpv_general(
-                f, args.tau, args.a, args.b,
-                tol=args.tol, method=args.method, mu=args.mu,
-            )
+        result = cpv_standard(CpvProblem(
+            f=f, tau=args.tau, a=args.a, b=args.b, tol=args.tol,
+            method=args.method, mu=args.mu,
+        ))
     except NonfiniteIntegrandError as exc:
         # a ValueError too, so it must be caught first
         print(f"error: {exc}", file=sys.stderr)

@@ -1,28 +1,27 @@
 """Principal value integrals of f(x) / (x - tau) on finite intervals.
 
-The working decomposition on the reference interval [-1, 1] subtracts the
-singular part analytically and folds the remaining near-singular behaviour
-into quotients that stay finite:
+The working decomposition subtracts the singular part analytically and folds
+the remaining near-singular behaviour into quotients that stay finite:
 
-    pv integral = f(tau) log((1-tau)/(1+tau))
+    pv integral = f(tau) log((b-tau)/(tau-a))
                 + integral of (f(x) - f(tau)) / (x - tau) over the part of
-                  [-1, 1] at distance >= delta from tau
+                  [a, b] at distance >= delta from tau
                 + integral of (f(tau+x) - f(tau-x)) / x over (0, delta]
 
-with delta = min(1+tau, 1-tau), the distance from tau to the nearer
+with delta = min(tau-a, b-tau), the distance from tau to the nearer
 endpoint.  The region within delta of tau is covered by the third, symmetric
 integral, whose integrand tends to 2 f'(tau) at 0, so no quadrature node
 ever sees the singularity.  Each piece goes through the adaptive
 Gauss-Kronrod engine, and the result carries an error budget combining the
 achieved quadrature estimates with the roundoff floors of the decomposition.
 
-General intervals [a, b] reduce to the reference interval by the affine
-substitution x = ((b-a) t + a + b) / 2, under which the Cauchy kernel
-1 / (x - tau) is invariant, so no jacobian factor appears.
+Every piece works in the caller's coordinates on any finite [a, b]; no
+change of variable is involved.
 
 Two historically earlier schemes, `longman_split` and
-`subtract_singularity`, are kept as cross-checks; their docstrings describe
-the numerical trouble each one runs into and that the main path avoids.
+`subtract_singularity`, are kept on [-1, 1] as cross-checks; their
+docstrings describe the numerical trouble each one runs into and that the
+main path avoids.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ __all__ = [
     "endpoint_distance",
     "make_difference_quotient",
     "make_symmetric_quotient",
-    "singular_log_term",
     "cpv_standard",
     "cpv_general",
     "longman_split",
@@ -93,11 +91,11 @@ def _quotient_failure(
     return QuotientOverflowError(quotient, x)
 
 
-def endpoint_distance(tau: float) -> float:
-    """Distance from the singularity to the nearer interval endpoint."""
-    if not -1.0 < tau < 1.0:
-        raise ValueError(f"tau must lie in (-1, 1), got {tau!r}")
-    return min(1.0 + tau, 1.0 - tau)
+def endpoint_distance(tau: float, a: float = -1.0, b: float = 1.0) -> float:
+    """Distance from the singularity to the nearer endpoint of [a, b]."""
+    if not a < tau < b:
+        raise ValueError(f"tau must lie in ({a!r}, {b!r}), got {tau!r}")
+    return min(tau - a, b - tau)
 
 
 def make_difference_quotient(
@@ -129,13 +127,6 @@ def make_symmetric_quotient(f: Integrand, tau: float) -> Integrand:
     return quotient
 
 
-def singular_log_term(f: Integrand, tau: float) -> float:
-    """Closed-form contribution f(tau) log((1-tau)/(1+tau)) of the kernel."""
-    d = endpoint_distance(tau)  # validates tau
-    del d
-    return f(tau) * math.log((1.0 - tau) / (1.0 + tau))
-
-
 @dataclass(frozen=True)
 class CpvProblem:
     """A principal value integral of f(x) / (x - tau) over [a, b].
@@ -143,7 +134,8 @@ class CpvProblem:
     ``method`` selects how the symmetric quotient is integrated near 0:
     "open" integrates over (0, delta] relying on the open quadrature rule,
     "cutoff" starts at ``mu`` instead and charges the skipped mass to the
-    error budget.  ``mu`` is only consulted by the cutoff method.
+    error budget.  ``mu`` is a distance in the units of x and is only
+    consulted by the cutoff method.
     """
 
     f: Integrand
@@ -168,24 +160,12 @@ class CpvProblem:
             raise ValueError(
                 f"method must be 'open' or 'cutoff', got {self.method!r}"
             )
-        unit_tau = self.unit_tau()
-        if not -1.0 < unit_tau < 1.0:
-            raise ValueError(
-                "singularity is indistinguishable from an endpoint at working "
-                f"precision: tau = {self.tau!r} in [{self.a!r}, {self.b!r}]"
-            )
         if self.method == "cutoff":
-            delta = endpoint_distance(unit_tau)
+            delta = endpoint_distance(self.tau, self.a, self.b)
             if not 0.0 < self.mu <= delta:
                 raise ValueError(
                     f"cutoff mu must lie in (0, {delta!r}], got {self.mu!r}"
                 )
-
-    def unit_tau(self) -> float:
-        """The singularity location mapped to the reference interval."""
-        mid = 0.5 * (self.a + self.b)
-        half = 0.5 * (self.b - self.a)
-        return (self.tau - mid) / half
 
 
 @dataclass(frozen=True)
@@ -210,23 +190,22 @@ _EMPTY_PIECE = AdaptiveResult(0.0, 0.0, 0, (), True)
 
 
 def cpv_standard(problem: CpvProblem) -> CpvResult:
-    """Compute a principal value integral on the reference interval [-1, 1].
+    """Compute a principal value integral over the problem's [a, b].
 
     The three quadrature pieces each get a third of the tolerance.  On
     whichever side of tau the distance to the endpoint equals delta, the
     difference quotient piece is empty (the symmetric integral already covers
     it); that degeneracy is exact in floating point, so emptiness is detected
-    by exact comparison and costs no evaluations.  At tau = 0 both sides are
-    empty and the result is the symmetric integral alone.
+    by exact comparison and costs no evaluations.  With tau at the midpoint
+    both sides are empty and the result is the symmetric integral alone.
+    A non-finite integrand or quotient is reported at the abscissa x, or at
+    the offset from tau for the symmetric quotient.
     """
-    if problem.a != -1.0 or problem.b != 1.0:
-        raise ValueError(
-            "cpv_standard requires the reference interval [-1, 1]; "
-            "use cpv_general for other intervals"
-        )
     f = problem.f
     tau = problem.tau
-    delta = endpoint_distance(tau)
+    a = problem.a
+    b = problem.b
+    delta = endpoint_distance(tau, a, b)
     f_tau = f(tau)
     if not math.isfinite(f_tau):
         raise NonfiniteIntegrandError(tau)
@@ -238,14 +217,14 @@ def cpv_standard(problem: CpvProblem) -> CpvResult:
     right_start = tau + delta
 
     try:
-        if left_end == -1.0:
+        if left_end == a:
             left = _EMPTY_PIECE
         else:
-            left = adaptive_integrate(g, -1.0, left_end, piece_tol)
-        if right_start == 1.0:
+            left = adaptive_integrate(g, a, left_end, piece_tol)
+        if right_start == b:
             right = _EMPTY_PIECE
         else:
-            right = adaptive_integrate(g, right_start, 1.0, piece_tol)
+            right = adaptive_integrate(g, right_start, b, piece_tol)
     except NonfiniteIntegrandError as exc:
         raise _quotient_failure(f, "difference", exc.x, (exc.x,)) from exc
     lower = 0.0 if problem.method == "open" else problem.mu
@@ -255,10 +234,10 @@ def cpv_standard(problem: CpvProblem) -> CpvResult:
         x = exc.x
         raise _quotient_failure(f, "symmetric", x, (tau + x, tau - x)) from exc
 
-    log_term = f_tau * math.log((1.0 - tau) / (1.0 + tau))
+    log_term = f_tau * math.log((b - tau) / (tau - a))
     value = log_term + left.value + right.value + symmetric.value
 
-    deriv = derivative_estimates(f, tau, delta, f_tau=f_tau)
+    deriv = derivative_estimates(f, tau, delta, f_tau=f_tau, a=a, b=b)
     budget = total_error_estimate(
         (left.error_estimate, right.error_estimate, symmetric.error_estimate),
         deriv,
@@ -267,6 +246,8 @@ def cpv_standard(problem: CpvProblem) -> CpvResult:
         eps=EPS,
         method=problem.method,
         mu=problem.mu,
+        a=a,
+        b=b,
     )
     return CpvResult(
         value=value,
@@ -286,36 +267,15 @@ def cpv_general(
     method: str = "open",
     mu: Optional[float] = None,
 ) -> CpvResult:
-    """Compute a principal value integral over an arbitrary interval [a, b].
+    """Compute a principal value integral over [a, b] from loose arguments.
 
-    The affine substitution to [-1, 1] leaves the Cauchy kernel invariant,
-    so the reference-interval result is returned unscaled.  The reported
-    evaluations and budget refer to the transformed problem; a non-finite
-    integrand or quotient is reported at the caller's abscissa x, or at the
-    caller's offset from tau for the symmetric quotient.
+    The same computation as :func:`cpv_standard` on the equivalent
+    :class:`CpvProblem`; ``mu`` defaults to :data:`EPS`, in the units of x.
     """
-    problem = CpvProblem(
+    return cpv_standard(CpvProblem(
         f=f, tau=tau, a=a, b=b, tol=tol, method=method,
         mu=EPS if mu is None else mu,
-    )
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    def mapped(t: float) -> float:
-        return f(mid + half * t)
-    unit = CpvProblem(
-        f=mapped, tau=problem.unit_tau(), tol=tol, method=method,
-        mu=EPS if mu is None else mu,
-    )
-    try:
-        return cpv_standard(unit)
-    except QuotientOverflowError as exc:
-        if exc.quotient == "symmetric":
-            x = half * exc.x
-        else:
-            x = mid + half * exc.x
-        raise QuotientOverflowError(exc.quotient, x) from exc
-    except NonfiniteIntegrandError as exc:
-        raise NonfiniteIntegrandError(mid + half * exc.x) from exc
+    ))
 
 
 def longman_split(f: Integrand, tau: float, tol: float = 1e-12) -> float:
@@ -355,8 +315,7 @@ def subtract_singularity(f: Integrand, tau: float, tol: float = 1e-12) -> float:
     1 / |x - tau|.  Kept as a cross-check for the measurable accuracy loss
     the main path's delta-neighbourhood exclusion avoids.
     """
-    d = endpoint_distance(tau)  # validates tau
-    del d
+    endpoint_distance(tau)  # validates tau
     f_tau = f(tau)
     if not math.isfinite(f_tau):
         raise NonfiniteIntegrandError(tau)

@@ -9,7 +9,10 @@ working precision and deliberately conservative; they feed the error budget
 attached to every computed integral.
 
 All formulas take the relative rounding error bound ``eps`` explicitly and
-default to :data:`EPS`, the bound for IEEE double arithmetic.
+default to :data:`EPS`, the bound for IEEE double arithmetic.  Those that
+depend on the interval [a, b] take it as trailing ``a`` and ``b``, which
+default to the reference interval [-1, 1]; every quantity is in the units
+of x.
 """
 
 from __future__ import annotations
@@ -139,20 +142,23 @@ def derivative_estimates(
     tau: float,
     delta: float,
     f_tau: Optional[float] = None,
+    a: float = -1.0,
+    b: float = 1.0,
 ) -> DerivativeEstimates:
     """Estimate f'(tau) and f''(tau) by central divided differences.
 
-    The step is max(delta * 1e-4, EPS**(1/3)), clamped to delta / 2 so both
-    sample points stay strictly inside (-1, 1).  The cube-root floor balances
-    truncation against rounding for the difference quotients; the
-    delta-proportional floor keeps the step meaningful when the singularity
-    sits very close to an endpoint.  These estimates feed error bounds only,
-    so a few correct digits are plenty.
+    The step is max(delta * 1e-4, EPS**(1/3) * (b-a)/2), clamped to
+    delta / 2 so both sample points stay strictly inside (a, b).  The
+    cube-root floor, scaled to the interval, balances truncation against
+    rounding for the difference quotients; the delta-proportional floor
+    keeps the step meaningful when the singularity sits very close to an
+    endpoint.  These estimates feed error bounds only, so a few correct
+    digits are plenty.
 
     `f_tau` avoids re-evaluating f at tau when the caller already has it.
     """
     _require_positive("delta", delta)
-    step = max(delta * 1e-4, EPS ** (1.0 / 3.0))
+    step = max(delta * 1e-4, EPS ** (1.0 / 3.0) * (0.5 * (b - a)))
     step = min(step, 0.5 * delta)
     if f_tau is None:
         f_tau = f(tau)
@@ -166,34 +172,45 @@ def derivative_estimates(
     return DerivativeEstimates(f1, f2, step)
 
 
-def log_term_sensitivity(f_tau: float, tau: float, eps: float = EPS) -> float:
+def _require_inside(tau: float, a: float, b: float) -> None:
+    if not a < tau < b:
+        raise ValueError(f"tau must lie in ({a!r}, {b!r}), got {tau!r}")
+
+
+def log_term_sensitivity(
+    f_tau: float, tau: float, eps: float = EPS, a: float = -1.0, b: float = 1.0
+) -> float:
     """First-order effect of rounding tau on the logarithmic term.
 
     Storing the singularity location perturbs it relatively by at most eps,
-    which moves f(tau) log((1-tau)/(1+tau)) by about
-    eps |tau f(tau)| / min(1+tau, 1-tau).  For singularities close to an
+    which moves f(tau) log((b-tau)/(tau-a)) by about
+    eps |tau f(tau)| / min(tau-a, b-tau).  For singularities close to an
     endpoint this floor dominates every other error source and cannot be
     reduced by more quadrature work.
     """
-    if not -1.0 < tau < 1.0:
-        raise ValueError(f"tau must lie in (-1, 1), got {tau!r}")
+    _require_inside(tau, a, b)
     _require_positive("eps", eps)
     if not math.isfinite(f_tau):
         raise ValueError(f"f_tau must be finite, got {f_tau!r}")
-    return eps * abs(tau * f_tau) / min(1.0 + tau, 1.0 - tau)
+    return eps * abs(tau * f_tau) / min(tau - a, b - tau)
 
 
 def curvature_sensitivity(
-    tau: float, f2: float, eps: float = EPS, c: float = 8.0
+    tau: float,
+    f2: float,
+    eps: float = EPS,
+    c: float = 8.0,
+    a: float = -1.0,
+    b: float = 1.0,
 ) -> float:
     """First-order effect of rounding tau on the quotient integrals.
 
     Perturbing the singularity location changes the difference quotients in
     proportion to the curvature of f; the calibrated form is
-    c * eps * |tau| * sqrt(|f2|) with c = 8 by default.
+    c * eps * |tau| * sqrt(|f2|) with c = 8 by default, the same form on
+    every interval.
     """
-    if not -1.0 < tau < 1.0:
-        raise ValueError(f"tau must lie in (-1, 1), got {tau!r}")
+    _require_inside(tau, a, b)
     _require_nonnegative("f2", f2)
     _require_positive("eps", eps)
     _require_positive("c", c)
@@ -209,15 +226,19 @@ def total_error_estimate(
     method: str = "open",
     mu: Optional[float] = None,
     c: float = 8.0,
+    a: float = -1.0,
+    b: float = 1.0,
 ) -> ErrorBudget:
     """Assemble the full error budget for one computed integral.
 
     `pieces` carries the achieved quadrature estimates (left and right
     difference quotient integrals, symmetric quotient integral).  The
-    accumulated quotient rounding enters as 8 eps |f'(tau)|, and the two
+    accumulated quotient rounding enters as 8 eps |f'(tau)| max(h, |tau|)
+    with h = (b-a)/2: the quotients round like f' times the interval's
+    scale, and the abscissae tau +- x round at the scale of tau.  The two
     sensitivity terms account for the rounded singularity location.  Under
-    ``method="cutoff"`` the cutoff budget for `mu` is added; under "open"
-    it is zero.
+    ``method="cutoff"`` the cutoff budget for `mu`, a distance in the units
+    of x, is added on the scale of the interval; under "open" it is zero.
     """
     quad_left, quad_right, quad_h = pieces
     for name, v in (
@@ -228,11 +249,13 @@ def total_error_estimate(
         _require_nonnegative(name, v)
     if method not in ("open", "cutoff"):
         raise ValueError(f"method must be 'open' or 'cutoff', got {method!r}")
-    roundoff = 8.0 * eps * abs(deriv.f1)
-    log_sens = log_term_sensitivity(f_tau, tau, eps)
-    curv = curvature_sensitivity(tau, abs(deriv.f2), eps, c)
+    half = 0.5 * (b - a)
+    roundoff = 8.0 * eps * abs(deriv.f1) * max(half, abs(tau))
+    log_sens = log_term_sensitivity(f_tau, tau, eps, a, b)
+    curv = curvature_sensitivity(tau, abs(deriv.f2), eps, c, a, b)
     if method == "cutoff":
-        cutoff = cutoff_budget(EPS if mu is None else mu, abs(deriv.f1), eps)
+        mu = EPS if mu is None else mu
+        cutoff = cutoff_budget(mu / half, half * abs(deriv.f1), eps)
     else:
         cutoff = 0.0
     return ErrorBudget(

@@ -12,7 +12,9 @@ Grammar (whitespace insignificant, no implicit multiplication):
 '^' is right-associative and binds tighter than unary minus, so -x^2 is
 -(x^2) and 2^3^2 is 2^(3^2).  Functions are sin, cos, tan, exp, log, sqrt,
 abs; constants are pi and e; the only variable is x.  Every identifier is
-resolved at parse time, so an Expr never fails to evaluate: domain
+resolved at parse time, and `evaluate` and `to_source` walk long sums and
+products and runs of unary minus in a loop, so an Expr that `parse` returns
+never fails to evaluate or print, however long: domain
 violations (log of a nonpositive value, even roots of negative values,
 division by zero) evaluate to NaN, which the quadrature engine then reports
 as a nonfinite integrand at that point.
@@ -33,6 +35,7 @@ deeply".
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -257,30 +260,44 @@ def parse(source: str) -> Expr:
         ) from None
 
 
+_ARITHMETIC: dict[str, Callable[[float, float], float]] = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+}
+
+
 def _eval(expr: Expr, x: float) -> float:
+    """Value of expr at x; runs of unary minus and left-associative chains
+    are walked in a loop, not by recursion, so a long sum costs no stack."""
     if isinstance(expr, Num):
         return expr.value
     if isinstance(expr, Var):
         return x
     if isinstance(expr, Const):
         return _CONSTANTS[expr.name]
-    if isinstance(expr, Neg):
-        return -_eval(expr.operand, x)
     if isinstance(expr, Call):
         return _FUNCTIONS[expr.name](_eval(expr.arg, x))
-    left = _eval(expr.left, x)
-    right = _eval(expr.right, x)
-    if expr.op == "+":
-        return left + right
-    if expr.op == "-":
-        return left - right
-    if expr.op == "*":
-        return left * right
-    if expr.op == "/":
-        return left / right
-    # math.pow keeps '^' real-valued; (-8)^(1/3) is a domain error, not a
-    # complex number
-    return math.pow(left, right)
+    if isinstance(expr, Neg):
+        signs = 0
+        while isinstance(expr, Neg):
+            signs += 1
+            expr = expr.operand
+        value = _eval(expr, x)
+        return -value if signs % 2 else value
+    if expr.op == "^":
+        # math.pow keeps '^' real-valued; (-8)^(1/3) is a domain error, not
+        # a complex number
+        return math.pow(_eval(expr.left, x), _eval(expr.right, x))
+    spine = []
+    while isinstance(expr, BinOp) and expr.op != "^":
+        spine.append(expr)
+        expr = expr.left
+    value = _eval(expr, x)
+    for node in reversed(spine):
+        value = _ARITHMETIC[node.op](value, _eval(node.right, x))
+    return value
 
 
 def evaluate(expr: Expr, x: float) -> float:
@@ -311,6 +328,8 @@ def _node_prec(expr: Expr) -> int:
 
 
 def _render(expr: Expr, min_prec: int) -> str:
+    """Source text of expr, parenthesized below `min_prec`; chains and runs
+    of unary minus are walked in a loop, as in `_python`."""
     if isinstance(expr, Num):
         return repr(expr.value)
     if isinstance(expr, Var):
@@ -319,20 +338,26 @@ def _render(expr: Expr, min_prec: int) -> str:
         return expr.name
     if isinstance(expr, Call):
         return f"{expr.name}({_render(expr.arg, _PREC_ADD)})"
+    prec = _node_prec(expr)
     if isinstance(expr, Neg):
-        text = "-" + _render(expr.operand, _PREC_NEG)
+        signs = 0
+        while isinstance(expr, Neg):
+            signs += 1
+            expr = expr.operand
+        text = "-" * signs + _render(expr, _PREC_NEG)
+    elif expr.op == "^":
+        # right-associative: parenthesize any left operand below atom,
+        # let the right operand be a factor (unary minus included)
+        text = f"{_render(expr.left, _PREC_ATOM)}^{_render(expr.right, _PREC_NEG)}"
     else:
-        prec = _OP_PREC[expr.op]
-        if expr.op == "^":
-            # right-associative: parenthesize any left operand below atom,
-            # let the right operand be a factor (unary minus included)
-            left = _render(expr.left, _PREC_ATOM)
-            right = _render(expr.right, _PREC_NEG)
-        else:
-            left = _render(expr.left, prec)
-            right = _render(expr.right, prec + 1)
-        text = f"{left}{expr.op}{right}"
-    if _node_prec(expr) < min_prec:
+        # left-associative: the left spine needs no parentheses, a right
+        # operand of the same class does
+        tail = []
+        while isinstance(expr, BinOp) and _OP_PREC[expr.op] == prec:
+            tail.append(f"{expr.op}{_render(expr.right, prec + 1)}")
+            expr = expr.left
+        text = _render(expr, prec) + "".join(reversed(tail))
+    if prec < min_prec:
         return f"({text})"
     return text
 

@@ -310,20 +310,9 @@ def apply_rule(
         raise ValueError(f"need a < b, got [{a!r}, {b!r}]")
     if isinstance(rule, EmbeddedRulePair):
         return _apply_pair(rule, f, a, b)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    total = 0.0
-    for x, w in zip(rule.nodes, rule.weights):
-        t = mid + half * x
-        if not a < t < b:
-            raise RuntimeError(
-                f"node mapped onto an interval endpoint: {t!r} in [{a!r}, {b!r}]"
-            )
-        v = f(t)
-        if not math.isfinite(v):
-            raise NonfiniteIntegrandError(t)
-        total += w * v
-    return total * half
+    # a plain rule is a pair whose embedded weights are all zero
+    bare = EmbeddedRulePair(rule, (0.0,) * rule.order)
+    return _apply_pair(bare, f, a, b)[0]
 
 
 def _splittable(a: float, b: float) -> bool:

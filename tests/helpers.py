@@ -60,3 +60,21 @@ def cpv_monomial(k: int, tau: float) -> float:
     """
     total = sum(tau**j * monomial_integral(k - 1 - j) for j in range(k))
     return total + tau**k * math.log((1.0 - tau) / (1.0 + tau))
+
+
+def pv_sin_interval(k: float, tau: float, a: float, b: float):
+    """Principal value of sin(k x) / (x - tau) over [a, b], as an mpf.
+
+    With A = tau - a and B = b - tau, u = x - tau splits sin(k x) into
+    cos(k tau) sin(k u) + sin(k tau) cos(k u), whose principal values are
+    Si(k B) + Si(k A) and Ci(k B) - Ci(k A).  The doubles are converted
+    exactly, so this is the problem the solver is given.
+    """
+    import mpmath as mp
+
+    with mp.workdps(40):
+        k, tau = mp.mpf(k), mp.mpf(tau)
+        A, B = tau - mp.mpf(a), mp.mpf(b) - tau
+        odd = mp.si(k * B) + mp.si(k * A)
+        even = mp.ci(k * B) - mp.ci(k * A)
+        return +(mp.cos(k * tau) * odd + mp.sin(k * tau) * even)

@@ -141,6 +141,14 @@ class TestIntegrate:
         capsys.readouterr()
         assert code == 2
 
+    def test_mu_is_in_the_units_of_x(self, capsys):
+        # delta = 0.25 on [2, 4]: mu = 0.2 is a valid cutoff, 0.3 is not
+        base = ["integrate", "--f", "cos(x)", "--tau", "2.25", "--a", "2",
+                "--b", "4", "--method", "cutoff"]
+        assert main(base + ["--mu", "0.2"]) in (0, 1)
+        assert main(base + ["--mu", "0.3"]) == 2
+        assert "(0, 0.25]" in capsys.readouterr().err
+
     def test_bad_mu_is_usage_error(self, capsys):
         code = main(
             [

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import pytest
 
 from cpvquad import cpv as cpv_module
@@ -14,12 +15,11 @@ from cpvquad.cpv import (
     longman_split,
     make_difference_quotient,
     make_symmetric_quotient,
-    singular_log_term,
     subtract_singularity,
 )
 from cpvquad.quadrature import NonfiniteIntegrandError
 
-from helpers import cpv_monomial
+from helpers import cpv_monomial, pv_sin_interval
 
 # independently derived reference for f(x) = e^x, tau = 1/2 on [-1, 1]
 EXP_HALF_REFERENCE = float("0.913786431723662428316752218177")
@@ -43,6 +43,12 @@ class TestEndpointDistance:
     def test_rejects_outside_open_interval(self, tau):
         with pytest.raises(ValueError):
             endpoint_distance(tau)
+
+    def test_general_interval(self):
+        assert endpoint_distance(2.25, 2.0, 4.0) == 0.25
+        assert endpoint_distance(3.5, 2.0, 4.0) == 0.5
+        with pytest.raises(ValueError):
+            endpoint_distance(1.0, 2.0, 4.0)
 
 
 class TestDifferenceQuotient:
@@ -94,25 +100,33 @@ class TestSymmetricQuotient:
 
 
 class TestSingularLogTerm:
+    """The closed-form term f(tau) log((b-tau)/(tau-a)) of cpv_standard.
+
+    For a constant f both quotients vanish identically, so the computed
+    value is the log term alone.
+    """
+
     def test_zero_at_center(self):
-        assert singular_log_term(math.exp, 0.0) == 0.0
+        assert cpv_standard(CpvProblem(f=lambda x: 5.0, tau=0.0)).value == 0.0
+        assert cpv_standard(
+            CpvProblem(f=lambda x: 5.0, tau=3.0, a=2.0, b=4.0)
+        ).value == 0.0
 
     def test_constant_function(self):
         expected = math.log(0.5 / 1.5)
-        assert singular_log_term(lambda x: 1.0, 0.5) == pytest.approx(
-            expected, rel=1e-15
-        )
+        result = cpv_standard(CpvProblem(f=lambda x: 1.0, tau=0.5))
+        assert result.value == pytest.approx(expected, rel=1e-15)
 
     def test_exponential_near_endpoint(self):
-        expected = math.exp(0.99) * math.log(0.01 / 1.99)
-        assert singular_log_term(math.exp, 0.99) == pytest.approx(
-            expected, rel=1e-15
-        )
+        # only f(tau) = e^0.99 enters the log term
+        f_tau = math.exp(0.99)
+        expected = f_tau * math.log(0.01 / 1.99)
+        result = cpv_standard(CpvProblem(f=lambda x: f_tau, tau=0.99))
+        assert result.value == pytest.approx(expected, rel=1e-13)
 
     def test_validates_tau(self):
         with pytest.raises(ValueError):
-            singular_log_term(math.exp, 1.0)
-
+            CpvProblem(f=math.exp, tau=1.0)
 
 class TestProblemValidation:
     def test_defaults_are_reference_interval(self):
@@ -146,20 +160,32 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             CpvProblem(f=math.exp, tau=0.5, method="cutoff", mu=0.6)
 
-    def test_rejects_tau_indistinguishable_from_endpoint(self):
-        # tau is strictly inside [a, b] but maps onto 1.0 after the affine
-        # reduction, so the singularity cannot be separated from the endpoint
-        with pytest.raises(ValueError, match="indistinguishable"):
-            CpvProblem(f=math.exp, tau=0.5, a=-1e16, b=1.0)
+    def test_accepts_tau_near_endpoint_of_wide_interval(self):
+        # 0.5 is half a unit from b and 1e16 units from a; both distances
+        # are positive doubles, so the problem is well posed as given
+        result = cpv_standard(
+            CpvProblem(f=lambda x: 1.0, tau=0.5, a=-1e16, b=1.0)
+        )
+        expected = math.log(0.5 / (0.5 + 1e16))
+        assert result.value == pytest.approx(expected, rel=1e-13)
 
-    def test_unit_tau_identity_on_reference_interval(self):
-        p = CpvProblem(f=math.exp, tau=0.37)
-        assert p.unit_tau() == 0.37
+    def test_standard_on_general_interval_equals_general(self):
+        standard = cpv_standard(
+            CpvProblem(f=math.exp, tau=0.7, a=0.0, b=2.0)
+        )
+        general = cpv_general(math.exp, 0.7, 0.0, 2.0)
+        assert standard == general
 
-    def test_standard_rejects_general_interval(self):
-        p = CpvProblem(f=math.exp, tau=1.0, a=0.0, b=2.0)
-        with pytest.raises(ValueError, match="reference interval"):
-            cpv_standard(p)
+    def test_cutoff_mu_checked_against_callers_delta(self):
+        # delta = 0.25 in the units of x on [2, 4]
+        p = CpvProblem(f=math.exp, tau=2.25, a=2.0, b=4.0,
+                       method="cutoff", mu=0.25)
+        assert p.mu == 0.25
+        with pytest.raises(ValueError, match=r"\(0, 0\.25\]"):
+            CpvProblem(f=math.exp, tau=2.25, a=2.0, b=4.0,
+                       method="cutoff", mu=0.3)
+        with pytest.raises(ValueError):
+            cpv_general(math.exp, 2.25, 2.0, 4.0, method="cutoff", mu=0.3)
 
     def test_nonfinite_f_at_tau_reports_abscissa(self):
         def f(x):
@@ -417,6 +443,56 @@ class TestGeneralInterval:
         x = excinfo.value.x
         assert 3.5 <= x < 4.0
         assert math.isinf(f(x) - f(4.2))
+
+
+def _error(value: float, reference) -> float:
+    with mp.workdps(40):
+        return float(abs(mp.mpf(value) - reference))
+
+
+class TestCallersCoordinates:
+    """The decomposition on [a, b] itself, without a map to [-1, 1]."""
+
+    @pytest.mark.parametrize("c", [1e3, 1e6, 1e9])
+    def test_offset_interval_error_within_estimate(self, c):
+        # sin(x - c) / (x - c) over [c - 1, c + 1] is 2 Si(1); x - c is
+        # exact near c, so the integrand is sin of the true offset, but
+        # tau +- x round at ulp(c)
+        result = cpv_general(lambda x: math.sin(x - c), c, c - 1.0, c + 1.0)
+        with mp.workdps(40):
+            reference = 2 * mp.si(1)
+        assert _error(result.value, reference) <= result.error_estimate
+
+    @pytest.mark.parametrize(
+        "tau,a,b", [(8.2, 7.5, 8.5), (2.2, 1.5, 2.5)], ids=["8.2", "2.2"]
+    )
+    def test_oscillatory_offset_interval_within_estimate(self, tau, a, b):
+        result = cpv_general(lambda x: math.sin(100.0 * x), tau, a, b)
+        reference = pv_sin_interval(100.0, tau, a, b)
+        assert _error(result.value, reference) <= result.error_estimate
+
+    @pytest.mark.parametrize("method", ["open", "cutoff"])
+    @pytest.mark.parametrize("length", [0.25, 0.5, 2.0, 4.0, 8.0])
+    @pytest.mark.parametrize("u", [-0.7, 0.0, 0.3, 0.999])
+    def test_power_of_two_scaling_is_bit_identical(self, length, u, method):
+        # scaling by a power of two is exact, so every node, quotient and
+        # budget term on [-L, L] is the reference one times a power of two
+        def f(x):
+            return math.exp(x) * math.sin(3.0 * x)
+
+        mu = 2.0**-30
+        scaled = cpv_standard(CpvProblem(
+            f=f, tau=u * length, a=-length, b=length,
+            method=method, mu=mu * length,
+        ))
+        unit = cpv_standard(CpvProblem(
+            f=lambda t: f(length * t), tau=u, method=method, mu=mu,
+        ))
+        assert scaled.value.hex() == unit.value.hex()
+        assert scaled.error_estimate.hex() == unit.error_estimate.hex()
+        assert scaled.evaluations == unit.evaluations
+        assert scaled.converged == unit.converged
+        assert scaled.budget.as_dict() == unit.budget.as_dict()
 
 
 class TestCrossCheckSchemes:

@@ -179,6 +179,12 @@ class TestDerivativeEstimates:
             derivative_estimates(f, 0.2, 0.8)
         assert excinfo.value.x == pytest.approx(0.2 + 1e-4 * 0.8, rel=1e-12)
 
+    def test_step_floor_scales_with_interval(self):
+        # half-width 10: the floor is ten times the one on [-1, 1]
+        d = derivative_estimates(math.exp, 30.2, 0.2, a=30.0, b=50.0)
+        assert d.step == EPS ** (1.0 / 3.0) * 10.0
+        assert d.f1 == pytest.approx(math.exp(30.2), rel=1e-8)
+
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
             derivative_estimates(math.exp, 0.0, 0.0)
@@ -202,6 +208,12 @@ class TestLogTermSensitivity:
             log_term_sensitivity(1.0, 1.0)
         with pytest.raises(ValueError):
             log_term_sensitivity(math.nan, 0.5)
+
+    def test_general_interval_uses_callers_distance(self):
+        # tau = 2.5 is 0.5 from both ends of [2, 3]
+        assert log_term_sensitivity(1.0, 2.5, 1e-16, 2.0, 3.0) == 5e-16
+        with pytest.raises(ValueError):
+            log_term_sensitivity(1.0, 0.5, 1e-16, 2.0, 3.0)
 
 
 class TestCurvatureSensitivity:
@@ -229,6 +241,13 @@ class TestCurvatureSensitivity:
             curvature_sensitivity(0.5, -1.0)
         with pytest.raises(ValueError):
             curvature_sensitivity(0.5, 1.0, c=0.0)
+
+    def test_general_interval_keeps_the_form(self):
+        assert curvature_sensitivity(8.0, 4.0, 1e-16, 8.0, 7.5, 8.5) == (
+            8.0 * 1e-16 * 8.0 * 2.0
+        )
+        with pytest.raises(ValueError):
+            curvature_sensitivity(0.5, 1.0, 1e-16, 8.0, 7.5, 8.5)
 
 
 class TestTotalErrorEstimate:
@@ -278,6 +297,27 @@ class TestTotalErrorEstimate:
             (0.0, 0.0, 0.0), deriv, math.exp(0.5), 0.5, method="cutoff"
         )
         assert budget.cutoff == cutoff_budget(EPS, abs(deriv.f1))
+
+    def test_roundoff_scales_with_interval_and_tau(self):
+        deriv = DerivativeEstimates(2.0, 0.0, 1e-4)
+        wide = total_error_estimate(
+            (0.0, 0.0, 0.0), deriv, 0.0, 1.0, eps=1e-16, a=-3.0, b=5.0
+        )
+        assert wide.roundoff == 8.0 * 1e-16 * 2.0 * 4.0
+        # tau +- x round at ulp(tau): the scale is |tau| once it exceeds
+        # the half-width
+        offset = total_error_estimate(
+            (0.0, 0.0, 0.0), deriv, 0.0, 1000.0, eps=1e-16, a=999.0, b=1001.0
+        )
+        assert offset.roundoff == 8.0 * 1e-16 * 2.0 * 1000.0
+
+    def test_cutoff_in_callers_units(self):
+        deriv = DerivativeEstimates(3.0, 0.0, 1e-4)
+        budget = total_error_estimate(
+            (0.0, 0.0, 0.0), deriv, 1.0, 2.0, method="cutoff", mu=1e-6,
+            a=0.0, b=4.0,
+        )
+        assert budget.cutoff == cutoff_budget(1e-6 / 2.0, 2.0 * 3.0)
 
     def test_rejects_negative_piece(self):
         deriv = DerivativeEstimates(1.0, 0.0, 1e-4)

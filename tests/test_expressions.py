@@ -1,5 +1,6 @@
 """Tests for the integrand expression parser, evaluator and printer."""
 
+import dataclasses
 import math
 
 import pytest
@@ -315,6 +316,50 @@ class TestCompileExpression:
         assert isinstance(result, float)
         if value is not None:
             assert result == value
+
+
+def _same_tree(left, right) -> bool:
+    """Structural equality walked with an explicit stack.
+
+    The dataclasses' own == recurses once per tree level and runs out of
+    stack on a tree of a thousand or more levels.
+    """
+    stack = [(left, right)]
+    while stack:
+        p, q = stack.pop()
+        if type(p) is not type(q):
+            return False
+        for field in dataclasses.fields(p):
+            u, v = getattr(p, field.name), getattr(q, field.name)
+            if dataclasses.is_dataclass(u):
+                stack.append((u, v))
+            elif u != v:
+                return False
+    return True
+
+
+class TestLongChains:
+    """evaluate and to_source handle every tree the compiler handles."""
+
+    @pytest.mark.parametrize(
+        "source",
+        ["+".join(["x"] * 1992), "-".join(["x"] * 1992),
+         "*".join(["x"] * 1992), "-" * 900 + "x"],
+        ids=["sum1992", "difference1992", "product1992", "minus900"],
+    )
+    def test_evaluate_and_print_match_compiled(self, source):
+        tree = parse(source)
+        f = compile_expression(source)
+        for x in _XS:
+            assert _same_float(evaluate(tree, x), f(x)), x
+        assert _same_tree(parse(to_source(tree)), tree)
+
+    def test_sum1992_value(self):
+        source = "+".join(["x"] * 1992)
+        tree = parse(source)
+        assert evaluate(tree, 0.5) == 996.0
+        assert evaluate(tree, 0.5).hex() == compile_expression(source)(0.5).hex()
+        assert to_source(tree) == source
 
 
 class TestNodeValidation:
