@@ -34,6 +34,7 @@ from .error_model import (
     EPS,
     ErrorBudget,
     derivative_estimates,
+    endpoint_distance,
     total_error_estimate,
 )
 from .quadrature import (
@@ -89,13 +90,6 @@ def _quotient_failure(
         if not math.isfinite(f(t)):
             return NonfiniteIntegrandError(t)
     return QuotientOverflowError(quotient, x)
-
-
-def endpoint_distance(tau: float, a: float = -1.0, b: float = 1.0) -> float:
-    """Distance from the singularity to the nearer endpoint of [a, b]."""
-    if not a < tau < b:
-        raise ValueError(f"tau must lie in ({a!r}, {b!r}), got {tau!r}")
-    return min(tau - a, b - tau)
 
 
 def make_difference_quotient(
@@ -195,9 +189,11 @@ def cpv_standard(problem: CpvProblem) -> CpvResult:
     The three quadrature pieces each get a third of the tolerance.  On
     whichever side of tau the distance to the endpoint equals delta, the
     difference quotient piece is empty (the symmetric integral already covers
-    it); that degeneracy is exact in floating point, so emptiness is detected
-    by exact comparison and costs no evaluations.  With tau at the midpoint
-    both sides are empty and the result is the symmetric integral alone.
+    it).  That side is chosen by comparing the two distances, not by
+    recomputing tau -+ delta, which can miss the endpoint by an ulp off
+    [-1, 1]; it costs no evaluations.  The far piece is integrated only when
+    its rounded bounds are ordered.  With tau at the midpoint both sides are
+    empty and the result is the symmetric integral alone.
     A non-finite integrand or quotient is reported at the abscissa x, or at
     the offset from tau for the symmetric quotient.
     """
@@ -215,13 +211,15 @@ def cpv_standard(problem: CpvProblem) -> CpvResult:
     piece_tol = problem.tol / 3.0
     left_end = tau - delta
     right_start = tau + delta
+    near_left = tau - a <= b - tau
+    near_right = b - tau <= tau - a
 
     try:
-        if left_end == a:
+        if near_left or not a < left_end:
             left = _EMPTY_PIECE
         else:
             left = adaptive_integrate(g, a, left_end, piece_tol)
-        if right_start == b:
+        if near_right or not right_start < b:
             right = _EMPTY_PIECE
         else:
             right = adaptive_integrate(g, right_start, b, piece_tol)

@@ -27,6 +27,7 @@ __all__ = [
     "EPS",
     "ErrorBudget",
     "DerivativeEstimates",
+    "endpoint_distance",
     "symmetric_quotient_roundoff",
     "difference_quotient_roundoff",
     "cutoff_budget",
@@ -97,6 +98,13 @@ def _require_nonnegative(name: str, v: float) -> None:
         raise ValueError(f"{name} must be nonnegative and finite, got {v!r}")
 
 
+def endpoint_distance(tau: float, a: float = -1.0, b: float = 1.0) -> float:
+    """Distance from the singularity to the nearer endpoint of [a, b]."""
+    if not a < tau < b:
+        raise ValueError(f"tau must lie in ({a!r}, {b!r}), got {tau!r}")
+    return min(tau - a, b - tau)
+
+
 def symmetric_quotient_roundoff(x: float, d1: float, eps: float = EPS) -> float:
     """Pointwise rounding bound for (f(tau+x) - f(tau-x)) / x.
 
@@ -147,10 +155,12 @@ def derivative_estimates(
 ) -> DerivativeEstimates:
     """Estimate f'(tau) and f''(tau) by central divided differences.
 
-    The step is max(delta * 1e-4, EPS**(1/3) * (b-a)/2), clamped to
-    delta / 2 so both sample points stay strictly inside (a, b).  The
-    cube-root floor, scaled to the interval, balances truncation against
-    rounding for the difference quotients; the delta-proportional floor
+    The step is max(delta * 1e-4, EPS**(1/3) * max((b-a)/2, |tau|)),
+    clamped to delta / 2 so both sample points stay strictly inside (a, b).
+    The cube-root floor balances truncation against rounding for the
+    difference quotients; it scales with |tau| as well as the interval
+    because tau +- step rounds at ulp(tau), and a step below that would
+    sample f at tau itself.  The delta-proportional floor
     keeps the step meaningful when the singularity sits very close to an
     endpoint.  These estimates feed error bounds only, so a few correct
     digits are plenty.
@@ -158,7 +168,7 @@ def derivative_estimates(
     `f_tau` avoids re-evaluating f at tau when the caller already has it.
     """
     _require_positive("delta", delta)
-    step = max(delta * 1e-4, EPS ** (1.0 / 3.0) * (0.5 * (b - a)))
+    step = max(delta * 1e-4, EPS ** (1.0 / 3.0) * max(0.5 * (b - a), abs(tau)))
     step = min(step, 0.5 * delta)
     if f_tau is None:
         f_tau = f(tau)
@@ -172,11 +182,6 @@ def derivative_estimates(
     return DerivativeEstimates(f1, f2, step)
 
 
-def _require_inside(tau: float, a: float, b: float) -> None:
-    if not a < tau < b:
-        raise ValueError(f"tau must lie in ({a!r}, {b!r}), got {tau!r}")
-
-
 def log_term_sensitivity(
     f_tau: float, tau: float, eps: float = EPS, a: float = -1.0, b: float = 1.0
 ) -> float:
@@ -188,11 +193,11 @@ def log_term_sensitivity(
     endpoint this floor dominates every other error source and cannot be
     reduced by more quadrature work.
     """
-    _require_inside(tau, a, b)
+    delta = endpoint_distance(tau, a, b)
     _require_positive("eps", eps)
     if not math.isfinite(f_tau):
         raise ValueError(f"f_tau must be finite, got {f_tau!r}")
-    return eps * abs(tau * f_tau) / min(tau - a, b - tau)
+    return eps * abs(tau * f_tau) / delta
 
 
 def curvature_sensitivity(
@@ -210,7 +215,7 @@ def curvature_sensitivity(
     c * eps * |tau| * sqrt(|f2|) with c = 8 by default, the same form on
     every interval.
     """
-    _require_inside(tau, a, b)
+    endpoint_distance(tau, a, b)  # validates tau
     _require_nonnegative("f2", f2)
     _require_positive("eps", eps)
     _require_positive("c", c)

@@ -149,6 +149,13 @@ class TestIntegrate:
         assert main(base + ["--mu", "0.3"]) == 2
         assert "(0, 0.25]" in capsys.readouterr().err
 
+    def test_tau_whose_near_endpoint_does_not_round_back(self, capsys):
+        # 0.3 - (0.3 + 0.1) lands an ulp below a = -0.1
+        code = main(["integrate", "--f", "cos(x)", "--tau", "0.3",
+                     "--a", "-0.1", "--b", "10"])
+        capsys.readouterr()
+        assert code == 0
+
     def test_bad_mu_is_usage_error(self, capsys):
         code = main(
             [

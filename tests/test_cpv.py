@@ -453,7 +453,7 @@ def _error(value: float, reference) -> float:
 class TestCallersCoordinates:
     """The decomposition on [a, b] itself, without a map to [-1, 1]."""
 
-    @pytest.mark.parametrize("c", [1e3, 1e6, 1e9])
+    @pytest.mark.parametrize("c", [1e3, 1e6, 1e9, 1e12, 1e13])
     def test_offset_interval_error_within_estimate(self, c):
         # sin(x - c) / (x - c) over [c - 1, c + 1] is 2 Si(1); x - c is
         # exact near c, so the integrand is sin of the true offset, but
@@ -469,6 +469,18 @@ class TestCallersCoordinates:
     def test_oscillatory_offset_interval_within_estimate(self, tau, a, b):
         result = cpv_general(lambda x: math.sin(100.0 * x), tau, a, b)
         reference = pv_sin_interval(100.0, tau, a, b)
+        assert _error(result.value, reference) <= result.error_estimate
+
+    @pytest.mark.parametrize(
+        "tau,a,b", [(0.3, -0.1, 10.0), (0.7, 0.1, 10.0)], ids=["0.3", "0.7"]
+    )
+    def test_near_side_chosen_by_distance(self, tau, a, b):
+        # tau - (tau - a) misses a by an ulp here (0.3 - 0.4 is below -0.1,
+        # 0.7 - 0.6 is below 0.1), so the near side is found by comparing
+        # tau - a with b - tau, never by recomputing the endpoint
+        result = cpv_general(math.sin, tau, a, b)
+        assert result.budget.quad_left == 0.0
+        reference = pv_sin_interval(1.0, tau, a, b)
         assert _error(result.value, reference) <= result.error_estimate
 
     @pytest.mark.parametrize("method", ["open", "cutoff"])

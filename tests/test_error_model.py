@@ -181,9 +181,26 @@ class TestDerivativeEstimates:
 
     def test_step_floor_scales_with_interval(self):
         # half-width 10: the floor is ten times the one on [-1, 1]
-        d = derivative_estimates(math.exp, 30.2, 0.2, a=30.0, b=50.0)
+        d = derivative_estimates(math.exp, 9.75, 0.25, a=-10.0, b=10.0)
         assert d.step == EPS ** (1.0 / 3.0) * 10.0
+        assert d.f1 == pytest.approx(math.exp(9.75), rel=1e-8)
+
+    def test_step_floor_scales_with_tau(self):
+        # |tau| beyond the half-width sets the floor: tau +- step rounds at
+        # ulp(tau)
+        d = derivative_estimates(math.exp, 30.2, 0.2, a=30.0, b=50.0)
+        assert d.step == EPS ** (1.0 / 3.0) * 30.2
         assert d.f1 == pytest.approx(math.exp(30.2), rel=1e-8)
+
+    def test_step_never_vanishes_at_large_offsets(self):
+        # at c = 1e13 a step of delta * 1e-4 is below half an ulp of tau,
+        # so tau +- step would equal tau and f1 would read zero
+        c = 1e13
+        d = derivative_estimates(
+            lambda x: math.sin(x - c), c, 1.0, a=c - 1.0, b=c + 1.0
+        )
+        assert d.step == 0.5
+        assert d.f1 == pytest.approx(2.0 * math.sin(0.5), rel=1e-15)
 
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
