@@ -7,7 +7,8 @@ the integrand or a quotient of it turned non-finite, 2 for unusable flags,
 an --f expression that does not parse or is nested too deeply included.  A
 result that fails its gate is still printed; a near-endpoint singularity,
 for example, carries an honest error floor far above any requested
-tolerance, and the caller decides what to do with it.
+tolerance, and the caller decides what to do with it.  A jump of f at tau
+prints a NaN value with an infinite estimate (null in --json) and exits 1.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -52,7 +54,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description=(
             "Compute the principal value of f(x)/(x - tau) over [a, b]. "
             "Exit status 1 means the printed error estimate exceeds the "
-            "requested tolerance (the result is still printed)."
+            "requested tolerance, because the roundoff floor lies above it "
+            "(stop reason 'floor') or a piece stopped at the interval cap or "
+            "the width floor, or that f jumps at tau (stop reason "
+            "'discontinuous_at_tau'); the result is still printed."
         ),
     )
     p_int.add_argument("--f", required=True, metavar="EXPR",
@@ -108,20 +113,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _json_number(v: float) -> Optional[float]:
+    """v itself, or None (JSON null) where v is NaN or infinite."""
+    return v if math.isfinite(v) else None
+
+
 def _print_result(result: CpvResult, as_json: bool) -> None:
+    reasons = result.stop_reasons._asdict()
     if as_json:
         obj = {
-            "value": result.value,
-            "estimate": result.error_estimate,
-            "budget": result.budget.as_dict(),
+            "value": _json_number(result.value),
+            "estimate": _json_number(result.error_estimate),
+            "budget": {k: _json_number(v)
+                       for k, v in result.budget.as_dict().items()},
             "evaluations": result.evaluations,
             "converged": result.converged,
+            "stop_reasons": reasons,
         }
-        print(json.dumps(obj, indent=2))
+        print(json.dumps(obj, indent=2, allow_nan=False))
     else:
         print(f"value = {result.value!r}")
         print(f"estimate = {result.error_estimate!r}")
         print(f"evaluations = {result.evaluations}")
+        print("stop_reasons = "
+              + " ".join(f"{k}:{v}" for k, v in reasons.items()))
 
 
 def _cmd_integrate(args: argparse.Namespace) -> int:

@@ -15,6 +15,15 @@ ever sees the singularity.  Each piece goes through the adaptive
 Gauss-Kronrod engine, and the result carries an error budget combining the
 achieved quadrature estimates with the roundoff floors of the decomposition.
 
+Those floors depend only on f(tau) and a derivative stencil at tau, so they
+are computed before any quadrature.  Each piece then gets a third of
+max(tol, 2 floor): where the floor lies above the request, refining further
+could not lower the total, and the pieces stop at the floor instead of at
+the interval cap.  A second stencil at half the step detects a jump of f at
+tau, where no principal value exists; such a problem is reported as
+unconverged before any quadrature runs.  Every result names why each piece
+stopped (see :class:`StopReasons`).
+
 Every piece works in the caller's coordinates on any finite [a, b]; no
 change of variable is involved.
 
@@ -27,14 +36,15 @@ main path avoids.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import NamedTuple, Optional
 
 from .error_model import (
     EPS,
     ErrorBudget,
     derivative_estimates,
     endpoint_distance,
+    jump_at_tau,
     total_error_estimate,
 )
 from .quadrature import (
@@ -42,11 +52,13 @@ from .quadrature import (
     Integrand,
     NonfiniteIntegrandError,
     adaptive_integrate,
+    kronrod_pair_g7k15,
 )
 
 __all__ = [
     "CpvProblem",
     "CpvResult",
+    "StopReasons",
     "QuotientOverflowError",
     "endpoint_distance",
     "make_difference_quotient",
@@ -162,15 +174,35 @@ class CpvProblem:
                 )
 
 
+class StopReasons(NamedTuple):
+    """Why each quadrature piece stopped, named like the budget's terms.
+
+    Each entry is "tolerance" (the piece met tol / 3), "floor" (it met a
+    share raised by the roundoff floor, above tol / 3), "interval_cap" or
+    "width_floor" (see :class:`AdaptiveResult`), or, for every piece at
+    once, "discontinuous_at_tau" when f jumps at tau and nothing was
+    integrated.
+    """
+
+    quad_left: str
+    quad_right: str
+    quad_h: str
+
+
 @dataclass(frozen=True)
 class CpvResult:
     """A computed principal value with its error accounting.
 
     ``error_estimate`` equals ``budget.total``; ``evaluations`` counts the
     integrand calls made by the three quadrature pieces.  ``converged`` is
-    False when any piece hit the interval cap before meeting its share of
-    the tolerance; the value and budget are still meaningful, the budget is
-    simply larger.
+    True when every piece met its share of the tolerance; that share is
+    raised to the roundoff floor where the floor lies above the request, so
+    a converged result can still carry an estimate above ``tol``, and
+    ``stop_reasons`` then reads "floor".  It is False when a piece hit the
+    interval cap or the width floor first (the value and budget are still
+    meaningful, the budget is simply larger) or when f jumps at tau, where
+    no principal value exists: the value is then NaN and the estimate
+    infinite.
     """
 
     value: float
@@ -178,22 +210,74 @@ class CpvResult:
     budget: ErrorBudget
     evaluations: int
     converged: bool
+    stop_reasons: StopReasons
 
 
 _EMPTY_PIECE = AdaptiveResult(0.0, 0.0, 0, (), True)
+
+#: Each piece gets max(tol, _FLOOR_FACTOR * floor) / 3, so the quadrature
+#: adds at most twice the floor to a budget the floor already bounds below.
+_FLOOR_FACTOR = 2.0
+
+
+def _rule_fits(a: float, b: float) -> bool:
+    """Whether every G7/K15 node mapped to [a, b] lands strictly inside.
+
+    Mapping is monotone in the node, so the two outermost nodes decide.
+    """
+    x = kronrod_pair_g7k15().kronrod.nodes[-1]
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    return a < mid - half * x and mid + half * x < b
+
+
+def _far_piece(g: Integrand, a: float, b: float, tol: float) -> AdaptiveResult:
+    """The difference quotient integrated over a far piece [a, b].
+
+    A piece a few ulps wide, which tau a few ulps off the midpoint leaves,
+    is too narrow for the rule's nodes to land strictly inside it.  It is
+    skipped and charged its width times |g| at its midpoint, one
+    evaluation, as its error estimate.
+    """
+    if _rule_fits(a, b):
+        return adaptive_integrate(g, a, b, tol)
+    mid = 0.5 * (a + b)
+    v = g(mid)
+    if not math.isfinite(v):
+        raise NonfiniteIntegrandError(mid)
+    bound = (b - a) * abs(v)
+    return AdaptiveResult(0.0, bound, 1, (), bound <= tol, "width_floor")
+
+
+def _reason(piece: AdaptiveResult, tol: float) -> str:
+    """The piece's stop reason, "floor" where only the raised share was met."""
+    if piece.stop_reason == "tolerance" and piece.error_estimate > tol / 3.0:
+        return "floor"
+    return piece.stop_reason
 
 
 def cpv_standard(problem: CpvProblem) -> CpvResult:
     """Compute a principal value integral over the problem's [a, b].
 
-    The three quadrature pieces each get a third of the tolerance.  On
-    whichever side of tau the distance to the endpoint equals delta, the
+    f(tau) and two derivative stencils, at step s and s/2, come first:
+    five calls of f.  If the stencils show a jump at tau (see
+    :func:`jump_at_tau`) no principal value exists, and the result reports
+    ``discontinuous_at_tau`` without running any quadrature.  Otherwise the
+    roundoff floor of the budget (roundoff, log sensitivity, curvature and
+    cutoff terms) is computed once from f(tau) and the coarse stencil, and
+    each quadrature piece gets max(tol, 2 floor) / 3, so no piece refines
+    toward an accuracy the floor rules out; the same floor terms enter the
+    final budget.  A floor that overflowed leaves the shares at tol / 3.
+
+    On whichever side of tau the distance to the endpoint equals delta, the
     difference quotient piece is empty (the symmetric integral already covers
     it).  That side is chosen by comparing the two distances, not by
     recomputing tau -+ delta, which can miss the endpoint by an ulp off
     [-1, 1]; it costs no evaluations.  The far piece is integrated only when
-    its rounded bounds are ordered.  With tau at the midpoint both sides are
-    empty and the result is the symmetric integral alone.
+    its rounded bounds are ordered, and skipped with a charged bound when it
+    is too narrow for the rule (see :func:`_far_piece`).  With tau at the
+    midpoint both sides are empty and the result is the symmetric integral
+    alone.
     A non-finite integrand or quotient is reported at the abscissa x, or at
     the offset from tau for the symmetric quotient.
     """
@@ -201,14 +285,43 @@ def cpv_standard(problem: CpvProblem) -> CpvResult:
     tau = problem.tau
     a = problem.a
     b = problem.b
+    tol = problem.tol
     delta = endpoint_distance(tau, a, b)
     f_tau = f(tau)
     if not math.isfinite(f_tau):
         raise NonfiniteIntegrandError(tau)
 
+    deriv = derivative_estimates(f, tau, delta, f_tau=f_tau, a=a, b=b)
+    fine = derivative_estimates(
+        f, tau, delta, f_tau=f_tau, a=a, b=b, step=0.5 * deriv.step
+    )
+    floor = total_error_estimate(
+        (0.0, 0.0, 0.0),
+        deriv,
+        f_tau,
+        tau,
+        eps=EPS,
+        method=problem.method,
+        mu=problem.mu,
+        a=a,
+        b=b,
+    )
+    if jump_at_tau(deriv, fine, f_tau, tau):
+        budget = replace(floor, quad_left=math.inf, quad_right=math.inf,
+                         quad_h=math.inf)
+        return CpvResult(
+            value=math.nan,
+            error_estimate=budget.total,
+            budget=budget,
+            evaluations=0,
+            converged=False,
+            stop_reasons=StopReasons(*(("discontinuous_at_tau",) * 3)),
+        )
+    raised = _FLOOR_FACTOR * floor.floor
+    piece_tol = max(tol, raised) / 3.0 if math.isfinite(raised) else tol / 3.0
+
     g = make_difference_quotient(f, tau, f_tau)
     h = make_symmetric_quotient(f, tau)
-    piece_tol = problem.tol / 3.0
     left_end = tau - delta
     right_start = tau + delta
     near_left = tau - a <= b - tau
@@ -218,11 +331,11 @@ def cpv_standard(problem: CpvProblem) -> CpvResult:
         if near_left or not a < left_end:
             left = _EMPTY_PIECE
         else:
-            left = adaptive_integrate(g, a, left_end, piece_tol)
+            left = _far_piece(g, a, left_end, piece_tol)
         if near_right or not right_start < b:
             right = _EMPTY_PIECE
         else:
-            right = adaptive_integrate(g, right_start, b, piece_tol)
+            right = _far_piece(g, right_start, b, piece_tol)
     except NonfiniteIntegrandError as exc:
         raise _quotient_failure(f, "difference", exc.x, (exc.x,)) from exc
     lower = 0.0 if problem.method == "open" else problem.mu
@@ -234,25 +347,20 @@ def cpv_standard(problem: CpvProblem) -> CpvResult:
 
     log_term = f_tau * math.log((b - tau) / (tau - a))
     value = log_term + left.value + right.value + symmetric.value
-
-    deriv = derivative_estimates(f, tau, delta, f_tau=f_tau, a=a, b=b)
-    budget = total_error_estimate(
-        (left.error_estimate, right.error_estimate, symmetric.error_estimate),
-        deriv,
-        f_tau,
-        tau,
-        eps=EPS,
-        method=problem.method,
-        mu=problem.mu,
-        a=a,
-        b=b,
+    budget = replace(
+        floor,
+        quad_left=left.error_estimate,
+        quad_right=right.error_estimate,
+        quad_h=symmetric.error_estimate,
     )
+    pieces = (left, right, symmetric)
     return CpvResult(
         value=value,
         error_estimate=budget.total,
         budget=budget,
-        evaluations=left.evaluations + right.evaluations + symmetric.evaluations,
-        converged=left.converged and right.converged and symmetric.converged,
+        evaluations=sum(p.evaluations for p in pieces),
+        converged=all(p.converged for p in pieces),
+        stop_reasons=StopReasons(*(_reason(p, tol) for p in pieces)),
     )
 
 

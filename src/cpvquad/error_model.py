@@ -32,6 +32,7 @@ __all__ = [
     "difference_quotient_roundoff",
     "cutoff_budget",
     "derivative_estimates",
+    "jump_at_tau",
     "log_term_sensitivity",
     "curvature_sensitivity",
     "total_error_estimate",
@@ -69,6 +70,16 @@ class ErrorBudget:
             + self.quad_right
             + self.quad_h
             + self.roundoff
+            + self.log_sensitivity
+            + self.curvature_sensitivity
+            + self.cutoff
+        )
+
+    @property
+    def floor(self) -> float:
+        """The four roundoff terms, which no amount of quadrature lowers."""
+        return (
+            self.roundoff
             + self.log_sensitivity
             + self.curvature_sensitivity
             + self.cutoff
@@ -152,10 +163,11 @@ def derivative_estimates(
     f_tau: Optional[float] = None,
     a: float = -1.0,
     b: float = 1.0,
+    step: Optional[float] = None,
 ) -> DerivativeEstimates:
     """Estimate f'(tau) and f''(tau) by central divided differences.
 
-    The step is max(delta * 1e-4, EPS**(1/3) * max((b-a)/2, |tau|)),
+    The default step is max(delta * 1e-4, EPS**(1/3) * max((b-a)/2, |tau|)),
     clamped to delta / 2 so both sample points stay strictly inside (a, b).
     The cube-root floor balances truncation against rounding for the
     difference quotients; it scales with |tau| as well as the interval
@@ -166,10 +178,14 @@ def derivative_estimates(
     digits are plenty.
 
     `f_tau` avoids re-evaluating f at tau when the caller already has it.
+    An explicit `step` in (0, delta) replaces the default.
     """
     _require_positive("delta", delta)
-    step = max(delta * 1e-4, EPS ** (1.0 / 3.0) * max(0.5 * (b - a), abs(tau)))
-    step = min(step, 0.5 * delta)
+    if step is None:
+        step = max(delta * 1e-4, EPS ** (1.0 / 3.0) * max(0.5 * (b - a), abs(tau)))
+        step = min(step, 0.5 * delta)
+    elif not 0.0 < step < delta:
+        raise ValueError(f"step must lie in (0, {delta!r}), got {step!r}")
     if f_tau is None:
         f_tau = f(tau)
     up = f(tau + step)
@@ -180,6 +196,41 @@ def derivative_estimates(
     f1 = (up - down) / (2.0 * step)
     f2 = (up - 2.0 * f_tau + down) / (step * step)
     return DerivativeEstimates(f1, f2, step)
+
+
+def jump_at_tau(
+    coarse: DerivativeEstimates,
+    fine: DerivativeEstimates,
+    f_tau: float,
+    tau: float,
+    eps: float = EPS,
+) -> bool:
+    """Whether the two stencils show f jumping at tau.
+
+    `fine` uses half the step of `coarse`.  The central difference
+    D(s) = f(tau+s) - f(tau-s) halves with the step where f is
+    differentiable, shrinks faster where f'(tau) = 0, and stays at the jump
+    size J where f jumps, so f1 = D / (2s) doubles from coarse to fine.  A
+    jump is reported when the two differences agree within a quarter of the
+    fine one (a Hölder exponent within about 0.3 of 0) and the fine one
+    stands 64 times above its rounding noise: a few ulps of the sampled
+    values, which the stencil reconstructs from f(tau), f1 and f2, plus the
+    rounding of tau +- s at ulp(tau) times the one-sided slope.  A kink
+    such as |x - tau| leaves D at rounding level and is not reported; a
+    non-finite estimate never is.  Two stencils resolve tau only to the
+    fine step: a jump closer to tau than that looks the same and is
+    reported too.
+    """
+    s = coarse.step
+    d_coarse = 2.0 * s * coarse.f1
+    d_fine = 2.0 * fine.step * fine.f1
+    sampled = abs(f_tau) + s * abs(coarse.f1) + s * s * abs(coarse.f2)
+    slope = abs(coarse.f1) + s * abs(coarse.f2)
+    noise = eps * (sampled + abs(tau) * slope)
+    return (
+        abs(d_fine) > 64.0 * noise
+        and abs(d_coarse - d_fine) <= 0.25 * abs(d_fine)
+    )
 
 
 def log_term_sensitivity(
@@ -244,6 +295,12 @@ def total_error_estimate(
     sensitivity terms account for the rounded singularity location.  Under
     ``method="cutoff"`` the cutoff budget for `mu`, a distance in the units
     of x, is added on the scale of the interval; under "open" it is zero.
+    A derivative estimate that overflowed makes the terms built on it
+    infinite rather than raising.
+
+    With `pieces` all zero the budget holds the floor alone, and
+    ``dataclasses.replace`` fills in the achieved quadrature estimates
+    later without recomputing it.
     """
     quad_left, quad_right, quad_h = pieces
     for name, v in (
@@ -255,14 +312,20 @@ def total_error_estimate(
     if method not in ("open", "cutoff"):
         raise ValueError(f"method must be 'open' or 'cutoff', got {method!r}")
     half = 0.5 * (b - a)
+    d1 = half * abs(deriv.f1)
     roundoff = 8.0 * eps * abs(deriv.f1) * max(half, abs(tau))
     log_sens = log_term_sensitivity(f_tau, tau, eps, a, b)
-    curv = curvature_sensitivity(tau, abs(deriv.f2), eps, c, a, b)
-    if method == "cutoff":
-        mu = EPS if mu is None else mu
-        cutoff = cutoff_budget(mu / half, half * abs(deriv.f1), eps)
+    if math.isfinite(deriv.f2):
+        curv = curvature_sensitivity(tau, abs(deriv.f2), eps, c, a, b)
     else:
+        curv = math.inf
+    if method != "cutoff":
         cutoff = 0.0
+    elif math.isfinite(d1):
+        mu = EPS if mu is None else mu
+        cutoff = cutoff_budget(mu / half, d1, eps)
+    else:
+        cutoff = math.inf
     return ErrorBudget(
         quad_left=quad_left,
         quad_right=quad_right,

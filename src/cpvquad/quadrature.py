@@ -125,8 +125,10 @@ class AdaptiveResult:
     ``error_estimate`` is the sum of the per-interval embedded differences
     over the final partition; ``converged`` records whether that sum met the
     requested tolerance before the interval cap (or the width floor) stopped
-    refinement.  The value and estimate are returned either way so the caller
-    can decide what a miss means.
+    refinement.  ``stop_reason`` says which of the three ended refinement:
+    "tolerance", "interval_cap" or "width_floor" (no interval left wide
+    enough to bisect).  The value and estimate are returned either way so
+    the caller can decide what a miss means.
     """
 
     value: float
@@ -134,6 +136,7 @@ class AdaptiveResult:
     evaluations: int
     intervals: tuple[IntervalEstimate, ...]
     converged: bool
+    stop_reason: str = "tolerance"
 
 
 def _legendre(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -394,4 +397,12 @@ def adaptive_integrate(
         total += v
         estimate += e
     intervals = tuple(IntervalEstimate(*p) for p in pieces)
-    return AdaptiveResult(total, estimate, evaluations, intervals, estimate <= tol)
+    if err_sum <= tol:
+        reason = "tolerance"
+    elif heap:
+        reason = "interval_cap"
+    else:
+        reason = "width_floor"
+    return AdaptiveResult(
+        total, estimate, evaluations, intervals, estimate <= tol, reason
+    )

@@ -166,3 +166,31 @@ class TestDiscontinuous:
         step = lambda x: 0.0 if x < 0.3 else 1.0
         result = adaptive_integrate(step, 0.0, 1.0, 1e-9)
         assert abs(result.value - 0.7) <= max(result.error_estimate, 1e-8)
+
+
+class TestStopReason:
+    def test_tolerance(self):
+        result = adaptive_integrate(math.exp, 0.0, 1.0, 1e-12)
+        assert result.stop_reason == "tolerance"
+        assert result.converged
+
+    def test_degenerate_interval_meets_tolerance(self):
+        assert adaptive_integrate(math.exp, 0.5, 0.5, 1e-12).stop_reason == (
+            "tolerance"
+        )
+
+    def test_interval_cap(self):
+        result = adaptive_integrate(
+            lambda x: 1.0 / x, 0.0, 1.0, 1e-12, max_intervals=50
+        )
+        assert result.stop_reason == "interval_cap"
+        assert not result.converged
+
+    def test_width_floor(self):
+        # 4096 ulps wide: two rounds of bisection leave every interval too
+        # narrow to split while 1/(x - 1) still misses the tolerance
+        b = 1.0 + 4096.0 * math.ulp(1.0)
+        result = adaptive_integrate(lambda x: 1.0 / (x - 1.0), 1.0, b, 1e-12)
+        assert result.stop_reason == "width_floor"
+        assert not result.converged
+        assert len(result.intervals) < 10

@@ -183,6 +183,12 @@ class TestRunBenchmark:
             assert row.abs_error <= row.bound
             assert row.error_estimate >= row.abs_error
 
+    def test_battery_evaluations_stay_within_budget(self):
+        # 76,830 before the pieces stopped at the roundoff floor; case2,
+        # case4 and case8 now stop there and the total is 75,630
+        rows = run_benchmark()
+        assert sum(row.evaluations for row in rows) <= 76_830
+
     def test_deterministic_apart_from_timing(self):
         first = run_benchmark(tol=CALIBRATION_TOL)
         second = run_benchmark(tol=CALIBRATION_TOL)

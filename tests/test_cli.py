@@ -43,6 +43,7 @@ class TestIntegrate:
         obj = json.loads(out)
         assert set(obj) == {
             "value", "estimate", "budget", "evaluations", "converged",
+            "stop_reasons",
         }
         assert obj["converged"] is True
         assert set(obj["budget"]) == {
@@ -56,6 +57,48 @@ class TestIntegrate:
         }
         assert obj["value"] == pytest.approx(0.9137864317236624, rel=1e-12)
         assert obj["estimate"] >= 0.0
+
+    def test_json_stop_reasons(self, capsys):
+        code = main(["integrate", "--f", "exp(x)", "--tau", "0.5", "--json"])
+        obj = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert obj["stop_reasons"] == {
+            "quad_left": "tolerance",
+            "quad_right": "tolerance",
+            "quad_h": "tolerance",
+        }
+
+    def test_plain_output_names_stop_reasons(self, capsys):
+        main(["integrate", "--f", "exp(x)", "--tau", "0.5"])
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1] == (
+            "stop_reasons = quad_left:tolerance quad_right:tolerance "
+            "quad_h:tolerance"
+        )
+
+    def test_jump_at_tau_exits_one_with_strict_json(self, capsys):
+        # sign(x - 0.3), with f(0.3) = 0: no principal value exists
+        code = main(["integrate", "--f", "(x-0.3)/(abs(x-0.3)+1e-300)",
+                     "--tau", "0.3", "--json"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "NaN" not in out and "Infinity" not in out
+        obj = json.loads(out)
+        assert obj["converged"] is False
+        assert obj["value"] is None and obj["estimate"] is None
+        assert obj["evaluations"] == 0
+        assert set(obj["stop_reasons"].values()) == {"discontinuous_at_tau"}
+
+    def test_tolerance_below_floor_exits_one(self, capsys):
+        code = main(["integrate",
+                     "--f", "exp(-100*(x + 0.4)^2)*sin(exp(-10*x))",
+                     "--tau", "-0.41", "--tol", "1e-15", "--json"])
+        obj = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert obj["converged"] is True
+        assert obj["estimate"] > 1e-15
+        assert "floor" in obj["stop_reasons"].values()
+        assert obj["evaluations"] <= 30_000
 
     def test_json_matches_plain(self, capsys):
         main(["integrate", "--f", "exp(x)", "--tau", "0.5"])

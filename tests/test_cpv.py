@@ -17,6 +17,7 @@ from cpvquad.cpv import (
     make_symmetric_quotient,
     subtract_singularity,
 )
+from cpvquad.benchmarks import builtin_problems
 from cpvquad.quadrature import NonfiniteIntegrandError
 
 from helpers import cpv_monomial, pv_sin_interval
@@ -276,7 +277,8 @@ class TestDecompositionMechanics:
     def test_center_call_count_identity(self):
         # at tau = 0 both one-sided pieces are empty, so every quadrature
         # evaluation costs two calls of f (symmetric quotient) and the only
-        # extras are f(tau) and the two derivative stencil points
+        # extras are f(tau) and the two points of each of the two derivative
+        # stencils (step s and s/2, the jump check)
         calls = [0]
 
         def f(x):
@@ -284,7 +286,7 @@ class TestDecompositionMechanics:
             return math.exp(x)
 
         result = cpv_standard(CpvProblem(f=f, tau=0.0))
-        assert calls[0] == 2 * result.evaluations + 3
+        assert calls[0] == 2 * result.evaluations + 5
 
     def _spy_factories(self, monkeypatch, seen_g, seen_h):
         orig_dq = cpv_module.make_difference_quotient
@@ -505,6 +507,148 @@ class TestCallersCoordinates:
         assert scaled.evaluations == unit.evaluations
         assert scaled.converged == unit.converged
         assert scaled.budget.as_dict() == unit.budget.as_dict()
+
+
+def _pv_exp(tau: float, a: float = -1.0, b: float = 1.0, scale: float = 1.0):
+    """Principal value of scale * e^x / (x - tau) over [a, b], as an mpf."""
+    with mp.workdps(40):
+        t = mp.mpf(tau)
+        return mp.mpf(scale) * mp.exp(t) * (
+            mp.ei(mp.mpf(b) - t) - mp.ei(mp.mpf(a) - t)
+        )
+
+
+class TestRoundoffFloorStop:
+    """Pieces stop at the roundoff floor instead of the interval cap."""
+
+    def test_huge_magnitude_stops_early_within_estimate(self):
+        result = cpv_standard(
+            CpvProblem(f=lambda x: 1e300 * math.exp(x), tau=0.5)
+        )
+        assert result.evaluations <= 3000
+        assert result.converged
+        assert "floor" in result.stop_reasons
+        reference = _pv_exp(0.5, scale=1e300)
+        assert _error(result.value, reference) <= result.error_estimate
+
+    def test_sub_floor_tolerance_stops_at_the_floor(self):
+        case = next(c for c in builtin_problems() if c.name == "case8")
+        result = cpv_standard(
+            CpvProblem(f=case.integrand, tau=case.tau, tol=1e-15)
+        )
+        assert result.evaluations <= 30_000
+        assert "floor" in result.stop_reasons
+        assert result.converged
+        assert result.error_estimate > 1e-15
+        with mp.workdps(40):
+            reference = mp.mpf(case.reference_text)
+        assert _error(result.value, reference) <= result.error_estimate
+
+    def test_offset_interval_stops_early_within_estimate(self):
+        c = 1e9
+        result = cpv_general(lambda x: math.sin(x - c), c, c - 1.0, c + 1.0)
+        assert result.evaluations <= 3000
+        assert result.stop_reasons.quad_h == "floor"
+        with mp.workdps(40):
+            reference = 2 * mp.si(1)
+        assert _error(result.value, reference) <= result.error_estimate
+
+    def test_floor_below_tolerance_changes_nothing(self):
+        result = cpv_standard(CpvProblem(f=math.exp, tau=0.5))
+        assert result.stop_reasons == ("tolerance",) * 3
+        assert result.budget.floor < 1e-12 / 2.0
+
+    def test_floor_pieces_exceed_their_plain_share(self):
+        case = next(c for c in builtin_problems() if c.name == "case8")
+        tol = 1e-15
+        result = cpv_standard(CpvProblem(f=case.integrand, tau=case.tau, tol=tol))
+        quad = (result.budget.quad_left, result.budget.quad_right,
+                result.budget.quad_h)
+        for reason, estimate in zip(result.stop_reasons, quad):
+            assert (reason == "floor") == (estimate > tol / 3.0)
+            assert estimate <= 2.0 * result.budget.floor / 3.0
+
+    def test_overflowed_curvature_still_reports_quotient_overflow(self):
+        # f'' = 2e308 overflows in the stencil, so the floor is infinite;
+        # the quadrature still runs and names the overflowing quotient
+        with pytest.raises(QuotientOverflowError) as excinfo:
+            cpv_standard(CpvProblem(f=lambda x: 1e308 * x * x, tau=0.5))
+        assert excinfo.value.quotient == "symmetric"
+
+    def test_overflowed_curvature_gives_an_infinite_estimate(self):
+        # the quotients stay finite at tau = 0.1, so the value is computed,
+        # but the curvature term cannot be bounded
+        result = cpv_standard(CpvProblem(f=lambda x: 1e308 * x * x, tau=0.1))
+        assert result.budget.curvature_sensitivity == math.inf
+        assert result.error_estimate == math.inf
+        exact = 1e308 * (0.2 + 0.01 * math.log(0.9 / 1.1))
+        assert result.value == pytest.approx(exact, rel=1e-12)
+
+
+class TestJumpAtTau:
+    @pytest.mark.parametrize("t", [0.3, -0.5, 0.1])
+    def test_step_is_reported_without_quadrature(self, t):
+        calls = [0]
+
+        def step(x):
+            calls[0] += 1
+            return 1.0 if x >= t else 0.0
+
+        result = cpv_standard(CpvProblem(f=step, tau=t))
+        assert not result.converged
+        assert result.stop_reasons == ("discontinuous_at_tau",) * 3
+        assert result.evaluations == 0
+        # f(tau) and the two stencils, nothing else
+        assert calls[0] == 5
+        assert math.isnan(result.value)
+        assert result.error_estimate == math.inf
+        assert result.error_estimate == result.budget.total
+
+    def test_step_on_a_general_interval(self):
+        result = cpv_general(lambda x: -2.0 if x < 5.0 else 3.0, 5.0, 4.0, 9.0)
+        assert result.stop_reasons == ("discontinuous_at_tau",) * 3
+
+    @pytest.mark.parametrize(
+        "f,tau",
+        [
+            (lambda x: x * x, 0.0),
+            (lambda x: math.cos(2.0 * x), 0.0),
+            (lambda x: math.cos(2.0 * x), 1.0 / 512.0),
+            (lambda x: math.sin(200.0 * x), 0.3),
+            (lambda x: math.sin(200.0 * x), 0.0),
+            (lambda x: abs(x - 0.3), 0.3),
+            (lambda x: 5.0, 0.2),
+            (lambda x: x**3, 0.0),
+        ],
+        ids=["x^2", "cos2x@0", "cos2x@1/512", "sin200x@0.3", "sin200x@0",
+             "kink", "constant", "x^3"],
+    )
+    def test_continuous_integrands_are_not_flagged(self, f, tau):
+        result = cpv_standard(CpvProblem(f=f, tau=tau))
+        assert "discontinuous_at_tau" not in result.stop_reasons
+        assert result.converged
+        assert result.evaluations > 0
+
+
+class TestNarrowFarPiece:
+    """tau a few ulps off the midpoint leaves a far piece a few ulps wide."""
+
+    @pytest.mark.parametrize(
+        "tau,a,b,side",
+        [
+            (1e-16, -1.0, 1.0, "quad_left"),
+            (-1e-16, -1.0, 1.0, "quad_right"),
+            (3.0 + 4.4e-16, 2.0, 4.0, "quad_left"),
+            (3.0 - 4.4e-16, 2.0, 4.0, "quad_right"),
+        ],
+        ids=["1e-16", "-1e-16", "3+4.4e-16", "3-4.4e-16"],
+    )
+    def test_skipped_and_charged(self, tau, a, b, side):
+        result = cpv_standard(CpvProblem(f=math.exp, tau=tau, a=a, b=b))
+        assert getattr(result.stop_reasons, side) == "width_floor"
+        assert getattr(result.budget, side) > 0.0
+        assert result.converged
+        assert _error(result.value, _pv_exp(tau, a, b)) <= result.error_estimate
 
 
 class TestCrossCheckSchemes:

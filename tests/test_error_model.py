@@ -13,6 +13,7 @@ from cpvquad.error_model import (
     curvature_sensitivity,
     derivative_estimates,
     difference_quotient_roundoff,
+    jump_at_tau,
     log_term_sensitivity,
     symmetric_quotient_roundoff,
     total_error_estimate,
@@ -206,6 +207,62 @@ class TestDerivativeEstimates:
         with pytest.raises(ValueError):
             derivative_estimates(math.exp, 0.0, 0.0)
 
+    def test_explicit_step(self):
+        d = derivative_estimates(math.exp, 0.0, 1.0, step=2.5e-5)
+        assert d.step == 2.5e-5
+        assert d.f1 == pytest.approx(1.0, rel=1e-8)
+
+    @pytest.mark.parametrize("step", [0.0, -1e-5, 1.0, 2.0, math.nan])
+    def test_rejects_step_outside_delta(self, step):
+        with pytest.raises(ValueError):
+            derivative_estimates(math.exp, 0.0, 1.0, step=step)
+
+
+def _stencils(f, tau, delta=None):
+    delta = 1.0 - abs(tau) if delta is None else delta
+    coarse = derivative_estimates(f, tau, delta)
+    fine = derivative_estimates(f, tau, delta, step=0.5 * coarse.step)
+    return coarse, fine, f(tau)
+
+
+class TestJumpAtTau:
+    @pytest.mark.parametrize("tau", [0.3, -0.5, 0.1, 0.0])
+    @pytest.mark.parametrize("size", [1.0, -1e-6, 1e200])
+    def test_step_is_a_jump(self, tau, size):
+        def step(x):
+            return 2.0 + (size if x >= tau else 0.0)
+
+        coarse, fine, f_tau = _stencils(step, tau)
+        assert jump_at_tau(coarse, fine, f_tau, tau)
+
+    def test_jump_riding_on_a_slope(self):
+        def f(x):
+            return math.exp(x) + (0.5 if x > 0.25 else -0.5)
+
+        coarse, fine, f_tau = _stencils(f, 0.25)
+        assert jump_at_tau(coarse, fine, f_tau, 0.25)
+
+    # the solver-level negatives are in test_cpv.py::TestJumpAtTau; these
+    # add a rounding-only difference, a Hölder-1/2 point whose quadrature
+    # runs to the interval cap, and a huge magnitude
+    @pytest.mark.parametrize(
+        "f,tau",
+        [
+            (lambda x: math.cos(x - 0.3), 0.3),
+            (lambda x: math.copysign(math.sqrt(abs(x - 0.3)), x - 0.3), 0.3),
+            (lambda x: 1e300 * math.exp(x), 0.5),
+        ],
+        ids=["flat-offset", "signed-sqrt", "1e300exp"],
+    )
+    def test_continuous_is_not_a_jump(self, f, tau):
+        coarse, fine, f_tau = _stencils(f, tau)
+        assert not jump_at_tau(coarse, fine, f_tau, tau)
+
+    def test_nonfinite_estimates_are_not_a_jump(self):
+        coarse = DerivativeEstimates(math.inf, 0.0, 1e-4)
+        fine = DerivativeEstimates(math.inf, 0.0, 5e-5)
+        assert not jump_at_tau(coarse, fine, 1.0, 0.5)
+
 
 class TestLogTermSensitivity:
     def test_zero_at_center(self):
@@ -335,6 +392,25 @@ class TestTotalErrorEstimate:
             a=0.0, b=4.0,
         )
         assert budget.cutoff == cutoff_budget(1e-6 / 2.0, 2.0 * 3.0)
+
+    def test_floor_is_the_roundoff_terms(self):
+        budget = ErrorBudget(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0)
+        assert budget.floor == 22.0
+        deriv = derivative_estimates(math.exp, 0.9999999, 1e-7)
+        floor = total_error_estimate(
+            (0.0, 0.0, 0.0), deriv, math.exp(0.9999999), 0.9999999
+        )
+        assert floor.floor == floor.total
+
+    def test_overflowed_derivatives_give_infinite_terms(self):
+        deriv = DerivativeEstimates(math.inf, math.inf, 1e-4)
+        budget = total_error_estimate(
+            (0.0, 0.0, 0.0), deriv, 1.0, 0.5, method="cutoff", mu=1e-8
+        )
+        assert budget.roundoff == math.inf
+        assert budget.curvature_sensitivity == math.inf
+        assert budget.cutoff == math.inf
+        assert budget.log_sensitivity == log_term_sensitivity(1.0, 0.5)
 
     def test_rejects_negative_piece(self):
         deriv = DerivativeEstimates(1.0, 0.0, 1e-4)
