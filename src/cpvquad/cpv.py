@@ -19,8 +19,8 @@ Those floors depend only on f(tau) and a derivative stencil at tau, so they
 are computed before any quadrature.  Each piece then gets a third of
 max(tol, 2 floor): where the floor lies above the request, refining further
 could not lower the total, and the pieces stop at the floor instead of at
-the interval cap.  A second stencil at half the step detects a jump of f at
-tau, where no principal value exists; such a problem is reported as
+the interval cap.  Stencils at successively halved steps detect a jump of f
+at tau, where no principal value exists; such a problem is reported as
 unconverged before any quadrature runs.  Every result names why each piece
 stopped (see :class:`StopReasons`).
 
@@ -41,6 +41,7 @@ from typing import NamedTuple, Optional
 
 from .error_model import (
     EPS,
+    DerivativeEstimates,
     ErrorBudget,
     derivative_estimates,
     endpoint_distance,
@@ -52,7 +53,6 @@ from .quadrature import (
     Integrand,
     NonfiniteIntegrandError,
     adaptive_integrate,
-    kronrod_pair_g7k15,
 )
 
 __all__ = [
@@ -220,33 +220,36 @@ _EMPTY_PIECE = AdaptiveResult(0.0, 0.0, 0, (), True)
 _FLOOR_FACTOR = 2.0
 
 
-def _rule_fits(a: float, b: float) -> bool:
-    """Whether every G7/K15 node mapped to [a, b] lands strictly inside.
+def _jump_at_tau(
+    f: Integrand,
+    tau: float,
+    delta: float,
+    f_tau: float,
+    deriv: DerivativeEstimates,
+    a: float,
+    b: float,
+) -> bool:
+    """Whether f jumps at tau, by stencils at steps s, s/2, s/4 and s/8.
 
-    Mapping is monotone in the node, so the two outermost nodes decide.
+    Each pair of neighbouring stencils must look like a jump (see
+    :func:`jump_at_tau`); each halving costs two calls of f and runs only
+    while every coarser pair agreed.  One pair alone cannot tell a jump
+    from an oscillation on the scale of s: for sin(Kx) at 0,
+    D(s) = 2 sin(Ks) agrees with D(s/2) whenever cos(Ks/2) lies in
+    [0.375, 0.625], bands that cover about 9 % of large K.  The bands of
+    the next pair, cos(Ks/4) in the same range, are disjoint from these, so
+    no sinusoid passes two pairs; a sum of two can, and the third pair
+    rules most of those out.
     """
-    x = kronrod_pair_g7k15().kronrod.nodes[-1]
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return a < mid - half * x and mid + half * x < b
-
-
-def _far_piece(g: Integrand, a: float, b: float, tol: float) -> AdaptiveResult:
-    """The difference quotient integrated over a far piece [a, b].
-
-    A piece a few ulps wide, which tau a few ulps off the midpoint leaves,
-    is too narrow for the rule's nodes to land strictly inside it.  It is
-    skipped and charged its width times |g| at its midpoint, one
-    evaluation, as its error estimate.
-    """
-    if _rule_fits(a, b):
-        return adaptive_integrate(g, a, b, tol)
-    mid = 0.5 * (a + b)
-    v = g(mid)
-    if not math.isfinite(v):
-        raise NonfiniteIntegrandError(mid)
-    bound = (b - a) * abs(v)
-    return AdaptiveResult(0.0, bound, 1, (), bound <= tol, "width_floor")
+    coarse = deriv
+    for _ in range(3):
+        fine = derivative_estimates(
+            f, tau, delta, f_tau=f_tau, a=a, b=b, step=0.5 * coarse.step
+        )
+        if not jump_at_tau(coarse, fine, f_tau, tau):
+            return False
+        coarse = fine
+    return True
 
 
 def _reason(piece: AdaptiveResult, tol: float) -> str:
@@ -260,8 +263,9 @@ def cpv_standard(problem: CpvProblem) -> CpvResult:
     """Compute a principal value integral over the problem's [a, b].
 
     f(tau) and two derivative stencils, at step s and s/2, come first:
-    five calls of f.  If the stencils show a jump at tau (see
-    :func:`jump_at_tau`) no principal value exists, and the result reports
+    five calls of f, and up to four more when those two stencils look like
+    a jump and finer ones have to confirm it (see :func:`_jump_at_tau`).
+    If f jumps at tau no principal value exists, and the result reports
     ``discontinuous_at_tau`` without running any quadrature.  Otherwise the
     roundoff floor of the budget (roundoff, log sensitivity, curvature and
     cutoff terms) is computed once from f(tau) and the coarse stencil, and
@@ -274,8 +278,9 @@ def cpv_standard(problem: CpvProblem) -> CpvResult:
     it).  That side is chosen by comparing the two distances, not by
     recomputing tau -+ delta, which can miss the endpoint by an ulp off
     [-1, 1]; it costs no evaluations.  The far piece is integrated only when
-    its rounded bounds are ordered, and skipped with a charged bound when it
-    is too narrow for the rule (see :func:`_far_piece`).  With tau at the
+    its rounded bounds are ordered; one too narrow for the rule, which tau
+    a few ulps off the midpoint leaves, gets the engine's one-point charge
+    (see :func:`adaptive_integrate`).  With tau at the
     midpoint both sides are empty and the result is the symmetric integral
     alone.
     A non-finite integrand or quotient is reported at the abscissa x, or at
@@ -292,9 +297,6 @@ def cpv_standard(problem: CpvProblem) -> CpvResult:
         raise NonfiniteIntegrandError(tau)
 
     deriv = derivative_estimates(f, tau, delta, f_tau=f_tau, a=a, b=b)
-    fine = derivative_estimates(
-        f, tau, delta, f_tau=f_tau, a=a, b=b, step=0.5 * deriv.step
-    )
     floor = total_error_estimate(
         (0.0, 0.0, 0.0),
         deriv,
@@ -306,7 +308,7 @@ def cpv_standard(problem: CpvProblem) -> CpvResult:
         a=a,
         b=b,
     )
-    if jump_at_tau(deriv, fine, f_tau, tau):
+    if _jump_at_tau(f, tau, delta, f_tau, deriv, a, b):
         budget = replace(floor, quad_left=math.inf, quad_right=math.inf,
                          quad_h=math.inf)
         return CpvResult(
@@ -331,11 +333,11 @@ def cpv_standard(problem: CpvProblem) -> CpvResult:
         if near_left or not a < left_end:
             left = _EMPTY_PIECE
         else:
-            left = _far_piece(g, a, left_end, piece_tol)
+            left = adaptive_integrate(g, a, left_end, piece_tol)
         if near_right or not right_start < b:
             right = _EMPTY_PIECE
         else:
-            right = _far_piece(g, right_start, b, piece_tol)
+            right = adaptive_integrate(g, right_start, b, piece_tol)
     except NonfiniteIntegrandError as exc:
         raise _quotient_failure(f, "difference", exc.x, (exc.x,)) from exc
     lower = 0.0 if problem.method == "open" else problem.mu

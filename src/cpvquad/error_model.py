@@ -219,7 +219,9 @@ def jump_at_tau(
     such as |x - tau| leaves D at rounding level and is not reported; a
     non-finite estimate never is.  Two stencils resolve tau only to the
     fine step: a jump closer to tau than that looks the same and is
-    reported too.
+    reported too.  Nor can one pair tell a jump from an oscillation on the
+    scale of the step, whose differences can agree by chance; a caller
+    confirms a reported jump with the next pairs, halving the step again.
     """
     s = coarse.step
     d_coarse = 2.0 * s * coarse.f1

@@ -126,8 +126,8 @@ class AdaptiveResult:
     over the final partition; ``converged`` records whether that sum met the
     requested tolerance before the interval cap (or the width floor) stopped
     refinement.  ``stop_reason`` says which of the three ended refinement:
-    "tolerance", "interval_cap" or "width_floor" (no interval left wide
-    enough to bisect).  The value and estimate are returned either way so
+    "tolerance" exactly when ``converged``, otherwise "interval_cap" or
+    "width_floor" (no interval left wide enough to bisect).  The value and estimate are returned either way so
     the caller can decide what a miss means.
     """
 
@@ -268,6 +268,17 @@ def kronrod_pair_g7k15() -> EmbeddedRulePair:
     return pair
 
 
+def _nodes_fit(rule: QuadratureRule, a: float, b: float) -> bool:
+    """Whether every node of `rule` mapped to [a, b] lands strictly inside.
+
+    The map mid + half * x rounds monotonically in x, so the two outermost
+    nodes decide.
+    """
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    return a < mid + half * rule.nodes[0] and mid + half * rule.nodes[-1] < b
+
+
 def _apply_pair(pair: EmbeddedRulePair, f: Integrand, a: float, b: float):
     """Evaluate both rules of the pair on [a, b] sharing one set of f values.
 
@@ -275,17 +286,17 @@ def _apply_pair(pair: EmbeddedRulePair, f: Integrand, a: float, b: float):
     ascending order and the two weighted sums are accumulated in that fixed
     order, which pins down the result bit-for-bit.
     """
+    rule = pair.kronrod
+    if not _nodes_fit(rule, a, b):
+        raise RuntimeError(
+            f"node mapped onto an interval endpoint of [{a!r}, {b!r}]"
+        )
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     sum_k = 0.0
     sum_g = 0.0
-    rule = pair.kronrod
     for x, wk, wg in zip(rule.nodes, rule.weights, pair.gauss_weights):
         t = mid + half * x
-        if not a < t < b:
-            raise RuntimeError(
-                f"node mapped onto an interval endpoint: {t!r} in [{a!r}, {b!r}]"
-            )
         v = f(t)
         if not math.isfinite(v):
             raise NonfiniteIntegrandError(t)
@@ -343,7 +354,9 @@ def adaptive_integrate(
     the partition in ascending interval order, so identical inputs give
     bit-identical results.
 
-    ``a == b`` short-circuits to an exact zero with no evaluations.  An
+    ``a == b`` short-circuits to an exact zero with no evaluations, and an
+    [a, b] too narrow for the rule's nodes to land strictly inside it gets
+    the midpoint rule with its own magnitude as the estimate.  An
     unmet tolerance is reported through ``converged``, never raised; a
     non-finite integrand value raises :class:`NonfiniteIntegrandError`.
     """
@@ -359,6 +372,8 @@ def adaptive_integrate(
         return AdaptiveResult(0.0, 0.0, 0, (), True)
 
     pair = kronrod_pair_g7k15()
+    if not _nodes_fit(pair.kronrod, a, b):
+        return _too_narrow(f, a, b, tol)
     value, err = _apply_pair(pair, f, a, b)
     evaluations = 15
     # Heap entries are (-estimate, sequence, a, b, value); the sequence number
@@ -370,39 +385,77 @@ def adaptive_integrate(
     count = 1
     err_sum = err
 
-    while err_sum > tol and count < max_intervals and heap:
-        neg_est, _, ia, ib, _ival = heap[0]
-        est = -neg_est
-        if not _splittable(ia, ib):
+    while True:
+        while err_sum > tol and count < max_intervals and heap:
+            neg_est, _, ia, ib, _ival = heap[0]
+            est = -neg_est
+            if not _splittable(ia, ib):
+                heapq.heappop(heap)
+                settled.append((ia, ib, _ival, est))
+                continue
             heapq.heappop(heap)
-            settled.append((ia, ib, _ival, est))
-            continue
-        heapq.heappop(heap)
-        mid = 0.5 * (ia + ib)
-        lv, le = _apply_pair(pair, f, ia, mid)
-        rv, re = _apply_pair(pair, f, mid, ib)
-        evaluations += 30
-        heapq.heappush(heap, (-le, seq, ia, mid, lv))
-        heapq.heappush(heap, (-re, seq + 1, mid, ib, rv))
-        seq += 2
-        count += 1
-        err_sum += le + re - est
+            mid = 0.5 * (ia + ib)
+            lv, le = _apply_pair(pair, f, ia, mid)
+            rv, re = _apply_pair(pair, f, mid, ib)
+            evaluations += 30
+            heapq.heappush(heap, (-le, seq, ia, mid, lv))
+            heapq.heappush(heap, (-re, seq + 1, mid, ib, rv))
+            seq += 2
+            count += 1
+            err_sum += le + re - est
 
-    pieces = [(ia, ib, v, -neg) for neg, _, ia, ib, v in heap]
-    pieces.extend(settled)
-    pieces.sort(key=lambda p: p[0])
-    total = 0.0
-    estimate = 0.0
-    for _, _, v, e in pieces:
-        total += v
-        estimate += e
-    intervals = tuple(IntervalEstimate(*p) for p in pieces)
-    if err_sum <= tol:
+        pieces = [(ia, ib, v, -neg) for neg, _, ia, ib, v in heap]
+        pieces.extend(settled)
+        pieces.sort(key=lambda p: p[0])
+        total = 0.0
+        estimate = 0.0
+        for _, _, v, e in pieces:
+            total += v
+            estimate += e
+        if not err_sum <= tol < estimate or count >= max_intervals or not heap:
+            break
+        # The running sum drifted down to tol while the ordered sum did not;
+        # resume from the ordered sum, so that the stop reason and
+        # `converged` are both read from the estimate that is returned.
+        err_sum = estimate
+
+    if estimate <= tol:
         reason = "tolerance"
     elif heap:
         reason = "interval_cap"
     else:
         reason = "width_floor"
+    intervals = tuple(IntervalEstimate(*p) for p in pieces)
     return AdaptiveResult(
-        total, estimate, evaluations, intervals, estimate <= tol, reason
+        total, estimate, evaluations, intervals, reason == "tolerance", reason
+    )
+
+
+def _too_narrow(f: Integrand, a: float, b: float, tol: float) -> AdaptiveResult:
+    """[a, b] too narrow for the rule's nodes: the one-point midpoint rule.
+
+    An interval a few ulps wide, such as the far piece left by a principal
+    value singularity a few ulps off the midpoint, gets the value
+    (b - a) f(mid) and that value's magnitude as its error estimate, one
+    evaluation.  Without a double strictly between a and b no point can be
+    sampled, and the estimate is infinite.
+    """
+    mid = 0.5 * (a + b)
+    if not a < mid < b:
+        value, estimate, evaluations = 0.0, math.inf, 0
+    else:
+        v = f(mid)
+        if not math.isfinite(v):
+            raise NonfiniteIntegrandError(mid)
+        value = (b - a) * v
+        estimate = abs(value)
+        evaluations = 1
+    converged = estimate <= tol
+    return AdaptiveResult(
+        value,
+        estimate,
+        evaluations,
+        (IntervalEstimate(a, b, value, estimate),),
+        converged,
+        "tolerance" if converged else "width_floor",
     )

@@ -194,3 +194,71 @@ class TestStopReason:
         assert result.stop_reason == "width_floor"
         assert not result.converged
         assert len(result.intervals) < 10
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-9, 1e-12, 1e-15])
+    def test_reason_tolerance_exactly_when_converged(self, tol):
+        for f, a, b in ((math.sqrt, 0.0, 1.0), (math.exp, 0.0, 1.0),
+                        (lambda x: 1e3 * math.sin(300.0 * x), 0.0, 1.0)):
+            result = adaptive_integrate(f, a, b, tol)
+            assert (result.stop_reason == "tolerance") == result.converged
+            assert result.converged == (result.error_estimate <= tol)
+
+    def test_running_sum_drift_does_not_end_refinement(self):
+        # the running sum of estimates reaches this tolerance a few 1e-14
+        # before the ordered sum over the partition does; refinement goes
+        # on until the returned estimate meets it
+        tol = 5.56236e-9
+        result = adaptive_integrate(
+            lambda x: 1e3 * math.sin(300.0 * x), 0.0, 1.0, tol
+        )
+        assert result.stop_reason == "tolerance"
+        assert result.converged
+        assert result.error_estimate <= tol
+
+
+class TestTooNarrowForTheRule:
+    """An interval a few ulps wide cannot hold the 15 mapped nodes."""
+
+    def test_midpoint_charge(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return math.exp(x)
+
+        a, b = -1.0, -1.0 + 2.0 * math.ulp(0.5)
+        result = adaptive_integrate(f, a, b, 1e-12)
+        assert calls == [0.5 * (a + b)]
+        assert a < calls[0] < b
+        assert result.evaluations == 1
+        assert result.value == (b - a) * math.exp(calls[0])
+        assert result.error_estimate == abs(result.value)
+        assert result.intervals == (
+            (a, b, result.value, result.error_estimate),
+        )
+        assert result.converged and result.stop_reason == "tolerance"
+
+    def test_charge_above_tolerance(self):
+        a, b = 3.0, 3.0 + 4.0 * math.ulp(3.0)
+        result = adaptive_integrate(lambda x: 1e20, a, b, 1e-12)
+        assert result.error_estimate == pytest.approx(1e20 * (b - a))
+        assert not result.converged
+        assert result.stop_reason == "width_floor"
+
+    def test_no_double_inside(self):
+        # one ulp wide: the midpoint rounds onto an endpoint, so nothing is
+        # sampled and nothing is bounded
+        a, b = 1.0, 1.0 + math.ulp(1.0)
+
+        def f(x):
+            raise AssertionError(f"evaluated at {x!r}")
+
+        result = adaptive_integrate(f, a, b, 1e-12)
+        assert result.evaluations == 0
+        assert result.error_estimate == math.inf
+        assert result.stop_reason == "width_floor"
+        assert not result.converged
+
+    def test_nonfinite_midpoint(self):
+        with pytest.raises(NonfiniteIntegrandError):
+            adaptive_integrate(lambda x: math.nan, 2.0, 2.0 + 8e-16, 1e-12)

@@ -18,6 +18,7 @@ from cpvquad.cpv import (
     subtract_singularity,
 )
 from cpvquad.benchmarks import builtin_problems
+from cpvquad.error_model import derivative_estimates, jump_at_tau
 from cpvquad.quadrature import NonfiniteIntegrandError
 
 from helpers import cpv_monomial, pv_sin_interval
@@ -598,8 +599,8 @@ class TestJumpAtTau:
         assert not result.converged
         assert result.stop_reasons == ("discontinuous_at_tau",) * 3
         assert result.evaluations == 0
-        # f(tau) and the two stencils, nothing else
-        assert calls[0] == 5
+        # f(tau) and the stencils at s, s/2, s/4 and s/8, nothing else
+        assert calls[0] == 9
         assert math.isnan(result.value)
         assert result.error_estimate == math.inf
         assert result.error_estimate == result.budget.total
@@ -629,6 +630,43 @@ class TestJumpAtTau:
         assert result.converged
         assert result.evaluations > 0
 
+    @pytest.mark.parametrize(
+        "k,tau,a,b",
+        [
+            (200.0, 0.0, -100.0, 100.0),
+            (2e4, 0.0, -1.0, 1.0),
+            (3e4, 0.3, -1.0, 1.0),
+        ],
+        ids=["sin200x@0[-100,100]", "sin2e4x@0", "sin3e4x@0.3"],
+    )
+    def test_oscillation_agreeing_at_one_pair_is_not_flagged(self, k, tau, a, b):
+        # D(s) and D(s/2) agree here by chance, so the s/4 stencil decides
+        f = lambda x: math.sin(k * x)
+        delta = endpoint_distance(tau, a, b)
+        coarse = derivative_estimates(f, tau, delta, a=a, b=b)
+        fine = derivative_estimates(
+            f, tau, delta, a=a, b=b, step=0.5 * coarse.step
+        )
+        assert jump_at_tau(coarse, fine, f(tau), tau)
+        result = cpv_general(f, tau, a, b)
+        assert result.converged
+        assert "discontinuous_at_tau" not in result.stop_reasons
+        reference = pv_sin_interval(k, tau, a, b)
+        assert _error(result.value, reference) <= result.error_estimate
+
+    def test_no_sinusoid_is_flagged(self):
+        # every K whose first pair agrees is rejected by the second
+        agreeing = 0
+        for i in range(2000):
+            k = 10.0 ** (1.0 + 5.0 * i / 2000.0)
+            f = lambda x: math.sin(k * x)
+            coarse = derivative_estimates(f, 0.0, 1.0)
+            fine = derivative_estimates(f, 0.0, 1.0, step=0.5 * coarse.step)
+            agreeing += jump_at_tau(coarse, fine, 0.0, 0.0)
+            assert not cpv_module._jump_at_tau(f, 0.0, 1.0, 0.0, coarse,
+                                               -1.0, 1.0)
+        assert agreeing > 50
+
 
 class TestNarrowFarPiece:
     """tau a few ulps off the midpoint leaves a far piece a few ulps wide."""
@@ -644,8 +682,9 @@ class TestNarrowFarPiece:
         ids=["1e-16", "-1e-16", "3+4.4e-16", "3-4.4e-16"],
     )
     def test_skipped_and_charged(self, tau, a, b, side):
+        # the charge, a few ulps times e^x, meets the piece's share
         result = cpv_standard(CpvProblem(f=math.exp, tau=tau, a=a, b=b))
-        assert getattr(result.stop_reasons, side) == "width_floor"
+        assert getattr(result.stop_reasons, side) == "tolerance"
         assert getattr(result.budget, side) > 0.0
         assert result.converged
         assert _error(result.value, _pv_exp(tau, a, b)) <= result.error_estimate
