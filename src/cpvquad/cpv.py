@@ -41,7 +41,6 @@ from typing import NamedTuple, Optional
 
 from .error_model import (
     EPS,
-    DerivativeEstimates,
     ErrorBudget,
     derivative_estimates,
     endpoint_distance,
@@ -220,38 +219,6 @@ _EMPTY_PIECE = AdaptiveResult(0.0, 0.0, 0, (), True)
 _FLOOR_FACTOR = 2.0
 
 
-def _jump_at_tau(
-    f: Integrand,
-    tau: float,
-    delta: float,
-    f_tau: float,
-    deriv: DerivativeEstimates,
-    a: float,
-    b: float,
-) -> bool:
-    """Whether f jumps at tau, by stencils at steps s, s/2, s/4 and s/8.
-
-    Each pair of neighbouring stencils must look like a jump (see
-    :func:`jump_at_tau`); each halving costs two calls of f and runs only
-    while every coarser pair agreed.  One pair alone cannot tell a jump
-    from an oscillation on the scale of s: for sin(Kx) at 0,
-    D(s) = 2 sin(Ks) agrees with D(s/2) whenever cos(Ks/2) lies in
-    [0.375, 0.625], bands that cover about 9 % of large K.  The bands of
-    the next pair, cos(Ks/4) in the same range, are disjoint from these, so
-    no sinusoid passes two pairs; a sum of two can, and the third pair
-    rules most of those out.
-    """
-    coarse = deriv
-    for _ in range(3):
-        fine = derivative_estimates(
-            f, tau, delta, f_tau=f_tau, a=a, b=b, step=0.5 * coarse.step
-        )
-        if not jump_at_tau(coarse, fine, f_tau, tau):
-            return False
-        coarse = fine
-    return True
-
-
 def _reason(piece: AdaptiveResult, tol: float) -> str:
     """The piece's stop reason, "floor" where only the raised share was met."""
     if piece.stop_reason == "tolerance" and piece.error_estimate > tol / 3.0:
@@ -264,7 +231,7 @@ def cpv_standard(problem: CpvProblem) -> CpvResult:
 
     f(tau) and two derivative stencils, at step s and s/2, come first:
     five calls of f, and up to four more when those two stencils look like
-    a jump and finer ones have to confirm it (see :func:`_jump_at_tau`).
+    a jump and finer ones have to confirm it (see :func:`jump_at_tau`).
     If f jumps at tau no principal value exists, and the result reports
     ``discontinuous_at_tau`` without running any quadrature.  Otherwise the
     roundoff floor of the budget (roundoff, log sensitivity, curvature and
@@ -308,7 +275,7 @@ def cpv_standard(problem: CpvProblem) -> CpvResult:
         a=a,
         b=b,
     )
-    if _jump_at_tau(f, tau, delta, f_tau, deriv, a, b):
+    if jump_at_tau(f, deriv, f_tau, tau, delta):
         budget = replace(floor, quad_left=math.inf, quad_right=math.inf,
                          quad_h=math.inf)
         return CpvResult(

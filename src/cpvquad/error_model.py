@@ -198,30 +198,25 @@ def derivative_estimates(
     return DerivativeEstimates(f1, f2, step)
 
 
-def jump_at_tau(
+def _pair_looks_like_jump(
     coarse: DerivativeEstimates,
     fine: DerivativeEstimates,
     f_tau: float,
     tau: float,
-    eps: float = EPS,
+    eps: float,
 ) -> bool:
-    """Whether the two stencils show f jumping at tau.
+    """Whether two stencils, `fine` at half the step of `coarse`, show a jump.
 
-    `fine` uses half the step of `coarse`.  The central difference
-    D(s) = f(tau+s) - f(tau-s) halves with the step where f is
-    differentiable, shrinks faster where f'(tau) = 0, and stays at the jump
-    size J where f jumps, so f1 = D / (2s) doubles from coarse to fine.  A
-    jump is reported when the two differences agree within a quarter of the
-    fine one (a Hölder exponent within about 0.3 of 0) and the fine one
-    stands 64 times above its rounding noise: a few ulps of the sampled
-    values, which the stencil reconstructs from f(tau), f1 and f2, plus the
-    rounding of tau +- s at ulp(tau) times the one-sided slope.  A kink
-    such as |x - tau| leaves D at rounding level and is not reported; a
-    non-finite estimate never is.  Two stencils resolve tau only to the
-    fine step: a jump closer to tau than that looks the same and is
-    reported too.  Nor can one pair tell a jump from an oscillation on the
-    scale of the step, whose differences can agree by chance; a caller
-    confirms a reported jump with the next pairs, halving the step again.
+    The central difference D(s) = f(tau+s) - f(tau-s) halves with the step
+    where f is differentiable, shrinks faster where f'(tau) = 0, and stays
+    at the jump size J where f jumps, so f1 = D / (2s) doubles from coarse
+    to fine.  The pair looks like a jump when the two differences agree
+    within a quarter of the fine one (a Hölder exponent within about 0.3 of
+    0) and the fine one stands 64 times above its rounding noise: a few
+    ulps of the sampled values, which the stencil reconstructs from f(tau),
+    f1 and f2, plus the rounding of tau +- s at ulp(tau) times the
+    one-sided slope.  A kink such as |x - tau| leaves D at rounding level
+    and does not look like a jump; a non-finite estimate never does.
     """
     s = coarse.step
     d_coarse = 2.0 * s * coarse.f1
@@ -233,6 +228,40 @@ def jump_at_tau(
         abs(d_fine) > 64.0 * noise
         and abs(d_coarse - d_fine) <= 0.25 * abs(d_fine)
     )
+
+
+def jump_at_tau(
+    f: Integrand,
+    deriv: DerivativeEstimates,
+    f_tau: float,
+    tau: float,
+    delta: float,
+    eps: float = EPS,
+) -> bool:
+    """Whether f jumps at tau, by stencils at steps s, s/2, s/4 and s/8.
+
+    `deriv` is the stencil at step s, `delta` the distance from tau to the
+    nearer endpoint.  Every neighbouring pair of stencils must look like a
+    jump; each halving costs two calls of f and runs only while every
+    coarser pair did, so a problem without an apparent jump costs one
+    stencil.  One pair alone cannot tell a jump from an oscillation on the
+    scale of s: for sin(Kx) at 0, D(s) = 2 sin(Ks) agrees with D(s/2)
+    whenever cos(Ks/2) lies in [0.375, 0.625], bands that cover about 9 %
+    of large K.  The bands of the next pair, cos(Ks/4) in the same range,
+    are disjoint from these, so no sinusoid passes two pairs; a sum of two
+    can, and the third pair rules most of those out.  The stencils resolve
+    tau only to the finest step: a jump closer to tau than s/8 looks the
+    same and is reported too.
+    """
+    coarse = deriv
+    for _ in range(3):
+        fine = derivative_estimates(
+            f, tau, delta, f_tau=f_tau, step=0.5 * coarse.step
+        )
+        if not _pair_looks_like_jump(coarse, fine, f_tau, tau, eps):
+            return False
+        coarse = fine
+    return True
 
 
 def log_term_sensitivity(

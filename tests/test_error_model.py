@@ -9,6 +9,7 @@ from cpvquad.error_model import (
     EPS,
     DerivativeEstimates,
     ErrorBudget,
+    _pair_looks_like_jump,
     cutoff_budget,
     curvature_sensitivity,
     derivative_estimates,
@@ -218,11 +219,9 @@ class TestDerivativeEstimates:
             derivative_estimates(math.exp, 0.0, 1.0, step=step)
 
 
-def _stencils(f, tau, delta=None):
+def _stencil(f, tau, delta=None):
     delta = 1.0 - abs(tau) if delta is None else delta
-    coarse = derivative_estimates(f, tau, delta)
-    fine = derivative_estimates(f, tau, delta, step=0.5 * coarse.step)
-    return coarse, fine, f(tau)
+    return f, derivative_estimates(f, tau, delta), f(tau), tau, delta
 
 
 class TestJumpAtTau:
@@ -232,15 +231,27 @@ class TestJumpAtTau:
         def step(x):
             return 2.0 + (size if x >= tau else 0.0)
 
-        coarse, fine, f_tau = _stencils(step, tau)
-        assert jump_at_tau(coarse, fine, f_tau, tau)
+        assert jump_at_tau(*_stencil(step, tau))
 
     def test_jump_riding_on_a_slope(self):
         def f(x):
             return math.exp(x) + (0.5 if x > 0.25 else -0.5)
 
-        coarse, fine, f_tau = _stencils(f, 0.25)
-        assert jump_at_tau(coarse, fine, f_tau, 0.25)
+        assert jump_at_tau(*_stencil(f, 0.25))
+
+    def test_costs_two_calls_per_halving(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return 1.0 if x >= 0.3 else 0.0
+
+        args = _stencil(f, 0.3)
+        del calls[:]
+        assert jump_at_tau(*args)
+        s = args[1].step
+        assert calls == [0.3 + s / 2, 0.3 - s / 2, 0.3 + s / 4, 0.3 - s / 4,
+                         0.3 + s / 8, 0.3 - s / 8]
 
     # the solver-level negatives are in test_cpv.py::TestJumpAtTau; these
     # add a rounding-only difference, a Hölder-1/2 point whose quadrature
@@ -255,13 +266,29 @@ class TestJumpAtTau:
         ids=["flat-offset", "signed-sqrt", "1e300exp"],
     )
     def test_continuous_is_not_a_jump(self, f, tau):
-        coarse, fine, f_tau = _stencils(f, tau)
-        assert not jump_at_tau(coarse, fine, f_tau, tau)
+        assert not jump_at_tau(*_stencil(f, tau))
 
     def test_nonfinite_estimates_are_not_a_jump(self):
-        coarse = DerivativeEstimates(math.inf, 0.0, 1e-4)
-        fine = DerivativeEstimates(math.inf, 0.0, 5e-5)
-        assert not jump_at_tau(coarse, fine, 1.0, 0.5)
+        # f(tau+s) - f(tau-s) overflows, so every f1 is infinite
+        def f(x):
+            return 1.7e308 if x >= 0.5 else -1.7e308
+
+        args = _stencil(f, 0.5)
+        assert args[1].f1 == math.inf
+        assert not jump_at_tau(*args)
+
+    def test_no_sinusoid_is_flagged(self):
+        # every K whose first pair agrees by chance is rejected by the next
+        agreeing = 0
+        for i in range(2000):
+            k = 10.0 ** (1.0 + 5.0 * i / 2000.0)
+            f, coarse, f_tau, tau, delta = _stencil(
+                lambda x: math.sin(k * x), 0.0
+            )
+            fine = derivative_estimates(f, tau, delta, step=0.5 * coarse.step)
+            agreeing += _pair_looks_like_jump(coarse, fine, f_tau, tau, EPS)
+            assert not jump_at_tau(f, coarse, f_tau, tau, delta)
+        assert agreeing > 50
 
 
 class TestLogTermSensitivity:
