@@ -127,8 +127,9 @@ class AdaptiveResult:
     requested tolerance before the interval cap (or the width floor) stopped
     refinement.  ``stop_reason`` says which of the three ended refinement:
     "tolerance" exactly when ``converged``, otherwise "interval_cap" or
-    "width_floor" (no interval left wide enough to bisect).  The value and estimate are returned either way so
-    the caller can decide what a miss means.
+    "width_floor" (no interval left wide enough to bisect).  The value and
+    estimate are returned either way so the caller can decide what a miss
+    means.
     """
 
     value: float
