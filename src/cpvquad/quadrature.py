@@ -13,6 +13,14 @@ Kronrod pair is a transcribed table; it is checked against its polynomial
 exactness degrees the first time it is requested, so a corrupted transcription
 cannot go unnoticed.
 
+Each rule is applied through a rule kernel: one straight-line Python
+function emitted from that rule's nodes and weights and compiled the first
+time the rule is applied, so for the Kronrod pair only after its exactness
+check has passed.  The kernel belongs to the rule object it was built from
+and goes when that object goes.  It calls f once per node in ascending order
+and adds the weighted values in that order, the same arithmetic as a loop
+over the nodes, bit for bit, without the loop.
+
 The adaptive integrator bisects whichever interval currently reports the
 largest embedded error difference, keeps every floating-point operation in a
 fixed order, and therefore returns bit-identical results for identical inputs.
@@ -24,7 +32,7 @@ import heapq
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Union
 
 import numpy as np
@@ -69,8 +77,21 @@ class NonfiniteIntegrandError(ValueError):
         self.x = x
 
 
+class _CompiledOnUse:
+    """Keeps a rule's compiled kernel out of its pickled state.
+
+    A function built by ``exec`` cannot be pickled; an unpickled rule
+    compiles its own kernel on first use.
+    """
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state.pop("_kernel", None)
+        return state
+
+
 @dataclass(frozen=True)
-class QuadratureRule:
+class QuadratureRule(_CompiledOnUse):
     """An interpolatory rule on (-1, 1): strictly interior nodes, ascending."""
 
     nodes: tuple[float, ...]
@@ -94,9 +115,14 @@ class QuadratureRule:
         if abs(math.fsum(self.weights) - 2.0) > 1e-14:
             raise ValueError("weights must sum to the interval length 2")
 
+    @cached_property
+    def _kernel(self):
+        """The rule kernel ``(f, a, b) -> value``, compiled on first use."""
+        return _compile_kernel(self)
+
 
 @dataclass(frozen=True)
-class EmbeddedRulePair:
+class EmbeddedRulePair(_CompiledOnUse):
     """A Kronrod rule plus the weights of its embedded Gauss rule.
 
     ``gauss_weights`` is aligned index-by-index with ``kronrod.nodes``; the
@@ -109,6 +135,12 @@ class EmbeddedRulePair:
     def __post_init__(self):
         if len(self.gauss_weights) != self.kronrod.order:
             raise ValueError("embedded weights are not aligned with the nodes")
+
+    @cached_property
+    def _kernel(self):
+        """The rule kernel ``(f, a, b) -> (value, |value - gauss value|)``,
+        compiled on first use."""
+        return _compile_kernel(self.kronrod, self.gauss_weights)
 
 
 class IntervalEstimate(NamedTuple):
@@ -280,32 +312,69 @@ def _nodes_fit(rule: QuadratureRule, a: float, b: float) -> bool:
     return a < mid + half * rule.nodes[0] and mid + half * rule.nodes[-1] < b
 
 
-def _apply_pair(pair: EmbeddedRulePair, f: Integrand, a: float, b: float):
-    """Evaluate both rules of the pair on [a, b] sharing one set of f values.
+def _node_on_endpoint(a: float, b: float):
+    """The kernels' guard: a node rounded onto an endpoint of [a, b]."""
+    raise RuntimeError(f"node mapped onto an interval endpoint of [{a!r}, {b!r}]")
 
-    Returns (kronrod value, |kronrod - gauss|).  Nodes are visited in
-    ascending order and the two weighted sums are accumulated in that fixed
-    order, which pins down the result bit-for-bit.
+
+def _raise_first_nonfinite(nodes, values, mid: float, half: float):
+    """Raise at the lowest node whose value is NaN or infinite, if any.
+
+    Reached only when a kernel's Kronrod sum is not finite.  With every value
+    finite the sum overflowed instead, and the caller goes on to return it.
     """
-    rule = pair.kronrod
-    if not _nodes_fit(rule, a, b):
-        raise RuntimeError(
-            f"node mapped onto an interval endpoint of [{a!r}, {b!r}]"
-        )
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    sum_k = 0.0
-    sum_g = 0.0
-    for x, wk, wg in zip(rule.nodes, rule.weights, pair.gauss_weights):
-        t = mid + half * x
-        v = f(t)
+    for x, v in zip(nodes, values):
         if not math.isfinite(v):
-            raise NonfiniteIntegrandError(t)
-        sum_k += wk * v
-        if wg != 0.0:
-            sum_g += wg * v
-    value = sum_k * half
-    return value, abs(value - sum_g * half)
+            raise NonfiniteIntegrandError(mid + half * x)
+
+
+def _compile_kernel(rule: QuadratureRule, gauss_weights=None):
+    """Emit one straight-line function applying `rule` to f on [a, b].
+
+    Nodes and weights are written as ``repr`` literals, which round-trip
+    exactly.  f is called once per node in ascending order; each weighted sum
+    starts at 0.0 and adds ``w * v`` in that same order, so the result is the
+    one a loop over the nodes gives, bit for bit.  Without ``gauss_weights``
+    the function returns the rule's value; with them it returns
+    ``(value, |value - gauss value|)``, the Gauss sum skipping zero weights.
+    One finiteness test on the Kronrod sum stands for a test per value: every
+    weight is positive, so a NaN or infinite value always spoils that sum.
+    """
+    n = rule.order
+    ends = {0: "t0", n - 1: f"t{n - 1}"}
+    lines = [
+        "def kernel(f, a, b):",
+        "    mid = 0.5 * (a + b)",
+        "    half = 0.5 * (b - a)",
+    ]
+    for i, t in ends.items():
+        lines.append(f"    {t} = mid + half * {rule.nodes[i]!r}")
+    lines.append(f"    if not (a < t0 and {ends[n - 1]} < b):")
+    lines.append("        _node_on_endpoint(a, b)")
+    for i, x in enumerate(rule.nodes):
+        lines.append(f"    v{i} = f({ends.get(i, f'mid + half * {x!r}')})")
+    terms = "".join(f" + {w!r} * v{i}" for i, w in enumerate(rule.weights))
+    lines.append(f"    sum_k = 0.0{terms}")
+    values = ", ".join(f"v{i}" for i in range(n))
+    lines.append("    if not isfinite(sum_k):")
+    lines.append(f"        _raise_first_nonfinite(nodes, ({values},), mid, half)")
+    lines.append("    value = sum_k * half")
+    if gauss_weights is None:
+        lines.append("    return value")
+    else:
+        terms = "".join(
+            f" + {w!r} * v{i}" for i, w in enumerate(gauss_weights) if w != 0.0
+        )
+        lines.append(f"    sum_g = 0.0{terms}")
+        lines.append("    return value, abs(value - sum_g * half)")
+    namespace = {
+        "isfinite": math.isfinite,
+        "nodes": rule.nodes,
+        "_node_on_endpoint": _node_on_endpoint,
+        "_raise_first_nonfinite": _raise_first_nonfinite,
+    }
+    exec(compile("\n".join(lines), f"<rule kernel, {n} points>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 def apply_rule(
@@ -323,11 +392,7 @@ def apply_rule(
         raise ValueError("interval endpoints must be finite")
     if not a < b:
         raise ValueError(f"need a < b, got [{a!r}, {b!r}]")
-    if isinstance(rule, EmbeddedRulePair):
-        return _apply_pair(rule, f, a, b)
-    # a plain rule is a pair whose embedded weights are all zero
-    bare = EmbeddedRulePair(rule, (0.0,) * rule.order)
-    return _apply_pair(bare, f, a, b)[0]
+    return rule._kernel(f, a, b)
 
 
 def _splittable(a: float, b: float) -> bool:
@@ -359,7 +424,9 @@ def adaptive_integrate(
     [a, b] too narrow for the rule's nodes to land strictly inside it gets
     the midpoint rule with its own magnitude as the estimate.  An
     unmet tolerance is reported through ``converged``, never raised; a
-    non-finite integrand value raises :class:`NonfiniteIntegrandError`.
+    non-finite integrand value raises :class:`NonfiniteIntegrandError` at
+    the lowest such node of its interval, after f has been called at all 15
+    nodes of that interval.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("integration endpoints must be finite")
@@ -375,7 +442,8 @@ def adaptive_integrate(
     pair = kronrod_pair_g7k15()
     if not _nodes_fit(pair.kronrod, a, b):
         return _too_narrow(f, a, b, tol)
-    value, err = _apply_pair(pair, f, a, b)
+    kernel = pair._kernel
+    value, err = kernel(f, a, b)
     evaluations = 15
     # Heap entries are (-estimate, sequence, a, b, value); the sequence number
     # breaks ties deterministically.  Intervals too narrow to split migrate to
@@ -396,8 +464,8 @@ def adaptive_integrate(
                 continue
             heapq.heappop(heap)
             mid = 0.5 * (ia + ib)
-            lv, le = _apply_pair(pair, f, ia, mid)
-            rv, re = _apply_pair(pair, f, mid, ib)
+            lv, le = kernel(f, ia, mid)
+            rv, re = kernel(f, mid, ib)
             evaluations += 30
             heapq.heappush(heap, (-le, seq, ia, mid, lv))
             heapq.heappush(heap, (-re, seq + 1, mid, ib, rv))

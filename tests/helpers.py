@@ -78,3 +78,39 @@ def pv_sin_interval(k: float, tau: float, a: float, b: float):
         odd = mp.si(k * B) + mp.si(k * A)
         even = mp.ci(k * B) - mp.ci(k * A)
         return +(mp.cos(k * tau) * odd + mp.sin(k * tau) * even)
+
+
+def apply_rule_reference(rule, f, a, b):
+    """The per-node loop that the compiled rule kernels must reproduce.
+
+    Visits the nodes in ascending order, stops at the first non-finite value
+    and accumulates the Kronrod and Gauss sums from 0.0 in node order, the
+    Gauss sum skipping zero weights.  A plain rule is a pair whose embedded
+    weights are all zero, and only its value is returned.
+    """
+    from cpvquad.quadrature import EmbeddedRulePair, NonfiniteIntegrandError
+
+    if isinstance(rule, EmbeddedRulePair):
+        kronrod, gauss_weights = rule.kronrod, rule.gauss_weights
+    else:
+        kronrod, gauss_weights = rule, (0.0,) * rule.order
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    if not (a < mid + half * kronrod.nodes[0] and mid + half * kronrod.nodes[-1] < b):
+        raise RuntimeError(
+            f"node mapped onto an interval endpoint of [{a!r}, {b!r}]"
+        )
+    sum_k = 0.0
+    sum_g = 0.0
+    for x, wk, wg in zip(kronrod.nodes, kronrod.weights, gauss_weights):
+        t = mid + half * x
+        v = f(t)
+        if not math.isfinite(v):
+            raise NonfiniteIntegrandError(t)
+        sum_k += wk * v
+        if wg != 0.0:
+            sum_g += wg * v
+    value = sum_k * half
+    if isinstance(rule, EmbeddedRulePair):
+        return value, abs(value - sum_g * half)
+    return value

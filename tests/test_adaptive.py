@@ -6,6 +6,7 @@ from cpvquad.quadrature import (
     AdaptiveResult,
     NonfiniteIntegrandError,
     adaptive_integrate,
+    kronrod_pair_g7k15,
 )
 
 
@@ -159,6 +160,51 @@ class TestNonfinitePropagation:
 
         with pytest.raises(NonfiniteIntegrandError):
             adaptive_integrate(f, -1.0, 1.0, 1e-12)
+
+    def test_two_nonfinite_nodes_report_the_lower(self):
+        # f is called at all 15 nodes of the interval, in ascending order,
+        # before the lowest non-finite one is reported
+        nodes = kronrod_pair_g7k15().kronrod.nodes
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            if 0.5 < x < 0.6:
+                return -math.inf
+            return math.nan if 0.7 < x < 0.8 else 1.0
+
+        with pytest.raises(NonfiniteIntegrandError) as excinfo:
+            adaptive_integrate(f, -1.0, 1.0, 1e-12)
+        assert excinfo.value.x == nodes[10]
+        assert calls == list(nodes)
+
+
+class TestEvaluationCount:
+    @pytest.mark.parametrize(
+        "f,a,b,cap,reason",
+        [
+            (math.exp, 0.0, 1.0, 10_000, "tolerance"),
+            (lambda x: 1.0 / x, 0.0, 1.0, 50, "interval_cap"),
+            (lambda x: 1.0 / (x - 1.0), 1.0, 1.0 + 4096.0 * math.ulp(1.0),
+             10_000, "width_floor"),
+        ],
+    )
+    def test_each_node_called_once(self, f, a, b, cap, reason):
+        # calls come in runs of 15, one per interval, each strictly
+        # ascending: no node is evaluated twice and none is skipped
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return f(x)
+
+        result = adaptive_integrate(counted, a, b, 1e-12, max_intervals=cap)
+        assert result.stop_reason == reason
+        assert len(calls) == result.evaluations
+        assert len(calls) % 15 == 0
+        for i in range(0, len(calls), 15):
+            run = calls[i:i + 15]
+            assert all(x < y for x, y in zip(run, run[1:]))
 
 
 class TestDiscontinuous:

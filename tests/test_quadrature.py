@@ -1,4 +1,6 @@
 import math
+import pickle
+import random
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ from cpvquad.quadrature import (
     gauss_legendre_rule,
     kronrod_pair_g7k15,
 )
+
+from helpers import apply_rule_reference
 
 
 def exactness_error(rule, k: int, a: float = -1.0, b: float = 1.0) -> float:
@@ -193,3 +197,85 @@ class TestApplyRule:
         assert isinstance(pair, EmbeddedRulePair)
         assert len(pair.gauss_weights) == 15
         assert sum(1 for w in pair.gauss_weights if w == 0.0) == 8
+
+
+def _kernel_intervals():
+    """Seeded intervals on and off the origin, some just above the split floor.
+
+    Offset intervals sit inside [c - 1, c + 1] with c up to 1e9; the narrow
+    ones are 1,024 ulps wide plus a little, the narrowest the engine still
+    bisects.
+    """
+    rng = random.Random(20261018)
+    out = [(-1.0, 1.0), (0.5, 1.0), (2.0, 5.0)]
+    for c in (0.0, 1.0, -3.5, 1e3, 1e6, 1e9, -1e9, rng.uniform(-1e9, 1e9)):
+        out.append((c - 1.0, c + 1.0))
+        for _ in range(3):
+            out.append(tuple(sorted(rng.uniform(c - 1.0, c + 1.0) for _ in "ab")))
+        a = rng.uniform(c - 1.0, c + 1.0)
+        for extra in (1.0, 7.0, 300.0):
+            u = math.ulp(a)
+            b = a + (1024.0 + extra) * max(u, math.ulp(a + 2048.0 * u))
+            out.append((a, b))
+    return out
+
+
+def _kernel_integrands(a, b, rng):
+    scale = max(1.0, abs(a), abs(b))
+    k = rng.uniform(1.0, 50.0)
+    c = rng.uniform(-3.0, 3.0) / scale
+    power = rng.randrange(10)
+    jump = a + 0.37 * (b - a)
+    return [
+        lambda x: math.sin(k * x),
+        lambda x: math.exp(c * x),
+        lambda x: x**power,
+        lambda x: 1.0 if x >= jump else -0.5,
+    ]
+
+
+def _outcome(call):
+    try:
+        return repr(call())
+    except NonfiniteIntegrandError as exc:
+        return ("non-finite", repr(exc.x))
+    except RuntimeError as exc:
+        return ("endpoint", str(exc))
+
+
+class TestRuleKernel:
+    @pytest.mark.parametrize("m", [None, 1, 2, 7, 15, 100])
+    def test_bit_equal_to_the_per_node_loop(self, m):
+        rule = kronrod_pair_g7k15() if m is None else gauss_legendre_rule(m)
+        rng = random.Random(0 if m is None else m)
+        values = 0
+        total = 0
+        for a, b in _kernel_intervals():
+            for f in _kernel_integrands(a, b, rng):
+                got = _outcome(lambda: apply_rule(rule, f, a, b))
+                want = _outcome(lambda: apply_rule_reference(rule, f, a, b))
+                assert got == want, (m, a, b)
+                values += isinstance(got, str)
+                total += 1
+        # every outcome is a value, except that the outermost nodes of the
+        # 100-point rule round onto an endpoint of the narrowest intervals
+        assert values == total or (m == 100 and values >= 0.5 * total)
+
+    @pytest.mark.parametrize("m", [None, 7])
+    def test_applied_rule_pickles(self, m):
+        rule = kronrod_pair_g7k15() if m is None else gauss_legendre_rule(m)
+        before = apply_rule(rule, math.exp, 0.0, 1.0)
+        copy = pickle.loads(pickle.dumps(rule))
+        assert copy == rule
+        assert apply_rule(copy, math.exp, 0.0, 1.0) == before
+
+    def test_kernel_belongs_to_the_rule(self):
+        pair = kronrod_pair_g7k15()
+        assert pair._kernel is pair._kernel
+        kronrod_pair_g7k15.cache_clear()
+        try:
+            rebuilt = kronrod_pair_g7k15()
+            assert rebuilt is not pair
+            assert rebuilt._kernel is not pair._kernel
+        finally:
+            kronrod_pair_g7k15.cache_clear()
