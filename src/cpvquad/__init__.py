@@ -34,9 +34,9 @@ from .quadrature import (
     AdaptiveResult,
     EmbeddedRulePair,
     Integrand,
-    IntervalEstimate,
     NonfiniteIntegrandError,
     QuadratureRule,
+    SumOverflowError,
     adaptive_integrate,
     apply_rule,
     gauss_legendre_rule,
@@ -52,10 +52,10 @@ __all__ = [
     "EmbeddedRulePair",
     "ErrorBudget",
     "Integrand",
-    "IntervalEstimate",
     "NonfiniteIntegrandError",
     "QuadratureRule",
     "QuotientOverflowError",
+    "SumOverflowError",
     "adaptive_integrate",
     "apply_rule",
     "cpv_general",

@@ -21,13 +21,11 @@ import sys
 from typing import Optional, Sequence
 
 from . import __version__
-from .benchmarks import run_benchmark, rows_pass, write_csv, write_json
 from .cpv import CpvProblem, CpvResult, cpv_standard
 # unused here, but perfbench/spans.py patches cli.cpv_general by name
 from .cpv import cpv_general  # noqa: F401
 from .error_model import EPS
 from .expressions import ParseError, compile_expression
-from .logbound import boundary_case, sweep, write_sweep_csv
 from .quadrature import NonfiniteIntegrandError
 
 __all__ = ["main"]
@@ -165,6 +163,8 @@ def _cmd_integrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from .benchmarks import run_benchmark, write_csv, write_json
+
     try:
         rows = run_benchmark(tol=args.tol)
     except ValueError as exc:
@@ -194,6 +194,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_observation(args: argparse.Namespace) -> int:
+    # numpy is loaded only here: no other subcommand needs it
+    from .logbound import boundary_case, sweep, write_sweep_csv
+
     try:
         report = sweep(
             range(args.m_min, args.m_max + 1),

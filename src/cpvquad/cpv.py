@@ -25,12 +25,9 @@ unconverged before any quadrature runs.  Every result names why each piece
 stopped (see :class:`StopReasons`).
 
 Every piece works in the caller's coordinates on any finite [a, b]; no
-change of variable is involved.
-
-Two historically earlier schemes, `longman_split` and
-`subtract_singularity`, are kept on [-1, 1] as cross-checks; their
-docstrings describe the numerical trouble each one runs into and that the
-main path avoids.
+change of variable is involved.  A quotient that overflows, or whose
+weighted sum over an interval overflows, while f stays finite is reported
+as :class:`QuotientOverflowError`.
 """
 
 from __future__ import annotations
@@ -64,8 +61,6 @@ __all__ = [
     "make_symmetric_quotient",
     "cpv_standard",
     "cpv_general",
-    "longman_split",
-    "subtract_singularity",
 ]
 
 
@@ -75,7 +70,9 @@ class QuotientOverflowError(NonfiniteIntegrandError):
     ``x`` is the quotient's abscissa and ``quotient`` names the quotient,
     "difference" or "symmetric".  A steep integrand such as 1e308 * x
     overflows (f(tau+x) - f(tau-x)) / x near 2 f'(tau) while every f value
-    stays finite.
+    stays finite; with 6e307 * x every quotient value is finite but their
+    weighted sum over an interval overflows, and ``x`` is then the node of
+    the largest quotient value.
     """
 
     def __init__(self, quotient: str, x: float):
@@ -212,7 +209,7 @@ class CpvResult:
     stop_reasons: StopReasons
 
 
-_EMPTY_PIECE = AdaptiveResult(0.0, 0.0, 0, (), True)
+_EMPTY_PIECE = AdaptiveResult(0.0, 0.0, 0, True)
 
 #: Each piece gets max(tol, _FLOOR_FACTOR * floor) / 3, so the quadrature
 #: adds at most twice the floor to a budget the floor already bounds below.
@@ -351,51 +348,3 @@ def cpv_general(
         f=f, tau=tau, a=a, b=b, tol=tol, method=method,
         mu=EPS if mu is None else mu,
     ))
-
-
-def longman_split(f: Integrand, tau: float, tol: float = 1e-12) -> float:
-    """Principal value by the odd/even split alone, without the log term.
-
-    The symmetric interval (tau - delta, tau + delta) around the singularity
-    is folded into the symmetric quotient; what remains of [-1, 1] is a
-    single one-sided integral of the raw f(x) / (x - tau).  That remainder
-    is where this scheme hurts: for tau near an endpoint the raw integrand
-    is nearly singular just outside the integration range, and the adaptive
-    engine has to refine hard toward that end (or gives up at the interval
-    cap).  Kept as a cross-check; the main path replaces the raw remainder
-    with the subtracted quotient, which has no such blow-up.
-    """
-    delta = endpoint_distance(tau)
-    def raw(x: float) -> float:
-        return f(x) / (x - tau)
-    h = make_symmetric_quotient(f, tau)
-    if tau < 0.0:
-        side = adaptive_integrate(raw, tau + delta, 1.0, tol / 2.0)
-    elif tau > 0.0:
-        side = adaptive_integrate(raw, -1.0, tau - delta, tol / 2.0)
-    else:
-        side = _EMPTY_PIECE
-    symmetric = adaptive_integrate(h, 0.0, delta, tol / 2.0)
-    return side.value + symmetric.value
-
-
-def subtract_singularity(f: Integrand, tau: float, tol: float = 1e-12) -> float:
-    """Principal value by global subtraction of the singular part.
-
-    The difference quotient (f(x) - f(tau)) / (x - tau) is integrated over
-    all of [-1, 1] and the log term added in closed form.  The integration
-    range is split at tau so that the open rule never lands on the exact
-    zero-over-zero point, but quadrature nodes still approach tau as the
-    partition refines, and there the quotient's rounding error grows like
-    1 / |x - tau|.  Kept as a cross-check for the measurable accuracy loss
-    the main path's delta-neighbourhood exclusion avoids.
-    """
-    endpoint_distance(tau)  # validates tau
-    f_tau = f(tau)
-    if not math.isfinite(f_tau):
-        raise NonfiniteIntegrandError(tau)
-    g = make_difference_quotient(f, tau, f_tau)
-    log_term = f_tau * math.log((1.0 - tau) / (1.0 + tau))
-    left = adaptive_integrate(g, -1.0, tau, tol / 2.0)
-    right = adaptive_integrate(g, tau, 1.0, tol / 2.0)
-    return log_term + left.value + right.value

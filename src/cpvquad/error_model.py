@@ -41,6 +41,9 @@ __all__ = [
 #: Bound on the relative error of one rounded double operation (2^-53).
 EPS = 2.0**-53
 
+#: Calibration constant of :func:`curvature_sensitivity`.
+_CURVATURE_FACTOR = 8.0
+
 
 @dataclass(frozen=True)
 class ErrorBudget:
@@ -286,7 +289,6 @@ def curvature_sensitivity(
     tau: float,
     f2: float,
     eps: float = EPS,
-    c: float = 8.0,
     a: float = -1.0,
     b: float = 1.0,
 ) -> float:
@@ -294,14 +296,12 @@ def curvature_sensitivity(
 
     Perturbing the singularity location changes the difference quotients in
     proportion to the curvature of f; the calibrated form is
-    c * eps * |tau| * sqrt(|f2|) with c = 8 by default, the same form on
-    every interval.
+    8 eps |tau| sqrt(|f2|), the same form on every interval.
     """
     endpoint_distance(tau, a, b)  # validates tau
     _require_nonnegative("f2", f2)
     _require_positive("eps", eps)
-    _require_positive("c", c)
-    return c * eps * abs(tau) * math.sqrt(f2)
+    return _CURVATURE_FACTOR * eps * abs(tau) * math.sqrt(f2)
 
 
 def total_error_estimate(
@@ -312,7 +312,6 @@ def total_error_estimate(
     eps: float = EPS,
     method: str = "open",
     mu: Optional[float] = None,
-    c: float = 8.0,
     a: float = -1.0,
     b: float = 1.0,
 ) -> ErrorBudget:
@@ -347,7 +346,7 @@ def total_error_estimate(
     roundoff = 8.0 * eps * abs(deriv.f1) * max(half, abs(tau))
     log_sens = log_term_sensitivity(f_tau, tau, eps, a, b)
     if math.isfinite(deriv.f2):
-        curv = curvature_sensitivity(tau, abs(deriv.f2), eps, c, a, b)
+        curv = curvature_sensitivity(tau, abs(deriv.f2), eps, a, b)
     else:
         curv = math.inf
     if method != "cutoff":

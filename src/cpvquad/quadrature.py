@@ -8,10 +8,11 @@ quotients that are finite on the open interval but undefined at an endpoint.
 
 Gauss-Legendre rules of arbitrary point count are built by Newton iteration
 on the three-term Legendre recurrence, starting from Chebyshev-angle
-estimates of the roots.  No linear-algebra machinery is involved.  The 15/7
-Kronrod pair is a transcribed table; it is checked against its polynomial
-exactness degrees the first time it is requested, so a corrupted transcription
-cannot go unnoticed.
+estimates of the roots.  Like QUADPACK's QK15, everything here is plain
+scalar float arithmetic: no array or linear-algebra library is imported.
+The 15/7 Kronrod pair is a transcribed table; it is checked against its
+polynomial exactness degrees the first time it is requested, so a corrupted
+transcription cannot go unnoticed.
 
 Each rule is applied through a rule kernel: one straight-line Python
 function emitted from that rule's nodes and weights and compiled the first
@@ -33,16 +34,14 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, NamedTuple, Union
-
-import numpy as np
+from typing import Callable, Union
 
 __all__ = [
     "Integrand",
     "NonfiniteIntegrandError",
+    "SumOverflowError",
     "QuadratureRule",
     "EmbeddedRulePair",
-    "IntervalEstimate",
     "AdaptiveResult",
     "gauss_legendre_rule",
     "kronrod_pair_g7k15",
@@ -74,6 +73,23 @@ class NonfiniteIntegrandError(ValueError):
 
     def __init__(self, x: float):
         super().__init__(f"integrand returned a non-finite value at x = {x!r}")
+        self.x = x
+
+
+class SumOverflowError(NonfiniteIntegrandError):
+    """Raised when a rule's weighted sum overflows although every value is
+    finite.
+
+    ``x`` is the node with the largest value in magnitude; the message
+    names the interval [a, b] whose sum overflowed.
+    """
+
+    def __init__(self, x: float, a: float, b: float):
+        ValueError.__init__(
+            self,
+            f"the weighted sum over [{a!r}, {b!r}] overflowed although the "
+            f"integrand is finite at every node (largest at x = {x!r})",
+        )
         self.x = x
 
 
@@ -143,13 +159,6 @@ class EmbeddedRulePair(_CompiledOnUse):
         return _compile_kernel(self.kronrod, self.gauss_weights)
 
 
-class IntervalEstimate(NamedTuple):
-    a: float
-    b: float
-    value: float
-    estimate: float
-
-
 @dataclass(frozen=True)
 class AdaptiveResult:
     """Outcome of an adaptive integration.
@@ -167,15 +176,13 @@ class AdaptiveResult:
     value: float
     error_estimate: float
     evaluations: int
-    intervals: tuple[IntervalEstimate, ...]
     converged: bool
     stop_reason: str = "tolerance"
 
 
-def _legendre(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Legendre polynomial P_m and its derivative at the points x."""
-    p_prev = np.ones_like(x)
-    p = np.array(x, copy=True)
+def _legendre(m: int, x: float) -> tuple[float, float]:
+    """Legendre polynomial P_m and its derivative at x."""
+    p_prev, p = 1.0, x
     for k in range(2, m + 1):
         p_prev, p = p, ((2.0 * k - 1.0) * x * p - (k - 1.0) * p_prev) / k
     # P_m'(x) = m (x P_m - P_{m-1}) / (x^2 - 1); the factored denominator
@@ -184,15 +191,23 @@ def _legendre(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p, dp
 
 
+def _weight(m: int, x: float) -> float:
+    """Gauss-Legendre weight 2 / ((1 - x^2) P_m'(x)^2) at the node x."""
+    _, dp = _legendre(m, x)
+    return 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+
+
 @lru_cache(maxsize=None)
 def gauss_legendre_rule(m: int) -> QuadratureRule:
     """Build the m-point Gauss-Legendre rule on (-1, 1).
 
     Nodes are the roots of P_m, found by Newton iteration from the Chebyshev
     angle estimates cos(pi (i - 1/4) / (m + 1/2)); weights follow from the
-    derivative formula w = 2 / ((1 - x^2) P_m'(x)^2).  Only the positive half
-    is iterated and the rest is mirrored, so the symmetry of the returned
-    rule is exact, including a node at exactly 0.0 for odd m.
+    derivative formula w = 2 / ((1 - x^2) P_m'(x)^2).  All nodes take the
+    same number of Newton steps, until the largest step is below
+    ``_NODE_TOL``.  Only the positive half is iterated and the rest is
+    mirrored, so the symmetry of the returned rule is exact, including a
+    node at exactly 0.0 for odd m.
     """
     if not isinstance(m, int) or isinstance(m, bool):
         raise ValueError("point count must be an integer")
@@ -200,29 +215,21 @@ def gauss_legendre_rule(m: int) -> QuadratureRule:
         raise ValueError(
             f"point count must be between 1 and {MAX_GAUSS_POINTS}, got {m}"
         )
-    half = m // 2
-    pos_nodes: list[float] = []
-    pos_weights: list[float] = []
-    if half:
-        i = np.arange(1, half + 1, dtype=float)
-        x = np.cos(math.pi * (i - 0.25) / (m + 0.5))
+    # descending positive roots
+    xs = [math.cos(math.pi * (i - 0.25) / (m + 0.5)) for i in range(1, m // 2 + 1)]
+    if xs:
         for _ in range(100):
-            p, dp = _legendre(m, x)
-            step = p / dp
-            x = x - step
-            if np.max(np.abs(step)) <= _NODE_TOL:
+            steps = [p / dp for p, dp in (_legendre(m, x) for x in xs)]
+            xs = [x - step for x, step in zip(xs, steps)]
+            if max(abs(step) for step in steps) <= _NODE_TOL:
                 break
-        _, dp = _legendre(m, x)
-        w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
-        # x is ordered by descending magnitude; flip to ascending positives.
-        pos_nodes = [float(v) for v in x[::-1]]
-        pos_weights = [float(v) for v in w[::-1]]
-    nodes = [-v for v in reversed(pos_nodes)]
-    weights = list(reversed(pos_weights))
+    pos_nodes = xs[::-1]
+    pos_weights = [_weight(m, x) for x in pos_nodes]
+    nodes = [-x for x in xs]
+    weights = pos_weights[::-1]
     if m % 2:
-        _, dp0 = _legendre(m, np.zeros(1))
         nodes.append(0.0)
-        weights.append(float(2.0 / (dp0[0] * dp0[0])))
+        weights.append(_weight(m, 0.0))
     nodes.extend(pos_nodes)
     weights.extend(pos_weights)
     return QuadratureRule(tuple(nodes), tuple(weights), m)
@@ -249,11 +256,9 @@ _G7K15_CENTER = (0.209482141084727828012999174891714,
 
 def _monomial_exactness_check(nodes, weights, degree, label):
     """Fail loudly if the rule misses any monomial it should integrate."""
-    xs = np.asarray(nodes)
-    ws = np.asarray(weights)
     for k in range(degree + 1):
         exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
-        got = float(np.sum(ws * xs**k))
+        got = math.fsum(w * x**k for x, w in zip(nodes, weights))
         if abs(got - exact) > 1e-13 * max(1.0, abs(exact)):
             raise RuntimeError(
                 f"{label} fails exactness at degree {k}: {got!r} vs {exact!r}"
@@ -317,15 +322,20 @@ def _node_on_endpoint(a: float, b: float):
     raise RuntimeError(f"node mapped onto an interval endpoint of [{a!r}, {b!r}]")
 
 
-def _raise_first_nonfinite(nodes, values, mid: float, half: float):
-    """Raise at the lowest node whose value is NaN or infinite, if any.
+def _raise_first_nonfinite(nodes, values, a: float, b: float):
+    """Raise at the lowest node whose value is NaN or infinite.
 
-    Reached only when a kernel's Kronrod sum is not finite.  With every value
-    finite the sum overflowed instead, and the caller goes on to return it.
+    Reached only when a kernel's Kronrod value is not finite.  With every
+    value finite the weighted sum overflowed instead, and that is raised as
+    :class:`SumOverflowError`.
     """
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
     for x, v in zip(nodes, values):
         if not math.isfinite(v):
             raise NonfiniteIntegrandError(mid + half * x)
+    x = max(zip(values, nodes), key=lambda p: abs(p[0]))[1]
+    raise SumOverflowError(mid + half * x, a, b)
 
 
 def _compile_kernel(rule: QuadratureRule, gauss_weights=None):
@@ -337,8 +347,9 @@ def _compile_kernel(rule: QuadratureRule, gauss_weights=None):
     one a loop over the nodes gives, bit for bit.  Without ``gauss_weights``
     the function returns the rule's value; with them it returns
     ``(value, |value - gauss value|)``, the Gauss sum skipping zero weights.
-    One finiteness test on the Kronrod sum stands for a test per value: every
-    weight is positive, so a NaN or infinite value always spoils that sum.
+    One finiteness test on the Kronrod value stands for a test per value:
+    every weight is positive, so a NaN or infinite value always spoils it.
+    The same test catches a sum that overflowed from finite values.
     """
     n = rule.order
     ends = {0: "t0", n - 1: f"t{n - 1}"}
@@ -355,10 +366,10 @@ def _compile_kernel(rule: QuadratureRule, gauss_weights=None):
         lines.append(f"    v{i} = f({ends.get(i, f'mid + half * {x!r}')})")
     terms = "".join(f" + {w!r} * v{i}" for i, w in enumerate(rule.weights))
     lines.append(f"    sum_k = 0.0{terms}")
-    values = ", ".join(f"v{i}" for i in range(n))
-    lines.append("    if not isfinite(sum_k):")
-    lines.append(f"        _raise_first_nonfinite(nodes, ({values},), mid, half)")
     lines.append("    value = sum_k * half")
+    values = ", ".join(f"v{i}" for i in range(n))
+    lines.append("    if not isfinite(value):")
+    lines.append(f"        _raise_first_nonfinite(nodes, ({values},), a, b)")
     if gauss_weights is None:
         lines.append("    return value")
     else:
@@ -426,7 +437,8 @@ def adaptive_integrate(
     unmet tolerance is reported through ``converged``, never raised; a
     non-finite integrand value raises :class:`NonfiniteIntegrandError` at
     the lowest such node of its interval, after f has been called at all 15
-    nodes of that interval.
+    nodes of that interval, and an interval whose weighted sum overflows
+    although every value is finite raises :class:`SumOverflowError`.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("integration endpoints must be finite")
@@ -437,7 +449,7 @@ def adaptive_integrate(
     if max_intervals < 1:
         raise ValueError("interval cap must be at least 1")
     if a == b:
-        return AdaptiveResult(0.0, 0.0, 0, (), True)
+        return AdaptiveResult(0.0, 0.0, 0, True)
 
     pair = kronrod_pair_g7k15()
     if not _nodes_fit(pair.kronrod, a, b):
@@ -449,7 +461,7 @@ def adaptive_integrate(
     # breaks ties deterministically.  Intervals too narrow to split migrate to
     # `settled` and keep contributing their estimate.
     heap: list[tuple[float, int, float, float, float]] = [(-err, 0, a, b, value)]
-    settled: list[tuple[float, float, float, float]] = []
+    settled: list[tuple[float, float, float]] = []
     seq = 1
     count = 1
     err_sum = err
@@ -460,7 +472,7 @@ def adaptive_integrate(
             est = -neg_est
             if not _splittable(ia, ib):
                 heapq.heappop(heap)
-                settled.append((ia, ib, _ival, est))
+                settled.append((ia, _ival, est))
                 continue
             heapq.heappop(heap)
             mid = 0.5 * (ia + ib)
@@ -473,12 +485,12 @@ def adaptive_integrate(
             count += 1
             err_sum += le + re - est
 
-        pieces = [(ia, ib, v, -neg) for neg, _, ia, ib, v in heap]
+        pieces = [(ia, v, -neg) for neg, _, ia, _, v in heap]
         pieces.extend(settled)
         pieces.sort(key=lambda p: p[0])
         total = 0.0
         estimate = 0.0
-        for _, _, v, e in pieces:
+        for _, v, e in pieces:
             total += v
             estimate += e
         if not err_sum <= tol < estimate or count >= max_intervals or not heap:
@@ -494,9 +506,8 @@ def adaptive_integrate(
         reason = "interval_cap"
     else:
         reason = "width_floor"
-    intervals = tuple(IntervalEstimate(*p) for p in pieces)
     return AdaptiveResult(
-        total, estimate, evaluations, intervals, reason == "tolerance", reason
+        total, estimate, evaluations, reason == "tolerance", reason
     )
 
 
@@ -521,10 +532,6 @@ def _too_narrow(f: Integrand, a: float, b: float, tol: float) -> AdaptiveResult:
         evaluations = 1
     converged = estimate <= tol
     return AdaptiveResult(
-        value,
-        estimate,
-        evaluations,
-        (IntervalEstimate(a, b, value, estimate),),
-        converged,
+        value, estimate, evaluations, converged,
         "tolerance" if converged else "width_floor",
     )

@@ -114,3 +114,42 @@ def apply_rule_reference(rule, f, a, b):
     if isinstance(rule, EmbeddedRulePair):
         return value, abs(value - sum_g * half)
     return value
+
+
+def gauss_legendre_reference(m: int) -> tuple[tuple, tuple]:
+    """The numpy Newton iteration that ``gauss_legendre_rule`` replaced.
+
+    Iterates the positive roots of P_m as one array from the Chebyshev
+    angle estimates, all nodes taking the same steps until the largest is
+    below two ulps of 1.0, and mirrors them; the plain-float builder must
+    give the same nodes and weights bit for bit.
+    """
+    def legendre(x):
+        p_prev = np.ones_like(x)
+        p = np.array(x, copy=True)
+        for k in range(2, m + 1):
+            p_prev, p = p, ((2.0 * k - 1.0) * x * p - (k - 1.0) * p_prev) / k
+        return p, m * (x * p - p_prev) / ((x - 1.0) * (x + 1.0))
+
+    pos_nodes: list = []
+    pos_weights: list = []
+    if m // 2:
+        i = np.arange(1, m // 2 + 1, dtype=float)
+        x = np.cos(math.pi * (i - 0.25) / (m + 0.5))
+        for _ in range(100):
+            p, dp = legendre(x)
+            step = p / dp
+            x = x - step
+            if np.max(np.abs(step)) <= 2.0 * np.finfo(float).eps:
+                break
+        _, dp = legendre(x)
+        w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+        pos_nodes = [float(v) for v in x[::-1]]
+        pos_weights = [float(v) for v in w[::-1]]
+    nodes = [-v for v in reversed(pos_nodes)]
+    weights = list(reversed(pos_weights))
+    if m % 2:
+        _, dp0 = legendre(np.zeros(1))
+        nodes.append(0.0)
+        weights.append(float(2.0 / (dp0[0] * dp0[0])))
+    return tuple(nodes + pos_nodes), tuple(weights + pos_weights)

@@ -2,9 +2,13 @@
 
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cpvquad
 from cpvquad import cli
 from cpvquad.benchmarks import read_csv
 from cpvquad.cli import main
@@ -163,7 +167,8 @@ class TestIntegrate:
         "source,message",
         [
             ("log(x)", "integrand returned a non-finite value"),
-            ("1e308*x", "symmetric quotient overflowed"),
+            ("1e308*x", "difference quotient overflowed"),
+            ("6e307*x", "symmetric quotient overflowed"),
         ],
     )
     def test_nonfinite_integrand_exits_one(self, capsys, source, message):
@@ -372,3 +377,36 @@ class TestTopLevel:
         code = main(["solve"])
         capsys.readouterr()
         assert code == 2
+
+
+class TestStartup:
+    """What a command-line call loads: no numpy, no mpmath."""
+
+    SETUP = (
+        "import sys; sys.path.insert(0, sys.argv[1]); "
+        "import cpvquad, cpvquad.cli, cpvquad.benchmarks; "
+        "cpvquad.kronrod_pair_g7k15(); cpvquad.benchmarks.reference_values(); "
+        "status = cpvquad.cli.main("
+        "['integrate', '--f', 'exp(x)', '--tau', '0.5', '--json']); "
+        "print(status, sorted({'numpy', 'mpmath'} & set(sys.modules)))"
+    )
+
+    def test_setup_and_integrate_leave_numpy_unloaded(self):
+        src = str(Path(cpvquad.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", self.SETUP, src],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        *result, last = done.stdout.splitlines()
+        assert json.loads("\n".join(result))["converged"] is True
+        assert last == "0 []"
+
+    def test_observation_still_runs(self, capsys):
+        code = main([
+            "observation", "--m-min", "2", "--m-max", "3",
+            "--n-max", "3", "--trials", "5",
+        ])
+        assert code == 0
+        assert "max ratio" in capsys.readouterr().out
+

@@ -1,4 +1,4 @@
-"""Tests for the principal value decomposition and its cross-check schemes."""
+"""Tests for the principal value decomposition."""
 
 import math
 
@@ -12,10 +12,8 @@ from cpvquad.cpv import (
     cpv_general,
     cpv_standard,
     endpoint_distance,
-    longman_split,
     make_difference_quotient,
     make_symmetric_quotient,
-    subtract_singularity,
 )
 from cpvquad.benchmarks import builtin_problems
 from cpvquad.error_model import (
@@ -23,7 +21,7 @@ from cpvquad.error_model import (
     _pair_looks_like_jump,
     derivative_estimates,
 )
-from cpvquad.quadrature import NonfiniteIntegrandError
+from cpvquad.quadrature import NonfiniteIntegrandError, SumOverflowError
 
 from helpers import cpv_monomial, pv_sin_interval
 
@@ -202,12 +200,29 @@ class TestProblemValidation:
         assert excinfo.value.x == 0.5
 
     def test_symmetric_quotient_overflow_is_named(self):
-        # f stays finite, but (f(tau+x) - f(tau-x)) / x approaches 2e308
+        # f stays finite, but (f(tau+x) - f(tau-x)) / x is 2e308; with tau
+        # at the midpoint the symmetric piece is the only one
         with pytest.raises(QuotientOverflowError) as excinfo:
-            cpv_standard(CpvProblem(f=lambda x: 1e308 * x, tau=0.5))
+            cpv_standard(CpvProblem(f=lambda x: 1e308 * x, tau=0.0))
         assert excinfo.value.quotient == "symmetric"
         assert "symmetric quotient overflowed" in str(excinfo.value)
-        assert 0.0 < excinfo.value.x <= 0.5
+        assert 0.0 < excinfo.value.x < 1.0
+
+    @pytest.mark.parametrize(
+        "slope,tau,quotient",
+        [(6e307, 0.5, "symmetric"), (1e308, 0.5, "difference")],
+    )
+    def test_overflowing_weighted_sum_is_a_quotient_overflow(
+        self, slope, tau, quotient
+    ):
+        # every quotient value is finite (about 1.2e308 for the symmetric
+        # quotient of 6e307 x, 1e308 for the difference quotient of
+        # 1e308 x), but the Kronrod sum over an interval overflows
+        with pytest.raises(QuotientOverflowError) as excinfo:
+            cpv_standard(CpvProblem(f=lambda x: slope * x, tau=tau))
+        assert excinfo.value.quotient == quotient
+        assert f"{quotient} quotient overflowed" in str(excinfo.value)
+        assert isinstance(excinfo.value.__cause__, SumOverflowError)
 
     def test_difference_quotient_overflow_is_named(self):
         # f(x) - f(tau) overflows on the left piece while f stays finite
@@ -679,32 +694,3 @@ class TestNarrowFarPiece:
         assert getattr(result.budget, side) > 0.0
         assert result.converged
         assert _error(result.value, _pv_exp(tau, a, b)) <= result.error_estimate
-
-
-class TestCrossCheckSchemes:
-    def test_longman_constant(self):
-        value = longman_split(lambda x: 1.0, 0.5)
-        assert abs(value - math.log(1.0 / 3.0)) <= 1e-10
-
-    def test_longman_center_matches_standard(self):
-        value = longman_split(math.exp, 0.0)
-        standard = cpv_standard(CpvProblem(f=math.exp, tau=0.0))
-        assert abs(value - standard.value) <= 1e-10
-
-    def test_longman_moderate_tau_agrees(self):
-        value = longman_split(math.exp, -0.4)
-        standard = cpv_standard(CpvProblem(f=math.exp, tau=-0.4))
-        assert abs(value - standard.value) <= 1e-9
-
-    def test_subtract_singularity_constant(self):
-        value = subtract_singularity(lambda x: 1.0, 0.3)
-        assert abs(value - math.log(0.7 / 1.3)) <= 1e-10
-
-    def test_subtract_singularity_matches_standard(self):
-        value = subtract_singularity(math.exp, 0.5)
-        standard = cpv_standard(CpvProblem(f=math.exp, tau=0.5))
-        assert abs(value - standard.value) <= 1e-9
-
-    def test_subtract_singularity_validates_tau(self):
-        with pytest.raises(ValueError):
-            subtract_singularity(math.exp, -1.0)

@@ -340,15 +340,13 @@ class TestCurvatureSensitivity:
             curvature_sensitivity(1.5, 1.0)
         with pytest.raises(ValueError):
             curvature_sensitivity(0.5, -1.0)
-        with pytest.raises(ValueError):
-            curvature_sensitivity(0.5, 1.0, c=0.0)
 
     def test_general_interval_keeps_the_form(self):
-        assert curvature_sensitivity(8.0, 4.0, 1e-16, 8.0, 7.5, 8.5) == (
+        assert curvature_sensitivity(8.0, 4.0, 1e-16, 7.5, 8.5) == (
             8.0 * 1e-16 * 8.0 * 2.0
         )
         with pytest.raises(ValueError):
-            curvature_sensitivity(0.5, 1.0, 1e-16, 8.0, 7.5, 8.5)
+            curvature_sensitivity(0.5, 1.0, 1e-16, 7.5, 8.5)
 
 
 class TestTotalErrorEstimate:

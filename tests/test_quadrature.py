@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from cpvquad import quadrature
 from cpvquad.quadrature import (
     EmbeddedRulePair,
     NonfiniteIntegrandError,
@@ -14,7 +15,7 @@ from cpvquad.quadrature import (
     kronrod_pair_g7k15,
 )
 
-from helpers import apply_rule_reference
+from helpers import apply_rule_reference, gauss_legendre_reference
 
 
 def exactness_error(rule, k: int, a: float = -1.0, b: float = 1.0) -> float:
@@ -48,6 +49,11 @@ class TestGaussLegendreRule:
         nodes, weights = np.polynomial.legendre.leggauss(m)
         assert max(abs(a - b) for a, b in zip(rule.nodes, nodes)) <= 5e-14
         assert max(abs(a - b) for a, b in zip(rule.weights, weights)) <= 5e-14
+
+    def test_matches_the_numpy_builder_bit_for_bit(self):
+        for m in range(1, 101):
+            rule = gauss_legendre_rule(m)
+            assert (rule.nodes, rule.weights) == gauss_legendre_reference(m)
 
     @pytest.mark.parametrize("m", list(range(1, 101)))
     def test_exact_on_all_monomials_up_to_2m_minus_1(self, m):
@@ -101,6 +107,32 @@ class TestQuadratureRuleInvariants:
 
 
 class TestKronrodPair:
+    @pytest.mark.parametrize(
+        "column,label",
+        [(1, "15-point Kronrod rule"), (2, "embedded 7-point Gauss rule")],
+    )
+    def test_perturbed_table_weight_is_rejected(self, monkeypatch, column, label):
+        # raise the weight in table row 3 by a relative 1e-9; a Kronrod
+        # weight gives the same amount back in row 4, so the weights still
+        # sum to 2 and only the exactness check can catch it
+        original = kronrod_pair_g7k15()
+        table = [list(row) for row in quadrature._G7K15_HALF]
+        shift = 1e-9 * table[3][column]
+        table[3][column] += shift
+        if column == 1:
+            table[4][column] -= shift
+        monkeypatch.setattr(
+            quadrature, "_G7K15_HALF", tuple(map(tuple, table))
+        )
+        kronrod_pair_g7k15.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match=label):
+                kronrod_pair_g7k15()
+        finally:
+            monkeypatch.undo()
+            kronrod_pair_g7k15.cache_clear()
+        assert kronrod_pair_g7k15() == original
+
     def test_gauss_nodes_are_subset_of_kronrod(self):
         pair = kronrod_pair_g7k15()
         g7 = gauss_legendre_rule(7)
