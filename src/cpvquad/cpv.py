@@ -16,13 +16,14 @@ Gauss-Kronrod engine, and the result carries an error budget combining the
 achieved quadrature estimates with the roundoff floors of the decomposition.
 
 Those floors depend only on f(tau) and a derivative stencil at tau, so they
-are computed before any quadrature.  Each piece then gets a third of
-max(tol, 2 floor): where the floor lies above the request, refining further
-could not lower the total, and the pieces stop at the floor instead of at
-the interval cap.  Stencils at successively halved steps detect a jump of f
-at tau, where no principal value exists; such a problem is reported as
-unconverged before any quadrature runs.  Every result names why each piece
-stopped (see :class:`StopReasons`).
+are computed before any quadrature.  The three pieces then share one
+priority queue and one tolerance, max(tol, 2 floor), which their summed
+quadrature estimate must meet: where the floor lies above the request,
+refining further could not lower the total, and the queue stops at the floor
+instead of at the interval cap.  Stencils at successively halved steps
+detect a jump of f at tau, where no principal value exists; such a problem
+is reported as unconverged before any quadrature runs.  Every result names
+why each piece stopped (see :class:`StopReasons`).
 
 Every piece works in the caller's coordinates on any finite [a, b]; no
 change of variable is involved.  A quotient that overflows, or whose
@@ -45,11 +46,13 @@ from .error_model import (
     total_error_estimate,
 )
 from .quadrature import (
-    AdaptiveResult,
     Integrand,
     NonfiniteIntegrandError,
-    adaptive_integrate,
+    SumOverflowError,
+    integrate_pieces,
 )
+# unused here, but perfbench/spans.py patches cpv.adaptive_integrate by name
+from .quadrature import adaptive_integrate  # noqa: F401
 
 __all__ = [
     "CpvProblem",
@@ -71,29 +74,42 @@ class QuotientOverflowError(NonfiniteIntegrandError):
     "difference" or "symmetric".  A steep integrand such as 1e308 * x
     overflows (f(tau+x) - f(tau-x)) / x near 2 f'(tau) while every f value
     stays finite; with 6e307 * x every quotient value is finite but their
-    weighted sum over an interval overflows, and ``x`` is then the node of
-    the largest quotient value.
+    weighted sum over an ``interval`` [a, b] overflows, and ``x`` is the
+    node of the largest quotient value.
     """
 
-    def __init__(self, quotient: str, x: float):
-        ValueError.__init__(
-            self,
-            f"{quotient} quotient overflowed at x = {x!r} although the "
-            "integrand is finite at its abscissae",
-        )
+    def __init__(self, quotient: str, x: float,
+                 interval: Optional[tuple[float, float]] = None):
+        if interval is None:
+            message = (
+                f"{quotient} quotient overflowed at x = {x!r} although the "
+                "integrand is finite at its abscissae"
+            )
+        else:
+            message = (
+                f"{quotient} quotient overflowed in its weighted sum over "
+                f"[{interval[0]!r}, {interval[1]!r}] although every quotient "
+                f"value there is finite (largest at x = {x!r})"
+            )
+        ValueError.__init__(self, message)
         self.x = x
         self.quotient = quotient
+        self.interval = interval
 
 
 def _quotient_failure(
-    f: Integrand, quotient: str, x: float, abscissae: tuple[float, ...]
+    f: Integrand, tau: float, quotient: str, exc: NonfiniteIntegrandError
 ) -> NonfiniteIntegrandError:
-    """The error for a non-finite quotient value at x.
+    """The error for a quotient piece whose rule application failed.
 
-    `abscissae` are the points where the quotient evaluated f.  Only the
-    failure path re-evaluates f there, so the quadrature loop carries no
-    extra check.
+    Unless a weighted sum overflowed, f is evaluated again where the quotient
+    evaluated it at ``exc.x`` (x, or tau + x and tau - x), so the quadrature
+    loop carries no extra check.
     """
+    x = exc.x
+    if isinstance(exc, SumOverflowError):
+        return QuotientOverflowError(quotient, x, (exc.a, exc.b))
+    abscissae = (x,) if quotient == "difference" else (tau + x, tau - x)
     for t in abscissae:
         if not math.isfinite(f(t)):
             return NonfiniteIntegrandError(t)
@@ -173,11 +189,14 @@ class CpvProblem:
 class StopReasons(NamedTuple):
     """Why each quadrature piece stopped, named like the budget's terms.
 
-    Each entry is "tolerance" (the piece met tol / 3), "floor" (it met a
-    share raised by the roundoff floor, above tol / 3), "interval_cap" or
-    "width_floor" (see :class:`AdaptiveResult`), or, for every piece at
-    once, "discontinuous_at_tau" when f jumps at tau and nothing was
-    integrated.
+    The pieces share one priority queue, so every non-empty piece reads why
+    it stopped: "tolerance" (the summed quadrature estimate met tol),
+    "floor" (it met the tolerance raised by the roundoff floor, above tol),
+    "interval_cap" or "width_floor" (see :func:`integrate_pieces`), or, for
+    every piece at once, "discontinuous_at_tau" when f jumps at tau and
+    nothing was integrated.  A piece charged by the one-point rule is
+    non-empty; an empty piece (the near side, or a far side whose rounded
+    bounds are not ordered) reads "tolerance".
     """
 
     quad_left: str
@@ -191,14 +210,14 @@ class CpvResult:
 
     ``error_estimate`` equals ``budget.total``; ``evaluations`` counts the
     integrand calls made by the three quadrature pieces.  ``converged`` is
-    True when every piece met its share of the tolerance; that share is
-    raised to the roundoff floor where the floor lies above the request, so
-    a converged result can still carry an estimate above ``tol``, and
-    ``stop_reasons`` then reads "floor".  It is False when a piece hit the
-    interval cap or the width floor first (the value and budget are still
-    meaningful, the budget is simply larger) or when f jumps at tau, where
-    no principal value exists: the value is then NaN and the estimate
-    infinite.
+    True when the summed quadrature estimate of the three pieces met
+    max(tol, 2 floor), the tolerance raised to twice the roundoff floor where
+    the floor lies above the request, so a converged result can still carry
+    an estimate above ``tol``, and ``stop_reasons`` then reads "floor".  It
+    is False when the shared queue hit the interval cap or the width floor
+    first (the value and budget are still meaningful, the budget is simply
+    larger) or when f jumps at tau, where no principal value exists: the
+    value is then NaN and the estimate infinite.
     """
 
     value: float
@@ -209,18 +228,13 @@ class CpvResult:
     stop_reasons: StopReasons
 
 
-_EMPTY_PIECE = AdaptiveResult(0.0, 0.0, 0, True)
-
-#: Each piece gets max(tol, _FLOOR_FACTOR * floor) / 3, so the quadrature
-#: adds at most twice the floor to a budget the floor already bounds below.
+#: The pieces share max(tol, _FLOOR_FACTOR * floor), so the quadrature adds
+#: at most twice the floor to a budget the floor already bounds below.
 _FLOOR_FACTOR = 2.0
 
-
-def _reason(piece: AdaptiveResult, tol: float) -> str:
-    """The piece's stop reason, "floor" where only the raised share was met."""
-    if piece.stop_reason == "tolerance" and piece.error_estimate > tol / 3.0:
-        return "floor"
-    return piece.stop_reason
+#: The shared queue holds up to this many intervals per non-empty piece, the
+#: cap each piece had when integrated alone.
+_INTERVALS_PER_PIECE = 10_000
 
 
 def cpv_standard(problem: CpvProblem) -> CpvResult:
@@ -233,9 +247,11 @@ def cpv_standard(problem: CpvProblem) -> CpvResult:
     ``discontinuous_at_tau`` without running any quadrature.  Otherwise the
     roundoff floor of the budget (roundoff, log sensitivity, curvature and
     cutoff terms) is computed once from f(tau) and the coarse stencil, and
-    each quadrature piece gets max(tol, 2 floor) / 3, so no piece refines
-    toward an accuracy the floor rules out; the same floor terms enter the
-    final budget.  A floor that overflowed leaves the shares at tol / 3.
+    one engine call integrates the three quadrature pieces in one priority
+    queue until their summed estimate meets max(tol, 2 floor), so no piece
+    refines toward an accuracy the floor rules out; the same floor terms
+    enter the final budget.  A floor that overflowed leaves the tolerance at
+    tol.
 
     On whichever side of tau the distance to the endpoint equals delta, the
     difference quotient piece is empty (the symmetric integral already covers
@@ -244,7 +260,7 @@ def cpv_standard(problem: CpvProblem) -> CpvResult:
     [-1, 1]; it costs no evaluations.  The far piece is integrated only when
     its rounded bounds are ordered; one too narrow for the rule, which tau
     a few ulps off the midpoint leaves, gets the engine's one-point charge
-    (see :func:`adaptive_integrate`).  With tau at the
+    (see :func:`integrate_pieces`).  With tau at the
     midpoint both sides are empty and the result is the symmetric integral
     alone.
     A non-finite integrand or quotient is reported at the abscissa x, or at
@@ -284,49 +300,49 @@ def cpv_standard(problem: CpvProblem) -> CpvResult:
             stop_reasons=StopReasons(*(("discontinuous_at_tau",) * 3)),
         )
     raised = _FLOOR_FACTOR * floor.floor
-    piece_tol = max(tol, raised) / 3.0 if math.isfinite(raised) else tol / 3.0
+    quad_tol = max(tol, raised) if math.isfinite(raised) else tol
 
-    g = make_difference_quotient(f, tau, f_tau)
-    h = make_symmetric_quotient(f, tau)
+    # the near side, and a far side whose rounded bounds are not ordered,
+    # are the empty pieces [a, a] and [b, b]
     left_end = tau - delta
+    if not (b - tau < tau - a and a < left_end):
+        left_end = a
     right_start = tau + delta
-    near_left = tau - a <= b - tau
-    near_right = b - tau <= tau - a
-
-    try:
-        if near_left or not a < left_end:
-            left = _EMPTY_PIECE
-        else:
-            left = adaptive_integrate(g, a, left_end, piece_tol)
-        if near_right or not right_start < b:
-            right = _EMPTY_PIECE
-        else:
-            right = adaptive_integrate(g, right_start, b, piece_tol)
-    except NonfiniteIntegrandError as exc:
-        raise _quotient_failure(f, "difference", exc.x, (exc.x,)) from exc
+    if not (tau - a < b - tau and right_start < b):
+        right_start = b
     lower = 0.0 if problem.method == "open" else problem.mu
+    pieces = (
+        ("difference", a, left_end),
+        ("difference", right_start, b),
+        ("symmetric", lower, delta),
+    )
+    nonempty = (a < left_end, right_start < b, lower < delta)
     try:
-        symmetric = adaptive_integrate(h, lower, delta, piece_tol)
+        values, estimates, evaluations, reason = integrate_pieces(
+            f, pieces, quad_tol, _INTERVALS_PER_PIECE * max(1, sum(nonempty)),
+            tau=tau, f_tau=f_tau,
+        )
     except NonfiniteIntegrandError as exc:
-        x = exc.x
-        raise _quotient_failure(f, "symmetric", x, (tau + x, tau - x)) from exc
+        raise _quotient_failure(f, tau, pieces[exc.piece][0], exc) from exc
 
     log_term = f_tau * math.log((b - tau) / (tau - a))
-    value = log_term + left.value + right.value + symmetric.value
+    value = log_term + values[0] + values[1] + values[2]
+    quad_left, quad_right, quad_h = estimates
     budget = replace(
-        floor,
-        quad_left=left.error_estimate,
-        quad_right=right.error_estimate,
-        quad_h=symmetric.error_estimate,
+        floor, quad_left=quad_left, quad_right=quad_right, quad_h=quad_h
     )
-    pieces = (left, right, symmetric)
+    converged = reason == "tolerance"
+    if converged and quad_left + quad_right + quad_h > tol:
+        reason = "floor"
     return CpvResult(
         value=value,
         error_estimate=budget.total,
         budget=budget,
-        evaluations=sum(p.evaluations for p in pieces),
-        converged=all(p.converged for p in pieces),
-        stop_reasons=StopReasons(*(_reason(p, tol) for p in pieces)),
+        evaluations=sum(evaluations),
+        converged=converged,
+        stop_reasons=StopReasons(
+            *[reason if used else "tolerance" for used in nonempty]
+        ),
     )
 
 

@@ -17,14 +17,18 @@ transcription cannot go unnoticed.
 Each rule is applied through a rule kernel: one straight-line Python
 function emitted from that rule's nodes and weights and compiled the first
 time the rule is applied, so for the Kronrod pair only after its exactness
-check has passed.  The kernel belongs to the rule object it was built from
-and goes when that object goes.  It calls f once per node in ascending order
-and adds the weighted values in that order, the same arithmetic as a loop
-over the nodes, bit for bit, without the loop.
+check has passed.  A kernel applies the rule to f, to its difference
+quotient or to its symmetric quotient about tau, with the quotient written
+into each node's line; each form is compiled once per rule and belongs to
+the rule object.  It calls f in ascending node order and adds the weighted
+values in that order, the same arithmetic as a loop over the nodes, bit for
+bit, without the loop.
 
-The adaptive integrator bisects whichever interval currently reports the
-largest embedded error difference, keeps every floating-point operation in a
-fixed order, and therefore returns bit-identical results for identical inputs.
+The adaptive integrator keeps one priority queue over the intervals of one
+or several pieces, as QUADPACK's QAGS does for one integral, bisects the
+interval with the largest embedded error difference until the summed
+estimate meets the tolerance, and keeps every floating-point operation in a
+fixed order, so identical inputs give bit-identical results.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Union
+from typing import Callable, Optional, Sequence, Union
 
 __all__ = [
     "Integrand",
@@ -47,6 +51,7 @@ __all__ = [
     "kronrod_pair_g7k15",
     "apply_rule",
     "adaptive_integrate",
+    "integrate_pieces",
 ]
 
 Integrand = Callable[[float], float]
@@ -68,8 +73,11 @@ class NonfiniteIntegrandError(ValueError):
     """Raised when an integrand returns NaN or an infinity.
 
     The offending abscissa is kept in ``x`` so callers can report where the
-    integrand broke down.
+    integrand broke down.  ``piece`` is the index of the piece whose rule
+    application failed when :func:`integrate_pieces` raised it, else None.
     """
+
+    piece: Optional[int] = None
 
     def __init__(self, x: float):
         super().__init__(f"integrand returned a non-finite value at x = {x!r}")
@@ -80,8 +88,8 @@ class SumOverflowError(NonfiniteIntegrandError):
     """Raised when a rule's weighted sum overflows although every value is
     finite.
 
-    ``x`` is the node with the largest value in magnitude; the message
-    names the interval [a, b] whose sum overflowed.
+    ``x`` is the node with the largest value in magnitude, and ``a`` and
+    ``b`` are the ends of the interval whose sum overflowed.
     """
 
     def __init__(self, x: float, a: float, b: float):
@@ -91,18 +99,47 @@ class SumOverflowError(NonfiniteIntegrandError):
             f"integrand is finite at every node (largest at x = {x!r})",
         )
         self.x = x
+        self.a = a
+        self.b = b
+
+
+#: Each form of the integrand at the abscissa t; f_tau is f(tau).
+_FORMS = {
+    "plain": "f({t})",
+    "difference": "(f({t}) - f_tau) / ({t} - tau)",
+    "symmetric": "(f(tau + {t}) - f(tau - {t})) / {t}",
+}
+
+#: The rule attribute holding each form's kernel.
+_KERNEL_OF_FORM = {
+    "plain": "_kernel",
+    "difference": "_difference_kernel",
+    "symmetric": "_symmetric_kernel",
+}
 
 
 class _CompiledOnUse:
-    """Keeps a rule's compiled kernel out of its pickled state.
-
-    A function built by ``exec`` cannot be pickled; an unpickled rule
-    compiles its own kernel on first use.
+    """Compiles a rule's kernels ``(f, a, b, tau=0.0, f_tau=0.0)`` on first
+    use, one per form, and keeps them out of its pickled state: a function
+    built by ``exec`` cannot be pickled.
     """
+
+    @cached_property
+    def _kernel(self):
+        return self._compile("plain")
+
+    @cached_property
+    def _difference_kernel(self):
+        return self._compile("difference")
+
+    @cached_property
+    def _symmetric_kernel(self):
+        return self._compile("symmetric")
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        state.pop("_kernel", None)
+        for name in _KERNEL_OF_FORM.values():
+            state.pop(name, None)
         return state
 
 
@@ -131,10 +168,9 @@ class QuadratureRule(_CompiledOnUse):
         if abs(math.fsum(self.weights) - 2.0) > 1e-14:
             raise ValueError("weights must sum to the interval length 2")
 
-    @cached_property
-    def _kernel(self):
-        """The rule kernel ``(f, a, b) -> value``, compiled on first use."""
-        return _compile_kernel(self)
+    def _compile(self, form: str):
+        """Kernels of this rule return its value."""
+        return _compile_kernel(self, form=form)
 
 
 @dataclass(frozen=True)
@@ -152,11 +188,9 @@ class EmbeddedRulePair(_CompiledOnUse):
         if len(self.gauss_weights) != self.kronrod.order:
             raise ValueError("embedded weights are not aligned with the nodes")
 
-    @cached_property
-    def _kernel(self):
-        """The rule kernel ``(f, a, b) -> (value, |value - gauss value|)``,
-        compiled on first use."""
-        return _compile_kernel(self.kronrod, self.gauss_weights)
+    def _compile(self, form: str):
+        """Kernels of the pair return ``(value, |value - gauss value|)``."""
+        return _compile_kernel(self.kronrod, self.gauss_weights, form)
 
 
 @dataclass(frozen=True)
@@ -338,11 +372,13 @@ def _raise_first_nonfinite(nodes, values, a: float, b: float):
     raise SumOverflowError(mid + half * x, a, b)
 
 
-def _compile_kernel(rule: QuadratureRule, gauss_weights=None):
-    """Emit one straight-line function applying `rule` to f on [a, b].
+def _compile_kernel(rule: QuadratureRule, gauss_weights=None, form: str = "plain"):
+    """Emit one straight-line function applying `rule` to a form of f on [a, b].
 
     Nodes and weights are written as ``repr`` literals, which round-trip
-    exactly.  f is called once per node in ascending order; each weighted sum
+    exactly.  Each node's value is the form's term at the mapped node t,
+    the quotient functions' arithmetic operation for operation, with f
+    called in ascending node order.  Each weighted sum
     starts at 0.0 and adds ``w * v`` in that same order, so the result is the
     one a loop over the nodes gives, bit for bit.  Without ``gauss_weights``
     the function returns the rule's value; with them it returns
@@ -352,9 +388,10 @@ def _compile_kernel(rule: QuadratureRule, gauss_weights=None):
     The same test catches a sum that overflowed from finite values.
     """
     n = rule.order
+    term = _FORMS[form]
     ends = {0: "t0", n - 1: f"t{n - 1}"}
     lines = [
-        "def kernel(f, a, b):",
+        "def kernel(f, a, b, tau=0.0, f_tau=0.0):",
         "    mid = 0.5 * (a + b)",
         "    half = 0.5 * (b - a)",
     ]
@@ -363,7 +400,14 @@ def _compile_kernel(rule: QuadratureRule, gauss_weights=None):
     lines.append(f"    if not (a < t0 and {ends[n - 1]} < b):")
     lines.append("        _node_on_endpoint(a, b)")
     for i, x in enumerate(rule.nodes):
-        lines.append(f"    v{i} = f({ends.get(i, f'mid + half * {x!r}')})")
+        t = ends.get(i)
+        if t is None:
+            t = f"mid + half * {x!r}"
+            if form != "plain":
+                # the quotients use t more than once
+                lines.append(f"    t = {t}")
+                t = "t"
+        lines.append(f"    v{i} = {term.format(t=t)}")
     terms = "".join(f" + {w!r} * v{i}" for i, w in enumerate(rule.weights))
     lines.append(f"    sum_k = 0.0{terms}")
     lines.append("    value = sum_k * half")
@@ -384,7 +428,8 @@ def _compile_kernel(rule: QuadratureRule, gauss_weights=None):
         "_node_on_endpoint": _node_on_endpoint,
         "_raise_first_nonfinite": _raise_first_nonfinite,
     }
-    exec(compile("\n".join(lines), f"<rule kernel, {n} points>", "exec"), namespace)
+    source = "\n".join(lines)
+    exec(compile(source, f"<{form} rule kernel, {n} points>", "exec"), namespace)
     return namespace["kernel"]
 
 
@@ -423,115 +468,173 @@ def adaptive_integrate(
 ) -> AdaptiveResult:
     """Integrate f over [a, b] to an absolute tolerance.
 
-    The 7/15 pair is applied to [a, b] and then the interval with the largest
-    embedded difference is bisected at its midpoint, repeatedly, until the sum
-    of differences drops to ``tol``, the partition reaches ``max_intervals``,
-    or no interval is wide enough to split.  Ties in the priority queue fall
-    back on insertion order, and the final value and estimate are summed over
-    the partition in ascending interval order, so identical inputs give
-    bit-identical results.
-
-    ``a == b`` short-circuits to an exact zero with no evaluations, and an
-    [a, b] too narrow for the rule's nodes to land strictly inside it gets
-    the midpoint rule with its own magnitude as the estimate.  An
-    unmet tolerance is reported through ``converged``, never raised; a
-    non-finite integrand value raises :class:`NonfiniteIntegrandError` at
-    the lowest such node of its interval, after f has been called at all 15
-    nodes of that interval, and an interval whose weighted sum overflows
-    although every value is finite raises :class:`SumOverflowError`.
+    The one-piece case of :func:`integrate_pieces`: ``converged`` and
+    ``stop_reason`` are its result's.  ``a == b`` gives an exact zero with
+    no evaluations.
     """
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("integration endpoints must be finite")
-    if a > b:
-        raise ValueError(f"need a <= b, got [{a!r}, {b!r}]")
-    if not (math.isfinite(tol) and tol > 0.0):
+    values, estimates, evaluations, reason = integrate_pieces(
+        f, (("plain", a, b),), tol, max_intervals
+    )
+    return AdaptiveResult(
+        values[0], estimates[0], evaluations[0], reason == "tolerance", reason
+    )
+
+
+def integrate_pieces(
+    f: Integrand,
+    pieces: Sequence[tuple[str, float, float]],
+    tol: float,
+    max_intervals: int = 10_000,
+    tau: float = 0.0,
+    f_tau: float = 0.0,
+) -> tuple[list[float], list[float], list[int], str]:
+    """Integrate a sum of pieces to one absolute tolerance on their sum.
+
+    Each piece ``(form, a, b)`` integrates over [a, b] f itself ("plain"),
+    (f(t) - f_tau) / (t - tau) ("difference") or
+    (f(tau + t) - f(tau - t)) / t ("symmetric"); ``a == b`` is an empty
+    piece.  The 7/15 pair is applied to every non-empty piece in piece
+    order, then one priority queue over the intervals of all pieces bisects
+    the interval with the largest embedded difference until the summed
+    estimate drops to ``tol``, the partition of all pieces reaches
+    ``max_intervals`` intervals, or no interval is wide enough to split.
+    Ties fall back on insertion order.  Each piece's value and estimate are
+    summed over its intervals in ascending order, and the summed estimate
+    adds those in piece order.  Refinement resumes from that ordered sum
+    when a running sum met ``tol`` and it did not.
+
+    Returns ``(values, estimates, evaluations, stop_reason)``, the first
+    three per piece (0.0, 0.0 and 0 for an empty piece); ``stop_reason`` is
+    "tolerance" when the summed estimate met ``tol``, "interval_cap" when
+    the partition reached ``max_intervals``, else "width_floor".
+
+    A piece too narrow for the rule's nodes to land strictly inside it gets
+    the one-point midpoint rule: (b - a) times the form at the midpoint,
+    with that value's magnitude as its estimate (infinite, with no
+    evaluation, when no double lies strictly inside).  No bisection lowers
+    that charge, so one above ``tol`` ends refinement at once.
+
+    A non-finite value raises :class:`NonfiniteIntegrandError` at the
+    lowest such node of its interval, after f was called at all its nodes;
+    a weighted sum that overflows from finite values raises
+    :class:`SumOverflowError`.  Either carries the failing ``piece``.
+    """
+    for form, a, b in pieces:
+        if form not in _KERNEL_OF_FORM:
+            raise ValueError(f"unknown integrand form {form!r}")
+        if not -math.inf < a <= b < math.inf:
+            if not (math.isfinite(a) and math.isfinite(b)):
+                raise ValueError("integration endpoints must be finite")
+            raise ValueError(f"need a <= b, got [{a!r}, {b!r}]")
+    if not 0.0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
     if max_intervals < 1:
         raise ValueError("interval cap must be at least 1")
-    if a == b:
-        return AdaptiveResult(0.0, 0.0, 0, True)
 
     pair = kronrod_pair_g7k15()
-    if not _nodes_fit(pair.kronrod, a, b):
-        return _too_narrow(f, a, b, tol)
-    kernel = pair._kernel
-    value, err = kernel(f, a, b)
-    evaluations = 15
-    # Heap entries are (-estimate, sequence, a, b, value); the sequence number
-    # breaks ties deterministically.  Intervals too narrow to split migrate to
-    # `settled` and keep contributing their estimate.
-    heap: list[tuple[float, int, float, float, float]] = [(-err, 0, a, b, value)]
-    settled: list[tuple[float, float, float]] = []
-    seq = 1
-    count = 1
-    err_sum = err
-
-    while True:
-        while err_sum > tol and count < max_intervals and heap:
-            neg_est, _, ia, ib, _ival = heap[0]
-            est = -neg_est
-            if not _splittable(ia, ib):
-                heapq.heappop(heap)
-                settled.append((ia, _ival, est))
+    n = len(pieces)
+    kernels = [None] * n
+    evaluations = [0] * n
+    # Heap entries are (-estimate, sequence, a, b, value, piece); the
+    # sequence number breaks ties deterministically.  Intervals too narrow to
+    # split migrate to `settled` as (piece, a, value, estimate) and keep
+    # contributing their estimate; one-point pieces start there, and `fixed`
+    # sums their charges.
+    heap: list[tuple[float, int, float, float, float, int]] = []
+    settled: list[tuple[int, float, float, float]] = []
+    err_sum = 0.0
+    fixed = 0.0
+    count = 0
+    piece = 0
+    try:
+        for piece, (form, a, b) in enumerate(pieces):
+            if a == b:
                 continue
-            heapq.heappop(heap)
-            mid = 0.5 * (ia + ib)
-            lv, le = kernel(f, ia, mid)
-            rv, re = kernel(f, mid, ib)
-            evaluations += 30
-            heapq.heappush(heap, (-le, seq, ia, mid, lv))
-            heapq.heappush(heap, (-re, seq + 1, mid, ib, rv))
-            seq += 2
             count += 1
-            err_sum += le + re - est
+            kernel = kernels[piece] = getattr(pair, _KERNEL_OF_FORM[form])
+            if _nodes_fit(pair.kronrod, a, b):
+                value, err = kernel(f, a, b, tau, f_tau)
+                evaluations[piece] = 15
+                heap.append((-err, len(heap), a, b, value, piece))
+            else:
+                value, err, evaluations[piece] = _one_point(
+                    form, f, a, b, tau, f_tau
+                )
+                settled.append((piece, a, value, err))
+                fixed += err
+            err_sum += err
+        heapq.heapify(heap)
+        seq = len(heap)
+        # no bisection lowers a one-point charge
+        cap = count if fixed > tol else max_intervals
 
-        pieces = [(ia, v, -neg) for neg, _, ia, _, v in heap]
-        pieces.extend(settled)
-        pieces.sort(key=lambda p: p[0])
-        total = 0.0
-        estimate = 0.0
-        for _, v, e in pieces:
-            total += v
-            estimate += e
-        if not err_sum <= tol < estimate or count >= max_intervals or not heap:
-            break
-        # The running sum drifted down to tol while the ordered sum did not;
-        # resume from the ordered sum, so that the stop reason and
-        # `converged` are both read from the estimate that is returned.
-        err_sum = estimate
+        while True:
+            while err_sum > tol and count < cap and heap:
+                neg_est, _, ia, ib, ival, piece = heapq.heappop(heap)
+                est = -neg_est
+                if not _splittable(ia, ib):
+                    settled.append((piece, ia, ival, est))
+                    continue
+                mid = 0.5 * (ia + ib)
+                kernel = kernels[piece]
+                lv, le = kernel(f, ia, mid, tau, f_tau)
+                rv, re = kernel(f, mid, ib, tau, f_tau)
+                evaluations[piece] += 30
+                heapq.heappush(heap, (-le, seq, ia, mid, lv, piece))
+                heapq.heappush(heap, (-re, seq + 1, mid, ib, rv, piece))
+                seq += 2
+                count += 1
+                err_sum += le + re - est
+
+            entries = [(p, ia, v, -neg) for neg, _, ia, _, v, p in heap]
+            entries.extend(settled)
+            entries.sort()
+            values = [0.0] * n
+            estimates = [0.0] * n
+            for p, _, v, e in entries:
+                values[p] += v
+                estimates[p] += e
+            estimate = 0.0
+            for e in estimates:
+                estimate += e
+            if not err_sum <= tol < estimate or count >= cap or not heap:
+                break
+            # The running sum drifted down to tol while the ordered sum did
+            # not; resume from the ordered sum, so that the stop reason and
+            # `converged` are both read from the estimate that is returned.
+            err_sum = estimate
+    except NonfiniteIntegrandError as exc:
+        exc.piece = piece
+        raise
 
     if estimate <= tol:
         reason = "tolerance"
-    elif heap:
+    elif heap and count >= max_intervals:
         reason = "interval_cap"
     else:
         reason = "width_floor"
-    return AdaptiveResult(
-        total, estimate, evaluations, reason == "tolerance", reason
-    )
+    return values, estimates, evaluations, reason
 
 
-def _too_narrow(f: Integrand, a: float, b: float, tol: float) -> AdaptiveResult:
-    """[a, b] too narrow for the rule's nodes: the one-point midpoint rule.
+@lru_cache(maxsize=None)
+def _at_point(form: str):
+    """The form at one abscissa t, compiled on first use."""
+    return eval(f"lambda f, t, tau, f_tau: {_FORMS[form].format(t='t')}")
 
-    An interval a few ulps wide, such as the far piece left by a principal
-    value singularity a few ulps off the midpoint, gets the value
-    (b - a) f(mid) and that value's magnitude as its error estimate, one
-    evaluation.  Without a double strictly between a and b no point can be
-    sampled, and the estimate is infinite.
+
+def _one_point(form: str, f: Integrand, a: float, b: float, tau: float,
+               f_tau: float) -> tuple[float, float, int]:
+    """The midpoint rule on an [a, b] too narrow for the rule's nodes.
+
+    Returns ``(value, estimate, evaluations)``: (b - a) times the form at
+    the midpoint, its magnitude, 1; or 0.0, inf, 0 when no double lies
+    strictly between a and b.
     """
     mid = 0.5 * (a + b)
     if not a < mid < b:
-        value, estimate, evaluations = 0.0, math.inf, 0
-    else:
-        v = f(mid)
-        if not math.isfinite(v):
-            raise NonfiniteIntegrandError(mid)
-        value = (b - a) * v
-        estimate = abs(value)
-        evaluations = 1
-    converged = estimate <= tol
-    return AdaptiveResult(
-        value, estimate, evaluations, converged,
-        "tolerance" if converged else "width_floor",
-    )
+        return 0.0, math.inf, 0
+    v = _at_point(form)(f, mid, tau, f_tau)
+    if not math.isfinite(v):
+        raise NonfiniteIntegrandError(mid)
+    value = (b - a) * v
+    return value, abs(value), 1

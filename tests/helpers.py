@@ -153,3 +153,88 @@ def gauss_legendre_reference(m: int) -> tuple[tuple, tuple]:
         nodes.append(0.0)
         weights.append(float(2.0 / (dp0[0] * dp0[0])))
     return tuple(nodes + pos_nodes), tuple(weights + pos_weights)
+
+
+def adaptive_integrate_reference(f, a, b, tol, max_intervals=10_000):
+    """The one-piece adaptive loop that the shared priority queue replaced.
+
+    Applies the 7/15 pair to [a, b] and bisects the interval with the
+    largest embedded difference until the running sum of differences meets
+    tol, the partition reaches max_intervals or no interval can be split,
+    resuming from the ordered sum when the running sum drifted below it; an
+    [a, b] too narrow for the rule gets the one-point midpoint charge.  The
+    one-piece call of the engine must give the same result bit for bit.
+    """
+    import heapq
+
+    from cpvquad.quadrature import (
+        AdaptiveResult,
+        NonfiniteIntegrandError,
+        _nodes_fit,
+        _splittable,
+        kronrod_pair_g7k15,
+    )
+
+    if a == b:
+        return AdaptiveResult(0.0, 0.0, 0, True)
+    pair = kronrod_pair_g7k15()
+    if not _nodes_fit(pair.kronrod, a, b):
+        mid = 0.5 * (a + b)
+        if not a < mid < b:
+            value, estimate, evaluations = 0.0, math.inf, 0
+        else:
+            v = f(mid)
+            if not math.isfinite(v):
+                raise NonfiniteIntegrandError(mid)
+            value = (b - a) * v
+            estimate = abs(value)
+            evaluations = 1
+        converged = estimate <= tol
+        return AdaptiveResult(
+            value, estimate, evaluations, converged,
+            "tolerance" if converged else "width_floor",
+        )
+    kernel = pair._kernel
+    value, err = kernel(f, a, b)
+    evaluations = 15
+    heap = [(-err, 0, a, b, value)]
+    settled = []
+    seq = 1
+    count = 1
+    err_sum = err
+    while True:
+        while err_sum > tol and count < max_intervals and heap:
+            neg_est, _, ia, ib, ival = heap[0]
+            est = -neg_est
+            if not _splittable(ia, ib):
+                heapq.heappop(heap)
+                settled.append((ia, ival, est))
+                continue
+            heapq.heappop(heap)
+            mid = 0.5 * (ia + ib)
+            lv, le = kernel(f, ia, mid)
+            rv, re = kernel(f, mid, ib)
+            evaluations += 30
+            heapq.heappush(heap, (-le, seq, ia, mid, lv))
+            heapq.heappush(heap, (-re, seq + 1, mid, ib, rv))
+            seq += 2
+            count += 1
+            err_sum += le + re - est
+        pieces = [(ia, v, -neg) for neg, _, ia, _, v in heap]
+        pieces.extend(settled)
+        pieces.sort(key=lambda p: p[0])
+        total = 0.0
+        estimate = 0.0
+        for _, v, e in pieces:
+            total += v
+            estimate += e
+        if not err_sum <= tol < estimate or count >= max_intervals or not heap:
+            break
+        err_sum = estimate
+    if estimate <= tol:
+        reason = "tolerance"
+    elif heap:
+        reason = "interval_cap"
+    else:
+        reason = "width_floor"
+    return AdaptiveResult(total, estimate, evaluations, reason == "tolerance", reason)

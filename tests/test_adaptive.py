@@ -2,14 +2,18 @@ import math
 
 import pytest
 
+from cpvquad.cpv import make_difference_quotient, make_symmetric_quotient
 from cpvquad.quadrature import (
     AdaptiveResult,
     NonfiniteIntegrandError,
     SumOverflowError,
     adaptive_integrate,
     apply_rule,
+    integrate_pieces,
     kronrod_pair_g7k15,
 )
+
+from helpers import adaptive_integrate_reference
 
 
 class TestBasicContracts:
@@ -349,3 +353,214 @@ class TestTooNarrowForTheRule:
     def test_nonfinite_midpoint(self):
         with pytest.raises(NonfiniteIntegrandError):
             adaptive_integrate(lambda x: math.nan, 2.0, 2.0 + 8e-16, 1e-12)
+
+
+def _recorded(f):
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+
+    return g, calls
+
+
+class TestOnePieceMatchesReference:
+    """adaptive_integrate is the one-piece case of the shared queue."""
+
+    WIDE = 1.0 + 4096.0 * math.ulp(1.0)
+
+    @pytest.mark.parametrize(
+        "f,a,b,tol,cap,reason",
+        [
+            (math.exp, 0.0, 1.0, 1e-12, 10_000, "tolerance"),
+            (lambda x: math.sin(550.0 * x), -1.0, 1.0, 1e-12, 10_000,
+             "tolerance"),
+            (math.sqrt, 0.0, 1.0, 1e-15, 10_000, "tolerance"),
+            (lambda x: 1e3 * math.sin(300.0 * x), 0.0, 1.0, 5.56236e-9,
+             10_000, "tolerance"),
+            (lambda x: 1.0 / math.sqrt(x * (1.0 - x)), 0.0, 1.0, 1e-6,
+             10_000, "tolerance"),
+            (lambda x: 1.0 / x, 0.0, 1.0, 1e-12, 50, "interval_cap"),
+            (lambda x: math.cos(550.0 * x), -1.0, 1.0, 1e-12, 2,
+             "interval_cap"),
+            (lambda x: 1.0 / x, 0.0, 1.0, 1e-12, 1, "interval_cap"),
+            (lambda x: 1.0 / (x - 1.0), 1.0, WIDE, 1e-12, 10_000,
+             "width_floor"),
+            (math.log, 1.0, 1.0 + 64.0 * math.ulp(1.0), 1e-30, 10_000,
+             "width_floor"),
+            (math.exp, -1.0, -1.0 + 2.0 * math.ulp(0.5), 1e-12, 10_000,
+             "tolerance"),
+            (lambda x: 1e20, 3.0, 3.0 + 4.0 * math.ulp(3.0), 1e-12, 10_000,
+             "width_floor"),
+            (math.exp, 0.25, 0.25, 1e-12, 10_000, "tolerance"),
+        ],
+    )
+    def test_bit_identical_to_the_one_piece_loop(self, f, a, b, tol, cap,
+                                                 reason):
+        g, calls = _recorded(f)
+        got = adaptive_integrate(g, a, b, tol, max_intervals=cap)
+        h, want_calls = _recorded(f)
+        want = adaptive_integrate_reference(h, a, b, tol, max_intervals=cap)
+        assert got.stop_reason == reason
+        assert repr(got) == repr(want)
+        assert got.value.hex() == want.value.hex()
+        assert got.error_estimate.hex() == want.error_estimate.hex()
+        assert calls == want_calls
+
+
+def _interval_count(evaluations: int) -> int:
+    """Intervals in a piece's final partition: each bisection costs 30
+    evaluations and adds one interval to the first application's 15."""
+    return (evaluations // 15 + 1) // 2
+
+
+class TestSharedQueue:
+    TAU = 0.1
+    PIECES = (
+        ("difference", -1.0, -0.5),
+        ("difference", 0.7, 1.0),
+        ("symmetric", 0.0, 0.6),
+    )
+
+    def _run(self, f, tol, pieces=PIECES, **kwargs):
+        return integrate_pieces(f, pieces, tol, tau=self.TAU,
+                                f_tau=f(self.TAU), **kwargs)
+
+    def test_every_piece_matches_its_quotient(self):
+        # one piece at a time, the fused kernels give what the plain engine
+        # gives on the quotient functions
+        f = lambda x: math.sin(9.0 * x) * math.exp(x)
+        quotients = {
+            "difference": make_difference_quotient(f, self.TAU),
+            "symmetric": make_symmetric_quotient(f, self.TAU),
+        }
+        for form, a, b in self.PIECES:
+            (value,), (estimate,), (evaluations,), reason = self._run(
+                f, 1e-13, pieces=((form, a, b),)
+            )
+            want = adaptive_integrate(quotients[form], a, b, 1e-13)
+            assert value.hex() == want.value.hex()
+            assert estimate.hex() == want.error_estimate.hex()
+            assert evaluations == want.evaluations
+            assert reason == want.stop_reason
+
+    def test_initial_applications_run_in_piece_order(self):
+        f, calls = _recorded(math.exp)
+        self._run(f, 1e-3)
+        assert len(calls) == 1 + 15 + 15 + 30
+        calls = calls[1:]
+        assert all(-1.0 < x < -0.5 for x in calls[:15])
+        assert all(0.7 < x < 1.0 for x in calls[15:30])
+        offsets = [x - self.TAU for x in calls[30::2]]
+        assert all(0.0 < t < 0.6 for t in offsets)
+
+    def test_calls_are_left_right_and_twice_symmetric(self):
+        f, calls = _recorded(lambda x: math.sin(40.0 * x))
+        _, _, (left, right, symmetric), _ = self._run(f, 1e-13)
+        assert min(left, right, symmetric) > 15
+        assert len(calls) == 1 + left + right + 2 * symmetric
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-8, 1e-10, 1e-11, 1e-12])
+    def test_converged_exactly_when_the_sum_meets_tol(self, tol):
+        _, estimates, evaluations, reason = self._run(
+            lambda x: 1e3 * math.sin(300.0 * x), tol
+        )
+        total = 0.0
+        for e in estimates:
+            total += e
+        assert (reason == "tolerance") == (total <= tol)
+        if total > tol:
+            assert reason == "interval_cap"
+            assert sum(map(_interval_count, evaluations)) == 10_000
+
+    def test_refinement_goes_where_the_error_is(self):
+        # a kink inside the right piece only: the smooth pieces keep their
+        # first application while the kinked one is refined
+        _, _, (left, right, symmetric), reason = self._run(
+            lambda x: abs(x - 0.8123), 1e-12
+        )
+        assert reason == "tolerance"
+        assert left == 15 and symmetric == 15
+        assert right > 15
+
+    def test_cap_counts_the_whole_partition(self):
+        pieces = (("plain", 0.0, 1.0), ("plain", 1.0, 1.0),
+                  ("plain", -1.0, 0.0))
+        # 1/sqrt(x) never meets the tolerance near 0, and sin(300x) needs
+        # refining too, so both pieces take intervals from the one cap
+        f = lambda x: 1.0 / math.sqrt(x) if x > 0.0 else math.sin(300.0 * x)
+        values, estimates, evaluations, reason = integrate_pieces(
+            f, pieces, 1e-12, max_intervals=50
+        )
+        first, empty, last = evaluations
+        assert _interval_count(first) + _interval_count(last) == 50
+        assert first > 15 and last > 15
+        assert reason == "interval_cap"
+        assert (values[1], estimates[1], empty) == (0.0, 0.0, 0)
+
+    def test_ties_go_to_the_earlier_piece(self):
+        # two copies of one piece tie on every estimate; the sequence number
+        # decides, so the first copy is bisected first
+        pieces = (("plain", 0.0, 1.0), ("plain", 0.0, 1.0))
+        _, _, evaluations, reason = integrate_pieces(
+            lambda x: abs(x - 0.3), pieces, 1e-15, max_intervals=3
+        )
+        assert evaluations == [45, 15]
+        assert reason == "interval_cap"
+
+    def test_nonfinite_value_names_its_piece(self):
+        def f(x):
+            return math.nan if 0.8 < x < 0.9 else 1.0
+
+        with pytest.raises(NonfiniteIntegrandError) as excinfo:
+            self._run(f, 1e-12)
+        assert excinfo.value.piece == 1
+        assert 0.8 < excinfo.value.x < 0.9
+
+    def test_overflowing_sum_names_its_piece(self):
+        # the symmetric quotient of 6e307 x is 1.2e308 at every node, and
+        # its Kronrod sum overflows; the difference quotients stay at 6e307
+        f = lambda x: 6e307 * x
+        pieces = (("difference", -1.0, -0.5), ("symmetric", 0.0, 0.5))
+        with pytest.raises(SumOverflowError) as excinfo:
+            integrate_pieces(f, pieces, 1e-12, tau=0.5, f_tau=f(0.5))
+        assert excinfo.value.piece == 1
+        assert (excinfo.value.a, excinfo.value.b) == (0.0, 0.5)
+
+    def test_one_point_charge_counts_in_the_sum(self):
+        narrow = ("difference", -1.0, -1.0 + 2.0 * math.ulp(0.5))
+        wide = ("symmetric", 0.0, 0.5)
+        f, calls = _recorded(math.exp)
+        values, estimates, (charged, symmetric), reason = integrate_pieces(
+            f, (narrow, wide), 1e-12, tau=0.5, f_tau=math.exp(0.5)
+        )
+        assert charged == 1
+        assert estimates[0] == abs(values[0]) > 0.0
+        assert reason == "tolerance"
+        assert len(calls) == 1 + 2 * symmetric
+
+    @pytest.mark.parametrize(
+        "narrow",
+        [(3.0, 3.0 + 4.0 * math.ulp(3.0)), (1.0, 1.0 + math.ulp(1.0))],
+        ids=["charge above tol", "no double inside"],
+    )
+    def test_charge_above_tol_ends_refinement(self, narrow):
+        # no bisection can lower the charge, so the other piece keeps its
+        # first application instead of refining to the cap
+        pieces = (("plain", *narrow), ("plain", 0.0, 1.0))
+        _, estimates, evaluations, reason = integrate_pieces(
+            lambda x: 1e20 * math.sqrt(x), pieces, 1e-12
+        )
+        assert estimates[0] > 1e-12
+        assert evaluations[1] == 15
+        assert reason == "width_floor"
+
+    def test_rejects_unknown_form_and_bad_bounds(self):
+        with pytest.raises(ValueError):
+            integrate_pieces(math.exp, (("cubic", 0.0, 1.0),), 1e-12)
+        with pytest.raises(ValueError):
+            integrate_pieces(math.exp, (("plain", 0.0, 1.0),
+                                        ("plain", 2.0, 1.0)), 1e-12)
+        with pytest.raises(ValueError):
+            integrate_pieces(math.exp, (("plain", 0.0, math.inf),), 1e-12)

@@ -1,6 +1,7 @@
 """Tests for the principal value decomposition."""
 
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import pytest
@@ -224,6 +225,21 @@ class TestProblemValidation:
         assert f"{quotient} quotient overflowed" in str(excinfo.value)
         assert isinstance(excinfo.value.__cause__, SumOverflowError)
 
+    @pytest.mark.parametrize(
+        "slope,interval", [(6e307, (0.0, 0.5)), (1e308, (-1.0, 0.0))]
+    )
+    def test_overflowing_weighted_sum_is_named_as_a_sum(self, slope, interval):
+        # no quotient value overflowed, so the message names the sum and its
+        # interval, not a quotient value at one abscissa
+        with pytest.raises(QuotientOverflowError) as excinfo:
+            cpv_standard(CpvProblem(f=lambda x: slope * x, tau=0.5))
+        assert excinfo.value.interval == interval
+        assert (
+            f"weighted sum over [{interval[0]!r}, {interval[1]!r}]"
+            in str(excinfo.value)
+        )
+        assert math.isfinite(slope * excinfo.value.x)
+
     def test_difference_quotient_overflow_is_named(self):
         # f(x) - f(tau) overflows on the left piece while f stays finite
         def f(x):
@@ -308,60 +324,85 @@ class TestDecompositionMechanics:
         result = cpv_standard(CpvProblem(f=f, tau=0.0))
         assert calls[0] == 2 * result.evaluations + 5
 
-    def _spy_factories(self, monkeypatch, seen_g, seen_h):
-        orig_dq = cpv_module.make_difference_quotient
-        orig_sq = cpv_module.make_symmetric_quotient
+    def _observe(self, problem):
+        """f's abscissae in a run, split by the quotient that asked for them.
 
-        def spy_dq(f, tau, f_tau=None):
-            q = orig_dq(f, tau, f_tau)
+        The first five calls are f(tau) and the two stencils.  The symmetric
+        kernel then calls f at tau + t and tau - t back to back, so such a
+        pair is recorded as the offset t; every other call is a node x of the
+        difference quotient.
+        """
+        calls = []
 
-            def wrapped(x):
-                seen_g.append(x)
-                return q(x)
+        def f(x):
+            calls.append(x)
+            return problem.f(x)
 
-            return wrapped
-
-        def spy_sq(f, tau):
-            q = orig_sq(f, tau)
-
-            def wrapped(x):
-                seen_h.append(x)
-                return q(x)
-
-            return wrapped
-
-        monkeypatch.setattr(cpv_module, "make_difference_quotient", spy_dq)
-        monkeypatch.setattr(cpv_module, "make_symmetric_quotient", spy_sq)
-
-    def test_pieces_stay_open_and_far_side_is_empty(self, monkeypatch):
+        result = cpv_standard(replace(problem, f=f))
+        tau = problem.tau
         seen_g, seen_h = [], []
-        self._spy_factories(monkeypatch, seen_g, seen_h)
-        cpv_standard(CpvProblem(f=math.exp, tau=0.5))
+        i = 5
+        while i < len(calls):
+            x = calls[i]
+            y = calls[i + 1] if i + 1 < len(calls) else None
+            if y is not None and y < tau < x and (
+                abs((x - tau) - (tau - y)) <= 4.0 * math.ulp(tau)
+            ):
+                seen_h.append(x - tau)
+                i += 2
+            else:
+                seen_g.append(x)
+                i += 1
+        assert len(seen_g) + len(seen_h) == result.evaluations
+        return seen_g, seen_h
+
+    def test_pieces_stay_open_and_far_side_is_empty(self):
+        seen_g, seen_h = self._observe(CpvProblem(f=math.exp, tau=0.5))
         # delta = 0.5: difference quotient only on (-1, 0), symmetric
         # quotient only on (0, 0.5), all strictly interior
         assert seen_g and all(-1.0 < x < 0.0 for x in seen_g)
         assert seen_h and all(0.0 < x < 0.5 for x in seen_h)
 
-    def test_center_skips_difference_quotient_entirely(self, monkeypatch):
-        seen_g, seen_h = [], []
-        self._spy_factories(monkeypatch, seen_g, seen_h)
-        cpv_standard(CpvProblem(f=math.exp, tau=0.0))
+    def test_center_skips_difference_quotient_entirely(self):
+        seen_g, seen_h = self._observe(CpvProblem(f=math.exp, tau=0.0))
         assert seen_g == []
         assert seen_h and all(0.0 < x < 1.0 for x in seen_h)
 
-    def test_negative_tau_mirrors_sides(self, monkeypatch):
-        seen_g, seen_h = [], []
-        self._spy_factories(monkeypatch, seen_g, seen_h)
-        cpv_standard(CpvProblem(f=math.exp, tau=-0.5))
+    def test_negative_tau_mirrors_sides(self):
+        seen_g, seen_h = self._observe(CpvProblem(f=math.exp, tau=-0.5))
         assert seen_g and all(0.0 < x < 1.0 for x in seen_g)
         assert seen_h and all(0.0 < x < 0.5 for x in seen_h)
 
-    def test_cutoff_method_starts_at_mu(self, monkeypatch):
-        seen_g, seen_h = [], []
-        self._spy_factories(monkeypatch, seen_g, seen_h)
+    def test_cutoff_method_starts_at_mu(self):
         mu = 1e-6
-        cpv_standard(CpvProblem(f=math.exp, tau=0.5, method="cutoff", mu=mu))
+        seen_g, seen_h = self._observe(
+            CpvProblem(f=math.exp, tau=0.5, method="cutoff", mu=mu)
+        )
         assert seen_h and all(mu < x < 0.5 for x in seen_h)
+
+    def test_one_engine_call_counts_every_piece(self, monkeypatch):
+        # one call integrates all three pieces; f is called once per
+        # difference-quotient evaluation, twice per symmetric one, plus
+        # f(tau) and the two stencils
+        engine_calls = []
+        engine = cpv_module.integrate_pieces
+
+        def spy(*args, **kwargs):
+            engine_calls.append(engine(*args, **kwargs))
+            return engine_calls[-1]
+
+        monkeypatch.setattr(cpv_module, "integrate_pieces", spy)
+        calls = [0]
+
+        def f(x):
+            calls[0] += 1
+            return math.sin(20.0 * x)
+
+        result = cpv_standard(CpvProblem(f=f, tau=0.3))
+        ((_, _, (left, right, symmetric), _),) = engine_calls
+        assert left > 15 and right == 0
+        assert calls[0] == left + right + 2 * symmetric + 5
+        assert result.evaluations == left + right + symmetric
 
     def test_deterministic_reruns(self):
         p = CpvProblem(f=lambda x: math.sin(3.0 * x) + x * x, tau=0.4)
@@ -579,14 +620,18 @@ class TestRoundoffFloorStop:
         assert result.budget.floor < 1e-12 / 2.0
 
     def test_floor_pieces_exceed_their_plain_share(self):
+        # the pieces share one tolerance, raised to twice the floor: their
+        # summed estimate lies above tol but meets the raised share, and
+        # every non-empty piece reads "floor"
         case = next(c for c in builtin_problems() if c.name == "case8")
         tol = 1e-15
         result = cpv_standard(CpvProblem(f=case.integrand, tau=case.tau, tol=tol))
         quad = (result.budget.quad_left, result.budget.quad_right,
                 result.budget.quad_h)
+        assert result.converged
+        assert tol < quad[0] + quad[1] + quad[2] <= 2.0 * result.budget.floor
         for reason, estimate in zip(result.stop_reasons, quad):
-            assert (reason == "floor") == (estimate > tol / 3.0)
-            assert estimate <= 2.0 * result.budget.floor / 3.0
+            assert reason == ("floor" if estimate else "tolerance")
 
     def test_overflowed_curvature_still_reports_quotient_overflow(self):
         # f'' = 2e308 overflows in the stencil, so the floor is infinite;

@@ -15,6 +15,8 @@ from cpvquad.quadrature import (
     kronrod_pair_g7k15,
 )
 
+from cpvquad.cpv import make_difference_quotient, make_symmetric_quotient
+
 from helpers import apply_rule_reference, gauss_legendre_reference
 
 
@@ -270,9 +272,11 @@ def _outcome(call):
     try:
         return repr(call())
     except NonfiniteIntegrandError as exc:
-        return ("non-finite", repr(exc.x))
+        return (type(exc).__name__, repr(exc.x))
     except RuntimeError as exc:
         return ("endpoint", str(exc))
+    except ZeroDivisionError:
+        return ("zero division",)
 
 
 class TestRuleKernel:
@@ -297,9 +301,13 @@ class TestRuleKernel:
     def test_applied_rule_pickles(self, m):
         rule = kronrod_pair_g7k15() if m is None else gauss_legendre_rule(m)
         before = apply_rule(rule, math.exp, 0.0, 1.0)
+        quotients = (rule._difference_kernel(math.exp, 0.0, 1.0, 2.0, 7.0),
+                     rule._symmetric_kernel(math.exp, 0.0, 1.0, 0.5))
         copy = pickle.loads(pickle.dumps(rule))
         assert copy == rule
         assert apply_rule(copy, math.exp, 0.0, 1.0) == before
+        assert (copy._difference_kernel(math.exp, 0.0, 1.0, 2.0, 7.0),
+                copy._symmetric_kernel(math.exp, 0.0, 1.0, 0.5)) == quotients
 
     def test_kernel_belongs_to_the_rule(self):
         pair = kronrod_pair_g7k15()
@@ -311,3 +319,69 @@ class TestRuleKernel:
             assert rebuilt._kernel is not pair._kernel
         finally:
             kronrod_pair_g7k15.cache_clear()
+
+
+def _quotient_integrands(a, b, rng):
+    """The kernel integrands, plus a NaN at one node and a steep line."""
+    nan_at = a + 0.61 * (b - a)
+    return _kernel_integrands(a, b, rng) + [
+        lambda x: math.nan if x > nan_at else math.cos(x),
+        lambda x: 6e307 * x,
+        lambda x: 1e308 * x,
+    ]
+
+
+class TestQuotientKernels:
+    """The fused kernels give the plain kernel applied to the quotient
+    functions, whose own per-node loop equality is checked above."""
+
+    @pytest.mark.parametrize("m", [None, 1, 7, 100])
+    def test_difference_kernel_bit_equal_to_the_closure(self, m):
+        rule = kronrod_pair_g7k15() if m is None else gauss_legendre_rule(m)
+        rng = random.Random(31 if m is None else 31 + m)
+        outcomes = set()
+        for a, b in _kernel_intervals():
+            width = b - a
+            for f in _quotient_integrands(a, b, rng):
+                # tau beside the interval, as in the far pieces
+                if rng.random() < 0.5:
+                    tau = b + width * rng.uniform(0.01, 2.0)
+                else:
+                    tau = a - width * rng.uniform(0.01, 2.0)
+                f_tau = f(tau)
+                if not math.isfinite(f_tau):
+                    continue
+                g = make_difference_quotient(f, tau, f_tau)
+                got = _outcome(
+                    lambda: rule._difference_kernel(f, a, b, tau, f_tau))
+                want = _outcome(lambda: apply_rule(rule, g, a, b))
+                assert got == want, (m, a, b, tau)
+                outcomes.add(got[0] if isinstance(got, tuple) else "value")
+        assert {"value", "NonfiniteIntegrandError"} <= outcomes
+        if m is None:
+            assert "SumOverflowError" in outcomes
+
+    @pytest.mark.parametrize("m", [None, 1, 7, 100])
+    def test_symmetric_kernel_bit_equal_to_the_closure(self, m):
+        rule = kronrod_pair_g7k15() if m is None else gauss_legendre_rule(m)
+        rng = random.Random(47 if m is None else 47 + m)
+        outcomes = set()
+        for a, b in _kernel_intervals():
+            for f in _quotient_integrands(a, b, rng):
+                tau = rng.choice((0.0, 0.3, -2.5, a))
+                h = make_symmetric_quotient(f, tau)
+                got = _outcome(lambda: rule._symmetric_kernel(f, a, b, tau))
+                want = _outcome(lambda: apply_rule(rule, h, a, b))
+                assert got == want, (m, a, b, tau)
+                outcomes.add(got[0] if isinstance(got, tuple) else "value")
+        assert {"value", "NonfiniteIntegrandError"} <= outcomes
+        if m is None:
+            assert "SumOverflowError" in outcomes
+
+    def test_each_form_compiles_once_per_rule(self):
+        pair = kronrod_pair_g7k15()
+        kernels = (pair._kernel, pair._difference_kernel,
+                   pair._symmetric_kernel)
+        assert len(set(map(id, kernels))) == 3
+        assert kernels == (pair._kernel, pair._difference_kernel,
+                           pair._symmetric_kernel)
