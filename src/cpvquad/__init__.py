@@ -15,8 +15,6 @@ from .cpv import (
     cpv_general,
     cpv_standard,
     endpoint_distance,
-    make_difference_quotient,
-    make_symmetric_quotient,
 )
 from .error_model import (
     EPS,
@@ -41,6 +39,7 @@ from .quadrature import (
     apply_rule,
     gauss_legendre_rule,
     kronrod_pair_g7k15,
+    kronrod_pair_g10k21,
 )
 
 __all__ = [
@@ -67,9 +66,8 @@ __all__ = [
     "endpoint_distance",
     "gauss_legendre_rule",
     "kronrod_pair_g7k15",
+    "kronrod_pair_g10k21",
     "log_term_sensitivity",
-    "make_difference_quotient",
-    "make_symmetric_quotient",
     "symmetric_quotient_roundoff",
     "total_error_estimate",
 ]

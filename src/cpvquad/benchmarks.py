@@ -27,7 +27,7 @@ from typing import IO, Optional, Sequence
 
 from .cpv import CpvProblem, CpvResult, cpv_standard
 from .error_model import ErrorBudget
-from .quadrature import Integrand, kronrod_pair_g7k15
+from .quadrature import Integrand, kronrod_pair_g10k21
 
 __all__ = [
     "BenchmarkCase",
@@ -266,7 +266,7 @@ def run_benchmark(
     bound_scale = max(1.0, tol / CALIBRATION_TOL)
     # the one-time rule build, its exactness check and the compile of the
     # two quotient kernels belong to no case
-    pair = kronrod_pair_g7k15()
+    pair = kronrod_pair_g10k21()
     pair._difference_kernel, pair._symmetric_kernel
     rows = []
     for case in cases if cases is not None else _CASES:

@@ -34,7 +34,7 @@ as :class:`QuotientOverflowError`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .error_model import (
@@ -60,8 +60,6 @@ __all__ = [
     "StopReasons",
     "QuotientOverflowError",
     "endpoint_distance",
-    "make_difference_quotient",
-    "make_symmetric_quotient",
     "cpv_standard",
     "cpv_general",
 ]
@@ -114,35 +112,6 @@ def _quotient_failure(
         if not math.isfinite(f(t)):
             return NonfiniteIntegrandError(t)
     return QuotientOverflowError(quotient, x)
-
-
-def make_difference_quotient(
-    f: Integrand, tau: float, f_tau: Optional[float] = None
-) -> Integrand:
-    """Quotient (f(x) - f(tau)) / (x - tau) with f(tau) captured once.
-
-    The captured value makes every quotient evaluation subtract the same
-    number, which the error analysis of the whole decomposition assumes.
-    The returned function is only defined away from tau; calling it at
-    exactly tau divides zero by zero.
-    """
-    if f_tau is None:
-        f_tau = f(tau)
-    def quotient(x: float) -> float:
-        return (f(x) - f_tau) / (x - tau)
-    return quotient
-
-
-def make_symmetric_quotient(f: Integrand, tau: float) -> Integrand:
-    """Quotient (f(tau+x) - f(tau-x)) / x, finite as x tends to 0.
-
-    This carries the contribution of the symmetric neighbourhood of the
-    singularity; for differentiable f it tends to 2 f'(tau), so integrating
-    it near 0 is harmless as long as 0 itself is never evaluated.
-    """
-    def quotient(x: float) -> float:
-        return (f(tau + x) - f(tau - x)) / x
-    return quotient
 
 
 @dataclass(frozen=True)
@@ -289,8 +258,10 @@ def cpv_standard(problem: CpvProblem) -> CpvResult:
         b=b,
     )
     if jump_at_tau(f, deriv, f_tau, tau, delta):
-        budget = replace(floor, quad_left=math.inf, quad_right=math.inf,
-                         quad_h=math.inf)
+        budget = ErrorBudget(
+            math.inf, math.inf, math.inf, floor.roundoff,
+            floor.log_sensitivity, floor.curvature_sensitivity, floor.cutoff,
+        )
         return CpvResult(
             value=math.nan,
             error_estimate=budget.total,
@@ -328,8 +299,9 @@ def cpv_standard(problem: CpvProblem) -> CpvResult:
     log_term = f_tau * math.log((b - tau) / (tau - a))
     value = log_term + values[0] + values[1] + values[2]
     quad_left, quad_right, quad_h = estimates
-    budget = replace(
-        floor, quad_left=quad_left, quad_right=quad_right, quad_h=quad_h
+    budget = ErrorBudget(
+        quad_left, quad_right, quad_h, floor.roundoff, floor.log_sensitivity,
+        floor.curvature_sensitivity, floor.cutoff,
     )
     converged = reason == "tolerance"
     if converged and quad_left + quad_right + quad_h > tol:

@@ -328,9 +328,9 @@ def total_error_estimate(
     A derivative estimate that overflowed makes the terms built on it
     infinite rather than raising.
 
-    With `pieces` all zero the budget holds the floor alone, and
-    ``dataclasses.replace`` fills in the achieved quadrature estimates
-    later without recomputing it.
+    With `pieces` all zero the budget holds the floor alone, and its four
+    floor terms can be combined with the achieved quadrature estimates
+    later without recomputing them.
     """
     quad_left, quad_right, quad_h = pieces
     for name, v in (

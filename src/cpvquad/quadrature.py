@@ -1,5 +1,5 @@
-"""Gauss-Legendre rules, the embedded 7/15 Gauss-Kronrod pair, and a
-deterministic adaptive integrator.
+"""Gauss-Legendre rules, the embedded 10/21 and 7/15 Gauss-Kronrod pairs,
+and a deterministic adaptive integrator.
 
 Rules are represented by their nodes and weights on the reference interval
 (-1, 1).  All nodes are strictly interior, so an integrand is never evaluated
@@ -8,15 +8,17 @@ quotients that are finite on the open interval but undefined at an endpoint.
 
 Gauss-Legendre rules of arbitrary point count are built by Newton iteration
 on the three-term Legendre recurrence, starting from Chebyshev-angle
-estimates of the roots.  Like QUADPACK's QK15, everything here is plain
+estimates of the roots.  Like QUADPACK's QK21, everything here is plain
 scalar float arithmetic: no array or linear-algebra library is imported.
-The 15/7 Kronrod pair is a transcribed table; it is checked against its
+The Kronrod pairs are transcribed tables; each is checked against its
 polynomial exactness degrees the first time it is requested, so a corrupted
-transcription cannot go unnoticed.
+transcription cannot go unnoticed.  The engine refines with the 10/21 pair,
+QUADPACK's rule for finite intervals in QAGS; the 7/15 pair stays available
+to :func:`apply_rule`.
 
 Each rule is applied through a rule kernel: one straight-line Python
 function emitted from that rule's nodes and weights and compiled the first
-time the rule is applied, so for the Kronrod pair only after its exactness
+time the rule is applied, so for a Kronrod pair only after its exactness
 check has passed.  A kernel applies the rule to f, to its difference
 quotient or to its symmetric quotient about tau, with the quotient written
 into each node's line; each form is compiled once per rule and belongs to
@@ -49,6 +51,7 @@ __all__ = [
     "AdaptiveResult",
     "gauss_legendre_rule",
     "kronrod_pair_g7k15",
+    "kronrod_pair_g10k21",
     "apply_rule",
     "adaptive_integrate",
     "integrate_pieces",
@@ -63,11 +66,6 @@ _NODE_TOL = 2.0 * sys.float_info.epsilon
 #: Largest supported Gauss-Legendre point count.  The Chebyshev-angle initial
 #: guesses are comfortably inside Newton's basin of attraction up to here.
 MAX_GAUSS_POINTS = 100
-
-#: An interval is split only while it stays wider than this many ulps of its
-#: endpoints; below that, mapped nodes could round onto an endpoint.
-_MIN_WIDTH_ULPS = 1024.0
-
 
 class NonfiniteIntegrandError(ValueError):
     """Raised when an integrand returns NaN or an infinity.
@@ -269,9 +267,10 @@ def gauss_legendre_rule(m: int) -> QuadratureRule:
     return QuadratureRule(tuple(nodes), tuple(weights), m)
 
 
-# Positive half of the 15-point Kronrod rule with the embedded 7-point Gauss
-# weights (zero marks a Kronrod-only node).  Transcription is verified by the
-# exactness checks in kronrod_pair_g7k15, not trusted as written.
+# Positive halves of the Kronrod rules, descending, with the embedded Gauss
+# weights (zero marks a Kronrod-only node), and the centre node's two
+# weights.  Transcription is verified by the exactness checks in
+# _checked_pair, not trusted as written.
 _G7K15_HALF = (
     (0.991455371120812639206854697526329, 0.022935322010529224963732008058970, 0.0),
     (0.949107912342758524526189684047851, 0.063092092629978553290700663189204,
@@ -287,6 +286,26 @@ _G7K15_HALF = (
 _G7K15_CENTER = (0.209482141084727828012999174891714,
                  0.417959183673469387755102040816327)
 
+# QUADPACK's QK21 table.
+_G10K21_HALF = (
+    (0.995657163025808080735527280689003, 0.011694638867371874278064396062192, 0.0),
+    (0.973906528517171720077964012084452, 0.032558162307964727478818972459390,
+     0.066671344308688137593568809893332),
+    (0.930157491355708226001207180059508, 0.054755896574351996031381300244580, 0.0),
+    (0.865063366688984510732096688423493, 0.075039674810919952767043140916190,
+     0.149451349150580593145776339657697),
+    (0.780817726586416897063717578345042, 0.093125454583697605535065465083366, 0.0),
+    (0.679409568299024406234327365114874, 0.109387158802297641899210590325805,
+     0.219086362515982043995534934228163),
+    (0.562757134668604683339000099272694, 0.123491976262065851077600525464215, 0.0),
+    (0.433395394129247190799265943165784, 0.134709217311473325928054001771707,
+     0.269266719309996355091226921569469),
+    (0.294392862701460198131126603103866, 0.142775938577060080797094273138717, 0.0),
+    (0.148874338981631210884826001129720, 0.147739104901338491374841515972068,
+     0.295524224714752870173892994651338),
+)
+_G10K21_CENTER = (0.149445554002916905664936468389821, 0.0)
+
 
 def _monomial_exactness_check(nodes, weights, degree, label):
     """Fail loudly if the rule misses any monomial it should integrate."""
@@ -299,45 +318,92 @@ def _monomial_exactness_check(nodes, weights, degree, label):
             )
 
 
-@lru_cache(maxsize=None)
-def kronrod_pair_g7k15() -> EmbeddedRulePair:
-    """The 15-point Kronrod rule with its embedded 7-point Gauss rule.
+def _checked_pair(half, center, n: int) -> EmbeddedRulePair:
+    """The (2n+1)-point Kronrod rule with its embedded n-point Gauss rule.
 
-    Built from the transcribed table above and validated on first use: the
-    Kronrod weights must integrate monomials exactly through degree 22, the
-    embedded Gauss weights through degree 13, and the nonzero Gauss positions
-    must coincide with the independently constructed 7-point rule.
+    Built from a positive half and centre row of the tables above and
+    validated: the Kronrod weights must integrate monomials exactly through
+    degree 3n + 1, the embedded Gauss weights through degree 2n - 1, and the
+    nonzero Gauss positions must coincide with the independently constructed
+    n-point rule.
     """
     nodes: list[float] = []
     kronrod_w: list[float] = []
     gauss_w: list[float] = []
-    for x, wk, wg in _G7K15_HALF:
+    for x, wk, wg in half:
         nodes.append(-x)
         kronrod_w.append(wk)
         gauss_w.append(wg)
     nodes.append(0.0)
-    kronrod_w.append(_G7K15_CENTER[0])
-    gauss_w.append(_G7K15_CENTER[1])
-    for x, wk, wg in reversed(_G7K15_HALF):
+    kronrod_w.append(center[0])
+    gauss_w.append(center[1])
+    for x, wk, wg in reversed(half):
         nodes.append(x)
         kronrod_w.append(wk)
         gauss_w.append(wg)
     pair = EmbeddedRulePair(
-        QuadratureRule(tuple(nodes), tuple(kronrod_w), 15), tuple(gauss_w)
+        QuadratureRule(tuple(nodes), tuple(kronrod_w), 2 * n + 1), tuple(gauss_w)
     )
-    _monomial_exactness_check(nodes, kronrod_w, 22, "15-point Kronrod rule")
-    embedded = [(x, w) for x, w in zip(nodes, gauss_w) if w != 0.0]
-    reference = gauss_legendre_rule(7)
     _monomial_exactness_check(
-        [x for x, _ in embedded], [w for _, w in embedded], 13,
-        "embedded 7-point Gauss rule",
+        nodes, kronrod_w, 3 * n + 1, f"{2 * n + 1}-point Kronrod rule"
+    )
+    embedded = [(x, w) for x, w in zip(nodes, gauss_w) if w != 0.0]
+    reference = gauss_legendre_rule(n)
+    _monomial_exactness_check(
+        [x for x, _ in embedded], [w for _, w in embedded], 2 * n - 1,
+        f"embedded {n}-point Gauss rule",
     )
     for (x, w), rx, rw in zip(embedded, reference.nodes, reference.weights):
         if abs(x - rx) > 5e-15 or abs(w - rw) > 5e-15:
             raise RuntimeError(
-                "embedded Gauss nodes disagree with the constructed 7-point rule"
+                f"embedded Gauss nodes disagree with the constructed {n}-point rule"
             )
     return pair
+
+
+@lru_cache(maxsize=None)
+def kronrod_pair_g7k15() -> EmbeddedRulePair:
+    """The 15-point Kronrod rule with its embedded 7-point Gauss rule.
+
+    Validated on first use: Kronrod weights exact through degree 22, Gauss
+    weights through degree 13 (see :func:`_checked_pair`).
+    """
+    return _checked_pair(_G7K15_HALF, _G7K15_CENTER, 7)
+
+
+@lru_cache(maxsize=None)
+def kronrod_pair_g10k21() -> EmbeddedRulePair:
+    """The 21-point Kronrod rule with its embedded 10-point Gauss rule.
+
+    QUADPACK's QK21 pair, the adaptive engine's rule, validated on first
+    use: Kronrod weights exact through degree 31, Gauss weights through
+    degree 19 (see :func:`_checked_pair`).
+    """
+    return _checked_pair(_G10K21_HALF, _G10K21_CENTER, 10)
+
+
+#: Fewest ulps of its ends by which the outermost mapped node of the engine's
+#: rule stays inside an interval the engine applies it to.
+_ENDPOINT_MARGIN_ULPS = 2.0
+
+
+def _width_floor(outermost: float) -> float:
+    """Ulps above which an interval may be bisected, for a rule whose
+    outermost node is `outermost`.
+
+    Each half of a bisected interval has a quarter of its width as
+    half-width, and the outermost node maps to (1 - outermost) half-widths
+    from an end, so the margin holds from 4 margin / (1 - outermost) ulps
+    on; the floor is that rounded up to a power of two.
+    """
+    return 2.0 ** math.ceil(
+        math.log2(4.0 * _ENDPOINT_MARGIN_ULPS / (1.0 - outermost))
+    )
+
+
+#: An interval is split only while it stays wider than this many ulps of its
+#: endpoints; below that, mapped nodes could round onto an endpoint.
+_MIN_WIDTH_ULPS = _width_floor(_G10K21_HALF[0][0])
 
 
 def _nodes_fit(rule: QuadratureRule, a: float, b: float) -> bool:
@@ -493,7 +559,7 @@ def integrate_pieces(
     Each piece ``(form, a, b)`` integrates over [a, b] f itself ("plain"),
     (f(t) - f_tau) / (t - tau) ("difference") or
     (f(tau + t) - f(tau - t)) / t ("symmetric"); ``a == b`` is an empty
-    piece.  The 7/15 pair is applied to every non-empty piece in piece
+    piece.  The 10/21 pair is applied to every non-empty piece in piece
     order, then one priority queue over the intervals of all pieces bisects
     the interval with the largest embedded difference until the summed
     estimate drops to ``tol``, the partition of all pieces reaches
@@ -531,7 +597,8 @@ def integrate_pieces(
     if max_intervals < 1:
         raise ValueError("interval cap must be at least 1")
 
-    pair = kronrod_pair_g7k15()
+    pair = kronrod_pair_g10k21()
+    order = pair.kronrod.order
     n = len(pieces)
     kernels = [None] * n
     evaluations = [0] * n
@@ -554,7 +621,7 @@ def integrate_pieces(
             kernel = kernels[piece] = getattr(pair, _KERNEL_OF_FORM[form])
             if _nodes_fit(pair.kronrod, a, b):
                 value, err = kernel(f, a, b, tau, f_tau)
-                evaluations[piece] = 15
+                evaluations[piece] = order
                 heap.append((-err, len(heap), a, b, value, piece))
             else:
                 value, err, evaluations[piece] = _one_point(
@@ -579,7 +646,7 @@ def integrate_pieces(
                 kernel = kernels[piece]
                 lv, le = kernel(f, ia, mid, tau, f_tau)
                 rv, re = kernel(f, mid, ib, tau, f_tau)
-                evaluations[piece] += 30
+                evaluations[piece] += 2 * order
                 heapq.heappush(heap, (-le, seq, ia, mid, lv, piece))
                 heapq.heappush(heap, (-re, seq + 1, mid, ib, rv, piece))
                 seq += 2

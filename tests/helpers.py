@@ -80,6 +80,33 @@ def pv_sin_interval(k: float, tau: float, a: float, b: float):
         return +(mp.cos(k * tau) * odd + mp.sin(k * tau) * even)
 
 
+def make_difference_quotient(f, tau, f_tau=None):
+    """Quotient (f(x) - f(tau)) / (x - tau) with f(tau) captured once.
+
+    The reference the fused difference kernels must match: every quotient
+    evaluation subtracts the same number, which the error analysis of the
+    whole decomposition assumes.  Calling it at exactly tau divides zero by
+    zero.
+    """
+    if f_tau is None:
+        f_tau = f(tau)
+
+    def quotient(x):
+        return (f(x) - f_tau) / (x - tau)
+    return quotient
+
+
+def make_symmetric_quotient(f, tau):
+    """Quotient (f(tau+x) - f(tau-x)) / x, finite as x tends to 0.
+
+    The reference the fused symmetric kernels must match; for
+    differentiable f it tends to 2 f'(tau).
+    """
+    def quotient(x):
+        return (f(tau + x) - f(tau - x)) / x
+    return quotient
+
+
 def apply_rule_reference(rule, f, a, b):
     """The per-node loop that the compiled rule kernels must reproduce.
 
@@ -155,15 +182,73 @@ def gauss_legendre_reference(m: int) -> tuple[tuple, tuple]:
     return tuple(nodes + pos_nodes), tuple(weights + pos_weights)
 
 
+def kronrod_g10k21_reference():
+    """The 10/21 Gauss-Kronrod pair at 80 digits, from first principles.
+
+    The Kronrod-only nodes are the roots of the Stieltjes polynomial E_11:
+    monic, odd, and orthogonal to x^k P_10(x) for k = 0..9 (only odd k
+    constrain an odd E_11), which fixes its five lower coefficients through
+    exact monomial moments of P_10.  The Gauss nodes are the roots of P_10.
+    Weights of either rule solve the moment equations: exactness for x^0 up
+    to x^(nodes - 1).  Returns ``(nodes, kronrod_weights, gauss_weights)``
+    as ascending mpf lists over the 21 nodes, the Gauss weight zero at a
+    Kronrod-only node.
+    """
+    import mpmath as mp
+
+    def moment(j):
+        return mp.mpf(0) if j % 2 else mp.mpf(2) / (j + 1)
+
+    def moment_weights(xs):
+        n = len(xs)
+        vandermonde = mp.matrix([[x**k for x in xs] for k in range(n)])
+        return list(mp.lu_solve(vandermonde, mp.matrix([moment(k) for k in range(n)])))
+
+    with mp.workdps(80):
+        # ascending coefficients of P_10 by the three-term recurrence
+        p_prev, p = [mp.mpf(1)], [mp.mpf(0), mp.mpf(1)]
+        for k in range(2, 11):
+            nxt = [mp.mpf(0)] + [(2 * k - 1) * c / k for c in p]
+            for i, c in enumerate(p_prev):
+                nxt[i] -= (k - 1) * c / k
+            p_prev, p = p, nxt
+
+        def p_moment(j):
+            return mp.fsum(c * moment(i + j) for i, c in enumerate(p))
+
+        odd = (1, 3, 5, 7, 9)
+        lower = mp.lu_solve(
+            mp.matrix([[p_moment(j + k) for j in odd] for k in odd]),
+            mp.matrix([-p_moment(11 + k) for k in odd]),
+        )
+        stieltjes = [mp.mpf(0)] * 12
+        stieltjes[11] = mp.mpf(1)
+        for j, c in zip(odd, lower):
+            stieltjes[j] = c
+
+        def roots(coefficients):
+            found = mp.polyroots(coefficients[::-1], maxsteps=200, extraprec=200)
+            return sorted(mp.re(x) for x in found)
+
+        gauss_nodes = roots(p)
+        # E_11 is odd: its root 0 is exact, the other ten are those of E_11/x
+        nodes = sorted(gauss_nodes + roots(stieltjes[1:]) + [mp.mpf(0)])
+        kronrod_weights = moment_weights(nodes)
+        gauss_of = dict(zip(gauss_nodes, moment_weights(gauss_nodes)))
+        gauss_weights = [gauss_of.get(x, mp.mpf(0)) for x in nodes]
+    return nodes, kronrod_weights, gauss_weights
+
+
 def adaptive_integrate_reference(f, a, b, tol, max_intervals=10_000):
     """The one-piece adaptive loop that the shared priority queue replaced.
 
-    Applies the 7/15 pair to [a, b] and bisects the interval with the
-    largest embedded difference until the running sum of differences meets
-    tol, the partition reaches max_intervals or no interval can be split,
-    resuming from the ordered sum when the running sum drifted below it; an
-    [a, b] too narrow for the rule gets the one-point midpoint charge.  The
-    one-piece call of the engine must give the same result bit for bit.
+    Applies the engine's Kronrod pair to [a, b] and bisects the interval
+    with the largest embedded difference until the running sum of
+    differences meets tol, the partition reaches max_intervals or no
+    interval can be split, resuming from the ordered sum when the running
+    sum drifted below it; an [a, b] too narrow for the rule gets the
+    one-point midpoint charge.  The one-piece call of the engine must give
+    the same result bit for bit.
     """
     import heapq
 
@@ -172,12 +257,13 @@ def adaptive_integrate_reference(f, a, b, tol, max_intervals=10_000):
         NonfiniteIntegrandError,
         _nodes_fit,
         _splittable,
-        kronrod_pair_g7k15,
+        kronrod_pair_g10k21,
     )
 
     if a == b:
         return AdaptiveResult(0.0, 0.0, 0, True)
-    pair = kronrod_pair_g7k15()
+    pair = kronrod_pair_g10k21()
+    order = pair.kronrod.order
     if not _nodes_fit(pair.kronrod, a, b):
         mid = 0.5 * (a + b)
         if not a < mid < b:
@@ -196,7 +282,7 @@ def adaptive_integrate_reference(f, a, b, tol, max_intervals=10_000):
         )
     kernel = pair._kernel
     value, err = kernel(f, a, b)
-    evaluations = 15
+    evaluations = order
     heap = [(-err, 0, a, b, value)]
     settled = []
     seq = 1
@@ -214,7 +300,7 @@ def adaptive_integrate_reference(f, a, b, tol, max_intervals=10_000):
             mid = 0.5 * (ia + ib)
             lv, le = kernel(f, ia, mid)
             rv, re = kernel(f, mid, ib)
-            evaluations += 30
+            evaluations += 2 * order
             heapq.heappush(heap, (-le, seq, ia, mid, lv))
             heapq.heappush(heap, (-re, seq + 1, mid, ib, rv))
             seq += 2

@@ -2,7 +2,6 @@ import math
 
 import pytest
 
-from cpvquad.cpv import make_difference_quotient, make_symmetric_quotient
 from cpvquad.quadrature import (
     AdaptiveResult,
     NonfiniteIntegrandError,
@@ -10,10 +9,17 @@ from cpvquad.quadrature import (
     adaptive_integrate,
     apply_rule,
     integrate_pieces,
-    kronrod_pair_g7k15,
+    kronrod_pair_g10k21,
 )
 
-from helpers import adaptive_integrate_reference
+from helpers import (
+    adaptive_integrate_reference,
+    make_difference_quotient,
+    make_symmetric_quotient,
+)
+
+#: Nodes of the engine's Kronrod rule: the evaluations of one application.
+ORDER = kronrod_pair_g10k21().kronrod.order
 
 
 class TestBasicContracts:
@@ -55,10 +61,10 @@ class TestBasicContracts:
             return math.cos(550.0 * x)
 
         result = adaptive_integrate(f, -1.0, 1.0, 1e-12, max_intervals=2)
-        pair = kronrod_pair_g7k15()
+        pair = kronrod_pair_g10k21()
         lv, le = apply_rule(pair, f, -1.0, 0.0)
         rv, re = apply_rule(pair, f, 0.0, 1.0)
-        assert result.evaluations == 45
+        assert result.evaluations == 3 * ORDER
         assert result.value == lv + rv
         assert result.error_estimate == le + re
 
@@ -71,7 +77,7 @@ class TestBasicContracts:
 
         base = adaptive_integrate(f, -1.0, 1.0, 1e-12)
         shifted = adaptive_integrate(lambda x: f(x) + 1.0, -1.0, 1.0, 1e-12)
-        assert base.evaluations > 15
+        assert base.evaluations > ORDER
         assert shifted.evaluations == base.evaluations
         assert abs(shifted.value - base.value - 2.0) <= 1e-12
 
@@ -161,8 +167,8 @@ class TestDeterminismAndOpenness:
             lambda x: 1.0 / x, 0.0, 1.0, 1e-12, max_intervals=50
         )
         assert not result.converged
-        # each bisection adds one interval and 30 evaluations
-        assert result.evaluations <= 15 + 30 * 49
+        # each bisection adds one interval and two applications
+        assert result.evaluations <= ORDER + 2 * ORDER * 49
 
 
 class TestNonfinitePropagation:
@@ -182,9 +188,9 @@ class TestNonfinitePropagation:
             adaptive_integrate(f, -1.0, 1.0, 1e-12)
 
     def test_two_nonfinite_nodes_report_the_lower(self):
-        # f is called at all 15 nodes of the interval, in ascending order,
+        # f is called at all nodes of the interval, in ascending order,
         # before the lowest non-finite one is reported
-        nodes = kronrod_pair_g7k15().kronrod.nodes
+        nodes = kronrod_pair_g10k21().kronrod.nodes
         calls = []
 
         def f(x):
@@ -195,7 +201,8 @@ class TestNonfinitePropagation:
 
         with pytest.raises(NonfiniteIntegrandError) as excinfo:
             adaptive_integrate(f, -1.0, 1.0, 1e-12)
-        assert excinfo.value.x == nodes[10]
+        assert excinfo.value.x == min(x for x in nodes if 0.5 < x < 0.6)
+        assert any(0.7 < x < 0.8 for x in nodes)
         assert calls == list(nodes)
 
     @pytest.mark.parametrize(
@@ -218,12 +225,12 @@ class TestNonfinitePropagation:
             excinfo.value
         )
         assert a < excinfo.value.x < b
-        assert len(calls) == 15
+        assert len(calls) == ORDER
 
     def test_largest_finite_sum_is_returned(self):
         result = adaptive_integrate(lambda x: 8e307, -1.0, 1.0, 1e294)
         assert result.value == pytest.approx(1.6e308, rel=1e-15)
-        assert result.evaluations == 15
+        assert result.evaluations == ORDER
         assert result.converged
 
 
@@ -238,7 +245,7 @@ class TestEvaluationCount:
         ],
     )
     def test_each_node_called_once(self, f, a, b, cap, reason):
-        # calls come in runs of 15, one per interval, each strictly
+        # calls come in runs of ORDER, one per interval, each strictly
         # ascending: no node is evaluated twice and none is skipped
         calls = []
 
@@ -249,9 +256,9 @@ class TestEvaluationCount:
         result = adaptive_integrate(counted, a, b, 1e-12, max_intervals=cap)
         assert result.stop_reason == reason
         assert len(calls) == result.evaluations
-        assert len(calls) % 15 == 0
-        for i in range(0, len(calls), 15):
-            run = calls[i:i + 15]
+        assert len(calls) % ORDER == 0
+        for i in range(0, len(calls), ORDER):
+            run = calls[i:i + ORDER]
             assert all(x < y for x, y in zip(run, run[1:]))
 
 
@@ -281,13 +288,13 @@ class TestStopReason:
         assert not result.converged
 
     def test_width_floor(self):
-        # 4096 ulps wide: two rounds of bisection leave every interval too
+        # 4096 ulps wide: a few rounds of bisection leave every interval too
         # narrow to split while 1/(x - 1) still misses the tolerance
         b = 1.0 + 4096.0 * math.ulp(1.0)
         result = adaptive_integrate(lambda x: 1.0 / (x - 1.0), 1.0, b, 1e-12)
         assert result.stop_reason == "width_floor"
         assert not result.converged
-        assert result.evaluations < 15 + 30 * 9
+        assert result.evaluations < ORDER + 2 * ORDER * 9
 
     @pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-9, 1e-12, 1e-15])
     def test_reason_tolerance_exactly_when_converged(self, tol):
@@ -311,7 +318,7 @@ class TestStopReason:
 
 
 class TestTooNarrowForTheRule:
-    """An interval a few ulps wide cannot hold the 15 mapped nodes."""
+    """An interval a few ulps wide cannot hold the rule's mapped nodes."""
 
     def test_midpoint_charge(self):
         calls = []
@@ -410,9 +417,9 @@ class TestOnePieceMatchesReference:
 
 
 def _interval_count(evaluations: int) -> int:
-    """Intervals in a piece's final partition: each bisection costs 30
-    evaluations and adds one interval to the first application's 15."""
-    return (evaluations // 15 + 1) // 2
+    """Intervals in a piece's final partition: each bisection costs two
+    applications and adds one interval to the first application's."""
+    return (evaluations // ORDER + 1) // 2
 
 
 class TestSharedQueue:
@@ -448,17 +455,17 @@ class TestSharedQueue:
     def test_initial_applications_run_in_piece_order(self):
         f, calls = _recorded(math.exp)
         self._run(f, 1e-3)
-        assert len(calls) == 1 + 15 + 15 + 30
+        assert len(calls) == 1 + 4 * ORDER
         calls = calls[1:]
-        assert all(-1.0 < x < -0.5 for x in calls[:15])
-        assert all(0.7 < x < 1.0 for x in calls[15:30])
-        offsets = [x - self.TAU for x in calls[30::2]]
+        assert all(-1.0 < x < -0.5 for x in calls[:ORDER])
+        assert all(0.7 < x < 1.0 for x in calls[ORDER:2 * ORDER])
+        offsets = [x - self.TAU for x in calls[2 * ORDER::2]]
         assert all(0.0 < t < 0.6 for t in offsets)
 
     def test_calls_are_left_right_and_twice_symmetric(self):
         f, calls = _recorded(lambda x: math.sin(40.0 * x))
         _, _, (left, right, symmetric), _ = self._run(f, 1e-13)
-        assert min(left, right, symmetric) > 15
+        assert min(left, right, symmetric) > ORDER
         assert len(calls) == 1 + left + right + 2 * symmetric
 
     @pytest.mark.parametrize("tol", [1e-3, 1e-8, 1e-10, 1e-11, 1e-12])
@@ -481,8 +488,8 @@ class TestSharedQueue:
             lambda x: abs(x - 0.8123), 1e-12
         )
         assert reason == "tolerance"
-        assert left == 15 and symmetric == 15
-        assert right > 15
+        assert left == ORDER and symmetric == ORDER
+        assert right > ORDER
 
     def test_cap_counts_the_whole_partition(self):
         pieces = (("plain", 0.0, 1.0), ("plain", 1.0, 1.0),
@@ -495,7 +502,7 @@ class TestSharedQueue:
         )
         first, empty, last = evaluations
         assert _interval_count(first) + _interval_count(last) == 50
-        assert first > 15 and last > 15
+        assert first > ORDER and last > ORDER
         assert reason == "interval_cap"
         assert (values[1], estimates[1], empty) == (0.0, 0.0, 0)
 
@@ -506,7 +513,7 @@ class TestSharedQueue:
         _, _, evaluations, reason = integrate_pieces(
             lambda x: abs(x - 0.3), pieces, 1e-15, max_intervals=3
         )
-        assert evaluations == [45, 15]
+        assert evaluations == [3 * ORDER, ORDER]
         assert reason == "interval_cap"
 
     def test_nonfinite_value_names_its_piece(self):
@@ -553,7 +560,7 @@ class TestSharedQueue:
             lambda x: 1e20 * math.sqrt(x), pieces, 1e-12
         )
         assert estimates[0] > 1e-12
-        assert evaluations[1] == 15
+        assert evaluations[1] == ORDER
         assert reason == "width_floor"
 
     def test_rejects_unknown_form_and_bad_bounds(self):

@@ -13,18 +13,22 @@ from cpvquad.cpv import (
     cpv_general,
     cpv_standard,
     endpoint_distance,
-    make_difference_quotient,
-    make_symmetric_quotient,
 )
 from cpvquad.benchmarks import builtin_problems
 from cpvquad.error_model import (
     EPS,
     _pair_looks_like_jump,
     derivative_estimates,
+    total_error_estimate,
 )
 from cpvquad.quadrature import NonfiniteIntegrandError, SumOverflowError
 
-from helpers import cpv_monomial, pv_sin_interval
+from helpers import (
+    cpv_monomial,
+    make_difference_quotient,
+    make_symmetric_quotient,
+    pv_sin_interval,
+)
 
 # independently derived reference for f(x) = e^x, tau = 1/2 on [-1, 1]
 EXP_HALF_REFERENCE = float("0.913786431723662428316752218177")
@@ -670,8 +674,19 @@ class TestJumpAtTau:
         assert result.error_estimate == result.budget.total
 
     def test_step_on_a_general_interval(self):
-        result = cpv_general(lambda x: -2.0 if x < 5.0 else 3.0, 5.0, 4.0, 9.0)
+        def f(x):
+            return -2.0 if x < 5.0 else 3.0
+
+        result = cpv_general(f, 5.0, 4.0, 9.0)
         assert result.stop_reasons == ("discontinuous_at_tau",) * 3
+        # the budget keeps the floor's terms and charges each piece infinity
+        deriv = derivative_estimates(f, 5.0, 1.0, f_tau=3.0, a=4.0, b=9.0)
+        floor = total_error_estimate((0.0, 0.0, 0.0), deriv, 3.0, 5.0,
+                                     a=4.0, b=9.0)
+        assert floor.floor > 0.0
+        assert result.budget == replace(
+            floor, quad_left=math.inf, quad_right=math.inf, quad_h=math.inf
+        )
 
     @pytest.mark.parametrize(
         "f,tau",

@@ -1,7 +1,11 @@
 import math
+import os
 import pickle
 import random
+import subprocess
+import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -13,11 +17,16 @@ from cpvquad.quadrature import (
     apply_rule,
     gauss_legendre_rule,
     kronrod_pair_g7k15,
+    kronrod_pair_g10k21,
 )
 
-from cpvquad.cpv import make_difference_quotient, make_symmetric_quotient
-
-from helpers import apply_rule_reference, gauss_legendre_reference
+from helpers import (
+    apply_rule_reference,
+    gauss_legendre_reference,
+    kronrod_g10k21_reference,
+    make_difference_quotient,
+    make_symmetric_quotient,
+)
 
 
 def exactness_error(rule, k: int, a: float = -1.0, b: float = 1.0) -> float:
@@ -108,32 +117,37 @@ class TestQuadratureRuleInvariants:
             QuadratureRule(nodes=(-0.6, 0.5), weights=(1.0, 1.0), order=2)
 
 
+def _check_perturbed_table(monkeypatch, builder, table_name, column, label):
+    """Raise the weight in table row 3 by a relative 1e-9 and require the
+    build to fail.  A Kronrod weight gives the same amount back in row 4, a
+    Kronrod-only row, so the weights still sum to 2 and only the exactness
+    check can catch it."""
+    original = builder()
+    table = [list(row) for row in getattr(quadrature, table_name)]
+    shift = 1e-9 * table[3][column]
+    table[3][column] += shift
+    if column == 1:
+        table[4][column] -= shift
+    monkeypatch.setattr(quadrature, table_name, tuple(map(tuple, table)))
+    builder.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match=label):
+            builder()
+    finally:
+        monkeypatch.undo()
+        builder.cache_clear()
+    assert builder() == original
+
+
 class TestKronrodPair:
     @pytest.mark.parametrize(
         "column,label",
         [(1, "15-point Kronrod rule"), (2, "embedded 7-point Gauss rule")],
     )
     def test_perturbed_table_weight_is_rejected(self, monkeypatch, column, label):
-        # raise the weight in table row 3 by a relative 1e-9; a Kronrod
-        # weight gives the same amount back in row 4, so the weights still
-        # sum to 2 and only the exactness check can catch it
-        original = kronrod_pair_g7k15()
-        table = [list(row) for row in quadrature._G7K15_HALF]
-        shift = 1e-9 * table[3][column]
-        table[3][column] += shift
-        if column == 1:
-            table[4][column] -= shift
-        monkeypatch.setattr(
-            quadrature, "_G7K15_HALF", tuple(map(tuple, table))
+        _check_perturbed_table(
+            monkeypatch, kronrod_pair_g7k15, "_G7K15_HALF", column, label
         )
-        kronrod_pair_g7k15.cache_clear()
-        try:
-            with pytest.raises(RuntimeError, match=label):
-                kronrod_pair_g7k15()
-        finally:
-            monkeypatch.undo()
-            kronrod_pair_g7k15.cache_clear()
-        assert kronrod_pair_g7k15() == original
 
     def test_gauss_nodes_are_subset_of_kronrod(self):
         pair = kronrod_pair_g7k15()
@@ -178,6 +192,99 @@ class TestKronrodPair:
 
     def test_cached(self):
         assert kronrod_pair_g7k15() is kronrod_pair_g7k15()
+
+
+class TestKronrodPairG10K21:
+    """QUADPACK's QK21 pair, the adaptive engine's rule."""
+
+    @pytest.mark.parametrize(
+        "column,label",
+        [(1, "21-point Kronrod rule"), (2, "embedded 10-point Gauss rule")],
+    )
+    def test_perturbed_table_weight_is_rejected(self, monkeypatch, column, label):
+        _check_perturbed_table(
+            monkeypatch, kronrod_pair_g10k21, "_G10K21_HALF", column, label
+        )
+
+    def test_table_matches_the_80_digit_construction(self):
+        # every node and weight within one ulp of the Stieltjes-polynomial
+        # construction; the zeros (centre node, Kronrod-only Gauss weights)
+        # exactly
+        pair = kronrod_pair_g10k21()
+        nodes, kronrod_weights, gauss_weights = kronrod_g10k21_reference()
+        for table, reference in (
+            (pair.kronrod.nodes, nodes),
+            (pair.kronrod.weights, kronrod_weights),
+            (pair.gauss_weights, gauss_weights),
+        ):
+            assert len(table) == len(reference) == 21
+            for x, r in zip(table, reference):
+                if r == 0:
+                    assert x == 0.0
+                else:
+                    assert abs(mp.mpf(x) - r) <= math.ulp(float(r)), (x, r)
+
+    def test_gauss_nodes_are_those_of_the_ten_point_rule(self):
+        pair = kronrod_pair_g10k21()
+        embedded = [
+            node
+            for node, gw in zip(pair.kronrod.nodes, pair.gauss_weights)
+            if gw != 0.0
+        ]
+        assert len(embedded) == 10
+        reference = gauss_legendre_rule(10).nodes
+        assert max(abs(a - b) for a, b in zip(embedded, reference)) <= 5e-15
+        assert pair.kronrod.order == 21
+        assert sum(1 for w in pair.gauss_weights if w == 0.0) == 11
+
+    def test_kronrod_exact_to_degree_31_and_gauss_to_19(self):
+        pair = kronrod_pair_g10k21()
+        for k in range(32):
+            assert exactness_error(pair.kronrod, k) <= 1e-13
+        for k in range(20):
+            value = math.fsum(
+                gw * x**k
+                for x, gw in zip(pair.kronrod.nodes, pair.gauss_weights)
+            )
+            exact = 0.0 if k % 2 else 2.0 / (k + 1)
+            assert abs(value - exact) <= 1e-13 * max(1.0, abs(exact))
+
+    def test_built_on_first_engine_use_not_at_import(self):
+        code = (
+            "import sys, math; sys.path.insert(0, sys.argv[1]); "
+            "from cpvquad import quadrature as q; "
+            "assert q.kronrod_pair_g10k21.cache_info().currsize == 0; "
+            "q.adaptive_integrate(math.exp, 0.0, 1.0, 1e-12); "
+            "assert q.kronrod_pair_g10k21.cache_info().currsize == 1"
+        )
+        src = os.path.dirname(os.path.dirname(quadrature.__file__))
+        subprocess.run([sys.executable, "-c", code, src], check=True)
+
+    def test_nodes_stay_two_ulps_inside_the_narrowest_halves(self):
+        # at least one double lies between each end of a split half and its
+        # nearest mapped node; with the 7/15 pair's floor of 1,024 ulps the
+        # outermost 10/21 nodes land next to the ends
+        pair = kronrod_pair_g10k21()
+        for a, b in _split_halves():
+            mid = 0.5 * (a + b)
+            half = 0.5 * (b - a)
+            first = mid + half * pair.kronrod.nodes[0]
+            last = mid + half * pair.kronrod.nodes[-1]
+            assert a < math.nextafter(first, a), (a, b)
+            assert math.nextafter(last, b) < b, (a, b)
+            assert apply_rule(pair, math.sin, a, b) == apply_rule_reference(
+                pair, math.sin, a, b
+            )
+
+    def test_width_floor_keeps_two_ulps_margin(self):
+        # the 7/15 pair's outermost node gives the old floor of 1,024 ulps;
+        # the 10/21 pair's, closer to 1, needs twice that
+        floor = quadrature._width_floor
+        assert floor(quadrature._G7K15_HALF[0][0]) == 1024.0
+        assert floor(quadrature._G10K21_HALF[0][0]) == 2048.0
+        assert quadrature._MIN_WIDTH_ULPS == 2048.0
+        outermost = kronrod_pair_g10k21().kronrod.nodes[-1]
+        assert (1.0 - outermost) * quadrature._MIN_WIDTH_ULPS / 4.0 >= 2.0
 
 
 class TestApplyRule:
@@ -233,24 +340,54 @@ class TestApplyRule:
         assert sum(1 for w in pair.gauss_weights if w == 0.0) == 8
 
 
+def _just_over_floor(a: float, extra: float) -> float:
+    """The end b of an [a, b] `extra` ulps wider than the width floor
+    (``_MIN_WIDTH_ULPS``), the narrowest the engine still bisects."""
+    floor = quadrature._MIN_WIDTH_ULPS
+    u = math.ulp(a)
+    return a + (floor + extra) * max(u, math.ulp(a + 2.0 * floor * u))
+
+
+#: Interval centres, from the origin out to offsets of 1e9.
+_OFFSETS = (0.0, 1.0, -3.5, 1e3, 1e6, 1e9, -1e9)
+
+
 def _kernel_intervals():
     """Seeded intervals on and off the origin, some just above the split floor.
 
     Offset intervals sit inside [c - 1, c + 1] with c up to 1e9; the narrow
-    ones are 1,024 ulps wide plus a little, the narrowest the engine still
+    ones are the width floor plus a little, the narrowest the engine still
     bisects.
     """
     rng = random.Random(20261018)
     out = [(-1.0, 1.0), (0.5, 1.0), (2.0, 5.0)]
-    for c in (0.0, 1.0, -3.5, 1e3, 1e6, 1e9, -1e9, rng.uniform(-1e9, 1e9)):
+    for c in _OFFSETS + (rng.uniform(-1e9, 1e9),):
         out.append((c - 1.0, c + 1.0))
         for _ in range(3):
             out.append(tuple(sorted(rng.uniform(c - 1.0, c + 1.0) for _ in "ab")))
         a = rng.uniform(c - 1.0, c + 1.0)
         for extra in (1.0, 7.0, 300.0):
-            u = math.ulp(a)
-            b = a + (1024.0 + extra) * max(u, math.ulp(a + 2048.0 * u))
-            out.append((a, b))
+            out.append((a, _just_over_floor(a, extra)))
+    return out
+
+
+def _split_halves():
+    """Both halves of seeded intervals just over the width floor, at offsets
+    up to 1e9 and below powers of two: the narrowest intervals the engine
+    applies its rule to."""
+    rng = random.Random(20261019)
+    out = []
+    for c in _OFFSETS + (rng.uniform(-1e9, 1e9), 2.0, 4.0**-3):
+        for _ in range(4):
+            if c in (2.0, 4.0**-3):
+                a = c - rng.randrange(4000) * math.ulp(c)
+            else:
+                a = rng.uniform(c - 1.0, c + 1.0)
+            for extra in (1.0, 7.0, 300.0):
+                b = _just_over_floor(a, extra)
+                assert quadrature._splittable(a, b)
+                mid = 0.5 * (a + b)
+                out.extend([(a, mid), (mid, b)])
     return out
 
 
@@ -279,11 +416,26 @@ def _outcome(call):
         return ("zero division",)
 
 
+def _rule(m):
+    """The rule under test: None is the 7/15 pair, "g10k21" the engine's
+    10/21 pair, an integer the Gauss-Legendre rule of that many points."""
+    if m is None:
+        return kronrod_pair_g7k15()
+    if m == "g10k21":
+        return kronrod_pair_g10k21()
+    return gauss_legendre_rule(m)
+
+
+def _seed(m) -> int:
+    """A seed offset per rule under test."""
+    return 0 if m is None else 21 if m == "g10k21" else m
+
+
 class TestRuleKernel:
-    @pytest.mark.parametrize("m", [None, 1, 2, 7, 15, 100])
+    @pytest.mark.parametrize("m", [None, "g10k21", 1, 2, 7, 15, 100])
     def test_bit_equal_to_the_per_node_loop(self, m):
-        rule = kronrod_pair_g7k15() if m is None else gauss_legendre_rule(m)
-        rng = random.Random(0 if m is None else m)
+        rule = _rule(m)
+        rng = random.Random(_seed(m))
         values = 0
         total = 0
         for a, b in _kernel_intervals():
@@ -297,9 +449,9 @@ class TestRuleKernel:
         # 100-point rule round onto an endpoint of the narrowest intervals
         assert values == total or (m == 100 and values >= 0.5 * total)
 
-    @pytest.mark.parametrize("m", [None, 7])
+    @pytest.mark.parametrize("m", [None, "g10k21", 7])
     def test_applied_rule_pickles(self, m):
-        rule = kronrod_pair_g7k15() if m is None else gauss_legendre_rule(m)
+        rule = _rule(m)
         before = apply_rule(rule, math.exp, 0.0, 1.0)
         quotients = (rule._difference_kernel(math.exp, 0.0, 1.0, 2.0, 7.0),
                      rule._symmetric_kernel(math.exp, 0.0, 1.0, 0.5))
@@ -335,10 +487,10 @@ class TestQuotientKernels:
     """The fused kernels give the plain kernel applied to the quotient
     functions, whose own per-node loop equality is checked above."""
 
-    @pytest.mark.parametrize("m", [None, 1, 7, 100])
+    @pytest.mark.parametrize("m", [None, "g10k21", 1, 7, 100])
     def test_difference_kernel_bit_equal_to_the_closure(self, m):
-        rule = kronrod_pair_g7k15() if m is None else gauss_legendre_rule(m)
-        rng = random.Random(31 if m is None else 31 + m)
+        rule = _rule(m)
+        rng = random.Random(31 + _seed(m))
         outcomes = set()
         for a, b in _kernel_intervals():
             width = b - a
@@ -358,13 +510,13 @@ class TestQuotientKernels:
                 assert got == want, (m, a, b, tau)
                 outcomes.add(got[0] if isinstance(got, tuple) else "value")
         assert {"value", "NonfiniteIntegrandError"} <= outcomes
-        if m is None:
+        if isinstance(rule, EmbeddedRulePair):
             assert "SumOverflowError" in outcomes
 
-    @pytest.mark.parametrize("m", [None, 1, 7, 100])
+    @pytest.mark.parametrize("m", [None, "g10k21", 1, 7, 100])
     def test_symmetric_kernel_bit_equal_to_the_closure(self, m):
-        rule = kronrod_pair_g7k15() if m is None else gauss_legendre_rule(m)
-        rng = random.Random(47 if m is None else 47 + m)
+        rule = _rule(m)
+        rng = random.Random(47 + _seed(m))
         outcomes = set()
         for a, b in _kernel_intervals():
             for f in _quotient_integrands(a, b, rng):
@@ -375,7 +527,7 @@ class TestQuotientKernels:
                 assert got == want, (m, a, b, tau)
                 outcomes.add(got[0] if isinstance(got, tuple) else "value")
         assert {"value", "NonfiniteIntegrandError"} <= outcomes
-        if m is None:
+        if isinstance(rule, EmbeddedRulePair):
             assert "SumOverflowError" in outcomes
 
     def test_each_form_compiles_once_per_rule(self):
