@@ -27,7 +27,7 @@ from typing import IO, Optional, Sequence
 
 from .cpv import CpvProblem, CpvResult, cpv_standard
 from .error_model import ErrorBudget
-from .quadrature import Integrand, kronrod_pair_g10k21
+from .quadrature import Integrand, _patterson_extension
 
 __all__ = [
     "BenchmarkCase",
@@ -264,10 +264,11 @@ def run_benchmark(
     if output not in ("none", "csv", "json"):
         raise ValueError(f"output must be 'none', 'csv' or 'json', got {output!r}")
     bound_scale = max(1.0, tol / CALIBRATION_TOL)
-    # the one-time rule build, its exactness check and the compile of the
-    # two quotient kernels belong to no case
-    pair = kronrod_pair_g10k21()
-    pair._difference_kernel, pair._symmetric_kernel
+    # the one-time rule builds, their exactness checks and the compile of
+    # the quotient forms' pair and extension kernels belong to no case
+    rules = _patterson_extension()
+    rules._difference_kernel, rules._symmetric_kernel, rules._resolve
+    rules._extension("difference"), rules._extension("symmetric")
     rows = []
     for case in cases if cases is not None else _CASES:
         reference = case.reference_value()

@@ -178,7 +178,10 @@ class CpvResult:
     """A computed principal value with its error accounting.
 
     ``error_estimate`` equals ``budget.total``; ``evaluations`` counts the
-    integrand calls made by the three quadrature pieces.  ``converged`` is
+    quadrature nodes of the three pieces.  A node of a difference-quotient
+    piece is one call of f and a node of the symmetric piece two, f(tau + t)
+    and f(tau - t); the calls for f(tau) and the derivative stencils are
+    not counted.  ``converged`` is
     True when the summed quadrature estimate of the three pieces met
     max(tol, 2 floor), the tolerance raised to twice the roundoff floor where
     the floor lies above the request, so a converged result can still carry

@@ -182,13 +182,54 @@ def gauss_legendre_reference(m: int) -> tuple[tuple, tuple]:
     return tuple(nodes + pos_nodes), tuple(weights + pos_weights)
 
 
+def _moment(j):
+    """Exact integral of x^j over [-1, 1], as an mpf."""
+    import mpmath as mp
+
+    return mp.mpf(0) if j % 2 else mp.mpf(2) / (j + 1)
+
+
+def _product_moment(p, j):
+    """Integral of p(x) x^j over [-1, 1] for ascending coefficients p."""
+    import mpmath as mp
+
+    return mp.fsum(c * _moment(i + j) for i, c in enumerate(p))
+
+
+def _legendre_and_stieltjes():
+    """Ascending coefficients of P_10 and of the Stieltjes polynomial E_11,
+    at the working precision.
+
+    P_10 comes from the three-term recurrence.  E_11 is monic, odd, and
+    orthogonal to x^k P_10(x) for k = 0..9 (only odd k constrain an odd
+    E_11), which fixes its five lower coefficients through exact monomial
+    moments of P_10.
+    """
+    import mpmath as mp
+
+    p_prev, p = [mp.mpf(1)], [mp.mpf(0), mp.mpf(1)]
+    for k in range(2, 11):
+        nxt = [mp.mpf(0)] + [(2 * k - 1) * c / k for c in p]
+        for i, c in enumerate(p_prev):
+            nxt[i] -= (k - 1) * c / k
+        p_prev, p = p, nxt
+    odd = (1, 3, 5, 7, 9)
+    lower = mp.lu_solve(
+        mp.matrix([[_product_moment(p, j + k) for j in odd] for k in odd]),
+        mp.matrix([-_product_moment(p, 11 + k) for k in odd]),
+    )
+    stieltjes = [mp.mpf(0)] * 12
+    stieltjes[11] = mp.mpf(1)
+    for j, c in zip(odd, lower):
+        stieltjes[j] = c
+    return p, stieltjes
+
+
 def kronrod_g10k21_reference():
     """The 10/21 Gauss-Kronrod pair at 80 digits, from first principles.
 
-    The Kronrod-only nodes are the roots of the Stieltjes polynomial E_11:
-    monic, odd, and orthogonal to x^k P_10(x) for k = 0..9 (only odd k
-    constrain an odd E_11), which fixes its five lower coefficients through
-    exact monomial moments of P_10.  The Gauss nodes are the roots of P_10.
+    The Kronrod-only nodes are the roots of the Stieltjes polynomial E_11
+    and the Gauss nodes those of P_10 (see ``_legendre_and_stieltjes``).
     Weights of either rule solve the moment equations: exactness for x^0 up
     to x^(nodes - 1).  Returns ``(nodes, kronrod_weights, gauss_weights)``
     as ascending mpf lists over the 21 nodes, the Gauss weight zero at a
@@ -196,35 +237,13 @@ def kronrod_g10k21_reference():
     """
     import mpmath as mp
 
-    def moment(j):
-        return mp.mpf(0) if j % 2 else mp.mpf(2) / (j + 1)
-
     def moment_weights(xs):
         n = len(xs)
         vandermonde = mp.matrix([[x**k for x in xs] for k in range(n)])
-        return list(mp.lu_solve(vandermonde, mp.matrix([moment(k) for k in range(n)])))
+        return list(mp.lu_solve(vandermonde, mp.matrix([_moment(k) for k in range(n)])))
 
     with mp.workdps(80):
-        # ascending coefficients of P_10 by the three-term recurrence
-        p_prev, p = [mp.mpf(1)], [mp.mpf(0), mp.mpf(1)]
-        for k in range(2, 11):
-            nxt = [mp.mpf(0)] + [(2 * k - 1) * c / k for c in p]
-            for i, c in enumerate(p_prev):
-                nxt[i] -= (k - 1) * c / k
-            p_prev, p = p, nxt
-
-        def p_moment(j):
-            return mp.fsum(c * moment(i + j) for i, c in enumerate(p))
-
-        odd = (1, 3, 5, 7, 9)
-        lower = mp.lu_solve(
-            mp.matrix([[p_moment(j + k) for j in odd] for k in odd]),
-            mp.matrix([-p_moment(11 + k) for k in odd]),
-        )
-        stieltjes = [mp.mpf(0)] * 12
-        stieltjes[11] = mp.mpf(1)
-        for j, c in zip(odd, lower):
-            stieltjes[j] = c
+        p, stieltjes = _legendre_and_stieltjes()
 
         def roots(coefficients):
             found = mp.polyroots(coefficients[::-1], maxsteps=200, extraprec=200)
@@ -239,32 +258,155 @@ def kronrod_g10k21_reference():
     return nodes, kronrod_weights, gauss_weights
 
 
-def adaptive_integrate_reference(f, a, b, tol, max_intervals=10_000):
-    """The one-piece adaptive loop that the shared priority queue replaced.
+def patterson_k43_reference():
+    """Patterson's 43-point extension of the 10/21 pair at 160 digits, from
+    first principles.
 
-    Applies the engine's Kronrod pair to [a, b] and bisects the interval
-    with the largest embedded difference until the running sum of
-    differences meets tol, the partition reaches max_intervals or no
-    interval can be split, resuming from the ordered sum when the running
-    sum drifted below it; an [a, b] too narrow for the rule gets the
-    one-point midpoint charge.  The one-piece call of the engine must give
-    the same result bit for bit.
+    The 22 new nodes are the roots of G_22: monic, even, and orthogonal to
+    x^k P_10(x) E_11(x) for k = 0..21.  P_10 E_11 is odd, so only odd k
+    constrain an even G_22, which fixes its eleven lower coefficients.  The
+    21 old nodes are the roots of P_10 E_11.  Each even polynomial's
+    positive roots are the square roots of its roots in y = x^2.  The
+    weights solve the moment equations of the even monomials x^0..x^42 on
+    the symmetric nodes.  Returns ``(nodes, weights)`` as ascending mpf
+    lists over the 43 nodes.
+    """
+    import mpmath as mp
+
+    def positive_roots(even):
+        found = mp.polyroots(even[::-2], maxsteps=400, extraprec=400)
+        return [mp.sqrt(mp.re(y)) for y in found]
+
+    with mp.workdps(160):
+        p, stieltjes = _legendre_and_stieltjes()
+        product = [mp.mpf(0)] * 22
+        for i, c in enumerate(p):
+            for j, d in enumerate(stieltjes):
+                product[i + j] += c * d
+        odd = range(1, 22, 2)
+        even = range(0, 21, 2)
+        lower = mp.lu_solve(
+            mp.matrix([[_product_moment(product, j + k) for j in even]
+                       for k in odd]),
+            mp.matrix([-_product_moment(product, 22 + k) for k in odd]),
+        )
+        extension = [mp.mpf(0)] * 23
+        extension[22] = mp.mpf(1)
+        for j, c in zip(even, lower):
+            extension[j] = c
+        positive = sorted(positive_roots(p) + positive_roots(stieltjes[1:])
+                          + positive_roots(extension))
+        # the centre weight counts once, every other weight for +x and -x
+        system = mp.matrix(22, 22)
+        for k in range(22):
+            system[k, 0] = 1 if k == 0 else 0
+            for i, x in enumerate(positive):
+                system[k, i + 1] = 2 * x ** (2 * k)
+        solved = mp.lu_solve(system, mp.matrix([_moment(2 * k) for k in range(22)]))
+        centre, weights = solved[0], list(solved)[1:]
+    nodes = [-x for x in reversed(positive)] + [mp.mpf(0)] + positive
+    return nodes, weights[::-1] + [centre] + weights
+
+
+def pair_application_reference(f, a, b):
+    """The engine's application of the 10/21 pair to f on [a, b], one node
+    at a time.
+
+    Returns ``(value, |value - gauss value|, partial)`` like the engine's
+    kernel: the sums run from 0.0 in ascending node order, resasc is
+    QUADPACK's QK21 sum of w |v - mean| times the half-width, and partial,
+    the 43-point rule's sum over the 21 nodes, is None unless the
+    difference is at most ``_RESOLVED`` times resasc.  f is called at every
+    node before a non-finite value is reported.
+    """
+    from cpvquad.quadrature import (
+        _RESOLVED,
+        _patterson_extension,
+        _raise_first_nonfinite,
+    )
+
+    rules = _patterson_extension()
+    kronrod, gauss_weights = rules.pair.kronrod, rules.pair.gauss_weights
+    weight43 = dict(zip(rules.rule.nodes, rules.rule.weights))
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    values = [f(mid + half * x) for x in kronrod.nodes]
+    sum_k = 0.0
+    for w, v in zip(kronrod.weights, values):
+        sum_k += w * v
+    value = sum_k * half
+    if not math.isfinite(value):
+        _raise_first_nonfinite(kronrod.nodes, values, a, b)
+    sum_g = 0.0
+    for w, v in zip(gauss_weights, values):
+        if w != 0.0:
+            sum_g += w * v
+    err = abs(value - sum_g * half)
+    mean = 0.5 * sum_k
+    spread = 0.0
+    for w, v in zip(kronrod.weights, values):
+        spread += w * abs(v - mean)
+    if err > _RESOLVED * (spread * half):
+        return value, err, None
+    partial = 0.0
+    for x, v in zip(kronrod.nodes, values):
+        partial += weight43[x] * v
+    return value, err, partial
+
+
+def extension_reference(f, a, b, partial, old):
+    """The engine's extension of [a, b] to the 43-point rule, one node at a
+    time: the sum goes on from `partial` over the 22 new nodes in ascending
+    order.  Returns ``(value, |value - old|)``."""
+    from cpvquad.quadrature import _patterson_extension, _raise_first_nonfinite
+
+    rules = _patterson_extension()
+    new_nodes = [x for x in rules.rule.nodes if x not in rules.pair.kronrod.nodes]
+    weight43 = dict(zip(rules.rule.nodes, rules.rule.weights))
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    values = [f(mid + half * x) for x in new_nodes]
+    total = partial
+    for x, v in zip(new_nodes, values):
+        total += weight43[x] * v
+    value = total * half
+    if not math.isfinite(value):
+        _raise_first_nonfinite(new_nodes, values, a, b)
+    return value, abs(value - old)
+
+
+def adaptive_integrate_reference(f, a, b, tol, max_intervals=10_000):
+    """The one-piece adaptive loop, one node at a time.
+
+    Applies the engine's Kronrod pair to [a, b] and refines the interval
+    with the largest estimate until the running sum of estimates meets tol,
+    the partition reaches max_intervals or no interval can be refined,
+    resuming from the ordered sum when the running sum drifted below it.
+    An interval that looks resolved, its embedded difference at most
+    ``_RESOLVED`` times QUADPACK's resasc, and is wide enough is extended
+    the first time it is picked: the 22 new nodes complete Patterson's
+    43-point rule, whose value replaces the pair's, with the difference of
+    the two as its estimate.  Any other interval is bisected.  An [a, b] too
+    narrow for the rule gets the one-point midpoint charge.  The one-piece
+    call of the engine must give the same result bit for bit, with f called
+    at the same abscissae in the same order.
     """
     import heapq
 
     from cpvquad.quadrature import (
         AdaptiveResult,
         NonfiniteIntegrandError,
+        _extendable,
         _nodes_fit,
+        _patterson_extension,
         _splittable,
-        kronrod_pair_g10k21,
     )
 
     if a == b:
         return AdaptiveResult(0.0, 0.0, 0, True)
-    pair = kronrod_pair_g10k21()
-    order = pair.kronrod.order
-    if not _nodes_fit(pair.kronrod, a, b):
+    rules = _patterson_extension()
+    kronrod = rules.pair.kronrod
+    if not _nodes_fit(kronrod, a, b):
         mid = 0.5 * (a + b)
         if not a < mid < b:
             value, estimate, evaluations = 0.0, math.inf, 0
@@ -280,33 +422,38 @@ def adaptive_integrate_reference(f, a, b, tol, max_intervals=10_000):
             value, estimate, evaluations, converged,
             "tolerance" if converged else "width_floor",
         )
-    kernel = pair._kernel
-    value, err = kernel(f, a, b)
-    evaluations = order
-    heap = [(-err, 0, a, b, value)]
+
+    value, err, partial = pair_application_reference(f, a, b)
+    evaluations = kronrod.order
+    heap = [(-err, 0, a, b, value, partial)]
     settled = []
     seq = 1
     count = 1
     err_sum = err
     while True:
         while err_sum > tol and count < max_intervals and heap:
-            neg_est, _, ia, ib, ival = heap[0]
+            neg_est, _, ia, ib, ival, partial = heapq.heappop(heap)
             est = -neg_est
+            if partial is not None and _extendable(ia, ib):
+                value, err = extension_reference(f, ia, ib, partial, ival)
+                evaluations += rules.rule.order - kronrod.order
+                heapq.heappush(heap, (-err, seq, ia, ib, value, None))
+                seq += 1
+                err_sum += err - est
+                continue
             if not _splittable(ia, ib):
-                heapq.heappop(heap)
                 settled.append((ia, ival, est))
                 continue
-            heapq.heappop(heap)
             mid = 0.5 * (ia + ib)
-            lv, le = kernel(f, ia, mid)
-            rv, re = kernel(f, mid, ib)
-            evaluations += 2 * order
-            heapq.heappush(heap, (-le, seq, ia, mid, lv))
-            heapq.heappush(heap, (-re, seq + 1, mid, ib, rv))
+            lv, le, lp = pair_application_reference(f, ia, mid)
+            rv, re, rp = pair_application_reference(f, mid, ib)
+            evaluations += 2 * kronrod.order
+            heapq.heappush(heap, (-le, seq, ia, mid, lv, lp))
+            heapq.heappush(heap, (-re, seq + 1, mid, ib, rv, rp))
             seq += 2
             count += 1
             err_sum += le + re - est
-        pieces = [(ia, v, -neg) for neg, _, ia, _, v in heap]
+        pieces = [(ia, v, -neg) for neg, _, ia, _, v, _ in heap]
         pieces.extend(settled)
         pieces.sort(key=lambda p: p[0])
         total = 0.0

@@ -6,6 +6,7 @@ from cpvquad.quadrature import (
     AdaptiveResult,
     NonfiniteIntegrandError,
     SumOverflowError,
+    _patterson_extension,
     adaptive_integrate,
     apply_rule,
     integrate_pieces,
@@ -20,6 +21,46 @@ from helpers import (
 
 #: Nodes of the engine's Kronrod rule: the evaluations of one application.
 ORDER = kronrod_pair_g10k21().kronrod.order
+
+#: New nodes of the 43-point rule: the evaluations of one extension.
+EXTENSION = _patterson_extension().rule.order - ORDER
+
+
+def _interlaced(new, old):
+    """Whether the extension run `new` interlaces the pair run `old`, as the
+    new nodes of the 43-point rule interlace the 21 Kronrod nodes."""
+    return len(new) == EXTENSION and all(
+        new[j] < x < new[j + 1] for j, x in enumerate(old)
+    )
+
+
+def _rule_runs(calls):
+    """Split one piece's abscissae, in call order, into its applications.
+
+    Calls come in strictly ascending runs: ORDER of them where the pair is
+    applied to an interval, EXTENSION where an interval the pair was
+    applied to is extended.  An extension run interlaces exactly one earlier
+    pair run, the one on its interval, which is extended only once; so no
+    abscissa is evaluated twice on an interval.  Returns the numbers of pair
+    runs and of extension runs.
+    """
+    pairs = []
+    extended = set()
+    i = 0
+    while i < len(calls):
+        run = calls[i:i + EXTENSION]
+        owners = [k for k, old in enumerate(pairs) if _interlaced(run, old)]
+        if owners:
+            assert len(owners) == 1 and owners[0] not in extended
+            extended.add(owners[0])
+            i += EXTENSION
+            continue
+        run = calls[i:i + ORDER]
+        assert len(run) == ORDER
+        assert all(x < y for x, y in zip(run, run[1:]))
+        pairs.append(run)
+        i += ORDER
+    return len(pairs), len(extended)
 
 
 class TestBasicContracts:
@@ -242,11 +283,15 @@ class TestEvaluationCount:
             (lambda x: 1.0 / x, 0.0, 1.0, 50, "interval_cap"),
             (lambda x: 1.0 / (x - 1.0), 1.0, 1.0 + 4096.0 * math.ulp(1.0),
              10_000, "width_floor"),
+            # these two extend some of their intervals
+            (lambda x: math.cos(550.0 * x), -1.0, 1.0, 10_000, "tolerance"),
+            (math.sqrt, 0.0, 1.0, 10_000, "tolerance"),
         ],
     )
     def test_each_node_called_once(self, f, a, b, cap, reason):
-        # calls come in runs of ORDER, one per interval, each strictly
-        # ascending: no node is evaluated twice and none is skipped
+        # calls come in strictly ascending runs of ORDER, one per interval,
+        # and of EXTENSION, at most one per interval and on none of its
+        # earlier abscissae: no node is evaluated twice and none is skipped
         calls = []
 
         def counted(x):
@@ -256,10 +301,36 @@ class TestEvaluationCount:
         result = adaptive_integrate(counted, a, b, 1e-12, max_intervals=cap)
         assert result.stop_reason == reason
         assert len(calls) == result.evaluations
-        assert len(calls) % ORDER == 0
-        for i in range(0, len(calls), ORDER):
-            run = calls[i:i + ORDER]
-            assert all(x < y for x, y in zip(run, run[1:]))
+        applications, extensions = _rule_runs(calls)
+        assert len(calls) == ORDER * applications + EXTENSION * extensions
+        assert extensions <= applications
+
+    @pytest.mark.parametrize("ulps,extended", [(16384.0, 0), (32768.0, 1)])
+    def test_only_intervals_over_the_floor_are_extended(self, ulps, extended):
+        # exp looks resolved on every interval this narrow, and the
+        # tolerance is out of reach; only an [a, b] wider than 2**14 ulps is
+        # extended, and its halves are not
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return math.exp(x)
+
+        adaptive_integrate(counted, 1.0, 1.0 + ulps * math.ulp(1.0), 1e-300)
+        assert _rule_runs(calls)[1] == extended
+
+    @pytest.mark.parametrize("f", [lambda x: math.cos(550.0 * x), math.sqrt])
+    def test_resolved_intervals_are_extended(self, f):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return f(x)
+
+        result = adaptive_integrate(counted, 0.0, 1.0, 1e-12)
+        applications, extensions = _rule_runs(calls)
+        assert 0 < extensions < applications
+        assert result.evaluations == ORDER * applications + EXTENSION * extensions
 
 
 class TestDiscontinuous:
@@ -416,10 +487,12 @@ class TestOnePieceMatchesReference:
         assert calls == want_calls
 
 
-def _interval_count(evaluations: int) -> int:
-    """Intervals in a piece's final partition: each bisection costs two
-    applications and adds one interval to the first application's."""
-    return (evaluations // ORDER + 1) // 2
+def _interval_count(calls) -> int:
+    """Intervals in a piece's final partition, from its abscissae: each
+    bisection costs two applications of the pair and adds one interval to
+    the first application's, and an extension adds none."""
+    applications, _ = _rule_runs(calls)
+    return (applications + 1) // 2
 
 
 class TestSharedQueue:
@@ -468,18 +541,26 @@ class TestSharedQueue:
         assert min(left, right, symmetric) > ORDER
         assert len(calls) == 1 + left + right + 2 * symmetric
 
+    def _piece_calls(self, calls):
+        """The abscissae of the left, right and symmetric piece, in call
+        order: the symmetric piece's from the first call of each pair,
+        tau + t, which ascends with t."""
+        middle = [x for x in calls if -0.5 <= x <= 0.7]
+        return ([x for x in calls if x < -0.5], [x for x in calls if x > 0.7],
+                middle[::2])
+
     @pytest.mark.parametrize("tol", [1e-3, 1e-8, 1e-10, 1e-11, 1e-12])
     def test_converged_exactly_when_the_sum_meets_tol(self, tol):
-        _, estimates, evaluations, reason = self._run(
-            lambda x: 1e3 * math.sin(300.0 * x), tol
-        )
+        f, calls = _recorded(lambda x: 1e3 * math.sin(300.0 * x))
+        _, estimates, evaluations, reason = self._run(f, tol)
         total = 0.0
         for e in estimates:
             total += e
         assert (reason == "tolerance") == (total <= tol)
         if total > tol:
             assert reason == "interval_cap"
-            assert sum(map(_interval_count, evaluations)) == 10_000
+            pieces = self._piece_calls(calls[1:])
+            assert sum(map(_interval_count, pieces)) == 10_000
 
     def test_refinement_goes_where_the_error_is(self):
         # a kink inside the right piece only: the smooth pieces keep their
@@ -496,15 +577,36 @@ class TestSharedQueue:
                   ("plain", -1.0, 0.0))
         # 1/sqrt(x) never meets the tolerance near 0, and sin(300x) needs
         # refining too, so both pieces take intervals from the one cap
-        f = lambda x: 1.0 / math.sqrt(x) if x > 0.0 else math.sin(300.0 * x)
+        f, calls = _recorded(
+            lambda x: 1.0 / math.sqrt(x) if x > 0.0 else math.sin(300.0 * x)
+        )
         values, estimates, evaluations, reason = integrate_pieces(
             f, pieces, 1e-12, max_intervals=50
         )
         first, empty, last = evaluations
-        assert _interval_count(first) + _interval_count(last) == 50
+        assert (_interval_count([x for x in calls if x > 0.0])
+                + _interval_count([x for x in calls if x < 0.0])) == 50
         assert first > ORDER and last > ORDER
         assert reason == "interval_cap"
         assert (values[1], estimates[1], empty) == (0.0, 0.0, 0)
+
+    def test_extensions_add_no_interval_to_the_cap(self):
+        # sin(100x) looks resolved on some of its intervals, which are
+        # extended once; the cap still counts the partition's intervals
+        pieces = (("plain", 0.0, 1.0), ("plain", -1.0, 0.0))
+        f, calls = _recorded(
+            lambda x: 1.0 / math.sqrt(x) if x > 0.0 else math.sin(100.0 * x)
+        )
+        _, _, evaluations, reason = integrate_pieces(
+            f, pieces, 1e-12, max_intervals=50
+        )
+        left = [x for x in calls if x < 0.0]
+        applications, extensions = _rule_runs(left)
+        assert extensions > 0
+        assert evaluations[1] == ORDER * applications + EXTENSION * extensions
+        assert (_interval_count([x for x in calls if x > 0.0])
+                + _interval_count(left)) == 50
+        assert reason == "interval_cap"
 
     def test_ties_go_to_the_earlier_piece(self):
         # two copies of one piece tie on every estimate; the sequence number

@@ -23,7 +23,11 @@ from cpvquad.benchmarks import (
 )
 from cpvquad import benchmarks
 from cpvquad.error_model import ErrorBudget
-from cpvquad.quadrature import gauss_legendre_rule, kronrod_pair_g10k21
+from cpvquad.quadrature import (
+    _patterson_extension,
+    gauss_legendre_rule,
+    kronrod_pair_g10k21,
+)
 from cpvquad.expressions import compile_expression
 from cpvquad.oracles import (
     oracle_breakpoints,
@@ -185,10 +189,11 @@ class TestRunBenchmark:
 
     def test_battery_evaluations_stay_within_budget(self):
         # 76,830 before the pieces stopped at the roundoff floor, 75,630
-        # after, 67,740 with one queue over the three pieces, and 55,020
-        # with the 10/21 pair; a change that spends more must say why
+        # after, 67,740 with one queue over the three pieces, 55,020 with
+        # the 10/21 pair, and 51,556 with the 43-point extension; a change
+        # that spends more must say why
         rows = run_benchmark()
-        assert sum(row.evaluations for row in rows) <= 55_020
+        assert sum(row.evaluations for row in rows) <= 51_556
 
     def test_deterministic_apart_from_timing(self):
         first = run_benchmark(tol=CALIBRATION_TOL)
@@ -203,16 +208,26 @@ class TestRunBenchmark:
     def test_rule_build_precedes_the_first_timed_case(self, monkeypatch):
         gauss_legendre_rule.cache_clear()
         kronrod_pair_g10k21.cache_clear()
+        _patterson_extension.cache_clear()
         built = []
         solve = benchmarks.cpv_standard
 
         def record(problem):
-            built.append(kronrod_pair_g10k21.cache_info().currsize)
+            # the rules are built, and the quotient forms' pair and
+            # extension kernels compiled, before any case is timed
+            compiled = (
+                _patterson_extension.cache_info().currsize == 1
+                and {"_difference_kernel", "_symmetric_kernel", "_resolve"}
+                <= vars(_patterson_extension()).keys()
+                and {"difference", "symmetric"}
+                <= _patterson_extension()._extensions.keys()
+            )
+            built.append((kronrod_pair_g10k21.cache_info().currsize, compiled))
             return solve(problem)
 
         monkeypatch.setattr(benchmarks, "cpv_standard", record)
         run_benchmark(cases=builtin_problems()[:2])
-        assert built == [1, 1]
+        assert built == [(1, True), (1, True)]
 
     def test_case_subset(self):
         rows = run_benchmark(tol=1e-12, cases=[_case("case1")])

@@ -309,6 +309,40 @@ class TestStandardAccuracy:
         assert abs(combo.value - (2.0 * p1.value - 3.0 * p2.value)) <= slack
 
 
+class TestFirstApplicationPinned:
+    """Three members of the benchmark's F4 class, whose budget misses the
+    rounding of the values and sums, pass only at these bits.  Each
+    converges at the first application of the pair, 21 nodes on each of
+    two pieces, which refinement by extension or bisection never reaches."""
+
+    @pytest.mark.parametrize(
+        "f,tau,value,estimate",
+        [
+            (lambda x: math.cos(2.0 * x), 0.001953125,
+             "-0x1.65b7c1d7472c9p-7", "0x1.6c401d9996d98p-52"),
+            (lambda x: math.exp(-0.25 * x), -0.3,
+             "0x1.2b8663b989fb2p-3", "0x1.6f66be6eff043p-51"),
+            (lambda x: math.pow(x, 6), 0.05,
+             "0x1.490e385ff6450p-6", "0x1.859fc1bffbfaep-55"),
+        ],
+        ids=["cos(2x)", "exp(-0.25x)", "x^6"],
+    )
+    def test_value_and_estimate_bits(self, f, tau, value, estimate):
+        result = cpv_standard(CpvProblem(f=f, tau=tau, tol=1e-12))
+        assert result.evaluations == 42
+        assert result.converged
+        assert result.value.hex() == value
+        assert result.error_estimate.hex() == estimate
+
+
+def test_kink_costs_at_most_a_tenth_more_than_the_pair_alone():
+    # intervals around the kink of |x - 0.2| can look resolved and be
+    # extended to no avail; the 10/21 pair alone took 714 evaluations
+    result = cpv_standard(CpvProblem(f=lambda x: abs(x - 0.2), tau=0.5))
+    assert result.converged
+    assert result.evaluations <= 786
+
+
 class TestDecompositionMechanics:
     def test_estimate_equals_budget_total(self):
         result = cpv_standard(CpvProblem(f=math.exp, tau=0.33))

@@ -22,10 +22,13 @@ from cpvquad.quadrature import (
 
 from helpers import (
     apply_rule_reference,
+    extension_reference,
     gauss_legendre_reference,
     kronrod_g10k21_reference,
     make_difference_quotient,
     make_symmetric_quotient,
+    pair_application_reference,
+    patterson_k43_reference,
 )
 
 
@@ -254,8 +257,10 @@ class TestKronrodPairG10K21:
             "import sys, math; sys.path.insert(0, sys.argv[1]); "
             "from cpvquad import quadrature as q; "
             "assert q.kronrod_pair_g10k21.cache_info().currsize == 0; "
+            "assert q._patterson_extension.cache_info().currsize == 0; "
             "q.adaptive_integrate(math.exp, 0.0, 1.0, 1e-12); "
-            "assert q.kronrod_pair_g10k21.cache_info().currsize == 1"
+            "assert q.kronrod_pair_g10k21.cache_info().currsize == 1; "
+            "assert q._patterson_extension.cache_info().currsize == 1"
         )
         src = os.path.dirname(os.path.dirname(quadrature.__file__))
         subprocess.run([sys.executable, "-c", code, src], check=True)
@@ -285,6 +290,88 @@ class TestKronrodPairG10K21:
         assert quadrature._MIN_WIDTH_ULPS == 2048.0
         outermost = kronrod_pair_g10k21().kronrod.nodes[-1]
         assert (1.0 - outermost) * quadrature._MIN_WIDTH_ULPS / 4.0 >= 2.0
+
+
+class TestPattersonExtension:
+    """Patterson's 43-point extension of the 10/21 pair, QUADPACK's QNG
+    table, which the engine applies to intervals that look resolved."""
+
+    def test_perturbed_table_weight_is_rejected(self, monkeypatch):
+        _check_perturbed_table(
+            monkeypatch, quadrature._patterson_extension, "_K43_HALF", 1,
+            "43-point Patterson rule fails exactness",
+        )
+
+    def test_moved_kronrod_node_is_rejected(self, monkeypatch):
+        # one ulp passes the exactness check, but the 43-point rule then has
+        # a node the pair's kernel never evaluated
+        builder = quadrature._patterson_extension
+        original = builder()
+        table = [list(row) for row in quadrature._K43_HALF]
+        assert table[1][0] == quadrature._G10K21_HALF[0][0]
+        table[1][0] = math.nextafter(table[1][0], 0.0)
+        monkeypatch.setattr(quadrature, "_K43_HALF", tuple(map(tuple, table)))
+        builder.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match="does not contain"):
+                builder()
+        finally:
+            monkeypatch.undo()
+            builder.cache_clear()
+        assert builder() == original
+
+    def test_table_matches_the_160_digit_construction(self):
+        # every node and weight within one ulp, far inside 5e-15, of the
+        # construction from the extension polynomial G_22; the centre node
+        # exactly
+        rule = quadrature._patterson_extension().rule
+        nodes, weights = patterson_k43_reference()
+        for table, reference in ((rule.nodes, nodes), (rule.weights, weights)):
+            assert len(table) == len(reference) == 43
+            for x, r in zip(table, reference):
+                assert abs(mp.mpf(x) - r) <= min(5e-15, math.ulp(float(r))), (x, r)
+
+    def test_nests_the_pair_and_is_exact_to_degree_64(self):
+        rules = quadrature._patterson_extension()
+        new = sorted(set(rules.rule.nodes) - set(rules.pair.kronrod.nodes))
+        assert len(new) == 22
+        # the new nodes interlace the 21 Kronrod nodes
+        assert sorted(new + list(rules.pair.kronrod.nodes)) == list(rules.rule.nodes)
+        assert all(new[j] < x < new[j + 1]
+                   for j, x in enumerate(rules.pair.kronrod.nodes))
+        for k in range(65):
+            assert exactness_error(rules.rule, k) <= 1e-13
+
+    def test_compiled_only_when_first_needed(self):
+        # a call that meets the tolerance at its first application compiles
+        # neither the extension kernels nor the deferred decision
+        quadrature._patterson_extension.cache_clear()
+        quadrature.adaptive_integrate(math.exp, 0.0, 1.0, 1e-12)
+        rules = quadrature._patterson_extension()
+        assert "_resolve" not in vars(rules)
+        assert not rules._extensions
+        quadrature.adaptive_integrate(math.sqrt, 0.0, 1.0, 1e-12)
+        assert "_resolve" in vars(rules)
+        assert list(rules._extensions) == ["plain"]
+
+    def test_extension_floor_keeps_two_ulps_margin(self):
+        assert quadrature._MIN_EXTENSION_ULPS == 2.0**14
+        rule = quadrature._patterson_extension().rule
+        # the outermost node lies (1 - node) half-widths from an end
+        assert (1.0 - rule.nodes[-1]) * quadrature._MIN_EXTENSION_ULPS / 2.0 >= 2.0
+        rng = random.Random(20261020)
+        for c in _OFFSETS + (2.0, 4.0**-3):
+            for extra in (1.0, 7.0, 300.0):
+                if c in (2.0, 4.0**-3):
+                    a = c - rng.randrange(4000) * math.ulp(c)
+                else:
+                    a = rng.uniform(c - 1.0, c + 1.0)
+                b = _just_over_floor(a, extra, quadrature._MIN_EXTENSION_ULPS)
+                assert quadrature._extendable(a, b)
+                mid = 0.5 * (a + b)
+                half = 0.5 * (b - a)
+                assert a < math.nextafter(mid + half * rule.nodes[0], a)
+                assert math.nextafter(mid + half * rule.nodes[-1], b) < b
 
 
 class TestApplyRule:
@@ -340,10 +427,12 @@ class TestApplyRule:
         assert sum(1 for w in pair.gauss_weights if w == 0.0) == 8
 
 
-def _just_over_floor(a: float, extra: float) -> float:
-    """The end b of an [a, b] `extra` ulps wider than the width floor
-    (``_MIN_WIDTH_ULPS``), the narrowest the engine still bisects."""
-    floor = quadrature._MIN_WIDTH_ULPS
+def _just_over_floor(a: float, extra: float, floor=None) -> float:
+    """The end b of an [a, b] `extra` ulps wider than `floor`, by default
+    the width floor ``_MIN_WIDTH_ULPS``, the narrowest the engine still
+    bisects."""
+    if floor is None:
+        floor = quadrature._MIN_WIDTH_ULPS
     u = math.ulp(a)
     return a + (floor + extra) * max(u, math.ulp(a + 2.0 * floor * u))
 
@@ -460,6 +549,13 @@ class TestRuleKernel:
         assert apply_rule(copy, math.exp, 0.0, 1.0) == before
         assert (copy._difference_kernel(math.exp, 0.0, 1.0, 2.0, 7.0),
                 copy._symmetric_kernel(math.exp, 0.0, 1.0, 0.5)) == quotients
+        if m == "g10k21":
+            # the engine's pair and extension kernels, every form
+            rules = quadrature._patterson_extension()
+            applied = _engine_applications(rules)
+            copy = pickle.loads(pickle.dumps(rules))
+            assert copy == rules
+            assert _engine_applications(copy) == applied
 
     def test_kernel_belongs_to_the_rule(self):
         pair = kronrod_pair_g7k15()
@@ -471,6 +567,21 @@ class TestRuleKernel:
             assert rebuilt._kernel is not pair._kernel
         finally:
             kronrod_pair_g7k15.cache_clear()
+
+
+def _engine_applications(rules):
+    """Each form's pair kernel and extension kernel applied to exp on
+    [0, 1], where the pair looks resolved."""
+    out = []
+    for form, name in quadrature._KERNEL_OF_FORM.items():
+        first, extend = getattr(rules, name), rules._extension(form)
+        tau = 2.0 if form == "difference" else 0.5
+        value, err, partial = first(math.exp, 0.0, 1.0, tau, 7.0)
+        assert partial is not None
+        _, _, kept = first(math.exp, 0.0, 1.0, tau, 7.0, True)
+        out.append((value, err, partial, rules._resolve(kept, 0.5, err),
+                    extend(math.exp, 0.0, 1.0, tau, 7.0, partial, value)))
+    return out
 
 
 def _quotient_integrands(a, b, rng):
@@ -537,3 +648,59 @@ class TestQuotientKernels:
         assert len(set(map(id, kernels))) == 3
         assert kernels == (pair._kernel, pair._difference_kernel,
                            pair._symmetric_kernel)
+
+
+class TestEngineKernels:
+    """The engine's kernels: the pair's, which also decides whether the
+    interval looks resolved or keeps the values that decide it later, and
+    the extension's.  Each form gives the node-by-node reference applied to
+    the quotient closure, bit for bit."""
+
+    @pytest.mark.parametrize("form", ["plain", "difference", "symmetric"])
+    def test_bit_equal_to_the_reference(self, form):
+        rules = quadrature._patterson_extension()
+        name = quadrature._KERNEL_OF_FORM[form]
+        first, extend = getattr(rules, name), rules._extension(form)
+        pair_kernel = getattr(rules.pair, name)
+        rng = random.Random(61 + len(form))
+        intervals = _kernel_intervals()
+        for a, _ in list(intervals):
+            intervals.append(
+                (a, _just_over_floor(a, 3.0, quadrature._MIN_EXTENSION_ULPS)))
+        seen = set()
+        for a, b in intervals:
+            width = b - a
+            for f in _quotient_integrands(a, b, rng):
+                tau, f_tau, g = 0.0, 0.0, f
+                if form == "difference":
+                    tau = b + width * rng.uniform(0.01, 2.0)
+                    f_tau = f(tau)
+                    if not math.isfinite(f_tau):
+                        continue
+                    g = make_difference_quotient(f, tau, f_tau)
+                elif form == "symmetric":
+                    tau = rng.choice((0.0, 0.3, -2.5, a))
+                    g = make_symmetric_quotient(f, tau)
+                got = _outcome(lambda: first(f, a, b, tau, f_tau))
+                assert got == _outcome(lambda: pair_application_reference(g, a, b))
+                if not isinstance(got, str):
+                    seen.add(got[0])
+                    continue
+                value, err, partial = first(f, a, b, tau, f_tau)
+                # the first application is the pair's own, bit for bit, and
+                # the values it keeps resolve to the partial it returns
+                assert (value, err) == pair_kernel(f, a, b, tau, f_tau)
+                kept_value, kept_err, kept = first(f, a, b, tau, f_tau, True)
+                assert (kept_value, kept_err) == (value, err)
+                assert repr(rules._resolve(kept, 0.5 * (b - a), err)) == repr(partial)
+                if partial is None or not quadrature._extendable(a, b):
+                    seen.add("unresolved" if partial is None else "too narrow")
+                    continue
+                seen.add("extended")
+                got = _outcome(
+                    lambda: extend(f, a, b, tau, f_tau, partial, value))
+                want = _outcome(
+                    lambda: extension_reference(g, a, b, partial, value))
+                assert got == want, (form, a, b)
+        assert {"extended", "unresolved", "too narrow",
+                "NonfiniteIntegrandError", "SumOverflowError"} <= seen
