@@ -265,10 +265,8 @@ def run_benchmark(
         raise ValueError(f"output must be 'none', 'csv' or 'json', got {output!r}")
     bound_scale = max(1.0, tol / CALIBRATION_TOL)
     # the one-time rule builds, their exactness checks and the compile of
-    # the quotient forms' pair and extension kernels belong to no case
-    rules = _patterson_extension()
-    rules._difference_kernel, rules._symmetric_kernel, rules._resolve
-    rules._extension("difference"), rules._extension("symmetric")
+    # what the engine runs on the quotient forms belong to no case
+    _patterson_extension().warm(("difference", "symmetric"))
     rows = []
     for case in cases if cases is not None else _CASES:
         reference = case.reference_value()

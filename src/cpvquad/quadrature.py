@@ -123,8 +123,8 @@ _KERNEL_OF_FORM = {
 
 
 class _CompiledOnUse:
-    """Compiles a rule's kernels ``(f, a, b, tau=0.0, f_tau=0.0)`` on first
-    use, one per form, and keeps them, like every cached property, out of
+    """Compiles a rule's kernels on first use, one per form, through its
+    ``_compile(form)``, and keeps them, like every cached property, out of
     its pickled state: a function built by ``exec`` cannot be pickled.
     """
 
@@ -418,8 +418,27 @@ _RESOLVED = 1e-3
 
 
 @dataclass(frozen=True)
+class _Extension(_CompiledOnUse):
+    """The nodes a nested rule adds to the rule it extends, ascending, with
+    their weights in the nested rule.
+
+    Each form's kernel, ``(f, a, b, tau, f_tau, partial, old)``, evaluates
+    the form at the new nodes and returns ``(value, |value - old|)``: the
+    nested rule's value, its sum going on from ``partial``, the weighted sum
+    over the nodes already evaluated, and ``old`` the extended rule's value.
+    """
+
+    nodes: tuple[float, ...]
+    weights: tuple[float, ...]
+
+    def _compile(self, form: str):
+        return _compile_extension(self.nodes, self.weights, form)
+
+
+@dataclass(frozen=True)
 class _PattersonExtension(_CompiledOnUse):
-    """The 10/21 pair and Patterson's 43-point rule, which nests it.
+    """The 10/21 pair, Patterson's 43-point rule, which nests it, and the 22
+    nodes the 43-point rule adds.
 
     Each form's kernel applies the pair like the pair's own kernel and
     returns ``(value, |value - gauss value|, partial)``: partial is the
@@ -427,46 +446,37 @@ class _PattersonExtension(_CompiledOnUse):
     looks resolved (see ``_RESOLVED``), else None, and costs no further work
     then.  Called with ``keep=True`` it returns the 21 values in place of
     partial, and ``_resolve(values, half, err)`` gives partial from them
-    later, bit for bit, when the interval is picked: most first applications
-    are never picked.  ``_extension(form)``, ``(f, a, b, tau, f_tau,
-    partial, old)``, evaluates the 22 new nodes and returns ``(43-point
-    value, |43-point value - old|)``, where ``old`` is the pair's value.
-    Every function is compiled on first use, so a call that extends no
-    interval compiles no extension kernel.
+    later, bit for bit, when the interval is picked.  A piece's first
+    application keeps its values, as most are never picked; a bisection's
+    children decide at once, as most are.  Every function is compiled on
+    first use, so a call that extends no interval compiles no extension
+    kernel.
     """
 
     pair: EmbeddedRulePair
     rule: QuadratureRule
+    extension: _Extension
 
-    @cached_property
-    def _old_weights(self) -> list[float]:
+    @property
+    def _partial_weights(self) -> list[float]:
         """The 43-point weights of the 21 Kronrod nodes, in node order."""
         weight = dict(zip(self.rule.nodes, self.rule.weights))
         return [weight[x] for x in self.pair.kronrod.nodes]
 
     @cached_property
     def _resolve(self):
-        return _compile_resolve(self.pair.kronrod, self._old_weights)
-
-    @cached_property
-    def _extensions(self) -> dict:
-        """The extension kernels compiled so far, by form."""
-        return {}
-
-    def _extension(self, form: str):
-        kernel = self._extensions.get(form)
-        if kernel is None:
-            old = set(self.pair.kronrod.nodes)
-            new = [(x, w) for x, w in zip(self.rule.nodes, self.rule.weights)
-                   if x not in old]
-            kernel = self._extensions[form] = _compile_extension(
-                tuple(x for x, _ in new), tuple(w for _, w in new), form
-            )
-        return kernel
+        return _compile_resolve(self.pair.kronrod, self._partial_weights)
 
     def _compile(self, form: str):
         return _compile_kernel(self.pair.kronrod, self.pair.gauss_weights, form,
-                               self._old_weights)
+                               self._partial_weights)
+
+    def warm(self, forms) -> None:
+        """Compile everything the engine may run on pieces of `forms`."""
+        for form in forms:
+            getattr(self, _KERNEL_OF_FORM[form])
+            getattr(self.extension, _KERNEL_OF_FORM[form])
+        self._resolve
 
 
 @lru_cache(maxsize=None)
@@ -481,11 +491,14 @@ def _patterson_extension() -> _PattersonExtension:
     nodes, weights = _mirrored(_K43_HALF, _K43_CENTER)
     rule = QuadratureRule(nodes, weights, 43)
     _monomial_exactness_check(nodes, weights, 64, "43-point Patterson rule")
-    if not set(pair.kronrod.nodes) <= set(nodes):
+    old = set(pair.kronrod.nodes)
+    if not old <= set(nodes):
         raise RuntimeError(
             "43-point Patterson rule does not contain the 21 Kronrod nodes"
         )
-    return _PattersonExtension(pair, rule)
+    new = [(x, w) for x, w in zip(nodes, weights) if x not in old]
+    extension = _Extension(tuple(x for x, _ in new), tuple(w for _, w in new))
+    return _PattersonExtension(pair, rule, extension)
 
 
 #: Fewest ulps of its ends by which the outermost mapped node of the engine's
@@ -493,17 +506,20 @@ def _patterson_extension() -> _PattersonExtension:
 _ENDPOINT_MARGIN_ULPS = 2.0
 
 
-def _width_floor(outermost: float) -> float:
-    """Ulps above which an interval may be bisected, for a rule whose
-    outermost node is `outermost`.
+def _width_floor(outermost: float, bisected: bool = True) -> float:
+    """Ulps above which an interval keeps the nodes of a rule whose
+    outermost node is `outermost` clear of its ends: the ends of its halves
+    when `bisected`, else its own.
 
-    Each half of a bisected interval has a quarter of its width as
-    half-width, and the outermost node maps to (1 - outermost) half-widths
-    from an end, so the margin holds from 4 margin / (1 - outermost) ulps
-    on; the floor is that rounded up to a power of two.
+    The outermost node maps to (1 - outermost) half-widths from an end.  An
+    interval has half its width as half-width, and each half of a bisected
+    one a quarter, so the margin holds from 2 margin / (1 - outermost) ulps
+    on, or twice that for the halves; the floor is that rounded up to a
+    power of two.
     """
+    share = 4.0 if bisected else 2.0
     return 2.0 ** math.ceil(
-        math.log2(4.0 * _ENDPOINT_MARGIN_ULPS / (1.0 - outermost))
+        math.log2(share * _ENDPOINT_MARGIN_ULPS / (1.0 - outermost))
     )
 
 
@@ -512,8 +528,9 @@ def _width_floor(outermost: float) -> float:
 _MIN_WIDTH_ULPS = _width_floor(_G10K21_HALF[0][0])
 
 #: An interval is extended to the 43-point rule only while it is wider than
-#: this many ulps, the floor of that rule's outermost node: 2**14.
-_MIN_EXTENSION_ULPS = _width_floor(_K43_HALF[0][0])
+#: this many ulps, the floor of that rule's outermost node on the interval
+#: itself: 2**13.
+_MIN_EXTENSION_ULPS = _width_floor(_K43_HALF[0][0], bisected=False)
 
 
 def _nodes_fit(rule: QuadratureRule, a: float, b: float) -> bool:
@@ -810,7 +827,7 @@ def integrate_pieces(
     rules = _patterson_extension()
     pair = rules.pair
     order = pair.kronrod.order
-    extension_order = rules.rule.order - order
+    extension_order = len(rules.extension.nodes)
     n = len(pieces)
     kernels = [None] * n
     evaluations = [0] * n
@@ -858,9 +875,9 @@ def integrate_pieces(
                 if type(partial) is tuple:
                     partial = rules._resolve(partial, 0.5 * (ib - ia), est)
                 if partial is not None and _extendable(ia, ib):
-                    value, err = rules._extension(pieces[piece][0])(
-                        f, ia, ib, tau, f_tau, partial, ival
-                    )
+                    extend = getattr(rules.extension,
+                                     _KERNEL_OF_FORM[pieces[piece][0]])
+                    value, err = extend(f, ia, ib, tau, f_tau, partial, ival)
                     evaluations[piece] += extension_order
                     heapq.heapreplace(heap, (-err, seq, ia, ib, value, piece, None))
                     seq += 1

@@ -308,29 +308,28 @@ def patterson_k43_reference():
     return nodes, weights[::-1] + [centre] + weights
 
 
+def compiled_kernels(obj) -> set:
+    """The names of the kernels a rule object has compiled so far: what its
+    pickled state leaves out."""
+    return vars(obj).keys() - obj.__getstate__().keys()
+
+
 def pair_application_reference(f, a, b):
     """The engine's application of the 10/21 pair to f on [a, b], one node
     at a time.
 
-    Returns ``(value, |value - gauss value|, partial)`` like the engine's
-    kernel: the sums run from 0.0 in ascending node order, resasc is
-    QUADPACK's QK21 sum of w |v - mean| times the half-width, and partial,
-    the 43-point rule's sum over the 21 nodes, is None unless the
-    difference is at most ``_RESOLVED`` times resasc.  f is called at every
-    node before a non-finite value is reported.
+    Returns ``(value, |value - gauss value|, values)`` like the engine's
+    kernel: the sums run from 0.0 in ascending node order, and values are
+    f at the 21 nodes.  f is called at every node before a non-finite value
+    is reported.
     """
-    from cpvquad.quadrature import (
-        _RESOLVED,
-        _patterson_extension,
-        _raise_first_nonfinite,
-    )
+    from cpvquad.quadrature import _patterson_extension, _raise_first_nonfinite
 
     rules = _patterson_extension()
     kronrod, gauss_weights = rules.pair.kronrod, rules.pair.gauss_weights
-    weight43 = dict(zip(rules.rule.nodes, rules.rule.weights))
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    values = [f(mid + half * x) for x in kronrod.nodes]
+    values = tuple(f(mid + half * x) for x in kronrod.nodes)
     sum_k = 0.0
     for w, v in zip(kronrod.weights, values):
         sum_k += w * v
@@ -341,17 +340,35 @@ def pair_application_reference(f, a, b):
     for w, v in zip(gauss_weights, values):
         if w != 0.0:
             sum_g += w * v
-    err = abs(value - sum_g * half)
+    return value, abs(value - sum_g * half), values
+
+
+def resolve_reference(values, half, err):
+    """The engine's decision whether an interval of half-width `half`, with
+    pair values `values` and embedded difference `err`, looks resolved.
+
+    resasc is QUADPACK's QK21 sum of w |v - mean| times the half-width; when
+    `err` is at most ``_RESOLVED`` times it, returns the 43-point rule's sum
+    over the 21 nodes, else None.  Every sum runs from 0.0 in node order.
+    """
+    from cpvquad.quadrature import _RESOLVED, _patterson_extension
+
+    rules = _patterson_extension()
+    kronrod = rules.pair.kronrod
+    weight43 = dict(zip(rules.rule.nodes, rules.rule.weights))
+    sum_k = 0.0
+    for w, v in zip(kronrod.weights, values):
+        sum_k += w * v
     mean = 0.5 * sum_k
     spread = 0.0
     for w, v in zip(kronrod.weights, values):
         spread += w * abs(v - mean)
     if err > _RESOLVED * (spread * half):
-        return value, err, None
+        return None
     partial = 0.0
     for x, v in zip(kronrod.nodes, values):
         partial += weight43[x] * v
-    return value, err, partial
+    return partial
 
 
 def extension_reference(f, a, b, partial, old):
@@ -423,18 +440,21 @@ def adaptive_integrate_reference(f, a, b, tol, max_intervals=10_000):
             "tolerance" if converged else "width_floor",
         )
 
-    value, err, partial = pair_application_reference(f, a, b)
+    value, err, values = pair_application_reference(f, a, b)
     evaluations = kronrod.order
-    heap = [(-err, 0, a, b, value, partial)]
+    heap = [(-err, 0, a, b, value, values)]
     settled = []
     seq = 1
     count = 1
     err_sum = err
     while True:
         while err_sum > tol and count < max_intervals and heap:
-            neg_est, _, ia, ib, ival, partial = heapq.heappop(heap)
+            neg_est, _, ia, ib, ival, values = heapq.heappop(heap)
             est = -neg_est
-            if partial is not None and _extendable(ia, ib):
+            partial = None
+            if values is not None and _extendable(ia, ib):
+                partial = resolve_reference(values, 0.5 * (ib - ia), est)
+            if partial is not None:
                 value, err = extension_reference(f, ia, ib, partial, ival)
                 evaluations += rules.rule.order - kronrod.order
                 heapq.heappush(heap, (-err, seq, ia, ib, value, None))
@@ -445,11 +465,11 @@ def adaptive_integrate_reference(f, a, b, tol, max_intervals=10_000):
                 settled.append((ia, ival, est))
                 continue
             mid = 0.5 * (ia + ib)
-            lv, le, lp = pair_application_reference(f, ia, mid)
-            rv, re, rp = pair_application_reference(f, mid, ib)
+            lv, le, lvalues = pair_application_reference(f, ia, mid)
+            rv, re, rvalues = pair_application_reference(f, mid, ib)
             evaluations += 2 * kronrod.order
-            heapq.heappush(heap, (-le, seq, ia, mid, lv, lp))
-            heapq.heappush(heap, (-re, seq + 1, mid, ib, rv, rp))
+            heapq.heappush(heap, (-le, seq, ia, mid, lv, lvalues))
+            heapq.heappush(heap, (-re, seq + 1, mid, ib, rv, rvalues))
             seq += 2
             count += 1
             err_sum += le + re - est

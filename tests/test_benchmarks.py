@@ -38,6 +38,8 @@ from cpvquad.oracles import (
     pv_split,
 )
 
+from helpers import compiled_kernels
+
 EXPECTED_NAMES = (
     "case1",
     "case2",
@@ -177,6 +179,12 @@ class TestExpressionMirror:
             assert abs(native - mirrored) <= math.ulp(scale), (case.name, x)
 
 
+def _compiled_engine():
+    """The kernels the engine's rules and extension have compiled so far."""
+    rules = _patterson_extension()
+    return compiled_kernels(rules), compiled_kernels(rules.extension)
+
+
 class TestRunBenchmark:
     def test_battery_passes_at_calibration_tolerance(self):
         rows = run_benchmark(tol=CALIBRATION_TOL)
@@ -213,21 +221,20 @@ class TestRunBenchmark:
         solve = benchmarks.cpv_standard
 
         def record(problem):
-            # the rules are built, and the quotient forms' pair and
-            # extension kernels compiled, before any case is timed
-            compiled = (
-                _patterson_extension.cache_info().currsize == 1
-                and {"_difference_kernel", "_symmetric_kernel", "_resolve"}
-                <= vars(_patterson_extension()).keys()
-                and {"difference", "symmetric"}
-                <= _patterson_extension()._extensions.keys()
-            )
-            built.append((kronrod_pair_g10k21.cache_info().currsize, compiled))
+            # the rules are built, and everything the engine compiles for
+            # the battery compiled, before any case is timed
+            built.append((kronrod_pair_g10k21.cache_info().currsize,
+                          _patterson_extension.cache_info().currsize,
+                          _compiled_engine()))
             return solve(problem)
 
         monkeypatch.setattr(benchmarks, "cpv_standard", record)
-        run_benchmark(cases=builtin_problems()[:2])
-        assert built == [(1, True), (1, True)]
+        run_benchmark()
+        after = _compiled_engine()
+        # the battery extends intervals, so the extension kernels are among
+        # what was compiled in advance
+        assert after[1]
+        assert built == [(1, 1, after)] * len(builtin_problems())
 
     def test_case_subset(self):
         rows = run_benchmark(tol=1e-12, cases=[_case("case1")])

@@ -343,6 +343,42 @@ def test_kink_costs_at_most_a_tenth_more_than_the_pair_alone():
     assert result.evaluations <= 786
 
 
+class TestExtensionsBisectedAnywayPinned:
+    """Runs where most extended intervals are bisected all the same, so they
+    cost more than the 10/21 pair alone took.  The costs are pinned as they
+    stand, a baseline for a floor that stops refinement on rounding noise
+    (ROADMAP item 2); a change that lowers them updates the pins."""
+
+    def test_cusped_battery_case(self):
+        # the cusps of |cos(44x)|^1.5 keep the 43-point rule from gaining
+        # on the intervals around them; the pair alone took 17,346
+        case = next(c for c in builtin_problems() if c.name == "case5")
+        result = cpv_standard(CpvProblem(f=case.integrand, tau=case.tau))
+        assert result.converged
+        assert result.evaluations == 20_534
+
+    @pytest.mark.parametrize(
+        "f,tau,a,b,evaluations",
+        [
+            (lambda x: math.sin(280.91631662699507 * x), 10000.04353410371,
+             9999.895952796725, 10000.088404614362, 943_314),
+            (lambda x: math.cos(589.0774146855426 * x), 9999.985428446167,
+             9999.921151396564, 10000.05334677728, 1_001_108),
+            (lambda x: math.cos(391.32975221474175 * x), 9999.881264559299,
+             9999.83344759297, 10000.099784011867, 930_840),
+        ],
+        ids=["sin(280.92x)", "cos(589.08x)", "cos(391.33x)"],
+    )
+    def test_offset_member_at_the_cap(self, f, tau, a, b, evaluations):
+        # members of the ROADMAP F4 seed-11 draw near 1e4: the rounding of
+        # x in the argument puts noise into f above the raised tolerance,
+        # and intervals whose embedded difference is that noise look
+        # resolved; the pair alone took 839,958 on each
+        result = cpv_general(f, tau, a, b)
+        assert "interval_cap" in result.stop_reasons
+        assert result.evaluations == evaluations
+
+
 class TestDecompositionMechanics:
     def test_estimate_equals_budget_total(self):
         result = cpv_standard(CpvProblem(f=math.exp, tau=0.33))

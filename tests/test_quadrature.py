@@ -22,6 +22,7 @@ from cpvquad.quadrature import (
 
 from helpers import (
     apply_rule_reference,
+    compiled_kernels,
     extension_reference,
     gauss_legendre_reference,
     kronrod_g10k21_reference,
@@ -29,6 +30,7 @@ from helpers import (
     make_symmetric_quotient,
     pair_application_reference,
     patterson_k43_reference,
+    resolve_reference,
 )
 
 
@@ -344,18 +346,37 @@ class TestPattersonExtension:
 
     def test_compiled_only_when_first_needed(self):
         # a call that meets the tolerance at its first application compiles
-        # neither the extension kernels nor the deferred decision
+        # neither the extension kernels nor the decision
         quadrature._patterson_extension.cache_clear()
         quadrature.adaptive_integrate(math.exp, 0.0, 1.0, 1e-12)
         rules = quadrature._patterson_extension()
-        assert "_resolve" not in vars(rules)
-        assert not rules._extensions
+        assert compiled_kernels(rules) == {"_kernel"}
+        assert not compiled_kernels(rules.extension)
         quadrature.adaptive_integrate(math.sqrt, 0.0, 1.0, 1e-12)
-        assert "_resolve" in vars(rules)
-        assert list(rules._extensions) == ["plain"]
+        assert compiled_kernels(rules) == {"_kernel", "_resolve"}
+        assert compiled_kernels(rules.extension) == {"_kernel"}
+
+    def test_warm_compiles_what_the_forms_need(self):
+        quadrature._patterson_extension.cache_clear()
+        rules = quadrature._patterson_extension()
+        rules.warm(["difference", "symmetric"])
+        compiled = (compiled_kernels(rules), compiled_kernels(rules.extension))
+        assert compiled[1]
+        # refining both forms, extensions included, compiles nothing more
+        f = lambda x: math.sin(550.0 * x)
+        pieces = (("difference", -1.0, -0.5), ("symmetric", 0.0, 0.5))
+        _, _, evaluations, _ = quadrature.integrate_pieces(
+            f, pieces, 1e-12, tau=0.3, f_tau=f(0.3))
+        # each piece extended an interval: 22 evaluations on top of runs of 21
+        assert all(e % rules.pair.kronrod.order for e in evaluations)
+        assert (compiled_kernels(rules), compiled_kernels(rules.extension)) == compiled
 
     def test_extension_floor_keeps_two_ulps_margin(self):
-        assert quadrature._MIN_EXTENSION_ULPS == 2.0**14
+        # an extended interval is not split, so its floor is half what the
+        # outermost node would need on the halves
+        floor = quadrature._width_floor
+        assert quadrature._MIN_EXTENSION_ULPS == 2.0**13
+        assert floor(quadrature._K43_HALF[0][0]) == 2.0**14
         rule = quadrature._patterson_extension().rule
         # the outermost node lies (1 - node) half-widths from an end
         assert (1.0 - rule.nodes[-1]) * quadrature._MIN_EXTENSION_ULPS / 2.0 >= 2.0
@@ -573,9 +594,9 @@ def _engine_applications(rules):
     """Each form's pair kernel and extension kernel applied to exp on
     [0, 1], where the pair looks resolved."""
     out = []
-    for form, name in quadrature._KERNEL_OF_FORM.items():
-        first, extend = getattr(rules, name), rules._extension(form)
-        tau = 2.0 if form == "difference" else 0.5
+    for name in quadrature._KERNEL_OF_FORM.values():
+        first, extend = getattr(rules, name), getattr(rules.extension, name)
+        tau = 2.0 if name == "_difference_kernel" else 0.5
         value, err, partial = first(math.exp, 0.0, 1.0, tau, 7.0)
         assert partial is not None
         _, _, kept = first(math.exp, 0.0, 1.0, tau, 7.0, True)
@@ -654,13 +675,14 @@ class TestEngineKernels:
     """The engine's kernels: the pair's, which also decides whether the
     interval looks resolved or keeps the values that decide it later, and
     the extension's.  Each form gives the node-by-node reference applied to
-    the quotient closure, bit for bit."""
+    the quotient closure, bit for bit, and both ways of deciding give the
+    reference's decision."""
 
     @pytest.mark.parametrize("form", ["plain", "difference", "symmetric"])
     def test_bit_equal_to_the_reference(self, form):
         rules = quadrature._patterson_extension()
         name = quadrature._KERNEL_OF_FORM[form]
-        first, extend = getattr(rules, name), rules._extension(form)
+        first, extend = getattr(rules, name), getattr(rules.extension, name)
         pair_kernel = getattr(rules.pair, name)
         rng = random.Random(61 + len(form))
         intervals = _kernel_intervals()
@@ -681,18 +703,19 @@ class TestEngineKernels:
                 elif form == "symmetric":
                     tau = rng.choice((0.0, 0.3, -2.5, a))
                     g = make_symmetric_quotient(f, tau)
-                got = _outcome(lambda: first(f, a, b, tau, f_tau))
+                got = _outcome(lambda: first(f, a, b, tau, f_tau, True))
                 assert got == _outcome(lambda: pair_application_reference(g, a, b))
                 if not isinstance(got, str):
                     seen.add(got[0])
                     continue
-                value, err, partial = first(f, a, b, tau, f_tau)
-                # the first application is the pair's own, bit for bit, and
-                # the values it keeps resolve to the partial it returns
+                # the application is the pair's own, bit for bit; the
+                # values it keeps decide later as it decides at once, and
+                # as the reference does
+                value, err, values = first(f, a, b, tau, f_tau, True)
                 assert (value, err) == pair_kernel(f, a, b, tau, f_tau)
-                kept_value, kept_err, kept = first(f, a, b, tau, f_tau, True)
-                assert (kept_value, kept_err) == (value, err)
-                assert repr(rules._resolve(kept, 0.5 * (b - a), err)) == repr(partial)
+                partial = resolve_reference(values, 0.5 * (b - a), err)
+                assert repr(first(f, a, b, tau, f_tau)) == repr((value, err, partial))
+                assert repr(rules._resolve(values, 0.5 * (b - a), err)) == repr(partial)
                 if partial is None or not quadrature._extendable(a, b):
                     seen.add("unresolved" if partial is None else "too narrow")
                     continue
