@@ -20,13 +20,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-import sys
 import time
 from dataclasses import dataclass
 from typing import IO, Optional, Sequence
 
-from .cpv import CpvProblem, CpvResult, cpv_standard
-from .error_model import ErrorBudget
+from .cpv import CpvProblem, cpv_standard
+from .error_model import ErrorBudget, json_number
 from .quadrature import Integrand, _patterson_extension
 
 __all__ = [
@@ -35,8 +34,6 @@ __all__ = [
     "builtin_problems",
     "reference_values",
     "run_benchmark",
-    "rows_pass",
-    "read_csv",
     "write_csv",
     "write_json",
 ]
@@ -249,20 +246,14 @@ def reference_values() -> dict[str, float]:
 
 def run_benchmark(
     tol: float = 1e-12,
-    output: str = "none",
     cases: Optional[Sequence[BenchmarkCase]] = None,
-    stream: Optional[IO[str]] = None,
 ) -> list[BenchmarkRow]:
-    """Run the battery at `tol` and return one row per case.
-
-    `output` selects an optional rendering of the rows to `stream` (stdout
-    by default): "none", "csv" or "json".  Cases run sequentially so the
-    per-case timings do not contend with each other.
+    """Run the battery, or `cases` of it, at `tol` and return one row per
+    case.  Cases run sequentially so the per-case timings do not contend
+    with each other.
     """
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
-    if output not in ("none", "csv", "json"):
-        raise ValueError(f"output must be 'none', 'csv' or 'json', got {output!r}")
     bound_scale = max(1.0, tol / CALIBRATION_TOL)
     # the one-time rule builds, their exactness checks and the compile of
     # what the engine runs on the quotient forms belong to no case
@@ -287,17 +278,7 @@ def run_benchmark(
                 bound=case.error_bound * bound_scale,
             )
         )
-    if output != "none":
-        out = stream if stream is not None else sys.stdout
-        if output == "csv":
-            write_csv(rows, out)
-        else:
-            write_json(rows, out)
     return rows
-
-
-def rows_pass(rows: Sequence[BenchmarkRow]) -> bool:
-    return all(row.passed for row in rows)
 
 
 _CSV_COLUMNS = (
@@ -333,38 +314,19 @@ def _row_object(row: BenchmarkRow) -> dict:
     return {
         "name": row.name,
         "tau": row.tau,
-        "value": row.value,
-        "abs_error": row.abs_error,
-        "error_estimate": row.error_estimate,
+        "value": json_number(row.value),
+        "abs_error": json_number(row.abs_error),
+        "error_estimate": json_number(row.error_estimate),
         "evaluations": row.evaluations,
         "elapsed_seconds": row.elapsed_seconds,
-        "budget": row.budget.as_dict(),
+        "budget": {k: json_number(v) for k, v in row.budget.as_dict().items()},
     }
 
 
 def write_json(rows: Sequence[BenchmarkRow], stream: IO[str]) -> None:
-    """Write rows as a JSON array; floats keep shortest-roundtrip form."""
-    json.dump([_row_object(row) for row in rows], stream, indent=2)
+    """Write rows as a strict JSON array: floats keep shortest-roundtrip
+    form, and a NaN or infinite one (a jump at tau) is written as null."""
+    json.dump([_row_object(row) for row in rows], stream, indent=2,
+              allow_nan=False)
     stream.write("\n")
 
-
-def read_csv(stream: IO[str]) -> list[dict]:
-    """Reparse an emitted CSV into typed dicts (used by round-trip checks)."""
-    reader = csv.reader(stream)
-    header = next(reader)
-    if tuple(header) != _CSV_COLUMNS:
-        raise ValueError(f"unexpected CSV header: {header!r}")
-    out = []
-    for rec in reader:
-        out.append(
-            {
-                "name": rec[0],
-                "tau": float(rec[1]),
-                "value": float(rec[2]),
-                "abs_error": float(rec[3]),
-                "error_estimate": float(rec[4]),
-                "evaluations": int(rec[5]),
-                "elapsed_seconds": float(rec[6]),
-            }
-        )
-    return out

@@ -4,11 +4,12 @@ Exit codes follow the usual convention: 0 for success, 1 when a result was
 computed but failed its quality gate (requested tolerance not met, battery
 bound violated, sweep ratio out of range) or could not be computed because
 the integrand or a quotient of it turned non-finite, 2 for unusable flags,
-an --f expression that does not parse or is nested too deeply included.  A
-result that fails its gate is still printed; a near-endpoint singularity,
-for example, carries an honest error floor far above any requested
-tolerance, and the caller decides what to do with it.  A jump of f at tau
-prints a NaN value with an infinite estimate (null in --json) and exits 1.
+among them an --f expression that does not parse or is nested too deeply
+and an output path that cannot be written.  A result that fails its gate
+is still printed; a near-endpoint singularity, for example, carries an
+honest error floor far above any requested tolerance, and the caller
+decides what to do with it.  A jump of f at tau prints a NaN value with an
+infinite estimate (null in --json) and exits 1.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from typing import Optional, Sequence
 
@@ -24,7 +24,7 @@ from . import __version__
 from .cpv import CpvProblem, CpvResult, cpv_standard
 # unused here, but perfbench/spans.py patches cli.cpv_general by name
 from .cpv import cpv_general  # noqa: F401
-from .error_model import EPS
+from .error_model import EPS, json_number
 from .expressions import ParseError, compile_expression
 from .quadrature import NonfiniteIntegrandError
 
@@ -111,18 +111,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _json_number(v: float) -> Optional[float]:
-    """v itself, or None (JSON null) where v is NaN or infinite."""
-    return v if math.isfinite(v) else None
-
-
 def _print_result(result: CpvResult, as_json: bool) -> None:
     reasons = result.stop_reasons._asdict()
     if as_json:
         obj = {
-            "value": _json_number(result.value),
-            "estimate": _json_number(result.error_estimate),
-            "budget": {k: _json_number(v)
+            "value": json_number(result.value),
+            "estimate": json_number(result.error_estimate),
+            "budget": {k: json_number(v)
                        for k, v in result.budget.as_dict().items()},
             "evaluations": result.evaluations,
             "converged": result.converged,
@@ -170,14 +165,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fp:
-            write_csv(rows, fp)
-        print(f"wrote {len(rows)} rows to {args.csv}")
-    elif args.json:
-        with open(args.json, "w", encoding="utf-8") as fp:
-            write_json(rows, fp)
-        print(f"wrote {len(rows)} rows to {args.json}")
+    if args.csv or args.json:
+        path, write = (args.csv, write_csv) if args.csv else (args.json, write_json)
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as fp:
+                write(rows, fp)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        print(f"wrote {len(rows)} rows to {path}")
     else:
         header = (f"{'name':7s} {'tau':>10s} {'value':>24s} {'abs_error':>12s} "
                   f"{'estimate':>12s} {'evals':>7s} {'seconds':>9s}")
@@ -208,8 +204,12 @@ def _cmd_observation(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fp:
-            write_sweep_csv(report, fp)
+        try:
+            with open(args.csv, "w", encoding="utf-8", newline="") as fp:
+                write_sweep_csv(report, fp)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(f"wrote {len(report.cells)} cells to {args.csv}")
     print(f"cells: {len(report.cells)}  trials per cell: {report.trials_per_cell}")
     checked = [cell for cell in report.cells if cell.m >= 2]

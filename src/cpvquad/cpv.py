@@ -328,14 +328,13 @@ def cpv_general(
     b: float,
     tol: float = 1e-12,
     method: str = "open",
-    mu: Optional[float] = None,
+    mu: float = EPS,
 ) -> CpvResult:
     """Compute a principal value integral over [a, b] from loose arguments.
 
     The same computation as :func:`cpv_standard` on the equivalent
-    :class:`CpvProblem`; ``mu`` defaults to :data:`EPS`, in the units of x.
+    :class:`CpvProblem`; ``mu`` is in the units of x.
     """
     return cpv_standard(CpvProblem(
-        f=f, tau=tau, a=a, b=b, tol=tol, method=method,
-        mu=EPS if mu is None else mu,
+        f=f, tau=tau, a=a, b=b, tol=tol, method=method, mu=mu,
     ))

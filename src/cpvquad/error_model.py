@@ -45,6 +45,15 @@ EPS = 2.0**-53
 _CURVATURE_FACTOR = 8.0
 
 
+def json_number(v: float) -> Optional[float]:
+    """v itself, or None (JSON null) where v is NaN or infinite.
+
+    The JSON output surfaces write numbers through this, with
+    ``allow_nan=False``, so a jump at tau gives strict JSON.
+    """
+    return v if math.isfinite(v) else None
+
+
 @dataclass(frozen=True)
 class ErrorBudget:
     """Additive error budget for one principal value computation.
@@ -311,7 +320,7 @@ def total_error_estimate(
     tau: float,
     eps: float = EPS,
     method: str = "open",
-    mu: Optional[float] = None,
+    mu: float = EPS,
     a: float = -1.0,
     b: float = 1.0,
 ) -> ErrorBudget:
@@ -352,7 +361,6 @@ def total_error_estimate(
     if method != "cutoff":
         cutoff = 0.0
     elif math.isfinite(d1):
-        mu = EPS if mu is None else mu
         cutoff = cutoff_budget(mu / half, d1, eps)
     else:
         cutoff = math.inf

@@ -12,20 +12,18 @@ Grammar (whitespace insignificant, no implicit multiplication):
 '^' is right-associative and binds tighter than unary minus, so -x^2 is
 -(x^2) and 2^3^2 is 2^(3^2).  Functions are sin, cos, tan, exp, log, sqrt,
 abs; constants are pi and e; the only variable is x.  Every identifier is
-resolved at parse time, and `evaluate` and `to_source` walk long sums and
-products and runs of unary minus in a loop, so an Expr that `parse` returns
-never fails to evaluate or print, however long: domain
-violations (log of a nonpositive value, even roots of negative values,
-division by zero) evaluate to NaN, which the quadrature engine then reports
-as a nonfinite integrand at that point.
+resolved at parse time, so an Expr that `parse` returns never fails to
+evaluate: domain violations (log of a nonpositive value, even roots of
+negative values, division by zero) evaluate to NaN, which the quadrature
+engine then reports as a nonfinite integrand at that point.
 
 `compile_expression` turns the validated tree, never the source text, into
 the source of one Python function, compiled once: literals are written as
 the repr of their float, '^' as a call to math.pow, and the tree's
 association is kept with explicit parentheses where Python's precedence
-would differ.  Its floating-point operations and their order are those of
-`evaluate`, so the two agree bit for bit, NaN and signed zero included;
-`evaluate` stays as the reference the tests compare against.  An
+would differ.  It is the package's only evaluator; the tests check it bit
+for bit, NaN and signed zero included, against a tree-walking reference
+that performs the same floating-point operations in the same order.  An
 expression nested deeper than the parser or Python's compiler can follow
 (hundreds of parenthesis levels, unary minus signs or '^' operators, or
 thousands of terms) is refused with ParseError "expression nested too
@@ -35,7 +33,6 @@ deeply".
 from __future__ import annotations
 
 import math
-import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -50,9 +47,7 @@ __all__ = [
     "ParseError",
     "Var",
     "compile_expression",
-    "evaluate",
     "parse",
-    "to_source",
 ]
 
 
@@ -260,54 +255,6 @@ def parse(source: str) -> Expr:
         ) from None
 
 
-_ARITHMETIC: dict[str, Callable[[float, float], float]] = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": operator.truediv,
-}
-
-
-def _eval(expr: Expr, x: float) -> float:
-    """Value of expr at x; runs of unary minus and left-associative chains
-    are walked in a loop, not by recursion, so a long sum costs no stack."""
-    if isinstance(expr, Num):
-        return expr.value
-    if isinstance(expr, Var):
-        return x
-    if isinstance(expr, Const):
-        return _CONSTANTS[expr.name]
-    if isinstance(expr, Call):
-        return _FUNCTIONS[expr.name](_eval(expr.arg, x))
-    if isinstance(expr, Neg):
-        signs = 0
-        while isinstance(expr, Neg):
-            signs += 1
-            expr = expr.operand
-        value = _eval(expr, x)
-        return -value if signs % 2 else value
-    if expr.op == "^":
-        # math.pow keeps '^' real-valued; (-8)^(1/3) is a domain error, not
-        # a complex number
-        return math.pow(_eval(expr.left, x), _eval(expr.right, x))
-    spine = []
-    while isinstance(expr, BinOp) and expr.op != "^":
-        spine.append(expr)
-        expr = expr.left
-    value = _eval(expr, x)
-    for node in reversed(spine):
-        value = _ARITHMETIC[node.op](value, _eval(node.right, x))
-    return value
-
-
-def evaluate(expr: Expr, x: float) -> float:
-    """Evaluate at x with NaN for any domain violation along the way."""
-    try:
-        return _eval(expr, x)
-    except (ValueError, ZeroDivisionError, OverflowError):
-        return math.nan
-
-
 # binding strength of each printable position; higher binds tighter
 _PREC_ADD = 1
 _PREC_MUL = 2
@@ -325,46 +272,6 @@ def _node_prec(expr: Expr) -> int:
     if isinstance(expr, Neg):
         return _PREC_NEG
     return _PREC_ATOM
-
-
-def _render(expr: Expr, min_prec: int) -> str:
-    """Source text of expr, parenthesized below `min_prec`; chains and runs
-    of unary minus are walked in a loop, as in `_python`."""
-    if isinstance(expr, Num):
-        return repr(expr.value)
-    if isinstance(expr, Var):
-        return "x"
-    if isinstance(expr, Const):
-        return expr.name
-    if isinstance(expr, Call):
-        return f"{expr.name}({_render(expr.arg, _PREC_ADD)})"
-    prec = _node_prec(expr)
-    if isinstance(expr, Neg):
-        signs = 0
-        while isinstance(expr, Neg):
-            signs += 1
-            expr = expr.operand
-        text = "-" * signs + _render(expr, _PREC_NEG)
-    elif expr.op == "^":
-        # right-associative: parenthesize any left operand below atom,
-        # let the right operand be a factor (unary minus included)
-        text = f"{_render(expr.left, _PREC_ATOM)}^{_render(expr.right, _PREC_NEG)}"
-    else:
-        # left-associative: the left spine needs no parentheses, a right
-        # operand of the same class does
-        tail = []
-        while isinstance(expr, BinOp) and _OP_PREC[expr.op] == prec:
-            tail.append(f"{expr.op}{_render(expr.right, prec + 1)}")
-            expr = expr.left
-        text = _render(expr, prec) + "".join(reversed(tail))
-    if prec < min_prec:
-        return f"({text})"
-    return text
-
-
-def to_source(expr: Expr) -> str:
-    """Render with the fewest parentheses; reparsing gives an equal tree."""
-    return _render(expr, _PREC_ADD)
 
 
 # The generated function sees only these names.  '^' is math.pow, never
@@ -423,9 +330,10 @@ def _python(expr: Expr, min_prec: int) -> str:
 def compile_expression(source: str) -> Callable[[float], float]:
     """Parse once and return a plain float function of x.
 
-    The function is compiled once from the parsed tree and returns exactly
-    what `evaluate` returns at every x.  Raises ParseError for a syntax
-    error or an expression nested too deeply to compile.
+    The function is compiled once from the parsed tree and returns NaN
+    where the expression leaves the domain of one of its operations.
+    Raises ParseError for a syntax error or an expression nested too deeply
+    to compile.
     """
     expr = parse(source)
     try:

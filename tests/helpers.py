@@ -2,9 +2,30 @@
 
 from __future__ import annotations
 
+import csv
 import math
+import operator
+from typing import IO, Callable
 
 import numpy as np
+
+from cpvquad.benchmarks import _CSV_COLUMNS
+from cpvquad.expressions import (
+    _CONSTANTS,
+    _FUNCTIONS,
+    _OP_PREC,
+    _PREC_ADD,
+    _PREC_ATOM,
+    _PREC_NEG,
+    BinOp,
+    Call,
+    Const,
+    Expr,
+    Neg,
+    Num,
+    Var,
+    _node_prec,
+)
 
 EPS_SINGLE = 2.0**-24
 
@@ -491,3 +512,119 @@ def adaptive_integrate_reference(f, a, b, tol, max_intervals=10_000):
     else:
         reason = "width_floor"
     return AdaptiveResult(total, estimate, evaluations, reason == "tolerance", reason)
+
+
+# Tree-walking references for the expression layer: the function that
+# `compile_expression` returns must match `evaluate` bit for bit, NaN and
+# signed zero included, and `to_source` prints a tree that reparses to an
+# equal one, which the property tests use to feed generated trees to the
+# compiler.
+
+_ARITHMETIC: dict[str, Callable[[float, float], float]] = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+}
+
+
+def _eval(expr: Expr, x: float) -> float:
+    """Value of expr at x; runs of unary minus and left-associative chains
+    are walked in a loop, not by recursion, so a long sum costs no stack."""
+    if isinstance(expr, Num):
+        return expr.value
+    if isinstance(expr, Var):
+        return x
+    if isinstance(expr, Const):
+        return _CONSTANTS[expr.name]
+    if isinstance(expr, Call):
+        return _FUNCTIONS[expr.name](_eval(expr.arg, x))
+    if isinstance(expr, Neg):
+        signs = 0
+        while isinstance(expr, Neg):
+            signs += 1
+            expr = expr.operand
+        value = _eval(expr, x)
+        return -value if signs % 2 else value
+    if expr.op == "^":
+        # math.pow keeps '^' real-valued; (-8)^(1/3) is a domain error, not
+        # a complex number
+        return math.pow(_eval(expr.left, x), _eval(expr.right, x))
+    spine = []
+    while isinstance(expr, BinOp) and expr.op != "^":
+        spine.append(expr)
+        expr = expr.left
+    value = _eval(expr, x)
+    for node in reversed(spine):
+        value = _ARITHMETIC[node.op](value, _eval(node.right, x))
+    return value
+
+
+def evaluate(expr: Expr, x: float) -> float:
+    """Evaluate at x with NaN for any domain violation along the way."""
+    try:
+        return _eval(expr, x)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        return math.nan
+
+
+def _render(expr: Expr, min_prec: int) -> str:
+    """Source text of expr, parenthesized below `min_prec`; chains and runs
+    of unary minus are walked in a loop, as in `expressions._python`."""
+    if isinstance(expr, Num):
+        return repr(expr.value)
+    if isinstance(expr, Var):
+        return "x"
+    if isinstance(expr, Const):
+        return expr.name
+    if isinstance(expr, Call):
+        return f"{expr.name}({_render(expr.arg, _PREC_ADD)})"
+    prec = _node_prec(expr)
+    if isinstance(expr, Neg):
+        signs = 0
+        while isinstance(expr, Neg):
+            signs += 1
+            expr = expr.operand
+        text = "-" * signs + _render(expr, _PREC_NEG)
+    elif expr.op == "^":
+        # right-associative: parenthesize any left operand below atom,
+        # let the right operand be a factor (unary minus included)
+        text = f"{_render(expr.left, _PREC_ATOM)}^{_render(expr.right, _PREC_NEG)}"
+    else:
+        # left-associative: the left spine needs no parentheses, a right
+        # operand of the same class does
+        tail = []
+        while isinstance(expr, BinOp) and _OP_PREC[expr.op] == prec:
+            tail.append(f"{expr.op}{_render(expr.right, prec + 1)}")
+            expr = expr.left
+        text = _render(expr, prec) + "".join(reversed(tail))
+    if prec < min_prec:
+        return f"({text})"
+    return text
+
+
+def to_source(expr: Expr) -> str:
+    """Render with the fewest parentheses; reparsing gives an equal tree."""
+    return _render(expr, _PREC_ADD)
+
+
+def read_csv(stream: IO[str]) -> list[dict]:
+    """Reparse a CSV that `benchmarks.write_csv` emitted into typed dicts."""
+    reader = csv.reader(stream)
+    header = next(reader)
+    if tuple(header) != _CSV_COLUMNS:
+        raise ValueError(f"unexpected CSV header: {header!r}")
+    out = []
+    for rec in reader:
+        out.append(
+            {
+                "name": rec[0],
+                "tau": float(rec[1]),
+                "value": float(rec[2]),
+                "abs_error": float(rec[3]),
+                "error_estimate": float(rec[4]),
+                "evaluations": int(rec[5]),
+                "elapsed_seconds": float(rec[6]),
+            }
+        )
+    return out

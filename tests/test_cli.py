@@ -10,8 +10,9 @@ import pytest
 
 import cpvquad
 from cpvquad import cli
-from cpvquad.benchmarks import read_csv
 from cpvquad.cli import main
+
+from helpers import read_csv
 
 
 def _extract(out: str, key: str) -> float:
@@ -296,6 +297,15 @@ class TestBench:
         capsys.readouterr()
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--csv", "--json"])
+    def test_unwritable_path_is_usage_error(self, capsys, tmp_path, flag):
+        target = tmp_path / "missing" / "rows.out"
+        code = main(["bench", flag, str(target)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert not target.exists()
+
     def test_bad_tolerance(self, capsys):
         code = main(["bench", "--tol", "0"])
         captured = capsys.readouterr()
@@ -353,6 +363,19 @@ class TestObservation:
         lines = target.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "m,n,trials,max_ratio,witness_seed"
         assert len(lines) == 5
+
+    def test_unwritable_path_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "cells.csv"
+        code = main(
+            [
+                "observation", "--m-min", "2", "--m-max", "2",
+                "--n-max", "1", "--trials", "2", "--csv", str(target),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert not target.exists()
 
     def test_bad_trials(self, capsys):
         code = main(["observation", "--trials", "0"])

@@ -1,4 +1,9 @@
-"""Tests for the integrand expression parser, evaluator and printer."""
+"""Tests for the integrand expression parser and compiler.
+
+`evaluate` and `to_source` are the tree-walking references in helpers.py:
+the compiled function must match the first bit for bit, and the second
+prints generated trees back to source that must reparse to the same tree.
+"""
 
 import dataclasses
 import math
@@ -16,10 +21,10 @@ from cpvquad.expressions import (
     ParseError,
     Var,
     compile_expression,
-    evaluate,
     parse,
-    to_source,
 )
+
+from helpers import evaluate, to_source
 
 
 def ev(source: str, x: float = 0.0) -> float:
