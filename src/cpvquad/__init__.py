@@ -36,7 +36,6 @@ from .quadrature import (
     QuadratureRule,
     SumOverflowError,
     adaptive_integrate,
-    apply_rule,
     gauss_legendre_rule,
     kronrod_pair_g7k15,
     kronrod_pair_g10k21,
@@ -56,7 +55,6 @@ __all__ = [
     "QuotientOverflowError",
     "SumOverflowError",
     "adaptive_integrate",
-    "apply_rule",
     "cpv_general",
     "cpv_standard",
     "curvature_sensitivity",

@@ -319,7 +319,7 @@ def _row_object(row: BenchmarkRow) -> dict:
         "error_estimate": json_number(row.error_estimate),
         "evaluations": row.evaluations,
         "elapsed_seconds": row.elapsed_seconds,
-        "budget": {k: json_number(v) for k, v in row.budget.as_dict().items()},
+        "budget": row.budget.as_json_dict(),
     }
 
 

@@ -15,6 +15,7 @@ infinite estimate (null in --json) and exits 1.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -117,8 +118,7 @@ def _print_result(result: CpvResult, as_json: bool) -> None:
         obj = {
             "value": json_number(result.value),
             "estimate": json_number(result.error_estimate),
-            "budget": {k: json_number(v)
-                       for k, v in result.budget.as_dict().items()},
+            "budget": result.budget.as_json_dict(),
             "evaluations": result.evaluations,
             "converged": result.converged,
             "stop_reasons": reasons,
@@ -130,6 +130,17 @@ def _print_result(result: CpvResult, as_json: bool) -> None:
         print(f"evaluations = {result.evaluations}")
         print("stop_reasons = "
               + " ".join(f"{k}:{v}" for k, v in reasons.items()))
+
+
+def _opened(path: Optional[str]):
+    """`path` opened for writing, or a null context for no path.
+
+    The commands open their output before they run, so an unusable path
+    fails at once instead of after the whole run.
+    """
+    if path is None:
+        return contextlib.nullcontext()
+    return open(path, "w", encoding="utf-8", newline="")
 
 
 def _cmd_integrate(args: argparse.Namespace) -> int:
@@ -160,19 +171,16 @@ def _cmd_integrate(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     from .benchmarks import run_benchmark, write_csv, write_json
 
+    path = args.csv or args.json
     try:
-        rows = run_benchmark(tol=args.tol)
-    except ValueError as exc:
+        with _opened(path) as fp:
+            rows = run_benchmark(tol=args.tol)
+            if path:
+                (write_csv if args.csv else write_json)(rows, fp)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.csv or args.json:
-        path, write = (args.csv, write_csv) if args.csv else (args.json, write_json)
-        try:
-            with open(path, "w", encoding="utf-8", newline="") as fp:
-                write(rows, fp)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    if path:
         print(f"wrote {len(rows)} rows to {path}")
     else:
         header = (f"{'name':7s} {'tau':>10s} {'value':>24s} {'abs_error':>12s} "
@@ -194,22 +202,19 @@ def _cmd_observation(args: argparse.Namespace) -> int:
     from .logbound import boundary_case, sweep, write_sweep_csv
 
     try:
-        report = sweep(
-            range(args.m_min, args.m_max + 1),
-            range(1, args.n_max + 1),
-            args.trials,
-            args.seed,
-        )
-    except ValueError as exc:
+        with _opened(args.csv) as fp:
+            report = sweep(
+                range(args.m_min, args.m_max + 1),
+                range(1, args.n_max + 1),
+                args.trials,
+                args.seed,
+            )
+            if args.csv:
+                write_sweep_csv(report, fp)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.csv:
-        try:
-            with open(args.csv, "w", encoding="utf-8", newline="") as fp:
-                write_sweep_csv(report, fp)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
         print(f"wrote {len(report.cells)} cells to {args.csv}")
     print(f"cells: {len(report.cells)}  trials per cell: {report.trials_per_cell}")
     checked = [cell for cell in report.cells if cell.m >= 2]

@@ -26,6 +26,7 @@ from .quadrature import Integrand, NonfiniteIntegrandError
 __all__ = [
     "EPS",
     "ErrorBudget",
+    "json_number",
     "DerivativeEstimates",
     "endpoint_distance",
     "symmetric_quotient_roundoff",
@@ -100,6 +101,11 @@ class ErrorBudget:
     def as_dict(self) -> dict[str, float]:
         """The seven terms by field name, in field order."""
         return asdict(self)
+
+    def as_json_dict(self) -> dict[str, Optional[float]]:
+        """:meth:`as_dict` with each term through :func:`json_number`: the
+        budget as every JSON output writes it."""
+        return {k: json_number(v) for k, v in self.as_dict().items()}
 
 
 @dataclass(frozen=True)

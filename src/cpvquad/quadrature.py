@@ -16,18 +16,18 @@ checked against its polynomial exactness degrees the first time it is
 requested, so a corrupted transcription cannot go unnoticed.  The engine
 applies the 10/21 pair, QUADPACK's QK21, and extends an interval that looks
 resolved to Patterson's 43-point rule, the next rule of QUADPACK's QNG,
-whose 22 new nodes reuse the pair's 21 values.  The 7/15 pair stays
-available to :func:`apply_rule`.
+whose 22 new nodes reuse the pair's 21 values.  The engine applies neither
+the 7/15 pair nor the Gauss-Legendre rules; the latter check the embedded
+Gauss nodes of each pair.
 
-Each rule is applied through a rule kernel: one straight-line Python
-function emitted from that rule's nodes and weights and compiled the first
-time the rule is applied, so for a Kronrod pair only after its exactness
-check has passed.  A kernel applies the rule to f, to its difference
-quotient or to its symmetric quotient about tau, with the quotient written
-into each node's line; each form is compiled once per rule and belongs to
-the rule object.  It calls f in ascending node order and adds the weighted
-values in that order, the same arithmetic as a loop over the nodes, bit for
-bit, without the loop.
+The engine applies its rules through kernels: straight-line Python
+functions emitted from the nodes and weights and compiled the first time
+the engine needs them, after the exactness checks have passed.  A kernel
+applies a rule to f, to its difference quotient or to its symmetric
+quotient about tau, with the quotient written into each node's line; each
+form is compiled once and belongs to the engine's rule object.  It calls f
+in ascending node order and adds the weighted values in that order, the
+same arithmetic as a loop over the nodes, bit for bit, without the loop.
 
 The adaptive integrator keeps one priority queue over the intervals of one
 or several pieces, as QUADPACK's QAG does for one integral (there is no
@@ -46,7 +46,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 __all__ = [
     "Integrand",
@@ -58,7 +58,6 @@ __all__ = [
     "gauss_legendre_rule",
     "kronrod_pair_g7k15",
     "kronrod_pair_g10k21",
-    "apply_rule",
     "adaptive_integrate",
     "integrate_pieces",
 ]
@@ -123,10 +122,8 @@ _KERNEL_OF_FORM = {
 
 
 class _CompiledOnUse:
-    """Compiles a rule's kernels on first use, one per form, through its
-    ``_compile(form)``, and keeps them, like every cached property, out of
-    its pickled state: a function built by ``exec`` cannot be pickled.
-    """
+    """Compiles an engine rule's kernels on first use, one per form,
+    through its ``_compile(form)``."""
 
     @cached_property
     def _kernel(self):
@@ -140,17 +137,9 @@ class _CompiledOnUse:
     def _symmetric_kernel(self):
         return self._compile("symmetric")
 
-    def __getstate__(self):
-        compiled = [name for name in self.__dict__
-                    if isinstance(getattr(type(self), name, None), cached_property)]
-        state = self.__dict__.copy()
-        for name in compiled:
-            del state[name]
-        return state
-
 
 @dataclass(frozen=True)
-class QuadratureRule(_CompiledOnUse):
+class QuadratureRule:
     """An interpolatory rule on (-1, 1): strictly interior nodes, ascending."""
 
     nodes: tuple[float, ...]
@@ -174,13 +163,9 @@ class QuadratureRule(_CompiledOnUse):
         if abs(math.fsum(self.weights) - 2.0) > 1e-14:
             raise ValueError("weights must sum to the interval length 2")
 
-    def _compile(self, form: str):
-        """Kernels of this rule return its value."""
-        return _compile_kernel(self, form=form)
-
 
 @dataclass(frozen=True)
-class EmbeddedRulePair(_CompiledOnUse):
+class EmbeddedRulePair:
     """A Kronrod rule plus the weights of its embedded Gauss rule.
 
     ``gauss_weights`` is aligned index-by-index with ``kronrod.nodes``; the
@@ -193,10 +178,6 @@ class EmbeddedRulePair(_CompiledOnUse):
     def __post_init__(self):
         if len(self.gauss_weights) != self.kronrod.order:
             raise ValueError("embedded weights are not aligned with the nodes")
-
-    def _compile(self, form: str):
-        """Kernels of the pair return ``(value, |value - gauss value|)``."""
-        return _compile_kernel(self.kronrod, self.gauss_weights, form)
 
 
 @dataclass(frozen=True)
@@ -440,11 +421,10 @@ class _PattersonExtension(_CompiledOnUse):
     """The 10/21 pair, Patterson's 43-point rule, which nests it, and the 22
     nodes the 43-point rule adds.
 
-    Each form's kernel applies the pair like the pair's own kernel and
-    returns ``(value, |value - gauss value|, partial)``: partial is the
-    43-point rule's weighted sum over the 21 Kronrod nodes when the interval
-    looks resolved (see ``_RESOLVED``), else None, and costs no further work
-    then.  Called with ``keep=True`` it returns the 21 values in place of
+    Each form's kernel applies the pair and returns ``(value,
+    |value - gauss value|, partial)``: partial is the 43-point rule's
+    weighted sum over the 21 Kronrod nodes when the interval looks resolved
+    (see ``_RESOLVED``), else None, and costs no further work then.  Called with ``keep=True`` it returns the 21 values in place of
     partial, and ``_resolve(values, half, err)`` gives partial from them
     later, bit for bit, when the interval is picked.  A piece's first
     application keeps its values, as most are never picked; a bisection's
@@ -468,8 +448,7 @@ class _PattersonExtension(_CompiledOnUse):
         return _compile_resolve(self.pair.kronrod, self._partial_weights)
 
     def _compile(self, form: str):
-        return _compile_kernel(self.pair.kronrod, self.pair.gauss_weights, form,
-                               self._partial_weights)
+        return _compile_kernel(self.pair, self._partial_weights, form)
 
     def warm(self, forms) -> None:
         """Compile everything the engine may run on pieces of `forms`."""
@@ -622,45 +601,38 @@ def _finite_check(n: int) -> list[str]:
             f"        _raise_first_nonfinite(nodes, ({_values(n)},), a, b)"]
 
 
-def _compile_kernel(rule: QuadratureRule, gauss_weights=None, form: str = "plain",
-                    partial_weights=None):
-    """Emit one straight-line function applying `rule` to a form of f on [a, b].
+def _compile_kernel(pair: EmbeddedRulePair, partial_weights, form: str):
+    """Emit one straight-line function applying `pair` to a form of f on
+    [a, b].
 
     Nodes and weights are written as ``repr`` literals, which round-trip
     exactly.  Each node's value is the form's term at the mapped node t,
     the quotient functions' arithmetic operation for operation, with f
-    called in ascending node order.  Each weighted sum
-    starts at 0.0 and adds ``w * v`` in that same order, so the result is the
-    one a loop over the nodes gives, bit for bit.  Without ``gauss_weights``
-    the function returns the rule's value; with them it returns
-    ``(value, |value - gauss value|)``, the Gauss sum skipping zero weights.
-    With ``partial_weights`` as well, a third entry is their weighted sum
-    when the difference is at most ``_RESOLVED`` times resasc, computed as
-    QUADPACK's QK21 does, and None otherwise; or, when the kernel is called
-    with ``keep=True``, the tuple of node values that decides it later (see
+    called in ascending node order.  Each weighted sum starts at 0.0 and
+    adds ``w * v`` in that same order, so the result is the one a loop over
+    the nodes gives, bit for bit.  The function returns ``(value,
+    |value - gauss value|, partial)``, the Gauss sum skipping zero weights:
+    partial is the sum of ``partial_weights`` times the values when the
+    difference is at most ``_RESOLVED`` times resasc, computed as QUADPACK's
+    QK21 does, and None otherwise; or, when the kernel is called with
+    ``keep=True``, the tuple of node values that decides it later (see
     :func:`_compile_resolve`).
     One finiteness test on the Kronrod value stands for a test per value:
     every weight is positive, so a NaN or infinite value always spoils it.
     The same test catches a sum that overflowed from finite values.
     """
+    rule = pair.kronrod
     n = rule.order
-    keep = ", keep=False" if partial_weights is not None else ""
-    lines = [f"def kernel(f, a, b, tau=0.0, f_tau=0.0{keep}):"]
+    lines = ["def kernel(f, a, b, tau=0.0, f_tau=0.0, keep=False):"]
     lines += _node_lines(rule.nodes, form)
     lines.append(f"    sum_k = {_weighted(rule.weights)}")
     lines.append("    value = sum_k * half")
     lines += _finite_check(n)
-    if gauss_weights is None:
-        lines.append("    return value")
-        return _exec_kernel(lines, rule.nodes, f"{form} rule kernel, {n} points")
-    lines.append(f"    sum_g = {_weighted(gauss_weights)}")
+    lines.append(f"    sum_g = {_weighted(pair.gauss_weights)}")
     lines.append("    err = abs(value - sum_g * half)")
-    if partial_weights is None:
-        lines.append("    return value, err")
-    else:
-        lines.append("    if keep:")
-        lines.append(f"        return value, err, ({_values(n)})")
-        lines += _resolved_lines(rule.weights, partial_weights, "value, err, {}")
+    lines.append("    if keep:")
+    lines.append(f"        return value, err, ({_values(n)})")
+    lines += _resolved_lines(rule.weights, partial_weights, "value, err, {}")
     return _exec_kernel(lines, rule.nodes, f"{form} rule kernel, {n} points")
 
 
@@ -705,24 +677,6 @@ def _compile_extension(nodes, weights, form: str):
     lines += _finite_check(len(nodes))
     lines.append("    return value, abs(value - old)")
     return _exec_kernel(lines, nodes, f"{form} extension kernel, {len(nodes)} points")
-
-
-def apply_rule(
-    rule: Union[QuadratureRule, EmbeddedRulePair], f: Integrand, a: float, b: float
-):
-    """Apply a rule to f on [a, b] after the affine map from (-1, 1).
-
-    For a plain ``QuadratureRule`` the weighted sum is returned as a float.
-    For an ``EmbeddedRulePair`` the return value is the tuple
-    ``(kronrod value, |kronrod - gauss|)``; the second entry is the embedded
-    error difference used by the adaptive driver.  Mapped nodes stay strictly
-    inside (a, b); f is never called at an endpoint.
-    """
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("interval endpoints must be finite")
-    if not a < b:
-        raise ValueError(f"need a < b, got [{a!r}, {b!r}]")
-    return rule._kernel(f, a, b)
 
 
 def _splittable(a: float, b: float) -> bool:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import math
 import operator
+from functools import cached_property
 from typing import IO, Callable
 
 import numpy as np
@@ -330,9 +331,10 @@ def patterson_k43_reference():
 
 
 def compiled_kernels(obj) -> set:
-    """The names of the kernels a rule object has compiled so far: what its
-    pickled state leaves out."""
-    return vars(obj).keys() - obj.__getstate__().keys()
+    """The names of the kernels an engine rule object has compiled so far:
+    the cached properties it holds."""
+    return {name for name in vars(obj)
+            if isinstance(getattr(type(obj), name, None), cached_property)}
 
 
 def pair_application_reference(f, a, b):

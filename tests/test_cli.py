@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 import cpvquad
+import cpvquad.benchmarks
+import cpvquad.logbound
 from cpvquad import cli
 from cpvquad.cli import main
 
@@ -20,6 +22,10 @@ def _extract(out: str, key: str) -> float:
         if line.startswith(f"{key} = "):
             return float(line.split(" = ", 1)[1])
     raise AssertionError(f"no '{key}' line in output:\n{out}")
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("ran before its output path was opened")
 
 
 class TestIntegrate:
@@ -298,7 +304,10 @@ class TestBench:
         assert code == 2
 
     @pytest.mark.parametrize("flag", ["--csv", "--json"])
-    def test_unwritable_path_is_usage_error(self, capsys, tmp_path, flag):
+    def test_unwritable_path_is_usage_error(self, capsys, tmp_path, flag,
+                                             monkeypatch):
+        # the path is opened before the battery runs
+        monkeypatch.setattr(cpvquad.benchmarks, "run_benchmark", _never_called)
         target = tmp_path / "missing" / "rows.out"
         code = main(["bench", flag, str(target)])
         captured = capsys.readouterr()
@@ -311,6 +320,15 @@ class TestBench:
         captured = capsys.readouterr()
         assert code == 2
         assert "error:" in captured.err
+
+    def test_bad_tolerance_with_output_path(self, capsys, tmp_path):
+        # the path opens first; the run's own usage error still exits 2
+        target = tmp_path / "rows.csv"
+        code = main(["bench", "--tol", "0", "--csv", str(target)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: tolerance")
+        assert "wrote" not in captured.out
 
 
 class TestObservation:
@@ -364,7 +382,9 @@ class TestObservation:
         assert lines[0] == "m,n,trials,max_ratio,witness_seed"
         assert len(lines) == 5
 
-    def test_unwritable_path_is_usage_error(self, capsys, tmp_path):
+    def test_unwritable_path_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        # the path is opened before the sweep runs
+        monkeypatch.setattr(cpvquad.logbound, "sweep", _never_called)
         target = tmp_path / "missing" / "cells.csv"
         code = main(
             [
@@ -382,6 +402,14 @@ class TestObservation:
         captured = capsys.readouterr()
         assert code == 2
         assert "error:" in captured.err
+
+    def test_bad_trials_with_output_path(self, capsys, tmp_path):
+        target = tmp_path / "cells.csv"
+        code = main(["observation", "--trials", "0", "--csv", str(target)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert "wrote" not in captured.out
 
 
 class TestTopLevel:

@@ -14,6 +14,7 @@ from cpvquad.error_model import (
     curvature_sensitivity,
     derivative_estimates,
     difference_quotient_roundoff,
+    json_number,
     jump_at_tau,
     log_term_sensitivity,
     symmetric_quotient_roundoff,
@@ -462,6 +463,19 @@ class TestTotalErrorEstimate:
             ("curvature_sensitivity", 6.0),
             ("cutoff", 7.0),
         ]
+
+    def test_as_json_dict_writes_nonfinite_terms_as_null(self):
+        budget = ErrorBudget(1.0, math.inf, 3.0, math.nan, 5.0, 6.0, 0.0)
+        json_terms = budget.as_json_dict()
+        assert list(json_terms) == list(budget.as_dict())
+        assert list(json_terms.values()) == [1.0, None, 3.0, None, 5.0, 6.0, 0.0]
+
+    @pytest.mark.parametrize("v,expected", [
+        (math.nan, None), (math.inf, None), (-math.inf, None),
+        (-2.5, -2.5), (1.7976931348623157e308, 1.7976931348623157e308),
+    ])
+    def test_json_number(self, v, expected):
+        assert json_number(v) == expected
 
 
 class TestSinglePrecisionValidation:

@@ -14,7 +14,6 @@ from cpvquad.quadrature import (
     EmbeddedRulePair,
     NonfiniteIntegrandError,
     QuadratureRule,
-    apply_rule,
     gauss_legendre_rule,
     kronrod_pair_g7k15,
     kronrod_pair_g10k21,
@@ -35,7 +34,7 @@ from helpers import (
 
 
 def exactness_error(rule, k: int, a: float = -1.0, b: float = 1.0) -> float:
-    value = apply_rule(rule, lambda x: x**k, a, b)
+    value = apply_rule_reference(rule, lambda x: x**k, a, b)
     exact = (b ** (k + 1) - a ** (k + 1)) / (k + 1)
     return abs(value - exact) / max(1.0, abs(exact))
 
@@ -182,17 +181,17 @@ class TestKronrodPair:
 
     def test_x_squared_on_reference_interval(self):
         pair = kronrod_pair_g7k15()
-        value = apply_rule(pair.kronrod, lambda x: x * x, -1.0, 1.0)
+        value = apply_rule_reference(pair.kronrod, lambda x: x * x, -1.0, 1.0)
         assert abs(value - 2.0 / 3.0) <= 1e-15
 
     def test_x_to_22_on_reference_interval(self):
         pair = kronrod_pair_g7k15()
-        value = apply_rule(pair.kronrod, lambda x: x**22, -1.0, 1.0)
+        value = apply_rule_reference(pair.kronrod, lambda x: x**22, -1.0, 1.0)
         assert abs(value - 2.0 / 23.0) <= 1e-13
 
     def test_embedded_error_on_exponential(self):
         pair = kronrod_pair_g7k15()
-        _, err = apply_rule(pair, math.exp, -1.0, 1.0)
+        _, err = apply_rule_reference(pair, math.exp, -1.0, 1.0)
         assert err <= 1e-12
 
     def test_cached(self):
@@ -272,6 +271,7 @@ class TestKronrodPairG10K21:
         # nearest mapped node; with the 7/15 pair's floor of 1,024 ulps the
         # outermost 10/21 nodes land next to the ends
         pair = kronrod_pair_g10k21()
+        kernel = quadrature._patterson_extension()._kernel
         for a, b in _split_halves():
             mid = 0.5 * (a + b)
             half = 0.5 * (b - a)
@@ -279,7 +279,7 @@ class TestKronrodPairG10K21:
             last = mid + half * pair.kronrod.nodes[-1]
             assert a < math.nextafter(first, a), (a, b)
             assert math.nextafter(last, b) < b, (a, b)
-            assert apply_rule(pair, math.sin, a, b) == apply_rule_reference(
+            assert kernel(math.sin, a, b)[:2] == apply_rule_reference(
                 pair, math.sin, a, b
             )
 
@@ -396,13 +396,17 @@ class TestPattersonExtension:
 
 
 class TestApplyRule:
+    """Rules applied on mapped intervals through the per-node reference, and
+    a non-finite value through the engine's kernel."""
+
     def test_constant_over_stretched_interval(self):
-        value = apply_rule(gauss_legendre_rule(7), lambda x: 1.0, 0.0, 3.0)
+        value = apply_rule_reference(
+            gauss_legendre_rule(7), lambda x: 1.0, 0.0, 3.0)
         assert abs(value - 3.0) <= 1e-14
 
     def test_odd_function_cancels_exactly(self):
         pair = kronrod_pair_g7k15()
-        value = apply_rule(pair.kronrod, lambda x: x, -1.0, 1.0)
+        value = apply_rule_reference(pair.kronrod, lambda x: x, -1.0, 1.0)
         assert abs(value) <= 1e-16
 
     def test_pair_on_reciprocal(self):
@@ -411,34 +415,26 @@ class TestApplyRule:
         # value itself is at machine precision and the estimate covers the
         # true error comfortably
         pair = kronrod_pair_g7k15()
-        value, err = apply_rule(pair, lambda x: 1.0 / x, 0.5, 1.0)
+        value, err = apply_rule_reference(pair, lambda x: 1.0 / x, 0.5, 1.0)
         true_error = abs(value - math.log(2.0))
         assert true_error <= 1e-14
         assert err <= 1e-10
         assert true_error <= err
 
     def test_degree_13_exact_after_affine_map(self):
-        value = apply_rule(gauss_legendre_rule(7), lambda x: x**13, 2.0, 5.0)
+        value = apply_rule_reference(
+            gauss_legendre_rule(7), lambda x: x**13, 2.0, 5.0)
         exact = (5.0**14 - 2.0**14) / 14.0
         assert abs(value - exact) / exact <= 1e-12
 
-    def test_requires_increasing_finite_interval(self):
-        rule = gauss_legendre_rule(3)
-        with pytest.raises(ValueError):
-            apply_rule(rule, math.exp, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            apply_rule(rule, math.exp, 2.0, 1.0)
-        with pytest.raises(ValueError):
-            apply_rule(rule, math.exp, 0.0, math.inf)
-
     def test_nonfinite_integrand_reports_abscissa(self):
-        pair = kronrod_pair_g7k15()
+        kernel = quadrature._patterson_extension()._kernel
 
         def bad(x):
             return math.inf if abs(x) < 0.1 else 1.0
 
         with pytest.raises(NonfiniteIntegrandError) as excinfo:
-            apply_rule(pair, bad, -1.0, 1.0)
+            kernel(bad, -1.0, 1.0)
         assert abs(excinfo.value.x) < 0.1
 
     def test_pair_type_carries_aligned_gauss_weights(self):
@@ -541,68 +537,59 @@ def _seed(m) -> int:
     return 0 if m is None else 21 if m == "g10k21" else m
 
 
+def _deciding_reference(f, a, b):
+    """The engine's pair kernel deciding at once, one node at a time:
+    ``(value, |value - gauss value|, partial)``."""
+    value, err, values = pair_application_reference(f, a, b)
+    return value, err, resolve_reference(values, 0.5 * (b - a), err)
+
+
 class TestRuleKernel:
-    @pytest.mark.parametrize("m", [None, "g10k21", 1, 2, 7, 15, 100])
+    """The engine's kernels belong to its rule object; the rules themselves
+    are plain data."""
+
+    # the engine's pair is the one rule that has kernels
+    @pytest.mark.parametrize("m", ["g10k21"])
     def test_bit_equal_to_the_per_node_loop(self, m):
+        kernel = quadrature._patterson_extension()._kernel
         rule = _rule(m)
         rng = random.Random(_seed(m))
-        values = 0
-        total = 0
         for a, b in _kernel_intervals():
             for f in _kernel_integrands(a, b, rng):
-                got = _outcome(lambda: apply_rule(rule, f, a, b))
-                want = _outcome(lambda: apply_rule_reference(rule, f, a, b))
-                assert got == want, (m, a, b)
-                values += isinstance(got, str)
-                total += 1
-        # every outcome is a value, except that the outermost nodes of the
-        # 100-point rule round onto an endpoint of the narrowest intervals
-        assert values == total or (m == 100 and values >= 0.5 * total)
+                got = _outcome(lambda: kernel(f, a, b)[:2])
+                assert got == _outcome(lambda: apply_rule_reference(rule, f, a, b))
+                assert isinstance(got, str), (a, b)
 
     @pytest.mark.parametrize("m", [None, "g10k21", 7])
     def test_applied_rule_pickles(self, m):
         rule = _rule(m)
-        before = apply_rule(rule, math.exp, 0.0, 1.0)
-        quotients = (rule._difference_kernel(math.exp, 0.0, 1.0, 2.0, 7.0),
-                     rule._symmetric_kernel(math.exp, 0.0, 1.0, 0.5))
+        quadrature.adaptive_integrate(math.sqrt, 0.0, 1.0, 1e-12)
         copy = pickle.loads(pickle.dumps(rule))
         assert copy == rule
-        assert apply_rule(copy, math.exp, 0.0, 1.0) == before
-        assert (copy._difference_kernel(math.exp, 0.0, 1.0, 2.0, 7.0),
-                copy._symmetric_kernel(math.exp, 0.0, 1.0, 0.5)) == quotients
-        if m == "g10k21":
-            # the engine's pair and extension kernels, every form
-            rules = quadrature._patterson_extension()
-            applied = _engine_applications(rules)
-            copy = pickle.loads(pickle.dumps(rules))
-            assert copy == rules
-            assert _engine_applications(copy) == applied
+        assert (apply_rule_reference(copy, math.exp, 0.0, 1.0)
+                == apply_rule_reference(rule, math.exp, 0.0, 1.0))
+
+    @pytest.mark.parametrize("m", [None, "g10k21", 7])
+    def test_public_rules_hold_no_kernels(self, m):
+        # the engine compiles its own kernels; a public rule it has run on
+        # keeps only its fields
+        rule = _rule(m)
+        quadrature.adaptive_integrate(math.sqrt, 0.0, 1.0, 1e-12)
+        for obj in (rule, getattr(rule, "kronrod", rule)):
+            assert vars(obj).keys() == obj.__dataclass_fields__.keys()
+            assert not hasattr(obj, "_kernel")
 
     def test_kernel_belongs_to_the_rule(self):
-        pair = kronrod_pair_g7k15()
-        assert pair._kernel is pair._kernel
-        kronrod_pair_g7k15.cache_clear()
+        build = quadrature._patterson_extension
+        rules = build()
+        assert rules._kernel is rules._kernel
+        build.cache_clear()
         try:
-            rebuilt = kronrod_pair_g7k15()
-            assert rebuilt is not pair
-            assert rebuilt._kernel is not pair._kernel
+            rebuilt = build()
+            assert rebuilt is not rules
+            assert rebuilt._kernel is not rules._kernel
         finally:
-            kronrod_pair_g7k15.cache_clear()
-
-
-def _engine_applications(rules):
-    """Each form's pair kernel and extension kernel applied to exp on
-    [0, 1], where the pair looks resolved."""
-    out = []
-    for name in quadrature._KERNEL_OF_FORM.values():
-        first, extend = getattr(rules, name), getattr(rules.extension, name)
-        tau = 2.0 if name == "_difference_kernel" else 0.5
-        value, err, partial = first(math.exp, 0.0, 1.0, tau, 7.0)
-        assert partial is not None
-        _, _, kept = first(math.exp, 0.0, 1.0, tau, 7.0, True)
-        out.append((value, err, partial, rules._resolve(kept, 0.5, err),
-                    extend(math.exp, 0.0, 1.0, tau, 7.0, partial, value)))
-    return out
+            build.cache_clear()
 
 
 def _quotient_integrands(a, b, rng):
@@ -616,12 +603,12 @@ def _quotient_integrands(a, b, rng):
 
 
 class TestQuotientKernels:
-    """The fused kernels give the plain kernel applied to the quotient
-    functions, whose own per-node loop equality is checked above."""
+    """The engine's fused kernels, deciding at once, give the per-node
+    reference applied to the quotient closures, bit for bit."""
 
-    @pytest.mark.parametrize("m", [None, "g10k21", 1, 7, 100])
+    @pytest.mark.parametrize("m", ["g10k21"])
     def test_difference_kernel_bit_equal_to_the_closure(self, m):
-        rule = _rule(m)
+        kernel = quadrature._patterson_extension()._difference_kernel
         rng = random.Random(31 + _seed(m))
         outcomes = set()
         for a, b in _kernel_intervals():
@@ -636,39 +623,35 @@ class TestQuotientKernels:
                 if not math.isfinite(f_tau):
                     continue
                 g = make_difference_quotient(f, tau, f_tau)
-                got = _outcome(
-                    lambda: rule._difference_kernel(f, a, b, tau, f_tau))
-                want = _outcome(lambda: apply_rule(rule, g, a, b))
+                got = _outcome(lambda: kernel(f, a, b, tau, f_tau))
+                want = _outcome(lambda: _deciding_reference(g, a, b))
                 assert got == want, (m, a, b, tau)
                 outcomes.add(got[0] if isinstance(got, tuple) else "value")
-        assert {"value", "NonfiniteIntegrandError"} <= outcomes
-        if isinstance(rule, EmbeddedRulePair):
-            assert "SumOverflowError" in outcomes
+        assert {"value", "NonfiniteIntegrandError", "SumOverflowError"} <= outcomes
 
-    @pytest.mark.parametrize("m", [None, "g10k21", 1, 7, 100])
+    @pytest.mark.parametrize("m", ["g10k21"])
     def test_symmetric_kernel_bit_equal_to_the_closure(self, m):
-        rule = _rule(m)
+        kernel = quadrature._patterson_extension()._symmetric_kernel
         rng = random.Random(47 + _seed(m))
         outcomes = set()
         for a, b in _kernel_intervals():
             for f in _quotient_integrands(a, b, rng):
                 tau = rng.choice((0.0, 0.3, -2.5, a))
                 h = make_symmetric_quotient(f, tau)
-                got = _outcome(lambda: rule._symmetric_kernel(f, a, b, tau))
-                want = _outcome(lambda: apply_rule(rule, h, a, b))
+                got = _outcome(lambda: kernel(f, a, b, tau))
+                want = _outcome(lambda: _deciding_reference(h, a, b))
                 assert got == want, (m, a, b, tau)
                 outcomes.add(got[0] if isinstance(got, tuple) else "value")
-        assert {"value", "NonfiniteIntegrandError"} <= outcomes
-        if isinstance(rule, EmbeddedRulePair):
-            assert "SumOverflowError" in outcomes
+        assert {"value", "NonfiniteIntegrandError", "SumOverflowError"} <= outcomes
 
     def test_each_form_compiles_once_per_rule(self):
-        pair = kronrod_pair_g7k15()
-        kernels = (pair._kernel, pair._difference_kernel,
-                   pair._symmetric_kernel)
-        assert len(set(map(id, kernels))) == 3
-        assert kernels == (pair._kernel, pair._difference_kernel,
-                           pair._symmetric_kernel)
+        for owner in (quadrature._patterson_extension(),
+                      quadrature._patterson_extension().extension):
+            kernels = [getattr(owner, name)
+                       for name in quadrature._KERNEL_OF_FORM.values()]
+            assert len(set(map(id, kernels))) == 3
+            assert kernels == [getattr(owner, name)
+                               for name in quadrature._KERNEL_OF_FORM.values()]
 
 
 class TestEngineKernels:
@@ -683,7 +666,6 @@ class TestEngineKernels:
         rules = quadrature._patterson_extension()
         name = quadrature._KERNEL_OF_FORM[form]
         first, extend = getattr(rules, name), getattr(rules.extension, name)
-        pair_kernel = getattr(rules.pair, name)
         rng = random.Random(61 + len(form))
         intervals = _kernel_intervals()
         for a, _ in list(intervals):
@@ -708,11 +690,9 @@ class TestEngineKernels:
                 if not isinstance(got, str):
                     seen.add(got[0])
                     continue
-                # the application is the pair's own, bit for bit; the
-                # values it keeps decide later as it decides at once, and
-                # as the reference does
+                # the values it keeps decide later as it decides at once,
+                # and as the reference does
                 value, err, values = first(f, a, b, tau, f_tau, True)
-                assert (value, err) == pair_kernel(f, a, b, tau, f_tau)
                 partial = resolve_reference(values, 0.5 * (b - a), err)
                 assert repr(first(f, a, b, tau, f_tau)) == repr((value, err, partial))
                 assert repr(rules._resolve(values, 0.5 * (b - a), err)) == repr(partial)
@@ -727,3 +707,24 @@ class TestEngineKernels:
                 assert got == want, (form, a, b)
         assert {"extended", "unresolved", "too narrow",
                 "NonfiniteIntegrandError", "SumOverflowError"} <= seen
+
+    @pytest.mark.parametrize("kernel", ["pair", "extension"])
+    @pytest.mark.parametrize("form", ["plain", "difference", "symmetric"])
+    def test_node_on_endpoint_raises_before_calling_f(self, form, kernel):
+        # [1, 1 + 8 ulp] is far below both width floors, so the outermost
+        # nodes round onto its ends
+        rules = quadrature._patterson_extension()
+        owner = rules if kernel == "pair" else rules.extension
+        apply = getattr(owner, quadrature._KERNEL_OF_FORM[form])
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return 1.0
+
+        a, b = 1.0, 1.0 + 8.0 * math.ulp(1.0)
+        extra = (0.0, 0.0) if kernel == "extension" else ()
+        with pytest.raises(RuntimeError,
+                           match="node mapped onto an interval endpoint"):
+            apply(f, a, b, 3.0, 1.0, *extra)
+        assert not calls
