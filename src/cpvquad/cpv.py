@@ -243,7 +243,8 @@ def cpv_standard(problem: CpvProblem) -> CpvResult:
     a = problem.a
     b = problem.b
     tol = problem.tol
-    delta = endpoint_distance(tau, a, b)
+    # CpvProblem has checked a < tau < b
+    delta = min(tau - a, b - tau)
     f_tau = f(tau)
     if not math.isfinite(f_tau):
         raise NonfiniteIntegrandError(tau)

@@ -18,7 +18,7 @@ of x.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .quadrature import Integrand, NonfiniteIntegrandError
@@ -44,6 +44,9 @@ EPS = 2.0**-53
 
 #: Calibration constant of :func:`curvature_sensitivity`.
 _CURVATURE_FACTOR = 8.0
+
+#: The cube root of EPS, which scales the default derivative step.
+_CBRT_EPS = EPS ** (1.0 / 3.0)
 
 
 def json_number(v: float) -> Optional[float]:
@@ -100,7 +103,15 @@ class ErrorBudget:
 
     def as_dict(self) -> dict[str, float]:
         """The seven terms by field name, in field order."""
-        return asdict(self)
+        return {
+            "quad_left": self.quad_left,
+            "quad_right": self.quad_right,
+            "quad_h": self.quad_h,
+            "roundoff": self.roundoff,
+            "log_sensitivity": self.log_sensitivity,
+            "curvature_sensitivity": self.curvature_sensitivity,
+            "cutoff": self.cutoff,
+        }
 
     def as_json_dict(self) -> dict[str, Optional[float]]:
         """:meth:`as_dict` with each term through :func:`json_number`: the
@@ -174,6 +185,25 @@ def cutoff_budget(mu: float, d1: float, eps: float = EPS) -> float:
     return 16.0 * eps * d1 * math.log(1.0 / mu) + 2.0 * mu * d1
 
 
+def _stencil(
+    f: Integrand, tau: float, step: float, f_tau: float
+) -> tuple[float, float]:
+    """Central differences (f1, f2) from f at tau and tau +- step.
+
+    f is called at tau + step, then tau - step.  One finiteness test on the
+    sum of the three values stands for a test per value; only when it fails
+    are they tested in turn, and a non-finite one is reported at its
+    abscissa (a sum that overflowed from finite values raises nothing).
+    """
+    up = f(tau + step)
+    down = f(tau - step)
+    if not math.isfinite(f_tau + up + down):
+        for x, v in ((tau, f_tau), (tau + step, up), (tau - step, down)):
+            if not math.isfinite(v):
+                raise NonfiniteIntegrandError(x)
+    return (up - down) / (2.0 * step), (up - 2.0 * f_tau + down) / (step * step)
+
+
 def derivative_estimates(
     f: Integrand,
     tau: float,
@@ -198,32 +228,33 @@ def derivative_estimates(
     `f_tau` avoids re-evaluating f at tau when the caller already has it.
     An explicit `step` in (0, delta) replaces the default.
     """
-    _require_positive("delta", delta)
     if step is None:
-        step = max(delta * 1e-4, EPS ** (1.0 / 3.0) * max(0.5 * (b - a), abs(tau)))
-        step = min(step, 0.5 * delta)
-    elif not 0.0 < step < delta:
+        step = min(max(delta * 1e-4, _CBRT_EPS * max(0.5 * (b - a), abs(tau))),
+                   0.5 * delta)
+        # a positive finite delta gives a finite step, positive unless
+        # delta / 2 underflows
+        if not 0.0 < step < math.inf:
+            _require_positive("delta", delta)
+    elif not 0.0 < step < delta < math.inf:
+        _require_positive("delta", delta)
         raise ValueError(f"step must lie in (0, {delta!r}), got {step!r}")
     if f_tau is None:
         f_tau = f(tau)
-    up = f(tau + step)
-    down = f(tau - step)
-    for x, v in ((tau, f_tau), (tau + step, up), (tau - step, down)):
-        if not math.isfinite(v):
-            raise NonfiniteIntegrandError(x)
-    f1 = (up - down) / (2.0 * step)
-    f2 = (up - 2.0 * f_tau + down) / (step * step)
+    f1, f2 = _stencil(f, tau, step, f_tau)
     return DerivativeEstimates(f1, f2, step)
 
 
 def _pair_looks_like_jump(
-    coarse: DerivativeEstimates,
-    fine: DerivativeEstimates,
+    s: float,
+    f1: float,
+    f2: float,
+    fine_f1: float,
     f_tau: float,
     tau: float,
     eps: float,
 ) -> bool:
-    """Whether two stencils, `fine` at half the step of `coarse`, show a jump.
+    """Whether two stencils, one with `f1` and `f2` at step `s` and one with
+    `fine_f1` at s/2, show a jump.
 
     The central difference D(s) = f(tau+s) - f(tau-s) halves with the step
     where f is differentiable, shrinks faster where f'(tau) = 0, and stays
@@ -236,11 +267,11 @@ def _pair_looks_like_jump(
     one-sided slope.  A kink such as |x - tau| leaves D at rounding level
     and does not look like a jump; a non-finite estimate never does.
     """
-    s = coarse.step
-    d_coarse = 2.0 * s * coarse.f1
-    d_fine = 2.0 * fine.step * fine.f1
-    sampled = abs(f_tau) + s * abs(coarse.f1) + s * s * abs(coarse.f2)
-    slope = abs(coarse.f1) + s * abs(coarse.f2)
+    d_coarse = 2.0 * s * f1
+    # 2 (s/2) is s: the stencils divided by s * s, so s/2 is exact
+    d_fine = s * fine_f1
+    sampled = abs(f_tau) + s * abs(f1) + s * s * abs(f2)
+    slope = abs(f1) + s * abs(f2)
     noise = eps * (sampled + abs(tau) * slope)
     return (
         abs(d_fine) > 64.0 * noise
@@ -271,15 +302,22 @@ def jump_at_tau(
     tau only to the finest step: a jump closer to tau than s/8 looks the
     same and is reported too.
     """
-    coarse = deriv
+    step, f1, f2 = deriv.step, deriv.f1, deriv.f2
     for _ in range(3):
-        fine = derivative_estimates(
-            f, tau, delta, f_tau=f_tau, step=0.5 * coarse.step
-        )
-        if not _pair_looks_like_jump(coarse, fine, f_tau, tau, eps):
+        fine_step = 0.5 * step
+        fine_f1, fine_f2 = _stencil(f, tau, fine_step, f_tau)
+        if not _pair_looks_like_jump(step, f1, f2, fine_f1, f_tau, tau, eps):
             return False
-        coarse = fine
+        step, f1, f2 = fine_step, fine_f1, fine_f2
     return True
+
+
+def _log_term(f_tau: float, tau: float, delta: float, eps: float) -> float:
+    return eps * abs(tau * f_tau) / delta
+
+
+def _curvature(tau: float, f2: float, eps: float) -> float:
+    return _CURVATURE_FACTOR * eps * abs(tau) * math.sqrt(f2)
 
 
 def log_term_sensitivity(
@@ -297,7 +335,7 @@ def log_term_sensitivity(
     _require_positive("eps", eps)
     if not math.isfinite(f_tau):
         raise ValueError(f"f_tau must be finite, got {f_tau!r}")
-    return eps * abs(tau * f_tau) / delta
+    return _log_term(f_tau, tau, delta, eps)
 
 
 def curvature_sensitivity(
@@ -316,7 +354,7 @@ def curvature_sensitivity(
     endpoint_distance(tau, a, b)  # validates tau
     _require_nonnegative("f2", f2)
     _require_positive("eps", eps)
-    return _CURVATURE_FACTOR * eps * abs(tau) * math.sqrt(f2)
+    return _curvature(tau, f2, eps)
 
 
 def total_error_estimate(
@@ -348,22 +386,24 @@ def total_error_estimate(
     later without recomputing them.
     """
     quad_left, quad_right, quad_h = pieces
-    for name, v in (
-        ("quad_left", quad_left),
-        ("quad_right", quad_right),
-        ("quad_h", quad_h),
-    ):
-        _require_nonnegative(name, v)
+    if not (quad_left >= 0.0 and quad_right >= 0.0 and quad_h >= 0.0
+            and quad_left + quad_right + quad_h < math.inf):
+        for name, v in (
+            ("quad_left", quad_left),
+            ("quad_right", quad_right),
+            ("quad_h", quad_h),
+        ):
+            _require_nonnegative(name, v)
     if method not in ("open", "cutoff"):
         raise ValueError(f"method must be 'open' or 'cutoff', got {method!r}")
+    delta = endpoint_distance(tau, a, b)
+    _require_positive("eps", eps)
+    if not math.isfinite(f_tau):
+        raise ValueError(f"f_tau must be finite, got {f_tau!r}")
+    slope = abs(deriv.f1)
+    f2 = deriv.f2
     half = 0.5 * (b - a)
-    d1 = half * abs(deriv.f1)
-    roundoff = 8.0 * eps * abs(deriv.f1) * max(half, abs(tau))
-    log_sens = log_term_sensitivity(f_tau, tau, eps, a, b)
-    if math.isfinite(deriv.f2):
-        curv = curvature_sensitivity(tau, abs(deriv.f2), eps, a, b)
-    else:
-        curv = math.inf
+    d1 = half * slope
     if method != "cutoff":
         cutoff = 0.0
     elif math.isfinite(d1):
@@ -371,11 +411,11 @@ def total_error_estimate(
     else:
         cutoff = math.inf
     return ErrorBudget(
-        quad_left=quad_left,
-        quad_right=quad_right,
-        quad_h=quad_h,
-        roundoff=roundoff,
-        log_sensitivity=log_sens,
-        curvature_sensitivity=curv,
-        cutoff=cutoff,
+        quad_left,
+        quad_right,
+        quad_h,
+        8.0 * eps * slope * max(half, abs(tau)),
+        _log_term(f_tau, tau, delta, eps),
+        _curvature(tau, abs(f2), eps) if math.isfinite(f2) else math.inf,
+        cutoff,
     )

@@ -512,17 +512,6 @@ _MIN_WIDTH_ULPS = _width_floor(_G10K21_HALF[0][0])
 _MIN_EXTENSION_ULPS = _width_floor(_K43_HALF[0][0], bisected=False)
 
 
-def _nodes_fit(rule: QuadratureRule, a: float, b: float) -> bool:
-    """Whether every node of `rule` mapped to [a, b] lands strictly inside.
-
-    The map mid + half * x rounds monotonically in x, so the two outermost
-    nodes decide.
-    """
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return a < mid + half * rule.nodes[0] and mid + half * rule.nodes[-1] < b
-
-
 def _node_on_endpoint(a: float, b: float):
     """The kernels' guard: a node rounded onto an endpoint of [a, b]."""
     raise RuntimeError(f"node mapped onto an interval endpoint of [{a!r}, {b!r}]")
@@ -779,8 +768,12 @@ def integrate_pieces(
         raise ValueError("interval cap must be at least 1")
 
     rules = _patterson_extension()
-    pair = rules.pair
-    order = pair.kronrod.order
+    kronrod = rules.pair.kronrod
+    order = kronrod.order
+    # the map mid + half * x rounds monotonically in x, so the rule's nodes
+    # land strictly inside [a, b] when its two outermost nodes do
+    lowest = kronrod.nodes[0]
+    highest = kronrod.nodes[-1]
     extension_order = len(rules.extension.nodes)
     n = len(pieces)
     kernels = [None] * n
@@ -806,7 +799,9 @@ def integrate_pieces(
                 continue
             count += 1
             kernels[piece] = getattr(rules, _KERNEL_OF_FORM[form])
-            if _nodes_fit(pair.kronrod, a, b):
+            mid = 0.5 * (a + b)
+            half = 0.5 * (b - a)
+            if a < mid + half * lowest and mid + half * highest < b:
                 value, err, partial = kernels[piece](f, a, b, tau, f_tau, True)
                 evaluations[piece] = order
                 heap.append((-err, len(heap), a, b, value, piece, partial))

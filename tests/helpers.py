@@ -437,7 +437,6 @@ def adaptive_integrate_reference(f, a, b, tol, max_intervals=10_000):
         AdaptiveResult,
         NonfiniteIntegrandError,
         _extendable,
-        _nodes_fit,
         _patterson_extension,
         _splittable,
     )
@@ -446,8 +445,10 @@ def adaptive_integrate_reference(f, a, b, tol, max_intervals=10_000):
         return AdaptiveResult(0.0, 0.0, 0, True)
     rules = _patterson_extension()
     kronrod = rules.pair.kronrod
-    if not _nodes_fit(kronrod, a, b):
-        mid = 0.5 * (a + b)
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    if not (a < mid + half * kronrod.nodes[0]
+            and mid + half * kronrod.nodes[-1] < b):
         if not a < mid < b:
             value, estimate, evaluations = 0.0, math.inf, 0
         else:

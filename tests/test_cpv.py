@@ -204,6 +204,21 @@ class TestProblemValidation:
             cpv_standard(CpvProblem(f=f, tau=0.5))
         assert excinfo.value.x == 0.5
 
+    @pytest.mark.parametrize("side", [1.0, -1.0], ids=["tau+s/2", "tau-s/2"])
+    def test_nonfinite_f_on_the_half_step_stencil_reports_abscissa(self, side):
+        # f is finite at tau and on the coarse stencil, so the jump test's
+        # stencil at s/2 is the first to meet the NaN
+        s = derivative_estimates(math.exp, 0.5, 0.5).step
+        bad = 0.5 + side * (0.5 * s)
+
+        def f(x):
+            return math.nan if x == bad else math.exp(x)
+
+        with pytest.raises(NonfiniteIntegrandError) as excinfo:
+            cpv_standard(CpvProblem(f=f, tau=0.5))
+        assert type(excinfo.value) is NonfiniteIntegrandError
+        assert excinfo.value.x == bad
+
     def test_symmetric_quotient_overflow_is_named(self):
         # f stays finite, but (f(tau+x) - f(tau-x)) / x is 2e308; with tau
         # at the midpoint the symmetric piece is the only one
@@ -333,6 +348,71 @@ class TestFirstApplicationPinned:
         assert result.converged
         assert result.value.hex() == value
         assert result.error_estimate.hex() == estimate
+
+
+#: Hex bits of the value and the seven budget terms, in field order, then
+#: evaluations, converged and stop reasons, of one problem on each branch of
+#: the prologue.  The step's NaN prints as "nan" and an infinite term as "inf".
+_PROLOGUE_PINS = [
+    ("exp@0.5", dict(f=math.exp, tau=0.5),
+     "0x1.d3dbd0af9036ap-1",
+     ("0x1.0000000000000p-52", "0x0.0p+0", "0x1.0000000000000p-52",
+      "0x1.a61298e4d2190p-50", "0x1.a61298e1e069cp-53",
+      "0x1.48b5e39ea2bfbp-51", "0x0.0p+0"),
+     42, True, ("tolerance",) * 3),
+    ("sin(x-1e6)@1e6",
+     dict(f=lambda x: math.sin(x - 1e6), tau=1e6, a=1e6 - 1.0, b=1e6 + 1.0),
+     "0x1.e465000dc24f4p+0",
+     ("0x0.0p+0", "0x0.0p+0", "0x1.5008000000000p-34",
+      "0x1.d43062787dc36p-31", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+     21, True, ("tolerance", "tolerance", "floor")),
+    ("exp@9.75[-10,10]", dict(f=math.exp, tau=9.75, a=-10.0, b=10.0),
+     "-0x1.22d74a5700c80p+13",
+     ("0x1.0000000000000p-36", "0x0.0p+0", "0x1.2000000000000p-35",
+      "0x1.4f0b24e25aa20p-33", "0x1.46aadd8dd2a04p-34",
+      "0x1.3f3fdfc2f0497p-40", "0x0.0p+0"),
+     64, True, ("floor", "tolerance", "floor")),
+    ("exp@0.5-cutoff", dict(f=math.exp, tau=0.5, method="cutoff", mu=1e-6),
+     "0x1.d3db620abf612p-1",
+     ("0x1.0000000000000p-52", "0x0.0p+0", "0x1.0000000000000p-52",
+      "0x1.a61298e4d2190p-50", "0x1.a61298e1e069cp-53",
+      "0x1.48b5e39ea2bfbp-51", "0x1.ba9343b28fcbep-19"),
+     42, True, ("tolerance",) * 3),
+    # the floor overflows, so the tolerance stays at tol
+    ("1e308x^2@0.1", dict(f=lambda x: 1e308 * x * x, tau=0.1),
+     "0x1.c31f75efe6075p+1020",
+     ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.c7b1f3cac766ap+970",
+      "0x1.440cc41e6b909p+960", "inf", "0x0.0p+0"),
+     42, True, ("tolerance",) * 3),
+    ("step@0.3", dict(f=lambda x: 1.0 if x >= 0.3 else 0.0, tau=0.3),
+     "nan",
+     ("inf", "inf", "inf", "0x1.be6db6db6db6ep-38", "0x1.b6db6db6db6dcp-55",
+      "0x1.0bdb6db6db6dcp-38", "0x0.0p+0"),
+     0, False, ("discontinuous_at_tau",) * 3),
+    # the left piece is a few ulps wide and gets the one-point charge
+    ("exp@1e-16", dict(f=math.exp, tau=1e-16),
+     "0x1.0ea7fe4d67f7dp+1",
+     ("0x1.43a54e4e98864p-53", "0x0.0p+0", "0x1.0000000000000p-51",
+      "0x1.0000000728278p-50", "0x1.cd2b297d889bdp-107",
+      "0x1.cd2b29bbec015p-104", "0x0.0p+0"),
+     22, True, ("tolerance",) * 3),
+]
+
+
+@pytest.mark.parametrize(
+    "kwargs,value,terms,evaluations,converged,reasons",
+    [pin[1:] for pin in _PROLOGUE_PINS],
+    ids=[pin[0] for pin in _PROLOGUE_PINS],
+)
+def test_prologue_branches_keep_their_bits(
+    kwargs, value, terms, evaluations, converged, reasons
+):
+    result = cpv_standard(CpvProblem(**kwargs))
+    assert result.value.hex() == value
+    assert tuple(v.hex() for v in result.budget.as_dict().values()) == terms
+    assert result.evaluations == evaluations
+    assert result.converged is converged
+    assert result.stop_reasons == reasons
 
 
 def test_kink_costs_at_most_a_tenth_more_than_the_pair_alone():
@@ -727,10 +807,10 @@ class TestRoundoffFloorStop:
 class TestJumpAtTau:
     @pytest.mark.parametrize("t", [0.3, -0.5, 0.1])
     def test_step_is_reported_without_quadrature(self, t):
-        calls = [0]
+        calls = []
 
         def step(x):
-            calls[0] += 1
+            calls.append(x)
             return 1.0 if x >= t else 0.0
 
         result = cpv_standard(CpvProblem(f=step, tau=t))
@@ -738,7 +818,9 @@ class TestJumpAtTau:
         assert result.stop_reasons == ("discontinuous_at_tau",) * 3
         assert result.evaluations == 0
         # f(tau) and the stencils at s, s/2, s/4 and s/8, nothing else
-        assert calls[0] == 9
+        s = derivative_estimates(math.exp, t, 1.0 - abs(t)).step
+        assert calls == [t, t + s, t - s, t + s / 2, t - s / 2,
+                         t + s / 4, t - s / 4, t + s / 8, t - s / 8]
         assert math.isnan(result.value)
         assert result.error_estimate == math.inf
         assert result.error_estimate == result.budget.total
@@ -796,7 +878,8 @@ class TestJumpAtTau:
         fine = derivative_estimates(
             f, tau, delta, a=a, b=b, step=0.5 * coarse.step
         )
-        assert _pair_looks_like_jump(coarse, fine, f(tau), tau, EPS)
+        assert _pair_looks_like_jump(coarse.step, coarse.f1, coarse.f2, fine.f1,
+                                     f(tau), tau, EPS)
         result = cpv_general(f, tau, a, b)
         assert result.converged
         assert "discontinuous_at_tau" not in result.stop_reasons

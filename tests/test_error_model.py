@@ -1,5 +1,6 @@
 """Tests for the roundoff bounds and the assembled error budget."""
 
+import dataclasses
 import math
 
 import pytest
@@ -209,6 +210,17 @@ class TestDerivativeEstimates:
         with pytest.raises(ValueError):
             derivative_estimates(math.exp, 0.0, 0.0)
 
+    @pytest.mark.parametrize("delta", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("step", [None, 1e-5])
+    def test_bad_delta_is_named_before_the_step(self, delta, step):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            derivative_estimates(math.exp, 0.0, delta, step=step)
+
+    def test_finite_samples_whose_sum_overflows_raise_nothing(self):
+        # f(tau) + f(tau+s) + f(tau-s) overflows although each is finite
+        d = derivative_estimates(lambda x: 1e308, 0.0, 1.0)
+        assert d.f1 == 0.0
+
     def test_explicit_step(self):
         d = derivative_estimates(math.exp, 0.0, 1.0, step=2.5e-5)
         assert d.step == 2.5e-5
@@ -287,7 +299,9 @@ class TestJumpAtTau:
                 lambda x: math.sin(k * x), 0.0
             )
             fine = derivative_estimates(f, tau, delta, step=0.5 * coarse.step)
-            agreeing += _pair_looks_like_jump(coarse, fine, f_tau, tau, EPS)
+            agreeing += _pair_looks_like_jump(
+                coarse.step, coarse.f1, coarse.f2, fine.f1, f_tau, tau, EPS
+            )
             assert not jump_at_tau(f, coarse, f_tau, tau, delta)
         assert agreeing > 50
 
@@ -443,6 +457,36 @@ class TestTotalErrorEstimate:
         with pytest.raises(ValueError):
             total_error_estimate((-1e-15, 0.0, 0.0), deriv, 1.0, 0.5)
 
+    @pytest.mark.parametrize(
+        "pieces,tau,eps,f_tau,message",
+        [
+            ((math.nan, 0.0, 0.0), 0.5, EPS, 1.0,
+             "quad_left must be nonnegative and finite, got nan"),
+            ((0.0, -1.0, math.inf), 0.5, EPS, 1.0,
+             "quad_right must be nonnegative and finite, got -1.0"),
+            ((0.0, 0.0, math.inf), 0.5, EPS, 1.0,
+             "quad_h must be nonnegative and finite, got inf"),
+            ((0.0, 0.0, 0.0), 1.0, EPS, 1.0,
+             r"tau must lie in \(-1.0, 1.0\), got 1.0"),
+            ((0.0, 0.0, 0.0), 0.5, 0.0, 1.0,
+             "eps must be positive and finite, got 0.0"),
+            ((0.0, 0.0, 0.0), 0.5, EPS, math.inf,
+             "f_tau must be finite, got inf"),
+        ],
+        ids=["nan-piece", "negative-piece", "inf-piece", "tau", "eps", "f_tau"],
+    )
+    def test_rejects_each_bad_argument_by_name(
+        self, pieces, tau, eps, f_tau, message
+    ):
+        deriv = DerivativeEstimates(1.0, 0.0, 1e-4)
+        with pytest.raises(ValueError, match=message):
+            total_error_estimate(pieces, deriv, f_tau, tau, eps=eps)
+
+    def test_finite_pieces_whose_sum_overflows_are_accepted(self):
+        deriv = DerivativeEstimates(1.0, 0.0, 1e-4)
+        budget = total_error_estimate((1e308, 1e308, 0.0), deriv, 1.0, 0.5)
+        assert budget.total == math.inf
+
     def test_rejects_unknown_method(self):
         deriv = DerivativeEstimates(1.0, 0.0, 1e-4)
         with pytest.raises(ValueError):
@@ -462,6 +506,13 @@ class TestTotalErrorEstimate:
             ("log_sensitivity", 5.0),
             ("curvature_sensitivity", 6.0),
             ("cutoff", 7.0),
+        ]
+
+    def test_as_dict_covers_every_field(self):
+        budget = ErrorBudget(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0)
+        assert budget.as_dict() == dataclasses.asdict(budget)
+        assert list(budget.as_dict()) == [
+            f.name for f in dataclasses.fields(ErrorBudget)
         ]
 
     def test_as_json_dict_writes_nonfinite_terms_as_null(self):
