@@ -21,8 +21,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass
-from typing import IO, Optional, Sequence
+from typing import IO, NamedTuple, Optional, Sequence
 
 from .cpv import CpvProblem, cpv_standard
 from .error_model import ErrorBudget, json_number
@@ -47,8 +46,7 @@ CALIBRATION_TOL = 1e-12
 _CROSSCHECK_LIMIT = 1e-12
 
 
-@dataclass(frozen=True)
-class BenchmarkCase:
+class BenchmarkCase(NamedTuple):
     """One battery entry: a native integrand with its frozen reference.
 
     ``expression`` is the parser-language mirror of ``integrand``; the two
@@ -82,8 +80,7 @@ class BenchmarkCase:
         return primary
 
 
-@dataclass(frozen=True)
-class BenchmarkRow:
+class BenchmarkRow(NamedTuple):
     """Result of running one battery case at some tolerance."""
 
     name: str

@@ -34,9 +34,9 @@ as :class:`QuotientOverflowError`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
+from ._records import Checked
 from .error_model import (
     EPS,
     ErrorBudget,
@@ -114,8 +114,17 @@ def _quotient_failure(
     return QuotientOverflowError(quotient, x)
 
 
-@dataclass(frozen=True)
-class CpvProblem:
+class _ProblemFields(NamedTuple):
+    f: Integrand
+    tau: float
+    a: float = -1.0
+    b: float = 1.0
+    tol: float = 1e-12
+    method: str = "open"
+    mu: float = EPS
+
+
+class CpvProblem(Checked, _ProblemFields):
     """A principal value integral of f(x) / (x - tau) over [a, b].
 
     ``method`` selects how the symmetric quotient is integrated near 0:
@@ -125,15 +134,10 @@ class CpvProblem:
     consulted by the cutoff method.
     """
 
-    f: Integrand
-    tau: float
-    a: float = -1.0
-    b: float = 1.0
-    tol: float = 1e-12
-    method: str = "open"
-    mu: float = EPS
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (math.isfinite(self.a) and math.isfinite(self.b) and self.a < self.b):
             raise ValueError(f"need finite a < b, got [{self.a!r}, {self.b!r}]")
         if not (math.isfinite(self.tau) and self.a < self.tau < self.b):
@@ -153,6 +157,7 @@ class CpvProblem:
                 raise ValueError(
                     f"cutoff mu must lie in (0, {delta!r}], got {self.mu!r}"
                 )
+        return self
 
 
 class StopReasons(NamedTuple):
@@ -173,8 +178,7 @@ class StopReasons(NamedTuple):
     quad_h: str
 
 
-@dataclass(frozen=True)
-class CpvResult:
+class CpvResult(NamedTuple):
     """A computed principal value with its error accounting.
 
     ``error_estimate`` equals ``budget.total``; ``evaluations`` counts the
@@ -188,8 +192,9 @@ class CpvResult:
     an estimate above ``tol``, and ``stop_reasons`` then reads "floor".  It
     is False when the shared queue hit the interval cap or the width floor
     first (the value and budget are still meaningful, the budget is simply
-    larger) or when f jumps at tau, where no principal value exists: the
-    value is then NaN and the estimate infinite.
+    larger), when the budget is infinite, as when a floor term overflowed,
+    or when f jumps at tau, where no principal value exists: the value is
+    then NaN and the estimate infinite.
     """
 
     value: float
@@ -223,7 +228,7 @@ def cpv_standard(problem: CpvProblem) -> CpvResult:
     queue until their summed estimate meets max(tol, 2 floor), so no piece
     refines toward an accuracy the floor rules out; the same floor terms
     enter the final budget.  A floor that overflowed leaves the tolerance at
-    tol.
+    tol, and the result unconverged, as its budget is infinite.
 
     On whichever side of tau the distance to the endpoint equals delta, the
     difference quotient piece is empty (the symmetric integral already covers
@@ -300,22 +305,29 @@ def cpv_standard(problem: CpvProblem) -> CpvResult:
     except NonfiniteIntegrandError as exc:
         raise _quotient_failure(f, tau, pieces[exc.piece][0], exc) from exc
 
-    log_term = f_tau * math.log((b - tau) / (tau - a))
+    ratio = (b - tau) / (tau - a)
+    if 0.0 < ratio < math.inf:
+        log_term = f_tau * math.log(ratio)
+    else:
+        # tau lies so close to an endpoint that the ratio over- or underflowed
+        log_term = f_tau * (math.log(b - tau) - math.log(tau - a))
     value = log_term + values[0] + values[1] + values[2]
     quad_left, quad_right, quad_h = estimates
     budget = ErrorBudget(
         quad_left, quad_right, quad_h, floor.roundoff, floor.log_sensitivity,
         floor.curvature_sensitivity, floor.cutoff,
     )
+    error_estimate = budget.total
     converged = reason == "tolerance"
     if converged and quad_left + quad_right + quad_h > tol:
         reason = "floor"
     return CpvResult(
         value=value,
-        error_estimate=budget.total,
+        error_estimate=error_estimate,
         budget=budget,
         evaluations=sum(evaluations),
-        converged=converged,
+        # a budget that overflowed bounds nothing
+        converged=converged and math.isfinite(error_estimate),
         stop_reasons=StopReasons(
             *[reason if used else "tolerance" for used in nonempty]
         ),

@@ -18,8 +18,8 @@ of x.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+import sys
+from typing import NamedTuple, Optional
 
 from .quadrature import Integrand, NonfiniteIntegrandError
 
@@ -48,6 +48,9 @@ _CURVATURE_FACTOR = 8.0
 #: The cube root of EPS, which scales the default derivative step.
 _CBRT_EPS = EPS ** (1.0 / 3.0)
 
+#: The smallest normal double; a square below it has underflowed.
+_MIN_NORMAL = sys.float_info.min
+
 
 def json_number(v: float) -> Optional[float]:
     """v itself, or None (JSON null) where v is NaN or infinite.
@@ -58,8 +61,7 @@ def json_number(v: float) -> Optional[float]:
     return v if math.isfinite(v) else None
 
 
-@dataclass(frozen=True)
-class ErrorBudget:
+class ErrorBudget(NamedTuple):
     """Additive error budget for one principal value computation.
 
     ``quad_left``, ``quad_right`` and ``quad_h`` are the achieved estimates of
@@ -101,26 +103,13 @@ class ErrorBudget:
             + self.cutoff
         )
 
-    def as_dict(self) -> dict[str, float]:
-        """The seven terms by field name, in field order."""
-        return {
-            "quad_left": self.quad_left,
-            "quad_right": self.quad_right,
-            "quad_h": self.quad_h,
-            "roundoff": self.roundoff,
-            "log_sensitivity": self.log_sensitivity,
-            "curvature_sensitivity": self.curvature_sensitivity,
-            "cutoff": self.cutoff,
-        }
-
     def as_json_dict(self) -> dict[str, Optional[float]]:
-        """:meth:`as_dict` with each term through :func:`json_number`: the
+        """``_asdict()`` with each term through :func:`json_number`: the
         budget as every JSON output writes it."""
-        return {k: json_number(v) for k, v in self.as_dict().items()}
+        return {k: json_number(v) for k, v in self._asdict().items()}
 
 
-@dataclass(frozen=True)
-class DerivativeEstimates:
+class DerivativeEstimates(NamedTuple):
     """Central difference estimates of f' and f'' at the singularity."""
 
     f1: float
@@ -194,6 +183,7 @@ def _stencil(
     sum of the three values stands for a test per value; only when it fails
     are they tested in turn, and a non-finite one is reported at its
     abscissa (a sum that overflowed from finite values raises nothing).
+    Where step * step underflows, f2 divides by step twice instead.
     """
     up = f(tau + step)
     down = f(tau - step)
@@ -201,7 +191,11 @@ def _stencil(
         for x, v in ((tau, f_tau), (tau + step, up), (tau - step, down)):
             if not math.isfinite(v):
                 raise NonfiniteIntegrandError(x)
-    return (up - down) / (2.0 * step), (up - 2.0 * f_tau + down) / (step * step)
+    f1 = (up - down) / (2.0 * step)
+    square = step * step
+    if square < _MIN_NORMAL:
+        return f1, (up - 2.0 * f_tau + down) / step / step
+    return f1, (up - 2.0 * f_tau + down) / square
 
 
 def derivative_estimates(
@@ -235,6 +229,10 @@ def derivative_estimates(
         # delta / 2 underflows
         if not 0.0 < step < math.inf:
             _require_positive("delta", delta)
+            raise ValueError(
+                f"tau = {tau!r} lies too close to an endpoint of "
+                f"[{a!r}, {b!r}] for a derivative stencil"
+            )
     elif not 0.0 < step < delta < math.inf:
         _require_positive("delta", delta)
         raise ValueError(f"step must lie in (0, {delta!r}), got {step!r}")
@@ -305,6 +303,9 @@ def jump_at_tau(
     step, f1, f2 = deriv.step, deriv.f1, deriv.f2
     for _ in range(3):
         fine_step = 0.5 * step
+        if fine_step == 0.0:
+            # no finer stencil exists to confirm the jump
+            return False
         fine_f1, fine_f2 = _stencil(f, tau, fine_step, f_tau)
         if not _pair_looks_like_jump(step, f1, f2, fine_f1, f_tau, tau, eps):
             return False

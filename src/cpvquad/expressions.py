@@ -34,8 +34,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
+
+from ._records import Checked
 
 __all__ = [
     "BinOp",
@@ -59,55 +60,73 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Num:
-    """Nonnegative numeric literal (minus signs parse as Neg)."""
-
+class _NumFields(NamedTuple):
     value: float
 
-    def __post_init__(self):
+
+class Num(Checked, _NumFields):
+    """Nonnegative numeric literal (minus signs parse as Neg)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (math.isfinite(self.value) and self.value >= 0.0):
             raise ValueError(f"literal must be finite and >= 0, got {self.value!r}")
+        return self
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     pass
 
 
-@dataclass(frozen=True)
-class Const:
+class _ConstFields(NamedTuple):
     name: str
 
-    def __post_init__(self):
+
+class Const(Checked, _ConstFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.name not in _CONSTANTS:
             raise ValueError(f"unknown constant {self.name!r}")
+        return self
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(NamedTuple):
     operand: "Expr"
 
 
-@dataclass(frozen=True)
-class BinOp:
+class _BinOpFields(NamedTuple):
     op: str
     left: "Expr"
     right: "Expr"
 
-    def __post_init__(self):
+
+class BinOp(Checked, _BinOpFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.op not in ("+", "-", "*", "/", "^"):
             raise ValueError(f"unknown operator {self.op!r}")
+        return self
 
 
-@dataclass(frozen=True)
-class Call:
+class _CallFields(NamedTuple):
     name: str
     arg: "Expr"
 
-    def __post_init__(self):
+
+class Call(Checked, _CallFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.name not in _FUNCTIONS:
             raise ValueError(f"unknown function {self.name!r}")
+        return self
 
 
 Expr = Union[Num, Var, Const, Neg, BinOp, Call]

@@ -44,9 +44,10 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
+
+from ._records import Checked
 
 __all__ = [
     "Integrand",
@@ -138,15 +139,19 @@ class _CompiledOnUse:
         return self._compile("symmetric")
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """An interpolatory rule on (-1, 1): strictly interior nodes, ascending."""
-
+class _RuleFields(NamedTuple):
     nodes: tuple[float, ...]
     weights: tuple[float, ...]
     order: int
 
-    def __post_init__(self):
+
+class QuadratureRule(Checked, _RuleFields):
+    """An interpolatory rule on (-1, 1): strictly interior nodes, ascending."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.order != len(self.nodes) or self.order != len(self.weights):
             raise ValueError("rule arrays disagree with the stated point count")
         for i, x in enumerate(self.nodes):
@@ -162,26 +167,31 @@ class QuadratureRule:
             raise ValueError("weights must be positive")
         if abs(math.fsum(self.weights) - 2.0) > 1e-14:
             raise ValueError("weights must sum to the interval length 2")
+        return self
 
 
-@dataclass(frozen=True)
-class EmbeddedRulePair:
+class _PairFields(NamedTuple):
+    kronrod: QuadratureRule
+    gauss_weights: tuple[float, ...]
+
+
+class EmbeddedRulePair(Checked, _PairFields):
     """A Kronrod rule plus the weights of its embedded Gauss rule.
 
     ``gauss_weights`` is aligned index-by-index with ``kronrod.nodes``; the
     entries at Kronrod-only nodes are zero.
     """
 
-    kronrod: QuadratureRule
-    gauss_weights: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.gauss_weights) != self.kronrod.order:
             raise ValueError("embedded weights are not aligned with the nodes")
+        return self
 
 
-@dataclass(frozen=True)
-class AdaptiveResult:
+class AdaptiveResult(NamedTuple):
     """Outcome of an adaptive integration.
 
     ``error_estimate`` is the sum of the per-interval embedded differences
@@ -398,7 +408,6 @@ def kronrod_pair_g10k21() -> EmbeddedRulePair:
 _RESOLVED = 1e-3
 
 
-@dataclass(frozen=True)
 class _Extension(_CompiledOnUse):
     """The nodes a nested rule adds to the rule it extends, ascending, with
     their weights in the nested rule.
@@ -409,14 +418,14 @@ class _Extension(_CompiledOnUse):
     over the nodes already evaluated, and ``old`` the extended rule's value.
     """
 
-    nodes: tuple[float, ...]
-    weights: tuple[float, ...]
+    def __init__(self, nodes: tuple[float, ...], weights: tuple[float, ...]):
+        self.nodes = nodes
+        self.weights = weights
 
     def _compile(self, form: str):
         return _compile_extension(self.nodes, self.weights, form)
 
 
-@dataclass(frozen=True)
 class _PattersonExtension(_CompiledOnUse):
     """The 10/21 pair, Patterson's 43-point rule, which nests it, and the 22
     nodes the 43-point rule adds.
@@ -433,9 +442,11 @@ class _PattersonExtension(_CompiledOnUse):
     kernel.
     """
 
-    pair: EmbeddedRulePair
-    rule: QuadratureRule
-    extension: _Extension
+    def __init__(self, pair: EmbeddedRulePair, rule: QuadratureRule,
+                 extension: _Extension):
+        self.pair = pair
+        self.rule = rule
+        self.extension = extension
 
     @property
     def _partial_weights(self) -> list[float]:

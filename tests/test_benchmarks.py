@@ -1,6 +1,5 @@
 """Tests for the benchmark battery, its frozen references and serialization."""
 
-import dataclasses
 import io
 import json
 import math
@@ -109,9 +108,7 @@ class TestReferenceIntegrity:
 
     def test_tampered_pair_is_rejected(self):
         case = _case("case1")
-        bad = dataclasses.replace(
-            case, crosscheck_text="0.913786432723662428316752218177"
-        )
+        bad = case._replace(crosscheck_text="0.913786432723662428316752218177")
         with pytest.raises(RuntimeError, match="cross-check failed"):
             bad.reference_value()
 
@@ -258,8 +255,8 @@ class TestRunBenchmark:
             error_estimate=1e-13, evaluations=1, elapsed_seconds=0.0,
             budget=budget, converged=True, bound=1e-12,
         )
-        too_wrong = dataclasses.replace(good, abs_error=1e-11)
-        underestimated = dataclasses.replace(good, error_estimate=1e-15)
+        too_wrong = good._replace(abs_error=1e-11)
+        underestimated = good._replace(error_estimate=1e-15)
         assert good.passed
         assert not too_wrong.passed
         assert not underestimated.passed
@@ -323,8 +320,8 @@ class TestSerialization:
         # a jump at tau has no principal value: its row holds a NaN value and
         # error and an infinite estimate, which the JSON writes as null; the
         # battery runs the native integrand only
-        jump = dataclasses.replace(
-            _case("case1"), name="jump",
+        jump = _case("case1")._replace(
+            name="jump",
             integrand=lambda x: 1.0 if x >= 0.5 else 0.0,
         )
         rows = run_benchmark(tol=1e-12, cases=[jump])

@@ -431,7 +431,8 @@ class TestTopLevel:
 
 
 class TestStartup:
-    """What a command-line call loads: no numpy, no mpmath."""
+    """What a command-line call loads: no numpy, no mpmath, and none of the
+    modules the dataclasses machinery imports."""
 
     SETUP = (
         "import sys; sys.path.insert(0, sys.argv[1]); "
@@ -439,7 +440,8 @@ class TestStartup:
         "cpvquad.kronrod_pair_g7k15(); cpvquad.benchmarks.reference_values(); "
         "status = cpvquad.cli.main("
         "['integrate', '--f', 'exp(x)', '--tau', '0.5', '--json']); "
-        "print(status, sorted({'numpy', 'mpmath'} & set(sys.modules)))"
+        "print(status, sorted({'numpy', 'mpmath', 'dataclasses', 'inspect'} "
+        "& set(sys.modules)))"
     )
 
     def test_setup_and_integrate_leave_numpy_unloaded(self):

@@ -1,7 +1,6 @@
 """Tests for the principal value decomposition."""
 
 import math
-from dataclasses import replace
 
 import mpmath as mp
 import pytest
@@ -21,7 +20,13 @@ from cpvquad.error_model import (
     derivative_estimates,
     total_error_estimate,
 )
-from cpvquad.quadrature import NonfiniteIntegrandError, SumOverflowError
+from cpvquad.expressions import Num
+from cpvquad.quadrature import (
+    NonfiniteIntegrandError,
+    SumOverflowError,
+    gauss_legendre_rule,
+    kronrod_pair_g7k15,
+)
 
 from helpers import (
     cpv_monomial,
@@ -279,6 +284,46 @@ class TestProblemValidation:
         assert excinfo.value.x > 0.55
         assert math.isnan(f(excinfo.value.x))
 
+    @pytest.mark.parametrize("tau", [5e-324, 1e-323, 1e-200])
+    def test_tau_within_subnormals_of_an_endpoint(self, tau):
+        # the derivative step s * s underflows below s of about 1e-162, and
+        # (1 - tau) / tau overflows at 1e-323; at 5e-324 the step is 0
+        if tau == 5e-324:
+            with pytest.raises(ValueError, match=r"tau = 5e-324 lies too close"):
+                cpv_general(lambda x: x, tau, 0.0, 1.0)
+            return
+        result = cpv_general(lambda x: x, tau, 0.0, 1.0)
+        assert result.converged
+        # the principal value is 1 + tau log((1 - tau) / tau), 1.0 in doubles
+        assert abs(result.value - 1.0) <= result.error_estimate <= 1e-15
+
+
+#: One record of each kind that checks its fields, and a change of one field
+#: that the check refuses.
+_CHECKED_RECORDS = [
+    (CpvProblem(f=math.exp, tau=0.5), dict(tau=5.0)),
+    (gauss_legendre_rule(3), dict(order=4)),
+    (kronrod_pair_g7k15(), dict(gauss_weights=(1.0,))),
+    (Num(1.0), dict(value=-1.0)),
+]
+_CHECKED_IDS = ["CpvProblem", "QuadratureRule", "EmbeddedRulePair", "Num"]
+
+
+@pytest.mark.parametrize("record,change", _CHECKED_RECORDS, ids=_CHECKED_IDS)
+def test_replace_checks_like_the_constructor(record, change):
+    with pytest.raises(ValueError) as built:
+        type(record)(**{**record._asdict(), **change})
+    with pytest.raises(ValueError) as replaced:
+        record._replace(**change)
+    assert str(replaced.value) == str(built.value)
+
+
+@pytest.mark.parametrize("record,change", _CHECKED_RECORDS, ids=_CHECKED_IDS)
+def test_fields_refuse_assignment(record, change):
+    [(name, value)] = change.items()
+    with pytest.raises(AttributeError):
+        setattr(record, name, value)
+
 
 class TestStandardAccuracy:
     @pytest.mark.parametrize("tau", [-0.9, -0.5, 0.0, 0.5, 0.9])
@@ -378,12 +423,13 @@ _PROLOGUE_PINS = [
       "0x1.a61298e4d2190p-50", "0x1.a61298e1e069cp-53",
       "0x1.48b5e39ea2bfbp-51", "0x1.ba9343b28fcbep-19"),
      42, True, ("tolerance",) * 3),
-    # the floor overflows, so the tolerance stays at tol
+    # the floor overflows, so the tolerance stays at tol; the infinite
+    # budget bounds nothing, so the result is not converged
     ("1e308x^2@0.1", dict(f=lambda x: 1e308 * x * x, tau=0.1),
      "0x1.c31f75efe6075p+1020",
      ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.c7b1f3cac766ap+970",
       "0x1.440cc41e6b909p+960", "inf", "0x0.0p+0"),
-     42, True, ("tolerance",) * 3),
+     42, False, ("tolerance",) * 3),
     ("step@0.3", dict(f=lambda x: 1.0 if x >= 0.3 else 0.0, tau=0.3),
      "nan",
      ("inf", "inf", "inf", "0x1.be6db6db6db6ep-38", "0x1.b6db6db6db6dcp-55",
@@ -409,7 +455,7 @@ def test_prologue_branches_keep_their_bits(
 ):
     result = cpv_standard(CpvProblem(**kwargs))
     assert result.value.hex() == value
-    assert tuple(v.hex() for v in result.budget.as_dict().values()) == terms
+    assert tuple(v.hex() for v in result.budget) == terms
     assert result.evaluations == evaluations
     assert result.converged is converged
     assert result.stop_reasons == reasons
@@ -492,7 +538,7 @@ class TestDecompositionMechanics:
             calls.append(x)
             return problem.f(x)
 
-        result = cpv_standard(replace(problem, f=f))
+        result = cpv_standard(problem._replace(f=f))
         tau = problem.tau
         seen_g, seen_h = [], []
         i = 5
@@ -721,7 +767,7 @@ class TestCallersCoordinates:
         assert scaled.error_estimate.hex() == unit.error_estimate.hex()
         assert scaled.evaluations == unit.evaluations
         assert scaled.converged == unit.converged
-        assert scaled.budget.as_dict() == unit.budget.as_dict()
+        assert scaled.budget._asdict() == unit.budget._asdict()
 
 
 def _pv_exp(tau: float, a: float = -1.0, b: float = 1.0, scale: float = 1.0):
@@ -836,8 +882,8 @@ class TestJumpAtTau:
         floor = total_error_estimate((0.0, 0.0, 0.0), deriv, 3.0, 5.0,
                                      a=4.0, b=9.0)
         assert floor.floor > 0.0
-        assert result.budget == replace(
-            floor, quad_left=math.inf, quad_right=math.inf, quad_h=math.inf
+        assert result.budget == floor._replace(
+            quad_left=math.inf, quad_right=math.inf, quad_h=math.inf
         )
 
     @pytest.mark.parametrize(

@@ -5,7 +5,6 @@ the compiled function must match the first bit for bit, and the second
 prints generated trees back to source that must reparse to the same tree.
 """
 
-import dataclasses
 import math
 
 import pytest
@@ -326,17 +325,17 @@ class TestCompileExpression:
 def _same_tree(left, right) -> bool:
     """Structural equality walked with an explicit stack.
 
-    The dataclasses' own == recurses once per tree level and runs out of
-    stack on a tree of a thousand or more levels.
+    Tuple equality, which the nodes inherit, recurses once per tree level
+    and runs out of stack on a tree of a thousand or more levels.
     """
     stack = [(left, right)]
     while stack:
         p, q = stack.pop()
         if type(p) is not type(q):
             return False
-        for field in dataclasses.fields(p):
-            u, v = getattr(p, field.name), getattr(q, field.name)
-            if dataclasses.is_dataclass(u):
+        for name in p._fields:
+            u, v = getattr(p, name), getattr(q, name)
+            if hasattr(u, "_fields"):
                 stack.append((u, v))
             elif u != v:
                 return False

@@ -121,6 +121,15 @@ class TestQuadratureRuleInvariants:
             QuadratureRule(nodes=(-0.6, 0.5), weights=(1.0, 1.0), order=2)
 
 
+def _tables(built):
+    """What a rule builder returned, as values that compare by content: the
+    engine's extension object compares by identity, so its rules instead."""
+    if isinstance(built, quadrature._PattersonExtension):
+        ext = built.extension
+        return built.pair, built.rule, ext.nodes, ext.weights
+    return built
+
+
 def _check_perturbed_table(monkeypatch, builder, table_name, column, label):
     """Raise the weight in table row 3 by a relative 1e-9 and require the
     build to fail.  A Kronrod weight gives the same amount back in row 4, a
@@ -140,7 +149,7 @@ def _check_perturbed_table(monkeypatch, builder, table_name, column, label):
     finally:
         monkeypatch.undo()
         builder.cache_clear()
-    assert builder() == original
+    assert _tables(builder()) == _tables(original)
 
 
 class TestKronrodPair:
@@ -320,7 +329,7 @@ class TestPattersonExtension:
         finally:
             monkeypatch.undo()
             builder.cache_clear()
-        assert builder() == original
+        assert _tables(builder()) == _tables(original)
 
     def test_table_matches_the_160_digit_construction(self):
         # every node and weight within one ulp, far inside 5e-15, of the
@@ -572,11 +581,11 @@ class TestRuleKernel:
     @pytest.mark.parametrize("m", [None, "g10k21", 7])
     def test_public_rules_hold_no_kernels(self, m):
         # the engine compiles its own kernels; a public rule it has run on
-        # keeps only its fields
+        # has no instance dict to keep one in
         rule = _rule(m)
         quadrature.adaptive_integrate(math.sqrt, 0.0, 1.0, 1e-12)
         for obj in (rule, getattr(rule, "kronrod", rule)):
-            assert vars(obj).keys() == obj.__dataclass_fields__.keys()
+            assert not hasattr(obj, "__dict__")
             assert not hasattr(obj, "_kernel")
 
     def test_kernel_belongs_to_the_rule(self):
