@@ -14,7 +14,6 @@ from .cpv import (
     QuotientOverflowError,
     cpv_general,
     cpv_standard,
-    endpoint_distance,
 )
 from .error_model import (
     EPS,
@@ -24,6 +23,7 @@ from .error_model import (
     curvature_sensitivity,
     derivative_estimates,
     difference_quotient_roundoff,
+    endpoint_distance,
     log_term_sensitivity,
     symmetric_quotient_roundoff,
     total_error_estimate,

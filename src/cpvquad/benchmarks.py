@@ -4,10 +4,11 @@ Eight integrand families, one of them registered at two singularity
 locations, exercise the solver across smooth, highly oscillatory, nearly
 log-singular, kinked and chirped integrands, including a singularity at
 distance 1e-7 from an endpoint.  Every reference value was computed by two
-structurally independent high-precision routes (see :mod:`cpvquad.oracles`)
-and is stored here as a pair of 30-digit decimal strings.  Building the
-reference table re-checks the pair; disagreement beyond 1e-12 relative
-aborts rather than silently trusting either route.
+structurally independent high-precision routes (``python tests/oracles.py``
+in a source checkout recomputes them) and is stored here as a pair of
+30-digit decimal strings.  Building the reference table re-checks the
+pair; disagreement beyond 1e-12 relative aborts rather than silently
+trusting either route.
 
 References describe the exact decimal singularity location (``tau_text``).
 For the near-endpoint case the double rounding of tau itself shifts the
@@ -285,12 +286,14 @@ _CSV_COLUMNS = (
     "abs_error",
     "error_estimate",
     "evaluations",
+    "converged",
     "elapsed_seconds",
 )
 
 
 def write_csv(rows: Sequence[BenchmarkRow], stream: IO[str]) -> None:
-    """Write rows as CSV with shortest-roundtrip decimal formatting."""
+    """Write rows as CSV with shortest-roundtrip decimal formatting;
+    ``converged`` reads ``true`` or ``false``, as in the JSON."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
     for row in rows:
@@ -302,6 +305,7 @@ def write_csv(rows: Sequence[BenchmarkRow], stream: IO[str]) -> None:
                 repr(row.abs_error),
                 repr(row.error_estimate),
                 str(row.evaluations),
+                "true" if row.converged else "false",
                 repr(row.elapsed_seconds),
             ]
         )
@@ -315,6 +319,7 @@ def _row_object(row: BenchmarkRow) -> dict:
         "abs_error": json_number(row.abs_error),
         "error_estimate": json_number(row.error_estimate),
         "evaluations": row.evaluations,
+        "converged": row.converged,
         "elapsed_seconds": row.elapsed_seconds,
         "budget": row.budget.as_json_dict(),
     }

@@ -128,6 +128,7 @@ def _print_result(result: CpvResult, as_json: bool) -> None:
         print(f"value = {result.value!r}")
         print(f"estimate = {result.error_estimate!r}")
         print(f"evaluations = {result.evaluations}")
+        print(f"converged = {'true' if result.converged else 'false'}")
         print("stop_reasons = "
               + " ".join(f"{k}:{v}" for k, v in reasons.items()))
 
@@ -184,12 +185,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(f"wrote {len(rows)} rows to {path}")
     else:
         header = (f"{'name':7s} {'tau':>10s} {'value':>24s} {'abs_error':>12s} "
-                  f"{'estimate':>12s} {'evals':>7s} {'seconds':>9s}")
+                  f"{'estimate':>12s} {'evals':>7s} {'converged':>9s} "
+                  f"{'seconds':>9s}")
         print(header)
         for row in rows:
+            converged = "true" if row.converged else "false"
             print(f"{row.name:7s} {row.tau!r:>10s} {row.value!r:>24s} "
                   f"{row.abs_error:>12.3e} {row.error_estimate:>12.3e} "
-                  f"{row.evaluations:>7d} {row.elapsed_seconds:>9.4f}")
+                  f"{row.evaluations:>7d} {converged:>9s} "
+                  f"{row.elapsed_seconds:>9.4f}")
     failed = [row.name for row in rows if not row.passed]
     if failed:
         print(f"bounds violated: {', '.join(failed)}", file=sys.stderr)

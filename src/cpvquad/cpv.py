@@ -59,7 +59,6 @@ __all__ = [
     "CpvResult",
     "StopReasons",
     "QuotientOverflowError",
-    "endpoint_distance",
     "cpv_standard",
     "cpv_general",
 ]
@@ -256,7 +255,6 @@ def cpv_standard(problem: CpvProblem) -> CpvResult:
 
     deriv = derivative_estimates(f, tau, delta, f_tau=f_tau, a=a, b=b)
     floor = total_error_estimate(
-        (0.0, 0.0, 0.0),
         deriv,
         f_tau,
         tau,

@@ -205,7 +205,6 @@ def derivative_estimates(
     f_tau: Optional[float] = None,
     a: float = -1.0,
     b: float = 1.0,
-    step: Optional[float] = None,
 ) -> DerivativeEstimates:
     """Estimate f'(tau) and f''(tau) by central divided differences.
 
@@ -220,22 +219,17 @@ def derivative_estimates(
     digits are plenty.
 
     `f_tau` avoids re-evaluating f at tau when the caller already has it.
-    An explicit `step` in (0, delta) replaces the default.
     """
-    if step is None:
-        step = min(max(delta * 1e-4, _CBRT_EPS * max(0.5 * (b - a), abs(tau))),
-                   0.5 * delta)
-        # a positive finite delta gives a finite step, positive unless
-        # delta / 2 underflows
-        if not 0.0 < step < math.inf:
-            _require_positive("delta", delta)
-            raise ValueError(
-                f"tau = {tau!r} lies too close to an endpoint of "
-                f"[{a!r}, {b!r}] for a derivative stencil"
-            )
-    elif not 0.0 < step < delta < math.inf:
+    step = min(max(delta * 1e-4, _CBRT_EPS * max(0.5 * (b - a), abs(tau))),
+               0.5 * delta)
+    # a positive finite delta gives a finite step, positive unless
+    # delta / 2 underflows
+    if not 0.0 < step < math.inf:
         _require_positive("delta", delta)
-        raise ValueError(f"step must lie in (0, {delta!r}), got {step!r}")
+        raise ValueError(
+            f"tau = {tau!r} lies too close to an endpoint of "
+            f"[{a!r}, {b!r}] for a derivative stencil"
+        )
     if f_tau is None:
         f_tau = f(tau)
     f1, f2 = _stencil(f, tau, step, f_tau)
@@ -359,7 +353,6 @@ def curvature_sensitivity(
 
 
 def total_error_estimate(
-    pieces: tuple[float, float, float],
     deriv: DerivativeEstimates,
     f_tau: float,
     tau: float,
@@ -369,10 +362,11 @@ def total_error_estimate(
     a: float = -1.0,
     b: float = 1.0,
 ) -> ErrorBudget:
-    """Assemble the full error budget for one computed integral.
+    """The roundoff floor of the error budget for one integral.
 
-    `pieces` carries the achieved quadrature estimates (left and right
-    difference quotient integrals, symmetric quotient integral).  The
+    The floor depends only on f(tau) and the derivative stencil, so it is
+    known before any quadrature; the three quadrature terms of the returned
+    budget are 0, for the caller to fill with the achieved estimates.  The
     accumulated quotient rounding enters as 8 eps |f'(tau)| max(h, |tau|)
     with h = (b-a)/2: the quotients round like f' times the interval's
     scale, and the abscissae tau +- x round at the scale of tau.  The two
@@ -381,20 +375,7 @@ def total_error_estimate(
     of x, is added on the scale of the interval; under "open" it is zero.
     A derivative estimate that overflowed makes the terms built on it
     infinite rather than raising.
-
-    With `pieces` all zero the budget holds the floor alone, and its four
-    floor terms can be combined with the achieved quadrature estimates
-    later without recomputing them.
     """
-    quad_left, quad_right, quad_h = pieces
-    if not (quad_left >= 0.0 and quad_right >= 0.0 and quad_h >= 0.0
-            and quad_left + quad_right + quad_h < math.inf):
-        for name, v in (
-            ("quad_left", quad_left),
-            ("quad_right", quad_right),
-            ("quad_h", quad_h),
-        ):
-            _require_nonnegative(name, v)
     if method not in ("open", "cutoff"):
         raise ValueError(f"method must be 'open' or 'cutoff', got {method!r}")
     delta = endpoint_distance(tau, a, b)
@@ -412,9 +393,9 @@ def total_error_estimate(
     else:
         cutoff = math.inf
     return ErrorBudget(
-        quad_left,
-        quad_right,
-        quad_h,
+        0.0,
+        0.0,
+        0.0,
         8.0 * eps * slope * max(half, abs(tau)),
         _log_term(f_tau, tau, delta, eps),
         _curvature(tau, abs(f2), eps) if math.isfinite(f2) else math.inf,

@@ -11,6 +11,7 @@ from typing import IO, Callable
 import numpy as np
 
 from cpvquad.benchmarks import _CSV_COLUMNS
+from cpvquad.error_model import DerivativeEstimates, _stencil
 from cpvquad.expressions import (
     _CONSTANTS,
     _FUNCTIONS,
@@ -84,22 +85,12 @@ def cpv_monomial(k: int, tau: float) -> float:
     return total + tau**k * math.log((1.0 - tau) / (1.0 + tau))
 
 
-def pv_sin_interval(k: float, tau: float, a: float, b: float):
-    """Principal value of sin(k x) / (x - tau) over [a, b], as an mpf.
-
-    With A = tau - a and B = b - tau, u = x - tau splits sin(k x) into
-    cos(k tau) sin(k u) + sin(k tau) cos(k u), whose principal values are
-    Si(k B) + Si(k A) and Ci(k B) - Ci(k A).  The doubles are converted
-    exactly, so this is the problem the solver is given.
-    """
-    import mpmath as mp
-
-    with mp.workdps(40):
-        k, tau = mp.mpf(k), mp.mpf(tau)
-        A, B = tau - mp.mpf(a), mp.mpf(b) - tau
-        odd = mp.si(k * B) + mp.si(k * A)
-        even = mp.ci(k * B) - mp.ci(k * A)
-        return +(mp.cos(k * tau) * odd + mp.sin(k * tau) * even)
+def stencil_at(f, tau, step, f_tau=None):
+    """The derivative stencil of f at tau for a given `step`, which
+    ``derivative_estimates`` would otherwise choose itself."""
+    if f_tau is None:
+        f_tau = f(tau)
+    return DerivativeEstimates(*_stencil(f, tau, step, f_tau), step)
 
 
 def make_difference_quotient(f, tau, f_tau=None):
@@ -627,7 +618,8 @@ def read_csv(stream: IO[str]) -> list[dict]:
                 "abs_error": float(rec[3]),
                 "error_estimate": float(rec[4]),
                 "evaluations": int(rec[5]),
-                "elapsed_seconds": float(rec[6]),
+                "converged": {"true": True, "false": False}[rec[6]],
+                "elapsed_seconds": float(rec[7]),
             }
         )
     return out

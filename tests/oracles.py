@@ -1,9 +1,9 @@
 """Independent high-precision references for the benchmark battery.
 
-Nothing in this module is part of the production path.  It exists so the
-frozen reference values in :mod:`cpvquad.benchmarks` can be regenerated and
-audited: every reference is computed here by two structurally different
+The frozen reference values in :mod:`cpvquad.benchmarks` are regenerated
+and audited here: every reference is computed by two structurally different
 routes and, where special functions permit, by a closed form as a third.
+This module needs mpmath and imports nothing from cpvquad.
 
 Route one mirrors the production decomposition (log term, one-sided
 difference quotient integrals, symmetric quotient cut off at 1e-300) but in
@@ -12,7 +12,7 @@ quotient at the singularity instead and never forms the symmetric quotient.
 Since the two routes share no decomposition beyond the log term, agreement
 pins the value down to the quadrature accuracy of the weaker route.
 
-Run ``python -m cpvquad.oracles`` to print a regeneration table.
+Run ``python tests/oracles.py`` to print a regeneration table.
 """
 
 from __future__ import annotations
@@ -21,16 +21,6 @@ import math
 from typing import Callable, Optional, Sequence
 
 import mpmath as mp
-
-__all__ = [
-    "pv_decomposed",
-    "pv_split",
-    "pv_exp_closed",
-    "pv_sin_closed",
-    "oracle_breakpoints",
-    "oracle_integrand",
-    "reference_table",
-]
 
 
 def pv_decomposed(
@@ -113,22 +103,22 @@ def pv_exp_closed(tau_text: str, dps: int = 60) -> mp.mpf:
         return +(mp.exp(tau) * (mp.ei(1 - tau) - mp.ei(-(1 + tau))))
 
 
-def pv_sin_closed(k: int, tau_text: str, dps: int = 60) -> mp.mpf:
-    """Closed form for f(x) = sin(k x) in terms of sine and cosine integrals.
+def pv_sin_interval(k, tau, a, b, dps: int = 40) -> mp.mpf:
+    """Principal value of sin(k x) / (x - tau) over [a, b], as an mpf.
 
-    Substituting u = x - tau splits sin(k x) into even and odd parts whose
-    principal value integrals are the classical Ci and Si differences:
-    sin(k tau) (Ci(k(1-tau)) - Ci(k(1+tau)))
-    + cos(k tau) (Si(k(1-tau)) + Si(k(1+tau))).
+    With A = tau - a and B = b - tau, u = x - tau splits sin(k x) into
+    cos(k tau) sin(k u) + sin(k tau) cos(k u), whose principal values are
+    Si(k B) + Si(k A) and Ci(k B) - Ci(k A).  Every argument goes through
+    ``mp.mpf`` at `dps` digits: a double is converted exactly, so this is
+    the problem the solver is given, and a decimal string such as "0.8" is
+    the exact decimal problem.
     """
     with mp.workdps(dps):
-        tau = mp.mpf(tau_text)
-        a = k * (1 + tau)
-        b = k * (1 - tau)
-        return +(
-            mp.sin(k * tau) * (mp.ci(b) - mp.ci(a))
-            + mp.cos(k * tau) * (mp.si(b) + mp.si(a))
-        )
+        k, tau = mp.mpf(k), mp.mpf(tau)
+        A, B = tau - mp.mpf(a), mp.mpf(b) - tau
+        odd = mp.si(k * B) + mp.si(k * A)
+        even = mp.ci(k * B) - mp.ci(k * A)
+        return +(mp.cos(k * tau) * odd + mp.sin(k * tau) * even)
 
 
 def _uniform_breaks(step: float) -> tuple[float, ...]:
@@ -199,7 +189,7 @@ _TAUS: dict[str, str] = {
 
 _CLOSED: dict[str, Callable[[int], mp.mpf]] = {
     "case1": lambda dps: pv_exp_closed("0.5", dps),
-    "case2": lambda dps: pv_sin_closed(550, "0.8", dps),
+    "case2": lambda dps: pv_sin_interval(550, "0.8", -1, 1, dps),
     "case7": lambda dps: pv_exp_closed("0.9999999", dps),
 }
 

@@ -26,16 +26,16 @@ from cpvquad.quadrature import (
     kronrod_pair_g10k21,
 )
 from cpvquad.expressions import compile_expression
-from cpvquad.oracles import (
+
+from helpers import compiled_kernels, read_csv
+from oracles import (
     oracle_breakpoints,
     oracle_integrand,
     pv_decomposed,
     pv_exp_closed,
-    pv_sin_closed,
+    pv_sin_interval,
     pv_split,
 )
-
-from helpers import compiled_kernels, read_csv
 
 EXPECTED_NAMES = (
     "case1",
@@ -121,7 +121,7 @@ class TestReferenceIntegrity:
 class TestReferenceRegeneration:
     """Frozen strings recomputed from scratch at reduced precision.
 
-    Full regeneration lives in ``python3 -m cpvquad.oracles``; here a
+    Full regeneration is ``python tests/oracles.py``; here a
     cheaper rerun of the closed forms and two fast numeric cases confirms
     the stored digits are reproducible, not copy-paste artifacts.
     """
@@ -134,7 +134,7 @@ class TestReferenceRegeneration:
         with mp.workdps(40):
             gaps = [
                 self._relative_gap(pv_exp_closed("0.5", 40), _case("case1").reference_text),
-                self._relative_gap(pv_sin_closed(550, "0.8", 40), _case("case2").reference_text),
+                self._relative_gap(pv_sin_interval(550, "0.8", -1, 1), _case("case2").reference_text),
                 self._relative_gap(pv_exp_closed("0.9999999", 40), _case("case7").reference_text),
             ]
             assert all(gap <= mp.mpf("1e-24") for gap in gaps), gaps
@@ -280,6 +280,7 @@ class TestSerialization:
             assert rec["abs_error"] == row.abs_error
             assert rec["error_estimate"] == row.error_estimate
             assert rec["evaluations"] == row.evaluations
+            assert rec["converged"] is row.converged
             assert rec["elapsed_seconds"] == row.elapsed_seconds
 
     def test_csv_header(self):
@@ -287,7 +288,8 @@ class TestSerialization:
         buffer = io.StringIO()
         write_csv(rows, buffer)
         assert buffer.getvalue().splitlines()[0] == (
-            "name,tau,value,abs_error,error_estimate,evaluations,elapsed_seconds"
+            "name,tau,value,abs_error,error_estimate,evaluations,converged,"
+            "elapsed_seconds"
         )
 
     def test_read_csv_rejects_foreign_header(self):
@@ -305,6 +307,7 @@ class TestSerialization:
             assert obj["value"] == row.value
             assert obj["abs_error"] == row.abs_error
             assert obj["evaluations"] == row.evaluations
+            assert obj["converged"] is row.converged
             assert set(obj["budget"]) == {
                 "quad_left",
                 "quad_right",
@@ -338,3 +341,4 @@ class TestSerialization:
         assert obj["error_estimate"] is None
         assert obj["budget"]["quad_h"] is None
         assert obj["evaluations"] == rows[0].evaluations
+        assert obj["converged"] is False

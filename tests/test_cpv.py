@@ -11,13 +11,13 @@ from cpvquad.cpv import (
     QuotientOverflowError,
     cpv_general,
     cpv_standard,
-    endpoint_distance,
 )
 from cpvquad.benchmarks import builtin_problems
 from cpvquad.error_model import (
     EPS,
     _pair_looks_like_jump,
     derivative_estimates,
+    endpoint_distance,
     total_error_estimate,
 )
 from cpvquad.expressions import Num
@@ -32,8 +32,9 @@ from helpers import (
     cpv_monomial,
     make_difference_quotient,
     make_symmetric_quotient,
-    pv_sin_interval,
+    stencil_at,
 )
+from oracles import pv_sin_interval
 
 # independently derived reference for f(x) = e^x, tau = 1/2 on [-1, 1]
 EXP_HALF_REFERENCE = float("0.913786431723662428316752218177")
@@ -879,8 +880,7 @@ class TestJumpAtTau:
         assert result.stop_reasons == ("discontinuous_at_tau",) * 3
         # the budget keeps the floor's terms and charges each piece infinity
         deriv = derivative_estimates(f, 5.0, 1.0, f_tau=3.0, a=4.0, b=9.0)
-        floor = total_error_estimate((0.0, 0.0, 0.0), deriv, 3.0, 5.0,
-                                     a=4.0, b=9.0)
+        floor = total_error_estimate(deriv, 3.0, 5.0, a=4.0, b=9.0)
         assert floor.floor > 0.0
         assert result.budget == floor._replace(
             quad_left=math.inf, quad_right=math.inf, quad_h=math.inf
@@ -921,9 +921,7 @@ class TestJumpAtTau:
         f = lambda x: math.sin(k * x)
         delta = endpoint_distance(tau, a, b)
         coarse = derivative_estimates(f, tau, delta, a=a, b=b)
-        fine = derivative_estimates(
-            f, tau, delta, a=a, b=b, step=0.5 * coarse.step
-        )
+        fine = stencil_at(f, tau, 0.5 * coarse.step)
         assert _pair_looks_like_jump(coarse.step, coarse.f1, coarse.f2, fine.f1,
                                      f(tau), tau, EPS)
         result = cpv_general(f, tau, a, b)
