@@ -26,7 +26,7 @@ from typing import IO, NamedTuple, Optional, Sequence
 
 from .cpv import CpvProblem, cpv_standard
 from .error_model import ErrorBudget, json_number
-from .quadrature import Integrand, _patterson_extension
+from .quadrature import Integrand, warm
 
 __all__ = [
     "BenchmarkCase",
@@ -255,7 +255,7 @@ def run_benchmark(
     bound_scale = max(1.0, tol / CALIBRATION_TOL)
     # the one-time rule builds, their exactness checks and the compile of
     # what the engine runs on the quotient forms belong to no case
-    _patterson_extension().warm(("difference", "symmetric"))
+    warm(("difference", "symmetric"))
     rows = []
     for case in cases if cases is not None else _CASES:
         reference = case.reference_value()

@@ -25,7 +25,7 @@ from typing import IO, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .quadrature import gauss_legendre_rule
+from .quadrature import MAX_GAUSS_POINTS, gauss_legendre_rule
 
 __all__ = [
     "Partition",
@@ -316,8 +316,11 @@ def sweep(
     ns = sorted(set(int(n) for n in n_range))
     if not ms or not ns:
         raise ValueError("empty sweep range")
-    if ms[0] < 1 or ms[-1] > 100:
-        raise ValueError(f"rule sizes must lie in 1..100, got {ms[0]}..{ms[-1]}")
+    if ms[0] < 1 or ms[-1] > MAX_GAUSS_POINTS:
+        raise ValueError(
+            f"rule sizes must lie in 1..{MAX_GAUSS_POINTS}, "
+            f"got {ms[0]}..{ms[-1]}"
+        )
     if ns[0] < 1 or ns[-1] > MAX_SUBINTERVALS:
         raise ValueError(
             f"subinterval counts must lie in 1..{MAX_SUBINTERVALS}, "
@@ -353,7 +356,9 @@ def sweep(
 
 def write_sweep_csv(report: SweepReport, stream: IO[str]) -> None:
     writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(("m", "n", "trials", "max_ratio", "witness_seed"))
+    writer.writerow(
+        ("m", "n", "trials", "max_ratio", "witness_seed", "witness_scheme")
+    )
     for cell in report.cells:
         writer.writerow(
             [
@@ -362,5 +367,6 @@ def write_sweep_csv(report: SweepReport, stream: IO[str]) -> None:
                 str(cell.trials),
                 repr(cell.max_ratio),
                 str(cell.witness_seed),
+                cell.witness_scheme,
             ]
         )

@@ -24,10 +24,11 @@ The engine applies its rules through kernels: straight-line Python
 functions emitted from the nodes and weights and compiled the first time
 the engine needs them, after the exactness checks have passed.  A kernel
 applies a rule to f, to its difference quotient or to its symmetric
-quotient about tau, with the quotient written into each node's line; each
-form is compiled once and belongs to the engine's rule object.  It calls f
-in ascending node order and adds the weighted values in that order, the
-same arithmetic as a loop over the nodes, bit for bit, without the loop.
+quotient about tau, with the quotient written into each node's line.  Each
+kind of kernel is compiled once per form and kept in a cache of its own, as
+the rules themselves are.  A kernel calls f in ascending node order and
+adds the weighted values in that order, the same arithmetic as a loop over
+the nodes, bit for bit, without the loop.
 
 The adaptive integrator keeps one priority queue over the intervals of one
 or several pieces, as QUADPACK's QAG does for one integral (there is no
@@ -44,7 +45,7 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from ._records import Checked
@@ -114,30 +115,6 @@ _FORMS = {
     "symmetric": "(f(tau + {t}) - f(tau - {t})) / {t}",
 }
 
-#: The rule attribute holding each form's kernel.
-_KERNEL_OF_FORM = {
-    "plain": "_kernel",
-    "difference": "_difference_kernel",
-    "symmetric": "_symmetric_kernel",
-}
-
-
-class _CompiledOnUse:
-    """Compiles an engine rule's kernels on first use, one per form,
-    through its ``_compile(form)``."""
-
-    @cached_property
-    def _kernel(self):
-        return self._compile("plain")
-
-    @cached_property
-    def _difference_kernel(self):
-        return self._compile("difference")
-
-    @cached_property
-    def _symmetric_kernel(self):
-        return self._compile("symmetric")
-
 
 class _RuleFields(NamedTuple):
     nodes: tuple[float, ...]
@@ -194,10 +171,13 @@ class EmbeddedRulePair(Checked, _PairFields):
 class AdaptiveResult(NamedTuple):
     """Outcome of an adaptive integration.
 
-    ``error_estimate`` is the sum of the per-interval embedded differences
-    over the final partition; ``converged`` records whether that sum met the
-    requested tolerance before the interval cap (or the width floor) stopped
-    refinement.  ``stop_reason`` says which of the three ended refinement:
+    ``error_estimate`` is the sum of the per-interval estimates over the
+    final partition: |K21 - G10| for an interval the 10/21 pair was last
+    applied to and |K43 - K21| for one extended to the 43-point rule (the
+    midpoint value's magnitude on an [a, b] too narrow for the pair).
+    ``converged`` records whether that sum met the requested tolerance
+    before the interval cap (or the width floor) stopped refinement.
+    ``stop_reason`` says which of the three ended refinement:
     "tolerance" exactly when ``converged``, otherwise "interval_cap" or
     "width_floor" (no interval left wide enough to bisect).  The value and
     estimate are returned either way so the caller can decide what a miss
@@ -408,69 +388,21 @@ def kronrod_pair_g10k21() -> EmbeddedRulePair:
 _RESOLVED = 1e-3
 
 
-class _Extension(_CompiledOnUse):
-    """The nodes a nested rule adds to the rule it extends, ascending, with
-    their weights in the nested rule.
-
-    Each form's kernel, ``(f, a, b, tau, f_tau, partial, old)``, evaluates
-    the form at the new nodes and returns ``(value, |value - old|)``: the
-    nested rule's value, its sum going on from ``partial``, the weighted sum
-    over the nodes already evaluated, and ``old`` the extended rule's value.
+class _PattersonRules(NamedTuple):
+    """The 10/21 pair, Patterson's 43-point rule, which nests it, the 22
+    nodes the 43-point rule adds, ascending, with their weights in it, and
+    ``partial_weights``, its weights of the 21 Kronrod nodes in node order.
     """
 
-    def __init__(self, nodes: tuple[float, ...], weights: tuple[float, ...]):
-        self.nodes = nodes
-        self.weights = weights
-
-    def _compile(self, form: str):
-        return _compile_extension(self.nodes, self.weights, form)
-
-
-class _PattersonExtension(_CompiledOnUse):
-    """The 10/21 pair, Patterson's 43-point rule, which nests it, and the 22
-    nodes the 43-point rule adds.
-
-    Each form's kernel applies the pair and returns ``(value,
-    |value - gauss value|, partial)``: partial is the 43-point rule's
-    weighted sum over the 21 Kronrod nodes when the interval looks resolved
-    (see ``_RESOLVED``), else None, and costs no further work then.  Called with ``keep=True`` it returns the 21 values in place of
-    partial, and ``_resolve(values, half, err)`` gives partial from them
-    later, bit for bit, when the interval is picked.  A piece's first
-    application keeps its values, as most are never picked; a bisection's
-    children decide at once, as most are.  Every function is compiled on
-    first use, so a call that extends no interval compiles no extension
-    kernel.
-    """
-
-    def __init__(self, pair: EmbeddedRulePair, rule: QuadratureRule,
-                 extension: _Extension):
-        self.pair = pair
-        self.rule = rule
-        self.extension = extension
-
-    @property
-    def _partial_weights(self) -> list[float]:
-        """The 43-point weights of the 21 Kronrod nodes, in node order."""
-        weight = dict(zip(self.rule.nodes, self.rule.weights))
-        return [weight[x] for x in self.pair.kronrod.nodes]
-
-    @cached_property
-    def _resolve(self):
-        return _compile_resolve(self.pair.kronrod, self._partial_weights)
-
-    def _compile(self, form: str):
-        return _compile_kernel(self.pair, self._partial_weights, form)
-
-    def warm(self, forms) -> None:
-        """Compile everything the engine may run on pieces of `forms`."""
-        for form in forms:
-            getattr(self, _KERNEL_OF_FORM[form])
-            getattr(self.extension, _KERNEL_OF_FORM[form])
-        self._resolve
+    pair: EmbeddedRulePair
+    rule: QuadratureRule
+    new_nodes: tuple[float, ...]
+    new_weights: tuple[float, ...]
+    partial_weights: tuple[float, ...]
 
 
 @lru_cache(maxsize=None)
-def _patterson_extension() -> _PattersonExtension:
+def _patterson_extension() -> _PattersonRules:
     """The engine's rules: the 10/21 pair and its 43-point extension.
 
     The extension is transcribed from QUADPACK's QNG and validated on first
@@ -487,8 +419,11 @@ def _patterson_extension() -> _PattersonExtension:
             "43-point Patterson rule does not contain the 21 Kronrod nodes"
         )
     new = [(x, w) for x, w in zip(nodes, weights) if x not in old]
-    extension = _Extension(tuple(x for x, _ in new), tuple(w for _, w in new))
-    return _PattersonExtension(pair, rule, extension)
+    weight = dict(zip(nodes, weights))
+    return _PattersonRules(
+        pair, rule, tuple(x for x, _ in new), tuple(w for _, w in new),
+        tuple(weight[x] for x in pair.kronrod.nodes),
+    )
 
 
 #: Fewest ulps of its ends by which the outermost mapped node of the engine's
@@ -679,6 +614,47 @@ def _compile_extension(nodes, weights, form: str):
     return _exec_kernel(lines, nodes, f"{form} extension kernel, {len(nodes)} points")
 
 
+@lru_cache(maxsize=None)
+def _pair_kernel(form: str):
+    """The engine's 10/21 pair kernel for `form`, compiled on first use.
+
+    It returns ``(value, |value - gauss value|, partial)``: partial is the
+    43-point rule's sum over the 21 Kronrod nodes when the interval looks
+    resolved (see ``_RESOLVED``), else None.  Called with ``keep=True`` it
+    returns the 21 values in place of partial, and :func:`_resolver` gives
+    partial from them later, bit for bit, when the interval is picked.  A
+    piece's first application keeps its values, as most are never picked; a
+    bisection's children decide at once, as most are.
+    """
+    rules = _patterson_extension()
+    return _compile_kernel(rules.pair, rules.partial_weights, form)
+
+
+@lru_cache(maxsize=None)
+def _extension_kernel(form: str):
+    """The kernel completing the 43-point rule from a resolved interval's
+    partial sum, ``(f, a, b, tau, f_tau, partial, old)``, compiled on first
+    use: a call that extends no interval compiles none."""
+    rules = _patterson_extension()
+    return _compile_extension(rules.new_nodes, rules.new_weights, form)
+
+
+@lru_cache(maxsize=None)
+def _resolver():
+    """``resolve(values, half, err)`` for the values a pair kernel kept,
+    compiled on first use."""
+    rules = _patterson_extension()
+    return _compile_resolve(rules.pair.kronrod, rules.partial_weights)
+
+
+def warm(forms) -> None:
+    """Compile everything the engine may run on pieces of `forms`."""
+    for form in forms:
+        _pair_kernel(form)
+        _extension_kernel(form)
+    _resolver()
+
+
 def _splittable(a: float, b: float) -> bool:
     """Whether [a, b] can be bisected without nodes rounding onto endpoints."""
     mid = 0.5 * (a + b)
@@ -767,7 +743,7 @@ def integrate_pieces(
     :class:`SumOverflowError`.  Either carries the failing ``piece``.
     """
     for form, a, b in pieces:
-        if form not in _KERNEL_OF_FORM:
+        if form not in _FORMS:
             raise ValueError(f"unknown integrand form {form!r}")
         if not -math.inf < a <= b < math.inf:
             if not (math.isfinite(a) and math.isfinite(b)):
@@ -785,7 +761,7 @@ def integrate_pieces(
     # land strictly inside [a, b] when its two outermost nodes do
     lowest = kronrod.nodes[0]
     highest = kronrod.nodes[-1]
-    extension_order = len(rules.extension.nodes)
+    extension_order = len(rules.new_nodes)
     n = len(pieces)
     kernels = [None] * n
     evaluations = [0] * n
@@ -809,7 +785,7 @@ def integrate_pieces(
             if a == b:
                 continue
             count += 1
-            kernels[piece] = getattr(rules, _KERNEL_OF_FORM[form])
+            kernels[piece] = _pair_kernel(form)
             mid = 0.5 * (a + b)
             half = 0.5 * (b - a)
             if a < mid + half * lowest and mid + half * highest < b:
@@ -833,10 +809,9 @@ def integrate_pieces(
                 neg_est, _, ia, ib, ival, piece, partial = heap[0]
                 est = -neg_est
                 if type(partial) is tuple:
-                    partial = rules._resolve(partial, 0.5 * (ib - ia), est)
+                    partial = _resolver()(partial, 0.5 * (ib - ia), est)
                 if partial is not None and _extendable(ia, ib):
-                    extend = getattr(rules.extension,
-                                     _KERNEL_OF_FORM[pieces[piece][0]])
+                    extend = _extension_kernel(pieces[piece][0])
                     value, err = extend(f, ia, ib, tau, f_tau, partial, ival)
                     evaluations[piece] += extension_order
                     heapq.heapreplace(heap, (-err, seq, ia, ib, value, piece, None))

@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import math
 import operator
-from functools import cached_property
 from typing import IO, Callable
 
 import numpy as np
@@ -321,11 +320,27 @@ def patterson_k43_reference():
     return nodes, weights[::-1] + [centre] + weights
 
 
-def compiled_kernels(obj) -> set:
-    """The names of the kernels an engine rule object has compiled so far:
-    the cached properties it holds."""
-    return {name for name in vars(obj)
-            if isinstance(getattr(type(obj), name, None), cached_property)}
+def compiled_kernels() -> tuple[int, int, int]:
+    """How many kernels the engine has compiled so far: pair kernels,
+    extension kernels and resolvers."""
+    from cpvquad.quadrature import _extension_kernel, _pair_kernel, _resolver
+
+    return tuple(cache.cache_info().currsize
+                 for cache in (_pair_kernel, _extension_kernel, _resolver))
+
+
+def clear_engine_caches() -> None:
+    """Forget the engine's rules and every kernel compiled from them."""
+    from cpvquad.quadrature import (
+        _extension_kernel,
+        _pair_kernel,
+        _patterson_extension,
+        _resolver,
+    )
+
+    for cache in (_patterson_extension, _pair_kernel, _extension_kernel,
+                  _resolver):
+        cache.cache_clear()
 
 
 def pair_application_reference(f, a, b):

@@ -27,7 +27,7 @@ from cpvquad.quadrature import (
 )
 from cpvquad.expressions import compile_expression
 
-from helpers import compiled_kernels, read_csv
+from helpers import clear_engine_caches, compiled_kernels, read_csv
 from oracles import (
     oracle_breakpoints,
     oracle_integrand,
@@ -174,12 +174,6 @@ class TestExpressionMirror:
             assert abs(native - mirrored) <= math.ulp(scale), (case.name, x)
 
 
-def _compiled_engine():
-    """The kernels the engine's rules and extension have compiled so far."""
-    rules = _patterson_extension()
-    return compiled_kernels(rules), compiled_kernels(rules.extension)
-
-
 class TestRunBenchmark:
     def test_battery_passes_at_calibration_tolerance(self):
         rows = run_benchmark(tol=CALIBRATION_TOL)
@@ -211,7 +205,7 @@ class TestRunBenchmark:
     def test_rule_build_precedes_the_first_timed_case(self, monkeypatch):
         gauss_legendre_rule.cache_clear()
         kronrod_pair_g10k21.cache_clear()
-        _patterson_extension.cache_clear()
+        clear_engine_caches()
         built = []
         solve = benchmarks.cpv_standard
 
@@ -220,12 +214,12 @@ class TestRunBenchmark:
             # the battery compiled, before any case is timed
             built.append((kronrod_pair_g10k21.cache_info().currsize,
                           _patterson_extension.cache_info().currsize,
-                          _compiled_engine()))
+                          compiled_kernels()))
             return solve(problem)
 
         monkeypatch.setattr(benchmarks, "cpv_standard", record)
         run_benchmark()
-        after = _compiled_engine()
+        after = compiled_kernels()
         # the battery extends intervals, so the extension kernels are among
         # what was compiled in advance
         assert after[1]

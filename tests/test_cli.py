@@ -379,7 +379,7 @@ class TestObservation:
         assert code == 0
         assert f"wrote 4 cells to {target}" in out
         lines = target.read_text(encoding="utf-8").splitlines()
-        assert lines[0] == "m,n,trials,max_ratio,witness_seed"
+        assert lines[0] == "m,n,trials,max_ratio,witness_seed,witness_scheme"
         assert len(lines) == 5
 
     def test_unwritable_path_is_usage_error(self, capsys, tmp_path, monkeypatch):

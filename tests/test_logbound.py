@@ -318,12 +318,16 @@ class TestSweepCsv:
         buffer = io.StringIO()
         write_sweep_csv(report, buffer)
         lines = buffer.getvalue().splitlines()
-        assert lines[0] == "m,n,trials,max_ratio,witness_seed"
+        assert lines[0] == "m,n,trials,max_ratio,witness_seed,witness_scheme"
         assert len(lines) == 1 + len(report.cells)
         for line, cell in zip(lines[1:], report.cells):
-            m, n, trials, max_ratio, witness_seed = line.split(",")
+            m, n, trials, max_ratio, witness_seed, witness_scheme = line.split(",")
             assert int(m) == cell.m
             assert int(n) == cell.n
             assert int(trials) == cell.trials
             assert float(max_ratio) == cell.max_ratio
             assert int(witness_seed) == cell.witness_seed
+            assert witness_scheme == cell.witness_scheme
+            # the row alone rebuilds its worst partition and ratio
+            partition = random_partition(int(n), int(witness_seed), witness_scheme)
+            assert make_sample(partition, int(m)).ratio == float(max_ratio)

@@ -17,10 +17,12 @@ from cpvquad.quadrature import (
     gauss_legendre_rule,
     kronrod_pair_g7k15,
     kronrod_pair_g10k21,
+    warm,
 )
 
 from helpers import (
     apply_rule_reference,
+    clear_engine_caches,
     compiled_kernels,
     extension_reference,
     gauss_legendre_reference,
@@ -121,15 +123,6 @@ class TestQuadratureRuleInvariants:
             QuadratureRule(nodes=(-0.6, 0.5), weights=(1.0, 1.0), order=2)
 
 
-def _tables(built):
-    """What a rule builder returned, as values that compare by content: the
-    engine's extension object compares by identity, so its rules instead."""
-    if isinstance(built, quadrature._PattersonExtension):
-        ext = built.extension
-        return built.pair, built.rule, ext.nodes, ext.weights
-    return built
-
-
 def _check_perturbed_table(monkeypatch, builder, table_name, column, label):
     """Raise the weight in table row 3 by a relative 1e-9 and require the
     build to fail.  A Kronrod weight gives the same amount back in row 4, a
@@ -143,13 +136,15 @@ def _check_perturbed_table(monkeypatch, builder, table_name, column, label):
         table[4][column] -= shift
     monkeypatch.setattr(quadrature, table_name, tuple(map(tuple, table)))
     builder.cache_clear()
+    clear_engine_caches()
     try:
         with pytest.raises(RuntimeError, match=label):
             builder()
     finally:
         monkeypatch.undo()
         builder.cache_clear()
-    assert _tables(builder()) == _tables(original)
+        clear_engine_caches()
+    assert builder() == original
 
 
 class TestKronrodPair:
@@ -280,7 +275,7 @@ class TestKronrodPairG10K21:
         # nearest mapped node; with the 7/15 pair's floor of 1,024 ulps the
         # outermost 10/21 nodes land next to the ends
         pair = kronrod_pair_g10k21()
-        kernel = quadrature._patterson_extension()._kernel
+        kernel = quadrature._pair_kernel("plain")
         for a, b in _split_halves():
             mid = 0.5 * (a + b)
             half = 0.5 * (b - a)
@@ -322,14 +317,14 @@ class TestPattersonExtension:
         assert table[1][0] == quadrature._G10K21_HALF[0][0]
         table[1][0] = math.nextafter(table[1][0], 0.0)
         monkeypatch.setattr(quadrature, "_K43_HALF", tuple(map(tuple, table)))
-        builder.cache_clear()
+        clear_engine_caches()
         try:
             with pytest.raises(RuntimeError, match="does not contain"):
                 builder()
         finally:
             monkeypatch.undo()
-            builder.cache_clear()
-        assert _tables(builder()) == _tables(original)
+            clear_engine_caches()
+        assert builder() == original
 
     def test_table_matches_the_160_digit_construction(self):
         # every node and weight within one ulp, far inside 5e-15, of the
@@ -356,29 +351,50 @@ class TestPattersonExtension:
     def test_compiled_only_when_first_needed(self):
         # a call that meets the tolerance at its first application compiles
         # neither the extension kernels nor the decision
-        quadrature._patterson_extension.cache_clear()
+        clear_engine_caches()
         quadrature.adaptive_integrate(math.exp, 0.0, 1.0, 1e-12)
-        rules = quadrature._patterson_extension()
-        assert compiled_kernels(rules) == {"_kernel"}
-        assert not compiled_kernels(rules.extension)
+        assert compiled_kernels() == (1, 0, 0)
         quadrature.adaptive_integrate(math.sqrt, 0.0, 1.0, 1e-12)
-        assert compiled_kernels(rules) == {"_kernel", "_resolve"}
-        assert compiled_kernels(rules.extension) == {"_kernel"}
+        assert compiled_kernels() == (1, 1, 1)
+
+    def test_quotient_forms_compile_only_their_pair_kernels(self):
+        # a principal value met at its first applications compiles the two
+        # quotient forms' pair kernels alone; looking both up again compiles
+        # nothing, so those are the two it holds.  A refining call then
+        # adds the plain pair kernel, the resolver and one extension kernel
+        code = (
+            "import sys, math; sys.path.insert(0, sys.argv[1]); "
+            "from cpvquad import quadrature as q; "
+            "from cpvquad.cpv import CpvProblem, cpv_standard; "
+            "caches = (q._pair_kernel, q._extension_kernel, q._resolver); "
+            "sizes = lambda: [c.cache_info().currsize for c in caches]; "
+            "result = cpv_standard(CpvProblem(f=math.exp, tau=0.5, tol=1e-12)); "
+            "assert result.evaluations == 42, result.evaluations; "
+            "assert sizes() == [2, 0, 0], sizes(); "
+            "q._pair_kernel('difference'); q._pair_kernel('symmetric'); "
+            "assert sizes() == [2, 0, 0], sizes(); "
+            "q.adaptive_integrate(math.sqrt, 0.0, 1.0, 1e-12); "
+            "assert sizes() == [3, 1, 1], sizes(); "
+            "q._extension_kernel('plain'); "
+            "assert sizes() == [3, 1, 1], sizes()"
+        )
+        src = os.path.dirname(os.path.dirname(quadrature.__file__))
+        subprocess.run([sys.executable, "-c", code, src], check=True)
 
     def test_warm_compiles_what_the_forms_need(self):
-        quadrature._patterson_extension.cache_clear()
-        rules = quadrature._patterson_extension()
-        rules.warm(["difference", "symmetric"])
-        compiled = (compiled_kernels(rules), compiled_kernels(rules.extension))
-        assert compiled[1]
+        clear_engine_caches()
+        warm(["difference", "symmetric"])
+        compiled = compiled_kernels()
+        assert compiled == (2, 2, 1)
         # refining both forms, extensions included, compiles nothing more
         f = lambda x: math.sin(550.0 * x)
         pieces = (("difference", -1.0, -0.5), ("symmetric", 0.0, 0.5))
         _, _, evaluations, _ = quadrature.integrate_pieces(
             f, pieces, 1e-12, tau=0.3, f_tau=f(0.3))
         # each piece extended an interval: 22 evaluations on top of runs of 21
-        assert all(e % rules.pair.kronrod.order for e in evaluations)
-        assert (compiled_kernels(rules), compiled_kernels(rules.extension)) == compiled
+        order = quadrature._patterson_extension().pair.kronrod.order
+        assert all(e % order for e in evaluations)
+        assert compiled_kernels() == compiled
 
     def test_extension_floor_keeps_two_ulps_margin(self):
         # an extended interval is not split, so its floor is half what the
@@ -437,7 +453,7 @@ class TestApplyRule:
         assert abs(value - exact) / exact <= 1e-12
 
     def test_nonfinite_integrand_reports_abscissa(self):
-        kernel = quadrature._patterson_extension()._kernel
+        kernel = quadrature._pair_kernel("plain")
 
         def bad(x):
             return math.inf if abs(x) < 0.1 else 1.0
@@ -554,13 +570,13 @@ def _deciding_reference(f, a, b):
 
 
 class TestRuleKernel:
-    """The engine's kernels belong to its rule object; the rules themselves
-    are plain data."""
+    """The engine compiles its own kernels, one per form; the rules
+    themselves are plain data."""
 
     # the engine's pair is the one rule that has kernels
     @pytest.mark.parametrize("m", ["g10k21"])
     def test_bit_equal_to_the_per_node_loop(self, m):
-        kernel = quadrature._patterson_extension()._kernel
+        kernel = quadrature._pair_kernel("plain")
         rule = _rule(m)
         rng = random.Random(_seed(m))
         for a, b in _kernel_intervals():
@@ -589,16 +605,7 @@ class TestRuleKernel:
             assert not hasattr(obj, "_kernel")
 
     def test_kernel_belongs_to_the_rule(self):
-        build = quadrature._patterson_extension
-        rules = build()
-        assert rules._kernel is rules._kernel
-        build.cache_clear()
-        try:
-            rebuilt = build()
-            assert rebuilt is not rules
-            assert rebuilt._kernel is not rules._kernel
-        finally:
-            build.cache_clear()
+        assert quadrature._pair_kernel("plain") is quadrature._pair_kernel("plain")
 
 
 def _quotient_integrands(a, b, rng):
@@ -617,7 +624,7 @@ class TestQuotientKernels:
 
     @pytest.mark.parametrize("m", ["g10k21"])
     def test_difference_kernel_bit_equal_to_the_closure(self, m):
-        kernel = quadrature._patterson_extension()._difference_kernel
+        kernel = quadrature._pair_kernel("difference")
         rng = random.Random(31 + _seed(m))
         outcomes = set()
         for a, b in _kernel_intervals():
@@ -640,7 +647,7 @@ class TestQuotientKernels:
 
     @pytest.mark.parametrize("m", ["g10k21"])
     def test_symmetric_kernel_bit_equal_to_the_closure(self, m):
-        kernel = quadrature._patterson_extension()._symmetric_kernel
+        kernel = quadrature._pair_kernel("symmetric")
         rng = random.Random(47 + _seed(m))
         outcomes = set()
         for a, b in _kernel_intervals():
@@ -654,13 +661,10 @@ class TestQuotientKernels:
         assert {"value", "NonfiniteIntegrandError", "SumOverflowError"} <= outcomes
 
     def test_each_form_compiles_once_per_rule(self):
-        for owner in (quadrature._patterson_extension(),
-                      quadrature._patterson_extension().extension):
-            kernels = [getattr(owner, name)
-                       for name in quadrature._KERNEL_OF_FORM.values()]
+        for lookup in (quadrature._pair_kernel, quadrature._extension_kernel):
+            kernels = [lookup(form) for form in quadrature._FORMS]
             assert len(set(map(id, kernels))) == 3
-            assert kernels == [getattr(owner, name)
-                               for name in quadrature._KERNEL_OF_FORM.values()]
+            assert kernels == [lookup(form) for form in quadrature._FORMS]
 
 
 class TestEngineKernels:
@@ -672,9 +676,8 @@ class TestEngineKernels:
 
     @pytest.mark.parametrize("form", ["plain", "difference", "symmetric"])
     def test_bit_equal_to_the_reference(self, form):
-        rules = quadrature._patterson_extension()
-        name = quadrature._KERNEL_OF_FORM[form]
-        first, extend = getattr(rules, name), getattr(rules.extension, name)
+        first = quadrature._pair_kernel(form)
+        extend = quadrature._extension_kernel(form)
         rng = random.Random(61 + len(form))
         intervals = _kernel_intervals()
         for a, _ in list(intervals):
@@ -704,7 +707,8 @@ class TestEngineKernels:
                 value, err, values = first(f, a, b, tau, f_tau, True)
                 partial = resolve_reference(values, 0.5 * (b - a), err)
                 assert repr(first(f, a, b, tau, f_tau)) == repr((value, err, partial))
-                assert repr(rules._resolve(values, 0.5 * (b - a), err)) == repr(partial)
+                resolved = quadrature._resolver()(values, 0.5 * (b - a), err)
+                assert repr(resolved) == repr(partial)
                 if partial is None or not quadrature._extendable(a, b):
                     seen.add("unresolved" if partial is None else "too narrow")
                     continue
@@ -722,9 +726,9 @@ class TestEngineKernels:
     def test_node_on_endpoint_raises_before_calling_f(self, form, kernel):
         # [1, 1 + 8 ulp] is far below both width floors, so the outermost
         # nodes round onto its ends
-        rules = quadrature._patterson_extension()
-        owner = rules if kernel == "pair" else rules.extension
-        apply = getattr(owner, quadrature._KERNEL_OF_FORM[form])
+        lookup = (quadrature._pair_kernel if kernel == "pair"
+                  else quadrature._extension_kernel)
+        apply = lookup(form)
         calls = []
 
         def f(x):
