@@ -22,7 +22,7 @@ import csv
 import json
 import math
 import time
-from typing import IO, NamedTuple, Optional, Sequence
+from typing import IO, NamedTuple, Sequence
 
 from .cpv import CpvProblem, cpv_standard
 from .error_model import ErrorBudget, json_number
@@ -242,13 +242,9 @@ def reference_values() -> dict[str, float]:
     return {case.name: case.reference_value() for case in _CASES}
 
 
-def run_benchmark(
-    tol: float = 1e-12,
-    cases: Optional[Sequence[BenchmarkCase]] = None,
-) -> list[BenchmarkRow]:
-    """Run the battery, or `cases` of it, at `tol` and return one row per
-    case.  Cases run sequentially so the per-case timings do not contend
-    with each other.
+def run_benchmark(tol: float = 1e-12) -> list[BenchmarkRow]:
+    """Run the battery at `tol` and return one row per case.  Cases run
+    sequentially so the per-case timings do not contend with each other.
     """
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
@@ -257,7 +253,7 @@ def run_benchmark(
     # what the engine runs on the quotient forms belong to no case
     warm(("difference", "symmetric"))
     rows = []
-    for case in cases if cases is not None else _CASES:
+    for case in _CASES:
         reference = case.reference_value()
         start = time.perf_counter()
         result = cpv_standard(CpvProblem(f=case.integrand, tau=case.tau, tol=tol))

@@ -203,7 +203,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_observation(args: argparse.Namespace) -> int:
     # numpy is loaded only here: no other subcommand needs it
-    from .logbound import boundary_case, sweep, write_sweep_csv
+    from .logbound import sweep, write_sweep_csv
 
     try:
         with _opened(args.csv) as fp:
@@ -221,21 +221,20 @@ def _cmd_observation(args: argparse.Namespace) -> int:
     if args.csv:
         print(f"wrote {len(report.cells)} cells to {args.csv}")
     print(f"cells: {len(report.cells)}  trials per cell: {report.trials_per_cell}")
-    checked = [cell for cell in report.cells if cell.m >= 2]
     if args.m_min <= 1:
-        b = boundary_case()
+        # the sweep starts at m = 1 and n = 1, so its first cell is (1, 1)
         print(f"1-point boundary case reported, not checked: "
-              f"ratio {b.ratio!r}")
-    if not checked:
+              f"ratio {report.cells[0].max_ratio!r}")
+    worst = report.worst(2)
+    if worst is None:
         print("no cells with at least 2 points; nothing to check")
         return 0
-    worst = max(checked, key=lambda cell: cell.max_ratio)
     print(f"max ratio: {worst.max_ratio!r} "
           f"(m={worst.m}, n={worst.n}, scheme={worst.witness_scheme}, "
           f"seed={worst.witness_seed})")
-    large = [cell.max_ratio for cell in checked if cell.m >= 15]
-    if large:
-        print(f"max ratio for rules with >= 15 points: {max(large)!r}")
+    large = report.worst(15)
+    if large is not None:
+        print(f"max ratio for rules with >= 15 points: {large.max_ratio!r}")
     if worst.max_ratio >= 2.0:
         print("ratio bound 2 violated", file=sys.stderr)
         return 1

@@ -137,7 +137,12 @@ class CpvProblem(Checked, _ProblemFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if not (math.isfinite(self.a) and math.isfinite(self.b) and self.a < self.b):
+        if not 0.0 < self.b - self.a < math.inf:
+            if math.isfinite(self.a) and math.isfinite(self.b) and self.a < self.b:
+                raise ValueError(
+                    f"interval [{self.a!r}, {self.b!r}] is wider than the "
+                    f"largest double"
+                )
             raise ValueError(f"need finite a < b, got [{self.a!r}, {self.b!r}]")
         if not (math.isfinite(self.tau) and self.a < self.tau < self.b):
             raise ValueError(

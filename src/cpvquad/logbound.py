@@ -10,9 +10,10 @@ records the worst ratio together with the seed that produced it, so any
 reported worst case can be reconstructed exactly.
 
 The 1-point rule on the trivial partition is the known boundary case: its
-value 2 against log(1/0.5) gives ratio 2/log 2 > 2.  It is reported by
-:func:`boundary_case` and excluded from pass/fail sweeps, which start at
-m = 2.
+value 2 against log(1/0.5) gives ratio 2/log 2 > 2.  A sweep that includes
+m = 1 reports it as its (1, 1) cell; pass/fail checks start at m = 2.
+:func:`composite_ratio` replays any one partition, a sweep's witness among
+them, bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import csv
 import math
 import operator
 from dataclasses import dataclass
-from typing import IO, Iterable, Optional, Sequence
+from typing import IO, Iterable, Optional
 
 import numpy as np
 
@@ -29,12 +30,9 @@ from .quadrature import MAX_GAUSS_POINTS, gauss_legendre_rule
 
 __all__ = [
     "Partition",
-    "ObservationSample",
     "SweepCell",
     "SweepReport",
-    "boundary_case",
-    "composite_value",
-    "make_sample",
+    "composite_ratio",
     "random_partition",
     "sweep",
     "write_sweep_csv",
@@ -67,34 +65,8 @@ class Partition:
                     f"breakpoints must increase strictly, got {lo!r} before {hi!r}"
                 )
 
-    @property
-    def n(self) -> int:
-        return len(self.breakpoints) - 1
 
-
-@dataclass(frozen=True)
-class ObservationSample:
-    """One composite evaluation of 1/x with its bounding ratio.
-
-    ``a_value`` is the composite Gauss value, ``x00`` the smallest mapped
-    node inside the first subinterval and ``ratio`` their quotient
-    a_value / log(1/x00).
-    """
-
-    m: int
-    n: int
-    a_value: float
-    x00: float
-    ratio: float
-
-    def __post_init__(self):
-        if not self.x00 > 0.0:
-            raise ValueError(f"x00 must be positive, got {self.x00!r}")
-        if not math.isfinite(self.ratio):
-            raise ValueError(f"ratio must be finite, got {self.ratio!r}")
-
-
-def _composite_values(
+def _composite_sums(
     stack: np.ndarray, m: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Composite m-point Gauss values of 1/x for a stack of partitions.
@@ -117,34 +89,27 @@ def _composite_values(
     return a_values, x00
 
 
-def composite_value(partition: Partition, m: int) -> tuple[float, float]:
-    """Composite m-point Gauss value of 1/x over the partition, with x00.
-
-    The rule is open, so no node ever touches the breakpoints; in
-    particular 1/x is never evaluated at 0.  Returns (a_value, x00).
-    """
-    a_values, x00 = _composite_values(np.asarray([partition.breakpoints]), m)
-    return float(a_values[0]), float(x00[0])
-
-
 def _ratio(a_value: float, x00: float) -> float:
-    return a_value / math.log(1.0 / x00)
+    """a_value / log(1/x00), through -log(x00) where 1/x00 overflows."""
+    inverse = 1.0 / x00
+    return a_value / (math.log(inverse) if inverse < math.inf else -math.log(x00))
 
 
-def make_sample(partition: Partition, m: int) -> ObservationSample:
-    a_value, x00 = composite_value(partition, m)
-    return ObservationSample(
-        m=m,
-        n=partition.n,
-        a_value=a_value,
-        x00=x00,
-        ratio=_ratio(a_value, x00),
-    )
+def composite_ratio(partition: Partition, m: int) -> float:
+    """The ratio a_value / log(1/x00) of m-point Gauss on the partition.
 
-
-def boundary_case() -> ObservationSample:
-    """The excluded m=1, n=1 midpoint case with ratio 2/log 2 > 2."""
-    return make_sample(Partition((0.0, 1.0)), 1)
+    a_value is the composite Gauss value of 1/x and x00 the smallest mapped
+    node, inside the first subinterval.  The rule is open, so 1/x is never
+    evaluated at 0.  A sweep cell's ``max_ratio`` is this ratio of its
+    witness partition, bit for bit.
+    """
+    a_values, x00 = _composite_sums(np.asarray([partition.breakpoints]), m)
+    if not x00[0] > 0.0:
+        raise ValueError(
+            f"x00 underflows to 0 on a first subinterval of width "
+            f"{partition.breakpoints[1]!r}"
+        )
+    return _ratio(float(a_values[0]), float(x00[0]))
 
 
 # Counter-based stream (Salmon et al., "Parallel random numbers: as easy as
@@ -273,15 +238,13 @@ class SweepReport:
     seed: int
     trials_per_cell: int
 
-    def max_ratio(self, m_min: Optional[int] = None) -> float:
-        ratios = [
-            cell.max_ratio
-            for cell in self.cells
-            if m_min is None or cell.m >= m_min
-        ]
-        if not ratios:
-            raise ValueError("no cells in the requested range")
-        return max(ratios)
+    def worst(self, m_min: int) -> Optional[SweepCell]:
+        """The first cell of largest ``max_ratio`` with m >= m_min, or None."""
+        return max(
+            (cell for cell in self.cells if cell.m >= m_min),
+            key=lambda cell: cell.max_ratio,
+            default=None,
+        )
 
 
 def _cell_partitions(
@@ -300,6 +263,13 @@ def _cell_partitions(
     return trial_seeds, schemes, _partitions(n, keys, schemes)
 
 
+def _count(value, name: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def sweep(
     m_range: Iterable[int],
     n_range: Iterable[int],
@@ -312,8 +282,9 @@ def sweep(
     schemes, with a per-trial seed derived from (seed, m, n, trial), so the
     report is deterministic and every witness is reproducible in isolation.
     """
-    ms = sorted(set(int(m) for m in m_range))
-    ns = sorted(set(int(n) for n in n_range))
+    ms = sorted(set(_count(m, "rule size") for m in m_range))
+    ns = sorted(set(_count(n, "subinterval count") for n in n_range))
+    trials_per_cell = _count(trials_per_cell, "trials_per_cell")
     if not ms or not ns:
         raise ValueError("empty sweep range")
     if ms[0] < 1 or ms[-1] > MAX_GAUSS_POINTS:
@@ -337,7 +308,7 @@ def sweep(
             trial_seeds, schemes, stack = _cell_partitions(
                 seed, m, n, trials_per_cell
             )
-            a_values, x00 = _composite_values(stack, m)
+            a_values, x00 = _composite_sums(stack, m)
             worst = int(np.argmax(a_values / np.log(1.0 / x00)))
             cells.append(
                 SweepCell(

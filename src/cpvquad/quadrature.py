@@ -745,10 +745,14 @@ def integrate_pieces(
     for form, a, b in pieces:
         if form not in _FORMS:
             raise ValueError(f"unknown integrand form {form!r}")
-        if not -math.inf < a <= b < math.inf:
+        if not 0.0 <= b - a < math.inf:
             if not (math.isfinite(a) and math.isfinite(b)):
                 raise ValueError("integration endpoints must be finite")
-            raise ValueError(f"need a <= b, got [{a!r}, {b!r}]")
+            if a > b:
+                raise ValueError(f"need a <= b, got [{a!r}, {b!r}]")
+            raise ValueError(
+                f"interval [{a!r}, {b!r}] is wider than the largest double"
+            )
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
     if max_intervals < 1:

@@ -676,3 +676,11 @@ class TestSharedQueue:
                                         ("plain", 2.0, 1.0)), 1e-12)
         with pytest.raises(ValueError):
             integrate_pieces(math.exp, (("plain", 0.0, math.inf),), 1e-12)
+
+    def test_rejects_interval_wider_than_the_double_range(self):
+        # b - a overflows; the half-width would be infinite and the value NaN
+        with pytest.raises(ValueError, match="wider than the largest double"):
+            adaptive_integrate(lambda x: 0.0, -1.5e308, 1.5e308, 1e-12)
+        with pytest.raises(ValueError, match="wider than the largest double"):
+            integrate_pieces(math.exp, (("plain", 0.0, 1.0),
+                                        ("difference", -1e308, 1e308)), 1e-12)

@@ -225,17 +225,14 @@ class TestRunBenchmark:
         assert after[1]
         assert built == [(1, 1, after)] * len(builtin_problems())
 
-    def test_case_subset(self):
-        rows = run_benchmark(tol=1e-12, cases=[_case("case1")])
-        assert len(rows) == 1
-        assert rows[0].name == "case1"
-
     def test_bound_scales_with_loose_tolerance(self):
-        rows = run_benchmark(tol=1e-10, cases=[_case("case1")])
+        rows = run_benchmark(tol=1e-10)
+        assert rows[0].name == "case1"
         assert rows[0].bound == pytest.approx(100.0 * 5e-12, rel=1e-12)
 
     def test_bound_never_shrinks_below_calibration(self):
-        rows = run_benchmark(tol=1e-13, cases=[_case("case1")])
+        rows = run_benchmark(tol=1e-13)
+        assert rows[0].name == "case1"
         assert rows[0].bound == 5e-12
 
     def test_rejects_bad_arguments(self):
@@ -257,11 +254,11 @@ class TestRunBenchmark:
 
 
 class TestSerialization:
-    def _fast_rows(self):
-        return run_benchmark(tol=1e-12, cases=[_case("case1"), _case("case7")])
+    def _rows(self):
+        return run_benchmark(tol=1e-12)
 
     def test_csv_roundtrip_is_bit_exact(self):
-        rows = self._fast_rows()
+        rows = self._rows()
         buffer = io.StringIO()
         write_csv(rows, buffer)
         buffer.seek(0)
@@ -278,7 +275,7 @@ class TestSerialization:
             assert rec["elapsed_seconds"] == row.elapsed_seconds
 
     def test_csv_header(self):
-        rows = self._fast_rows()
+        rows = self._rows()
         buffer = io.StringIO()
         write_csv(rows, buffer)
         assert buffer.getvalue().splitlines()[0] == (
@@ -291,7 +288,7 @@ class TestSerialization:
             read_csv(io.StringIO("a,b,c\n1,2,3\n"))
 
     def test_json_layout_and_exact_values(self):
-        rows = self._fast_rows()
+        rows = self._rows()
         buffer = io.StringIO()
         write_json(rows, buffer)
         parsed = json.loads(buffer.getvalue())
@@ -313,7 +310,7 @@ class TestSerialization:
             }
             assert obj["budget"]["roundoff"] == row.budget.roundoff
 
-    def test_json_is_strict_for_a_jump_at_tau(self):
+    def test_json_is_strict_for_a_jump_at_tau(self, monkeypatch):
         # a jump at tau has no principal value: its row holds a NaN value and
         # error and an infinite estimate, which the JSON writes as null; the
         # battery runs the native integrand only
@@ -321,7 +318,8 @@ class TestSerialization:
             name="jump",
             integrand=lambda x: 1.0 if x >= 0.5 else 0.0,
         )
-        rows = run_benchmark(tol=1e-12, cases=[jump])
+        monkeypatch.setattr(benchmarks, "_CASES", (jump,))
+        rows = run_benchmark(tol=1e-12)
         assert not rows[0].converged
         buffer = io.StringIO()
         write_json(rows, buffer)

@@ -191,6 +191,14 @@ class TestIntegrate:
         assert code == 2
         assert "error:" in captured.err
 
+    def test_interval_wider_than_the_double_range_is_usage_error(self, capsys):
+        code = main(["integrate", "--f=1", "--tau=0", "--a=-1e308",
+                     "--b=1e308", "--json"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "wider than the largest double" in captured.err
+        assert captured.out == ""
+
     def test_missing_tau_is_usage_error(self, capsys):
         code = main(["integrate", "--f", "exp(x)"])
         capsys.readouterr()

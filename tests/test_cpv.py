@@ -153,6 +153,13 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             CpvProblem(f=math.exp, tau=0.5, a=1.0, b=-1.0)
 
+    @pytest.mark.parametrize("tau", [0.0, 0.9e308])
+    def test_rejects_interval_wider_than_the_double_range(self, tau):
+        # b - a overflows, so the decomposition would run on an infinite
+        # half-width and return NaN in the value or its estimate
+        with pytest.raises(ValueError, match="wider than the largest double"):
+            cpv_general(lambda x: 1.0, tau, -1e308, 1e308)
+
     def test_rejects_tau_on_boundary(self):
         with pytest.raises(ValueError):
             CpvProblem(f=math.exp, tau=-1.0)

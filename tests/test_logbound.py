@@ -11,11 +11,8 @@ from cpvquad.cli import main
 from cpvquad.logbound import (
     MAX_SUBINTERVALS,
     MAX_TRIALS_PER_CELL,
-    ObservationSample,
     Partition,
-    boundary_case,
-    composite_value,
-    make_sample,
+    composite_ratio,
     random_partition,
     sweep,
     write_sweep_csv,
@@ -23,11 +20,15 @@ from cpvquad.logbound import (
 from cpvquad.quadrature import gauss_legendre_rule
 
 
-class TestPartition:
-    def test_subinterval_count(self):
-        assert Partition((0.0, 1.0)).n == 1
-        assert Partition((0.0, 0.25, 0.5, 1.0)).n == 3
+def a_value_and_x00(partition, m):
+    """(a_value, x00) of one partition, as the sweep computes them."""
+    a_values, x00 = logbound._composite_sums(
+        np.asarray([partition.breakpoints]), m
+    )
+    return float(a_values[0]), float(x00[0])
 
+
+class TestPartition:
     def test_rejects_too_few_points(self):
         with pytest.raises(ValueError):
             Partition((0.0,))
@@ -45,26 +46,16 @@ class TestPartition:
             Partition((0.0, 0.7, 0.3, 1.0))
 
 
-class TestObservationSample:
-    def test_rejects_nonpositive_x00(self):
-        with pytest.raises(ValueError):
-            ObservationSample(m=2, n=1, a_value=1.0, x00=0.0, ratio=1.0)
-
-    def test_rejects_nonfinite_ratio(self):
-        with pytest.raises(ValueError):
-            ObservationSample(m=2, n=1, a_value=1.0, x00=0.5, ratio=math.inf)
-
-
 class TestCompositeValue:
     def test_two_point_rule_hand_value(self):
         # 2-point Gauss of 1/x on [0,1]: 1/(1-1/sqrt 3) + 1/(1+1/sqrt 3) = 3
-        a_value, x00 = composite_value(Partition((0.0, 1.0)), 2)
+        a_value, x00 = a_value_and_x00(Partition((0.0, 1.0)), 2)
         assert a_value == pytest.approx(3.0, rel=1e-15)
         assert x00 == pytest.approx(0.5 * (1.0 - 1.0 / math.sqrt(3.0)), rel=1e-15)
 
     def test_smallest_node_lies_inside_first_subinterval(self):
         p = Partition((0.0, 0.01, 0.3, 1.0))
-        _, x00 = composite_value(p, 5)
+        _, x00 = a_value_and_x00(p, 5)
         assert 0.0 < x00 < 0.01
 
     def test_matches_scalar_summation(self):
@@ -75,39 +66,51 @@ class TestCompositeValue:
             half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
             for node, weight in zip(rule.nodes, rule.weights):
                 total += half * weight / (mid + half * node)
-        a_value, _ = composite_value(p, 9)
+        a_value, _ = a_value_and_x00(p, 9)
         assert a_value == pytest.approx(total, rel=1e-13)
 
     def test_value_is_finite_despite_divergent_integrand(self):
         p = Partition((0.0, 1e-12, 1.0))
-        a_value, x00 = composite_value(p, 30)
+        a_value, x00 = a_value_and_x00(p, 30)
         assert math.isfinite(a_value)
         assert x00 > 0.0
 
 
 class TestBoundaryCase:
     def test_ratio_is_two_over_log_two(self):
-        sample = boundary_case()
-        assert sample.m == 1
-        assert sample.n == 1
-        assert sample.ratio == pytest.approx(2.0 / math.log(2.0), rel=1e-15)
+        ratio = composite_ratio(Partition((0.0, 1.0)), 1)
+        assert ratio == pytest.approx(2.0 / math.log(2.0), rel=1e-15)
+        # a sweep that includes m = 1 reports the same bits in its (1, 1) cell
+        for seed in (0, 3):
+            assert sweep([1], [1], 4, seed).cells[0].max_ratio == ratio
 
     def test_exceeds_the_sweep_threshold(self):
         # the known outlier that motivates starting pass/fail sweeps at m=2
-        assert boundary_case().ratio > 2.0
+        assert composite_ratio(Partition((0.0, 1.0)), 1) > 2.0
 
 
-class TestMakeSample:
+class TestCompositeRatio:
     def test_ratio_consistency(self):
-        sample = make_sample(Partition((0.0, 0.3, 1.0)), 4)
-        assert sample.ratio == sample.a_value / math.log(1.0 / sample.x00)
-        assert sample.n == 2
-        assert sample.m == 4
+        p = Partition((0.0, 0.3, 1.0))
+        a_value, x00 = a_value_and_x00(p, 4)
+        assert composite_ratio(p, 4) == a_value / math.log(1.0 / x00)
 
     def test_two_point_single_interval(self):
-        sample = make_sample(Partition((0.0, 1.0)), 2)
-        assert sample.ratio == pytest.approx(1.9300564487871652, rel=1e-13)
-        assert sample.ratio < 2.0
+        ratio = composite_ratio(Partition((0.0, 1.0)), 2)
+        assert ratio == pytest.approx(1.9300564487871652, rel=1e-13)
+        assert ratio < 2.0
+
+    def test_overflowing_inverse_of_x00_takes_minus_log(self):
+        # 1/x00 overflows for x00 = 1.126e-321, but -log(x00) does not
+        p = Partition((0.0, 1e-320, 1.0))
+        a_value, x00 = a_value_and_x00(p, 3)
+        assert 1.0 / x00 == math.inf
+        ratio = composite_ratio(p, 3)
+        assert ratio == a_value / -math.log(x00) == 0.009923175770565918
+
+    def test_rejects_nonpositive_x00(self):
+        with pytest.raises(ValueError, match="x00"):
+            composite_ratio(Partition((0.0, 5e-324, 1.0)), 3)
 
 
 class TestSingleIntervalRatios:
@@ -123,19 +126,19 @@ class TestSingleIntervalRatios:
 
     @pytest.mark.parametrize("m", sorted(EXPECTED))
     def test_frozen_values(self, m):
-        sample = make_sample(Partition((0.0, 1.0)), m)
-        assert sample.ratio == pytest.approx(self.EXPECTED[m], rel=1e-12)
+        ratio = composite_ratio(Partition((0.0, 1.0)), m)
+        assert ratio == pytest.approx(self.EXPECTED[m], rel=1e-12)
 
     def test_threshold_crossing_between_14_and_15_points(self):
         # the 1.3 threshold is crossed going from 14 to 15 nodes; rule sizes
         # here count nodes, so a bound quoted for "m >= 14" in the
         # sum-from-zero-to-m indexing convention means 15 nodes and up
-        assert make_sample(Partition((0.0, 1.0)), 14).ratio > 1.3
-        assert make_sample(Partition((0.0, 1.0)), 15).ratio < 1.3
+        assert composite_ratio(Partition((0.0, 1.0)), 14) > 1.3
+        assert composite_ratio(Partition((0.0, 1.0)), 15) < 1.3
 
     def test_decreasing_in_rule_size(self):
         ratios = [
-            make_sample(Partition((0.0, 1.0)), m).ratio for m in range(2, 40)
+            composite_ratio(Partition((0.0, 1.0)), m) for m in range(2, 40)
         ]
         for earlier, later in zip(ratios, ratios[1:]):
             assert later < earlier
@@ -144,17 +147,17 @@ class TestSingleIntervalRatios:
 class TestStructuredPartitions:
     def test_dyadic_ladder(self):
         points = (0.0, *[2.0**-k for k in range(19, 0, -1)], 1.0)
-        sample = make_sample(Partition(points), 7)
-        assert sample.n == 20
-        assert sample.ratio == pytest.approx(1.089930530219119, rel=1e-12)
-        assert sample.ratio < 2.0
+        assert len(points) == 21
+        ratio = composite_ratio(Partition(points), 7)
+        assert ratio == pytest.approx(1.089930530219119, rel=1e-12)
+        assert ratio < 2.0
 
     @pytest.mark.parametrize("r", [2.0, 5.0])
     def test_geometric_refinement_weakly_decreases_ratio(self, r):
         ratios = []
         for n in range(1, 13):
             points = (0.0, *[r**-k for k in range(n - 1, 0, -1)], 1.0)
-            ratios.append(make_sample(Partition(points), 6).ratio)
+            ratios.append(composite_ratio(Partition(points), 6))
         for earlier, later in zip(ratios, ratios[1:]):
             assert later <= earlier + 1e-12
 
@@ -182,7 +185,7 @@ class TestRandomPartition:
 
     def test_counts(self):
         for scheme in ("uniform", "geometric", "mixed"):
-            assert random_partition(13, 5, scheme).n == 13
+            assert len(random_partition(13, 5, scheme).breakpoints) == 14
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -199,11 +202,11 @@ class TestBatchDraw:
     def test_rows_match_random_partition(self, m, n, seed):
         trial_seeds, schemes, stack = logbound._cell_partitions(seed, m, n, 60)
         assert set(schemes) == {0, 1, 2}
-        a_values, x00 = logbound._composite_values(stack, m)
+        a_values, x00 = logbound._composite_sums(stack, m)
         for t, (ts, scheme, row) in enumerate(zip(trial_seeds, schemes, stack)):
             p = random_partition(n, int(ts), logbound._SCHEMES[scheme])
             assert p.breakpoints == tuple(row)
-            assert composite_value(p, m) == (a_values[t], x00[t])
+            assert a_value_and_x00(p, m) == (a_values[t], x00[t])
 
     def test_forced_redraw_touches_only_the_failing_row(self, monkeypatch):
         n, bad = 9, 4
@@ -253,7 +256,7 @@ class TestBatchDraw:
         assert report.cells != sweep(range(2, 4), range(1, 4), 6, seed=low).cells
         for cell in report.cells:
             p = random_partition(cell.n, cell.witness_seed, cell.witness_scheme)
-            assert make_sample(p, cell.m).ratio == cell.max_ratio
+            assert composite_ratio(p, cell.m) == cell.max_ratio
 
     def test_witness_seeds_fit_64_bits(self):
         report = sweep(range(2, 4), range(2, 6), 9, seed=3)
@@ -280,20 +283,23 @@ class TestSweep:
             partition = random_partition(
                 cell.n, cell.witness_seed, cell.witness_scheme
             )
-            sample = make_sample(partition, cell.m)
-            assert sample.ratio == cell.max_ratio
+            assert composite_ratio(partition, cell.m) == cell.max_ratio
 
     def test_max_ratio_filtering(self):
         report = sweep(range(2, 6), range(1, 3), 3, seed=1)
-        overall = report.max_ratio()
-        restricted = report.max_ratio(m_min=4)
-        assert restricted <= overall
-        with pytest.raises(ValueError):
-            report.max_ratio(m_min=50)
+        overall = report.worst(2)
+        restricted = report.worst(4)
+        assert overall == max(report.cells, key=lambda cell: cell.max_ratio)
+        assert restricted.m >= 4
+        assert restricted.max_ratio == max(
+            cell.max_ratio for cell in report.cells if cell.m >= 4
+        )
+        assert restricted.max_ratio <= overall.max_ratio
+        assert report.worst(50) is None
 
     def test_small_sweep_stays_below_two(self):
         report = sweep(range(2, 8), range(1, 8), 12, seed=0)
-        assert report.max_ratio() < 2.0
+        assert report.worst(2).max_ratio < 2.0
 
     def test_rejects_bad_ranges(self):
         with pytest.raises(ValueError):
@@ -310,6 +316,19 @@ class TestSweep:
             sweep(range(2, 4), range(1, 3), 0, seed=0)
         with pytest.raises(ValueError):
             sweep(range(2, 4), range(1, 3), MAX_TRIALS_PER_CELL + 1, seed=0)
+
+    def test_rejects_non_integer_counts(self):
+        # int() would truncate 2.5 and 1.9 into the (2, 1) cell
+        with pytest.raises(TypeError, match="rule size"):
+            sweep([2.5], [1], 3, 0)
+        with pytest.raises(TypeError, match="subinterval count"):
+            sweep([2], [1.9], 3, 0)
+        with pytest.raises(TypeError, match="trials_per_cell"):
+            sweep([2], [1], 2.0, 0)
+        # integer types other than int are counts too
+        assert sweep(np.arange(2, 3), [np.int64(1)], np.int32(3), 0) == sweep(
+            [2], [1], 3, 0
+        )
 
 
 class TestSweepCsv:
@@ -330,4 +349,4 @@ class TestSweepCsv:
             assert witness_scheme == cell.witness_scheme
             # the row alone rebuilds its worst partition and ratio
             partition = random_partition(int(n), int(witness_seed), witness_scheme)
-            assert make_sample(partition, int(m)).ratio == float(max_ratio)
+            assert composite_ratio(partition, int(m)) == float(max_ratio)
