@@ -260,20 +260,10 @@ def cpv_standard(problem: CpvProblem) -> CpvResult:
 
     deriv = derivative_estimates(f, tau, delta, f_tau=f_tau, a=a, b=b)
     floor = total_error_estimate(
-        deriv,
-        f_tau,
-        tau,
-        eps=EPS,
-        method=problem.method,
-        mu=problem.mu,
-        a=a,
-        b=b,
+        deriv, f_tau, tau, method=problem.method, mu=problem.mu, a=a, b=b,
     )
-    if jump_at_tau(f, deriv, f_tau, tau, delta):
-        budget = ErrorBudget(
-            math.inf, math.inf, math.inf, floor.roundoff,
-            floor.log_sensitivity, floor.curvature_sensitivity, floor.cutoff,
-        )
+    if jump_at_tau(f, deriv, f_tau, tau):
+        budget = ErrorBudget(math.inf, math.inf, math.inf, *floor[3:])
         return CpvResult(
             value=math.nan,
             error_estimate=budget.total,
@@ -316,10 +306,7 @@ def cpv_standard(problem: CpvProblem) -> CpvResult:
         log_term = f_tau * (math.log(b - tau) - math.log(tau - a))
     value = log_term + values[0] + values[1] + values[2]
     quad_left, quad_right, quad_h = estimates
-    budget = ErrorBudget(
-        quad_left, quad_right, quad_h, floor.roundoff, floor.log_sensitivity,
-        floor.curvature_sensitivity, floor.cutoff,
-    )
+    budget = ErrorBudget(quad_left, quad_right, quad_h, *floor[3:])
     error_estimate = budget.total
     converged = reason == "tolerance"
     if converged and quad_left + quad_right + quad_h > tol:

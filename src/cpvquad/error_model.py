@@ -8,11 +8,12 @@ by the reciprocal of that distance.  The bounds here are first-order in the
 working precision and deliberately conservative; they feed the error budget
 attached to every computed integral.
 
-All formulas take the relative rounding error bound ``eps`` explicitly and
-default to :data:`EPS`, the bound for IEEE double arithmetic.  Those that
-depend on the interval [a, b] take it as trailing ``a`` and ``b``, which
-default to the reference interval [-1, 1]; every quantity is in the units
-of x.
+The paper's bounds take the relative rounding error bound ``eps``
+explicitly and default to :data:`EPS`, the bound for IEEE double
+arithmetic; the solver's jump test and budget floor use EPS itself.  Those
+that depend on the interval [a, b] take it as trailing ``a`` and ``b``,
+which default to the reference interval [-1, 1]; every quantity is in the
+units of x.
 """
 
 from __future__ import annotations
@@ -243,7 +244,6 @@ def _pair_looks_like_jump(
     fine_f1: float,
     f_tau: float,
     tau: float,
-    eps: float,
 ) -> bool:
     """Whether two stencils, one with `f1` and `f2` at step `s` and one with
     `fine_f1` at s/2, show a jump.
@@ -264,7 +264,7 @@ def _pair_looks_like_jump(
     d_fine = s * fine_f1
     sampled = abs(f_tau) + s * abs(f1) + s * s * abs(f2)
     slope = abs(f1) + s * abs(f2)
-    noise = eps * (sampled + abs(tau) * slope)
+    noise = EPS * (sampled + abs(tau) * slope)
     return (
         abs(d_fine) > 64.0 * noise
         and abs(d_coarse - d_fine) <= 0.25 * abs(d_fine)
@@ -276,23 +276,20 @@ def jump_at_tau(
     deriv: DerivativeEstimates,
     f_tau: float,
     tau: float,
-    delta: float,
-    eps: float = EPS,
 ) -> bool:
     """Whether f jumps at tau, by stencils at steps s, s/2, s/4 and s/8.
 
-    `deriv` is the stencil at step s, `delta` the distance from tau to the
-    nearer endpoint.  Every neighbouring pair of stencils must look like a
-    jump; each halving costs two calls of f and runs only while every
-    coarser pair did, so a problem without an apparent jump costs one
-    stencil.  One pair alone cannot tell a jump from an oscillation on the
-    scale of s: for sin(Kx) at 0, D(s) = 2 sin(Ks) agrees with D(s/2)
-    whenever cos(Ks/2) lies in [0.375, 0.625], bands that cover about 9 %
-    of large K.  The bands of the next pair, cos(Ks/4) in the same range,
-    are disjoint from these, so no sinusoid passes two pairs; a sum of two
-    can, and the third pair rules most of those out.  The stencils resolve
-    tau only to the finest step: a jump closer to tau than s/8 looks the
-    same and is reported too.
+    `deriv` is the stencil at step s.  Every neighbouring pair of stencils
+    must look like a jump; each halving costs two calls of f and runs only
+    while every coarser pair did, so a problem without an apparent jump
+    costs one stencil.  One pair alone cannot tell a jump from an
+    oscillation on the scale of s: for sin(Kx) at 0, D(s) = 2 sin(Ks) agrees
+    with D(s/2) whenever cos(Ks/2) lies in [0.375, 0.625], bands that cover
+    about 9 % of large K.  The bands of the next pair, cos(Ks/4) in the same
+    range, are disjoint from these, so no sinusoid passes two pairs; a sum
+    of two can, and the third pair rules most of those out.  The stencils
+    resolve tau only to the finest step: a jump closer to tau than s/8 looks
+    the same and is reported too.
     """
     step, f1, f2 = deriv.step, deriv.f1, deriv.f2
     for _ in range(3):
@@ -301,7 +298,7 @@ def jump_at_tau(
             # no finer stencil exists to confirm the jump
             return False
         fine_f1, fine_f2 = _stencil(f, tau, fine_step, f_tau)
-        if not _pair_looks_like_jump(step, f1, f2, fine_f1, f_tau, tau, eps):
+        if not _pair_looks_like_jump(step, f1, f2, fine_f1, f_tau, tau):
             return False
         step, f1, f2 = fine_step, fine_f1, fine_f2
     return True
@@ -356,7 +353,6 @@ def total_error_estimate(
     deriv: DerivativeEstimates,
     f_tau: float,
     tau: float,
-    eps: float = EPS,
     method: str = "open",
     mu: float = EPS,
     a: float = -1.0,
@@ -366,20 +362,19 @@ def total_error_estimate(
 
     The floor depends only on f(tau) and the derivative stencil, so it is
     known before any quadrature; the three quadrature terms of the returned
-    budget are 0, for the caller to fill with the achieved estimates.  The
-    accumulated quotient rounding enters as 8 eps |f'(tau)| max(h, |tau|)
-    with h = (b-a)/2: the quotients round like f' times the interval's
-    scale, and the abscissae tau +- x round at the scale of tau.  The two
-    sensitivity terms account for the rounded singularity location.  Under
-    ``method="cutoff"`` the cutoff budget for `mu`, a distance in the units
-    of x, is added on the scale of the interval; under "open" it is zero.
-    A derivative estimate that overflowed makes the terms built on it
+    budget are 0, for the caller to fill with the achieved estimates.  With
+    eps = EPS, the accumulated quotient rounding enters as 8 eps |f'(tau)|
+    max(h, |tau|) with h = (b-a)/2: the quotients round like f' times the
+    interval's scale, and the abscissae tau +- x round at the scale of tau.
+    The two sensitivity terms account for the rounded singularity location.
+    Under ``method="cutoff"`` the cutoff budget for `mu`, a distance in the
+    units of x, is added on the scale of the interval; under "open" it is
+    zero.  A derivative estimate that overflowed makes the terms built on it
     infinite rather than raising.
     """
     if method not in ("open", "cutoff"):
         raise ValueError(f"method must be 'open' or 'cutoff', got {method!r}")
     delta = endpoint_distance(tau, a, b)
-    _require_positive("eps", eps)
     if not math.isfinite(f_tau):
         raise ValueError(f"f_tau must be finite, got {f_tau!r}")
     slope = abs(deriv.f1)
@@ -389,15 +384,15 @@ def total_error_estimate(
     if method != "cutoff":
         cutoff = 0.0
     elif math.isfinite(d1):
-        cutoff = cutoff_budget(mu / half, d1, eps)
+        cutoff = cutoff_budget(mu / half, d1)
     else:
         cutoff = math.inf
     return ErrorBudget(
         0.0,
         0.0,
         0.0,
-        8.0 * eps * slope * max(half, abs(tau)),
-        _log_term(f_tau, tau, delta, eps),
-        _curvature(tau, abs(f2), eps) if math.isfinite(f2) else math.inf,
+        8.0 * EPS * slope * max(half, abs(tau)),
+        _log_term(f_tau, tau, delta, EPS),
+        _curvature(tau, abs(f2), EPS) if math.isfinite(f2) else math.inf,
         cutoff,
     )

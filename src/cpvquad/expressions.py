@@ -17,6 +17,12 @@ evaluate: domain violations (log of a nonpositive value, even roots of
 negative values, division by zero) evaluate to NaN, which the quadrature
 engine then reports as a nonfinite integrand at that point.
 
+The parser is the one validator.  It refuses a literal that is not finite,
+the grammar has no signed literal, every name is looked up before its node
+is built, and operators come from fixed sets; so the tree's nodes are plain
+records that check nothing.  The tree is internal and built only by
+`parse`: the module exports `compile_expression` and `ParseError`.
+
 `compile_expression` turns the validated tree, never the source text, into
 the source of one Python function, compiled once: literals are written as
 the repr of their float, '^' as a call to math.pow, and the tree's
@@ -36,20 +42,7 @@ import math
 import re
 from typing import Callable, NamedTuple, Union
 
-from ._records import Checked
-
-__all__ = [
-    "BinOp",
-    "Call",
-    "Const",
-    "Expr",
-    "Neg",
-    "Num",
-    "ParseError",
-    "Var",
-    "compile_expression",
-    "parse",
-]
+__all__ = ["ParseError", "compile_expression"]
 
 
 class ParseError(ValueError):
@@ -60,73 +53,33 @@ class ParseError(ValueError):
         self.position = position
 
 
-class _NumFields(NamedTuple):
+class Num(NamedTuple):
+    """Nonnegative finite literal (minus signs parse as Neg)."""
+
     value: float
-
-
-class Num(Checked, _NumFields):
-    """Nonnegative numeric literal (minus signs parse as Neg)."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if not (math.isfinite(self.value) and self.value >= 0.0):
-            raise ValueError(f"literal must be finite and >= 0, got {self.value!r}")
-        return self
 
 
 class Var(NamedTuple):
     pass
 
 
-class _ConstFields(NamedTuple):
+class Const(NamedTuple):
     name: str
-
-
-class Const(Checked, _ConstFields):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.name not in _CONSTANTS:
-            raise ValueError(f"unknown constant {self.name!r}")
-        return self
 
 
 class Neg(NamedTuple):
     operand: "Expr"
 
 
-class _BinOpFields(NamedTuple):
+class BinOp(NamedTuple):
     op: str
     left: "Expr"
     right: "Expr"
 
 
-class BinOp(Checked, _BinOpFields):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.op not in ("+", "-", "*", "/", "^"):
-            raise ValueError(f"unknown operator {self.op!r}")
-        return self
-
-
-class _CallFields(NamedTuple):
+class Call(NamedTuple):
     name: str
     arg: "Expr"
-
-
-class Call(Checked, _CallFields):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.name not in _FUNCTIONS:
-            raise ValueError(f"unknown function {self.name!r}")
-        return self
 
 
 Expr = Union[Num, Var, Const, Neg, BinOp, Call]

@@ -458,6 +458,15 @@ _MIN_WIDTH_ULPS = _width_floor(_G10K21_HALF[0][0])
 _MIN_EXTENSION_ULPS = _width_floor(_K43_HALF[0][0], bisected=False)
 
 
+def _midpoint(a: float, b: float) -> float:
+    """The midpoint of [a, b]: 0.5 * (a + b), or, where a + b overflows,
+    0.5 * a + 0.5 * b, whose halves are exact at that magnitude."""
+    mid = 0.5 * (a + b)
+    if not math.isfinite(mid):
+        return 0.5 * a + 0.5 * b
+    return mid
+
+
 def _node_on_endpoint(a: float, b: float):
     """The kernels' guard: a node rounded onto an endpoint of [a, b]."""
     raise RuntimeError(f"node mapped onto an interval endpoint of [{a!r}, {b!r}]")
@@ -470,7 +479,7 @@ def _raise_first_nonfinite(nodes, values, a: float, b: float):
     value finite the weighted sum overflowed instead, and that is raised as
     :class:`SumOverflowError`.
     """
-    mid = 0.5 * (a + b)
+    mid = _midpoint(a, b)
     half = 0.5 * (b - a)
     for x, v in zip(nodes, values):
         if not math.isfinite(v):
@@ -486,7 +495,9 @@ def _node_lines(nodes, form: str) -> list[str]:
     n = len(nodes)
     term = _FORMS[form]
     ends = {0: "t0", n - 1: f"t{n - 1}"}
-    lines = ["    mid = 0.5 * (a + b)", "    half = 0.5 * (b - a)"]
+    # the midpoint as _midpoint computes it, inline
+    lines = ["    mid = 0.5 * (a + b)", "    if not isfinite(mid):",
+             "        mid = 0.5 * a + 0.5 * b", "    half = 0.5 * (b - a)"]
     for i, t in ends.items():
         lines.append(f"    {t} = mid + half * {nodes[i]!r}")
     lines.append(f"    if not (a < t0 and {ends[n - 1]} < b):")
@@ -655,17 +666,12 @@ def warm(forms) -> None:
     _resolver()
 
 
-def _splittable(a: float, b: float) -> bool:
-    """Whether [a, b] can be bisected without nodes rounding onto endpoints."""
-    mid = 0.5 * (a + b)
-    if not a < mid < b:
-        return False
-    return (b - a) > _MIN_WIDTH_ULPS * max(math.ulp(a), math.ulp(b))
-
-
-def _extendable(a: float, b: float) -> bool:
-    """Whether the 43-point rule's nodes stay clear of the ends of [a, b]."""
-    return (b - a) > _MIN_EXTENSION_ULPS * max(math.ulp(a), math.ulp(b))
+def _wider_than(a: float, b: float, ulps: float) -> bool:
+    """Whether [a, b] is wider than `ulps` ulps of its ends: with
+    ``_MIN_WIDTH_ULPS``, whether it can be bisected, and with
+    ``_MIN_EXTENSION_ULPS``, extended, without nodes rounding onto its
+    ends."""
+    return (b - a) > ulps * max(math.ulp(a), math.ulp(b))
 
 
 def adaptive_integrate(
@@ -790,7 +796,7 @@ def integrate_pieces(
                 continue
             count += 1
             kernels[piece] = _pair_kernel(form)
-            mid = 0.5 * (a + b)
+            mid = _midpoint(a, b)
             half = 0.5 * (b - a)
             if a < mid + half * lowest and mid + half * highest < b:
                 value, err, partial = kernels[piece](f, a, b, tau, f_tau, True)
@@ -814,7 +820,9 @@ def integrate_pieces(
                 est = -neg_est
                 if type(partial) is tuple:
                     partial = _resolver()(partial, 0.5 * (ib - ia), est)
-                if partial is not None and _extendable(ia, ib):
+                if partial is not None and _wider_than(
+                    ia, ib, _MIN_EXTENSION_ULPS
+                ):
                     extend = _extension_kernel(pieces[piece][0])
                     value, err = extend(f, ia, ib, tau, f_tau, partial, ival)
                     evaluations[piece] += extension_order
@@ -823,10 +831,10 @@ def integrate_pieces(
                     err_sum += err - est
                     continue
                 heapq.heappop(heap)
-                if not _splittable(ia, ib):
+                if not _wider_than(ia, ib, _MIN_WIDTH_ULPS):
                     settled.append((piece, ia, ival, est))
                     continue
-                mid = 0.5 * (ia + ib)
+                mid = _midpoint(ia, ib)
                 kernel = kernels[piece]
                 lv, le, lp = kernel(f, ia, mid, tau, f_tau)
                 rv, re, rp = kernel(f, mid, ib, tau, f_tau)
@@ -881,7 +889,7 @@ def _one_point(form: str, f: Integrand, a: float, b: float, tau: float,
     the midpoint, its magnitude, 1; or 0.0, inf, 0 when no double lies
     strictly between a and b.
     """
-    mid = 0.5 * (a + b)
+    mid = _midpoint(a, b)
     if not a < mid < b:
         return 0.0, math.inf, 0
     v = _at_point(form)(f, mid, tau, f_tau)

@@ -352,11 +352,15 @@ def pair_application_reference(f, a, b):
     f at the 21 nodes.  f is called at every node before a non-finite value
     is reported.
     """
-    from cpvquad.quadrature import _patterson_extension, _raise_first_nonfinite
+    from cpvquad.quadrature import (
+        _midpoint,
+        _patterson_extension,
+        _raise_first_nonfinite,
+    )
 
     rules = _patterson_extension()
     kronrod, gauss_weights = rules.pair.kronrod, rules.pair.gauss_weights
-    mid = 0.5 * (a + b)
+    mid = _midpoint(a, b)
     half = 0.5 * (b - a)
     values = tuple(f(mid + half * x) for x in kronrod.nodes)
     sum_k = 0.0
@@ -404,12 +408,16 @@ def extension_reference(f, a, b, partial, old):
     """The engine's extension of [a, b] to the 43-point rule, one node at a
     time: the sum goes on from `partial` over the 22 new nodes in ascending
     order.  Returns ``(value, |value - old|)``."""
-    from cpvquad.quadrature import _patterson_extension, _raise_first_nonfinite
+    from cpvquad.quadrature import (
+        _midpoint,
+        _patterson_extension,
+        _raise_first_nonfinite,
+    )
 
     rules = _patterson_extension()
     new_nodes = [x for x in rules.rule.nodes if x not in rules.pair.kronrod.nodes]
     weight43 = dict(zip(rules.rule.nodes, rules.rule.weights))
-    mid = 0.5 * (a + b)
+    mid = _midpoint(a, b)
     half = 0.5 * (b - a)
     values = [f(mid + half * x) for x in new_nodes]
     total = partial
@@ -441,17 +449,19 @@ def adaptive_integrate_reference(f, a, b, tol, max_intervals=10_000):
 
     from cpvquad.quadrature import (
         AdaptiveResult,
+        _MIN_EXTENSION_ULPS,
+        _MIN_WIDTH_ULPS,
         NonfiniteIntegrandError,
-        _extendable,
+        _midpoint,
         _patterson_extension,
-        _splittable,
+        _wider_than,
     )
 
     if a == b:
         return AdaptiveResult(0.0, 0.0, 0, True)
     rules = _patterson_extension()
     kronrod = rules.pair.kronrod
-    mid = 0.5 * (a + b)
+    mid = _midpoint(a, b)
     half = 0.5 * (b - a)
     if not (a < mid + half * kronrod.nodes[0]
             and mid + half * kronrod.nodes[-1] < b):
@@ -482,7 +492,7 @@ def adaptive_integrate_reference(f, a, b, tol, max_intervals=10_000):
             neg_est, _, ia, ib, ival, values = heapq.heappop(heap)
             est = -neg_est
             partial = None
-            if values is not None and _extendable(ia, ib):
+            if values is not None and _wider_than(ia, ib, _MIN_EXTENSION_ULPS):
                 partial = resolve_reference(values, 0.5 * (ib - ia), est)
             if partial is not None:
                 value, err = extension_reference(f, ia, ib, partial, ival)
@@ -491,10 +501,10 @@ def adaptive_integrate_reference(f, a, b, tol, max_intervals=10_000):
                 seq += 1
                 err_sum += err - est
                 continue
-            if not _splittable(ia, ib):
+            if not _wider_than(ia, ib, _MIN_WIDTH_ULPS):
                 settled.append((ia, ival, est))
                 continue
-            mid = 0.5 * (ia + ib)
+            mid = _midpoint(ia, ib)
             lv, le, lvalues = pair_application_reference(f, ia, mid)
             rv, re, rvalues = pair_application_reference(f, mid, ib)
             evaluations += 2 * kronrod.order

@@ -96,11 +96,17 @@ def pv_split(
         return +total
 
 
-def pv_exp_closed(tau_text: str, dps: int = 60) -> mp.mpf:
-    """Closed form for f(x) = exp(x): exp(tau) (Ei(1-tau) - Ei(-(1+tau)))."""
+def pv_exp_closed(tau, a=-1, b=1, dps: int = 60) -> mp.mpf:
+    """Principal value of e^x / (x - tau) over [a, b], as an mpf:
+    e^tau (Ei(b - tau) - Ei(a - tau)).
+
+    Arguments go through ``mp.mpf`` at `dps` digits, as in
+    :func:`pv_sin_interval`: a double is the problem the solver is given,
+    and a decimal string such as "0.5" the exact decimal problem.
+    """
     with mp.workdps(dps):
-        tau = mp.mpf(tau_text)
-        return +(mp.exp(tau) * (mp.ei(1 - tau) - mp.ei(-(1 + tau))))
+        tau = mp.mpf(tau)
+        return +(mp.exp(tau) * (mp.ei(mp.mpf(b) - tau) - mp.ei(mp.mpf(a) - tau)))
 
 
 def pv_sin_interval(k, tau, a, b, dps: int = 40) -> mp.mpf:
@@ -188,9 +194,9 @@ _TAUS: dict[str, str] = {
 }
 
 _CLOSED: dict[str, Callable[[int], mp.mpf]] = {
-    "case1": lambda dps: pv_exp_closed("0.5", dps),
+    "case1": lambda dps: pv_exp_closed("0.5", dps=dps),
     "case2": lambda dps: pv_sin_interval(550, "0.8", -1, 1, dps),
-    "case7": lambda dps: pv_exp_closed("0.9999999", dps),
+    "case7": lambda dps: pv_exp_closed("0.9999999", dps=dps),
 }
 
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -6,6 +7,7 @@ from cpvquad.quadrature import (
     AdaptiveResult,
     NonfiniteIntegrandError,
     SumOverflowError,
+    _midpoint,
     _patterson_extension,
     adaptive_integrate,
     integrate_pieces,
@@ -94,6 +96,12 @@ class TestBasicContracts:
             adaptive_integrate(math.exp, 0.0, 1.0, -1e-9)
         with pytest.raises(ValueError):
             adaptive_integrate(math.exp, -math.inf, 0.0, 1e-12)
+
+    def test_interval_cap_must_be_at_least_one(self):
+        with pytest.raises(ValueError, match="interval cap must be at least 1"):
+            adaptive_integrate(math.exp, 0.0, 1.0, 1e-12, max_intervals=0)
+        with pytest.raises(ValueError, match="interval cap must be at least 1"):
+            integrate_pieces(math.exp, (("plain", 0.0, 1.0),), 1e-12, 0)
 
     def test_estimate_totals_interval_estimates(self):
         # capped at two intervals, the partition is the two halves, and the
@@ -684,3 +692,52 @@ class TestSharedQueue:
         with pytest.raises(ValueError, match="wider than the largest double"):
             integrate_pieces(math.exp, (("plain", 0.0, 1.0),
                                         ("difference", -1e308, 1e308)), 1e-12)
+
+
+class TestHugeEndpoints:
+    """Intervals whose ends both exceed about 9e307 in magnitude, where
+    a + b overflows and the midpoint is 0.5 * a + 0.5 * b instead."""
+
+    @pytest.mark.parametrize(
+        "a,b", [(1.0, 3.0), (-1e308, 1e300), (-1e308, -8.75e307),
+                (1.7e308, 1.79e308)],
+    )
+    def test_midpoint_lies_strictly_inside(self, a, b):
+        mid = _midpoint(a, b)
+        assert a < mid < b
+        if math.isfinite(a + b):
+            # an interval whose sum is finite keeps its bits
+            assert mid == 0.5 * (a + b)
+
+    @pytest.mark.parametrize("b", [1e300, 7e307])
+    def test_runs_to_the_cap_with_a_finite_value(self, b):
+        # the intervals [-1e308, -8.75e307] and narrower are bisected on
+        # the way; tol 1e-12 lies far below the rounding of a 1e308 value
+        result = adaptive_integrate(lambda x: 1.0, -1e308, b, 1e-12)
+        assert math.isfinite(result.value)
+        assert math.isfinite(result.error_estimate)
+        assert result.stop_reason == "interval_cap"
+        assert result.value == pytest.approx(b + 1e308, rel=1e-12)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the estimate has no term for the rounding of the sum over "
+               "10,000 interval values, which reaches about 1e-13 relative",
+    )
+    @pytest.mark.parametrize("b", [1e300, 7e307])
+    def test_error_within_estimate(self, b):
+        result = adaptive_integrate(lambda x: 1.0, -1e308, b, 1e-12)
+        error = abs(Fraction(result.value) - (Fraction(b) + Fraction(1e308)))
+        assert error <= Fraction(result.error_estimate)
+
+    def test_bit_identical_to_the_one_piece_loop(self):
+        # with 8 intervals or more the partition holds [-1e308, -8.75e307]
+        g, calls = _recorded(lambda x: 1.0)
+        got = adaptive_integrate(g, -1e308, 1e300, 1e-12, max_intervals=50)
+        h, want_calls = _recorded(lambda x: 1.0)
+        want = adaptive_integrate_reference(
+            h, -1e308, 1e300, 1e-12, max_intervals=50
+        )
+        assert repr(got) == repr(want)
+        assert calls == want_calls
+        assert all(-1e308 < x < 1e300 for x in calls)

@@ -133,9 +133,9 @@ class TestReferenceRegeneration:
     def test_closed_forms(self):
         with mp.workdps(40):
             gaps = [
-                self._relative_gap(pv_exp_closed("0.5", 40), _case("case1").reference_text),
+                self._relative_gap(pv_exp_closed("0.5", dps=40), _case("case1").reference_text),
                 self._relative_gap(pv_sin_interval(550, "0.8", -1, 1), _case("case2").reference_text),
-                self._relative_gap(pv_exp_closed("0.9999999", 40), _case("case7").reference_text),
+                self._relative_gap(pv_exp_closed("0.9999999", dps=40), _case("case7").reference_text),
             ]
             assert all(gap <= mp.mpf("1e-24") for gap in gaps), gaps
 

@@ -1,4 +1,8 @@
-"""The product runs without mpmath: only the tests and perfbench/ need it."""
+"""The product runs without mpmath: only the tests and perfbench/ need it.
+
+Static checks of the package source sit here too: no module imports
+mpmath, and no function takes a parameter it never reads.
+"""
 
 import ast
 import json
@@ -54,3 +58,30 @@ def _imported_modules(path: Path) -> set[str]:
 def test_no_package_module_imports_mpmath(path):
     top_level = {name.split(".")[0] for name in _imported_modules(path)}
     assert "mpmath" not in top_level
+
+
+def _unread_parameters(path: Path) -> list[str]:
+    """``function:parameter`` for each parameter, other than self and cls,
+    that its function's body never names; a name used only in a nested
+    function counts as read."""
+    unread = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs]
+        params += [p for p in (args.vararg, args.kwarg) if p is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        named = {n.id for stmt in body for n in ast.walk(stmt)
+                 if isinstance(n, ast.Name)}
+        name = getattr(node, "name", "<lambda>")
+        unread.extend(f"{name}:{p.arg}" for p in params
+                      if p.arg not in ("self", "cls") and p.arg not in named)
+    return unread
+
+
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name
+)
+def test_every_parameter_is_read(path):
+    assert _unread_parameters(path) == []

@@ -227,7 +227,7 @@ class TestDerivativeEstimates:
 
 def _stencil(f, tau, delta=None):
     delta = 1.0 - abs(tau) if delta is None else delta
-    return f, derivative_estimates(f, tau, delta), f(tau), tau, delta
+    return f, derivative_estimates(f, tau, delta), f(tau), tau
 
 
 class TestJumpAtTau:
@@ -288,14 +288,14 @@ class TestJumpAtTau:
         agreeing = 0
         for i in range(2000):
             k = 10.0 ** (1.0 + 5.0 * i / 2000.0)
-            f, coarse, f_tau, tau, delta = _stencil(
+            f, coarse, f_tau, tau = _stencil(
                 lambda x: math.sin(k * x), 0.0
             )
             fine = stencil_at(f, tau, 0.5 * coarse.step, f_tau)
             agreeing += _pair_looks_like_jump(
-                coarse.step, coarse.f1, coarse.f2, fine.f1, f_tau, tau, EPS
+                coarse.step, coarse.f1, coarse.f2, fine.f1, f_tau, tau
             )
-            assert not jump_at_tau(f, coarse, f_tau, tau, delta)
+            assert not jump_at_tau(f, coarse, f_tau, tau)
         assert agreeing > 50
 
 
@@ -360,8 +360,8 @@ class TestCurvatureSensitivity:
 class TestTotalErrorEstimate:
     def test_center_reduces_to_roundoff(self):
         deriv = derivative_estimates(lambda x: x, 0.0, 1.0)
-        budget = total_error_estimate(deriv, 0.0, 0.0, eps=1.1e-16)
-        assert budget.roundoff == 8.0 * 1.1e-16
+        budget = total_error_estimate(deriv, 0.0, 0.0)
+        assert budget.roundoff == 8.0 * EPS
         assert budget.total == budget.roundoff
         assert budget.log_sensitivity == 0.0
         assert budget.curvature_sensitivity == 0.0
@@ -406,14 +406,12 @@ class TestTotalErrorEstimate:
 
     def test_roundoff_scales_with_interval_and_tau(self):
         deriv = DerivativeEstimates(2.0, 0.0, 1e-4)
-        wide = total_error_estimate(deriv, 0.0, 1.0, eps=1e-16, a=-3.0, b=5.0)
-        assert wide.roundoff == 8.0 * 1e-16 * 2.0 * 4.0
+        wide = total_error_estimate(deriv, 0.0, 1.0, a=-3.0, b=5.0)
+        assert wide.roundoff == 8.0 * EPS * 2.0 * 4.0
         # tau +- x round at ulp(tau): the scale is |tau| once it exceeds
         # the half-width
-        offset = total_error_estimate(
-            deriv, 0.0, 1000.0, eps=1e-16, a=999.0, b=1001.0
-        )
-        assert offset.roundoff == 8.0 * 1e-16 * 2.0 * 1000.0
+        offset = total_error_estimate(deriv, 0.0, 1000.0, a=999.0, b=1001.0)
+        assert offset.roundoff == 8.0 * EPS * 2.0 * 1000.0
 
     def test_cutoff_in_callers_units(self):
         deriv = DerivativeEstimates(3.0, 0.0, 1e-4)
@@ -441,18 +439,17 @@ class TestTotalErrorEstimate:
         assert budget.log_sensitivity == log_term_sensitivity(1.0, 0.5)
 
     @pytest.mark.parametrize(
-        "tau,eps,f_tau,message",
+        "tau,f_tau,message",
         [
-            (1.0, EPS, 1.0, r"tau must lie in \(-1.0, 1.0\), got 1.0"),
-            (0.5, 0.0, 1.0, "eps must be positive and finite, got 0.0"),
-            (0.5, EPS, math.inf, "f_tau must be finite, got inf"),
+            (1.0, 1.0, r"tau must lie in \(-1.0, 1.0\), got 1.0"),
+            (0.5, math.inf, "f_tau must be finite, got inf"),
         ],
-        ids=["tau", "eps", "f_tau"],
+        ids=["tau", "f_tau"],
     )
-    def test_rejects_each_bad_argument_by_name(self, tau, eps, f_tau, message):
+    def test_rejects_each_bad_argument_by_name(self, tau, f_tau, message):
         deriv = DerivativeEstimates(1.0, 0.0, 1e-4)
         with pytest.raises(ValueError, match=message):
-            total_error_estimate(deriv, f_tau, tau, eps=eps)
+            total_error_estimate(deriv, f_tau, tau)
 
     def test_rejects_unknown_method(self):
         deriv = DerivativeEstimates(1.0, 0.0, 1e-4)

@@ -367,15 +367,13 @@ class TestLongChains:
 
 
 class TestNodeValidation:
-    def test_num_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Num(-1.0)
+    """The parser is the one validator: the nodes themselves check nothing."""
 
-    def test_num_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            Num(math.nan)
-        with pytest.raises(ValueError):
-            Num(math.inf)
+    def test_parser_builds_only_nonnegative_finite_literals(self):
+        assert parse("-1.5") == Neg(Num(1.5))
+        assert parse("x^-2") == BinOp("^", Var(), Neg(Num(2.0)))
+        with pytest.raises(ParseError, match="out of range"):
+            parse("1e999")
 
     def test_trees_are_comparable(self):
         assert parse("x+1") == parse("x + 1")

@@ -103,23 +103,26 @@ class TestGaussLegendreRule:
 
 class TestQuadratureRuleInvariants:
     def test_nodes_must_be_interior(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not interior to"):
             QuadratureRule(nodes=(-1.0, 1.0), weights=(1.0, 1.0), order=2)
 
     def test_nodes_must_ascend(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="strictly increasing"):
             QuadratureRule(nodes=(0.5, -0.5), weights=(1.0, 1.0), order=2)
 
     def test_weights_must_be_positive(self):
-        with pytest.raises(ValueError):
-            QuadratureRule(nodes=(-0.5, 0.5), weights=(2.0, 0.0), order=2)
+        # symmetric, mirrored and summing to 2, so only the sign is wrong
+        with pytest.raises(ValueError, match="weights must be positive"):
+            QuadratureRule(
+                nodes=(-0.5, 0.0, 0.5), weights=(1.5, -1.0, 1.5), order=3
+            )
 
     def test_weights_must_sum_to_two(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sum to the interval length 2"):
             QuadratureRule(nodes=(-0.5, 0.5), weights=(0.7, 0.7), order=2)
 
     def test_asymmetric_nodes_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="symmetric about zero"):
             QuadratureRule(nodes=(-0.6, 0.5), weights=(1.0, 1.0), order=2)
 
 
@@ -413,7 +416,9 @@ class TestPattersonExtension:
                 else:
                     a = rng.uniform(c - 1.0, c + 1.0)
                 b = _just_over_floor(a, extra, quadrature._MIN_EXTENSION_ULPS)
-                assert quadrature._extendable(a, b)
+                assert quadrature._wider_than(
+                    a, b, quadrature._MIN_EXTENSION_ULPS
+                )
                 mid = 0.5 * (a + b)
                 half = 0.5 * (b - a)
                 assert a < math.nextafter(mid + half * rule.nodes[0], a)
@@ -516,7 +521,7 @@ def _split_halves():
                 a = rng.uniform(c - 1.0, c + 1.0)
             for extra in (1.0, 7.0, 300.0):
                 b = _just_over_floor(a, extra)
-                assert quadrature._splittable(a, b)
+                assert quadrature._wider_than(a, b, quadrature._MIN_WIDTH_ULPS)
                 mid = 0.5 * (a + b)
                 out.extend([(a, mid), (mid, b)])
     return out
@@ -709,7 +714,9 @@ class TestEngineKernels:
                 assert repr(first(f, a, b, tau, f_tau)) == repr((value, err, partial))
                 resolved = quadrature._resolver()(values, 0.5 * (b - a), err)
                 assert repr(resolved) == repr(partial)
-                if partial is None or not quadrature._extendable(a, b):
+                if partial is None or not quadrature._wider_than(
+                    a, b, quadrature._MIN_EXTENSION_ULPS
+                ):
                     seen.add("unresolved" if partial is None else "too narrow")
                     continue
                 seen.add("extended")
