@@ -116,28 +116,46 @@ def composite_ratio(partition: Partition, m: int) -> float:
 # 1, 2, 3", SC'11): every uniform is a hash of (key, attempt, draw index), so
 # a whole cell of partitions is drawn in one pass of array arithmetic and any
 # single partition can be redrawn on its own.  The hash absorbs one 64-bit
-# word at a time with the SplitMix64 finalizer.  All mixing runs on uint64
-# arrays, which wrap silently; numpy scalars would warn on overflow.
+# word at a time with the SplitMix64 finalizer.  Every operand is a uint64,
+# so no step is promoted to float64.  The per-cell seed folds run on numpy
+# scalars inside np.errstate(over="ignore"), since scalar arithmetic warns
+# when it wraps; the per-row mixing runs on uint64 arrays, which wrap
+# silently.
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_SHIFT1, _SHIFT2, _SHIFT3 = np.uint64(30), np.uint64(27), np.uint64(31)
 _MASK64 = (1 << 64) - 1
 _MAX_ATTEMPTS = 64
 
 
-def _absorb(state: np.ndarray, word) -> np.ndarray:
-    """SplitMix64 step folding `word` into the uint64 array `state`."""
-    z = (state ^ word) + _GAMMA
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+def _absorb(state, word):
+    """SplitMix64 step folding `word` into `state`, uint64 arrays or scalars.
+
+    The steps run in place on the result of the first XOR, so neither
+    argument is changed.
+    """
+    z = state ^ word
+    z += _GAMMA
+    z ^= z >> _SHIFT1
+    z *= _MIX1
+    z ^= z >> _SHIFT2
+    z *= _MIX2
+    z ^= z >> _SHIFT3
+    return z
 
 
-def _seed_state(seed: int) -> np.ndarray:
-    """A non-negative integer seed folded, 64 bits at a time, into one word."""
+def _seed_state(seed: int) -> np.uint64:
+    """A non-negative integer seed folded, 64 bits at a time, into one word.
+
+    The fold runs on np.uint64 scalars, so the caller holds
+    np.errstate(over="ignore") around it.
+    """
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed!r}")
-    state = np.zeros(1, dtype=np.uint64)
+    state = np.uint64(0)
     while True:
         state = _absorb(state, np.uint64(seed & _MASK64))
         seed >>= 64
@@ -156,7 +174,9 @@ def _draw(keys: np.ndarray, attempt: int, n: int, schemes: np.ndarray) -> np.nda
     count = len(keys)
     state = _absorb(keys, np.uint64(attempt))
     bits = _absorb(state[:, None], np.arange(n, dtype=np.uint64)[None, :])
-    u = (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    bits >>= np.uint64(11)
+    u = bits.astype(np.float64)
+    u *= 2.0**-53
     r = 1.1 + (10.0 - 1.1) * u[:, 0]
     draws = u[:, 1:]
     # both operands full and contiguous, so every element takes the same
@@ -166,14 +186,20 @@ def _draw(keys: np.ndarray, attempt: int, n: int, schemes: np.ndarray) -> np.nda
         np.repeat(r, n - 1).reshape(count, n - 1),
         np.tile(exponents, count).reshape(count, n - 1),
     )
-    mixed = np.where(np.arange(n - 1) % 2 == 0, ladder, draws)
-    scheme = schemes[:, None]
-    picks = np.where(scheme == 0, draws, np.where(scheme == 1, ladder, mixed))
+    picks = np.where(schemes[:, None] == 1, ladder, draws)
+    mixed = schemes == 2
+    picks[mixed, ::2] = ladder[mixed, ::2]
+    picks.sort(axis=1)
     out = np.empty((count, n + 1))
     out[:, 0] = 0.0
-    out[:, 1:n] = np.sort(picks, axis=1)
+    out[:, 1:n] = picks
     out[:, n] = 1.0
     return out
+
+
+def _increasing(rows: np.ndarray) -> np.ndarray:
+    """Whether each row of breakpoints increases strictly."""
+    return (rows[:, 1:] > rows[:, :-1]).all(axis=1)
 
 
 def _partitions(n: int, keys: np.ndarray, schemes: np.ndarray) -> np.ndarray:
@@ -183,19 +209,21 @@ def _partitions(n: int, keys: np.ndarray, schemes: np.ndarray) -> np.ndarray:
     strictly increasing is redrawn with the next attempt; the other rows
     keep theirs.
     """
-    out = np.empty((len(keys), n + 1))
-    pending = np.arange(len(keys))
-    for attempt in range(_MAX_ATTEMPTS):
+    out = _draw(keys, 0, n, schemes)
+    pending = np.flatnonzero(~_increasing(out))
+    for attempt in range(1, _MAX_ATTEMPTS):
+        if not pending.size:
+            break
         rows = _draw(keys[pending], attempt, n, schemes[pending])
-        ok = np.all(np.diff(rows, axis=1) > 0.0, axis=1)
+        ok = _increasing(rows)
         out[pending[ok]] = rows[ok]
         pending = pending[~ok]
-        if not pending.size:
-            return out
-    raise RuntimeError(
-        f"could not draw a strictly increasing partition for n={n} "
-        f"in {_MAX_ATTEMPTS} attempts"
-    )
+    if pending.size:
+        raise RuntimeError(
+            f"could not draw a strictly increasing partition for n={n} "
+            f"in {_MAX_ATTEMPTS} attempts"
+        )
+    return out
 
 
 def random_partition(n: int, seed: int, scheme: str) -> Partition:
@@ -212,7 +240,10 @@ def random_partition(n: int, seed: int, scheme: str) -> Partition:
         raise ValueError(f"need n >= 1 subintervals, got {n!r}")
     if scheme not in _SCHEMES:
         raise ValueError(f"scheme must be one of {_SCHEMES}, got {scheme!r}")
-    row = _partitions(n, _seed_state(seed), np.array([_SCHEMES.index(scheme)]))[0]
+    with np.errstate(over="ignore"):
+        key = _seed_state(seed)
+    keys = np.array([key], dtype=np.uint64)
+    row = _partitions(n, keys, np.array([_SCHEMES.index(scheme)]))[0]
     return Partition(tuple(map(float, row)))
 
 
@@ -255,7 +286,10 @@ def _cell_partitions(
     Trial t gets the seed hash(seed, m, n, t) and scheme t mod 3; row t of
     the partitions is what :func:`random_partition` draws for that pair.
     """
-    cell_state = _absorb(_absorb(_seed_state(seed), np.uint64(m)), np.uint64(n))
+    with np.errstate(over="ignore"):
+        cell_state = _absorb(
+            _absorb(_seed_state(seed), np.uint64(m)), np.uint64(n)
+        )
     trial_seeds = _absorb(cell_state, np.arange(trials, dtype=np.uint64))
     schemes = np.arange(trials) % len(_SCHEMES)
     # a trial seed is below 2^64, so folding it is a single step

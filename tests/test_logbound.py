@@ -1,7 +1,9 @@
 """Tests for the composite-Gauss bound observation machinery."""
 
+import hashlib
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -229,6 +231,31 @@ class TestBatchDraw:
         others = np.arange(12) != bad
         assert np.array_equal(patched[others], clean[others])
 
+    def test_redraw_over_more_than_one_attempt(self, monkeypatch):
+        # row a fails only at attempt 0; row b fails at attempts 0 and 1
+        n, trials, a, b = 9, 12, 2, 7
+        draw = logbound._draw
+        trial_seeds, schemes, clean = logbound._cell_partitions(5, 3, n, trials)
+        keys = logbound._absorb(np.zeros_like(trial_seeds), trial_seeds)
+        failing = {(keys[a], 0), (keys[b], 0), (keys[b], 1)}
+
+        def repeat_a_breakpoint(keys, attempt, n, schemes):
+            rows = draw(keys, attempt, n, schemes)
+            for row, key in zip(rows, keys):
+                if (key, attempt) in failing:
+                    row[3] = row[2]
+            return rows
+
+        monkeypatch.setattr(logbound, "_draw", repeat_a_breakpoint)
+        _, _, patched = logbound._cell_partitions(5, 3, n, trials)
+        for row, attempt in ((a, 1), (b, 2)):
+            redrawn = draw(keys[row : row + 1], attempt, n, schemes[row : row + 1])
+            assert np.all(np.diff(redrawn[0]) > 0.0)
+            assert np.array_equal(patched[row], redrawn[0])
+            assert not np.array_equal(patched[row], clean[row])
+        others = ~np.isin(np.arange(trials), (a, b))
+        assert np.array_equal(patched[others], clean[others])
+
     def test_gives_up_after_the_attempt_cap(self, monkeypatch):
         def always_repeat(keys, attempt, n, schemes):
             return np.tile([0.0, 0.5, 0.5, 1.0], (len(keys), 1))
@@ -257,6 +284,44 @@ class TestBatchDraw:
         for cell in report.cells:
             p = random_partition(cell.n, cell.witness_seed, cell.witness_scheme)
             assert composite_ratio(p, cell.m) == cell.max_ratio
+
+    @pytest.mark.parametrize(
+        "seed", [0, 1, 2**63, 2**64 - 1, 2**64, 2**128 - 1, 2**200 + 7]
+    )
+    def test_seed_fold_at_the_64_bit_edges(self, monkeypatch, seed):
+        def array_fold(seed):
+            state = np.zeros(1, dtype=np.uint64)
+            while True:
+                word = np.uint64(seed & (2**64 - 1))
+                before = state.copy()
+                folded = logbound._absorb(state, word)
+                assert np.array_equal(state, before)
+                state = folded
+                seed >>= 64
+                if not seed:
+                    return state
+
+        draw = logbound._draw
+        seen = []
+
+        def record_keys(keys, attempt, n, schemes):
+            seen.append(keys.copy())
+            return draw(keys, attempt, n, schemes)
+
+        monkeypatch.setattr(logbound, "_draw", record_keys)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            random_partition(4, seed, "mixed")
+            trial_seeds, _, _ = logbound._cell_partitions(seed, 3, 4, 5)
+        assert seen[0].dtype == np.uint64
+        assert np.array_equal(seen[0], array_fold(seed))
+        cell_state = logbound._absorb(
+            logbound._absorb(array_fold(seed), np.uint64(3)), np.uint64(4)
+        )
+        assert np.array_equal(
+            trial_seeds,
+            logbound._absorb(cell_state, np.arange(5, dtype=np.uint64)),
+        )
 
     def test_witness_seeds_fit_64_bits(self):
         report = sweep(range(2, 4), range(2, 6), 9, seed=3)
@@ -332,6 +397,30 @@ class TestSweep:
 
 
 class TestSweepCsv:
+    # sha256 of the CSV, pinned so that a change to the stream, the draw or
+    # the reduction that moves any bit of any cell fails here
+    @pytest.mark.parametrize(
+        "ranges, trials, seed, digest",
+        [
+            (
+                (range(2, 31), range(1, 51)),
+                20,
+                3,
+                "2f7f5035410f397fa92683b0182a3355056b03ed9b254f61402020293d965f42",
+            ),
+            (
+                (range(1, 4), range(1, 4)),
+                6,
+                2**64 + 3,
+                "17c4db8fef007585734957fececaf3c53efcf0eba0d2e99830f04cfecefb7185",
+            ),
+        ],
+    )
+    def test_pinned_digest(self, ranges, trials, seed, digest):
+        buffer = io.StringIO()
+        write_sweep_csv(sweep(*ranges, trials, seed=seed), buffer)
+        assert hashlib.sha256(buffer.getvalue().encode()).hexdigest() == digest
+
     def test_layout_and_roundtrip(self):
         report = sweep(range(2, 4), range(1, 3), 3, seed=5)
         buffer = io.StringIO()
