@@ -36,7 +36,6 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional
 
-from ._records import Checked
 from .error_model import (
     EPS,
     ErrorBudget,
@@ -123,7 +122,7 @@ class _ProblemFields(NamedTuple):
     mu: float = EPS
 
 
-class CpvProblem(Checked, _ProblemFields):
+class CpvProblem(_ProblemFields):
     """A principal value integral of f(x) / (x - tau) over [a, b].
 
     ``method`` selects how the symmetric quotient is integrated near 0:
@@ -134,6 +133,9 @@ class CpvProblem(Checked, _ProblemFields):
     """
 
     __slots__ = ()
+
+    # _replace copies through _make, which would skip the checks of __new__
+    _make = classmethod(lambda cls, it: cls(*it))
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)

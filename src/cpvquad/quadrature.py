@@ -13,7 +13,9 @@ estimates of the roots.  Like QUADPACK's QK21, everything here is plain
 scalar float arithmetic: no array or linear-algebra library is imported.
 The Kronrod pairs and the 43-point rule are transcribed tables; each is
 checked against its polynomial exactness degrees the first time it is
-requested, so a corrupted transcription cannot go unnoticed.  The engine
+requested, so a corrupted transcription cannot go unnoticed.  Every rule
+is built through one shape check, :func:`_checked_rule`, so the rule
+records themselves are plain tuples that check nothing.  The engine
 applies the 10/21 pair, QUADPACK's QK21, and extends an interval that looks
 resolved to Patterson's 43-point rule, the next rule of QUADPACK's QNG,
 whose 22 new nodes reuse the pair's 21 values.  The engine applies neither
@@ -47,8 +49,6 @@ import math
 import sys
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional, Sequence
-
-from ._records import Checked
 
 __all__ = [
     "Integrand",
@@ -116,56 +116,26 @@ _FORMS = {
 }
 
 
-class _RuleFields(NamedTuple):
+class QuadratureRule(NamedTuple):
+    """An interpolatory rule on (-1, 1): strictly interior nodes, ascending.
+
+    Built only by this module's rule builders, through :func:`_checked_rule`.
+    """
+
     nodes: tuple[float, ...]
     weights: tuple[float, ...]
-    order: int
 
 
-class QuadratureRule(Checked, _RuleFields):
-    """An interpolatory rule on (-1, 1): strictly interior nodes, ascending."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.order != len(self.nodes) or self.order != len(self.weights):
-            raise ValueError("rule arrays disagree with the stated point count")
-        for i, x in enumerate(self.nodes):
-            if not -1.0 < x < 1.0:
-                raise ValueError(f"node {x!r} is not interior to (-1, 1)")
-            if i and x <= self.nodes[i - 1]:
-                raise ValueError("nodes must be strictly increasing")
-            if self.nodes[self.order - 1 - i] != -x:
-                raise ValueError("nodes must be symmetric about zero")
-            if self.weights[self.order - 1 - i] != self.weights[i]:
-                raise ValueError("weights must mirror the node symmetry")
-        if any(w <= 0.0 for w in self.weights):
-            raise ValueError("weights must be positive")
-        if abs(math.fsum(self.weights) - 2.0) > 1e-14:
-            raise ValueError("weights must sum to the interval length 2")
-        return self
-
-
-class _PairFields(NamedTuple):
-    kronrod: QuadratureRule
-    gauss_weights: tuple[float, ...]
-
-
-class EmbeddedRulePair(Checked, _PairFields):
+class EmbeddedRulePair(NamedTuple):
     """A Kronrod rule plus the weights of its embedded Gauss rule.
 
     ``gauss_weights`` is aligned index-by-index with ``kronrod.nodes``; the
-    entries at Kronrod-only nodes are zero.
+    entries at Kronrod-only nodes are zero.  Built only by
+    :func:`_checked_pair`.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if len(self.gauss_weights) != self.kronrod.order:
-            raise ValueError("embedded weights are not aligned with the nodes")
-        return self
+    kronrod: QuadratureRule
+    gauss_weights: tuple[float, ...]
 
 
 class AdaptiveResult(NamedTuple):
@@ -208,6 +178,30 @@ def _weight(m: int, x: float) -> float:
     return 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
 
 
+def _checked_rule(nodes, weights) -> QuadratureRule:
+    """The rule with these nodes and weights, refused with a ValueError
+    unless the arrays agree in length, the nodes are strictly interior to
+    (-1, 1), increasing and symmetric about zero, and the weights are
+    positive, mirror the nodes and sum to 2."""
+    n = len(nodes)
+    if n != len(weights):
+        raise ValueError("rule arrays disagree in length")
+    for i, x in enumerate(nodes):
+        if not -1.0 < x < 1.0:
+            raise ValueError(f"node {x!r} is not interior to (-1, 1)")
+        if i and x <= nodes[i - 1]:
+            raise ValueError("nodes must be strictly increasing")
+        if nodes[n - 1 - i] != -x:
+            raise ValueError("nodes must be symmetric about zero")
+        if weights[n - 1 - i] != weights[i]:
+            raise ValueError("weights must mirror the node symmetry")
+    if any(w <= 0.0 for w in weights):
+        raise ValueError("weights must be positive")
+    if abs(math.fsum(weights) - 2.0) > 1e-14:
+        raise ValueError("weights must sum to the interval length 2")
+    return QuadratureRule(nodes, weights)
+
+
 @lru_cache(maxsize=None)
 def gauss_legendre_rule(m: int) -> QuadratureRule:
     """Build the m-point Gauss-Legendre rule on (-1, 1).
@@ -243,7 +237,7 @@ def gauss_legendre_rule(m: int) -> QuadratureRule:
         weights.append(_weight(m, 0.0))
     nodes.extend(pos_nodes)
     weights.extend(pos_weights)
-    return QuadratureRule(tuple(nodes), tuple(weights), m)
+    return _checked_rule(tuple(nodes), tuple(weights))
 
 
 # Positive halves of the Kronrod rules, descending, with the embedded Gauss
@@ -342,7 +336,9 @@ def _checked_pair(half, center, n: int) -> EmbeddedRulePair:
     n-point rule.
     """
     nodes, kronrod_w, gauss_w = _mirrored(half, center)
-    pair = EmbeddedRulePair(QuadratureRule(nodes, kronrod_w, 2 * n + 1), gauss_w)
+    kronrod = _checked_rule(nodes, kronrod_w)
+    if len(gauss_w) != len(nodes):
+        raise ValueError("embedded weights are not aligned with the nodes")
     _monomial_exactness_check(
         nodes, kronrod_w, 3 * n + 1, f"{2 * n + 1}-point Kronrod rule"
     )
@@ -357,7 +353,7 @@ def _checked_pair(half, center, n: int) -> EmbeddedRulePair:
             raise RuntimeError(
                 f"embedded Gauss nodes disagree with the constructed {n}-point rule"
             )
-    return pair
+    return EmbeddedRulePair(kronrod, gauss_w)
 
 
 @lru_cache(maxsize=None)
@@ -411,7 +407,7 @@ def _patterson_extension() -> _PattersonRules:
     """
     pair = kronrod_pair_g10k21()
     nodes, weights = _mirrored(_K43_HALF, _K43_CENTER)
-    rule = QuadratureRule(nodes, weights, 43)
+    rule = _checked_rule(nodes, weights)
     _monomial_exactness_check(nodes, weights, 64, "43-point Patterson rule")
     old = set(pair.kronrod.nodes)
     if not old <= set(nodes):
@@ -568,7 +564,7 @@ def _compile_kernel(pair: EmbeddedRulePair, partial_weights, form: str):
     The same test catches a sum that overflowed from finite values.
     """
     rule = pair.kronrod
-    n = rule.order
+    n = len(rule.nodes)
     lines = ["def kernel(f, a, b, tau=0.0, f_tau=0.0, keep=False):"]
     lines += _node_lines(rule.nodes, form)
     lines.append(f"    sum_k = {_weighted(rule.weights)}")
@@ -601,10 +597,10 @@ def _compile_resolve(rule: QuadratureRule, partial_weights):
     kernel kept what the kernel would have returned as partial, bit for
     bit: the same sums in the same order."""
     lines = ["def kernel(values, half, err):",
-             f"    {_values(rule.order)} = values",
+             f"    {_values(len(rule.nodes))} = values",
              f"    sum_k = {_weighted(rule.weights)}"]
     lines += _resolved_lines(rule.weights, partial_weights, "{}")
-    return _exec_kernel(lines, rule.nodes, f"resolve, {rule.order} points")
+    return _exec_kernel(lines, rule.nodes, f"resolve, {len(rule.nodes)} points")
 
 
 def _compile_extension(nodes, weights, form: str):
@@ -766,7 +762,7 @@ def integrate_pieces(
 
     rules = _patterson_extension()
     kronrod = rules.pair.kronrod
-    order = kronrod.order
+    order = len(kronrod.nodes)
     # the map mid + half * x rounds monotonically in x, so the rule's nodes
     # land strictly inside [a, b] when its two outermost nodes do
     lowest = kronrod.nodes[0]

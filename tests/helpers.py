@@ -132,7 +132,7 @@ def apply_rule_reference(rule, f, a, b):
     if isinstance(rule, EmbeddedRulePair):
         kronrod, gauss_weights = rule.kronrod, rule.gauss_weights
     else:
-        kronrod, gauss_weights = rule, (0.0,) * rule.order
+        kronrod, gauss_weights = rule, (0.0,) * len(rule.nodes)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     if not (a < mid + half * kronrod.nodes[0] and mid + half * kronrod.nodes[-1] < b):
@@ -481,7 +481,7 @@ def adaptive_integrate_reference(f, a, b, tol, max_intervals=10_000):
         )
 
     value, err, values = pair_application_reference(f, a, b)
-    evaluations = kronrod.order
+    evaluations = len(kronrod.nodes)
     heap = [(-err, 0, a, b, value, values)]
     settled = []
     seq = 1
@@ -496,7 +496,7 @@ def adaptive_integrate_reference(f, a, b, tol, max_intervals=10_000):
                 partial = resolve_reference(values, 0.5 * (ib - ia), est)
             if partial is not None:
                 value, err = extension_reference(f, ia, ib, partial, ival)
-                evaluations += rules.rule.order - kronrod.order
+                evaluations += len(rules.rule.nodes) - len(kronrod.nodes)
                 heapq.heappush(heap, (-err, seq, ia, ib, value, None))
                 seq += 1
                 err_sum += err - est
@@ -507,7 +507,7 @@ def adaptive_integrate_reference(f, a, b, tol, max_intervals=10_000):
             mid = _midpoint(ia, ib)
             lv, le, lvalues = pair_application_reference(f, ia, mid)
             rv, re, rvalues = pair_application_reference(f, mid, ib)
-            evaluations += 2 * kronrod.order
+            evaluations += 2 * len(kronrod.nodes)
             heapq.heappush(heap, (-le, seq, ia, mid, lv, lvalues))
             heapq.heappush(heap, (-re, seq + 1, mid, ib, rv, rvalues))
             seq += 2

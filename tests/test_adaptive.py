@@ -22,10 +22,10 @@ from helpers import (
 )
 
 #: Nodes of the engine's Kronrod rule: the evaluations of one application.
-ORDER = kronrod_pair_g10k21().kronrod.order
+ORDER = len(kronrod_pair_g10k21().kronrod.nodes)
 
 #: New nodes of the 43-point rule: the evaluations of one extension.
-EXTENSION = _patterson_extension().rule.order - ORDER
+EXTENSION = len(_patterson_extension().rule.nodes) - ORDER
 
 
 def _interlaced(new, old):

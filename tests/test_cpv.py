@@ -304,17 +304,18 @@ class TestProblemValidation:
         assert abs(result.value - 1.0) <= result.error_estimate <= 1e-15
 
 
-#: One record of each kind that checks its fields, and a change of one field
-#: that the check refuses.
-_CHECKED_RECORDS = [
+#: One record of each kind and a change of one field.  The problem is the
+#: one record that checks its fields, and its check refuses the change; the
+#: rules are checked once, by their builders.
+_RECORDS = [
     (CpvProblem(f=math.exp, tau=0.5), dict(tau=5.0)),
-    (gauss_legendre_rule(3), dict(order=4)),
+    (gauss_legendre_rule(3), dict(nodes=(0.0,))),
     (kronrod_pair_g7k15(), dict(gauss_weights=(1.0,))),
 ]
-_CHECKED_IDS = ["CpvProblem", "QuadratureRule", "EmbeddedRulePair"]
+_RECORD_IDS = ["CpvProblem", "QuadratureRule", "EmbeddedRulePair"]
 
 
-@pytest.mark.parametrize("record,change", _CHECKED_RECORDS, ids=_CHECKED_IDS)
+@pytest.mark.parametrize("record,change", _RECORDS[:1], ids=_RECORD_IDS[:1])
 def test_replace_checks_like_the_constructor(record, change):
     with pytest.raises(ValueError) as built:
         type(record)(**{**record._asdict(), **change})
@@ -323,7 +324,7 @@ def test_replace_checks_like_the_constructor(record, change):
     assert str(replaced.value) == str(built.value)
 
 
-@pytest.mark.parametrize("record,change", _CHECKED_RECORDS, ids=_CHECKED_IDS)
+@pytest.mark.parametrize("record,change", _RECORDS, ids=_RECORD_IDS)
 def test_fields_refuse_assignment(record, change):
     [(name, value)] = change.items()
     with pytest.raises(AttributeError):
@@ -478,7 +479,7 @@ class TestExtensionsBisectedAnywayPinned:
     """Runs where most extended intervals are bisected all the same, so they
     cost more than the 10/21 pair alone took.  The costs are pinned as they
     stand, a baseline for a floor that stops refinement on rounding noise
-    (ROADMAP item 2); a change that lowers them updates the pins."""
+    (ROADMAP item 3); a change that lowers them updates the pins."""
 
     def test_cusped_battery_case(self):
         # the cusps of |cos(44x)|^1.5 keep the 43-point rule from gaining

@@ -1,11 +1,13 @@
 """The product runs without mpmath: only the tests and perfbench/ need it.
 
 Static checks of the package source sit here too: no module imports
-mpmath, and no function takes a parameter it never reads.
+mpmath, no function takes a parameter it never reads, and every name the
+package root exports has a caller outside the tests.
 """
 
 import ast
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +17,7 @@ import pytest
 import cpvquad
 
 PACKAGE = Path(cpvquad.__file__).resolve().parent
+REPO = Path(__file__).resolve().parent.parent
 
 # mpmath set to None in sys.modules makes every `import mpmath` raise
 # ImportError, as on an install without it
@@ -85,3 +88,34 @@ def _unread_parameters(path: Path) -> list[str]:
 )
 def test_every_parameter_is_read(path):
     assert _unread_parameters(path) == []
+
+
+def _root_exports() -> dict[str, str]:
+    """Each name the package root imports, with the module that defines it."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    return {alias.name: node.module for node in tree.body
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def _caller_texts(module: str) -> dict[str, str]:
+    """The texts that may call a name defined in `module`, by file: the other
+    package modules, the benchmark's modules and the README's library
+    example."""
+    paths = [p for p in PACKAGE.glob("*.py")
+             if p.stem not in ("__init__", module)]
+    paths += sorted((REPO / "perfbench").glob("*.py"))
+    texts = {str(p): p.read_text(encoding="utf-8") for p in paths}
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    texts["README.md"] = "".join(
+        re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S))
+    return texts
+
+
+@pytest.mark.parametrize("name", sorted(cpvquad.__all__))
+def test_every_root_name_has_a_caller_outside_the_tests(name):
+    module = _root_exports()[name]
+    # a word-boundary search: perfbench/run.py names one inside a string
+    pattern = re.compile(rf"\b{re.escape(name)}\b")
+    callers = [path for path, text in _caller_texts(module).items()
+               if pattern.search(text)]
+    assert callers, f"{name} is named only by {module}.py and the tests"

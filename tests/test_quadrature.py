@@ -13,7 +13,6 @@ from cpvquad import quadrature
 from cpvquad.quadrature import (
     EmbeddedRulePair,
     NonfiniteIntegrandError,
-    QuadratureRule,
     gauss_legendre_rule,
     kronrod_pair_g7k15,
     kronrod_pair_g10k21,
@@ -104,26 +103,26 @@ class TestGaussLegendreRule:
 class TestQuadratureRuleInvariants:
     def test_nodes_must_be_interior(self):
         with pytest.raises(ValueError, match="not interior to"):
-            QuadratureRule(nodes=(-1.0, 1.0), weights=(1.0, 1.0), order=2)
+            quadrature._checked_rule(nodes=(-1.0, 1.0), weights=(1.0, 1.0))
 
     def test_nodes_must_ascend(self):
         with pytest.raises(ValueError, match="strictly increasing"):
-            QuadratureRule(nodes=(0.5, -0.5), weights=(1.0, 1.0), order=2)
+            quadrature._checked_rule(nodes=(0.5, -0.5), weights=(1.0, 1.0))
 
     def test_weights_must_be_positive(self):
         # symmetric, mirrored and summing to 2, so only the sign is wrong
         with pytest.raises(ValueError, match="weights must be positive"):
-            QuadratureRule(
-                nodes=(-0.5, 0.0, 0.5), weights=(1.5, -1.0, 1.5), order=3
+            quadrature._checked_rule(
+                nodes=(-0.5, 0.0, 0.5), weights=(1.5, -1.0, 1.5)
             )
 
     def test_weights_must_sum_to_two(self):
         with pytest.raises(ValueError, match="sum to the interval length 2"):
-            QuadratureRule(nodes=(-0.5, 0.5), weights=(0.7, 0.7), order=2)
+            quadrature._checked_rule(nodes=(-0.5, 0.5), weights=(0.7, 0.7))
 
     def test_asymmetric_nodes_rejected(self):
         with pytest.raises(ValueError, match="symmetric about zero"):
-            QuadratureRule(nodes=(-0.6, 0.5), weights=(1.0, 1.0), order=2)
+            quadrature._checked_rule(nodes=(-0.6, 0.5), weights=(1.0, 1.0))
 
 
 def _check_perturbed_table(monkeypatch, builder, table_name, column, label):
@@ -245,7 +244,7 @@ class TestKronrodPairG10K21:
         assert len(embedded) == 10
         reference = gauss_legendre_rule(10).nodes
         assert max(abs(a - b) for a, b in zip(embedded, reference)) <= 5e-15
-        assert pair.kronrod.order == 21
+        assert len(pair.kronrod.nodes) == 21
         assert sum(1 for w in pair.gauss_weights if w == 0.0) == 11
 
     def test_kronrod_exact_to_degree_31_and_gauss_to_19(self):
@@ -395,7 +394,7 @@ class TestPattersonExtension:
         _, _, evaluations, _ = quadrature.integrate_pieces(
             f, pieces, 1e-12, tau=0.3, f_tau=f(0.3))
         # each piece extended an interval: 22 evaluations on top of runs of 21
-        order = quadrature._patterson_extension().pair.kronrod.order
+        order = len(quadrature._patterson_extension().pair.kronrod.nodes)
         assert all(e % order for e in evaluations)
         assert compiled_kernels() == compiled
 
