@@ -1,7 +1,7 @@
 """Built-in benchmark battery with frozen high-precision references.
 
-Eight integrand families, one of them registered at two singularity
-locations, exercise the solver across smooth, highly oscillatory, nearly
+Seven integrands, two of them registered at two singularity locations
+each, exercise the solver across smooth, highly oscillatory, nearly
 log-singular, kinked and chirped integrands, including a singularity at
 distance 1e-7 from an endpoint.  Every reference value was computed by two
 structurally independent high-precision routes (``python tests/oracles.py``
@@ -24,8 +24,8 @@ import math
 import time
 from typing import IO, NamedTuple, Sequence
 
-from .cpv import CpvProblem, cpv_standard
-from .error_model import ErrorBudget, json_number
+from .cpv import CpvProblem, CpvResult, cpv_standard
+from .error_model import json_number
 from .quadrature import Integrand, warm
 
 __all__ = [
@@ -86,19 +86,16 @@ class BenchmarkRow(NamedTuple):
 
     name: str
     tau: float
-    value: float
+    result: CpvResult
     abs_error: float
-    error_estimate: float
-    evaluations: int
     elapsed_seconds: float
-    budget: ErrorBudget
-    converged: bool
     bound: float
 
     @property
     def passed(self) -> bool:
         """Bound on the actual error holds and the estimate covers it."""
-        return self.abs_error <= self.bound and self.error_estimate >= self.abs_error
+        return (self.abs_error <= self.bound
+                and self.result.error_estimate >= self.abs_error)
 
 
 def _exp(x: float) -> float:
@@ -233,7 +230,7 @@ _CASES: tuple[BenchmarkCase, ...] = (
 
 
 def builtin_problems() -> list[BenchmarkCase]:
-    """The built-in battery; one integrand family appears at two taus."""
+    """The built-in battery; two of its integrands appear at two taus."""
     return list(_CASES)
 
 
@@ -262,13 +259,9 @@ def run_benchmark(tol: float = 1e-12) -> list[BenchmarkRow]:
             BenchmarkRow(
                 name=case.name,
                 tau=case.tau,
-                value=result.value,
+                result=result,
                 abs_error=abs(result.value - reference),
-                error_estimate=result.error_estimate,
-                evaluations=result.evaluations,
                 elapsed_seconds=elapsed,
-                budget=result.budget,
-                converged=result.converged,
                 bound=case.error_bound * bound_scale,
             )
         )
@@ -280,7 +273,7 @@ _CSV_COLUMNS = (
     "tau",
     "value",
     "abs_error",
-    "error_estimate",
+    "estimate",
     "evaluations",
     "converged",
     "elapsed_seconds",
@@ -293,38 +286,30 @@ def write_csv(rows: Sequence[BenchmarkRow], stream: IO[str]) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
     for row in rows:
+        result = row.result
         writer.writerow(
             [
                 row.name,
                 repr(row.tau),
-                repr(row.value),
+                repr(result.value),
                 repr(row.abs_error),
-                repr(row.error_estimate),
-                str(row.evaluations),
-                "true" if row.converged else "false",
+                repr(result.error_estimate),
+                str(result.evaluations),
+                "true" if result.converged else "false",
                 repr(row.elapsed_seconds),
             ]
         )
 
 
-def _row_object(row: BenchmarkRow) -> dict:
-    return {
-        "name": row.name,
-        "tau": row.tau,
-        "value": json_number(row.value),
-        "abs_error": json_number(row.abs_error),
-        "error_estimate": json_number(row.error_estimate),
-        "evaluations": row.evaluations,
-        "converged": row.converged,
-        "elapsed_seconds": row.elapsed_seconds,
-        "budget": row.budget.as_json_dict(),
-    }
-
-
 def write_json(rows: Sequence[BenchmarkRow], stream: IO[str]) -> None:
     """Write rows as a strict JSON array: floats keep shortest-roundtrip
     form, and a NaN or infinite one (a jump at tau) is written as null."""
-    json.dump([_row_object(row) for row in rows], stream, indent=2,
-              allow_nan=False)
+    json.dump(
+        [{"name": row.name, "tau": row.tau, **row.result.as_json_dict(),
+          "abs_error": json_number(row.abs_error),
+          "elapsed_seconds": row.elapsed_seconds}
+         for row in rows],
+        stream, indent=2, allow_nan=False,
+    )
     stream.write("\n")
 

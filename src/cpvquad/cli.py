@@ -25,7 +25,7 @@ from . import __version__
 from .cpv import CpvProblem, CpvResult, cpv_standard
 # unused here, but perfbench/spans.py patches cli.cpv_general by name
 from .cpv import cpv_general  # noqa: F401
-from .error_model import EPS, json_number
+from .error_model import EPS
 from .expressions import ParseError, compile_expression
 from .quadrature import NonfiniteIntegrandError
 
@@ -113,24 +113,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _print_result(result: CpvResult, as_json: bool) -> None:
-    reasons = result.stop_reasons._asdict()
     if as_json:
-        obj = {
-            "value": json_number(result.value),
-            "estimate": json_number(result.error_estimate),
-            "budget": result.budget.as_json_dict(),
-            "evaluations": result.evaluations,
-            "converged": result.converged,
-            "stop_reasons": reasons,
-        }
-        print(json.dumps(obj, indent=2, allow_nan=False))
+        print(json.dumps(result.as_json_dict(), indent=2, allow_nan=False))
     else:
         print(f"value = {result.value!r}")
         print(f"estimate = {result.error_estimate!r}")
         print(f"evaluations = {result.evaluations}")
         print(f"converged = {'true' if result.converged else 'false'}")
-        print("stop_reasons = "
-              + " ".join(f"{k}:{v}" for k, v in reasons.items()))
+        print("stop_reasons = " + " ".join(
+            f"{k}:{v}" for k, v in result.stop_reasons._asdict().items()))
 
 
 def _opened(path: Optional[str]):
@@ -189,10 +180,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                   f"{'seconds':>9s}")
         print(header)
         for row in rows:
-            converged = "true" if row.converged else "false"
-            print(f"{row.name:7s} {row.tau!r:>10s} {row.value!r:>24s} "
-                  f"{row.abs_error:>12.3e} {row.error_estimate:>12.3e} "
-                  f"{row.evaluations:>7d} {converged:>9s} "
+            result = row.result
+            converged = "true" if result.converged else "false"
+            print(f"{row.name:7s} {row.tau!r:>10s} {result.value!r:>24s} "
+                  f"{row.abs_error:>12.3e} {result.error_estimate:>12.3e} "
+                  f"{result.evaluations:>7d} {converged:>9s} "
                   f"{row.elapsed_seconds:>9.4f}")
     failed = [row.name for row in rows if not row.passed]
     if failed:

@@ -41,6 +41,7 @@ from .error_model import (
     ErrorBudget,
     derivative_estimates,
     endpoint_distance,
+    json_number,
     jump_at_tau,
     total_error_estimate,
 )
@@ -209,6 +210,20 @@ class CpvResult(NamedTuple):
     evaluations: int
     converged: bool
     stop_reasons: StopReasons
+
+    def as_json_dict(self) -> dict:
+        """The result as every JSON output writes it: ``value``,
+        ``estimate`` (``error_estimate``), ``budget``, ``evaluations``,
+        ``converged`` and ``stop_reasons``, with a NaN or infinite number
+        as None (JSON null)."""
+        return {
+            "value": json_number(self.value),
+            "estimate": json_number(self.error_estimate),
+            "budget": self.budget.as_json_dict(),
+            "evaluations": self.evaluations,
+            "converged": self.converged,
+            "stop_reasons": self.stop_reasons._asdict(),
+        }
 
 
 #: The pieces share max(tol, _FLOOR_FACTOR * floor), so the quadrature adds

@@ -337,8 +337,6 @@ def _checked_pair(half, center, n: int) -> EmbeddedRulePair:
     """
     nodes, kronrod_w, gauss_w = _mirrored(half, center)
     kronrod = _checked_rule(nodes, kronrod_w)
-    if len(gauss_w) != len(nodes):
-        raise ValueError("embedded weights are not aligned with the nodes")
     _monomial_exactness_check(
         nodes, kronrod_w, 3 * n + 1, f"{2 * n + 1}-point Kronrod rule"
     )

@@ -5,6 +5,9 @@ from __future__ import annotations
 import csv
 import math
 import operator
+import re
+import shlex
+from pathlib import Path
 from typing import IO, Callable
 
 import numpy as np
@@ -29,6 +32,25 @@ from cpvquad.expressions import (
 )
 
 EPS_SINGLE = 2.0**-24
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_blocks(language: str) -> list[str]:
+    """The bodies of the README's fenced blocks in `language`."""
+    text = README.read_text(encoding="utf-8")
+    return re.findall(rf"^```{language}\n(.*?)^```$", text, re.M | re.S)
+
+
+def readme_commands(subcommand: str) -> list[list[str]]:
+    """argv of each ``cpvquad <subcommand>`` line of the README's ``sh``
+    blocks, trailing comment dropped."""
+    lines = [
+        shlex.split(line, comments=True)
+        for block in readme_blocks("sh")
+        for line in block.splitlines()
+    ]
+    return [argv for argv in lines if argv[:2] == ["cpvquad", subcommand]]
 
 
 def float32_quotient_errors():
@@ -641,7 +663,7 @@ def read_csv(stream: IO[str]) -> list[dict]:
                 "tau": float(rec[1]),
                 "value": float(rec[2]),
                 "abs_error": float(rec[3]),
-                "error_estimate": float(rec[4]),
+                "estimate": float(rec[4]),
                 "evaluations": int(rec[5]),
                 "converged": {"true": True, "false": False}[rec[6]],
                 "elapsed_seconds": float(rec[7]),

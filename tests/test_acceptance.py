@@ -73,17 +73,18 @@ def test_criterion_2_battery_absolute_error():
 
 def test_criterion_3_estimate_soundness(battery_rows):
     unsound = [
-        row.name for row in battery_rows if row.error_estimate < row.abs_error
+        row.name for row in battery_rows
+        if row.result.error_estimate < row.abs_error
     ]
     case7 = next(row for row in battery_rows if row.name == "case7")
-    ok = not unsound and case7.error_estimate >= 1e-9
+    ok = not unsound and case7.result.error_estimate >= 1e-9
     _report(
         3,
         "estimate soundness",
         ok,
         f"estimate >= |error| on all 9 cases"
         f"{' except ' + ','.join(unsound) if unsound else ''}, "
-        f"case7 estimate {case7.error_estimate:.3e} (>= 1e-9)",
+        f"case7 estimate {case7.result.error_estimate:.3e} (>= 1e-9)",
     )
 
 
@@ -185,8 +186,8 @@ def test_criterion_8_method_agreement(battery_rows):
                 f=case.integrand, tau=case.tau, tol=BATTERY_TOL, method="cutoff"
             )
         )
-        gap = abs(open_row.value - cut.value)
-        slack = open_row.error_estimate + cut.error_estimate
+        gap = abs(open_row.result.value - cut.value)
+        slack = open_row.result.error_estimate + cut.error_estimate
         if gap > slack:
             disagreeing.append(case.name)
         if slack > 0 and gap / slack > worst_gap:
@@ -206,9 +207,11 @@ def test_criterion_8_method_agreement(battery_rows):
 def test_criterion_9_determinism():
     first = run_benchmark(tol=BATTERY_TOL)
     second = run_benchmark(tol=BATTERY_TOL)
-    values_equal = [a.value for a in first] == [b.value for b in second]
-    estimates_equal = [a.error_estimate for a in first] == [
-        b.error_estimate for b in second
+    values_equal = [a.result.value for a in first] == [
+        b.result.value for b in second
+    ]
+    estimates_equal = [a.result.error_estimate for a in first] == [
+        b.result.error_estimate for b in second
     ]
     ok = values_equal and estimates_equal
     _report(

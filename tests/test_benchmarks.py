@@ -19,6 +19,7 @@ from cpvquad.benchmarks import (
     write_json,
 )
 from cpvquad import benchmarks
+from cpvquad.cpv import CpvResult, StopReasons
 from cpvquad.error_model import ErrorBudget
 from cpvquad.quadrature import (
     _patterson_extension,
@@ -84,8 +85,10 @@ class TestCaseTable:
         for case in builtin_problems():
             assert case.error_bound == (5e-9 if case.name == "case7" else 5e-12)
 
-    def test_one_family_at_two_singularities(self):
-        a, b = _case("case6"), _case("case6b")
+    @pytest.mark.parametrize("first,second",
+                             [("case1", "case7"), ("case6", "case6b")])
+    def test_one_integrand_at_two_singularities(self, first, second):
+        a, b = _case(first), _case(second)
         assert a.integrand is b.integrand
         assert a.expression == b.expression
         assert a.tau != b.tau
@@ -178,11 +181,11 @@ class TestRunBenchmark:
     def test_battery_passes_at_calibration_tolerance(self):
         rows = run_benchmark(tol=CALIBRATION_TOL)
         assert [row.name for row in rows] == list(EXPECTED_NAMES)
-        assert all(row.converged for row in rows)
+        assert all(row.result.converged for row in rows)
         assert all(row.passed for row in rows)
         for row in rows:
             assert row.abs_error <= row.bound
-            assert row.error_estimate >= row.abs_error
+            assert row.result.error_estimate >= row.abs_error
 
     def test_battery_evaluations_stay_within_budget(self):
         # 76,830 before the pieces stopped at the roundoff floor, 75,630
@@ -190,17 +193,14 @@ class TestRunBenchmark:
         # the 10/21 pair, and 51,556 with the 43-point extension; a change
         # that spends more must say why
         rows = run_benchmark()
-        assert sum(row.evaluations for row in rows) <= 51_556
+        assert sum(row.result.evaluations for row in rows) <= 51_556
 
     def test_deterministic_apart_from_timing(self):
         first = run_benchmark(tol=CALIBRATION_TOL)
         second = run_benchmark(tol=CALIBRATION_TOL)
         for a, b in zip(first, second):
-            assert a.value == b.value
+            assert a.result == b.result
             assert a.abs_error == b.abs_error
-            assert a.error_estimate == b.error_estimate
-            assert a.evaluations == b.evaluations
-            assert a.budget == b.budget
 
     def test_rule_build_precedes_the_first_timed_case(self, monkeypatch):
         gauss_legendre_rule.cache_clear()
@@ -241,13 +241,17 @@ class TestRunBenchmark:
 
     def test_passed_property(self):
         budget = ErrorBudget(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        result = CpvResult(
+            value=1.0, error_estimate=1e-13, budget=budget, evaluations=1,
+            converged=True, stop_reasons=StopReasons(*("tolerance",) * 3),
+        )
         good = BenchmarkRow(
-            name="x", tau=0.0, value=1.0, abs_error=1e-14,
-            error_estimate=1e-13, evaluations=1, elapsed_seconds=0.0,
-            budget=budget, converged=True, bound=1e-12,
+            name="x", tau=0.0, result=result, abs_error=1e-14,
+            elapsed_seconds=0.0, bound=1e-12,
         )
         too_wrong = good._replace(abs_error=1e-11)
-        underestimated = good._replace(error_estimate=1e-15)
+        underestimated = good._replace(
+            result=result._replace(error_estimate=1e-15))
         assert good.passed
         assert not too_wrong.passed
         assert not underestimated.passed
@@ -267,11 +271,11 @@ class TestSerialization:
         for rec, row in zip(parsed, rows):
             assert rec["name"] == row.name
             assert rec["tau"] == row.tau
-            assert rec["value"] == row.value
+            assert rec["value"] == row.result.value
             assert rec["abs_error"] == row.abs_error
-            assert rec["error_estimate"] == row.error_estimate
-            assert rec["evaluations"] == row.evaluations
-            assert rec["converged"] is row.converged
+            assert rec["estimate"] == row.result.error_estimate
+            assert rec["evaluations"] == row.result.evaluations
+            assert rec["converged"] is row.result.converged
             assert rec["elapsed_seconds"] == row.elapsed_seconds
 
     def test_csv_header(self):
@@ -279,7 +283,7 @@ class TestSerialization:
         buffer = io.StringIO()
         write_csv(rows, buffer)
         assert buffer.getvalue().splitlines()[0] == (
-            "name,tau,value,abs_error,error_estimate,evaluations,converged,"
+            "name,tau,value,abs_error,estimate,evaluations,converged,"
             "elapsed_seconds"
         )
 
@@ -295,10 +299,12 @@ class TestSerialization:
         assert len(parsed) == len(rows)
         for obj, row in zip(parsed, rows):
             assert obj["name"] == row.name
-            assert obj["value"] == row.value
+            assert obj["value"] == row.result.value
+            assert obj["estimate"] == row.result.error_estimate
             assert obj["abs_error"] == row.abs_error
-            assert obj["evaluations"] == row.evaluations
-            assert obj["converged"] is row.converged
+            assert obj["evaluations"] == row.result.evaluations
+            assert obj["converged"] is row.result.converged
+            assert obj["stop_reasons"] == row.result.stop_reasons._asdict()
             assert set(obj["budget"]) == {
                 "quad_left",
                 "quad_right",
@@ -308,7 +314,7 @@ class TestSerialization:
                 "curvature_sensitivity",
                 "cutoff",
             }
-            assert obj["budget"]["roundoff"] == row.budget.roundoff
+            assert obj["budget"]["roundoff"] == row.result.budget.roundoff
 
     def test_json_is_strict_for_a_jump_at_tau(self, monkeypatch):
         # a jump at tau has no principal value: its row holds a NaN value and
@@ -320,7 +326,7 @@ class TestSerialization:
         )
         monkeypatch.setattr(benchmarks, "_CASES", (jump,))
         rows = run_benchmark(tol=1e-12)
-        assert not rows[0].converged
+        assert not rows[0].result.converged
         buffer = io.StringIO()
         write_json(rows, buffer)
 
@@ -330,7 +336,8 @@ class TestSerialization:
         obj = json.loads(buffer.getvalue(), parse_constant=refuse)[0]
         assert obj["value"] is None
         assert obj["abs_error"] is None
-        assert obj["error_estimate"] is None
+        assert obj["estimate"] is None
         assert obj["budget"]["quad_h"] is None
-        assert obj["evaluations"] == rows[0].evaluations
+        assert obj["evaluations"] == rows[0].result.evaluations
         assert obj["converged"] is False
+        assert set(obj["stop_reasons"].values()) == {"discontinuous_at_tau"}

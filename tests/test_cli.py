@@ -13,8 +13,10 @@ import cpvquad.benchmarks
 import cpvquad.logbound
 from cpvquad import cli
 from cpvquad.cli import main
+from cpvquad.cpv import CpvProblem, cpv_general, cpv_standard
+from cpvquad.expressions import compile_expression
 
-from helpers import read_csv
+from helpers import read_csv, readme_commands
 
 
 def _extract(out: str, key: str) -> float:
@@ -228,6 +230,48 @@ class TestIntegrate:
         )
         capsys.readouterr()
         assert code == 2
+
+
+#: The README's `integrate` examples, without --json, with the problem each
+#: one states.
+_README_EXAMPLES = [
+    (["--f", "exp(x)", "--tau", "0.5"], {"f": "exp(x)", "tau": 0.5}),
+    (["--f", "exp(-100*(x+0.4)^2)*sin(exp(-10*x))", "--tau", "-0.41"],
+     {"f": "exp(-100*(x+0.4)^2)*sin(exp(-10*x))", "tau": -0.41}),
+    (["--f", "1", "--tau", "1", "--a", "0", "--b", "4"],
+     {"f": "1", "tau": 1.0, "a": 0.0, "b": 4.0}),
+    (["--f", "exp(x)", "--tau", "0.5", "--method", "cutoff", "--mu", "1e-10"],
+     {"f": "exp(x)", "tau": 0.5, "method": "cutoff", "mu": 1e-10}),
+]
+
+
+class TestOneJsonForm:
+    """`integrate --json` prints a result's one JSON form, and each
+    `bench --json` row is that form with its case around it."""
+
+    def test_examples_are_the_readme_s(self):
+        documented = [[arg for arg in argv[2:] if arg != "--json"]
+                      for argv in readme_commands("integrate")]
+        assert documented == [flags for flags, _ in _README_EXAMPLES]
+
+    @pytest.mark.parametrize("flags,fields", _README_EXAMPLES,
+                             ids=[" ".join(f) for f, _ in _README_EXAMPLES])
+    def test_integrate_prints_the_result_s_form(self, capsys, flags, fields):
+        assert main(["integrate", *flags, "--json"]) in (0, 1)
+        problem = CpvProblem(**{**fields, "f": compile_expression(fields["f"])})
+        expected = json.dumps(cpv_standard(problem).as_json_dict(), indent=2)
+        assert capsys.readouterr().out == expected + "\n"
+
+    def test_bench_rows_are_the_form_with_their_case(self, capsys, tmp_path):
+        target = tmp_path / "rows.json"
+        assert main(["bench", "--json", str(target)]) == 0
+        capsys.readouterr()
+        with open(target, encoding="utf-8") as fp:
+            rows = json.load(fp)
+        form = set(cpv_general(math.exp, 0.5, -1.0, 1.0).as_json_dict())
+        case = {"name", "tau", "abs_error", "elapsed_seconds"}
+        assert not form & case
+        assert [set(row) for row in rows] == [form | case] * 9
 
 
 class TestRepeatedCalls:

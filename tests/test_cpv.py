@@ -1,5 +1,6 @@
 """Tests for the principal value decomposition."""
 
+import functools
 import math
 
 import mpmath as mp
@@ -949,3 +950,59 @@ class TestNarrowFarPiece:
         assert result.converged
         reference = pv_exp_closed(tau, a, b, dps=40)
         assert _error(result.value, reference) <= result.error_estimate
+
+
+#: The battery's native integrands, each once, and two taus that no battery
+#: case uses.
+_NATIVE = list({c.integrand: c.integrand for c in builtin_problems()})
+_INVARIANCE_TAUS = (0.3, -0.61)
+
+
+@functools.lru_cache(maxsize=None)
+def _unit(f, tau):
+    return cpv_general(f, tau, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("tau", _INVARIANCE_TAUS)
+@pytest.mark.parametrize("f", _NATIVE, ids=lambda f: f.__name__)
+class TestInvariance:
+    """Changes of a problem whose answer is known exactly from the original.
+
+    Scaling x by a power of two is exact in every node, quotient and budget
+    term, so it changes no bit.  Reflecting x swaps the two difference
+    pieces and negates the value.
+    """
+
+    @pytest.mark.parametrize("k", [3, -3, 20, -100])
+    def test_x_scaling_is_bit_identical(self, f, tau, k):
+        s = 2.0**k
+        scaled = cpv_general(lambda x: f(x / s), s * tau, -s, s)
+        unit = _unit(f, tau)
+        assert scaled.value.hex() == unit.value.hex()
+        assert scaled.error_estimate.hex() == unit.error_estimate.hex()
+        assert scaled.evaluations == unit.evaluations
+
+    def test_reflection_negates_the_value(self, f, tau):
+        mirrored = cpv_general(lambda x: f(-x), -tau, -1.0, 1.0)
+        unit = _unit(f, tau)
+        assert mirrored.evaluations == unit.evaluations
+        assert abs(unit.value + mirrored.value) <= min(
+            unit.error_estimate, mirrored.error_estimate
+        )
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="D3: the curvature term scales as sqrt(c) when f becomes c*f, "
+           "so the budget is not linear in f",
+)
+def test_f_scaling_scales_value_and_estimate():
+    for f in _NATIVE:
+        for tau in _INVARIANCE_TAUS:
+            unit = _unit(f, tau)
+            for j in (-20, 20):
+                c = 2.0**j
+                scaled = cpv_general(lambda x: c * f(x), tau, -1.0, 1.0,
+                                     tol=c * 1e-12)
+                assert scaled.value == c * unit.value
+                assert scaled.error_estimate == c * unit.error_estimate

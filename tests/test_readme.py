@@ -1,39 +1,32 @@
 """The README's examples run against the code as it is.
 
 The ``python`` block is executed as written, and every ``cpvquad integrate``
-line of its ``sh`` blocks goes through ``cli.main`` in process, so a README
-that names a removed function or flag fails here.
+and ``cpvquad bench`` line of its ``sh`` blocks goes through ``cli.main`` in
+process, so a README that names a removed function, flag or output key
+fails here.
 """
 
+import csv
+import json
 import math
 import re
-import shlex
-from pathlib import Path
 
 import pytest
 
 from cpvquad.cli import main
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+from helpers import README, readme_blocks, readme_commands
 
 
-def _blocks(language):
-    text = README.read_text(encoding="utf-8")
-    return re.findall(rf"^```{language}\n(.*?)^```$", text, re.M | re.S)
-
-
-def _integrate_commands():
-    """argv of each ``cpvquad integrate`` line, trailing comment dropped."""
-    return [
-        shlex.split(line, comments=True)
-        for block in _blocks("sh")
-        for line in block.splitlines()
-        if line.startswith("cpvquad integrate ")
-    ]
+def _named_keys(lead):
+    """The backquoted names of the README sentence that starts with `lead`."""
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    (sentence,) = re.findall(rf"{lead}(.*?)\.(?:\s|$)", text)
+    return re.findall(r"`(\w+)`", sentence)
 
 
 def test_library_block_runs_and_gives_log_3():
-    (block,) = _blocks("python")
+    (block,) = readme_blocks("python")
     namespace = {}
     exec(compile(block, str(README), "exec"), namespace)
     (line,) = [line for line in block.splitlines() if line.endswith("# log 3")]
@@ -42,11 +35,34 @@ def test_library_block_runs_and_gives_log_3():
 
 
 def test_readme_has_integrate_examples():
-    assert len(_integrate_commands()) >= 4
+    assert len(readme_commands("integrate")) >= 4
 
 
-@pytest.mark.parametrize("argv", _integrate_commands(), ids=" ".join)
+@pytest.mark.parametrize("argv", readme_commands("integrate"), ids=" ".join)
 def test_integrate_example_runs(argv, capsys):
-    assert argv[0] == "cpvquad"
     assert main(argv[1:]) in (0, 1)
     assert capsys.readouterr().out
+
+
+def test_readme_has_bench_examples():
+    assert [argv[2:3] for argv in readme_commands("bench")] == [
+        [], ["--csv"], ["--json"],
+    ]
+
+
+@pytest.mark.parametrize("argv", readme_commands("bench"), ids=" ".join)
+def test_bench_example_writes_the_keys_it_names(argv, capsys, tmp_path,
+                                                monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv[1:]) == 0
+    assert capsys.readouterr().out
+    if "--json" in argv:
+        with open(argv[-1], encoding="utf-8") as fp:
+            rows = json.load(fp)
+        assert rows
+        named = _named_keys("A JSON row holds")
+        assert [list(row) for row in rows] == [named] * len(rows)
+    elif "--csv" in argv:
+        with open(argv[-1], encoding="utf-8", newline="") as fp:
+            header = next(csv.reader(fp))
+        assert header == _named_keys("The CSV has the columns")
