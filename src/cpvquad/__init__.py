@@ -15,13 +15,12 @@ engine, the rules and the paper's roundoff bounds are importable from
 from .cpv import (
     CpvProblem,
     CpvResult,
-    QuotientOverflowError,
     StopReasons,
     cpv_general,
     cpv_standard,
 )
 from .error_model import EPS, ErrorBudget
-from .quadrature import NonfiniteIntegrandError
+from .quadrature import NonfiniteIntegrandError, QuotientOverflowError
 # perfbench/run.py's set-up builds this rule through the package root
 from .quadrature import kronrod_pair_g7k15
 

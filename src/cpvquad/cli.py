@@ -146,14 +146,11 @@ def _cmd_integrate(args: argparse.Namespace) -> int:
             f=f, tau=args.tau, a=args.a, b=args.b, tol=args.tol,
             method=args.method, mu=args.mu,
         ))
-    except NonfiniteIntegrandError as exc:
-        # a ValueError too, so it must be caught first
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
-        # covers invalid problem setups (tau at an endpoint, bad mu, ...)
+        # a non-finite integrand or quotient exits with 1, an invalid
+        # problem setup (tau at an endpoint, bad mu, ...) with 2
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, NonfiniteIntegrandError) else 2
     _print_result(result, args.json)
     if not result.converged or result.error_estimate > args.tol:
         return 1

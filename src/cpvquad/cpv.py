@@ -34,7 +34,7 @@ as :class:`QuotientOverflowError`.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .error_model import (
     EPS,
@@ -48,7 +48,7 @@ from .error_model import (
 from .quadrature import (
     Integrand,
     NonfiniteIntegrandError,
-    SumOverflowError,
+    QuotientOverflowError,
     integrate_pieces,
 )
 # unused here, but perfbench/spans.py patches cpv.adaptive_integrate by name
@@ -62,55 +62,6 @@ __all__ = [
     "cpv_standard",
     "cpv_general",
 ]
-
-
-class QuotientOverflowError(NonfiniteIntegrandError):
-    """Raised when a quotient overflows although the integrand is finite.
-
-    ``x`` is the quotient's abscissa and ``quotient`` names the quotient,
-    "difference" or "symmetric".  A steep integrand such as 1e308 * x
-    overflows (f(tau+x) - f(tau-x)) / x near 2 f'(tau) while every f value
-    stays finite; with 6e307 * x every quotient value is finite but their
-    weighted sum over an ``interval`` [a, b] overflows, and ``x`` is the
-    node of the largest quotient value.
-    """
-
-    def __init__(self, quotient: str, x: float,
-                 interval: Optional[tuple[float, float]] = None):
-        if interval is None:
-            message = (
-                f"{quotient} quotient overflowed at x = {x!r} although the "
-                "integrand is finite at its abscissae"
-            )
-        else:
-            message = (
-                f"{quotient} quotient overflowed in its weighted sum over "
-                f"[{interval[0]!r}, {interval[1]!r}] although every quotient "
-                f"value there is finite (largest at x = {x!r})"
-            )
-        ValueError.__init__(self, message)
-        self.x = x
-        self.quotient = quotient
-        self.interval = interval
-
-
-def _quotient_failure(
-    f: Integrand, tau: float, quotient: str, exc: NonfiniteIntegrandError
-) -> NonfiniteIntegrandError:
-    """The error for a quotient piece whose rule application failed.
-
-    Unless a weighted sum overflowed, f is evaluated again where the quotient
-    evaluated it at ``exc.x`` (x, or tau + x and tau - x), so the quadrature
-    loop carries no extra check.
-    """
-    x = exc.x
-    if isinstance(exc, SumOverflowError):
-        return QuotientOverflowError(quotient, x, (exc.a, exc.b))
-    abscissae = (x,) if quotient == "difference" else (tau + x, tau - x)
-    for t in abscissae:
-        if not math.isfinite(f(t)):
-            return NonfiniteIntegrandError(t)
-    return QuotientOverflowError(quotient, x)
 
 
 class _ProblemFields(NamedTuple):
@@ -188,7 +139,7 @@ class StopReasons(NamedTuple):
 class CpvResult(NamedTuple):
     """A computed principal value with its error accounting.
 
-    ``error_estimate`` equals ``budget.total``; ``evaluations`` counts the
+    ``error_estimate`` reads ``budget.total``; ``evaluations`` counts the
     quadrature nodes of the three pieces.  A node of a difference-quotient
     piece is one call of f and a node of the symmetric piece two, f(tau + t)
     and f(tau - t); the calls for f(tau) and the derivative stencils are
@@ -205,11 +156,14 @@ class CpvResult(NamedTuple):
     """
 
     value: float
-    error_estimate: float
     budget: ErrorBudget
     evaluations: int
     converged: bool
     stop_reasons: StopReasons
+
+    @property
+    def error_estimate(self) -> float:
+        return self.budget.total
 
     def as_json_dict(self) -> dict:
         """The result as every JSON output writes it: ``value``,
@@ -283,7 +237,6 @@ def cpv_standard(problem: CpvProblem) -> CpvResult:
         budget = ErrorBudget(math.inf, math.inf, math.inf, *floor[3:])
         return CpvResult(
             value=math.nan,
-            error_estimate=budget.total,
             budget=budget,
             evaluations=0,
             converged=False,
@@ -307,13 +260,10 @@ def cpv_standard(problem: CpvProblem) -> CpvResult:
         ("symmetric", lower, delta),
     )
     nonempty = (a < left_end, right_start < b, lower < delta)
-    try:
-        values, estimates, evaluations, reason = integrate_pieces(
-            f, pieces, quad_tol, _INTERVALS_PER_PIECE * max(1, sum(nonempty)),
-            tau=tau, f_tau=f_tau,
-        )
-    except NonfiniteIntegrandError as exc:
-        raise _quotient_failure(f, tau, pieces[exc.piece][0], exc) from exc
+    values, estimates, evaluations, reason = integrate_pieces(
+        f, pieces, quad_tol, _INTERVALS_PER_PIECE * max(1, sum(nonempty)),
+        tau=tau, f_tau=f_tau,
+    )
 
     ratio = (b - tau) / (tau - a)
     if 0.0 < ratio < math.inf:
@@ -324,17 +274,15 @@ def cpv_standard(problem: CpvProblem) -> CpvResult:
     value = log_term + values[0] + values[1] + values[2]
     quad_left, quad_right, quad_h = estimates
     budget = ErrorBudget(quad_left, quad_right, quad_h, *floor[3:])
-    error_estimate = budget.total
     converged = reason == "tolerance"
     if converged and quad_left + quad_right + quad_h > tol:
         reason = "floor"
     return CpvResult(
         value=value,
-        error_estimate=error_estimate,
         budget=budget,
         evaluations=sum(evaluations),
         # a budget that overflowed bounds nothing
-        converged=converged and math.isfinite(error_estimate),
+        converged=converged and math.isfinite(budget.total),
         stop_reasons=StopReasons(
             *[reason if used else "tolerance" for used in nonempty]
         ),

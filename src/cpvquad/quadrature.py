@@ -11,11 +11,14 @@ Gauss-Legendre rules of arbitrary point count are built by Newton iteration
 on the three-term Legendre recurrence, starting from Chebyshev-angle
 estimates of the roots.  Like QUADPACK's QK21, everything here is plain
 scalar float arithmetic: no array or linear-algebra library is imported.
-The Kronrod pairs and the 43-point rule are transcribed tables; each is
-checked against its polynomial exactness degrees the first time it is
-requested, so a corrupted transcription cannot go unnoticed.  Every rule
-is built through one shape check, :func:`_checked_rule`, so the rule
-records themselves are plain tuples that check nothing.  The engine
+The 7/15 pair is a transcribed table.  The 10/21 pair and the 43-point
+rule are read off one, QUADPACK's QNG table, which lists each node once with
+its weight in each rule.  Each rule is checked against its polynomial
+exactness degrees the first time it is requested, so a corrupted
+transcription cannot go unnoticed.  Every rule is built symmetric, by
+mirroring a positive half, and passes one shape check,
+:func:`_checked_rule`, so the rule records themselves are plain tuples that
+check nothing.  The engine
 applies the 10/21 pair, QUADPACK's QK21, and extends an interval that looks
 resolved to Patterson's 43-point rule, the next rule of QUADPACK's QNG,
 whose 22 new nodes reuse the pair's 21 values.  The engine applies neither
@@ -54,6 +57,7 @@ __all__ = [
     "Integrand",
     "NonfiniteIntegrandError",
     "SumOverflowError",
+    "QuotientOverflowError",
     "QuadratureRule",
     "EmbeddedRulePair",
     "AdaptiveResult",
@@ -78,11 +82,8 @@ class NonfiniteIntegrandError(ValueError):
     """Raised when an integrand returns NaN or an infinity.
 
     The offending abscissa is kept in ``x`` so callers can report where the
-    integrand broke down.  ``piece`` is the index of the piece whose rule
-    application failed when :func:`integrate_pieces` raised it, else None.
+    integrand broke down.
     """
-
-    piece: Optional[int] = None
 
     def __init__(self, x: float):
         super().__init__(f"integrand returned a non-finite value at x = {x!r}")
@@ -106,6 +107,36 @@ class SumOverflowError(NonfiniteIntegrandError):
         self.x = x
         self.a = a
         self.b = b
+
+
+class QuotientOverflowError(NonfiniteIntegrandError):
+    """Raised when a quotient overflows although the integrand is finite.
+
+    ``x`` is the quotient's abscissa and ``quotient`` names the quotient,
+    "difference" or "symmetric".  A steep integrand such as 1e308 * x
+    overflows (f(tau+x) - f(tau-x)) / x near 2 f'(tau) while every f value
+    stays finite; with 6e307 * x every quotient value is finite but their
+    weighted sum over an ``interval`` [a, b] overflows, and ``x`` is the
+    node of the largest quotient value.
+    """
+
+    def __init__(self, quotient: str, x: float,
+                 interval: Optional[tuple[float, float]] = None):
+        if interval is None:
+            message = (
+                f"{quotient} quotient overflowed at x = {x!r} although the "
+                "integrand is finite at its abscissae"
+            )
+        else:
+            message = (
+                f"{quotient} quotient overflowed in its weighted sum over "
+                f"[{interval[0]!r}, {interval[1]!r}] although every quotient "
+                f"value there is finite (largest at x = {x!r})"
+            )
+        ValueError.__init__(self, message)
+        self.x = x
+        self.quotient = quotient
+        self.interval = interval
 
 
 #: Each form of the integrand at the abscissa t; f_tau is f(tau).
@@ -180,21 +211,15 @@ def _weight(m: int, x: float) -> float:
 
 def _checked_rule(nodes, weights) -> QuadratureRule:
     """The rule with these nodes and weights, refused with a ValueError
-    unless the arrays agree in length, the nodes are strictly interior to
-    (-1, 1), increasing and symmetric about zero, and the weights are
-    positive, mirror the nodes and sum to 2."""
-    n = len(nodes)
-    if n != len(weights):
-        raise ValueError("rule arrays disagree in length")
+    unless the nodes are strictly interior to (-1, 1) and increasing, and
+    the weights are positive and sum to 2.  Its callers build every rule
+    by mirroring a positive half, so the nodes and weights are symmetric
+    and equal in number by construction."""
     for i, x in enumerate(nodes):
         if not -1.0 < x < 1.0:
             raise ValueError(f"node {x!r} is not interior to (-1, 1)")
         if i and x <= nodes[i - 1]:
             raise ValueError("nodes must be strictly increasing")
-        if nodes[n - 1 - i] != -x:
-            raise ValueError("nodes must be symmetric about zero")
-        if weights[n - 1 - i] != weights[i]:
-            raise ValueError("weights must mirror the node symmetry")
     if any(w <= 0.0 for w in weights):
         raise ValueError("weights must be positive")
     if abs(math.fsum(weights) - 2.0) > 1e-14:
@@ -259,53 +284,56 @@ _G7K15_HALF = (
 _G7K15_CENTER = (0.209482141084727828012999174891714,
                  0.417959183673469387755102040816327)
 
-# QUADPACK's QK21 table.
-_G10K21_HALF = (
-    (0.995657163025808080735527280689003, 0.011694638867371874278064396062192, 0.0),
-    (0.973906528517171720077964012084452, 0.032558162307964727478818972459390,
-     0.066671344308688137593568809893332),
-    (0.930157491355708226001207180059508, 0.054755896574351996031381300244580, 0.0),
-    (0.865063366688984510732096688423493, 0.075039674810919952767043140916190,
-     0.149451349150580593145776339657697),
-    (0.780817726586416897063717578345042, 0.093125454583697605535065465083366, 0.0),
-    (0.679409568299024406234327365114874, 0.109387158802297641899210590325805,
-     0.219086362515982043995534934228163),
-    (0.562757134668604683339000099272694, 0.123491976262065851077600525464215, 0.0),
-    (0.433395394129247190799265943165784, 0.134709217311473325928054001771707,
-     0.269266719309996355091226921569469),
-    (0.294392862701460198131126603103866, 0.142775938577060080797094273138717, 0.0),
-    (0.148874338981631210884826001129720, 0.147739104901338491374841515972068,
-     0.295524224714752870173892994651338),
+# QUADPACK's QNG table for the 10/21 pair and Patterson's 43-point extension
+# of it: one row (x, w43, w21, w10) per positive node of the 43-point rule,
+# descending, with the node's weight in each nested rule (zero marks a rule
+# that lacks the node), and the centre node's three weights.
+_QNG_HALF = (
+    (0.999333360901932081394099323919911, 0.001844477640212414100389106552965,
+     0.0, 0.0),
+    (0.995657163025808080735527280689003, 0.005768556059769796184184327908655,
+     0.011694638867371874278064396062192, 0.0),
+    (0.987433402908088869795961478381209, 0.010798689585891651740465406741293,
+     0.0, 0.0),
+    (0.973906528517171720077964012084452, 0.016296734289666564924281974617663,
+     0.032558162307964727478818972459390, 0.066671344308688137593568809893332),
+    (0.954807934814266299257919200290473, 0.021895363867795428102523123075149,
+     0.0, 0.0),
+    (0.930157491355708226001207180059508, 0.027371890593248842081276069289151,
+     0.054755896574351996031381300244580, 0.0),
+    (0.900148695748328293625099494069092, 0.032597463975345689443882222526137,
+     0.0, 0.0),
+    (0.865063366688984510732096688423493, 0.037522876120869501461613795898115,
+     0.075039674810919952767043140916190, 0.149451349150580593145776339657697),
+    (0.825198314983114150847066732588520, 0.042163137935191811847627924327955,
+     0.0, 0.0),
+    (0.780817726586416897063717578345042, 0.046560826910428830743339154433824,
+     0.093125454583697605535065465083366, 0.0),
+    (0.732148388989304982612354848755461, 0.050741939600184577780189020092084,
+     0.0, 0.0),
+    (0.679409568299024406234327365114874, 0.054694902058255442147212685465005,
+     0.109387158802297641899210590325805, 0.219086362515982043995534934228163),
+    (0.622847970537725238641159120344323, 0.058379395542619248375475369330206,
+     0.0, 0.0),
+    (0.562757134668604683339000099272694, 0.061744995201442564496240336030883,
+     0.123491976262065851077600525464215, 0.0),
+    (0.499479574071056499952214885499755, 0.064746404951445885544689259517511,
+     0.0, 0.0),
+    (0.433395394129247190799265943165784, 0.067355414609478086075553166302174,
+     0.134709217311473325928054001771707, 0.269266719309996355091226921569469),
+    (0.364901661346580768043989548502644, 0.069566197912356484528633315038405,
+     0.0, 0.0),
+    (0.294392862701460198131126603103866, 0.071387267268693397768559114425516,
+     0.142775938577060080797094273138717, 0.0),
+    (0.222254919776601296498260928066212, 0.072824441471833208150939535192842,
+     0.0, 0.0),
+    (0.148874338981631210884826001129720, 0.073870199632393953432140695251367,
+     0.147739104901338491374841515972068, 0.295524224714752870173892994651338),
+    (0.074650617461383322043914435796506, 0.074507751014175118273571813842889,
+     0.0, 0.0),
 )
-_G10K21_CENTER = (0.149445554002916905664936468389821, 0.0)
-
-# QUADPACK's QNG table for Patterson's 43-point extension of the 21-point
-# Kronrod rule, merged into one positive half with the 21 Kronrod nodes as
-# rows, each with its weight in the 43-point rule, and the centre weight.
-_K43_HALF = (
-    (0.999333360901932081394099323919911, 0.001844477640212414100389106552965),
-    (0.995657163025808080735527280689003, 0.005768556059769796184184327908655),
-    (0.987433402908088869795961478381209, 0.010798689585891651740465406741293),
-    (0.973906528517171720077964012084452, 0.016296734289666564924281974617663),
-    (0.954807934814266299257919200290473, 0.021895363867795428102523123075149),
-    (0.930157491355708226001207180059508, 0.027371890593248842081276069289151),
-    (0.900148695748328293625099494069092, 0.032597463975345689443882222526137),
-    (0.865063366688984510732096688423493, 0.037522876120869501461613795898115),
-    (0.825198314983114150847066732588520, 0.042163137935191811847627924327955),
-    (0.780817726586416897063717578345042, 0.046560826910428830743339154433824),
-    (0.732148388989304982612354848755461, 0.050741939600184577780189020092084),
-    (0.679409568299024406234327365114874, 0.054694902058255442147212685465005),
-    (0.622847970537725238641159120344323, 0.058379395542619248375475369330206),
-    (0.562757134668604683339000099272694, 0.061744995201442564496240336030883),
-    (0.499479574071056499952214885499755, 0.064746404951445885544689259517511),
-    (0.433395394129247190799265943165784, 0.067355414609478086075553166302174),
-    (0.364901661346580768043989548502644, 0.069566197912356484528633315038405),
-    (0.294392862701460198131126603103866, 0.071387267268693397768559114425516),
-    (0.222254919776601296498260928066212, 0.072824441471833208150939535192842),
-    (0.148874338981631210884826001129720, 0.073870199632393953432140695251367),
-    (0.074650617461383322043914435796506, 0.074507751014175118273571813842889),
-)
-_K43_CENTER = (0.074722147517403005594425168280423,)
+_QNG_CENTER = (0.074722147517403005594425168280423,
+               0.149445554002916905664936468389821, 0.0)
 
 
 def _monomial_exactness_check(nodes, weights, degree, label):
@@ -372,7 +400,8 @@ def kronrod_pair_g10k21() -> EmbeddedRulePair:
     use: Kronrod weights exact through degree 31, Gauss weights through
     degree 19 (see :func:`_checked_pair`).
     """
-    return _checked_pair(_G10K21_HALF, _G10K21_CENTER, 10)
+    half = [(x, w21, w10) for x, _, w21, w10 in _QNG_HALF if w21 != 0.0]
+    return _checked_pair(half, _QNG_CENTER[1:], 10)
 
 
 #: An interval looks resolved when its embedded difference is at most this
@@ -399,24 +428,19 @@ class _PattersonRules(NamedTuple):
 def _patterson_extension() -> _PattersonRules:
     """The engine's rules: the 10/21 pair and its 43-point extension.
 
-    The extension is transcribed from QUADPACK's QNG and validated on first
-    use: its weights integrate monomials exactly through degree 64, and
-    every node of the 21-point Kronrod rule is one of its nodes.
+    Both come from QUADPACK's QNG table, which lists each node once, so the
+    43-point rule nests the pair by construction.  The extension is
+    validated on first use: its weights integrate monomials exactly through
+    degree 64.
     """
-    pair = kronrod_pair_g10k21()
-    nodes, weights = _mirrored(_K43_HALF, _K43_CENTER)
+    nodes, weights, w21, _ = _mirrored(_QNG_HALF, _QNG_CENTER)
     rule = _checked_rule(nodes, weights)
     _monomial_exactness_check(nodes, weights, 64, "43-point Patterson rule")
-    old = set(pair.kronrod.nodes)
-    if not old <= set(nodes):
-        raise RuntimeError(
-            "43-point Patterson rule does not contain the 21 Kronrod nodes"
-        )
-    new = [(x, w) for x, w in zip(nodes, weights) if x not in old]
-    weight = dict(zip(nodes, weights))
+    new = [(x, w) for x, w, k in zip(nodes, weights, w21) if k == 0.0]
     return _PattersonRules(
-        pair, rule, tuple(x for x, _ in new), tuple(w for _, w in new),
-        tuple(weight[x] for x in pair.kronrod.nodes),
+        kronrod_pair_g10k21(), rule, tuple(x for x, _ in new),
+        tuple(w for _, w in new),
+        tuple(w for w, k in zip(weights, w21) if k != 0.0),
     )
 
 
@@ -443,13 +467,15 @@ def _width_floor(outermost: float, bisected: bool = True) -> float:
 
 
 #: An interval is split only while it stays wider than this many ulps of its
-#: endpoints; below that, mapped nodes could round onto an endpoint.
-_MIN_WIDTH_ULPS = _width_floor(_G10K21_HALF[0][0])
+#: endpoints; below that, mapped nodes could round onto an endpoint.  The
+#: floor is that of the pair's outermost node, the first row of the QNG table
+#: with a 21-point weight.
+_MIN_WIDTH_ULPS = _width_floor(_QNG_HALF[1][0])
 
 #: An interval is extended to the 43-point rule only while it is wider than
 #: this many ulps, the floor of that rule's outermost node on the interval
 #: itself: 2**13.
-_MIN_EXTENSION_ULPS = _width_floor(_K43_HALF[0][0], bisected=False)
+_MIN_EXTENSION_ULPS = _width_floor(_QNG_HALF[0][0], bisected=False)
 
 
 def _midpoint(a: float, b: float) -> float:
@@ -466,20 +492,36 @@ def _node_on_endpoint(a: float, b: float):
     raise RuntimeError(f"node mapped onto an interval endpoint of [{a!r}, {b!r}]")
 
 
-def _raise_first_nonfinite(nodes, values, a: float, b: float):
-    """Raise at the lowest node whose value is NaN or infinite.
+def _raise_first_nonfinite(form: str, f: Integrand, tau: float, nodes,
+                           values, a: float, b: float):
+    """Raise for the lowest of `nodes` on [a, b] whose value of `form` is
+    NaN or infinite.
 
-    Reached only when a kernel's Kronrod value is not finite.  With every
-    value finite the weighted sum overflowed instead, and that is raised as
-    :class:`SumOverflowError`.
+    Reached only when a kernel's Kronrod value is not finite, so the
+    kernels carry no check per value.  For a quotient, f is evaluated again
+    where the quotient evaluated it (t, or tau + t and tau - t), and
+    :class:`NonfiniteIntegrandError` names the abscissa where f itself is
+    not finite; with f finite there, the quotient overflowed, a
+    :class:`QuotientOverflowError`.  With every value finite the weighted
+    sum overflowed instead, at the node of the largest value: a
+    :class:`SumOverflowError` for f itself, a
+    :class:`QuotientOverflowError` over [a, b] for a quotient.
     """
     mid = _midpoint(a, b)
     half = 0.5 * (b - a)
     for x, v in zip(nodes, values):
         if not math.isfinite(v):
-            raise NonfiniteIntegrandError(mid + half * x)
-    x = max(zip(values, nodes), key=lambda p: abs(p[0]))[1]
-    raise SumOverflowError(mid + half * x, a, b)
+            t = mid + half * x
+            if form != "plain":
+                for u in (t,) if form == "difference" else (tau + t, tau - t):
+                    if not math.isfinite(f(u)):
+                        raise NonfiniteIntegrandError(u)
+                raise QuotientOverflowError(form, t)
+            raise NonfiniteIntegrandError(t)
+    x = mid + half * max(zip(values, nodes), key=lambda p: abs(p[0]))[1]
+    if form == "plain":
+        raise SumOverflowError(x, a, b)
+    raise QuotientOverflowError(form, x, (a, b))
 
 
 def _node_lines(nodes, form: str) -> list[str]:
@@ -534,11 +576,13 @@ def _values(n: int) -> str:
     return ", ".join(f"v{i}" for i in range(n))
 
 
-def _finite_check(n: int) -> list[str]:
+def _finite_check(n: int, form: str) -> list[str]:
     """A kernel's test of ``value`` for a NaN or infinity, which reports
-    the first non-finite of its n node values or an overflowing sum."""
+    the first non-finite of its n node values of `form` or an overflowing
+    sum."""
     return ["    if not isfinite(value):",
-            f"        _raise_first_nonfinite(nodes, ({_values(n)},), a, b)"]
+            f"        _raise_first_nonfinite({form!r}, f, tau, nodes, "
+            f"({_values(n)},), a, b)"]
 
 
 def _compile_kernel(pair: EmbeddedRulePair, partial_weights, form: str):
@@ -567,7 +611,7 @@ def _compile_kernel(pair: EmbeddedRulePair, partial_weights, form: str):
     lines += _node_lines(rule.nodes, form)
     lines.append(f"    sum_k = {_weighted(rule.weights)}")
     lines.append("    value = sum_k * half")
-    lines += _finite_check(n)
+    lines += _finite_check(n, form)
     lines.append(f"    sum_g = {_weighted(pair.gauss_weights)}")
     lines.append("    err = abs(value - sum_g * half)")
     lines.append("    if keep:")
@@ -614,7 +658,7 @@ def _compile_extension(nodes, weights, form: str):
     lines = ["def kernel(f, a, b, tau, f_tau, partial, old):"]
     lines += _node_lines(nodes, form)
     lines.append(f"    value = ({_weighted(weights, start='partial')}) * half")
-    lines += _finite_check(len(nodes))
+    lines += _finite_check(len(nodes), form)
     lines.append("    return value, abs(value - old)")
     return _exec_kernel(lines, nodes, f"{form} extension kernel, {len(nodes)} points")
 
@@ -736,11 +780,11 @@ def integrate_pieces(
     evaluation, when no double lies strictly inside).  No bisection lowers
     that charge, so one above ``tol`` ends refinement at once.
 
-    A non-finite value raises :class:`NonfiniteIntegrandError` at the
-    lowest such node of its interval, after f was called at all the nodes of
-    that application;
-    a weighted sum that overflows from finite values raises
-    :class:`SumOverflowError`.  Either carries the failing ``piece``.
+    A non-finite value raises at the lowest such node of its interval, after
+    f was called at all the nodes of that application, in f's terms (see
+    :func:`_raise_first_nonfinite`): :class:`NonfiniteIntegrandError` where
+    f itself is not finite, else :class:`QuotientOverflowError`; a weighted
+    sum of f itself that overflows raises :class:`SumOverflowError`.
     """
     for form, a, b in pieces:
         if form not in _FORMS:
@@ -783,82 +827,77 @@ def integrate_pieces(
     err_sum = 0.0
     fixed = 0.0
     count = 0
-    piece = 0
-    try:
-        for piece, (form, a, b) in enumerate(pieces):
-            if a == b:
+    for piece, (form, a, b) in enumerate(pieces):
+        if a == b:
+            continue
+        count += 1
+        kernels[piece] = _pair_kernel(form)
+        mid = _midpoint(a, b)
+        half = 0.5 * (b - a)
+        if a < mid + half * lowest and mid + half * highest < b:
+            value, err, partial = kernels[piece](f, a, b, tau, f_tau, True)
+            evaluations[piece] = order
+            heap.append((-err, len(heap), a, b, value, piece, partial))
+        else:
+            value, err, evaluations[piece] = _one_point(
+                form, f, a, b, tau, f_tau
+            )
+            settled.append((piece, a, value, err))
+            fixed += err
+        err_sum += err
+    heapq.heapify(heap)
+    seq = len(heap)
+    # no bisection lowers a one-point charge
+    cap = count if fixed > tol else max_intervals
+
+    while True:
+        while err_sum > tol and count < cap and heap:
+            neg_est, _, ia, ib, ival, piece, partial = heap[0]
+            est = -neg_est
+            if type(partial) is tuple:
+                partial = _resolver()(partial, 0.5 * (ib - ia), est)
+            if partial is not None and _wider_than(
+                ia, ib, _MIN_EXTENSION_ULPS
+            ):
+                extend = _extension_kernel(pieces[piece][0])
+                value, err = extend(f, ia, ib, tau, f_tau, partial, ival)
+                evaluations[piece] += extension_order
+                heapq.heapreplace(heap, (-err, seq, ia, ib, value, piece, None))
+                seq += 1
+                err_sum += err - est
                 continue
+            heapq.heappop(heap)
+            if not _wider_than(ia, ib, _MIN_WIDTH_ULPS):
+                settled.append((piece, ia, ival, est))
+                continue
+            mid = _midpoint(ia, ib)
+            kernel = kernels[piece]
+            lv, le, lp = kernel(f, ia, mid, tau, f_tau)
+            rv, re, rp = kernel(f, mid, ib, tau, f_tau)
+            evaluations[piece] += 2 * order
+            heapq.heappush(heap, (-le, seq, ia, mid, lv, piece, lp))
+            heapq.heappush(heap, (-re, seq + 1, mid, ib, rv, piece, rp))
+            seq += 2
             count += 1
-            kernels[piece] = _pair_kernel(form)
-            mid = _midpoint(a, b)
-            half = 0.5 * (b - a)
-            if a < mid + half * lowest and mid + half * highest < b:
-                value, err, partial = kernels[piece](f, a, b, tau, f_tau, True)
-                evaluations[piece] = order
-                heap.append((-err, len(heap), a, b, value, piece, partial))
-            else:
-                value, err, evaluations[piece] = _one_point(
-                    form, f, a, b, tau, f_tau
-                )
-                settled.append((piece, a, value, err))
-                fixed += err
-            err_sum += err
-        heapq.heapify(heap)
-        seq = len(heap)
-        # no bisection lowers a one-point charge
-        cap = count if fixed > tol else max_intervals
+            err_sum += le + re - est
 
-        while True:
-            while err_sum > tol and count < cap and heap:
-                neg_est, _, ia, ib, ival, piece, partial = heap[0]
-                est = -neg_est
-                if type(partial) is tuple:
-                    partial = _resolver()(partial, 0.5 * (ib - ia), est)
-                if partial is not None and _wider_than(
-                    ia, ib, _MIN_EXTENSION_ULPS
-                ):
-                    extend = _extension_kernel(pieces[piece][0])
-                    value, err = extend(f, ia, ib, tau, f_tau, partial, ival)
-                    evaluations[piece] += extension_order
-                    heapq.heapreplace(heap, (-err, seq, ia, ib, value, piece, None))
-                    seq += 1
-                    err_sum += err - est
-                    continue
-                heapq.heappop(heap)
-                if not _wider_than(ia, ib, _MIN_WIDTH_ULPS):
-                    settled.append((piece, ia, ival, est))
-                    continue
-                mid = _midpoint(ia, ib)
-                kernel = kernels[piece]
-                lv, le, lp = kernel(f, ia, mid, tau, f_tau)
-                rv, re, rp = kernel(f, mid, ib, tau, f_tau)
-                evaluations[piece] += 2 * order
-                heapq.heappush(heap, (-le, seq, ia, mid, lv, piece, lp))
-                heapq.heappush(heap, (-re, seq + 1, mid, ib, rv, piece, rp))
-                seq += 2
-                count += 1
-                err_sum += le + re - est
-
-            entries = [(p, ia, v, -neg) for neg, _, ia, _, v, p, _ in heap]
-            entries.extend(settled)
-            entries.sort()
-            values = [0.0] * n
-            estimates = [0.0] * n
-            for p, _, v, e in entries:
-                values[p] += v
-                estimates[p] += e
-            estimate = 0.0
-            for e in estimates:
-                estimate += e
-            if not err_sum <= tol < estimate or count >= cap or not heap:
-                break
-            # The running sum drifted down to tol while the ordered sum did
-            # not; resume from the ordered sum, so that the stop reason and
-            # `converged` are both read from the estimate that is returned.
-            err_sum = estimate
-    except NonfiniteIntegrandError as exc:
-        exc.piece = piece
-        raise
+        entries = [(p, ia, v, -neg) for neg, _, ia, _, v, p, _ in heap]
+        entries.extend(settled)
+        entries.sort()
+        values = [0.0] * n
+        estimates = [0.0] * n
+        for p, _, v, e in entries:
+            values[p] += v
+            estimates[p] += e
+        estimate = 0.0
+        for e in estimates:
+            estimate += e
+        if not err_sum <= tol < estimate or count >= cap or not heap:
+            break
+        # The running sum drifted down to tol while the ordered sum did
+        # not; resume from the ordered sum, so that the stop reason and
+        # `converged` are both read from the estimate that is returned.
+        err_sum = estimate
 
     if estimate <= tol:
         reason = "tolerance"
@@ -888,6 +927,7 @@ def _one_point(form: str, f: Integrand, a: float, b: float, tau: float,
         return 0.0, math.inf, 0
     v = _at_point(form)(f, mid, tau, f_tau)
     if not math.isfinite(v):
-        raise NonfiniteIntegrandError(mid)
+        # the midpoint is the node 0.0 mapped to [a, b]
+        _raise_first_nonfinite(form, f, tau, (0.0,), (v,), a, b)
     value = (b - a) * v
     return value, abs(value), 1

@@ -141,6 +141,16 @@ def make_symmetric_quotient(f, tau):
     return quotient
 
 
+def form_reference(form, f, tau=0.0, f_tau=0.0):
+    """The engine's `form` of f as a closure: f itself ("plain"), or its
+    difference or symmetric quotient about tau."""
+    if form == "difference":
+        return make_difference_quotient(f, tau, f_tau)
+    if form == "symmetric":
+        return make_symmetric_quotient(f, tau)
+    return f
+
+
 def apply_rule_reference(rule, f, a, b):
     """The per-node loop that the compiled rule kernels must reproduce.
 
@@ -365,14 +375,14 @@ def clear_engine_caches() -> None:
         cache.cache_clear()
 
 
-def pair_application_reference(f, a, b):
-    """The engine's application of the 10/21 pair to f on [a, b], one node
-    at a time.
+def pair_application_reference(f, a, b, form="plain", tau=0.0, f_tau=0.0):
+    """The engine's application of the 10/21 pair to the `form` of f on
+    [a, b], one node at a time.
 
     Returns ``(value, |value - gauss value|, values)`` like the engine's
     kernel: the sums run from 0.0 in ascending node order, and values are
-    f at the 21 nodes.  f is called at every node before a non-finite value
-    is reported.
+    the form at the 21 nodes.  The form is evaluated at every node before a
+    non-finite value is reported, in the form's terms.
     """
     from cpvquad.quadrature import (
         _midpoint,
@@ -384,13 +394,14 @@ def pair_application_reference(f, a, b):
     kronrod, gauss_weights = rules.pair.kronrod, rules.pair.gauss_weights
     mid = _midpoint(a, b)
     half = 0.5 * (b - a)
-    values = tuple(f(mid + half * x) for x in kronrod.nodes)
+    g = form_reference(form, f, tau, f_tau)
+    values = tuple(g(mid + half * x) for x in kronrod.nodes)
     sum_k = 0.0
     for w, v in zip(kronrod.weights, values):
         sum_k += w * v
     value = sum_k * half
     if not math.isfinite(value):
-        _raise_first_nonfinite(kronrod.nodes, values, a, b)
+        _raise_first_nonfinite(form, f, tau, kronrod.nodes, values, a, b)
     sum_g = 0.0
     for w, v in zip(gauss_weights, values):
         if w != 0.0:
@@ -426,10 +437,11 @@ def resolve_reference(values, half, err):
     return partial
 
 
-def extension_reference(f, a, b, partial, old):
-    """The engine's extension of [a, b] to the 43-point rule, one node at a
-    time: the sum goes on from `partial` over the 22 new nodes in ascending
-    order.  Returns ``(value, |value - old|)``."""
+def extension_reference(f, a, b, partial, old, form="plain", tau=0.0,
+                        f_tau=0.0):
+    """The engine's extension of [a, b] to the 43-point rule for the `form`
+    of f, one node at a time: the sum goes on from `partial` over the 22
+    new nodes in ascending order.  Returns ``(value, |value - old|)``."""
     from cpvquad.quadrature import (
         _midpoint,
         _patterson_extension,
@@ -441,17 +453,19 @@ def extension_reference(f, a, b, partial, old):
     weight43 = dict(zip(rules.rule.nodes, rules.rule.weights))
     mid = _midpoint(a, b)
     half = 0.5 * (b - a)
-    values = [f(mid + half * x) for x in new_nodes]
+    g = form_reference(form, f, tau, f_tau)
+    values = [g(mid + half * x) for x in new_nodes]
     total = partial
     for x, v in zip(new_nodes, values):
         total += weight43[x] * v
     value = total * half
     if not math.isfinite(value):
-        _raise_first_nonfinite(new_nodes, values, a, b)
+        _raise_first_nonfinite(form, f, tau, new_nodes, values, a, b)
     return value, abs(value - old)
 
 
-def adaptive_integrate_reference(f, a, b, tol, max_intervals=10_000):
+def adaptive_integrate_reference(f, a, b, tol, max_intervals=10_000,
+                                 resumes=None):
     """The one-piece adaptive loop, one node at a time.
 
     Applies the engine's Kronrod pair to [a, b] and refines the interval
@@ -465,7 +479,8 @@ def adaptive_integrate_reference(f, a, b, tol, max_intervals=10_000):
     the two as its estimate.  Any other interval is bisected.  An [a, b] too
     narrow for the rule gets the one-point midpoint charge.  The one-piece
     call of the engine must give the same result bit for bit, with f called
-    at the same abscissae in the same order.
+    at the same abscissae in the same order.  Each resume appends the
+    running and the ordered sum to the list `resumes`, when one is given.
     """
     import heapq
 
@@ -545,6 +560,8 @@ def adaptive_integrate_reference(f, a, b, tol, max_intervals=10_000):
             estimate += e
         if not err_sum <= tol < estimate or count >= max_intervals or not heap:
             break
+        if resumes is not None:
+            resumes.append((err_sum, estimate))
         err_sum = estimate
     if estimate <= tol:
         reason = "tolerance"

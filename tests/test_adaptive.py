@@ -6,6 +6,7 @@ import pytest
 from cpvquad.quadrature import (
     AdaptiveResult,
     NonfiniteIntegrandError,
+    QuotientOverflowError,
     SumOverflowError,
     _midpoint,
     _patterson_extension,
@@ -384,14 +385,22 @@ class TestStopReason:
             assert result.converged == (result.error_estimate <= tol)
 
     def test_running_sum_drift_does_not_end_refinement(self):
-        # the running sum of estimates reaches this tolerance a few 1e-14
-        # before the ordered sum over the partition does; refinement goes
-        # on until the returned estimate meets it
-        tol = 5.56236e-9
-        result = adaptive_integrate(
-            lambda x: 1e3 * math.sin(300.0 * x), 0.0, 1.0, tol
-        )
-        assert result.stop_reason == "tolerance"
+        # the running sum of estimates reaches this tolerance exactly while
+        # the ordered sum over the partition is a few ulps above it;
+        # refinement resumes once and goes on until the returned estimate
+        # meets it
+        f = lambda x: math.sin(200.0 * x)
+        tol = 0.004857041516511687
+        resumes = []
+        want = adaptive_integrate_reference(f, 0.0, 1.0, tol, resumes=resumes)
+        assert len(resumes) == 1
+        running, ordered = resumes[0]
+        assert running <= tol < ordered
+        result = adaptive_integrate(f, 0.0, 1.0, tol)
+        assert result.value.hex() == want.value.hex()
+        assert result.error_estimate.hex() == want.error_estimate.hex()
+        assert result.evaluations == want.evaluations == 315
+        assert result.stop_reason == want.stop_reason == "tolerance"
         assert result.converged
         assert result.error_estimate <= tol
 
@@ -630,23 +639,27 @@ class TestSharedQueue:
         assert reason == "interval_cap"
 
     def test_nonfinite_value_names_its_piece(self):
-        def f(x):
-            return math.nan if 0.8 < x < 0.9 else 1.0
+        # the error names the abscissa where f itself is not finite: x in
+        # the right difference piece, or tau + t for an offset t of the
+        # symmetric piece, (0.3, 0.35) here
+        for lo, hi in ((0.8, 0.9), (0.4, 0.45)):
+            def f(x):
+                return math.nan if lo < x < hi else 1.0
 
-        with pytest.raises(NonfiniteIntegrandError) as excinfo:
-            self._run(f, 1e-12)
-        assert excinfo.value.piece == 1
-        assert 0.8 < excinfo.value.x < 0.9
+            with pytest.raises(NonfiniteIntegrandError) as excinfo:
+                self._run(f, 1e-12)
+            assert type(excinfo.value) is NonfiniteIntegrandError
+            assert lo < excinfo.value.x < hi
 
     def test_overflowing_sum_names_its_piece(self):
         # the symmetric quotient of 6e307 x is 1.2e308 at every node, and
         # its Kronrod sum overflows; the difference quotients stay at 6e307
         f = lambda x: 6e307 * x
         pieces = (("difference", -1.0, -0.5), ("symmetric", 0.0, 0.5))
-        with pytest.raises(SumOverflowError) as excinfo:
+        with pytest.raises(QuotientOverflowError) as excinfo:
             integrate_pieces(f, pieces, 1e-12, tau=0.5, f_tau=f(0.5))
-        assert excinfo.value.piece == 1
-        assert (excinfo.value.a, excinfo.value.b) == (0.0, 0.5)
+        assert excinfo.value.quotient == "symmetric"
+        assert excinfo.value.interval == (0.0, 0.5)
 
     def test_one_point_charge_counts_in_the_sum(self):
         narrow = ("difference", -1.0, -1.0 + 2.0 * math.ulp(0.5))

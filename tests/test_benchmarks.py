@@ -240,10 +240,10 @@ class TestRunBenchmark:
             run_benchmark(tol=0.0)
 
     def test_passed_property(self):
-        budget = ErrorBudget(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        budget = ErrorBudget(1e-13, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         result = CpvResult(
-            value=1.0, error_estimate=1e-13, budget=budget, evaluations=1,
-            converged=True, stop_reasons=StopReasons(*("tolerance",) * 3),
+            value=1.0, budget=budget, evaluations=1, converged=True,
+            stop_reasons=StopReasons(*("tolerance",) * 3),
         )
         good = BenchmarkRow(
             name="x", tau=0.0, result=result, abs_error=1e-14,
@@ -251,7 +251,7 @@ class TestRunBenchmark:
         )
         too_wrong = good._replace(abs_error=1e-11)
         underestimated = good._replace(
-            result=result._replace(error_estimate=1e-15))
+            result=result._replace(budget=budget._replace(quad_left=1e-15)))
         assert good.passed
         assert not too_wrong.passed
         assert not underestimated.passed

@@ -22,7 +22,6 @@ from cpvquad.error_model import (
 )
 from cpvquad.quadrature import (
     NonfiniteIntegrandError,
-    SumOverflowError,
     gauss_legendre_rule,
     kronrod_pair_g7k15,
 )
@@ -254,7 +253,6 @@ class TestProblemValidation:
             cpv_standard(CpvProblem(f=lambda x: slope * x, tau=tau))
         assert excinfo.value.quotient == quotient
         assert f"{quotient} quotient overflowed" in str(excinfo.value)
-        assert isinstance(excinfo.value.__cause__, SumOverflowError)
 
     @pytest.mark.parametrize(
         "slope,interval", [(6e307, (0.0, 0.5)), (1e308, (-1.0, 0.0))]
@@ -957,14 +955,28 @@ class TestNarrowFarPiece:
 _NATIVE = list({c.integrand: c.integrand for c in builtin_problems()})
 _INVARIANCE_TAUS = (0.3, -0.61)
 
+#: The invariance problems (f, tau, a, b): every native integrand at both
+#: taus on [-1, 1], and on two other intervals the five native integrands
+#: defined there (log(1.0001 - x) and sqrt(1 - x^2) are not).
+_INVARIANCE_CASES = [(f, tau, -1.0, 1.0) for f in _NATIVE
+                     for tau in _INVARIANCE_TAUS]
+_INVARIANCE_CASES += [
+    (f, tau, a, b)
+    for f in _NATIVE
+    if f.__name__ not in ("_log_squared", "_semicircle_cosine")
+    for tau, a, b in ((2.5, 1.0, 4.0), (1.3, 1.0, 4.0), (-0.7, -3.0, 0.5))
+]
+
 
 @functools.lru_cache(maxsize=None)
-def _unit(f, tau):
-    return cpv_general(f, tau, -1.0, 1.0)
+def _unit(f, tau, a=-1.0, b=1.0):
+    return cpv_general(f, tau, a, b)
 
 
-@pytest.mark.parametrize("tau", _INVARIANCE_TAUS)
-@pytest.mark.parametrize("f", _NATIVE, ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "f,tau,a,b", _INVARIANCE_CASES,
+    ids=[f"{f.__name__}-{tau}" for f, tau, _, _ in _INVARIANCE_CASES],
+)
 class TestInvariance:
     """Changes of a problem whose answer is known exactly from the original.
 
@@ -974,17 +986,17 @@ class TestInvariance:
     """
 
     @pytest.mark.parametrize("k", [3, -3, 20, -100])
-    def test_x_scaling_is_bit_identical(self, f, tau, k):
+    def test_x_scaling_is_bit_identical(self, f, tau, a, b, k):
         s = 2.0**k
-        scaled = cpv_general(lambda x: f(x / s), s * tau, -s, s)
-        unit = _unit(f, tau)
+        scaled = cpv_general(lambda x: f(x / s), s * tau, s * a, s * b)
+        unit = _unit(f, tau, a, b)
         assert scaled.value.hex() == unit.value.hex()
         assert scaled.error_estimate.hex() == unit.error_estimate.hex()
         assert scaled.evaluations == unit.evaluations
 
-    def test_reflection_negates_the_value(self, f, tau):
-        mirrored = cpv_general(lambda x: f(-x), -tau, -1.0, 1.0)
-        unit = _unit(f, tau)
+    def test_reflection_negates_the_value(self, f, tau, a, b):
+        mirrored = cpv_general(lambda x: f(-x), -tau, -b, -a)
+        unit = _unit(f, tau, a, b)
         assert mirrored.evaluations == unit.evaluations
         assert abs(unit.value + mirrored.value) <= min(
             unit.error_estimate, mirrored.error_estimate

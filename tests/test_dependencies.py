@@ -1,15 +1,18 @@
 """The product runs without mpmath: only the tests and perfbench/ need it.
 
 Static checks of the package source sit here too: no module imports
-mpmath, no function takes a parameter it never reads, and every name the
-package root exports has a caller outside the tests.
+mpmath, no function takes a parameter it never reads, every name the
+package root exports has a caller outside the tests, and no node or weight
+of the quadrature rules is transcribed twice.
 """
 
 import ast
+import io
 import json
 import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -119,3 +122,18 @@ def test_every_root_name_has_a_caller_outside_the_tests(name):
     callers = [path for path, text in _caller_texts(module).items()
                if pattern.search(text)]
     assert callers, f"{name} is named only by {module}.py and the tests"
+
+
+def _repeated_long_floats(path: Path, length: int = 30) -> list[str]:
+    """The float literals of at least `length` characters that appear more
+    than once in the source at `path`."""
+    text = path.read_text(encoding="utf-8")
+    literals = [tok.string
+                for tok in tokenize.generate_tokens(io.StringIO(text).readline)
+                if tok.type == tokenize.NUMBER and len(tok.string) >= length]
+    return sorted({x for x in literals if literals.count(x) > 1})
+
+
+def test_no_rule_literal_is_transcribed_twice():
+    # a node shared by nested rules is one row of one table
+    assert _repeated_long_floats(PACKAGE / "quadrature.py") == []

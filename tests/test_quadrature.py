@@ -26,8 +26,6 @@ from helpers import (
     extension_reference,
     gauss_legendre_reference,
     kronrod_g10k21_reference,
-    make_difference_quotient,
-    make_symmetric_quotient,
     pair_application_reference,
     patterson_k43_reference,
     resolve_reference,
@@ -120,22 +118,19 @@ class TestQuadratureRuleInvariants:
         with pytest.raises(ValueError, match="sum to the interval length 2"):
             quadrature._checked_rule(nodes=(-0.5, 0.5), weights=(0.7, 0.7))
 
-    def test_asymmetric_nodes_rejected(self):
-        with pytest.raises(ValueError, match="symmetric about zero"):
-            quadrature._checked_rule(nodes=(-0.6, 0.5), weights=(1.0, 1.0))
 
-
-def _check_perturbed_table(monkeypatch, builder, table_name, column, label):
+def _check_perturbed_table(monkeypatch, builder, table_name, column, label,
+                           give_back=None):
     """Raise the weight in table row 3 by a relative 1e-9 and require the
-    build to fail.  A Kronrod weight gives the same amount back in row 4, a
-    Kronrod-only row, so the weights still sum to 2 and only the exactness
-    check can catch it."""
+    build to fail.  A Kronrod weight gives the same amount back in row
+    `give_back`, a row of a node the embedded rule lacks, so the weights
+    still sum to 2 and only the exactness check can catch it."""
     original = builder()
     table = [list(row) for row in getattr(quadrature, table_name)]
     shift = 1e-9 * table[3][column]
     table[3][column] += shift
-    if column == 1:
-        table[4][column] -= shift
+    if give_back is not None:
+        table[give_back][column] -= shift
     monkeypatch.setattr(quadrature, table_name, tuple(map(tuple, table)))
     builder.cache_clear()
     clear_engine_caches()
@@ -156,7 +151,8 @@ class TestKronrodPair:
     )
     def test_perturbed_table_weight_is_rejected(self, monkeypatch, column, label):
         _check_perturbed_table(
-            monkeypatch, kronrod_pair_g7k15, "_G7K15_HALF", column, label
+            monkeypatch, kronrod_pair_g7k15, "_G7K15_HALF", column, label,
+            give_back=4 if column == 1 else None,
         )
 
     def test_gauss_nodes_are_subset_of_kronrod(self):
@@ -212,8 +208,12 @@ class TestKronrodPairG10K21:
         [(1, "21-point Kronrod rule"), (2, "embedded 10-point Gauss rule")],
     )
     def test_perturbed_table_weight_is_rejected(self, monkeypatch, column, label):
+        # `column` is that of the pair's rows (x, w21, w10); the QNG table's
+        # rows (x, w43, w21, w10) hold it one column further on, and row 5 is
+        # the first Kronrod-only node after the Gauss node of row 3
         _check_perturbed_table(
-            monkeypatch, kronrod_pair_g10k21, "_G10K21_HALF", column, label
+            monkeypatch, kronrod_pair_g10k21, "_QNG_HALF", column + 1, label,
+            give_back=5 if column == 1 else None,
         )
 
     def test_table_matches_the_80_digit_construction(self):
@@ -293,10 +293,10 @@ class TestKronrodPairG10K21:
         # the 7/15 pair's outermost node gives the old floor of 1,024 ulps;
         # the 10/21 pair's, closer to 1, needs twice that
         floor = quadrature._width_floor
-        assert floor(quadrature._G7K15_HALF[0][0]) == 1024.0
-        assert floor(quadrature._G10K21_HALF[0][0]) == 2048.0
-        assert quadrature._MIN_WIDTH_ULPS == 2048.0
         outermost = kronrod_pair_g10k21().kronrod.nodes[-1]
+        assert floor(kronrod_pair_g7k15().kronrod.nodes[-1]) == 1024.0
+        assert floor(outermost) == 2048.0
+        assert quadrature._MIN_WIDTH_ULPS == 2048.0
         assert (1.0 - outermost) * quadrature._MIN_WIDTH_ULPS / 4.0 >= 2.0
 
 
@@ -306,27 +306,31 @@ class TestPattersonExtension:
 
     def test_perturbed_table_weight_is_rejected(self, monkeypatch):
         _check_perturbed_table(
-            monkeypatch, quadrature._patterson_extension, "_K43_HALF", 1,
-            "43-point Patterson rule fails exactness",
+            monkeypatch, quadrature._patterson_extension, "_QNG_HALF", 1,
+            "43-point Patterson rule fails exactness", give_back=4,
         )
 
     def test_moved_kronrod_node_is_rejected(self, monkeypatch):
-        # one ulp passes the exactness check, but the 43-point rule then has
-        # a node the pair's kernel never evaluated
-        builder = quadrature._patterson_extension
-        original = builder()
-        table = [list(row) for row in quadrature._K43_HALF]
-        assert table[1][0] == quadrature._G10K21_HALF[0][0]
-        table[1][0] = math.nextafter(table[1][0], 0.0)
-        monkeypatch.setattr(quadrature, "_K43_HALF", tuple(map(tuple, table)))
+        # the pair and the 43-point rule read a shared node off one row of
+        # the QNG table, so a moved node moves in both rules, and the
+        # exactness check of each rejects it
+        originals = (kronrod_pair_g10k21(), quadrature._patterson_extension())
+        table = [list(row) for row in quadrature._QNG_HALF]
+        assert table[1][2] != 0.0
+        table[1][0] *= 1.0 - 1e-9
+        monkeypatch.setattr(quadrature, "_QNG_HALF", tuple(map(tuple, table)))
+        kronrod_pair_g10k21.cache_clear()
         clear_engine_caches()
         try:
-            with pytest.raises(RuntimeError, match="does not contain"):
-                builder()
+            with pytest.raises(RuntimeError, match="43-point Patterson rule fails"):
+                quadrature._patterson_extension()
+            with pytest.raises(RuntimeError, match="21-point Kronrod rule fails"):
+                kronrod_pair_g10k21()
         finally:
             monkeypatch.undo()
+            kronrod_pair_g10k21.cache_clear()
             clear_engine_caches()
-        assert builder() == original
+        assert (kronrod_pair_g10k21(), quadrature._patterson_extension()) == originals
 
     def test_table_matches_the_160_digit_construction(self):
         # every node and weight within one ulp, far inside 5e-15, of the
@@ -402,9 +406,9 @@ class TestPattersonExtension:
         # an extended interval is not split, so its floor is half what the
         # outermost node would need on the halves
         floor = quadrature._width_floor
-        assert quadrature._MIN_EXTENSION_ULPS == 2.0**13
-        assert floor(quadrature._K43_HALF[0][0]) == 2.0**14
         rule = quadrature._patterson_extension().rule
+        assert quadrature._MIN_EXTENSION_ULPS == 2.0**13
+        assert floor(rule.nodes[-1]) == 2.0**14
         # the outermost node lies (1 - node) half-widths from an end
         assert (1.0 - rule.nodes[-1]) * quadrature._MIN_EXTENSION_ULPS / 2.0 >= 2.0
         rng = random.Random(20261020)
@@ -544,7 +548,7 @@ def _outcome(call):
     try:
         return repr(call())
     except NonfiniteIntegrandError as exc:
-        return (type(exc).__name__, repr(exc.x))
+        return (type(exc).__name__, str(exc))
     except RuntimeError as exc:
         return ("endpoint", str(exc))
     except ZeroDivisionError:
@@ -566,10 +570,11 @@ def _seed(m) -> int:
     return 0 if m is None else 21 if m == "g10k21" else m
 
 
-def _deciding_reference(f, a, b):
+def _deciding_reference(f, a, b, *form):
     """The engine's pair kernel deciding at once, one node at a time:
-    ``(value, |value - gauss value|, partial)``."""
-    value, err, values = pair_application_reference(f, a, b)
+    ``(value, |value - gauss value|, partial)``; `form` is ``(form, tau,
+    f_tau)`` for a quotient."""
+    value, err, values = pair_application_reference(f, a, b, *form)
     return value, err, resolve_reference(values, 0.5 * (b - a), err)
 
 
@@ -642,12 +647,13 @@ class TestQuotientKernels:
                 f_tau = f(tau)
                 if not math.isfinite(f_tau):
                     continue
-                g = make_difference_quotient(f, tau, f_tau)
                 got = _outcome(lambda: kernel(f, a, b, tau, f_tau))
-                want = _outcome(lambda: _deciding_reference(g, a, b))
+                want = _outcome(lambda: _deciding_reference(
+                    f, a, b, "difference", tau, f_tau))
                 assert got == want, (m, a, b, tau)
                 outcomes.add(got[0] if isinstance(got, tuple) else "value")
-        assert {"value", "NonfiniteIntegrandError", "SumOverflowError"} <= outcomes
+        assert {"value", "NonfiniteIntegrandError",
+                "QuotientOverflowError"} <= outcomes
 
     @pytest.mark.parametrize("m", ["g10k21"])
     def test_symmetric_kernel_bit_equal_to_the_closure(self, m):
@@ -657,12 +663,13 @@ class TestQuotientKernels:
         for a, b in _kernel_intervals():
             for f in _quotient_integrands(a, b, rng):
                 tau = rng.choice((0.0, 0.3, -2.5, a))
-                h = make_symmetric_quotient(f, tau)
                 got = _outcome(lambda: kernel(f, a, b, tau))
-                want = _outcome(lambda: _deciding_reference(h, a, b))
+                want = _outcome(lambda: _deciding_reference(
+                    f, a, b, "symmetric", tau))
                 assert got == want, (m, a, b, tau)
                 outcomes.add(got[0] if isinstance(got, tuple) else "value")
-        assert {"value", "NonfiniteIntegrandError", "SumOverflowError"} <= outcomes
+        assert {"value", "NonfiniteIntegrandError",
+                "QuotientOverflowError"} <= outcomes
 
     def test_each_form_compiles_once_per_rule(self):
         for lookup in (quadrature._pair_kernel, quadrature._extension_kernel):
@@ -691,18 +698,17 @@ class TestEngineKernels:
         for a, b in intervals:
             width = b - a
             for f in _quotient_integrands(a, b, rng):
-                tau, f_tau, g = 0.0, 0.0, f
+                tau, f_tau = 0.0, 0.0
                 if form == "difference":
                     tau = b + width * rng.uniform(0.01, 2.0)
                     f_tau = f(tau)
                     if not math.isfinite(f_tau):
                         continue
-                    g = make_difference_quotient(f, tau, f_tau)
                 elif form == "symmetric":
                     tau = rng.choice((0.0, 0.3, -2.5, a))
-                    g = make_symmetric_quotient(f, tau)
                 got = _outcome(lambda: first(f, a, b, tau, f_tau, True))
-                assert got == _outcome(lambda: pair_application_reference(g, a, b))
+                assert got == _outcome(lambda: pair_application_reference(
+                    f, a, b, form, tau, f_tau))
                 if not isinstance(got, str):
                     seen.add(got[0])
                     continue
@@ -721,11 +727,12 @@ class TestEngineKernels:
                 seen.add("extended")
                 got = _outcome(
                     lambda: extend(f, a, b, tau, f_tau, partial, value))
-                want = _outcome(
-                    lambda: extension_reference(g, a, b, partial, value))
+                want = _outcome(lambda: extension_reference(
+                    f, a, b, partial, value, form, tau, f_tau))
                 assert got == want, (form, a, b)
+        overflow = "SumOverflowError" if form == "plain" else "QuotientOverflowError"
         assert {"extended", "unresolved", "too narrow",
-                "NonfiniteIntegrandError", "SumOverflowError"} <= seen
+                "NonfiniteIntegrandError", overflow} <= seen
 
     @pytest.mark.parametrize("kernel", ["pair", "extension"])
     @pytest.mark.parametrize("form", ["plain", "difference", "symmetric"])
