@@ -125,14 +125,28 @@ def _print_result(result: CpvResult, as_json: bool) -> None:
 
 
 def _opened(path: Optional[str]):
-    """`path` opened for writing, or a null context for no path.
+    """`path` opened for writing but not truncated, or a null context for
+    no path.
 
     The commands open their output before they run, so an unusable path
-    fails at once instead of after the whole run.
+    fails at once instead of after the whole run.  They empty it with
+    :func:`_emptied` only once they have something to write, so a run that
+    stops on a usage error leaves an existing file as it was.
     """
     if path is None:
         return contextlib.nullcontext()
-    return open(path, "w", encoding="utf-8", newline="")
+    return open(path, "a", encoding="utf-8", newline="")
+
+
+def _emptied(fp):
+    """`fp` from :func:`_opened`, cut to length 0 if it can seek.
+
+    A stream that cannot seek, a pipe or a terminal, holds nothing to cut.
+    """
+    if fp.seekable():
+        fp.seek(0)
+        fp.truncate()
+    return fp
 
 
 def _cmd_integrate(args: argparse.Namespace) -> int:
@@ -165,7 +179,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         with _opened(path) as fp:
             rows = run_benchmark(tol=args.tol)
             if path:
-                (write_csv if args.csv else write_json)(rows, fp)
+                (write_csv if args.csv else write_json)(rows, _emptied(fp))
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -203,7 +217,7 @@ def _cmd_observation(args: argparse.Namespace) -> int:
                 args.seed,
             )
             if args.csv:
-                write_sweep_csv(report, fp)
+                write_sweep_csv(report, _emptied(fp))
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -77,14 +77,24 @@ def _composite_sums(
     subinterval with midpoint c and half-width h the rule gives
     sum_j h w_j / (c + h t_j) = sum_j w_j / (c/h + t_j), so the half-width
     cancels before any node is mapped.
+
+    The terms of a partition lie in one contiguous row of n*m entries,
+    subinterval by subinterval with the node index fastest, and the row is
+    summed in that order.  Each ratio c/h is repeated m times and the nodes
+    and weights are tiled n times, so every elementwise pass runs over whole
+    rows; broadcasting the m nodes against a (trials, n, 1) array would run
+    numpy's inner loop over only m entries, once per subinterval.
     """
     rule = gauss_legendre_rule(m)
     nodes = np.asarray(rule.nodes)
     weights = np.asarray(rule.weights)
+    n = stack.shape[1] - 1
     lo, hi = stack[:, :-1], stack[:, 1:]
-    terms = ((hi + lo) / (hi - lo))[:, :, None] + nodes
-    np.divide(weights, terms, out=terms)
-    a_values = terms.reshape(len(stack), -1).sum(axis=1)
+    ratios = (hi + lo) / (hi - lo)
+    terms = np.repeat(ratios.ravel(), m).reshape(len(stack), n * m)
+    terms += np.tile(nodes, n)
+    np.divide(np.tile(weights, n), terms, out=terms)
+    a_values = terms.sum(axis=1)
     x00 = stack[:, 1] * 0.5 * (nodes[0] + 1.0)
     return a_values, x00
 

@@ -30,6 +30,7 @@ from cpvquad.expressions import (
     Var,
     _node_prec,
 )
+from cpvquad.quadrature import gauss_legendre_rule
 
 EPS_SINGLE = 2.0**-24
 
@@ -224,6 +225,24 @@ def gauss_legendre_reference(m: int) -> tuple[tuple, tuple]:
         nodes.append(0.0)
         weights.append(float(2.0 / (dp0[0] * dp0[0])))
     return tuple(nodes + pos_nodes), tuple(weights + pos_weights)
+
+
+def composite_sums_reference(stack, m: int):
+    """The 3-D broadcast that ``logbound._composite_sums`` replaced.
+
+    Builds the (trials, n, m) array of terms with the m nodes broadcast
+    innermost, then sums its (trials, n*m) reshape row by row.  The flat
+    layout must give the same (a_values, x00) bit for bit.
+    """
+    rule = gauss_legendre_rule(m)
+    nodes = np.asarray(rule.nodes)
+    weights = np.asarray(rule.weights)
+    lo, hi = stack[:, :-1], stack[:, 1:]
+    terms = ((hi + lo) / (hi - lo))[:, :, None] + nodes
+    np.divide(weights, terms, out=terms)
+    a_values = terms.reshape(len(stack), -1).sum(axis=1)
+    x00 = stack[:, 1] * 0.5 * (nodes[0] + 1.0)
+    return a_values, x00
 
 
 def _moment(j):

@@ -4,6 +4,8 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the PASS/FAIL line
 and the measured numbers for every criterion.
 """
 
+import hashlib
+import io
 import math
 import time
 
@@ -13,7 +15,7 @@ import pytest
 from cpvquad.benchmarks import run_benchmark
 from cpvquad.cpv import CpvProblem, cpv_standard
 from cpvquad.error_model import log_term_sensitivity
-from cpvquad.logbound import Partition, composite_ratio, sweep
+from cpvquad.logbound import Partition, composite_ratio, sweep, write_sweep_csv
 from cpvquad.quadrature import (
     gauss_legendre_rule,
     kronrod_pair_g7k15,
@@ -120,6 +122,14 @@ def test_criterion_5_observation_sweep():
         f"max ratio {overall:.6f} (< 2), >=15-node max {restricted:.6f} (< 1.3), "
         f"14-node value {fourteen:.6f} and 1-node boundary {boundary:.6f} "
         f"reported/excluded, runtime {elapsed:.1f}s (< 60s)",
+    )
+    # every bit of every cell, pinned so that a faster reduction or draw
+    # has to reproduce the report exactly
+    buffer = io.StringIO()
+    write_sweep_csv(report, buffer)
+    digest = hashlib.sha256(buffer.getvalue().encode()).hexdigest()
+    assert digest == (
+        "b08afa68ac642d864756f0c24c550718db50ad4560f04f4196c34154f7387cd7"
     )
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -382,6 +383,19 @@ class TestBench:
         assert captured.err.startswith("error: tolerance")
         assert "wrote" not in captured.out
 
+    def test_usage_error_leaves_an_existing_file_as_it_was(self, capsys,
+                                                            tmp_path):
+        target = tmp_path / "rows.csv"
+        old = b"old,content\n" * 1000
+        target.write_bytes(old)
+        assert main(["bench", "--tol", "-1", "--csv", str(target)]) == 2
+        assert target.read_bytes() == old
+        # a run that writes replaces the whole of the longer old content
+        assert main(["bench", "--csv", str(target)]) == 0
+        capsys.readouterr()
+        with open(target, encoding="utf-8") as fp:
+            assert len(read_csv(fp)) == 9
+
 
 class TestObservation:
     def test_small_sweep(self, capsys):
@@ -462,6 +476,38 @@ class TestObservation:
         assert code == 2
         assert captured.err.startswith("error: ")
         assert "wrote" not in captured.out
+
+    def test_usage_error_leaves_an_existing_file_as_it_was(self, capsys,
+                                                            tmp_path):
+        target = tmp_path / "cells.csv"
+        old = b"old,content\n" * 1000
+        target.write_bytes(old)
+        code = main(["observation", "--trials", "0", "--csv", str(target)])
+        assert code == 2
+        assert target.read_bytes() == old
+        # a run that writes replaces the whole of the longer old content
+        assert main(["observation", "--m-max", "2", "--n-max", "1",
+                     "--trials", "2", "--csv", str(target)]) == 0
+        capsys.readouterr()
+        lines = target.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "m,n,trials,max_ratio,witness_seed,witness_scheme"
+        assert len(lines) == 2
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_csv_to_a_pipe(self, capsys):
+        # a pipe cannot seek, so there is nothing to empty before writing
+        read_end, write_end = os.pipe()
+        try:
+            code = main(["observation", "--m-max", "2", "--n-max", "1",
+                         "--trials", "2", "--csv", f"/dev/fd/{write_end}"])
+        finally:
+            os.close(write_end)
+        with os.fdopen(read_end, encoding="utf-8") as pipe:
+            written = pipe.read()
+        capsys.readouterr()
+        assert code == 0
+        assert written.startswith("m,n,trials,max_ratio,")
+        assert len(written.splitlines()) == 2
 
 
 class TestTopLevel:

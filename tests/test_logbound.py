@@ -21,6 +21,8 @@ from cpvquad.logbound import (
 )
 from cpvquad.quadrature import gauss_legendre_rule
 
+from helpers import composite_sums_reference
+
 
 def a_value_and_x00(partition, m):
     """(a_value, x00) of one partition, as the sweep computes them."""
@@ -76,6 +78,28 @@ class TestCompositeValue:
         a_value, x00 = a_value_and_x00(p, 30)
         assert math.isfinite(a_value)
         assert x00 > 0.0
+
+
+class TestFlatLayout:
+    # the flat (trials, n*m) layout adds, divides and sums every term in
+    # the order of the 3-D broadcast it replaced, so no bit moves
+    @staticmethod
+    def assert_same_bits(seed, m, n, trials):
+        _, _, stack = logbound._cell_partitions(seed, m, n, trials)
+        a_values, x00 = logbound._composite_sums(stack, m)
+        ref_a, ref_x00 = composite_sums_reference(stack, m)
+        assert a_values.tobytes() == ref_a.tobytes()
+        assert x00.tobytes() == ref_x00.tobytes()
+
+    @pytest.mark.parametrize("m", [1, 2, 15, 100])
+    @pytest.mark.parametrize("n", [1, 2, 50, MAX_SUBINTERVALS])
+    @pytest.mark.parametrize("trials", [1, 7])
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_matches_broadcast_reference(self, m, n, trials, seed):
+        self.assert_same_bits(seed, m, n, trials)
+
+    def test_matches_broadcast_reference_on_a_full_cell(self):
+        self.assert_same_bits(4, 30, 50, 200)
 
 
 class TestBoundaryCase:
@@ -413,6 +437,13 @@ class TestSweepCsv:
                 6,
                 2**64 + 3,
                 "17c4db8fef007585734957fececaf3c53efcf0eba0d2e99830f04cfecefb7185",
+            ),
+            (
+                # the rule-size and subinterval caps and their neighbours
+                ([1, 2, 99, 100], [1, 199, 200]),
+                3,
+                5,
+                "e067d59c6b4d5d7326a1eefd388bfda5f042a0aa8dc99b10e35c612a69aabcb5",
             ),
         ],
     )
