@@ -18,6 +18,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -124,18 +125,32 @@ def _print_result(result: CpvResult, as_json: bool) -> None:
             f"{k}:{v}" for k, v in result.stop_reasons._asdict().items()))
 
 
+@contextlib.contextmanager
 def _opened(path: Optional[str]):
-    """`path` opened for writing but not truncated, or a null context for
-    no path.
+    """`path` opened for writing but not truncated, or None for no path.
 
     The commands open their output before they run, so an unusable path
     fails at once instead of after the whole run.  They empty it with
     :func:`_emptied` only once they have something to write, so a run that
-    stops on a usage error leaves an existing file as it was.
+    stops on a usage error leaves an existing file as it was, and removes a
+    file that it created itself.
     """
     if path is None:
-        return contextlib.nullcontext()
-    return open(path, "a", encoding="utf-8", newline="")
+        yield None
+        return
+    try:
+        fp = open(path, "x", encoding="utf-8", newline="")
+        created = True
+    except FileExistsError:
+        fp = open(path, "a", encoding="utf-8", newline="")
+        created = False
+    try:
+        with fp:
+            yield fp
+    except BaseException:
+        if created:
+            os.remove(path)
+        raise
 
 
 def _emptied(fp):

@@ -24,22 +24,30 @@ records that check nothing.  The tree is internal and built only by
 `parse`: the module exports `compile_expression` and `ParseError`.
 
 `compile_expression` turns the validated tree, never the source text, into
-the source of one Python function, compiled once: literals are written as
-the repr of their float, '^' as a call to math.pow, and the tree's
+the source of one Python function per shape, the expression with its
+numbers taken out: each literal is written as a parameter c0, c1, ... in
+the order the tree is walked, '^' as a call to math.pow, and the tree's
 association is kept with explicit parentheses where Python's precedence
-would differ.  It is the package's only evaluator; the tests check it bit
-for bit, NaN and signed zero included, against a tree-walking reference
-that performs the same floating-point operations in the same order.  An
-expression nested deeper than the parser or Python's compiler can follow
-(hundreds of parenthesis levels, unary minus signs or '^' operators, or
-thousands of terms) is refused with ParseError "expression nested too
-deeply".
+would differ.  The function for a shape is compiled once per process and
+cached, and each expression binds its own numbers to it, so sin(2*x) and
+sin(3*x) compiled in one process share one compiled function.  A bound
+number takes part in the same floating-point operations, in the same
+order, as the literal it replaces would have, folded by Python's compiler
+or not.  The compiled function is the package's only evaluator; the tests
+check it bit for bit, NaN and signed zero included, against a tree-walking
+reference that performs the same floating-point operations in the same
+order.  An expression nested deeper than the parser or Python's compiler
+can follow (hundreds of parenthesis levels, unary minus signs or '^'
+operators, or thousands of terms) is refused with ParseError "expression
+nested too deeply".
 """
 
 from __future__ import annotations
 
 import math
 import re
+from functools import lru_cache
+from types import FunctionType
 from typing import Callable, NamedTuple, Union
 
 __all__ = ["ParseError", "compile_expression"]
@@ -251,7 +259,7 @@ def _node_prec(expr: Expr) -> int:
 _NAMESPACE = {**_FUNCTIONS, **_CONSTANTS, "_pow": math.pow, "_nan": math.nan}
 
 _FUNCTION_TEMPLATE = """\
-def f(x):
+def f(x{params}):
     try:
         return {body}
     except (ValueError, ZeroDivisionError, OverflowError):
@@ -259,25 +267,28 @@ def f(x):
 """
 
 
-def _python(expr: Expr, min_prec: int) -> str:
+def _python(expr: Expr, min_prec: int, literals: list[float]) -> str:
     """Python source computing expr, parenthesized below `min_prec`.
 
-    Names come from the validated tree and literals from repr(float), so no
-    text of the source string reaches the result.  Chains of one operator
-    class and runs of unary minus are walked in a loop, not by recursion,
-    so a long sum costs no stack.
+    Each literal is appended to `literals` and written as the parameter
+    that will hold it, c0 for the first one walked, so the source depends
+    on the expression's shape alone; names come from the validated tree,
+    so no text of the source string reaches the result.  Chains of one
+    operator class and runs of unary minus are walked in a loop, not by
+    recursion, so a long sum costs no stack.
     """
     if isinstance(expr, Num):
-        return repr(expr.value)
+        literals.append(expr.value)
+        return f"c{len(literals) - 1}"
     if isinstance(expr, Var):
         return "x"
     if isinstance(expr, Const):
         return expr.name
     if isinstance(expr, Call):
-        return f"{expr.name}({_python(expr.arg, _PREC_ADD)})"
+        return f"{expr.name}({_python(expr.arg, _PREC_ADD, literals)})"
     if isinstance(expr, BinOp) and expr.op == "^":
-        left = _python(expr.left, _PREC_ADD)
-        right = _python(expr.right, _PREC_ADD)
+        left = _python(expr.left, _PREC_ADD, literals)
+        right = _python(expr.right, _PREC_ADD, literals)
         return f"_pow({left}, {right})"
     prec = _node_prec(expr)
     if isinstance(expr, Neg):
@@ -285,38 +296,60 @@ def _python(expr: Expr, min_prec: int) -> str:
         while isinstance(expr, Neg):
             signs += 1
             expr = expr.operand
-        text = "-" * signs + _python(expr, _PREC_NEG)
+        text = "-" * signs + _python(expr, _PREC_NEG, literals)
     else:
         # left-associative: the left spine needs no parentheses, a right
-        # operand of the same class does
+        # operand of the same class does.  The spine is collected first so
+        # that the right operands are walked, and numbered, left to right
         tail = []
         while isinstance(expr, BinOp) and _OP_PREC[expr.op] == prec:
-            tail.append(f" {expr.op} {_python(expr.right, prec + 1)}")
+            tail.append(expr)
             expr = expr.left
-        text = _python(expr, prec) + "".join(reversed(tail))
+        text = _python(expr, prec, literals) + "".join(
+            f" {node.op} {_python(node.right, prec + 1, literals)}"
+            for node in reversed(tail)
+        )
     if prec < min_prec:
         return f"({text})"
     return text
 
 
+@lru_cache(maxsize=256)
+def _shape(body: str, count: int) -> Callable[..., float]:
+    """``f(x, c0, ..., c<count-1>)`` computing `body`, compiled once per
+    body.
+
+    `compile_expression` binds the numbers as the defaults of c0, ...,
+    so a body seen once costs one compilation of one function, as a
+    function with its numbers written in would; a factory of closures
+    would compile two.  Raises RecursionError or SyntaxError for a body
+    nested too deeply for Python's compiler; lru_cache keeps no exception,
+    so it raises each time.
+    """
+    source = _FUNCTION_TEMPLATE.format(
+        params="".join(f", c{i}" for i in range(count)), body=body
+    )
+    namespace = dict(_NAMESPACE)
+    exec(compile(source, "<expression>", "exec"), namespace)
+    return namespace["f"]
+
+
 def compile_expression(source: str) -> Callable[[float], float]:
     """Parse once and return a plain float function of x.
 
-    The function is compiled once from the parsed tree and returns NaN
-    where the expression leaves the domain of one of its operations.
-    Raises ParseError for a syntax error or an expression nested too deeply
-    to compile.
+    The function runs the compiled code of the expression's shape, with
+    the expression's numbers bound as the defaults of its parameters after
+    x, and returns NaN where the expression leaves the domain of one of
+    its operations.  Raises ParseError for a syntax error or an expression
+    nested too deeply to compile.
     """
     expr = parse(source)
+    literals: list[float] = []
     try:
-        code = compile(
-            _FUNCTION_TEMPLATE.format(body=_python(expr, _PREC_ADD)),
-            "<expression>", "exec",
-        )
+        shape = _shape(_python(expr, _PREC_ADD, literals), len(literals))
     except (RecursionError, SyntaxError):
         # RecursionError from _python or Python's compiler, SyntaxError
         # from its limit on nested parentheses
         raise ParseError("expression nested too deeply", 0) from None
-    namespace = dict(_NAMESPACE)
-    exec(code, namespace)
-    return namespace["f"]
+    return FunctionType(shape.__code__, shape.__globals__, "f",
+                        tuple(literals))

@@ -11,6 +11,7 @@ from pathlib import Path
 from typing import IO, Callable
 
 import numpy as np
+from hypothesis import strategies as st
 
 from cpvquad.benchmarks import _CSV_COLUMNS
 from cpvquad.error_model import DerivativeEstimates, _stencil
@@ -683,6 +684,32 @@ def _render(expr: Expr, min_prec: int) -> str:
 def to_source(expr: Expr) -> str:
     """Render with the fewest parentheses; reparsing gives an equal tree."""
     return _render(expr, _PREC_ADD)
+
+
+def expr_trees(
+    numbers: st.SearchStrategy[float], max_leaves: int
+) -> st.SearchStrategy[Expr]:
+    """Expression trees of the grammar, with literals drawn from `numbers`
+    (nonnegative, as the parser builds them) and at most `max_leaves`
+    leaves."""
+    leaves = st.one_of(
+        numbers.map(Num),
+        st.just(Var()),
+        st.sampled_from(["pi", "e"]).map(Const),
+    )
+
+    def extend(children):
+        ops = st.sampled_from(["+", "-", "*", "/", "^"])
+        funcs = st.sampled_from(
+            ["sin", "cos", "tan", "exp", "log", "sqrt", "abs"]
+        )
+        return st.one_of(
+            children.map(Neg),
+            st.builds(Call, funcs, children),
+            st.builds(BinOp, ops, children, children),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=max_leaves)
 
 
 def read_csv(stream: IO[str]) -> list[dict]:

@@ -383,6 +383,12 @@ class TestBench:
         assert captured.err.startswith("error: tolerance")
         assert "wrote" not in captured.out
 
+    def test_usage_error_removes_a_file_it_created(self, capsys, tmp_path):
+        target = tmp_path / "rows.json"
+        assert main(["bench", "--tol", "-1", "--json", str(target)]) == 2
+        assert capsys.readouterr().err.startswith("error: tolerance")
+        assert not target.exists()
+
     def test_usage_error_leaves_an_existing_file_as_it_was(self, capsys,
                                                             tmp_path):
         target = tmp_path / "rows.csv"
@@ -476,6 +482,13 @@ class TestObservation:
         assert code == 2
         assert captured.err.startswith("error: ")
         assert "wrote" not in captured.out
+
+    def test_usage_error_removes_a_file_it_created(self, capsys, tmp_path):
+        target = tmp_path / "cells.csv"
+        code = main(["observation", "--trials", "0", "--csv", str(target)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not target.exists()
 
     def test_usage_error_leaves_an_existing_file_as_it_was(self, capsys,
                                                             tmp_path):

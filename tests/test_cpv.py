@@ -5,6 +5,7 @@ import math
 
 import mpmath as mp
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cpvquad import cpv as cpv_module
 from cpvquad.cpv import (
@@ -20,6 +21,7 @@ from cpvquad.error_model import (
     endpoint_distance,
     total_error_estimate,
 )
+from cpvquad.expressions import compile_expression, parse
 from cpvquad.quadrature import (
     NonfiniteIntegrandError,
     gauss_legendre_rule,
@@ -28,9 +30,11 @@ from cpvquad.quadrature import (
 
 from helpers import (
     cpv_monomial,
+    expr_trees,
     make_difference_quotient,
     make_symmetric_quotient,
     stencil_at,
+    to_source,
 )
 from oracles import pv_exp_closed, pv_sin_interval
 
@@ -1018,3 +1022,70 @@ def test_f_scaling_scales_value_and_estimate():
                                      tol=c * 1e-12)
                 assert scaled.value == c * unit.value
                 assert scaled.error_estimate == c * unit.error_estimate
+
+
+class _EvaluationCap(Exception):
+    """Raised by an integrand called more often than its allowance."""
+
+
+def _capped(f, allowance=20_000):
+    """f, raising _EvaluationCap on call allowance + 1, so that a generated
+    integrand the engine takes to its interval cap costs a bounded time."""
+    calls = 0
+
+    def capped(x):
+        nonlocal calls
+        calls += 1
+        if calls > allowance:
+            raise _EvaluationCap
+        return f(x)
+
+    return capped
+
+
+def _outcome(f, tau, a, b):
+    """The bits of value and estimate and the evaluations, or the type of
+    the exception raised."""
+    try:
+        result = cpv_general(_capped(f), tau, a, b, tol=1e-8)
+    except (ValueError, ArithmeticError, _EvaluationCap) as exc:
+        return type(exc)
+    return result.value.hex(), result.error_estimate.hex(), result.evaluations
+
+
+#: Literals 0 or at least 1e-40: rounding in the subnormal range does not
+#: scale by powers of two (see the xfail examples), and a product of six
+#: such literals times eps, about 2e-256, stays far above the smallest
+#: normal double, 2.2e-308.
+_INVARIANCE_LITERALS = st.one_of(
+    st.just(0.0), st.floats(min_value=1e-40, max_value=1e6)
+)
+
+_SUBNORMAL = ("rounding below the smallest normal double does not scale "
+              "by powers of two")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    tree=expr_trees(_INVARIANCE_LITERALS, max_leaves=6),
+    k=st.sampled_from([3, -3, 20]),
+    case=st.sampled_from([(0.3, -1.0, 1.0), (-0.61, -1.0, 1.0),
+                          (2.5, 1.0, 4.0)]),
+)
+@example(tree=parse("exp(x)"), k=20, case=(0.3, -1.0, 1.0))
+@example(tree=parse("1/x"), k=-3, case=(0.3, -1.0, 1.0))
+@example(tree=parse("log(x)"), k=3, case=(0.3, -1.0, 1.0))
+@example(tree=parse("1.1125369292536007e-308"), k=3,
+         case=(2.5, 1.0, 4.0)).xfail(raises=AssertionError, reason=_SUBNORMAL)
+@example(tree=parse("x*5e-324"), k=20,
+         case=(2.5, 1.0, 4.0)).xfail(raises=AssertionError, reason=_SUBNORMAL)
+@example(tree=parse("-(5e-324*409718.2741079658)/sin(x)"), k=-3,
+         case=(0.3, -1.0, 1.0)).xfail(raises=AssertionError, reason=_SUBNORMAL)
+def test_x_scaling_is_bit_identical_on_generated_integrands(tree, k, case):
+    """Scaling x by 2^k on an integrand built from the expression grammar
+    changes no bit, or both runs raise the same exception."""
+    f = compile_expression(to_source(tree))
+    tau, a, b = case
+    s = 2.0**k
+    scaled = _outcome(lambda x: f(x / s), s * tau, s * a, s * b)
+    assert scaled == _outcome(f, tau, a, b)

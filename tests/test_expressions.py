@@ -12,18 +12,19 @@ from hypothesis import example, given, strategies as st
 
 from cpvquad.expressions import (
     BinOp,
-    Call,
-    Const,
     Expr,
     Neg,
     Num,
     ParseError,
     Var,
+    _PREC_ADD,
+    _python,
+    _shape,
     compile_expression,
     parse,
 )
 
-from helpers import evaluate, to_source
+from helpers import evaluate, expr_trees, to_source
 
 
 def ev(source: str, x: float = 0.0) -> float:
@@ -210,22 +211,7 @@ def _expr_trees() -> st.SearchStrategy[Expr]:
     numbers = st.floats(
         min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False
     ).map(abs)
-    leaves = st.one_of(
-        numbers.map(Num),
-        st.just(Var()),
-        st.sampled_from(["pi", "e"]).map(Const),
-    )
-
-    def extend(children):
-        ops = st.sampled_from(["+", "-", "*", "/", "^"])
-        funcs = st.sampled_from(["sin", "cos", "tan", "exp", "log", "sqrt", "abs"])
-        return st.one_of(
-            children.map(Neg),
-            st.builds(Call, funcs, children),
-            st.builds(BinOp, ops, children, children),
-        )
-
-    return st.recursive(leaves, extend, max_leaves=12)
+    return expr_trees(numbers, max_leaves=12)
 
 
 class TestPrinterProperty:
@@ -258,6 +244,16 @@ class TestCompileExpression:
     @given(tree=_expr_trees())
     @example(tree=parse("exp(-100*(x+0.4)^2)*sin(exp(-10*x))"))
     @example(tree=parse("-0*x - -(x-(1-x))/x/-x^-x^2"))
+    # literals that Python's compiler would fold, divide by zero or overflow
+    # when written into the source; bound as parameters they must compute
+    # the same bits
+    @example(tree=parse("2*3*x"))
+    @example(tree=parse("-0*x"))
+    @example(tree=parse("1/0+x"))
+    @example(tree=parse("0/0*x"))
+    @example(tree=parse("2^1024*x"))
+    @example(tree=parse("x-0"))
+    @example(tree=parse("-(0)"))
     def test_closure_matches_evaluate(self, tree):
         f = compile_expression(to_source(tree))
         for x in _XS:
@@ -283,8 +279,12 @@ class TestCompileExpression:
     @pytest.mark.parametrize(
         "source",
         ["+".join(["x"] * 900), "sin(" * 150 + "x" + ")" * 150,
-         "x-(" * 150 + "x" + ")" * 150],
-        ids=["sum900", "calls150", "parentheses150"],
+         "x-(" * 150 + "x" + ")" * 150,
+         # one parameter per literal: 1992 of them, and 900 factors whose
+         # product Python's compiler would have folded
+         "+".join(["1"] * 1992), "*".join(["1.5"] * 900)],
+        ids=["sum900", "calls150", "parentheses150", "ones1992",
+             "factors900"],
     )
     def test_deep_but_supported_nesting_matches_evaluate(self, source):
         f = compile_expression(source)
@@ -320,6 +320,41 @@ class TestCompileExpression:
         assert isinstance(result, float)
         if value is not None:
             assert result == value
+
+
+class TestShapeCache:
+    """One function is compiled per shape; each expression binds its own
+    numbers to it."""
+
+    def test_same_shape_shares_one_code_object(self):
+        double = compile_expression("sin(2*x)")
+        triple = compile_expression("sin(3*x)")
+        assert double.__code__ is triple.__code__
+        assert double(0.5) == math.sin(1.0)
+        assert triple(0.5) == math.sin(1.5)
+
+    def test_a_parameter_sweep_compiles_once(self):
+        _shape.cache_clear()
+        for i in range(100):
+            source = f"sin({0.37 * i + 0.5!r}*x)"
+            f = compile_expression(source)
+            tree = parse(source)
+            for x in _XS:
+                assert _same_float(f(x), evaluate(tree, x)), (source, x)
+        assert _shape.cache_info().misses == 1
+
+    def test_literals_are_numbered_in_source_order(self):
+        literals = []
+        body = _python(parse("1-2*(3+x)/4^5"), _PREC_ADD, literals)
+        assert body == "c0 - c1 * (c2 + x) / _pow(c3, c4)"
+        assert literals == [1.0, 2.0, 3.0, 4.0, 5.0]
+
+    def test_too_deep_raises_every_time(self):
+        # lru_cache keeps no exception, so a second call fails as the first
+        source = "^".join(["x"] * 300)
+        for _ in range(2):
+            with pytest.raises(ParseError, match="nested too deeply"):
+                compile_expression(source)
 
 
 def _same_tree(left, right) -> bool:
