@@ -34,10 +34,13 @@ __all__ = ["main"]
 
 
 @functools.lru_cache(maxsize=1)
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by later calls.
+def _build_parser() -> tuple[argparse.ArgumentParser,
+                             dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own parser by name, built on
+    first use and shared by later calls.
 
-    Parsing leaves no state in it: each call returns a fresh namespace.
+    Parsing leaves no state in them: each call returns a fresh namespace,
+    whose `run` is the command's function.
     """
     parser = argparse.ArgumentParser(
         prog="cpvquad",
@@ -77,6 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "of x (default: the rounding unit)")
     p_int.add_argument("--json", action="store_true",
                        help="print a JSON object instead of plain lines")
+    p_int.set_defaults(run=_cmd_integrate)
 
     p_bench = sub.add_parser(
         "bench",
@@ -92,6 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     target = p_bench.add_mutually_exclusive_group()
     target.add_argument("--csv", metavar="PATH", help="write rows as CSV")
     target.add_argument("--json", metavar="PATH", help="write rows as JSON")
+    p_bench.set_defaults(run=_cmd_bench)
 
     p_obs = sub.add_parser(
         "observation",
@@ -110,12 +115,13 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="random partitions per cell")
     p_obs.add_argument("--seed", type=int, default=0, help="sweep seed")
     p_obs.add_argument("--csv", metavar="PATH", help="write all cells as CSV")
-    return parser
+    p_obs.set_defaults(run=_cmd_observation)
+    return parser, sub.choices
 
 
 def _print_result(result: CpvResult, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(result.as_json_dict(), indent=2, allow_nan=False))
+        print(json.dumps(result.as_json_dict(), allow_nan=False))
     else:
         print(f"value = {result.value!r}")
         print(f"estimate = {result.error_estimate!r}")
@@ -260,16 +266,19 @@ def _cmd_observation(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _build_parser()
+    # A named command goes straight to its own parser, which reads the
+    # same flags the top-level parser would hand it at twice the cost.
+    # --version, -h and a missing or unknown command stay with the
+    # top-level parser.
+    command = commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        args = (parser.parse_args(argv) if command is None
+                else command.parse_args(argv[1:]))
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.command == "integrate":
-        return _cmd_integrate(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
-    return _cmd_observation(args)
+    return args.run(args)
 
 
 if __name__ == "__main__":

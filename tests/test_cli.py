@@ -260,7 +260,8 @@ class TestOneJsonForm:
     def test_integrate_prints_the_result_s_form(self, capsys, flags, fields):
         assert main(["integrate", *flags, "--json"]) in (0, 1)
         problem = CpvProblem(**{**fields, "f": compile_expression(fields["f"])})
-        expected = json.dumps(cpv_standard(problem).as_json_dict(), indent=2)
+        expected = json.dumps(cpv_standard(problem).as_json_dict())
+        assert "\n" not in expected
         assert capsys.readouterr().out == expected + "\n"
 
     def test_bench_rows_are_the_form_with_their_case(self, capsys, tmp_path):
@@ -539,6 +540,64 @@ class TestTopLevel:
         code = main(["solve"])
         capsys.readouterr()
         assert code == 2
+
+    def test_help(self, capsys):
+        assert main(["-h"]) == 0
+        assert capsys.readouterr().out.startswith("usage: cpvquad [-h]")
+
+    def test_command_help(self, capsys):
+        assert main(["integrate", "-h"]) == 0
+        assert capsys.readouterr().out.startswith("usage: cpvquad integrate")
+
+    def test_reads_sys_argv_when_given_nothing(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["cpvquad", "integrate", "--f", "1",
+                                          "--tau", "0.5", "--json"])
+        assert main() == 0
+        assert json.loads(capsys.readouterr().out)["converged"] is True
+
+
+class TestOneParse:
+    """A named command is parsed by its own parser alone, to the namespace
+    the top-level parser would have made."""
+
+    ARGV = [argv[1:] for argv in readme_commands("integrate")] + [
+        ["integrate", "--f", "exp(x)", "--tau", "0.5", "--js"],
+        ["bench", "--tol", "1e-10", "--csv", "rows.csv"],
+        ["observation", "--m-max", "3", "--n-max", "2", "--trials", "5",
+         "--seed", "4"],
+    ]
+
+    @pytest.mark.parametrize("argv", ARGV, ids=" ".join)
+    def test_command_parser_agrees_with_the_top_level(self, argv):
+        parser, commands = cli._build_parser()
+        top = vars(parser.parse_args(argv))
+        assert top.pop("command") == argv[0]
+        assert vars(commands[argv[0]].parse_args(argv[1:])) == top
+
+    def test_top_level_parser_is_not_used_for_a_command(self, capsys,
+                                                        monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("parsed by the top-level parser")
+
+        parser, _ = cli._build_parser()
+        monkeypatch.setattr(parser, "parse_known_args", refuse)
+        with pytest.raises(AssertionError):
+            main(["--version"])
+        assert main(["integrate", "--f", "exp(x)", "--tau", "0.5",
+                     "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["converged"] is True
+
+    def test_extra_positional_is_a_usage_error(self, capsys):
+        code = main(["integrate", "--f", "1", "--tau", "0.5", "extra"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "cpvquad integrate: error: unrecognized arguments: extra" in (
+            captured.err)
+
+    def test_abbreviated_flag_is_accepted(self, capsys):
+        assert main(["integrate", "--f", "1", "--tau", "0.5", "--js"]) == 0
+        assert json.loads(capsys.readouterr().out)["converged"] is True
 
 
 class TestStartup:
