@@ -91,29 +91,26 @@ class CpvProblem(_ProblemFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if not 0.0 < self.b - self.a < math.inf:
-            if math.isfinite(self.a) and math.isfinite(self.b) and self.a < self.b:
+        _, tau, a, b, tol, method, mu = self
+        if not 0.0 < b - a < math.inf:
+            if math.isfinite(a) and math.isfinite(b) and a < b:
                 raise ValueError(
-                    f"interval [{self.a!r}, {self.b!r}] is wider than the "
-                    f"largest double"
+                    f"interval [{a!r}, {b!r}] is wider than the largest double"
                 )
-            raise ValueError(f"need finite a < b, got [{self.a!r}, {self.b!r}]")
-        if not (math.isfinite(self.tau) and self.a < self.tau < self.b):
+            raise ValueError(f"need finite a < b, got [{a!r}, {b!r}]")
+        if not (math.isfinite(tau) and a < tau < b):
             raise ValueError(
-                f"tau must lie strictly inside ({self.a!r}, {self.b!r}), "
-                f"got {self.tau!r}"
+                f"tau must lie strictly inside ({a!r}, {b!r}), got {tau!r}"
             )
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise ValueError(f"tolerance must be positive, got {self.tol!r}")
-        if self.method not in ("open", "cutoff"):
-            raise ValueError(
-                f"method must be 'open' or 'cutoff', got {self.method!r}"
-            )
-        if self.method == "cutoff":
-            delta = endpoint_distance(self.tau, self.a, self.b)
-            if not 0.0 < self.mu <= delta:
+        if not (math.isfinite(tol) and tol > 0.0):
+            raise ValueError(f"tolerance must be positive, got {tol!r}")
+        if method not in ("open", "cutoff"):
+            raise ValueError(f"method must be 'open' or 'cutoff', got {method!r}")
+        if method == "cutoff":
+            delta = endpoint_distance(tau, a, b)
+            if not 0.0 < mu <= delta:
                 raise ValueError(
-                    f"cutoff mu must lie in (0, {delta!r}], got {self.mu!r}"
+                    f"cutoff mu must lie in (0, {delta!r}], got {mu!r}"
                 )
         return self
 
@@ -218,30 +215,20 @@ def cpv_standard(problem: CpvProblem) -> CpvResult:
     A non-finite integrand or quotient is reported at the abscissa x, or at
     the offset from tau for the symmetric quotient.
     """
-    f = problem.f
-    tau = problem.tau
-    a = problem.a
-    b = problem.b
-    tol = problem.tol
+    f, tau, a, b, tol, method, mu = problem
     # CpvProblem has checked a < tau < b
     delta = min(tau - a, b - tau)
     f_tau = f(tau)
     if not math.isfinite(f_tau):
         raise NonfiniteIntegrandError(tau)
 
-    deriv = derivative_estimates(f, tau, delta, f_tau=f_tau, a=a, b=b)
-    floor = total_error_estimate(
-        deriv, f_tau, tau, method=problem.method, mu=problem.mu, a=a, b=b,
-    )
+    deriv = derivative_estimates(f, tau, delta, f_tau, a, b)
+    floor = total_error_estimate(deriv, f_tau, tau, method, mu, a, b)
     if jump_at_tau(f, deriv, f_tau, tau):
         budget = ErrorBudget(math.inf, math.inf, math.inf, *floor[3:])
-        return CpvResult(
-            value=math.nan,
-            budget=budget,
-            evaluations=0,
-            converged=False,
-            stop_reasons=StopReasons(*(("discontinuous_at_tau",) * 3)),
-        )
+        jump = "discontinuous_at_tau"
+        return CpvResult(math.nan, budget, 0, False,
+                         StopReasons(jump, jump, jump))
     raised = _FLOOR_FACTOR * floor.floor
     quad_tol = max(tol, raised) if math.isfinite(raised) else tol
 
@@ -253,16 +240,12 @@ def cpv_standard(problem: CpvProblem) -> CpvResult:
     right_start = tau + delta
     if not (tau - a < b - tau and right_start < b):
         right_start = b
-    lower = 0.0 if problem.method == "open" else problem.mu
-    pieces = (
-        ("difference", a, left_end),
-        ("difference", right_start, b),
-        ("symmetric", lower, delta),
-    )
+    lower = 0.0 if method == "open" else mu
     nonempty = (a < left_end, right_start < b, lower < delta)
     values, estimates, evaluations, reason = integrate_pieces(
-        f, pieces, quad_tol, _INTERVALS_PER_PIECE * max(1, sum(nonempty)),
-        tau=tau, f_tau=f_tau,
+        f, (("difference", a, left_end), ("difference", right_start, b),
+            ("symmetric", lower, delta)),
+        quad_tol, _INTERVALS_PER_PIECE * max(1, sum(nonempty)), tau, f_tau,
     )
 
     ratio = (b - tau) / (tau - a)
@@ -273,19 +256,21 @@ def cpv_standard(problem: CpvProblem) -> CpvResult:
         log_term = f_tau * (math.log(b - tau) - math.log(tau - a))
     value = log_term + values[0] + values[1] + values[2]
     quad_left, quad_right, quad_h = estimates
-    budget = ErrorBudget(quad_left, quad_right, quad_h, *floor[3:])
+    budget = ErrorBudget(
+        quad_left, quad_right, quad_h, floor[3], floor[4], floor[5], floor[6]
+    )
     converged = reason == "tolerance"
     if converged and quad_left + quad_right + quad_h > tol:
         reason = "floor"
     return CpvResult(
-        value=value,
-        budget=budget,
-        evaluations=sum(evaluations),
+        value,
+        budget,
+        evaluations[0] + evaluations[1] + evaluations[2],
         # a budget that overflowed bounds nothing
-        converged=converged and math.isfinite(budget.total),
-        stop_reasons=StopReasons(
-            *[reason if used else "tolerance" for used in nonempty]
-        ),
+        converged and math.isfinite(budget.total),
+        StopReasons(reason if nonempty[0] else "tolerance",
+                    reason if nonempty[1] else "tolerance",
+                    reason if nonempty[2] else "tolerance"),
     )
 
 
@@ -303,6 +288,4 @@ def cpv_general(
     The same computation as :func:`cpv_standard` on the equivalent
     :class:`CpvProblem`; ``mu`` is in the units of x.
     """
-    return cpv_standard(CpvProblem(
-        f=f, tau=tau, a=a, b=b, tol=tol, method=method, mu=mu,
-    ))
+    return cpv_standard(CpvProblem(f, tau, a, b, tol, method, mu))

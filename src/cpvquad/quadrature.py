@@ -466,11 +466,17 @@ def _width_floor(outermost: float, bisected: bool = True) -> float:
     )
 
 
+#: The pair's outermost node, on the first row of the QNG table with a
+#: 21-point weight, and the numbers of nodes of the pair and of those the
+#: 43-point rule adds, read off the table the rules come from.
+_PAIR_OUTERMOST = _QNG_HALF[1][0]
+_PAIR_ORDER = 1 + 2 * sum(row[2] != 0.0 for row in _QNG_HALF)
+_EXTENSION_ORDER = 2 * sum(row[2] == 0.0 for row in _QNG_HALF)
+
 #: An interval is split only while it stays wider than this many ulps of its
 #: endpoints; below that, mapped nodes could round onto an endpoint.  The
-#: floor is that of the pair's outermost node, the first row of the QNG table
-#: with a 21-point weight.
-_MIN_WIDTH_ULPS = _width_floor(_QNG_HALF[1][0])
+#: floor is that of the pair's outermost node.
+_MIN_WIDTH_ULPS = _width_floor(_PAIR_OUTERMOST)
 
 #: An interval is extended to the 43-point rule only while it is wider than
 #: this many ulps, the floor of that rule's outermost node on the interval
@@ -672,8 +678,9 @@ def _pair_kernel(form: str):
     resolved (see ``_RESOLVED``), else None.  Called with ``keep=True`` it
     returns the 21 values in place of partial, and :func:`_resolver` gives
     partial from them later, bit for bit, when the interval is picked.  A
-    piece's first application keeps its values, as most are never picked; a
-    bisection's children decide at once, as most are.
+    piece's first application keeps its values, so a call whose first
+    applications meet the tolerance pays nothing for the decision; a
+    bisection's children decide at once, as most are picked.
     """
     rules = _patterson_extension()
     return _compile_kernel(rules.pair, rules.partial_weights, form)
@@ -802,14 +809,6 @@ def integrate_pieces(
     if max_intervals < 1:
         raise ValueError("interval cap must be at least 1")
 
-    rules = _patterson_extension()
-    kronrod = rules.pair.kronrod
-    order = len(kronrod.nodes)
-    # the map mid + half * x rounds monotonically in x, so the rule's nodes
-    # land strictly inside [a, b] when its two outermost nodes do
-    lowest = kronrod.nodes[0]
-    highest = kronrod.nodes[-1]
-    extension_order = len(rules.new_nodes)
     n = len(pieces)
     kernels = [None] * n
     evaluations = [0] * n
@@ -817,11 +816,11 @@ def integrate_pieces(
     # the sequence number breaks ties deterministically, and partial is the
     # 43-point sum over the 21 nodes of an interval that looks resolved and
     # has not been extended, else None.  A first application keeps its
-    # values there instead, as most are never picked, and the first pick
-    # resolves them to partial.  Intervals too narrow to split migrate to
-    # `settled` as (piece, a, value, estimate) and keep contributing their
-    # estimate; one-point pieces start there, and `fixed` sums their
-    # charges.
+    # values there instead, for the first pick to resolve, so a call whose
+    # first applications meet tol pays nothing for the decision.  Intervals
+    # too narrow to split migrate to `settled` as (piece, a, value,
+    # estimate) and keep contributing their estimate; one-point pieces start
+    # there, and `fixed` sums their charges.
     heap: list[tuple[float, int, float, float, float, int, object]] = []
     settled: list[tuple[int, float, float, float]] = []
     err_sum = 0.0
@@ -831,12 +830,17 @@ def integrate_pieces(
         if a == b:
             continue
         count += 1
-        kernels[piece] = _pair_kernel(form)
-        mid = _midpoint(a, b)
+        kernel = kernels[piece] = _pair_kernel(form)
+        mid = 0.5 * (a + b)  # _midpoint, inline
+        if not math.isfinite(mid):
+            mid = 0.5 * a + 0.5 * b
         half = 0.5 * (b - a)
-        if a < mid + half * lowest and mid + half * highest < b:
-            value, err, partial = kernels[piece](f, a, b, tau, f_tau, True)
-            evaluations[piece] = order
+        # the map mid + half * x rounds monotonically in x, so the rule's
+        # nodes land strictly inside [a, b] when its two outermost nodes do
+        reach = half * _PAIR_OUTERMOST
+        if a < mid - reach and mid + reach < b:
+            value, err, partial = kernel(f, a, b, tau, f_tau, True)
+            evaluations[piece] = _PAIR_ORDER
             heap.append((-err, len(heap), a, b, value, piece, partial))
         else:
             value, err, evaluations[piece] = _one_point(
@@ -861,7 +865,7 @@ def integrate_pieces(
             ):
                 extend = _extension_kernel(pieces[piece][0])
                 value, err = extend(f, ia, ib, tau, f_tau, partial, ival)
-                evaluations[piece] += extension_order
+                evaluations[piece] += _EXTENSION_ORDER
                 heapq.heapreplace(heap, (-err, seq, ia, ib, value, piece, None))
                 seq += 1
                 err_sum += err - est
@@ -874,7 +878,7 @@ def integrate_pieces(
             kernel = kernels[piece]
             lv, le, lp = kernel(f, ia, mid, tau, f_tau)
             rv, re, rp = kernel(f, mid, ib, tau, f_tau)
-            evaluations[piece] += 2 * order
+            evaluations[piece] += 2 * _PAIR_ORDER
             heapq.heappush(heap, (-le, seq, ia, mid, lv, piece, lp))
             heapq.heappush(heap, (-re, seq + 1, mid, ib, rv, piece, rp))
             seq += 2

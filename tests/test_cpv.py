@@ -2,6 +2,7 @@
 
 import functools
 import math
+import random
 
 import mpmath as mp
 import pytest
@@ -404,9 +405,16 @@ class TestFirstApplicationPinned:
         assert result.error_estimate.hex() == estimate
 
 
+def _battery(name: str) -> dict:
+    """The problem of the battery case `name` at the battery's tol."""
+    case = next(c for c in builtin_problems() if c.name == name)
+    return dict(f=case.integrand, tau=case.tau, tol=1e-12)
+
+
 #: Hex bits of the value and the seven budget terms, in field order, then
 #: evaluations, converged and stop reasons, of one problem on each branch of
-#: the prologue.  The step's NaN prints as "nan" and an infinite term as "inf".
+#: the prologue, and of the nine battery cases.  The step's NaN prints as
+#: "nan" and an infinite term as "inf".
 _PROLOGUE_PINS = [
     ("exp@0.5", dict(f=math.exp, tau=0.5),
      "0x1.d3dbd0af9036ap-1",
@@ -451,6 +459,62 @@ _PROLOGUE_PINS = [
       "0x1.0000000728278p-50", "0x1.cd2b297d889bdp-107",
       "0x1.cd2b29bbec015p-104", "0x0.0p+0"),
      22, True, ("tolerance",) * 3),
+    # the battery at tol 1e-12, bit for bit; a change that moves a case's
+    # value, budget or cost moves its row, and says why
+    ("case1", _battery("case1"),
+     "0x1.d3dbd0af9036ap-1",
+     ("0x1.0000000000000p-52", "0x0.0p+0", "0x1.0000000000000p-52",
+      "0x1.a61298e4d2190p-50", "0x1.a61298e1e069cp-53",
+      "0x1.48b5e39ea2bfbp-51", "0x0.0p+0"),
+     42, True, ("tolerance",) * 3),
+    ("case2", _battery("case2"),
+     "0x1.8d1a4eccdb836p+1",
+     ("0x1.d650000000000p-49", "0x0.0p+0", "0x1.bf1f800000000p-42",
+      "0x1.0eb2582eecae0p-41", "0x1.68a9e459d6a85p-54",
+      "0x1.714a0d7b8a94fp-43", "0x0.0p+0"),
+     4_524, True, ("tolerance",) * 3),
+    ("case3", _battery("case3"),
+     "-0x1.c6d8259ec10d3p+1",
+     ("0x1.8ce5fb6800000p-41", "0x0.0p+0", "0x1.fb68000000000p-46",
+      "0x1.24126f96da5f2p-44", "0x1.90f25909efb14p-52",
+      "0x1.667d98bf91b8ep-46", "0x0.0p+0"),
+     5_914, True, ("tolerance",) * 3),
+    ("case4", _battery("case4"),
+     "-0x1.9fa4048c59388p+1",
+     ("0x1.2400000000000p-40", "0x0.0p+0", "0x1.2b80000000000p-42",
+      "0x1.c6f8e934b687bp-41", "0x1.054fa1d7b960cp-42",
+      "0x1.47e5a0dc42682p-42", "0x0.0p+0"),
+     532, True, ("floor", "tolerance", "floor")),
+    ("case5", _battery("case5"),
+     "0x1.cd29798f33edcp+0",
+     ("0x0.0p+0", "0x1.0e0708a800000p-41", "0x1.099121a000000p-41",
+      "0x1.13780137151b4p-45", "0x1.f60088a3d3ab8p-56",
+      "0x1.a746bc69fb94ep-46", "0x0.0p+0"),
+     20_534, True, ("tolerance",) * 3),
+    ("case6", _battery("case6"),
+     "0x1.6ca742c01d8fap-1",
+     ("0x1.5e9b6ea000000p-41", "0x0.0p+0", "0x1.2085f3a000000p-42",
+      "0x1.62a452759c66fp-46", "0x1.abdeeaacf2a23p-54",
+      "0x1.6e5b87cea9ccep-45", "0x0.0p+0"),
+     2_326, True, ("tolerance",) * 3),
+    ("case6b", _battery("case6b"),
+     "-0x1.3c5a9c64b0792p+0",
+     ("0x1.e727d98800000p-42", "0x0.0p+0", "0x1.57e3ee3800000p-42",
+      "0x1.305892d3b475dp-45", "0x1.c1fef97318cbdp-53",
+      "0x1.5b5f52c8461e7p-45", "0x0.0p+0"),
+     2_260, True, ("tolerance",) * 3),
+    ("case7", _battery("case7"),
+     "-0x1.50e47a829f955p+5",
+     ("0x1.0000000000000p-50", "0x0.0p+0", "0x1.7793800000000p-52",
+      "0x1.5bf0a6737f2cep-49", "0x1.9ec6dcdcc1fd4p-29",
+      "0x1.a1e10d26abe47p-50", "0x0.0p+0"),
+     42, True, ("tolerance",) * 3),
+    ("case8", _battery("case8"),
+     "0x1.3cf01fba808f8p+1",
+     ("0x0.0p+0", "0x1.0000000000000p-52", "0x1.4a1881a5e9e8dp-40",
+      "0x1.da448c07c2c7ep-42", "0x1.aa6074c86bf52p-55",
+      "0x1.7c935c6dcf601p-43", "0x0.0p+0"),
+     15_382, True, ("tolerance", "floor", "floor")),
 ]
 
 
@@ -1022,6 +1086,27 @@ def test_f_scaling_scales_value_and_estimate():
                                      tol=c * 1e-12)
                 assert scaled.value == c * unit.value
                 assert scaled.error_estimate == c * unit.error_estimate
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="D4 (ROADMAP item 9): log((b - tau)/(tau - a)) cancels for tau "
+           "near the midpoint, and the budget does not charge the rounding "
+           "of b - tau and tau - a",
+)
+def test_constant_near_the_midpoint_stays_within_its_estimate():
+    # f = 1 on [-1, 1]: the principal value is the log term alone
+    rng = random.Random(4)
+    misses = []
+    for _ in range(200):
+        tau = rng.uniform(-0.05, 0.05)
+        result = cpv_standard(CpvProblem(f=lambda x: 1.0, tau=tau))
+        with mp.workdps(40):
+            exact = mp.log((1 - mp.mpf(tau)) / (1 + mp.mpf(tau)))
+            error = abs(mp.mpf(result.value) - exact)
+        if error > result.error_estimate:
+            misses.append((tau, float(error / result.error_estimate)))
+    assert not misses
 
 
 class _EvaluationCap(Exception):

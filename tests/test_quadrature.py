@@ -332,6 +332,15 @@ class TestPattersonExtension:
             clear_engine_caches()
         assert (kronrod_pair_g10k21(), quadrature._patterson_extension()) == originals
 
+    def test_engine_reads_the_built_rules_off_the_table(self):
+        # integrate_pieces takes the pair's outermost node and the node
+        # counts from the table, without building the rules on every call
+        rules = quadrature._patterson_extension()
+        nodes = rules.pair.kronrod.nodes
+        assert quadrature._PAIR_OUTERMOST == nodes[-1] == -nodes[0]
+        assert quadrature._PAIR_ORDER == len(nodes)
+        assert quadrature._EXTENSION_ORDER == len(rules.new_nodes)
+
     def test_table_matches_the_160_digit_construction(self):
         # every node and weight within one ulp, far inside 5e-15, of the
         # construction from the extension polynomial G_22; the centre node
