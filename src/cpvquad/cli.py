@@ -32,6 +32,11 @@ from .quadrature import NonfiniteIntegrandError
 
 __all__ = ["main"]
 
+#: One encoder for every printed result, where ``json.dumps(...,
+#: allow_nan=False)`` would build one per call; a result's JSON form holds
+#: no NaN or infinity.
+_JSON = json.JSONEncoder(allow_nan=False)
+
 
 @functools.lru_cache(maxsize=1)
 def _build_parser() -> tuple[argparse.ArgumentParser,
@@ -121,7 +126,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
 
 def _print_result(result: CpvResult, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(result.as_json_dict(), allow_nan=False))
+        print(_JSON.encode(result.as_json_dict()))
     else:
         print(f"value = {result.value!r}")
         print(f"estimate = {result.error_estimate!r}")

@@ -185,6 +185,9 @@ _FLOOR_FACTOR = 2.0
 #: cap each piece had when integrated alone.
 _INTERVALS_PER_PIECE = 10_000
 
+#: The stop reasons of every call whose pieces all met tol.
+_AT_TOLERANCE = StopReasons("tolerance", "tolerance", "tolerance")
+
 
 def cpv_standard(problem: CpvProblem) -> CpvResult:
     """Compute a principal value integral over the problem's [a, b].
@@ -229,7 +232,8 @@ def cpv_standard(problem: CpvProblem) -> CpvResult:
         jump = "discontinuous_at_tau"
         return CpvResult(math.nan, budget, 0, False,
                          StopReasons(jump, jump, jump))
-    raised = _FLOOR_FACTOR * floor.floor
+    _, _, _, roundoff, log_sensitivity, curvature, cutoff = floor
+    raised = _FLOOR_FACTOR * (roundoff + log_sensitivity + curvature + cutoff)
     quad_tol = max(tol, raised) if math.isfinite(raised) else tol
 
     # the near side, and a far side whose rounded bounds are not ordered,
@@ -241,11 +245,14 @@ def cpv_standard(problem: CpvProblem) -> CpvResult:
     if not (tau - a < b - tau and right_start < b):
         right_start = b
     lower = 0.0 if method == "open" else mu
-    nonempty = (a < left_end, right_start < b, lower < delta)
+    left = a < left_end
+    right = right_start < b
+    near = lower < delta
     values, estimates, evaluations, reason = integrate_pieces(
         f, (("difference", a, left_end), ("difference", right_start, b),
             ("symmetric", lower, delta)),
-        quad_tol, _INTERVALS_PER_PIECE * max(1, sum(nonempty)), tau, f_tau,
+        quad_tol, _INTERVALS_PER_PIECE * ((left + right + near) or 1), tau,
+        f_tau,
     )
 
     ratio = (b - tau) / (tau - a)
@@ -256,21 +263,23 @@ def cpv_standard(problem: CpvProblem) -> CpvResult:
         log_term = f_tau * (math.log(b - tau) - math.log(tau - a))
     value = log_term + values[0] + values[1] + values[2]
     quad_left, quad_right, quad_h = estimates
-    budget = ErrorBudget(
-        quad_left, quad_right, quad_h, floor[3], floor[4], floor[5], floor[6]
-    )
     converged = reason == "tolerance"
     if converged and quad_left + quad_right + quad_h > tol:
         reason = "floor"
     return CpvResult(
         value,
-        budget,
+        ErrorBudget(quad_left, quad_right, quad_h, roundoff, log_sensitivity,
+                    curvature, cutoff),
         evaluations[0] + evaluations[1] + evaluations[2],
-        # a budget that overflowed bounds nothing
-        converged and math.isfinite(budget.total),
-        StopReasons(reason if nonempty[0] else "tolerance",
-                    reason if nonempty[1] else "tolerance",
-                    reason if nonempty[2] else "tolerance"),
+        # a budget that overflowed bounds nothing; ErrorBudget.total, inline
+        converged and math.isfinite(
+            quad_left + quad_right + quad_h + roundoff + log_sensitivity
+            + curvature + cutoff
+        ),
+        _AT_TOLERANCE if reason == "tolerance" else
+        StopReasons(reason if left else "tolerance",
+                    reason if right else "tolerance",
+                    reason if near else "tolerance"),
     )
 
 

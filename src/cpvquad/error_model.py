@@ -372,27 +372,27 @@ def total_error_estimate(
     zero.  A derivative estimate that overflowed makes the terms built on it
     infinite rather than raising.
     """
-    if method not in ("open", "cutoff"):
-        raise ValueError(f"method must be 'open' or 'cutoff', got {method!r}")
-    delta = endpoint_distance(tau, a, b)
+    f1, f2, _ = deriv
+    if not a < tau < b:
+        # endpoint_distance's check, inline
+        raise ValueError(f"tau must lie in ({a!r}, {b!r}), got {tau!r}")
     if not math.isfinite(f_tau):
         raise ValueError(f"f_tau must be finite, got {f_tau!r}")
-    slope = abs(deriv.f1)
-    f2 = deriv.f2
+    slope = abs(f1)
     half = 0.5 * (b - a)
-    d1 = half * slope
-    if method != "cutoff":
+    if method == "open":
         cutoff = 0.0
-    elif math.isfinite(d1):
-        cutoff = cutoff_budget(mu / half, d1)
+    elif method == "cutoff":
+        d1 = half * slope
+        cutoff = cutoff_budget(mu / half, d1) if math.isfinite(d1) else math.inf
     else:
-        cutoff = math.inf
+        raise ValueError(f"method must be 'open' or 'cutoff', got {method!r}")
     return ErrorBudget(
         0.0,
         0.0,
         0.0,
         8.0 * EPS * slope * max(half, abs(tau)),
-        _log_term(f_tau, tau, delta, EPS),
+        _log_term(f_tau, tau, min(tau - a, b - tau), EPS),
         _curvature(tau, abs(f2), EPS) if math.isfinite(f2) else math.inf,
         cutoff,
     )

@@ -758,7 +758,8 @@ def integrate_pieces(
     the interval with the largest estimate until the summed estimate drops
     to ``tol``, the partition of all pieces reaches ``max_intervals``
     intervals, or no interval is wide enough to split.  Ties fall back on
-    insertion order.
+    insertion order.  A call whose first applications meet ``tol`` builds
+    no queue: it returns their values and estimates as they stand.
 
     An interval's estimate is the embedded difference |K21 - G10|.  When it
     is at most ``_RESOLVED`` times QUADPACK's resasc, the interval looks
@@ -811,6 +812,8 @@ def integrate_pieces(
 
     n = len(pieces)
     kernels = [None] * n
+    values = [0.0] * n
+    estimates = [0.0] * n
     evaluations = [0] * n
     # Heap entries are (-estimate, sequence, a, b, value, piece, partial);
     # the sequence number breaks ties deterministically, and partial is the
@@ -848,7 +851,13 @@ def integrate_pieces(
             )
             settled.append((piece, a, value, err))
             fixed += err
+        values[piece] = 0.0 + value
+        estimates[piece] = 0.0 + err
         err_sum += err
+    if err_sum <= tol:
+        # every piece has one interval, so the ordered sums below would add
+        # these terms in this order: no queue is built
+        return values, estimates, evaluations, "tolerance"
     heapq.heapify(heap)
     seq = len(heap)
     # no bisection lowers a one-point charge

@@ -707,6 +707,56 @@ class TestSharedQueue:
                                         ("difference", -1e308, 1e308)), 1e-12)
 
 
+class TestSettledByFirstApplications:
+    """A call whose first applications meet tol returns them as they stand,
+    with what the ordered sums over a one-interval partition give."""
+
+    TAU = 0.5
+    NARROW = ("difference", 0.25, 0.25 + 4.0 * math.ulp(0.25))
+
+    def test_negative_zero_charge_comes_back_as_zero(self):
+        # f is constant, so the quotient at the midpoint left of tau is
+        # 0.0 / negative = -0.0, and so is the one-point charge; the
+        # ordered sum 0.0 + -0.0 makes it 0.0
+        values, estimates, evaluations, reason = integrate_pieces(
+            lambda x: 1.0, (self.NARROW,), 1e-12, tau=self.TAU, f_tau=1.0
+        )
+        assert [v.hex() for v in values] == ["0x0.0p+0"]
+        assert [e.hex() for e in estimates] == ["0x0.0p+0"]
+        assert evaluations == [1]
+        assert reason == "tolerance"
+
+    def test_tol_equal_to_the_summed_first_estimates_is_met(self):
+        pieces = (("difference", -1.0, -0.5), ("symmetric", 0.0, 0.5))
+        f = lambda x: math.sin(9.0 * x)
+        kwargs = dict(tau=self.TAU, f_tau=f(self.TAU))
+        # a cap of one interval per piece stops at the first applications
+        first = integrate_pieces(f, pieces, 1e-300, 2, **kwargs)
+        assert first[3] == "interval_cap"
+        total = 0.0
+        for e in first[1]:
+            total += e
+        assert integrate_pieces(f, pieces, total, **kwargs) == (
+            *first[:3], "tolerance"
+        )
+        below = integrate_pieces(f, pieces, math.nextafter(total, 0.0),
+                                 **kwargs)
+        assert below[2] != first[2]
+
+    def test_evaluations_per_piece(self):
+        # an empty piece, a one-point charge and two first applications,
+        # whose symmetric piece calls f twice per node
+        pieces = (("plain", 0.75, 0.75), self.NARROW,
+                  ("difference", 0.75, 1.0), ("symmetric", 0.0, 0.25))
+        f, calls = _recorded(math.exp)
+        _, _, evaluations, reason = integrate_pieces(
+            f, pieces, 1e-3, tau=self.TAU, f_tau=math.exp(self.TAU)
+        )
+        assert reason == "tolerance"
+        assert evaluations == [0, 1, ORDER, ORDER]
+        assert len(calls) == 1 + ORDER + 2 * ORDER
+
+
 class TestHugeEndpoints:
     """Intervals whose ends both exceed about 9e307 in magnitude, where
     a + b overflows and the midpoint is 0.5 * a + 0.5 * b instead."""

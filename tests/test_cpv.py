@@ -459,6 +459,20 @@ _PROLOGUE_PINS = [
       "0x1.0000000728278p-50", "0x1.cd2b297d889bdp-107",
       "0x1.cd2b29bbec015p-104", "0x0.0p+0"),
      22, True, ("tolerance",) * 3),
+    # two stress members that the engine returns from its first
+    # applications: two pieces met the raised tolerance, and one
+    ("1e150exp@0.5", dict(f=lambda x: 1e150 * math.exp(x), tau=0.5),
+     "0x1.1ddb0e00fb134p+498",
+     ("0x1.0000000000000p+446", "0x0.0p+0", "0x1.0000000000000p+447",
+      "0x1.01e18a2b3c7f0p+449", "0x1.01e18a296f677p+446",
+      "0x1.6b5dc6e8fdc43p+198", "0x0.0p+0"),
+     42, True, ("floor", "tolerance", "floor")),
+    ("sin(x-1e9)@1e9",
+     dict(f=lambda x: math.sin(x - 1e9), tau=1e9, a=1e9 - 1.0, b=1e9 + 1.0),
+     "0x1.e464fe932218dp+0",
+     ("0x0.0p+0", "0x0.0p+0", "0x1.a2962d5000000p-24",
+      "0x1.c9374029aad0cp-21", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+     21, True, ("tolerance", "tolerance", "floor")),
     # the battery at tol 1e-12, bit for bit; a change that moves a case's
     # value, budget or cost moves its row, and says why
     ("case1", _battery("case1"),
