@@ -36,14 +36,13 @@ __all__ = [
     "derivative_estimates",
     "jump_at_tau",
     "log_term_sensitivity",
-    "curvature_sensitivity",
     "total_error_estimate",
 ]
 
 #: Bound on the relative error of one rounded double operation (2^-53).
 EPS = 2.0**-53
 
-#: Calibration constant of :func:`curvature_sensitivity`.
+#: Calibration constant of the curvature term of :func:`total_error_estimate`.
 _CURVATURE_FACTOR = 8.0
 
 #: The cube root of EPS, which scales the default derivative step.
@@ -89,16 +88,6 @@ class ErrorBudget(NamedTuple):
             + self.quad_right
             + self.quad_h
             + self.roundoff
-            + self.log_sensitivity
-            + self.curvature_sensitivity
-            + self.cutoff
-        )
-
-    @property
-    def floor(self) -> float:
-        """The four roundoff terms, which no amount of quadrature lowers."""
-        return (
-            self.roundoff
             + self.log_sensitivity
             + self.curvature_sensitivity
             + self.cutoff
@@ -203,7 +192,7 @@ def derivative_estimates(
     f: Integrand,
     tau: float,
     delta: float,
-    f_tau: Optional[float] = None,
+    f_tau: float,
     a: float = -1.0,
     b: float = 1.0,
 ) -> DerivativeEstimates:
@@ -219,7 +208,7 @@ def derivative_estimates(
     endpoint.  These estimates feed error bounds only, so a few correct
     digits are plenty.
 
-    `f_tau` avoids re-evaluating f at tau when the caller already has it.
+    `f_tau` is f(tau), which the caller already has.
     """
     step = min(max(delta * 1e-4, _CBRT_EPS * max(0.5 * (b - a), abs(tau))),
                0.5 * delta)
@@ -231,8 +220,6 @@ def derivative_estimates(
             f"tau = {tau!r} lies too close to an endpoint of "
             f"[{a!r}, {b!r}] for a derivative stencil"
         )
-    if f_tau is None:
-        f_tau = f(tau)
     f1, f2 = _stencil(f, tau, step, f_tau)
     return DerivativeEstimates(f1, f2, step)
 
@@ -308,10 +295,6 @@ def _log_term(f_tau: float, tau: float, delta: float, eps: float) -> float:
     return eps * abs(tau * f_tau) / delta
 
 
-def _curvature(tau: float, f2: float, eps: float) -> float:
-    return _CURVATURE_FACTOR * eps * abs(tau) * math.sqrt(f2)
-
-
 def log_term_sensitivity(
     f_tau: float, tau: float, eps: float = EPS, a: float = -1.0, b: float = 1.0
 ) -> float:
@@ -328,25 +311,6 @@ def log_term_sensitivity(
     if not math.isfinite(f_tau):
         raise ValueError(f"f_tau must be finite, got {f_tau!r}")
     return _log_term(f_tau, tau, delta, eps)
-
-
-def curvature_sensitivity(
-    tau: float,
-    f2: float,
-    eps: float = EPS,
-    a: float = -1.0,
-    b: float = 1.0,
-) -> float:
-    """First-order effect of rounding tau on the quotient integrals.
-
-    Perturbing the singularity location changes the difference quotients in
-    proportion to the curvature of f; the calibrated form is
-    8 eps |tau| sqrt(|f2|), the same form on every interval.
-    """
-    endpoint_distance(tau, a, b)  # validates tau
-    _require_nonnegative("f2", f2)
-    _require_positive("eps", eps)
-    return _curvature(tau, f2, eps)
 
 
 def total_error_estimate(
@@ -366,7 +330,10 @@ def total_error_estimate(
     eps = EPS, the accumulated quotient rounding enters as 8 eps |f'(tau)|
     max(h, |tau|) with h = (b-a)/2: the quotients round like f' times the
     interval's scale, and the abscissae tau +- x round at the scale of tau.
-    The two sensitivity terms account for the rounded singularity location.
+    The two sensitivity terms account for the rounded singularity location:
+    the paper's log-term bound, and the calibrated curvature term
+    8 eps |tau| sqrt(|f''(tau)|), which is not one of the paper's bounds
+    and has the same form on every interval.
     Under ``method="cutoff"`` the cutoff budget for `mu`, a distance in the
     units of x, is added on the scale of the interval; under "open" it is
     zero.  A derivative estimate that overflowed makes the terms built on it
@@ -393,6 +360,7 @@ def total_error_estimate(
         0.0,
         8.0 * EPS * slope * max(half, abs(tau)),
         _log_term(f_tau, tau, min(tau - a, b - tau), EPS),
-        _curvature(tau, abs(f2), EPS) if math.isfinite(f2) else math.inf,
+        (_CURVATURE_FACTOR * EPS * abs(tau) * math.sqrt(abs(f2))
+         if math.isfinite(f2) else math.inf),
         cutoff,
     )

@@ -753,13 +753,16 @@ def integrate_pieces(
     Each piece ``(form, a, b)`` integrates over [a, b] f itself ("plain"),
     (f(t) - f_tau) / (t - tau) ("difference") or
     (f(tau + t) - f(tau - t)) / t ("symmetric"); ``a == b`` is an empty
-    piece.  The 10/21 pair is applied to every non-empty piece in piece
-    order, then one priority queue over the intervals of all pieces refines
-    the interval with the largest estimate until the summed estimate drops
-    to ``tol``, the partition of all pieces reaches ``max_intervals``
-    intervals, or no interval is wide enough to split.  Ties fall back on
-    insertion order.  A call whose first applications meet ``tol`` builds
-    no queue: it returns their values and estimates as they stand.
+    piece.  The pieces are walked once: the 10/21 pair is applied to every
+    non-empty piece in piece order, and a piece with an unknown form or bad
+    bounds is refused when the walk reaches it, after f was called on the
+    pieces before it.  Then one priority queue over the intervals of all
+    pieces refines the interval with the largest estimate until the summed
+    estimate drops to ``tol``, the partition of all pieces reaches
+    ``max_intervals`` intervals, or no interval is wide enough to split.
+    Ties fall back on insertion order.  A call whose first applications
+    meet ``tol`` builds no queue: it returns their values and estimates as
+    they stand.
 
     An interval's estimate is the embedded difference |K21 - G10|.  When it
     is at most ``_RESOLVED`` times QUADPACK's resasc, the interval looks
@@ -794,17 +797,6 @@ def integrate_pieces(
     f itself is not finite, else :class:`QuotientOverflowError`; a weighted
     sum of f itself that overflows raises :class:`SumOverflowError`.
     """
-    for form, a, b in pieces:
-        if form not in _FORMS:
-            raise ValueError(f"unknown integrand form {form!r}")
-        if not 0.0 <= b - a < math.inf:
-            if not (math.isfinite(a) and math.isfinite(b)):
-                raise ValueError("integration endpoints must be finite")
-            if a > b:
-                raise ValueError(f"need a <= b, got [{a!r}, {b!r}]")
-            raise ValueError(
-                f"interval [{a!r}, {b!r}] is wider than the largest double"
-            )
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
     if max_intervals < 1:
@@ -830,6 +822,16 @@ def integrate_pieces(
     fixed = 0.0
     count = 0
     for piece, (form, a, b) in enumerate(pieces):
+        if form not in _FORMS:
+            raise ValueError(f"unknown integrand form {form!r}")
+        if not 0.0 <= b - a < math.inf:
+            if not (math.isfinite(a) and math.isfinite(b)):
+                raise ValueError("integration endpoints must be finite")
+            if a > b:
+                raise ValueError(f"need a <= b, got [{a!r}, {b!r}]")
+            raise ValueError(
+                f"interval [{a!r}, {b!r}] is wider than the largest double"
+            )
         if a == b:
             continue
         count += 1

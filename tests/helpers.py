@@ -108,6 +108,13 @@ def cpv_monomial(k: int, tau: float) -> float:
     return total + tau**k * math.log((1.0 - tau) / (1.0 + tau))
 
 
+def roundoff_floor(budget):
+    """The four roundoff terms of a budget, which no amount of quadrature
+    lowers, added in field order."""
+    return (budget.roundoff + budget.log_sensitivity
+            + budget.curvature_sensitivity + budget.cutoff)
+
+
 def stencil_at(f, tau, step, f_tau=None):
     """The derivative stencil of f at tau for a given `step`, which
     ``derivative_estimates`` would otherwise choose itself."""

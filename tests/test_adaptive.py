@@ -706,6 +706,33 @@ class TestSharedQueue:
             integrate_pieces(math.exp, (("plain", 0.0, 1.0),
                                         ("difference", -1e308, 1e308)), 1e-12)
 
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            (("cubic", 0.0, 1.0), "unknown integrand form 'cubic'"),
+            (("plain", 2.0, 1.0), "need a <= b, got [2.0, 1.0]"),
+            (("plain", 0.0, math.inf), "integration endpoints must be finite"),
+            (("difference", -1e308, 1e308),
+             "interval [-1e+308, 1e+308] is wider than the largest double"),
+        ],
+        ids=["form", "b<a", "infinite end", "width overflows"],
+    )
+    def test_a_bad_later_piece_is_refused_when_reached(self, bad, message):
+        # the pieces are walked once, so the good first piece has had its
+        # first application when the second is refused
+        f, calls = _recorded(math.exp)
+        with pytest.raises(ValueError) as excinfo:
+            integrate_pieces(f, (("plain", 0.0, 1.0), bad), 1e-12)
+        assert str(excinfo.value) == message
+        assert len(calls) == ORDER
+
+    def test_tolerance_is_checked_before_the_pieces(self):
+        f, calls = _recorded(math.exp)
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            integrate_pieces(f, (("plain", 0.0, 1.0), ("cubic", 0.0, 1.0)),
+                             0.0)
+        assert calls == []
+
 
 class TestSettledByFirstApplications:
     """A call whose first applications meet tol returns them as they stand,

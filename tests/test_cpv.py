@@ -34,6 +34,7 @@ from helpers import (
     expr_trees,
     make_difference_quotient,
     make_symmetric_quotient,
+    roundoff_floor,
     stencil_at,
     to_source,
 )
@@ -224,7 +225,7 @@ class TestProblemValidation:
     def test_nonfinite_f_on_the_half_step_stencil_reports_abscissa(self, side):
         # f is finite at tau and on the coarse stencil, so the jump test's
         # stencil at s/2 is the first to meet the NaN
-        s = derivative_estimates(math.exp, 0.5, 0.5).step
+        s = derivative_estimates(math.exp, 0.5, 0.5, math.exp(0.5)).step
         bad = 0.5 + side * (0.5 * s)
 
         def f(x):
@@ -896,7 +897,7 @@ class TestRoundoffFloorStop:
     def test_floor_below_tolerance_changes_nothing(self):
         result = cpv_standard(CpvProblem(f=math.exp, tau=0.5))
         assert result.stop_reasons == ("tolerance",) * 3
-        assert result.budget.floor < 1e-12 / 2.0
+        assert roundoff_floor(result.budget) < 1e-12 / 2.0
 
     def test_floor_pieces_exceed_their_plain_share(self):
         # the pieces share one tolerance, raised to twice the floor: their
@@ -908,7 +909,8 @@ class TestRoundoffFloorStop:
         quad = (result.budget.quad_left, result.budget.quad_right,
                 result.budget.quad_h)
         assert result.converged
-        assert tol < quad[0] + quad[1] + quad[2] <= 2.0 * result.budget.floor
+        assert (tol < quad[0] + quad[1] + quad[2]
+                <= 2.0 * roundoff_floor(result.budget))
         for reason, estimate in zip(result.stop_reasons, quad):
             assert reason == ("floor" if estimate else "tolerance")
 
@@ -943,7 +945,7 @@ class TestJumpAtTau:
         assert result.stop_reasons == ("discontinuous_at_tau",) * 3
         assert result.evaluations == 0
         # f(tau) and the stencils at s, s/2, s/4 and s/8, nothing else
-        s = derivative_estimates(math.exp, t, 1.0 - abs(t)).step
+        s = derivative_estimates(math.exp, t, 1.0 - abs(t), math.exp(t)).step
         assert calls == [t, t + s, t - s, t + s / 2, t - s / 2,
                          t + s / 4, t - s / 4, t + s / 8, t - s / 8]
         assert math.isnan(result.value)
@@ -959,7 +961,7 @@ class TestJumpAtTau:
         # the budget keeps the floor's terms and charges each piece infinity
         deriv = derivative_estimates(f, 5.0, 1.0, f_tau=3.0, a=4.0, b=9.0)
         floor = total_error_estimate(deriv, 3.0, 5.0, a=4.0, b=9.0)
-        assert floor.floor > 0.0
+        assert roundoff_floor(floor) > 0.0
         assert result.budget == floor._replace(
             quad_left=math.inf, quad_right=math.inf, quad_h=math.inf
         )
@@ -998,7 +1000,7 @@ class TestJumpAtTau:
         # D(s) and D(s/2) agree here by chance, so the s/4 stencil decides
         f = lambda x: math.sin(k * x)
         delta = endpoint_distance(tau, a, b)
-        coarse = derivative_estimates(f, tau, delta, a=a, b=b)
+        coarse = derivative_estimates(f, tau, delta, f(tau), a=a, b=b)
         fine = stencil_at(f, tau, 0.5 * coarse.step)
         assert _pair_looks_like_jump(coarse.step, coarse.f1, coarse.f2, fine.f1,
                                      f(tau), tau)

@@ -2,11 +2,13 @@
 
 Static checks of the package source sit here too: no module imports
 mpmath, no function takes a parameter it never reads, every name the
-package root exports has a caller outside the tests, and no node or weight
+package root exports and every function `cpvquad.error_model` exports (but
+the paper's bounds) has a caller outside the tests, and no node or weight
 of the quadrature rules is transcribed twice.
 """
 
 import ast
+import inspect
 import io
 import json
 import re
@@ -18,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import cpvquad
+from cpvquad import error_model
 
 PACKAGE = Path(cpvquad.__file__).resolve().parent
 REPO = Path(__file__).resolve().parent.parent
@@ -114,14 +117,34 @@ def _caller_texts(module: str) -> dict[str, str]:
     return texts
 
 
+def _callers(name: str, module: str) -> list[str]:
+    """The caller texts of `module`'s `name` that name it."""
+    # a word-boundary search: perfbench/run.py names one inside a string
+    pattern = re.compile(rf"\b{re.escape(name)}\b")
+    return [path for path, text in _caller_texts(module).items()
+            if pattern.search(text)]
+
+
 @pytest.mark.parametrize("name", sorted(cpvquad.__all__))
 def test_every_root_name_has_a_caller_outside_the_tests(name):
     module = _root_exports()[name]
-    # a word-boundary search: perfbench/run.py names one inside a string
-    pattern = re.compile(rf"\b{re.escape(name)}\b")
-    callers = [path for path, text in _caller_texts(module).items()
-               if pattern.search(text)]
-    assert callers, f"{name} is named only by {module}.py and the tests"
+    assert _callers(name, module), (
+        f"{name} is named only by {module}.py and the tests")
+
+
+# the paper's bounds, which README names as usable on their own
+PAPER_BOUNDS = {"symmetric_quotient_roundoff", "difference_quotient_roundoff",
+                "log_term_sensitivity", "cutoff_budget"}
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name in error_model.__all__
+    if inspect.isfunction(getattr(error_model, name))
+    and name not in PAPER_BOUNDS
+))
+def test_every_error_model_function_has_a_caller_outside_the_tests(name):
+    assert _callers(name, "error_model"), (
+        f"{name} is named only by error_model.py and the tests")
 
 
 def _repeated_long_floats(path: Path, length: int = 30) -> list[str]:

@@ -11,7 +11,6 @@ from cpvquad.error_model import (
     ErrorBudget,
     _pair_looks_like_jump,
     cutoff_budget,
-    curvature_sensitivity,
     derivative_estimates,
     difference_quotient_roundoff,
     json_number,
@@ -22,7 +21,7 @@ from cpvquad.error_model import (
 )
 from cpvquad.quadrature import NonfiniteIntegrandError
 
-from helpers import float32_quotient_errors, stencil_at
+from helpers import float32_quotient_errors, roundoff_floor, stencil_at
 
 
 class TestMachineEpsilon:
@@ -135,63 +134,62 @@ class TestCutoffBudget:
 
 class TestDerivativeEstimates:
     def test_linear_function(self):
-        d = derivative_estimates(lambda x: 3.0 * x, 0.1, 0.9)
+        d = derivative_estimates(lambda x: 3.0 * x, 0.1, 0.9, 3.0 * 0.1)
         assert d.f1 == pytest.approx(3.0, abs=1e-6)
         assert d.f2 == pytest.approx(0.0, abs=1e-6)
 
     def test_square(self):
-        d = derivative_estimates(lambda x: x * x, 0.5, 0.5)
+        d = derivative_estimates(lambda x: x * x, 0.5, 0.5, 0.25)
         assert d.f1 == pytest.approx(1.0, abs=1e-6)
         assert d.f2 == pytest.approx(2.0, abs=1e-6)
         assert d.step == 5e-5
 
     def test_exponential_at_center(self):
-        d = derivative_estimates(math.exp, 0.0, 1.0)
+        d = derivative_estimates(math.exp, 0.0, 1.0, 1.0)
         assert d.f1 == pytest.approx(1.0, rel=1e-5)
         assert d.f2 == pytest.approx(1.0, rel=1e-5)
         assert d.step == 1e-4
 
     def test_step_floor_for_wide_interval(self):
         # delta * 1e-4 below the cube root floor: the floor wins
-        d = derivative_estimates(math.exp, 0.0, 0.01)
+        d = derivative_estimates(math.exp, 0.0, 0.01, 1.0)
         assert d.step == EPS ** (1.0 / 3.0)
 
     def test_step_clamped_near_endpoint(self):
-        d = derivative_estimates(math.exp, 0.9999999, 1e-7)
+        tau = 0.9999999
+        d = derivative_estimates(math.exp, tau, 1e-7, math.exp(tau))
         assert d.step == 5e-8
 
     def test_f_tau_skips_one_call(self):
-        calls = [0]
+        calls = []
 
         def f(x):
-            calls[0] += 1
+            calls.append(x)
             return math.sin(x)
 
-        derivative_estimates(f, 0.2, 0.8)
-        without = calls[0]
-        calls[0] = 0
-        derivative_estimates(f, 0.2, 0.8, f_tau=math.sin(0.2))
-        assert without == 3
-        assert calls[0] == 2
+        d = derivative_estimates(f, 0.2, 0.8, f_tau=math.sin(0.2))
+        assert calls == [0.2 + d.step, 0.2 - d.step]
 
     def test_nonfinite_sample_reports_abscissa(self):
         def f(x):
             return math.nan if x > 0.2 else 1.0
 
         with pytest.raises(NonfiniteIntegrandError) as excinfo:
-            derivative_estimates(f, 0.2, 0.8)
+            derivative_estimates(f, 0.2, 0.8, f(0.2))
         assert excinfo.value.x == pytest.approx(0.2 + 1e-4 * 0.8, rel=1e-12)
 
     def test_step_floor_scales_with_interval(self):
         # half-width 10: the floor is ten times the one on [-1, 1]
-        d = derivative_estimates(math.exp, 9.75, 0.25, a=-10.0, b=10.0)
+        d = derivative_estimates(math.exp, 9.75, 0.25, math.exp(9.75),
+                                 a=-10.0, b=10.0)
         assert d.step == EPS ** (1.0 / 3.0) * 10.0
         assert d.f1 == pytest.approx(math.exp(9.75), rel=1e-8)
 
     def test_step_floor_scales_with_tau(self):
         # |tau| beyond the half-width sets the floor: tau +- step rounds at
         # ulp(tau)
-        d = derivative_estimates(math.exp, 30.2, 0.2, a=30.0, b=50.0)
+        d = derivative_estimates(math.exp, 30.2, 0.2, math.exp(30.2),
+                                 a=30.0, b=50.0)
         assert d.step == EPS ** (1.0 / 3.0) * 30.2
         assert d.f1 == pytest.approx(math.exp(30.2), rel=1e-8)
 
@@ -200,23 +198,23 @@ class TestDerivativeEstimates:
         # so tau +- step would equal tau and f1 would read zero
         c = 1e13
         d = derivative_estimates(
-            lambda x: math.sin(x - c), c, 1.0, a=c - 1.0, b=c + 1.0
+            lambda x: math.sin(x - c), c, 1.0, 0.0, a=c - 1.0, b=c + 1.0
         )
         assert d.step == 0.5
         assert d.f1 == pytest.approx(2.0 * math.sin(0.5), rel=1e-15)
 
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
-            derivative_estimates(math.exp, 0.0, 0.0)
+            derivative_estimates(math.exp, 0.0, 0.0, 1.0)
 
     @pytest.mark.parametrize("delta", [-1.0, math.nan, math.inf])
     def test_bad_delta_is_named_before_the_step(self, delta):
         with pytest.raises(ValueError, match="delta must be positive"):
-            derivative_estimates(math.exp, 0.0, delta)
+            derivative_estimates(math.exp, 0.0, delta, 1.0)
 
     def test_finite_samples_whose_sum_overflows_raise_nothing(self):
         # f(tau) + f(tau+s) + f(tau-s) overflows although each is finite
-        d = derivative_estimates(lambda x: 1e308, 0.0, 1.0)
+        d = derivative_estimates(lambda x: 1e308, 0.0, 1.0, 1e308)
         assert d.f1 == 0.0
 
     def test_explicit_step(self):
@@ -227,7 +225,7 @@ class TestDerivativeEstimates:
 
 def _stencil(f, tau, delta=None):
     delta = 1.0 - abs(tau) if delta is None else delta
-    return f, derivative_estimates(f, tau, delta), f(tau), tau
+    return f, derivative_estimates(f, tau, delta, f(tau)), f(tau), tau
 
 
 class TestJumpAtTau:
@@ -325,12 +323,18 @@ class TestLogTermSensitivity:
             log_term_sensitivity(1.0, 0.5, 1e-16, 2.0, 3.0)
 
 
+def _curvature_term(tau, f2, a=-1.0, b=1.0):
+    """The budget's curvature term for a stencil with the given f''."""
+    deriv = DerivativeEstimates(0.0, f2, 1e-4)
+    return total_error_estimate(deriv, 0.0, tau, a=a, b=b).curvature_sensitivity
+
+
 class TestCurvatureSensitivity:
     def test_zero_at_center(self):
-        assert curvature_sensitivity(0.0, 100.0) == 0.0
+        assert _curvature_term(0.0, 100.0) == 0.0
 
     def test_zero_for_flat_function(self):
-        assert curvature_sensitivity(0.7, 0.0) == 0.0
+        assert _curvature_term(0.7, 0.0) == 0.0
 
     def test_narrow_bump_magnitude(self):
         # steep modulated bump: curvature term lands around 1e-13
@@ -339,27 +343,23 @@ class TestCurvatureSensitivity:
                 math.exp(-10.0 * x)
             )
 
-        d = derivative_estimates(bump, -0.41, 0.59)
-        bound = curvature_sensitivity(-0.41, abs(d.f2))
+        d = derivative_estimates(bump, -0.41, 0.59, bump(-0.41))
+        budget = total_error_estimate(d, bump(-0.41), -0.41)
+        bound = budget.curvature_sensitivity
         assert 1e-14 <= bound <= 1e-12
 
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            curvature_sensitivity(1.5, 1.0)
-        with pytest.raises(ValueError):
-            curvature_sensitivity(0.5, -1.0)
-
     def test_general_interval_keeps_the_form(self):
-        assert curvature_sensitivity(8.0, 4.0, 1e-16, 7.5, 8.5) == (
-            8.0 * 1e-16 * 8.0 * 2.0
-        )
+        assert _curvature_term(8.0, 4.0, 7.5, 8.5) == 8.0 * EPS * 8.0 * 2.0
         with pytest.raises(ValueError):
-            curvature_sensitivity(0.5, 1.0, 1e-16, 7.5, 8.5)
+            _curvature_term(0.5, 1.0, 7.5, 8.5)
+
+    def test_sign_of_the_curvature_does_not_matter(self):
+        assert _curvature_term(0.5, -4.0) == _curvature_term(0.5, 4.0)
 
 
 class TestTotalErrorEstimate:
     def test_center_reduces_to_roundoff(self):
-        deriv = derivative_estimates(lambda x: x, 0.0, 1.0)
+        deriv = derivative_estimates(lambda x: x, 0.0, 1.0, 0.0)
         budget = total_error_estimate(deriv, 0.0, 0.0)
         assert budget.roundoff == 8.0 * EPS
         assert budget.total == budget.roundoff
@@ -368,26 +368,26 @@ class TestTotalErrorEstimate:
         assert budget.cutoff == 0.0
 
     def test_moderate_singularity_floor(self):
-        deriv = derivative_estimates(math.exp, 0.5, 0.5)
+        deriv = derivative_estimates(math.exp, 0.5, 0.5, math.exp(0.5))
         budget = total_error_estimate(deriv, math.exp(0.5), 0.5)
         assert 1e-16 < budget.total < 1e-14
 
     def test_near_endpoint_is_log_dominated(self):
         tau = 0.9999999
-        deriv = derivative_estimates(math.exp, tau, 1e-7)
+        deriv = derivative_estimates(math.exp, tau, 1e-7, math.exp(tau))
         budget = total_error_estimate(deriv, math.exp(tau), tau)
         assert budget.total == pytest.approx(3.0e-9, rel=0.1)
         assert budget.log_sensitivity > 0.99 * budget.total
 
     def test_quadrature_pieces_enter_additively(self):
-        deriv = derivative_estimates(math.exp, 0.3, 0.7)
+        deriv = derivative_estimates(math.exp, 0.3, 0.7, math.exp(0.3))
         base = total_error_estimate(deriv, math.exp(0.3), 0.3)
         assert base[:3] == (0.0, 0.0, 0.0)
         bumped = base._replace(quad_left=1e-13, quad_right=2e-13, quad_h=3e-13)
         assert bumped.total == pytest.approx(base.total + 6e-13, rel=1e-12)
 
     def test_cutoff_method_charges_cutoff_budget(self):
-        deriv = derivative_estimates(math.exp, 0.5, 0.5)
+        deriv = derivative_estimates(math.exp, 0.5, 0.5, math.exp(0.5))
         open_budget = total_error_estimate(
             deriv, math.exp(0.5), 0.5, method="open"
         )
@@ -398,7 +398,7 @@ class TestTotalErrorEstimate:
         assert cut_budget.cutoff == cutoff_budget(1e-8, abs(deriv.f1))
 
     def test_cutoff_defaults_to_machine_epsilon(self):
-        deriv = derivative_estimates(math.exp, 0.5, 0.5)
+        deriv = derivative_estimates(math.exp, 0.5, 0.5, math.exp(0.5))
         budget = total_error_estimate(
             deriv, math.exp(0.5), 0.5, method="cutoff"
         )
@@ -422,11 +422,10 @@ class TestTotalErrorEstimate:
         assert budget.cutoff == cutoff_budget(1e-6 / 2.0, 2.0 * 3.0)
 
     def test_floor_is_the_roundoff_terms(self):
-        budget = ErrorBudget(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0)
-        assert budget.floor == 22.0
-        deriv = derivative_estimates(math.exp, 0.9999999, 1e-7)
+        deriv = derivative_estimates(math.exp, 0.9999999, 1e-7,
+                                     math.exp(0.9999999))
         floor = total_error_estimate(deriv, math.exp(0.9999999), 0.9999999)
-        assert floor.floor == floor.total
+        assert roundoff_floor(floor) == floor.total
 
     def test_overflowed_derivatives_give_infinite_terms(self):
         deriv = DerivativeEstimates(math.inf, math.inf, 1e-4)
@@ -459,6 +458,15 @@ class TestTotalErrorEstimate:
     def test_budget_total_is_field_sum(self):
         budget = ErrorBudget(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0)
         assert budget.total == 28.0
+
+    def test_budget_total_adds_left_to_right_in_field_order(self):
+        # 1.0 + 2**-53 rounds to 1.0, twice; adding from the right, or a
+        # compensated sum (math.fsum, and from Python 3.12 on the builtin
+        # sum() of floats), gives 1 + 2**-52, so `total` must stay an
+        # explicit left-to-right addition
+        budget = ErrorBudget(1.0, 2**-53, 2**-53, 0.0, 0.0, 0.0, 0.0)
+        assert budget.total == 1.0
+        assert math.fsum(budget) == 1.0 + 2**-52
 
     def test_as_dict_lists_every_term_in_field_order(self):
         budget = ErrorBudget(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0)
