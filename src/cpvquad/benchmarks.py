@@ -10,7 +10,8 @@ in a source checkout recomputes them) and is stored here as a pair of
 pair; disagreement beyond 1e-12 relative aborts rather than silently
 trusting either route.
 
-References describe the exact decimal singularity location (``tau_text``).
+References describe the exact decimal singularity location, the
+shortest repr of tau (``tau_text``).
 For the near-endpoint case the double rounding of tau itself shifts the
 true value by about 1.4e-9; that shift is real, is covered by the reported
 error budget, and is why the acceptance bound for that case is looser.
@@ -53,8 +54,9 @@ class BenchmarkCase(NamedTuple):
     ``expression`` is the parser-language mirror of ``integrand``; the two
     must evaluate identically to within one unit in the last place.
     ``reference_text`` and ``crosscheck_text`` are 30-digit decimals from
-    two independent computations; ``reference_source`` tags the primary
-    route as "closed-form" or "oracle-run".  ``error_bound`` is the
+    two independent computations (``python tests/oracles.py`` prints every
+    route of every case).  ``tau_text`` is tau's shortest repr, the
+    decimal the references were computed at.  ``error_bound`` is the
     acceptance bound on the absolute error at the calibration tolerance.
     """
 
@@ -62,11 +64,14 @@ class BenchmarkCase(NamedTuple):
     integrand: Integrand
     expression: str
     tau: float
-    tau_text: str
     reference_text: str
     crosscheck_text: str
-    reference_source: str
     error_bound: float
+
+    @property
+    def tau_text(self) -> str:
+        """The decimal the references were computed at: tau's shortest repr."""
+        return repr(self.tau)
 
     def reference_value(self) -> float:
         """The reference as a double, after re-checking the stored pair."""
@@ -98,10 +103,6 @@ class BenchmarkRow(NamedTuple):
                 and self.result.error_estimate >= self.abs_error)
 
 
-def _exp(x: float) -> float:
-    return math.exp(x)
-
-
 def _fast_sine(x: float) -> float:
     return math.sin(550.0 * x)
 
@@ -129,13 +130,11 @@ def _gaussian_chirp(x: float) -> float:
 _CASES: tuple[BenchmarkCase, ...] = (
     BenchmarkCase(
         name="case1",
-        integrand=_exp,
+        integrand=math.exp,
         expression="exp(x)",
         tau=0.5,
-        tau_text="0.5",
         reference_text="0.913786431723662428316752218177",
         crosscheck_text="0.913786431723662428316752218177",
-        reference_source="closed-form",
         error_bound=5e-12,
     ),
     BenchmarkCase(
@@ -143,10 +142,8 @@ _CASES: tuple[BenchmarkCase, ...] = (
         integrand=_fast_sine,
         expression="sin(550*x)",
         tau=0.8,
-        tau_text="0.8",
         reference_text="3.10236535075020418598260532316",
         crosscheck_text="3.10236535075020418598260532316",
-        reference_source="oracle-run",
         error_bound=5e-12,
     ),
     BenchmarkCase(
@@ -154,10 +151,8 @@ _CASES: tuple[BenchmarkCase, ...] = (
         integrand=_modulated_root,
         expression="sqrt(2 + cos(200*x))",
         tau=0.7,
-        tau_text="0.7",
         reference_text="-3.55347128154434046352370846655",
         crosscheck_text="-3.55347128154434046352370846655",
-        reference_source="oracle-run",
         error_bound=5e-12,
     ),
     BenchmarkCase(
@@ -165,10 +160,8 @@ _CASES: tuple[BenchmarkCase, ...] = (
         integrand=_log_squared,
         expression="log(1.0001 - x)^2",
         tau=0.99,
-        tau_text="0.99",
         reference_text="-3.24719292500464820267090419589",
         crosscheck_text="-3.24719292500464820267090419589",
-        reference_source="oracle-run",
         error_bound=5e-12,
     ),
     BenchmarkCase(
@@ -176,10 +169,8 @@ _CASES: tuple[BenchmarkCase, ...] = (
         integrand=_cusped_cosine,
         expression="abs(cos(44*x))^1.5",
         tau=-0.6,
-        tau_text="-0.6",
         reference_text="1.80141410585479103731155569105",
         crosscheck_text="1.80141410585479103731155569105",
-        reference_source="oracle-run",
         error_bound=5e-12,
     ),
     BenchmarkCase(
@@ -187,10 +178,8 @@ _CASES: tuple[BenchmarkCase, ...] = (
         integrand=_semicircle_cosine,
         expression="sqrt(1 - x^2)*cos(100*x)",
         tau=0.5,
-        tau_text="0.5",
         reference_text="0.712213598205206236997977082899",
         crosscheck_text="0.712213598205206236997977082899",
-        reference_source="oracle-run",
         error_bound=5e-12,
     ),
     BenchmarkCase(
@@ -198,21 +187,17 @@ _CASES: tuple[BenchmarkCase, ...] = (
         integrand=_semicircle_cosine,
         expression="sqrt(1 - x^2)*cos(100*x)",
         tau=0.9,
-        tau_text="0.9",
         reference_text="-1.23575761278377288091026361754",
         crosscheck_text="-1.23575761278377288091026361754",
-        reference_source="oracle-run",
         error_bound=5e-12,
     ),
     BenchmarkCase(
         name="case7",
-        integrand=_exp,
+        integrand=math.exp,
         expression="exp(x)",
         tau=0.9999999,
-        tau_text="0.9999999",
         reference_text="-42.1115617933223817213857497322",
         crosscheck_text="-42.1115617933223817213857497322",
-        reference_source="closed-form",
         error_bound=5e-9,
     ),
     BenchmarkCase(
@@ -220,10 +205,8 @@ _CASES: tuple[BenchmarkCase, ...] = (
         integrand=_gaussian_chirp,
         expression="exp(-100*(x + 0.4)^2)*sin(exp(-10*x))",
         tau=-0.41,
-        tau_text="-0.41",
         reference_text="2.4760780010848814589111422744",
         crosscheck_text="2.4760780010848814589111422744",
-        reference_source="oracle-run",
         error_bound=5e-12,
     ),
 )
@@ -243,8 +226,6 @@ def run_benchmark(tol: float = 1e-12) -> list[BenchmarkRow]:
     """Run the battery at `tol` and return one row per case.  Cases run
     sequentially so the per-case timings do not contend with each other.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol!r}")
     bound_scale = max(1.0, tol / CALIBRATION_TOL)
     # the one-time rule builds, their exactness checks and the compile of
     # what the engine runs on the quotient forms belong to no case

@@ -19,6 +19,7 @@ import contextlib
 import functools
 import json
 import os
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -27,7 +28,7 @@ from .cpv import CpvProblem, CpvResult, cpv_standard
 # unused here, but perfbench/spans.py patches cli.cpv_general by name
 from .cpv import cpv_general  # noqa: F401
 from .error_model import EPS
-from .expressions import ParseError, compile_expression
+from .expressions import _NUMBER, ParseError, compile_expression
 from .quadrature import NonfiniteIntegrandError
 
 __all__ = ["main"]
@@ -121,6 +122,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
     p_obs.add_argument("--seed", type=int, default=0, help="sweep seed")
     p_obs.add_argument("--csv", metavar="PATH", help="write all cells as CSV")
     p_obs.set_defaults(run=_cmd_observation)
+    # argparse takes only -\d+ and -\d*\.\d+ for a negative number, and
+    # any other word that begins with "-", such as -1e-3, for a flag
+    negative_number = re.compile(rf"^-{_NUMBER}$")
+    for each in (parser, *sub.choices.values()):
+        each._negative_number_matcher = negative_number
     return parser, sub.choices
 
 

@@ -108,9 +108,12 @@ class CpvProblem(_ProblemFields):
             raise ValueError(f"method must be 'open' or 'cutoff', got {method!r}")
         if method == "cutoff":
             delta = endpoint_distance(tau, a, b)
-            if not 0.0 < mu <= delta:
+            # the budget takes log(1 / (mu / h)), h = (b - a) / 2, and that
+            # reciprocal overflows where mu / h is at most 2**-1024
+            if not (0.0 < mu <= delta and mu / (0.5 * (b - a)) > 2.0**-1024):
                 raise ValueError(
-                    f"cutoff mu must lie in (0, {delta!r}], got {mu!r}"
+                    f"cutoff mu must lie in (0, {delta!r}] and exceed "
+                    f"2**-1024 times (b - a) / 2, got {mu!r}"
                 )
         return self
 

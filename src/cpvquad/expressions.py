@@ -107,8 +107,11 @@ _CONSTANTS: dict[str, float] = {
     "e": math.e,
 }
 
+#: A number literal, also the shape of a number flag on the command line
+_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+
 _TOKEN_RE = re.compile(
-    r"(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    rf"(?P<number>{_NUMBER})"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*/^()])"
 )
@@ -146,7 +149,7 @@ class _Parser:
         self.index += 1
         return token
 
-    def _expect_op(self, text: str) -> None:
+    def _require_op(self, text: str) -> None:
         kind, value, pos = self._peek()
         if kind != "op" or value != text:
             raise ParseError(f"expected {text!r}", pos)
@@ -207,9 +210,9 @@ class _Parser:
             if value in _CONSTANTS:
                 return Const(value)
             if value in _FUNCTIONS:
-                self._expect_op("(")
+                self._require_op("(")
                 arg = self.expression()
-                self._expect_op(")")
+                self._require_op(")")
                 return Call(value, arg)
             next_kind, next_value, _ = self._peek()
             if next_kind == "op" and next_value == "(":
@@ -217,7 +220,7 @@ class _Parser:
             raise ParseError(f"unknown identifier {value!r}", pos)
         if kind == "op" and value == "(":
             expr = self.expression()
-            self._expect_op(")")
+            self._require_op(")")
             return expr
         if kind == "end":
             raise ParseError("unexpected end of expression", pos)

@@ -276,8 +276,11 @@ class SweepCell:
 @dataclass(frozen=True)
 class SweepReport:
     cells: tuple[SweepCell, ...]
-    seed: int
-    trials_per_cell: int
+
+    @property
+    def trials_per_cell(self) -> int:
+        """Trials each cell ran; every cell of one sweep runs as many."""
+        return self.cells[0].trials
 
     def worst(self, m_min: int) -> Optional[SweepCell]:
         """The first cell of largest ``max_ratio`` with m >= m_min, or None."""
@@ -364,9 +367,7 @@ def sweep(
                     witness_scheme=_SCHEMES[schemes[worst]],
                 )
             )
-    return SweepReport(
-        cells=tuple(cells), seed=seed, trials_per_cell=trials_per_cell
-    )
+    return SweepReport(cells=tuple(cells))
 
 
 def write_sweep_csv(report: SweepReport, stream: IO[str]) -> None:

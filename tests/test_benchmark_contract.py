@@ -4,13 +4,16 @@
 looked up at call time, and `perfbench/spans.py` replaces a fixed list of
 them with traced wrappers.  Tier-1 does not run the traced benchmark, so
 these tests import both files by path, untouched, and run one operation of
-each kind with the tracer installed and without it.
+each kind with the tracer installed and without it.  They also load
+`perfbench/run.py` by path and run its set-up code, as a benchmark run
+does before its rounds.
 """
 
 import importlib
 import importlib.util
 import math
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,12 +27,15 @@ def _load(name: str):
     spec = importlib.util.spec_from_file_location(
         f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    # run.py's dataclasses look their module up in sys.modules
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
 
 calls = _load("calls")
 spans = _load("spans")
+run = _load("run")
 
 
 def _sine(x: float) -> float:
@@ -64,6 +70,20 @@ class TestTracedBenchmark:
                 "logbound.sweep"} <= names
         metrics = spans.layer_metrics(tracer, 4, 0.0, [])
         assert set(metrics) == set(spans.LAYER_METRICS)
+
+
+class TestBenchmarkSetUp:
+    """What `perfbench/run.py` runs before its timed rounds.  A break there
+    would fail every benchmark run while the rest of tier-1 passes."""
+
+    def test_setup_code_runs_in_a_fresh_interpreter(self):
+        # run.py's own helper, against the src of this checkout; it raises
+        # if the child exits with an error
+        assert run.SRC == PERFBENCH.parent / "src"
+        assert run._child_seconds(run.SETUP_CODE) > 0.0
+
+    def test_rule_build_is_timed(self):
+        assert spans.rule_build_ms(1) > 0.0
 
 
 @pytest.mark.parametrize(

@@ -30,6 +30,7 @@ from cpvquad.expressions import compile_expression
 
 from helpers import clear_engine_caches, compiled_kernels, read_csv
 from oracles import (
+    _TAUS,
     oracle_breakpoints,
     oracle_integrand,
     pv_decomposed,
@@ -76,10 +77,12 @@ class TestCaseTable:
             assert case.tau == EXPECTED_TAUS[case.name]
             assert case.tau == float(case.tau_text)
 
-    def test_reference_sources(self):
+    def test_tau_text_is_the_oracles_decimal(self):
+        # tau_text is tau's shortest repr; the oracles keep the decimals on
+        # their own, so a tau not written as its shortest decimal fails
+        assert set(_TAUS) == set(EXPECTED_NAMES)
         for case in builtin_problems():
-            expected = "closed-form" if case.name in ("case1", "case7") else "oracle-run"
-            assert case.reference_source == expected
+            assert case.tau_text == _TAUS[case.name]
 
     def test_error_bounds(self):
         for case in builtin_problems():
@@ -236,8 +239,10 @@ class TestRunBenchmark:
         assert rows[0].bound == 5e-12
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            run_benchmark(tol=0.0)
+        # the problem's own check, which a NaN or infinite tolerance fails too
+        for tol in (0.0, -1e-12, math.nan, math.inf):
+            with pytest.raises(ValueError, match="tolerance must be positive"):
+                run_benchmark(tol=tol)
 
     def test_passed_property(self):
         budget = ErrorBudget(1e-13, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)

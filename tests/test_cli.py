@@ -232,6 +232,54 @@ class TestIntegrate:
         capsys.readouterr()
         assert code == 2
 
+    def test_cutoff_too_small_for_the_interval_names_mu(self, capsys):
+        code = main(["integrate", "--f", "sin(x)", "--tau", "0", "--a=-4",
+                     "--b", "4", "--method", "cutoff", "--mu", "5e-324"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: cutoff mu ")
+        assert captured.err.endswith("got 5e-324\n")
+
+
+class TestNegativeNumbers:
+    """A number flag takes the expression language's numbers with a leading
+    minus; argparse alone reads -1e-3 as a flag."""
+
+    @pytest.mark.parametrize("flags, problem", [
+        (["--tau", "-1e-3"], {"tau": -1e-3}),
+        (["--tau", "0.5", "--a", "-1e-5", "--b", "1"],
+         {"tau": 0.5, "a": -1e-5, "b": 1.0}),
+        (["--tau", "-1", "--a", "-2.5E+2"], {"tau": -1.0, "a": -250.0}),
+    ], ids=["tau", "a", "capital-exponent"])
+    def test_number_with_an_exponent(self, capsys, flags, problem):
+        code = main(["integrate", "--f", "exp(x)", "--json"] + flags)
+        expected = cpv_standard(
+            CpvProblem(f=compile_expression("exp(x)"), **problem))
+        assert code == 0
+        assert json.loads(capsys.readouterr().out) == json.loads(
+            json.dumps(expected.as_json_dict()))
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--tol", "tolerance must be positive"),
+        ("--mu", "cutoff mu must lie in"),
+    ])
+    def test_negative_value_reaches_the_problem_check(self, capsys, flag,
+                                                      message):
+        code = main(["integrate", "--f", "exp(x)", "--tau", "0.5",
+                     "--method", "cutoff", flag, "-1e-3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(f"error: {message}")
+
+    def test_expression_beginning_with_minus_needs_the_equals_form(
+            self, capsys):
+        assert main(["integrate", "--f", "-x", "--tau", "0.5"]) == 2
+        assert "argument --f: expected one argument" in (
+            capsys.readouterr().err)
+        assert main(["integrate", "--f=-x", "--tau", "0.5"]) == 0
+        capsys.readouterr()
+
 
 #: The README's `integrate` examples, without --json, with the problem each
 #: one states.

@@ -213,6 +213,32 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             cpv_general(math.exp, 2.25, 2.0, 4.0, method="cutoff", mu=0.3)
 
+    @pytest.mark.parametrize("f, mu", [
+        (math.sin, 5e-324),  # mu / h underflows: the budget refused 0.0
+        (math.sin, 1e-310),  # 1 / (mu / h) overflows: an infinite term
+        (lambda x: 1.0, 1e-310),  # and 0 * log(inf): a NaN term
+    ], ids=["sin-underflow", "sin-overflow", "constant-overflow"])
+    def test_refuses_a_cutoff_the_budget_cannot_rescale(self, f, mu):
+        # h = 4 on [-4, 4]; the budget charges log(1 / (mu / h))
+        with pytest.raises(ValueError,
+                           match=rf"^cutoff mu .* got {mu!r}$"):
+            CpvProblem(f=f, tau=0.0, a=-4.0, b=4.0, method="cutoff", mu=mu)
+
+    def test_smallest_cutoff_gets_a_finite_term(self):
+        # the first double above 2**-1024 * h on [-4, 4] and the one below
+        smallest = float.fromhex("0x1.0000000000003p-1022")
+        below = math.nextafter(smallest, 0.0)
+        assert below / 4.0 == 2.0**-1024 < smallest / 4.0
+        for f, cutoff in ((math.sin, 5.043309371656655e-12),
+                          (lambda x: 1.0, 0.0)):
+            result = cpv_general(f, 0.0, -4.0, 4.0, method="cutoff",
+                                 mu=smallest)
+            assert result.budget.cutoff == cutoff
+            assert result.converged
+        with pytest.raises(ValueError, match="cutoff mu"):
+            CpvProblem(f=math.sin, tau=0.0, a=-4.0, b=4.0, method="cutoff",
+                       mu=below)
+
     def test_nonfinite_f_at_tau_reports_abscissa(self):
         def f(x):
             return math.nan if x == 0.5 else 1.0
@@ -1059,7 +1085,10 @@ def _unit(f, tau, a=-1.0, b=1.0):
 
 @pytest.mark.parametrize(
     "f,tau,a,b", _INVARIANCE_CASES,
-    ids=[f"{f.__name__}-{tau}" for f, tau, _, _ in _INVARIANCE_CASES],
+    # each integrand as _<name>, math.exp as _exp like the battery's own
+    # functions, so an id does not depend on where the function is defined
+    ids=[f"_{f.__name__.lstrip('_')}-{tau}"
+         for f, tau, _, _ in _INVARIANCE_CASES],
 )
 class TestInvariance:
     """Changes of a problem whose answer is known exactly from the original.

@@ -1,5 +1,6 @@
 """Tests for the composite-Gauss bound observation machinery."""
 
+import dataclasses
 import hashlib
 import io
 import math
@@ -360,6 +361,12 @@ class TestSweep:
             (m, n) for m in (2, 3, 4) for n in (1, 2, 3)
         }
         assert all(c.trials == 3 for c in report.cells)
+
+    def test_trials_per_cell_is_read_off_the_cells(self):
+        report = sweep(range(2, 5), range(1, 4), 5, seed=2)
+        assert [f.name for f in dataclasses.fields(report)] == ["cells"]
+        for cell in report.cells:
+            assert report.trials_per_cell == cell.trials == 5
 
     def test_deterministic(self):
         a = sweep(range(2, 5), range(1, 4), 6, seed=11)
