@@ -39,6 +39,7 @@ from typing import NamedTuple
 from .error_model import (
     EPS,
     ErrorBudget,
+    _require_usable_cutoff,
     derivative_estimates,
     endpoint_distance,
     json_number,
@@ -67,11 +68,11 @@ __all__ = [
 class _ProblemFields(NamedTuple):
     f: Integrand
     tau: float
-    a: float = -1.0
-    b: float = 1.0
-    tol: float = 1e-12
-    method: str = "open"
-    mu: float = EPS
+    a: float
+    b: float
+    tol: float
+    method: str
+    mu: float
 
 
 class CpvProblem(_ProblemFields):
@@ -89,9 +90,12 @@ class CpvProblem(_ProblemFields):
     # _replace copies through _make, which would skip the checks of __new__
     _make = classmethod(lambda cls, it: cls(*it))
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        _, tau, a, b, tol, method, mu = self
+    def __new__(cls, f: Integrand, tau: float, a: float = -1.0,
+                b: float = 1.0, tol: float = 1e-12, method: str = "open",
+                mu: float = EPS):
+        # tuple.__new__ skips the generated __new__, which would only bind
+        # the same arguments again
+        self = tuple.__new__(cls, (f, tau, a, b, tol, method, mu))
         if not 0.0 < b - a < math.inf:
             if math.isfinite(a) and math.isfinite(b) and a < b:
                 raise ValueError(
@@ -107,14 +111,8 @@ class CpvProblem(_ProblemFields):
         if method not in ("open", "cutoff"):
             raise ValueError(f"method must be 'open' or 'cutoff', got {method!r}")
         if method == "cutoff":
-            delta = endpoint_distance(tau, a, b)
-            # the budget takes log(1 / (mu / h)), h = (b - a) / 2, and that
-            # reciprocal overflows where mu / h is at most 2**-1024
-            if not (0.0 < mu <= delta and mu / (0.5 * (b - a)) > 2.0**-1024):
-                raise ValueError(
-                    f"cutoff mu must lie in (0, {delta!r}] and exceed "
-                    f"2**-1024 times (b - a) / 2, got {mu!r}"
-                )
+            _require_usable_cutoff(mu, endpoint_distance(tau, a, b),
+                                   0.5 * (b - a))
         return self
 
 
@@ -231,10 +229,13 @@ def cpv_standard(problem: CpvProblem) -> CpvResult:
     deriv = derivative_estimates(f, tau, delta, f_tau, a, b)
     floor = total_error_estimate(deriv, f_tau, tau, method, mu, a, b)
     if jump_at_tau(f, deriv, f_tau, tau):
-        budget = ErrorBudget(math.inf, math.inf, math.inf, *floor[3:])
+        # the records check nothing, so tuple.__new__ builds them directly
+        budget = tuple.__new__(ErrorBudget,
+                               (math.inf, math.inf, math.inf, *floor[3:]))
         jump = "discontinuous_at_tau"
-        return CpvResult(math.nan, budget, 0, False,
-                         StopReasons(jump, jump, jump))
+        return tuple.__new__(CpvResult, (
+            math.nan, budget, 0, False,
+            tuple.__new__(StopReasons, (jump, jump, jump))))
     _, _, _, roundoff, log_sensitivity, curvature, cutoff = floor
     raised = _FLOOR_FACTOR * (roundoff + log_sensitivity + curvature + cutoff)
     quad_tol = max(tol, raised) if math.isfinite(raised) else tol
@@ -269,10 +270,10 @@ def cpv_standard(problem: CpvProblem) -> CpvResult:
     converged = reason == "tolerance"
     if converged and quad_left + quad_right + quad_h > tol:
         reason = "floor"
-    return CpvResult(
+    return tuple.__new__(CpvResult, (
         value,
-        ErrorBudget(quad_left, quad_right, quad_h, roundoff, log_sensitivity,
-                    curvature, cutoff),
+        tuple.__new__(ErrorBudget, (quad_left, quad_right, quad_h, roundoff,
+                                    log_sensitivity, curvature, cutoff)),
         evaluations[0] + evaluations[1] + evaluations[2],
         # a budget that overflowed bounds nothing; ErrorBudget.total, inline
         converged and math.isfinite(
@@ -280,10 +281,10 @@ def cpv_standard(problem: CpvProblem) -> CpvResult:
             + curvature + cutoff
         ),
         _AT_TOLERANCE if reason == "tolerance" else
-        StopReasons(reason if left else "tolerance",
-                    reason if right else "tolerance",
-                    reason if near else "tolerance"),
-    )
+        tuple.__new__(StopReasons, (reason if left else "tolerance",
+                                    reason if right else "tolerance",
+                                    reason if near else "tolerance")),
+    ))
 
 
 def cpv_general(

@@ -83,14 +83,17 @@ class ErrorBudget(NamedTuple):
 
     @property
     def total(self) -> float:
+        # left to right in field order; a compensated sum would move bits
+        (quad_left, quad_right, quad_h, roundoff, log_sensitivity,
+         curvature_sensitivity, cutoff) = self
         return (
-            self.quad_left
-            + self.quad_right
-            + self.quad_h
-            + self.roundoff
-            + self.log_sensitivity
-            + self.curvature_sensitivity
-            + self.cutoff
+            quad_left
+            + quad_right
+            + quad_h
+            + roundoff
+            + log_sensitivity
+            + curvature_sensitivity
+            + cutoff
         )
 
     def as_json_dict(self) -> dict[str, Optional[float]]:
@@ -115,6 +118,20 @@ def _require_positive(name: str, v: float) -> None:
 def _require_nonnegative(name: str, v: float) -> None:
     if not (math.isfinite(v) and v >= 0.0):
         raise ValueError(f"{name} must be nonnegative and finite, got {v!r}")
+
+
+def _require_usable_cutoff(mu: float, delta: float, half: float) -> None:
+    """Refuse a cutoff `mu` outside (0, delta] or too small for the budget.
+
+    `delta` is the distance from tau to the nearer endpoint and `half` the
+    half-width (b - a) / 2.  The budget takes log(1 / (mu / half)), and that
+    reciprocal overflows where mu / half is at most 2**-1024.
+    """
+    if not (0.0 < mu <= delta and mu / half > 2.0**-1024):
+        raise ValueError(
+            f"cutoff mu must lie in (0, {delta!r}] and exceed "
+            f"2**-1024 times (b - a) / 2, got {mu!r}"
+        )
 
 
 def endpoint_distance(tau: float, a: float = -1.0, b: float = 1.0) -> float:
@@ -221,7 +238,8 @@ def derivative_estimates(
             f"[{a!r}, {b!r}] for a derivative stencil"
         )
     f1, f2 = _stencil(f, tau, step, f_tau)
-    return DerivativeEstimates(f1, f2, step)
+    # tuple.__new__ skips the generated __new__; the record checks nothing
+    return tuple.__new__(DerivativeEstimates, (f1, f2, step))
 
 
 def _pair_looks_like_jump(
@@ -336,8 +354,10 @@ def total_error_estimate(
     and has the same form on every interval.
     Under ``method="cutoff"`` the cutoff budget for `mu`, a distance in the
     units of x, is added on the scale of the interval; under "open" it is
-    zero.  A derivative estimate that overflowed makes the terms built on it
-    infinite rather than raising.
+    zero.  A cutoff `mu` that :class:`~cpvquad.cpv.CpvProblem` refuses, one
+    outside (0, delta] or at most 2**-1024 times (b - a)/2, is refused here
+    with the same ``ValueError``, naming `mu`.  A derivative estimate that
+    overflowed makes the terms built on it infinite rather than raising.
     """
     f1, f2, _ = deriv
     if not a < tau < b:
@@ -350,11 +370,12 @@ def total_error_estimate(
     if method == "open":
         cutoff = 0.0
     elif method == "cutoff":
+        _require_usable_cutoff(mu, min(tau - a, b - tau), half)
         d1 = half * slope
         cutoff = cutoff_budget(mu / half, d1) if math.isfinite(d1) else math.inf
     else:
         raise ValueError(f"method must be 'open' or 'cutoff', got {method!r}")
-    return ErrorBudget(
+    return tuple.__new__(ErrorBudget, (
         0.0,
         0.0,
         0.0,
@@ -363,4 +384,4 @@ def total_error_estimate(
         (_CURVATURE_FACTOR * EPS * abs(tau) * math.sqrt(abs(f2))
          if math.isfinite(f2) else math.inf),
         cutoff,
-    )
+    ))

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import pickle
 import random
 
 import mpmath as mp
@@ -11,12 +12,17 @@ from hypothesis import example, given, settings, strategies as st
 from cpvquad import cpv as cpv_module
 from cpvquad.cpv import (
     CpvProblem,
+    CpvResult,
     QuotientOverflowError,
+    StopReasons,
     cpv_general,
     cpv_standard,
 )
 from cpvquad.benchmarks import builtin_problems
 from cpvquad.error_model import (
+    EPS,
+    DerivativeEstimates,
+    ErrorBudget,
     _pair_looks_like_jump,
     derivative_estimates,
     endpoint_distance,
@@ -335,6 +341,12 @@ class TestProblemValidation:
         assert abs(result.value - 1.0) <= result.error_estimate <= 1e-15
 
 
+def _battery(name: str) -> dict:
+    """The problem of the battery case `name` at the battery's tol."""
+    case = next(c for c in builtin_problems() if c.name == name)
+    return dict(f=case.integrand, tau=case.tau, tol=1e-12)
+
+
 #: One record of each kind and a change of one field.  The problem is the
 #: one record that checks its fields, and its check refuses the change; the
 #: rules are checked once, by their builders.
@@ -360,6 +372,113 @@ def test_fields_refuse_assignment(record, change):
     [(name, value)] = change.items()
     with pytest.raises(AttributeError):
         setattr(record, name, value)
+
+
+def _assert_ordinary_record(record, built):
+    """`record`, built through tuple.__new__, behaves as `built`, the same
+    fields through the record's own constructor."""
+    cls = type(built)
+    assert type(record) is cls
+    assert record == built
+    assert repr(record) == repr(built)
+    assert repr(record).startswith(cls.__name__ + "(")
+    assert record._asdict() == dict(zip(cls._fields, built))
+    field = cls._fields[-1]
+    changed = record._replace(**{field: "changed"})
+    assert type(changed) is cls
+    assert changed[:-1] == built[:-1] and changed[-1] == "changed"
+    # a NaN value unpickles as a new object, which equality would refuse
+    restored = pickle.loads(pickle.dumps(record))
+    assert type(restored) is cls
+    assert repr(restored) == repr(record)
+
+
+class TestRecordsBuiltAsTuples:
+    """The solver builds its results, budgets and stop reasons, and the
+    prologue its stencil, with tuple.__new__; they are the same records as
+    their constructors give."""
+
+    @pytest.mark.parametrize("problem,reason,finite", [
+        (dict(f=math.exp, tau=0.5), "tolerance", True),
+        (dict(_battery("case8"), tol=1e-14), "floor", True),
+        (dict(f=lambda x: 1.0 if x >= 0.3 else 0.0, tau=0.3),
+         "discontinuous_at_tau", False),
+        (dict(f=lambda x: 1e308 * x * x, tau=0.1), "tolerance", False),
+        (dict(f=math.exp, tau=0.5, method="cutoff", mu=1e-6), "tolerance",
+         True),
+    ], ids=["tolerance", "floor", "jump", "infinite-budget", "cutoff"])
+    def test_results_are_ordinary_records(self, problem, reason, finite):
+        result = cpv_standard(CpvProblem(**problem))
+        assert reason in result.stop_reasons
+        assert math.isfinite(result.error_estimate) is finite
+        _assert_ordinary_record(result, CpvResult(*result))
+        _assert_ordinary_record(result.budget, ErrorBudget(*result.budget))
+        _assert_ordinary_record(result.stop_reasons,
+                                StopReasons(*result.stop_reasons))
+
+    def test_derivative_estimates_are_ordinary_records(self):
+        deriv = derivative_estimates(math.exp, 0.5, 0.5, math.exp(0.5))
+        _assert_ordinary_record(deriv, DerivativeEstimates(*deriv))
+        floor = total_error_estimate(deriv, math.exp(0.5), 0.5)
+        _assert_ordinary_record(floor, ErrorBudget(*floor))
+
+
+class TestProblemConstruction:
+    FIELDS = (math.sin, 0.25, -2.0, 3.0, 1e-10, "cutoff", 1e-6)
+
+    def test_positional_keyword_and_mixed_builds_agree(self):
+        keywords = dict(zip(CpvProblem._fields, self.FIELDS))
+        built = [
+            CpvProblem(*self.FIELDS),
+            CpvProblem(**keywords),
+            CpvProblem(math.sin, 0.25, -2.0, b=3.0, tol=1e-10,
+                       method="cutoff", mu=1e-6),
+            CpvProblem._make(self.FIELDS),
+        ]
+        for problem in built:
+            assert type(problem) is CpvProblem
+            assert problem == self.FIELDS
+            assert problem._asdict() == keywords
+
+    def test_defaults(self):
+        problem = CpvProblem(math.sin, 0.25)
+        assert problem == (math.sin, 0.25, -1.0, 1.0, 1e-12, "open", EPS)
+        assert CpvProblem(f=math.sin, tau=0.25, mu=1e-6) == problem._replace(
+            mu=1e-6)
+
+    @pytest.mark.parametrize("args,kwargs", [
+        ((math.sin,), {}),
+        ((), dict(tau=0.25)),
+        ((math.sin, 0.25), dict(eps=1e-16)),
+        ((math.sin, 0.25), dict(tau=0.5)),
+        ((math.sin, 0.25, -1.0, 1.0, 1e-12, "open", EPS, 0.0), {}),
+    ], ids=["no-tau", "no-f", "unknown", "tau-twice", "too-many"])
+    def test_missing_or_unknown_argument_is_a_type_error(self, args, kwargs):
+        with pytest.raises(TypeError):
+            CpvProblem(*args, **kwargs)
+
+    def test_pickle_round_trip(self):
+        problem = CpvProblem(*self.FIELDS)
+        restored = pickle.loads(pickle.dumps(problem))
+        assert type(restored) is CpvProblem
+        assert restored == problem
+
+    @pytest.mark.parametrize("change", [
+        dict(tau=5.0), dict(tol=0.0), dict(method="closed"), dict(mu=3.0),
+    ], ids=["tau", "tol", "method", "mu"])
+    def test_unpickling_checks_again(self, change):
+        fields = {**dict(zip(CpvProblem._fields, self.FIELDS)), **change}
+        with pytest.raises(ValueError) as built:
+            CpvProblem(**fields)
+        # a record that skipped the checks, as a corrupted pickle would hold
+        unchecked = tuple.__new__(CpvProblem, fields.values())
+        data = pickle.dumps(unchecked)
+        with pytest.raises(ValueError) as unpickled:
+            pickle.loads(data)
+        assert str(unpickled.value) == str(built.value)
+        with pytest.raises(ValueError) as made:
+            CpvProblem._make(unchecked)
+        assert str(made.value) == str(built.value)
 
 
 class TestStandardAccuracy:
@@ -430,12 +549,6 @@ class TestFirstApplicationPinned:
         assert result.converged
         assert result.value.hex() == value
         assert result.error_estimate.hex() == estimate
-
-
-def _battery(name: str) -> dict:
-    """The problem of the battery case `name` at the battery's tol."""
-    case = next(c for c in builtin_problems() if c.name == name)
-    return dict(f=case.integrand, tau=case.tau, tol=1e-12)
 
 
 #: Hex bits of the value and the seven budget terms, in field order, then

@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from cpvquad.cpv import CpvProblem
 from cpvquad.error_model import (
     EPS,
     DerivativeEstimates,
@@ -455,6 +456,34 @@ class TestTotalErrorEstimate:
         with pytest.raises(ValueError):
             total_error_estimate(deriv, 1.0, 0.5, method="none")
 
+    @pytest.mark.parametrize("mu", [1e-310, 5e-324],
+                             ids=["reciprocal-overflows", "underflows"])
+    @pytest.mark.parametrize("f", [math.sin, lambda x: 1.0],
+                             ids=["sin", "constant"])
+    def test_refuses_the_cutoff_the_problem_refuses(self, f, mu):
+        # h = 4 on [-4, 4]: 1 / (mu / h) overflows at 1e-310, which gave an
+        # infinite term for sin and a NaN one for a constant, and mu / h
+        # underflows to 0 at 5e-324, which the budget refused as 0.0
+        deriv = derivative_estimates(f, 0.0, 4.0, f(0.0), -4.0, 4.0)
+        with pytest.raises(ValueError) as direct:
+            total_error_estimate(deriv, f(0.0), 0.0, "cutoff", mu, -4.0, 4.0)
+        assert str(direct.value).endswith(f"got {mu!r}")
+        with pytest.raises(ValueError) as problem:
+            CpvProblem(f, 0.0, -4.0, 4.0, method="cutoff", mu=mu)
+        assert str(direct.value) == str(problem.value)
+
+    def test_refuses_a_cutoff_beyond_delta(self):
+        deriv = DerivativeEstimates(1.0, 0.0, 1e-4)
+        with pytest.raises(ValueError, match=r"^cutoff mu must lie in "
+                                             r"\(0, 0\.5\]"):
+            total_error_estimate(deriv, 1.0, 0.5, method="cutoff", mu=0.6)
+
+    def test_open_method_ignores_mu(self):
+        deriv = DerivativeEstimates(1.0, 0.0, 1e-4)
+        budget = total_error_estimate(deriv, 1.0, 0.5, method="open",
+                                      mu=5e-324)
+        assert budget.cutoff == 0.0
+
     def test_budget_total_is_field_sum(self):
         budget = ErrorBudget(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0)
         assert budget.total == 28.0
@@ -467,6 +496,19 @@ class TestTotalErrorEstimate:
         budget = ErrorBudget(1.0, 2**-53, 2**-53, 0.0, 0.0, 0.0, 0.0)
         assert budget.total == 1.0
         assert math.fsum(budget) == 1.0 + 2**-52
+
+    @given(st.lists(st.floats(), min_size=7, max_size=7))
+    def test_budget_total_is_the_left_to_right_sum_bit_for_bit(self, terms):
+        # st.floats() draws signed zeros, infinities and NaN
+        expected = terms[0]
+        for term in terms[1:]:
+            expected = expected + term
+        for budget in (ErrorBudget(*terms),
+                       tuple.__new__(ErrorBudget, terms)):
+            if math.isnan(expected):
+                assert math.isnan(budget.total)
+            else:
+                assert budget.total.hex() == expected.hex()
 
     def test_as_dict_lists_every_term_in_field_order(self):
         budget = ErrorBudget(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0)
