@@ -10,18 +10,25 @@ is still printed; a near-endpoint singularity, for example, carries an
 honest error floor far above any requested tolerance, and the caller
 decides what to do with it.  A jump of f at tau prints a NaN value with an
 infinite estimate (null in --json) and exits 1.
+
+A well-formed ``integrate`` call, each flag by its full name as
+``--name=value``, ``--name value`` or a bare ``--json``, is read by
+:func:`_read_integrate` without argparse.  Every other call, among them
+help, ``--version``, an abbreviated or unknown flag, a missing or bad
+value, ``--``, ``bench`` and ``observation``, goes to argparse, which
+reads or refuses it as it always has; argparse is imported only then.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import functools
 import json
 import os
 import re
 import sys
-from typing import Optional, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import __version__
 from .cpv import CpvProblem, CpvResult, cpv_standard
@@ -31,12 +38,40 @@ from .error_model import EPS
 from .expressions import _NUMBER, ParseError, compile_expression
 from .quadrature import NonfiniteIntegrandError
 
+if TYPE_CHECKING:
+    import argparse
+
 __all__ = ["main"]
 
 #: One encoder for every printed result, where ``json.dumps(...,
 #: allow_nan=False)`` would build one per call; a result's JSON form holds
 #: no NaN or infinity.
 _JSON = json.JSONEncoder(allow_nan=False)
+
+#: ``integrate``'s flags by name, as the keywords of argparse's
+#: ``add_argument``; its parser and :func:`_read_integrate` both read them.
+_INTEGRATE_FLAGS = {
+    "f": dict(required=True, metavar="EXPR",
+              help="integrand, e.g. 'exp(-x^2)*sin(10*x)'"),
+    "tau": dict(required=True, type=float,
+                help="singularity location, strictly inside (a, b)"),
+    "a": dict(type=float, default=-1.0, help="lower endpoint (default -1)"),
+    "b": dict(type=float, default=1.0, help="upper endpoint (default 1)"),
+    "tol": dict(type=float, default=1e-12,
+                help="requested tolerance (default 1e-12)"),
+    "method": dict(choices=("open", "cutoff"), default="open",
+                   help="treatment of the symmetric quotient near 0"),
+    "mu": dict(type=float, default=EPS,
+               help="cutoff radius for --method cutoff, in the units "
+                    "of x (default: the rounding unit)"),
+    "json": dict(action="store_true", default=False,
+                 help="print a JSON object instead of plain lines"),
+}
+
+#: argparse takes only -\d+ and -\d*\.\d+ for a negative number, and any
+#: other word that begins with "-", such as -1e-3, for a flag; every parser
+#: and :func:`_read_integrate` take the expression language's numbers.
+_NEGATIVE_NUMBER = re.compile(rf"^-{_NUMBER}$")
 
 
 @functools.lru_cache(maxsize=1)
@@ -48,6 +83,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
     Parsing leaves no state in them: each call returns a fresh namespace,
     whose `run` is the command's function.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="cpvquad",
         description="Cauchy principal value integrals of f(x)/(x - tau).",
@@ -69,23 +106,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
             "'discontinuous_at_tau'); the result is still printed."
         ),
     )
-    p_int.add_argument("--f", required=True, metavar="EXPR",
-                       help="integrand, e.g. 'exp(-x^2)*sin(10*x)'")
-    p_int.add_argument("--tau", required=True, type=float,
-                       help="singularity location, strictly inside (a, b)")
-    p_int.add_argument("--a", type=float, default=-1.0,
-                       help="lower endpoint (default -1)")
-    p_int.add_argument("--b", type=float, default=1.0,
-                       help="upper endpoint (default 1)")
-    p_int.add_argument("--tol", type=float, default=1e-12,
-                       help="requested tolerance (default 1e-12)")
-    p_int.add_argument("--method", choices=("open", "cutoff"), default="open",
-                       help="treatment of the symmetric quotient near 0")
-    p_int.add_argument("--mu", type=float, default=EPS,
-                       help="cutoff radius for --method cutoff, in the units "
-                            "of x (default: the rounding unit)")
-    p_int.add_argument("--json", action="store_true",
-                       help="print a JSON object instead of plain lines")
+    for name, spec in _INTEGRATE_FLAGS.items():
+        p_int.add_argument(f"--{name}", **spec)
     p_int.set_defaults(run=_cmd_integrate)
 
     p_bench = sub.add_parser(
@@ -122,12 +144,57 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
     p_obs.add_argument("--seed", type=int, default=0, help="sweep seed")
     p_obs.add_argument("--csv", metavar="PATH", help="write all cells as CSV")
     p_obs.set_defaults(run=_cmd_observation)
-    # argparse takes only -\d+ and -\d*\.\d+ for a negative number, and
-    # any other word that begins with "-", such as -1e-3, for a flag
-    negative_number = re.compile(rf"^-{_NUMBER}$")
     for each in (parser, *sub.choices.values()):
-        each._negative_number_matcher = negative_number
+        each._negative_number_matcher = _NEGATIVE_NUMBER
     return parser, sub.choices
+
+
+def _read_integrate(argv: list[str]) -> Optional[SimpleNamespace]:
+    """``integrate``'s flags read without argparse, to the namespace that
+    argparse would make of them, or None to leave `argv` to argparse.
+
+    Read are the flags of `_INTEGRATE_FLAGS` by their full names: a valued
+    one as ``--name=value`` or ``--name value``, where a value that begins
+    with "-" must be a negative number, and ``--json`` bare; a repeated
+    flag's last value wins, and each value must convert and lie in its
+    choices.  Anything else returns None: help, an abbreviation, an unknown
+    flag or a word that is none, ``--`` as a word or as a value, a missing
+    or unusable value, a missing required flag.
+    """
+    args = {}
+    words = iter(argv)
+    for word in words:
+        flag, eq, value = word.partition("=")
+        name = flag[2:]
+        spec = _INTEGRATE_FLAGS.get(name) if flag[:2] == "--" else None
+        if spec is None:
+            return None
+        if "action" in spec:  # --json
+            if eq:
+                return None
+            value = True
+        else:
+            if not eq:
+                value = next(words, None)
+                if value is None or (value[:1] == "-"
+                                     and not _NEGATIVE_NUMBER.match(value)):
+                    return None
+            elif value == "--":  # argparse drops it and stores []
+                return None
+            if "type" in spec:
+                try:
+                    value = spec["type"](value)
+                except ValueError:
+                    return None
+            if "choices" in spec and value not in spec["choices"]:
+                return None
+        args[name] = value
+    for name, spec in _INTEGRATE_FLAGS.items():
+        if name not in args:
+            if "default" not in spec:  # required
+                return None
+            args[name] = spec["default"]
+    return SimpleNamespace(run=_cmd_integrate, **args)
 
 
 def _print_result(result: CpvResult, as_json: bool) -> None:
@@ -278,17 +345,20 @@ def _cmd_observation(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser, commands = _build_parser()
-    # A named command goes straight to its own parser, which reads the
-    # same flags the top-level parser would hand it at twice the cost.
-    # --version, -h and a missing or unknown command stay with the
-    # top-level parser.
-    command = commands.get(argv[0]) if argv else None
-    try:
-        args = (parser.parse_args(argv) if command is None
-                else command.parse_args(argv[1:]))
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    args = (_read_integrate(argv[1:]) if argv[:1] == ["integrate"]
+            else None)
+    if args is None:
+        parser, commands = _build_parser()
+        # A named command goes straight to its own parser, which reads the
+        # same flags the top-level parser would hand it at twice the cost.
+        # --version, -h and a missing or unknown command stay with the
+        # top-level parser.
+        command = commands.get(argv[0]) if argv else None
+        try:
+            args = (parser.parse_args(argv) if command is None
+                    else command.parse_args(argv[1:]))
+        except SystemExit as exc:
+            return int(exc.code or 0)
     return args.run(args)
 
 

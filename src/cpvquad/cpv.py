@@ -115,6 +115,10 @@ class CpvProblem(_ProblemFields):
                                    0.5 * (b - a))
         return self
 
+    def __reduce__(self):
+        # pickle protocols 0 and 1 would rebuild the tuple without __new__
+        return type(self), tuple(self)
+
 
 class StopReasons(NamedTuple):
     """Why each quadrature piece stopped, named like the budget's terms.

@@ -1,5 +1,7 @@
 """End-to-end tests of the command line interface via main(argv)."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import cpvquad
 import cpvquad.benchmarks
@@ -649,8 +652,9 @@ class TestOneParse:
 
 
 class TestStartup:
-    """What a command-line call loads: no numpy, no mpmath, and none of the
-    modules the dataclasses machinery imports."""
+    """What a command-line call loads: no numpy, no mpmath, no argparse for
+    a well-formed integrate, and none of the modules the dataclasses
+    machinery imports."""
 
     SETUP = (
         "import sys; sys.path.insert(0, sys.argv[1]); "
@@ -658,8 +662,8 @@ class TestStartup:
         "cpvquad.kronrod_pair_g7k15(); cpvquad.benchmarks.reference_values(); "
         "status = cpvquad.cli.main("
         "['integrate', '--f', 'exp(x)', '--tau', '0.5', '--json']); "
-        "print(status, sorted({'numpy', 'mpmath', 'dataclasses', 'inspect'} "
-        "& set(sys.modules)))"
+        "print(status, sorted({'numpy', 'mpmath', 'dataclasses', 'inspect', "
+        "'argparse'} & set(sys.modules)))"
     )
 
     def test_setup_and_integrate_leave_numpy_unloaded(self):
@@ -681,3 +685,141 @@ class TestStartup:
         assert code == 0
         assert "max ratio" in capsys.readouterr().out
 
+
+
+def _argparse_reads(argv):
+    """vars() of the namespace integrate's argparse parser makes of `argv`,
+    or None where it exits."""
+    _, commands = cli._build_parser()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(commands["integrate"].parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _same(x, y):
+    return x == y or (isinstance(x, float) and isinstance(y, float)
+                      and math.isnan(x) and math.isnan(y))
+
+
+_FLAGS = ["--f", "--tau", "--a", "--b", "--tol", "--method", "--mu"]
+_NUMBERS = ["0.5", "-0.41", "-1e-3", "-.5", "-2.5E+2", "1e-10", "-1", "0",
+            "inf", "nan", "1e999"]
+_VALUES = _NUMBERS + ["-inf", "x", "-x", "-2 * x", "exp(x)", "open",
+                      "cutoff", "closed", "", "-", "--", "-h", "--json"]
+_WORDS = ["--json", "--json=1", "--json=", "-h", "--help", "--", "--ta",
+          "--js", "--t", "--m", "--fx", "--eps", "---f", "-f", "extra"]
+
+
+def _flag_and_value(flags, values):
+    """[flag, value] or [flag=value]."""
+    pair = st.tuples(st.sampled_from(flags), st.sampled_from(values))
+    return pair.map(list) | pair.map(lambda fv: ["=".join(fv)])
+
+
+class TestFlagReader:
+    """integrate's flags read without argparse: wherever the reader returns
+    a namespace it is argparse's, and wherever argparse exits the reader
+    declines."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.sampled_from([[], ["--f=x", "--tau=0.5"],
+                         ["--f", "exp(x)", "--tau", "-0.41"]]),
+        # mostly flags argparse reads, so that most calls are read
+        st.lists(st.one_of(
+            *[_flag_and_value(["--f", "--tau", "--a", "--b", "--tol", "--mu"],
+                              _NUMBERS)] * 4,
+            _flag_and_value(["--method"], ["open", "cutoff"]),
+            _flag_and_value(_FLAGS + ["--json", "--ta", "--t"], _VALUES),
+            st.sampled_from(_WORDS + _VALUES).map(lambda word: [word]),
+        ), max_size=5),
+    )
+    @example([], [["--tau", "nan"], ["--f", "-2 * x"]])
+    @example(["--f=x", "--tau=0.5"], [["--a", "-inf"]])
+    @example(["--tau", "-1e-3"], [["--f", "-x"]])
+    @example(["--f=x", "--tau=0.5"], [["--f=--"]])
+    @example(["--f=x", "--tau=0.5"], [["--tau=x"], ["--tau", "0.1"]])
+    def test_reader_agrees_with_argparse(self, head, items):
+        argv = head + [word for item in items for word in item]
+        ours = cli._read_integrate(argv)
+        theirs = _argparse_reads(argv)
+        if theirs is None:
+            assert ours is None
+        if ours is not None:
+            ours = vars(ours)
+            assert ours.keys() == theirs.keys()
+            assert all(_same(ours[key], theirs[key]) for key in ours), (
+                ours, theirs)
+
+    @pytest.mark.parametrize("argv", [
+        argv[2:] for argv in readme_commands("integrate")] + [
+        ["--f=exp(x)", "--tau=-1e-3", "--a", "-2.5E+2", "--json", "--json"],
+        ["--tau", "0.1", "--f", "x", "--tau", "-.5", "--method=cutoff"],
+    ], ids=" ".join)
+    def test_well_formed_calls_are_read(self, argv):
+        ours = cli._read_integrate(argv)
+        assert ours is not None
+        assert vars(ours) == _argparse_reads(argv)
+
+
+class TestWithoutArgparse:
+    """A well-formed integrate runs with argparse unimportable, and prints
+    what the argparse-read call prints; help and usage errors still come
+    from argparse."""
+
+    ARGV = [argv[1:] for argv in readme_commands("integrate")] + [
+        ["integrate", "--f", "exp(x)", "--json", "--tau", "-1e-3"],
+        ["integrate", "--f", "exp(x)", "--tau", "-1", "--a", "-2.5E+2"],
+    ]
+
+    SCRIPT = (
+        "import contextlib, io, json, sys; sys.path.insert(0, sys.argv[1]); "
+        "sys.modules['argparse'] = None; "
+        "from cpvquad.cli import main; runs = []\n"
+        "for argv in json.loads(sys.argv[2]):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        runs.append([main(argv), out.getvalue()])\n"
+        "print(json.dumps(runs))"
+    )
+
+    @staticmethod
+    def _run(*args, **kwargs):
+        return subprocess.run([sys.executable, *args], capture_output=True,
+                              text=True, timeout=60, **kwargs)
+
+    def test_readme_calls_print_their_usual_output(self, capsys):
+        src = str(Path(cpvquad.__file__).resolve().parents[1])
+        done = self._run("-c", self.SCRIPT, src, json.dumps(self.ARGV))
+        assert done.returncode == 0, done.stderr
+        _, commands = cli._build_parser()
+        usual = []
+        for argv in self.ARGV:
+            args = commands["integrate"].parse_args(argv[1:])
+            usual.append([args.run(args), capsys.readouterr().out])
+        assert json.loads(done.stdout) == usual
+
+    @pytest.mark.parametrize("argv, status", [
+        (["--help"], 0),
+        (["integrate", "--help"], 0),
+        (["integrate", "--f", "exp(x)"], 2),
+    ], ids=["help", "integrate-help", "missing-tau"])
+    def test_help_and_usage_errors_are_argparse_s(self, monkeypatch, argv,
+                                                  status):
+        monkeypatch.setenv("COLUMNS", "80")
+        src = str(Path(cpvquad.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = self._run("-m", "cpvquad.cli", *argv, env=env)
+        parser, commands = cli._build_parser()
+        parser = commands.get(argv[0], parser)
+        assert done.returncode == status
+        if status == 0:
+            assert (done.stdout, done.stderr) == (parser.format_help(), "")
+        else:
+            assert done.stdout == ""
+            assert done.stderr == (
+                parser.format_usage() + "cpvquad integrate: error: the "
+                "following arguments are required: --tau\n")

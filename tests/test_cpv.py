@@ -480,6 +480,21 @@ class TestProblemConstruction:
             CpvProblem._make(unchecked)
         assert str(made.value) == str(built.value)
 
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_every_pickle_protocol_checks_again(self, protocol):
+        problem = CpvProblem(*self.FIELDS)
+        restored = pickle.loads(pickle.dumps(problem, protocol))
+        assert type(restored) is CpvProblem
+        assert restored == problem
+        fields = dict(zip(CpvProblem._fields, self.FIELDS), tau=5.0)
+        with pytest.raises(ValueError) as built:
+            CpvProblem(**fields)
+        data = pickle.dumps(tuple.__new__(CpvProblem, fields.values()),
+                            protocol)
+        with pytest.raises(ValueError) as unpickled:
+            pickle.loads(data)
+        assert str(unpickled.value) == str(built.value)
+
 
 class TestStandardAccuracy:
     @pytest.mark.parametrize("tau", [-0.9, -0.5, 0.0, 0.5, 0.9])
