@@ -179,7 +179,7 @@ def _read_integrate(argv: list[str]) -> Optional[SimpleNamespace]:
                 if value is None or (value[:1] == "-"
                                      and not _NEGATIVE_NUMBER.match(value)):
                     return None
-            elif value == "--":  # argparse drops it and stores []
+            elif value == "--":  # argparse refuses it
                 return None
             if "type" in spec:
                 try:
@@ -357,6 +357,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         try:
             args = (parser.parse_args(argv) if command is None
                     else command.parse_args(argv[1:]))
+            # argparse drops "--" given as --name=-- and stores [] for it
+            for name, value in vars(args).items():
+                if value == []:
+                    flag = name.replace("_", "-")
+                    (command or parser).error(
+                        f"argument --{flag}: expected one argument")
         except SystemExit as exc:
             return int(exc.code or 0)
     return args.run(args)

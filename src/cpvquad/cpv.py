@@ -11,9 +11,10 @@ the remaining near-singular behaviour into quotients that stay finite:
 with delta = min(tau-a, b-tau), the distance from tau to the nearer
 endpoint.  The region within delta of tau is covered by the third, symmetric
 integral, whose integrand tends to 2 f'(tau) at 0, so no quadrature node
-ever sees the singularity.  Each piece goes through the adaptive
-Gauss-Kronrod engine, and the result carries an error budget combining the
-achieved quadrature estimates with the roundoff floors of the decomposition.
+ever sees the singularity.  The three pieces go through one call of the
+adaptive Gauss-Kronrod engine, :func:`~cpvquad.quadrature.adaptive_integrate`,
+and the result carries an error budget combining the achieved quadrature
+estimates with the roundoff floors of the decomposition.
 
 Those floors depend only on f(tau) and a derivative stencil at tau, so they
 are computed before any quadrature.  The three pieces then share one
@@ -50,10 +51,8 @@ from .quadrature import (
     Integrand,
     NonfiniteIntegrandError,
     QuotientOverflowError,
-    integrate_pieces,
+    adaptive_integrate,
 )
-# unused here, but perfbench/spans.py patches cpv.adaptive_integrate by name
-from .quadrature import adaptive_integrate  # noqa: F401
 
 __all__ = [
     "CpvProblem",
@@ -126,7 +125,7 @@ class StopReasons(NamedTuple):
     The pieces share one priority queue, so every non-empty piece reads why
     it stopped: "tolerance" (the summed quadrature estimate met tol),
     "floor" (it met the tolerance raised by the roundoff floor, above tol),
-    "interval_cap" or "width_floor" (see :func:`integrate_pieces`), or, for
+    "interval_cap" or "width_floor" (see :func:`adaptive_integrate`), or, for
     every piece at once, "discontinuous_at_tau" when f jumps at tau and
     nothing was integrated.  A piece charged by the one-point rule is
     non-empty; an empty piece (the near side, or a far side whose rounded
@@ -217,9 +216,8 @@ def cpv_standard(problem: CpvProblem) -> CpvResult:
     [-1, 1]; it costs no evaluations.  The far piece is integrated only when
     its rounded bounds are ordered; one too narrow for the rule, which tau
     a few ulps off the midpoint leaves, gets the engine's one-point charge
-    (see :func:`integrate_pieces`).  With tau at the
-    midpoint both sides are empty and the result is the symmetric integral
-    alone.
+    (see :func:`adaptive_integrate`).  With tau at the midpoint both sides
+    are empty and the result is the symmetric integral alone.
     A non-finite integrand or quotient is reported at the abscissa x, or at
     the offset from tau for the symmetric quotient.
     """
@@ -256,7 +254,7 @@ def cpv_standard(problem: CpvProblem) -> CpvResult:
     left = a < left_end
     right = right_start < b
     near = lower < delta
-    values, estimates, evaluations, reason = integrate_pieces(
+    values, estimates, evaluations, reason = adaptive_integrate(
         f, (("difference", a, left_end), ("difference", right_start, b),
             ("symmetric", lower, delta)),
         quad_tol, _INTERVALS_PER_PIECE * ((left + right + near) or 1), tau,

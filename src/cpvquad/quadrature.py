@@ -35,8 +35,10 @@ the rules themselves are.  A kernel calls f in ascending node order and
 adds the weighted values in that order, the same arithmetic as a loop over
 the nodes, bit for bit, without the loop.
 
-The adaptive integrator keeps one priority queue over the intervals of one
-or several pieces, as QUADPACK's QAG does for one integral (there is no
+The adaptive integrator, :func:`adaptive_integrate`, is the engine's one
+entry point, for one integral and for the pieces of a principal value
+alike.  It keeps one priority queue over the intervals of all its pieces,
+as QUADPACK's QAG does for one integral (there is no
 extrapolation, as in QAGS), and refines the interval with the largest error
 estimate until the summed estimate meets the tolerance.  It raises the
 degree of an interval that looks resolved and bisects any other, as the
@@ -65,7 +67,6 @@ __all__ = [
     "kronrod_pair_g7k15",
     "kronrod_pair_g10k21",
     "adaptive_integrate",
-    "integrate_pieces",
 ]
 
 Integrand = Callable[[float], float]
@@ -170,26 +171,34 @@ class EmbeddedRulePair(NamedTuple):
 
 
 class AdaptiveResult(NamedTuple):
-    """Outcome of an adaptive integration.
+    """Outcome of an adaptive integration of one or several pieces.
 
-    ``error_estimate`` is the sum of the per-interval estimates over the
-    final partition: |K21 - G10| for an interval the 10/21 pair was last
-    applied to and |K43 - K21| for one extended to the 43-point rule (the
-    midpoint value's magnitude on an [a, b] too narrow for the pair).
-    ``converged`` records whether that sum met the requested tolerance
-    before the interval cap (or the width floor) stopped refinement.
-    ``stop_reason`` says which of the three ended refinement:
-    "tolerance" exactly when ``converged``, otherwise "interval_cap" or
-    "width_floor" (no interval left wide enough to bisect).  The value and
-    estimate are returned either way so the caller can decide what a miss
-    means.
+    ``values``, ``estimates`` and ``piece_evaluations`` hold one entry per
+    piece, 0.0, 0.0 and 0 for an empty one.  A piece's estimate sums those
+    of its intervals in the final partition: |K21 - G10| for an interval
+    the 10/21 pair was last applied to, |K43 - K21| for one extended to the
+    43-point rule, and the midpoint value's magnitude for an [a, b] too
+    narrow for the pair.  ``stop_reason`` says what ended refinement:
+    "tolerance" when the summed estimate met the tolerance, "interval_cap"
+    when the partition reached the cap, else "width_floor" (no interval left
+    wide enough to bisect).  The values and estimates are returned either
+    way so the caller can decide what a miss means.
     """
 
-    value: float
-    error_estimate: float
-    evaluations: int
-    converged: bool
-    stop_reason: str = "tolerance"
+    values: list[float]
+    estimates: list[float]
+    piece_evaluations: list[int]
+    stop_reason: str
+
+    @property
+    def evaluations(self) -> int:
+        """The evaluations of all pieces together."""
+        return sum(self.piece_evaluations)
+
+    @property
+    def converged(self) -> bool:
+        """Whether the summed estimate met the tolerance."""
+        return self.stop_reason == "tolerance"
 
 
 def _legendre(m: int, x: float) -> tuple[float, float]:
@@ -412,13 +421,12 @@ _RESOLVED = 1e-3
 
 
 class _PattersonRules(NamedTuple):
-    """The 10/21 pair, Patterson's 43-point rule, which nests it, the 22
-    nodes the 43-point rule adds, ascending, with their weights in it, and
+    """The 10/21 pair, the 22 nodes that Patterson's 43-point rule adds to
+    it, ascending, with their weights in that rule, and
     ``partial_weights``, its weights of the 21 Kronrod nodes in node order.
     """
 
     pair: EmbeddedRulePair
-    rule: QuadratureRule
     new_nodes: tuple[float, ...]
     new_weights: tuple[float, ...]
     partial_weights: tuple[float, ...]
@@ -434,11 +442,11 @@ def _patterson_extension() -> _PattersonRules:
     degree 64.
     """
     nodes, weights, w21, _ = _mirrored(_QNG_HALF, _QNG_CENTER)
-    rule = _checked_rule(nodes, weights)
+    _checked_rule(nodes, weights)
     _monomial_exactness_check(nodes, weights, 64, "43-point Patterson rule")
     new = [(x, w) for x, w, k in zip(nodes, weights, w21) if k == 0.0]
     return _PattersonRules(
-        kronrod_pair_g10k21(), rule, tuple(x for x, _ in new),
+        kronrod_pair_g10k21(), tuple(x for x, _ in new),
         tuple(w for _, w in new),
         tuple(w for w, k in zip(weights, w21) if k != 0.0),
     )
@@ -721,44 +729,24 @@ def _wider_than(a: float, b: float, ulps: float) -> bool:
 
 def adaptive_integrate(
     f: Integrand,
-    a: float,
-    b: float,
-    tol: float,
-    max_intervals: int = 10_000,
-) -> AdaptiveResult:
-    """Integrate f over [a, b] to an absolute tolerance.
-
-    The one-piece case of :func:`integrate_pieces`: ``converged`` and
-    ``stop_reason`` are its result's.  ``a == b`` gives an exact zero with
-    no evaluations.
-    """
-    values, estimates, evaluations, reason = integrate_pieces(
-        f, (("plain", a, b),), tol, max_intervals
-    )
-    return AdaptiveResult(
-        values[0], estimates[0], evaluations[0], reason == "tolerance", reason
-    )
-
-
-def integrate_pieces(
-    f: Integrand,
     pieces: Sequence[tuple[str, float, float]],
     tol: float,
-    max_intervals: int = 10_000,
-    tau: float = 0.0,
-    f_tau: float = 0.0,
-) -> tuple[list[float], list[float], list[int], str]:
+    max_intervals: int,
+    tau: float,
+    f_tau: float,
+) -> AdaptiveResult:
     """Integrate a sum of pieces to one absolute tolerance on their sum.
 
     Each piece ``(form, a, b)`` integrates over [a, b] f itself ("plain"),
     (f(t) - f_tau) / (t - tau) ("difference") or
     (f(tau + t) - f(tau - t)) / t ("symmetric"); ``a == b`` is an empty
-    piece.  The pieces are walked once: the 10/21 pair is applied to every
-    non-empty piece in piece order, and a piece with an unknown form or bad
-    bounds is refused when the walk reaches it, after f was called on the
-    pieces before it.  Then one priority queue over the intervals of all
-    pieces refines the interval with the largest estimate until the summed
-    estimate drops to ``tol``, the partition of all pieces reaches
+    piece, and ``tau`` and ``f_tau`` must be finite even where no piece
+    reads them.  The pieces are walked once: the 10/21 pair is applied to
+    every non-empty piece in piece order, and a piece with an unknown form
+    or bad bounds is refused when the walk reaches it, after f was called
+    on the pieces before it.  Then one priority queue over the intervals of
+    all pieces refines the interval with the largest estimate until the
+    summed estimate drops to ``tol``, the partition of all pieces reaches
     ``max_intervals`` intervals, or no interval is wide enough to split.
     Ties fall back on insertion order.  A call whose first applications
     meet ``tol`` builds no queue: it returns their values and estimates as
@@ -780,10 +768,9 @@ def integrate_pieces(
     Refinement resumes from that ordered sum when a running sum met ``tol``
     and it did not.
 
-    Returns ``(values, estimates, evaluations, stop_reason)``, the first
-    three per piece (0.0, 0.0 and 0 for an empty piece); ``stop_reason`` is
-    "tolerance" when the summed estimate met ``tol``, "interval_cap" when
-    the partition reached ``max_intervals``, else "width_floor".
+    Returns an :class:`AdaptiveResult`, which unpacks as ``(values,
+    estimates, piece_evaluations, stop_reason)``.  The one-integral call is
+    ``adaptive_integrate(f, (("plain", a, b),), tol, 10_000, 0.0, 0.0)``.
 
     A piece too narrow for the rule's nodes to land strictly inside it gets
     the one-point midpoint rule: (b - a) times the form at the midpoint,
@@ -801,6 +788,10 @@ def integrate_pieces(
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
     if max_intervals < 1:
         raise ValueError("interval cap must be at least 1")
+    if not (math.isfinite(tau) and math.isfinite(f_tau)):
+        raise ValueError(
+            f"tau and f(tau) must be finite, got {tau!r} and {f_tau!r}"
+        )
 
     n = len(pieces)
     kernels = [None] * n
@@ -859,7 +850,9 @@ def integrate_pieces(
     if err_sum <= tol:
         # every piece has one interval, so the ordered sums below would add
         # these terms in this order: no queue is built
-        return values, estimates, evaluations, "tolerance"
+        return tuple.__new__(
+            AdaptiveResult, (values, estimates, evaluations, "tolerance")
+        )
     heapq.heapify(heap)
     seq = len(heap)
     # no bisection lowers a one-point charge
@@ -920,7 +913,7 @@ def integrate_pieces(
         reason = "interval_cap"
     else:
         reason = "width_floor"
-    return values, estimates, evaluations, reason
+    return tuple.__new__(AdaptiveResult, (values, estimates, evaluations, reason))
 
 
 @lru_cache(maxsize=None)

@@ -8,7 +8,7 @@ import operator
 import re
 import shlex
 from pathlib import Path
-from typing import IO, Callable
+from typing import IO, Callable, NamedTuple
 
 import numpy as np
 from hypothesis import strategies as st
@@ -31,7 +31,11 @@ from cpvquad.expressions import (
     Var,
     _node_prec,
 )
-from cpvquad.quadrature import gauss_legendre_rule
+from cpvquad.quadrature import (
+    QuadratureRule,
+    adaptive_integrate,
+    gauss_legendre_rule,
+)
 
 EPS_SINGLE = 2.0**-24
 
@@ -379,6 +383,35 @@ def patterson_k43_reference():
     return nodes, weights[::-1] + [centre] + weights
 
 
+def patterson_k43_rule() -> QuadratureRule:
+    """Patterson's 43-point rule as QUADPACK's QNG table lists it: its 43
+    nodes, ascending, with their weights in the rule."""
+    from cpvquad.quadrature import _QNG_CENTER, _QNG_HALF, _mirrored
+
+    nodes, weights, _, _ = _mirrored(_QNG_HALF, _QNG_CENTER)
+    return QuadratureRule(nodes, weights)
+
+
+class OnePieceResult(NamedTuple):
+    """One integral's outcome: its value, estimate and evaluations, whether
+    the estimate met the tolerance, and the engine's stop reason."""
+
+    value: float
+    error_estimate: float
+    evaluations: int
+    converged: bool
+    stop_reason: str = "tolerance"
+
+
+def one_piece(f, a, b, tol, max_intervals=10_000) -> OnePieceResult:
+    """The engine's integral of f itself over [a, b], as one plain piece."""
+    values, estimates, evaluations, reason = adaptive_integrate(
+        f, (("plain", a, b),), tol, max_intervals, 0.0, 0.0
+    )
+    return OnePieceResult(values[0], estimates[0], evaluations[0],
+                          reason == "tolerance", reason)
+
+
 def compiled_kernels() -> tuple[int, int, int]:
     """How many kernels the engine has compiled so far: pair kernels,
     extension kernels and resolvers."""
@@ -446,9 +479,8 @@ def resolve_reference(values, half, err):
     """
     from cpvquad.quadrature import _RESOLVED, _patterson_extension
 
-    rules = _patterson_extension()
-    kronrod = rules.pair.kronrod
-    weight43 = dict(zip(rules.rule.nodes, rules.rule.weights))
+    kronrod = _patterson_extension().pair.kronrod
+    weight43 = dict(zip(*patterson_k43_rule()))
     sum_k = 0.0
     for w, v in zip(kronrod.weights, values):
         sum_k += w * v
@@ -475,9 +507,10 @@ def extension_reference(f, a, b, partial, old, form="plain", tau=0.0,
         _raise_first_nonfinite,
     )
 
-    rules = _patterson_extension()
-    new_nodes = [x for x in rules.rule.nodes if x not in rules.pair.kronrod.nodes]
-    weight43 = dict(zip(rules.rule.nodes, rules.rule.weights))
+    rule = patterson_k43_rule()
+    kronrod = _patterson_extension().pair.kronrod
+    new_nodes = [x for x in rule.nodes if x not in kronrod.nodes]
+    weight43 = dict(zip(*rule))
     mid = _midpoint(a, b)
     half = 0.5 * (b - a)
     g = form_reference(form, f, tau, f_tau)
@@ -512,7 +545,6 @@ def adaptive_integrate_reference(f, a, b, tol, max_intervals=10_000,
     import heapq
 
     from cpvquad.quadrature import (
-        AdaptiveResult,
         _MIN_EXTENSION_ULPS,
         _MIN_WIDTH_ULPS,
         NonfiniteIntegrandError,
@@ -522,9 +554,9 @@ def adaptive_integrate_reference(f, a, b, tol, max_intervals=10_000,
     )
 
     if a == b:
-        return AdaptiveResult(0.0, 0.0, 0, True)
-    rules = _patterson_extension()
-    kronrod = rules.pair.kronrod
+        return OnePieceResult(0.0, 0.0, 0, True)
+    kronrod = _patterson_extension().pair.kronrod
+    extension = len(patterson_k43_rule().nodes) - len(kronrod.nodes)
     mid = _midpoint(a, b)
     half = 0.5 * (b - a)
     if not (a < mid + half * kronrod.nodes[0]
@@ -539,7 +571,7 @@ def adaptive_integrate_reference(f, a, b, tol, max_intervals=10_000,
             estimate = abs(value)
             evaluations = 1
         converged = estimate <= tol
-        return AdaptiveResult(
+        return OnePieceResult(
             value, estimate, evaluations, converged,
             "tolerance" if converged else "width_floor",
         )
@@ -560,7 +592,7 @@ def adaptive_integrate_reference(f, a, b, tol, max_intervals=10_000,
                 partial = resolve_reference(values, 0.5 * (ib - ia), est)
             if partial is not None:
                 value, err = extension_reference(f, ia, ib, partial, ival)
-                evaluations += len(rules.rule.nodes) - len(kronrod.nodes)
+                evaluations += extension
                 heapq.heappush(heap, (-err, seq, ia, ib, value, None))
                 seq += 1
                 err_sum += err - est
@@ -596,7 +628,8 @@ def adaptive_integrate_reference(f, a, b, tol, max_intervals=10_000,
         reason = "interval_cap"
     else:
         reason = "width_floor"
-    return AdaptiveResult(total, estimate, evaluations, reason == "tolerance", reason)
+    return OnePieceResult(total, estimate, evaluations, reason == "tolerance",
+                          reason)
 
 
 # Tree-walking references for the expression layer: the function that

@@ -9,24 +9,25 @@ from cpvquad.quadrature import (
     QuotientOverflowError,
     SumOverflowError,
     _midpoint,
-    _patterson_extension,
     adaptive_integrate,
-    integrate_pieces,
     kronrod_pair_g10k21,
 )
 
 from helpers import (
+    OnePieceResult,
     adaptive_integrate_reference,
     apply_rule_reference,
     make_difference_quotient,
     make_symmetric_quotient,
+    one_piece,
+    patterson_k43_rule,
 )
 
 #: Nodes of the engine's Kronrod rule: the evaluations of one application.
 ORDER = len(kronrod_pair_g10k21().kronrod.nodes)
 
 #: New nodes of the 43-point rule: the evaluations of one extension.
-EXTENSION = len(_patterson_extension().rule.nodes) - ORDER
+EXTENSION = len(patterson_k43_rule().nodes) - ORDER
 
 
 def _interlaced(new, old):
@@ -68,41 +69,42 @@ def _rule_runs(calls):
 
 class TestBasicContracts:
     def test_constant(self):
-        result = adaptive_integrate(lambda x: 1.0, -1.0, 1.0, 1e-12)
+        result = one_piece(lambda x: 1.0, -1.0, 1.0, 1e-12)
         assert abs(result.value - 2.0) <= 1e-14
         assert result.error_estimate <= 1e-14
         assert result.converged
 
     def test_exponential(self):
-        result = adaptive_integrate(math.exp, -1.0, 1.0, 1e-12)
+        result = one_piece(math.exp, -1.0, 1.0, 1e-12)
         assert abs(result.value - (math.e - 1.0 / math.e)) <= 1e-13
         assert result.converged
 
     def test_near_singular_reciprocal(self):
-        result = adaptive_integrate(lambda x: 1.0 / x, 1e-8, 1.0, 1e-12)
+        result = one_piece(lambda x: 1.0 / x, 1e-8, 1.0, 1e-12)
         assert abs(result.value - math.log(1e8)) <= 1e-10
         assert result.converged
         assert result.error_estimate <= 1e-12
 
     def test_degenerate_interval_short_circuits(self):
-        result = adaptive_integrate(math.exp, 0.25, 0.25, 1e-12)
-        assert result == AdaptiveResult(0.0, 0.0, 0, True)
+        result = one_piece(math.exp, 0.25, 0.25, 1e-12)
+        assert result == OnePieceResult(0.0, 0.0, 0, True)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            adaptive_integrate(math.exp, 1.0, 0.0, 1e-12)
+            one_piece(math.exp, 1.0, 0.0, 1e-12)
         with pytest.raises(ValueError):
-            adaptive_integrate(math.exp, 0.0, 1.0, 0.0)
+            one_piece(math.exp, 0.0, 1.0, 0.0)
         with pytest.raises(ValueError):
-            adaptive_integrate(math.exp, 0.0, 1.0, -1e-9)
+            one_piece(math.exp, 0.0, 1.0, -1e-9)
         with pytest.raises(ValueError):
-            adaptive_integrate(math.exp, -math.inf, 0.0, 1e-12)
+            one_piece(math.exp, -math.inf, 0.0, 1e-12)
 
     def test_interval_cap_must_be_at_least_one(self):
         with pytest.raises(ValueError, match="interval cap must be at least 1"):
-            adaptive_integrate(math.exp, 0.0, 1.0, 1e-12, max_intervals=0)
+            one_piece(math.exp, 0.0, 1.0, 1e-12, max_intervals=0)
         with pytest.raises(ValueError, match="interval cap must be at least 1"):
-            integrate_pieces(math.exp, (("plain", 0.0, 1.0),), 1e-12, 0)
+            adaptive_integrate(math.exp, (("plain", 0.0, 1.0),), 1e-12, 0, 0.0,
+                               0.0)
 
     def test_estimate_totals_interval_estimates(self):
         # capped at two intervals, the partition is the two halves, and the
@@ -110,7 +112,7 @@ class TestBasicContracts:
         def f(x):
             return math.cos(550.0 * x)
 
-        result = adaptive_integrate(f, -1.0, 1.0, 1e-12, max_intervals=2)
+        result = one_piece(f, -1.0, 1.0, 1e-12, max_intervals=2)
         pair = kronrod_pair_g10k21()
         lv, le = apply_rule_reference(pair, f, -1.0, 0.0)
         rv, re = apply_rule_reference(pair, f, 0.0, 1.0)
@@ -125,8 +127,8 @@ class TestBasicContracts:
         def f(x):
             return math.cos(550.0 * x)
 
-        base = adaptive_integrate(f, -1.0, 1.0, 1e-12)
-        shifted = adaptive_integrate(lambda x: f(x) + 1.0, -1.0, 1.0, 1e-12)
+        base = one_piece(f, -1.0, 1.0, 1e-12)
+        shifted = one_piece(lambda x: f(x) + 1.0, -1.0, 1.0, 1e-12)
         assert base.evaluations > ORDER
         assert shifted.evaluations == base.evaluations
         assert abs(shifted.value - base.value - 2.0) <= 1e-12
@@ -165,15 +167,15 @@ class TestSoundness:
     @pytest.mark.parametrize("f,a,b,exact", CASES)
     def test_error_within_estimate_or_tolerance(self, f, a, b, exact):
         tol = 1e-12
-        result = adaptive_integrate(f, a, b, tol)
+        result = one_piece(f, a, b, tol)
         assert result.converged
         assert abs(result.value - exact) <= max(result.error_estimate, 10.0 * tol)
 
 
 class TestDeterminismAndOpenness:
     def test_bit_identical_reruns(self):
-        first = adaptive_integrate(lambda x: math.sin(550.0 * x), -1.0, 1.0, 1e-12)
-        second = adaptive_integrate(lambda x: math.sin(550.0 * x), -1.0, 1.0, 1e-12)
+        first = one_piece(lambda x: math.sin(550.0 * x), -1.0, 1.0, 1e-12)
+        second = one_piece(lambda x: math.sin(550.0 * x), -1.0, 1.0, 1e-12)
         assert first.value == second.value
         assert first.error_estimate == second.error_estimate
         assert first.evaluations == second.evaluations
@@ -187,7 +189,7 @@ class TestDeterminismAndOpenness:
             seen.append(x)
             return 1.0 / math.sqrt(x * (1.0 - x))
 
-        result = adaptive_integrate(f, 0.0, 1.0, 1e-12)
+        result = one_piece(f, 0.0, 1.0, 1e-12)
         assert math.isfinite(result.value)
         assert min(seen) > 0.0
         assert max(seen) < 1.0
@@ -196,7 +198,7 @@ class TestDeterminismAndOpenness:
         # 1/x over [0, 1] diverges; with a cap the run must neither crash
         # nor claim convergence, and the value stays finite because 0 is
         # never a node
-        result = adaptive_integrate(
+        result = one_piece(
             lambda x: 1.0 / x, 0.0, 1.0, 1e-12, max_intervals=500
         )
         assert not result.converged
@@ -209,11 +211,11 @@ class TestDeterminismAndOpenness:
         # as a nonfinite-integrand report at the offending abscissa rather
         # than a wrong "converged" result
         with pytest.raises(NonfiniteIntegrandError) as excinfo:
-            adaptive_integrate(lambda x: 1.0 / x, 0.0, 1.0, 1e-12)
+            one_piece(lambda x: 1.0 / x, 0.0, 1.0, 1e-12)
         assert 0.0 < excinfo.value.x < 1e-300
 
     def test_cap_bounds_work(self):
-        result = adaptive_integrate(
+        result = one_piece(
             lambda x: 1.0 / x, 0.0, 1.0, 1e-12, max_intervals=50
         )
         assert not result.converged
@@ -227,7 +229,7 @@ class TestNonfinitePropagation:
             return math.nan if x > 0.5 else 1.0
 
         with pytest.raises(NonfiniteIntegrandError) as excinfo:
-            adaptive_integrate(f, 0.0, 1.0, 1e-12)
+            one_piece(f, 0.0, 1.0, 1e-12)
         assert excinfo.value.x > 0.5
 
     def test_overflowing_integrand_reports(self):
@@ -235,7 +237,7 @@ class TestNonfinitePropagation:
             return math.inf if x < -0.9 else math.cos(x)
 
         with pytest.raises(NonfiniteIntegrandError):
-            adaptive_integrate(f, -1.0, 1.0, 1e-12)
+            one_piece(f, -1.0, 1.0, 1e-12)
 
     def test_two_nonfinite_nodes_report_the_lower(self):
         # f is called at all nodes of the interval, in ascending order,
@@ -250,7 +252,7 @@ class TestNonfinitePropagation:
             return math.nan if 0.7 < x < 0.8 else 1.0
 
         with pytest.raises(NonfiniteIntegrandError) as excinfo:
-            adaptive_integrate(f, -1.0, 1.0, 1e-12)
+            one_piece(f, -1.0, 1.0, 1e-12)
         assert excinfo.value.x == min(x for x in nodes if 0.5 < x < 0.6)
         assert any(0.7 < x < 0.8 for x in nodes)
         assert calls == list(nodes)
@@ -269,7 +271,7 @@ class TestNonfinitePropagation:
             return value
 
         with pytest.raises(SumOverflowError) as excinfo:
-            adaptive_integrate(f, a, b, 1e-12)
+            one_piece(f, a, b, 1e-12)
         assert isinstance(excinfo.value, NonfiniteIntegrandError)
         assert f"weighted sum over [{a!r}, {b!r}] overflowed" in str(
             excinfo.value
@@ -278,7 +280,7 @@ class TestNonfinitePropagation:
         assert len(calls) == ORDER
 
     def test_largest_finite_sum_is_returned(self):
-        result = adaptive_integrate(lambda x: 8e307, -1.0, 1.0, 1e294)
+        result = one_piece(lambda x: 8e307, -1.0, 1.0, 1e294)
         assert result.value == pytest.approx(1.6e308, rel=1e-15)
         assert result.evaluations == ORDER
         assert result.converged
@@ -307,7 +309,7 @@ class TestEvaluationCount:
             calls.append(x)
             return f(x)
 
-        result = adaptive_integrate(counted, a, b, 1e-12, max_intervals=cap)
+        result = one_piece(counted, a, b, 1e-12, max_intervals=cap)
         assert result.stop_reason == reason
         assert len(calls) == result.evaluations
         applications, extensions = _rule_runs(calls)
@@ -325,7 +327,7 @@ class TestEvaluationCount:
             calls.append(x)
             return math.exp(x)
 
-        adaptive_integrate(counted, 1.0, 1.0 + ulps * math.ulp(1.0), 1e-300)
+        one_piece(counted, 1.0, 1.0 + ulps * math.ulp(1.0), 1e-300)
         assert _rule_runs(calls)[1] == extended
 
     @pytest.mark.parametrize("f", [lambda x: math.cos(550.0 * x), math.sqrt])
@@ -336,7 +338,7 @@ class TestEvaluationCount:
             calls.append(x)
             return f(x)
 
-        result = adaptive_integrate(counted, 0.0, 1.0, 1e-12)
+        result = one_piece(counted, 0.0, 1.0, 1e-12)
         applications, extensions = _rule_runs(calls)
         assert 0 < extensions < applications
         assert result.evaluations == ORDER * applications + EXTENSION * extensions
@@ -345,23 +347,23 @@ class TestEvaluationCount:
 class TestDiscontinuous:
     def test_step_function_converges_by_refinement(self):
         step = lambda x: 0.0 if x < 0.3 else 1.0
-        result = adaptive_integrate(step, 0.0, 1.0, 1e-9)
+        result = one_piece(step, 0.0, 1.0, 1e-9)
         assert abs(result.value - 0.7) <= max(result.error_estimate, 1e-8)
 
 
 class TestStopReason:
     def test_tolerance(self):
-        result = adaptive_integrate(math.exp, 0.0, 1.0, 1e-12)
+        result = one_piece(math.exp, 0.0, 1.0, 1e-12)
         assert result.stop_reason == "tolerance"
         assert result.converged
 
     def test_degenerate_interval_meets_tolerance(self):
-        assert adaptive_integrate(math.exp, 0.5, 0.5, 1e-12).stop_reason == (
+        assert one_piece(math.exp, 0.5, 0.5, 1e-12).stop_reason == (
             "tolerance"
         )
 
     def test_interval_cap(self):
-        result = adaptive_integrate(
+        result = one_piece(
             lambda x: 1.0 / x, 0.0, 1.0, 1e-12, max_intervals=50
         )
         assert result.stop_reason == "interval_cap"
@@ -371,7 +373,7 @@ class TestStopReason:
         # 4096 ulps wide: a few rounds of bisection leave every interval too
         # narrow to split while 1/(x - 1) still misses the tolerance
         b = 1.0 + 4096.0 * math.ulp(1.0)
-        result = adaptive_integrate(lambda x: 1.0 / (x - 1.0), 1.0, b, 1e-12)
+        result = one_piece(lambda x: 1.0 / (x - 1.0), 1.0, b, 1e-12)
         assert result.stop_reason == "width_floor"
         assert not result.converged
         assert result.evaluations < ORDER + 2 * ORDER * 9
@@ -380,7 +382,7 @@ class TestStopReason:
     def test_reason_tolerance_exactly_when_converged(self, tol):
         for f, a, b in ((math.sqrt, 0.0, 1.0), (math.exp, 0.0, 1.0),
                         (lambda x: 1e3 * math.sin(300.0 * x), 0.0, 1.0)):
-            result = adaptive_integrate(f, a, b, tol)
+            result = one_piece(f, a, b, tol)
             assert (result.stop_reason == "tolerance") == result.converged
             assert result.converged == (result.error_estimate <= tol)
 
@@ -396,7 +398,7 @@ class TestStopReason:
         assert len(resumes) == 1
         running, ordered = resumes[0]
         assert running <= tol < ordered
-        result = adaptive_integrate(f, 0.0, 1.0, tol)
+        result = one_piece(f, 0.0, 1.0, tol)
         assert result.value.hex() == want.value.hex()
         assert result.error_estimate.hex() == want.error_estimate.hex()
         assert result.evaluations == want.evaluations == 315
@@ -416,7 +418,7 @@ class TestTooNarrowForTheRule:
             return math.exp(x)
 
         a, b = -1.0, -1.0 + 2.0 * math.ulp(0.5)
-        result = adaptive_integrate(f, a, b, 1e-12)
+        result = one_piece(f, a, b, 1e-12)
         assert calls == [0.5 * (a + b)]
         assert a < calls[0] < b
         assert result.evaluations == 1
@@ -426,7 +428,7 @@ class TestTooNarrowForTheRule:
 
     def test_charge_above_tolerance(self):
         a, b = 3.0, 3.0 + 4.0 * math.ulp(3.0)
-        result = adaptive_integrate(lambda x: 1e20, a, b, 1e-12)
+        result = one_piece(lambda x: 1e20, a, b, 1e-12)
         assert result.error_estimate == pytest.approx(1e20 * (b - a))
         assert not result.converged
         assert result.stop_reason == "width_floor"
@@ -439,7 +441,7 @@ class TestTooNarrowForTheRule:
         def f(x):
             raise AssertionError(f"evaluated at {x!r}")
 
-        result = adaptive_integrate(f, a, b, 1e-12)
+        result = one_piece(f, a, b, 1e-12)
         assert result.evaluations == 0
         assert result.error_estimate == math.inf
         assert result.stop_reason == "width_floor"
@@ -447,7 +449,7 @@ class TestTooNarrowForTheRule:
 
     def test_nonfinite_midpoint(self):
         with pytest.raises(NonfiniteIntegrandError):
-            adaptive_integrate(lambda x: math.nan, 2.0, 2.0 + 8e-16, 1e-12)
+            one_piece(lambda x: math.nan, 2.0, 2.0 + 8e-16, 1e-12)
 
 
 def _recorded(f):
@@ -461,7 +463,7 @@ def _recorded(f):
 
 
 class TestOnePieceMatchesReference:
-    """adaptive_integrate is the one-piece case of the shared queue."""
+    """One plain piece through the shared queue is the one-piece loop."""
 
     WIDE = 1.0 + 4096.0 * math.ulp(1.0)
 
@@ -494,7 +496,7 @@ class TestOnePieceMatchesReference:
     def test_bit_identical_to_the_one_piece_loop(self, f, a, b, tol, cap,
                                                  reason):
         g, calls = _recorded(f)
-        got = adaptive_integrate(g, a, b, tol, max_intervals=cap)
+        got = one_piece(g, a, b, tol, max_intervals=cap)
         h, want_calls = _recorded(f)
         want = adaptive_integrate_reference(h, a, b, tol, max_intervals=cap)
         assert got.stop_reason == reason
@@ -520,9 +522,9 @@ class TestSharedQueue:
         ("symmetric", 0.0, 0.6),
     )
 
-    def _run(self, f, tol, pieces=PIECES, **kwargs):
-        return integrate_pieces(f, pieces, tol, tau=self.TAU,
-                                f_tau=f(self.TAU), **kwargs)
+    def _run(self, f, tol, pieces=PIECES, max_intervals=10_000):
+        return adaptive_integrate(f, pieces, tol, max_intervals, self.TAU,
+                                  f(self.TAU))
 
     def test_every_piece_matches_its_quotient(self):
         # one piece at a time, the fused kernels give what the plain engine
@@ -536,7 +538,7 @@ class TestSharedQueue:
             (value,), (estimate,), (evaluations,), reason = self._run(
                 f, 1e-13, pieces=((form, a, b),)
             )
-            want = adaptive_integrate(quotients[form], a, b, 1e-13)
+            want = one_piece(quotients[form], a, b, 1e-13)
             assert value.hex() == want.value.hex()
             assert estimate.hex() == want.error_estimate.hex()
             assert evaluations == want.evaluations
@@ -600,8 +602,8 @@ class TestSharedQueue:
         f, calls = _recorded(
             lambda x: 1.0 / math.sqrt(x) if x > 0.0 else math.sin(300.0 * x)
         )
-        values, estimates, evaluations, reason = integrate_pieces(
-            f, pieces, 1e-12, max_intervals=50
+        values, estimates, evaluations, reason = adaptive_integrate(
+            f, pieces, 1e-12, 50, 0.0, 0.0
         )
         first, empty, last = evaluations
         assert (_interval_count([x for x in calls if x > 0.0])
@@ -617,8 +619,8 @@ class TestSharedQueue:
         f, calls = _recorded(
             lambda x: 1.0 / math.sqrt(x) if x > 0.0 else math.sin(100.0 * x)
         )
-        _, _, evaluations, reason = integrate_pieces(
-            f, pieces, 1e-12, max_intervals=50
+        _, _, evaluations, reason = adaptive_integrate(
+            f, pieces, 1e-12, 50, 0.0, 0.0
         )
         left = [x for x in calls if x < 0.0]
         applications, extensions = _rule_runs(left)
@@ -632,8 +634,8 @@ class TestSharedQueue:
         # two copies of one piece tie on every estimate; the sequence number
         # decides, so the first copy is bisected first
         pieces = (("plain", 0.0, 1.0), ("plain", 0.0, 1.0))
-        _, _, evaluations, reason = integrate_pieces(
-            lambda x: abs(x - 0.3), pieces, 1e-15, max_intervals=3
+        _, _, evaluations, reason = adaptive_integrate(
+            lambda x: abs(x - 0.3), pieces, 1e-15, 3, 0.0, 0.0
         )
         assert evaluations == [3 * ORDER, ORDER]
         assert reason == "interval_cap"
@@ -657,7 +659,7 @@ class TestSharedQueue:
         f = lambda x: 6e307 * x
         pieces = (("difference", -1.0, -0.5), ("symmetric", 0.0, 0.5))
         with pytest.raises(QuotientOverflowError) as excinfo:
-            integrate_pieces(f, pieces, 1e-12, tau=0.5, f_tau=f(0.5))
+            adaptive_integrate(f, pieces, 1e-12, 10_000, 0.5, f(0.5))
         assert excinfo.value.quotient == "symmetric"
         assert excinfo.value.interval == (0.0, 0.5)
 
@@ -665,8 +667,8 @@ class TestSharedQueue:
         narrow = ("difference", -1.0, -1.0 + 2.0 * math.ulp(0.5))
         wide = ("symmetric", 0.0, 0.5)
         f, calls = _recorded(math.exp)
-        values, estimates, (charged, symmetric), reason = integrate_pieces(
-            f, (narrow, wide), 1e-12, tau=0.5, f_tau=math.exp(0.5)
+        values, estimates, (charged, symmetric), reason = adaptive_integrate(
+            f, (narrow, wide), 1e-12, 10_000, 0.5, math.exp(0.5)
         )
         assert charged == 1
         assert estimates[0] == abs(values[0]) > 0.0
@@ -682,8 +684,8 @@ class TestSharedQueue:
         # no bisection can lower the charge, so the other piece keeps its
         # first application instead of refining to the cap
         pieces = (("plain", *narrow), ("plain", 0.0, 1.0))
-        _, estimates, evaluations, reason = integrate_pieces(
-            lambda x: 1e20 * math.sqrt(x), pieces, 1e-12
+        _, estimates, evaluations, reason = adaptive_integrate(
+            lambda x: 1e20 * math.sqrt(x), pieces, 1e-12, 10_000, 0.0, 0.0
         )
         assert estimates[0] > 1e-12
         assert evaluations[1] == ORDER
@@ -691,20 +693,24 @@ class TestSharedQueue:
 
     def test_rejects_unknown_form_and_bad_bounds(self):
         with pytest.raises(ValueError):
-            integrate_pieces(math.exp, (("cubic", 0.0, 1.0),), 1e-12)
+            adaptive_integrate(math.exp, (("cubic", 0.0, 1.0),), 1e-12, 10_000,
+                               0.0, 0.0)
         with pytest.raises(ValueError):
-            integrate_pieces(math.exp, (("plain", 0.0, 1.0),
-                                        ("plain", 2.0, 1.0)), 1e-12)
+            adaptive_integrate(math.exp, (("plain", 0.0, 1.0),
+                                          ("plain", 2.0, 1.0)), 1e-12, 10_000,
+                               0.0, 0.0)
         with pytest.raises(ValueError):
-            integrate_pieces(math.exp, (("plain", 0.0, math.inf),), 1e-12)
+            adaptive_integrate(math.exp, (("plain", 0.0, math.inf),), 1e-12,
+                               10_000, 0.0, 0.0)
 
     def test_rejects_interval_wider_than_the_double_range(self):
         # b - a overflows; the half-width would be infinite and the value NaN
         with pytest.raises(ValueError, match="wider than the largest double"):
-            adaptive_integrate(lambda x: 0.0, -1.5e308, 1.5e308, 1e-12)
+            one_piece(lambda x: 0.0, -1.5e308, 1.5e308, 1e-12)
         with pytest.raises(ValueError, match="wider than the largest double"):
-            integrate_pieces(math.exp, (("plain", 0.0, 1.0),
-                                        ("difference", -1e308, 1e308)), 1e-12)
+            adaptive_integrate(math.exp, (("plain", 0.0, 1.0),
+                                          ("difference", -1e308, 1e308)),
+                               1e-12, 10_000, 0.0, 0.0)
 
     @pytest.mark.parametrize(
         "bad,message",
@@ -722,16 +728,48 @@ class TestSharedQueue:
         # first application when the second is refused
         f, calls = _recorded(math.exp)
         with pytest.raises(ValueError) as excinfo:
-            integrate_pieces(f, (("plain", 0.0, 1.0), bad), 1e-12)
+            adaptive_integrate(f, (("plain", 0.0, 1.0), bad), 1e-12, 10_000,
+                               0.0, 0.0)
         assert str(excinfo.value) == message
         assert len(calls) == ORDER
 
     def test_tolerance_is_checked_before_the_pieces(self):
         f, calls = _recorded(math.exp)
         with pytest.raises(ValueError, match="tolerance must be positive"):
-            integrate_pieces(f, (("plain", 0.0, 1.0), ("cubic", 0.0, 1.0)),
-                             0.0)
+            adaptive_integrate(f, (("plain", 0.0, 1.0), ("cubic", 0.0, 1.0)),
+                               0.0, 10_000, 0.0, 0.0)
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "form,tau,f_tau",
+        [("difference", math.inf, 0.0), ("difference", math.nan, 0.0),
+         ("difference", 0.5, math.inf), ("symmetric", -math.inf, 0.0)],
+        # unchecked, the first and last returned 0.0 at "tolerance", and
+        # the other two raised QuotientOverflowError with f finite
+        ids=["tau inf", "tau nan", "f_tau inf", "symmetric tau -inf"],
+    )
+    def test_nonfinite_tau_or_f_tau_is_refused_before_f_is_called(
+            self, form, tau, f_tau):
+        f, calls = _recorded(math.exp)
+        with pytest.raises(ValueError) as excinfo:
+            adaptive_integrate(f, ((form, 0.0, 0.25),), 1e-12, 10_000, tau,
+                               f_tau)
+        assert type(excinfo.value) is ValueError
+        assert str(excinfo.value) == (
+            f"tau and f(tau) must be finite, got {tau!r} and {f_tau!r}"
+        )
+        assert calls == []
+
+    def test_result_totals_the_evaluations_of_its_pieces(self):
+        met = self._run(math.exp, 1e-3)
+        assert type(met) is AdaptiveResult
+        assert met.piece_evaluations == [ORDER] * 3
+        assert met.evaluations == 3 * ORDER
+        assert met.converged and met.stop_reason == "tolerance"
+        capped = self._run(lambda x: 1e3 * math.sin(300.0 * x), 1e-12,
+                           max_intervals=40)
+        assert capped.evaluations == sum(capped.piece_evaluations) > 3 * ORDER
+        assert not capped.converged and capped.stop_reason == "interval_cap"
 
 
 class TestSettledByFirstApplications:
@@ -745,8 +783,8 @@ class TestSettledByFirstApplications:
         # f is constant, so the quotient at the midpoint left of tau is
         # 0.0 / negative = -0.0, and so is the one-point charge; the
         # ordered sum 0.0 + -0.0 makes it 0.0
-        values, estimates, evaluations, reason = integrate_pieces(
-            lambda x: 1.0, (self.NARROW,), 1e-12, tau=self.TAU, f_tau=1.0
+        values, estimates, evaluations, reason = adaptive_integrate(
+            lambda x: 1.0, (self.NARROW,), 1e-12, 10_000, self.TAU, 1.0
         )
         assert [v.hex() for v in values] == ["0x0.0p+0"]
         assert [e.hex() for e in estimates] == ["0x0.0p+0"]
@@ -756,18 +794,18 @@ class TestSettledByFirstApplications:
     def test_tol_equal_to_the_summed_first_estimates_is_met(self):
         pieces = (("difference", -1.0, -0.5), ("symmetric", 0.0, 0.5))
         f = lambda x: math.sin(9.0 * x)
-        kwargs = dict(tau=self.TAU, f_tau=f(self.TAU))
+        at_tau = (self.TAU, f(self.TAU))
         # a cap of one interval per piece stops at the first applications
-        first = integrate_pieces(f, pieces, 1e-300, 2, **kwargs)
+        first = adaptive_integrate(f, pieces, 1e-300, 2, *at_tau)
         assert first[3] == "interval_cap"
         total = 0.0
         for e in first[1]:
             total += e
-        assert integrate_pieces(f, pieces, total, **kwargs) == (
+        assert adaptive_integrate(f, pieces, total, 10_000, *at_tau) == (
             *first[:3], "tolerance"
         )
-        below = integrate_pieces(f, pieces, math.nextafter(total, 0.0),
-                                 **kwargs)
+        below = adaptive_integrate(f, pieces, math.nextafter(total, 0.0),
+                                   10_000, *at_tau)
         assert below[2] != first[2]
 
     def test_evaluations_per_piece(self):
@@ -776,8 +814,8 @@ class TestSettledByFirstApplications:
         pieces = (("plain", 0.75, 0.75), self.NARROW,
                   ("difference", 0.75, 1.0), ("symmetric", 0.0, 0.25))
         f, calls = _recorded(math.exp)
-        _, _, evaluations, reason = integrate_pieces(
-            f, pieces, 1e-3, tau=self.TAU, f_tau=math.exp(self.TAU)
+        _, _, evaluations, reason = adaptive_integrate(
+            f, pieces, 1e-3, 10_000, self.TAU, math.exp(self.TAU)
         )
         assert reason == "tolerance"
         assert evaluations == [0, 1, ORDER, ORDER]
@@ -803,7 +841,7 @@ class TestHugeEndpoints:
     def test_runs_to_the_cap_with_a_finite_value(self, b):
         # the intervals [-1e308, -8.75e307] and narrower are bisected on
         # the way; tol 1e-12 lies far below the rounding of a 1e308 value
-        result = adaptive_integrate(lambda x: 1.0, -1e308, b, 1e-12)
+        result = one_piece(lambda x: 1.0, -1e308, b, 1e-12)
         assert math.isfinite(result.value)
         assert math.isfinite(result.error_estimate)
         assert result.stop_reason == "interval_cap"
@@ -816,14 +854,14 @@ class TestHugeEndpoints:
     )
     @pytest.mark.parametrize("b", [1e300, 7e307])
     def test_error_within_estimate(self, b):
-        result = adaptive_integrate(lambda x: 1.0, -1e308, b, 1e-12)
+        result = one_piece(lambda x: 1.0, -1e308, b, 1e-12)
         error = abs(Fraction(result.value) - (Fraction(b) + Fraction(1e308)))
         assert error <= Fraction(result.error_estimate)
 
     def test_bit_identical_to_the_one_piece_loop(self):
         # with 8 intervals or more the partition holds [-1e308, -8.75e307]
         g, calls = _recorded(lambda x: 1.0)
-        got = adaptive_integrate(g, -1e308, 1e300, 1e-12, max_intervals=50)
+        got = one_piece(g, -1e308, 1e300, 1e-12, max_intervals=50)
         h, want_calls = _recorded(lambda x: 1.0)
         want = adaptive_integrate_reference(
             h, -1e308, 1e300, 1e-12, max_intervals=50

@@ -606,6 +606,34 @@ class TestTopLevel:
         assert main() == 0
         assert json.loads(capsys.readouterr().out)["converged"] is True
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["integrate", "--f", "x", "--tau=--"],
+         ["integrate", "--f", "x", "--tau", "0.5", "--method=--"],
+         ["integrate", "--tau", "0.5", "--f=--"],
+         ["bench", "--tol=--"],
+         ["bench", "--json=--"],
+         ["observation", "--seed=--"],
+         ["observation", "--csv=--"],
+         ["observation", "--m-min=--"]],
+        ids=" ".join,
+    )
+    def test_double_dash_as_a_value_is_usage_error(self, capsys, tmp_path,
+                                                   monkeypatch, argv):
+        # argparse drops "--" given as --name=-- and stores [] for the
+        # flag; the command's parser refuses it before anything runs
+        monkeypatch.chdir(tmp_path)
+        code = main(argv)
+        captured = capsys.readouterr()
+        flag = argv[-1].partition("=")[0]
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: cpvquad {argv[0]} ")
+        assert captured.err.endswith(
+            f"cpvquad {argv[0]}: error: argument {flag}: expected one "
+            "argument\n")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestOneParse:
     """A named command is parsed by its own parser alone, to the namespace

@@ -827,13 +827,13 @@ class TestDecompositionMechanics:
         # difference-quotient evaluation, twice per symmetric one, plus
         # f(tau) and the two stencils
         engine_calls = []
-        engine = cpv_module.integrate_pieces
+        engine = cpv_module.adaptive_integrate
 
         def spy(*args, **kwargs):
             engine_calls.append(engine(*args, **kwargs))
             return engine_calls[-1]
 
-        monkeypatch.setattr(cpv_module, "integrate_pieces", spy)
+        monkeypatch.setattr(cpv_module, "adaptive_integrate", spy)
         calls = [0]
 
         def f(x):

@@ -26,8 +26,10 @@ from helpers import (
     extension_reference,
     gauss_legendre_reference,
     kronrod_g10k21_reference,
+    one_piece,
     pair_application_reference,
     patterson_k43_reference,
+    patterson_k43_rule,
     resolve_reference,
 )
 
@@ -265,7 +267,8 @@ class TestKronrodPairG10K21:
             "from cpvquad import quadrature as q; "
             "assert q.kronrod_pair_g10k21.cache_info().currsize == 0; "
             "assert q._patterson_extension.cache_info().currsize == 0; "
-            "q.adaptive_integrate(math.exp, 0.0, 1.0, 1e-12); "
+            "q.adaptive_integrate(math.exp, (('plain', 0.0, 1.0),), 1e-12, "
+            "10_000, 0.0, 0.0); "
             "assert q.kronrod_pair_g10k21.cache_info().currsize == 1; "
             "assert q._patterson_extension.cache_info().currsize == 1"
         )
@@ -333,7 +336,7 @@ class TestPattersonExtension:
         assert (kronrod_pair_g10k21(), quadrature._patterson_extension()) == originals
 
     def test_engine_reads_the_built_rules_off_the_table(self):
-        # integrate_pieces takes the pair's outermost node and the node
+        # adaptive_integrate takes the pair's outermost node and the node
         # counts from the table, without building the rules on every call
         rules = quadrature._patterson_extension()
         nodes = rules.pair.kronrod.nodes
@@ -345,7 +348,7 @@ class TestPattersonExtension:
         # every node and weight within one ulp, far inside 5e-15, of the
         # construction from the extension polynomial G_22; the centre node
         # exactly
-        rule = quadrature._patterson_extension().rule
+        rule = patterson_k43_rule()
         nodes, weights = patterson_k43_reference()
         for table, reference in ((rule.nodes, nodes), (rule.weights, weights)):
             assert len(table) == len(reference) == 43
@@ -354,22 +357,29 @@ class TestPattersonExtension:
 
     def test_nests_the_pair_and_is_exact_to_degree_64(self):
         rules = quadrature._patterson_extension()
-        new = sorted(set(rules.rule.nodes) - set(rules.pair.kronrod.nodes))
+        rule = patterson_k43_rule()
+        new = sorted(set(rule.nodes) - set(rules.pair.kronrod.nodes))
         assert len(new) == 22
+        # the engine extends by exactly the nodes and weights the rule adds
+        assert rules.new_nodes == tuple(new)
+        weight = dict(zip(*rule))
+        assert rules.new_weights == tuple(weight[x] for x in new)
+        assert rules.partial_weights == tuple(
+            weight[x] for x in rules.pair.kronrod.nodes)
         # the new nodes interlace the 21 Kronrod nodes
-        assert sorted(new + list(rules.pair.kronrod.nodes)) == list(rules.rule.nodes)
+        assert sorted(new + list(rules.pair.kronrod.nodes)) == list(rule.nodes)
         assert all(new[j] < x < new[j + 1]
                    for j, x in enumerate(rules.pair.kronrod.nodes))
         for k in range(65):
-            assert exactness_error(rules.rule, k) <= 1e-13
+            assert exactness_error(rule, k) <= 1e-13
 
     def test_compiled_only_when_first_needed(self):
         # a call that meets the tolerance at its first application compiles
         # neither the extension kernels nor the decision
         clear_engine_caches()
-        quadrature.adaptive_integrate(math.exp, 0.0, 1.0, 1e-12)
+        one_piece(math.exp, 0.0, 1.0, 1e-12)
         assert compiled_kernels() == (1, 0, 0)
-        quadrature.adaptive_integrate(math.sqrt, 0.0, 1.0, 1e-12)
+        one_piece(math.sqrt, 0.0, 1.0, 1e-12)
         assert compiled_kernels() == (1, 1, 1)
 
     def test_quotient_forms_compile_only_their_pair_kernels(self):
@@ -388,7 +398,8 @@ class TestPattersonExtension:
             "assert sizes() == [2, 0, 0], sizes(); "
             "q._pair_kernel('difference'); q._pair_kernel('symmetric'); "
             "assert sizes() == [2, 0, 0], sizes(); "
-            "q.adaptive_integrate(math.sqrt, 0.0, 1.0, 1e-12); "
+            "q.adaptive_integrate(math.sqrt, (('plain', 0.0, 1.0),), 1e-12, "
+            "10_000, 0.0, 0.0); "
             "assert sizes() == [3, 1, 1], sizes(); "
             "q._extension_kernel('plain'); "
             "assert sizes() == [3, 1, 1], sizes()"
@@ -404,8 +415,8 @@ class TestPattersonExtension:
         # refining both forms, extensions included, compiles nothing more
         f = lambda x: math.sin(550.0 * x)
         pieces = (("difference", -1.0, -0.5), ("symmetric", 0.0, 0.5))
-        _, _, evaluations, _ = quadrature.integrate_pieces(
-            f, pieces, 1e-12, tau=0.3, f_tau=f(0.3))
+        _, _, evaluations, _ = quadrature.adaptive_integrate(
+            f, pieces, 1e-12, 10_000, 0.3, f(0.3))
         # each piece extended an interval: 22 evaluations on top of runs of 21
         order = len(quadrature._patterson_extension().pair.kronrod.nodes)
         assert all(e % order for e in evaluations)
@@ -415,7 +426,7 @@ class TestPattersonExtension:
         # an extended interval is not split, so its floor is half what the
         # outermost node would need on the halves
         floor = quadrature._width_floor
-        rule = quadrature._patterson_extension().rule
+        rule = patterson_k43_rule()
         assert quadrature._MIN_EXTENSION_ULPS == 2.0**13
         assert floor(rule.nodes[-1]) == 2.0**14
         # the outermost node lies (1 - node) half-widths from an end
@@ -606,7 +617,7 @@ class TestRuleKernel:
     @pytest.mark.parametrize("m", [None, "g10k21", 7])
     def test_applied_rule_pickles(self, m):
         rule = _rule(m)
-        quadrature.adaptive_integrate(math.sqrt, 0.0, 1.0, 1e-12)
+        one_piece(math.sqrt, 0.0, 1.0, 1e-12)
         copy = pickle.loads(pickle.dumps(rule))
         assert copy == rule
         assert (apply_rule_reference(copy, math.exp, 0.0, 1.0)
@@ -617,7 +628,7 @@ class TestRuleKernel:
         # the engine compiles its own kernels; a public rule it has run on
         # has no instance dict to keep one in
         rule = _rule(m)
-        quadrature.adaptive_integrate(math.sqrt, 0.0, 1.0, 1e-12)
+        one_piece(math.sqrt, 0.0, 1.0, 1e-12)
         for obj in (rule, getattr(rule, "kronrod", rule)):
             assert not hasattr(obj, "__dict__")
             assert not hasattr(obj, "_kernel")
