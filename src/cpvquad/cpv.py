@@ -201,8 +201,8 @@ def cpv_standard(problem: CpvProblem) -> CpvResult:
     a jump and finer ones have to confirm it (see :func:`jump_at_tau`).
     If f jumps at tau no principal value exists, and the result reports
     ``discontinuous_at_tau`` without running any quadrature.  Otherwise the
-    roundoff floor of the budget (roundoff, log sensitivity, curvature and
-    cutoff terms) is computed once from f(tau) and the coarse stencil, and
+    roundoff floor of the budget (its terms after the three quadrature
+    estimates) is computed once from f(tau) and the coarse stencil, and
     one engine call integrates the three quadrature pieces in one priority
     queue until their summed estimate meets max(tol, 2 floor), so no piece
     refines toward an accuracy the floor rules out; the same floor terms
@@ -238,8 +238,8 @@ def cpv_standard(problem: CpvProblem) -> CpvResult:
         return tuple.__new__(CpvResult, (
             math.nan, budget, 0, False,
             tuple.__new__(StopReasons, (jump, jump, jump))))
-    _, _, _, roundoff, log_sensitivity, curvature, cutoff = floor
-    raised = _FLOOR_FACTOR * (roundoff + log_sensitivity + curvature + cutoff)
+    # the floor's quadrature terms are 0, so its total is its roundoff terms
+    raised = _FLOOR_FACTOR * floor.total
     quad_tol = max(tol, raised) if math.isfinite(raised) else tol
 
     # the near side, and a far side whose rounded bounds are not ordered,
@@ -268,20 +268,16 @@ def cpv_standard(problem: CpvProblem) -> CpvResult:
         # tau lies so close to an endpoint that the ratio over- or underflowed
         log_term = f_tau * (math.log(b - tau) - math.log(tau - a))
     value = log_term + values[0] + values[1] + values[2]
-    quad_left, quad_right, quad_h = estimates
     converged = reason == "tolerance"
-    if converged and quad_left + quad_right + quad_h > tol:
+    if converged and estimates[0] + estimates[1] + estimates[2] > tol:
         reason = "floor"
+    budget = tuple.__new__(ErrorBudget, (*estimates, *floor[3:]))
     return tuple.__new__(CpvResult, (
         value,
-        tuple.__new__(ErrorBudget, (quad_left, quad_right, quad_h, roundoff,
-                                    log_sensitivity, curvature, cutoff)),
+        budget,
         evaluations[0] + evaluations[1] + evaluations[2],
-        # a budget that overflowed bounds nothing; ErrorBudget.total, inline
-        converged and math.isfinite(
-            quad_left + quad_right + quad_h + roundoff + log_sensitivity
-            + curvature + cutoff
-        ),
+        # a budget that overflowed bounds nothing
+        converged and math.isfinite(budget.total),
         _AT_TOLERANCE if reason == "tolerance" else
         tuple.__new__(StopReasons, (reason if left else "tolerance",
                                     reason if right else "tolerance",

@@ -14,6 +14,9 @@ arithmetic; the solver's jump test and budget floor use EPS itself.  Those
 that depend on the interval [a, b] take it as trailing ``a`` and ``b``,
 which default to the reference interval [-1, 1]; every quantity is in the
 units of x.
+
+README.md ("Error budget") tabulates the budget's terms with their formulas
+and sources; no other module of the package names a floor term in code.
 """
 
 from __future__ import annotations

@@ -113,10 +113,12 @@ def cpv_monomial(k: int, tau: float) -> float:
 
 
 def roundoff_floor(budget):
-    """The four roundoff terms of a budget, which no amount of quadrature
-    lowers, added in field order."""
-    return (budget.roundoff + budget.log_sensitivity
-            + budget.curvature_sensitivity + budget.cutoff)
+    """The terms of a budget after its three quadrature estimates, which no
+    amount of quadrature lowers, added left to right in field order."""
+    total = 0.0
+    for term in budget[3:]:
+        total += term
+    return total
 
 
 def stencil_at(f, tau, step, f_tau=None):

@@ -566,123 +566,146 @@ class TestFirstApplicationPinned:
         assert result.error_estimate.hex() == estimate
 
 
-#: Hex bits of the value and the seven budget terms, in field order, then
-#: evaluations, converged and stop reasons, of one problem on each branch of
-#: the prologue, and of the nine battery cases.  The step's NaN prints as
-#: "nan" and an infinite term as "inf".
+#: Hex bits of the value and of each budget term by name, then evaluations,
+#: converged and stop reasons, of one problem on each branch of the prologue,
+#: and of the nine battery cases.  The step's NaN prints as "nan" and an
+#: infinite term as "inf".
 _PROLOGUE_PINS = [
     ("exp@0.5", dict(f=math.exp, tau=0.5),
      "0x1.d3dbd0af9036ap-1",
-     ("0x1.0000000000000p-52", "0x0.0p+0", "0x1.0000000000000p-52",
-      "0x1.a61298e4d2190p-50", "0x1.a61298e1e069cp-53",
-      "0x1.48b5e39ea2bfbp-51", "0x0.0p+0"),
+     dict(quad_left="0x1.0000000000000p-52", quad_right="0x0.0p+0",
+          quad_h="0x1.0000000000000p-52", roundoff="0x1.a61298e4d2190p-50",
+          log_sensitivity="0x1.a61298e1e069cp-53",
+          curvature_sensitivity="0x1.48b5e39ea2bfbp-51", cutoff="0x0.0p+0"),
      42, True, ("tolerance",) * 3),
     ("sin(x-1e6)@1e6",
      dict(f=lambda x: math.sin(x - 1e6), tau=1e6, a=1e6 - 1.0, b=1e6 + 1.0),
      "0x1.e465000dc24f4p+0",
-     ("0x0.0p+0", "0x0.0p+0", "0x1.5008000000000p-34",
-      "0x1.d43062787dc36p-31", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+     dict(quad_left="0x0.0p+0", quad_right="0x0.0p+0",
+          quad_h="0x1.5008000000000p-34", roundoff="0x1.d43062787dc36p-31",
+          log_sensitivity="0x0.0p+0", curvature_sensitivity="0x0.0p+0",
+          cutoff="0x0.0p+0"),
      21, True, ("tolerance", "tolerance", "floor")),
     ("exp@9.75[-10,10]", dict(f=math.exp, tau=9.75, a=-10.0, b=10.0),
      "-0x1.22d74a5700c80p+13",
-     ("0x1.0000000000000p-36", "0x0.0p+0", "0x1.2000000000000p-35",
-      "0x1.4f0b24e25aa20p-33", "0x1.46aadd8dd2a04p-34",
-      "0x1.3f3fdfc2f0497p-40", "0x0.0p+0"),
+     dict(quad_left="0x1.0000000000000p-36", quad_right="0x0.0p+0",
+          quad_h="0x1.2000000000000p-35", roundoff="0x1.4f0b24e25aa20p-33",
+          log_sensitivity="0x1.46aadd8dd2a04p-34",
+          curvature_sensitivity="0x1.3f3fdfc2f0497p-40", cutoff="0x0.0p+0"),
      64, True, ("floor", "tolerance", "floor")),
     ("exp@0.5-cutoff", dict(f=math.exp, tau=0.5, method="cutoff", mu=1e-6),
      "0x1.d3db620abf612p-1",
-     ("0x1.0000000000000p-52", "0x0.0p+0", "0x1.0000000000000p-52",
-      "0x1.a61298e4d2190p-50", "0x1.a61298e1e069cp-53",
-      "0x1.48b5e39ea2bfbp-51", "0x1.ba9343b28fcbep-19"),
+     dict(quad_left="0x1.0000000000000p-52", quad_right="0x0.0p+0",
+          quad_h="0x1.0000000000000p-52", roundoff="0x1.a61298e4d2190p-50",
+          log_sensitivity="0x1.a61298e1e069cp-53",
+          curvature_sensitivity="0x1.48b5e39ea2bfbp-51",
+          cutoff="0x1.ba9343b28fcbep-19"),
      42, True, ("tolerance",) * 3),
     # the floor overflows, so the tolerance stays at tol; the infinite
     # budget bounds nothing, so the result is not converged
     ("1e308x^2@0.1", dict(f=lambda x: 1e308 * x * x, tau=0.1),
      "0x1.c31f75efe6075p+1020",
-     ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.c7b1f3cac766ap+970",
-      "0x1.440cc41e6b909p+960", "inf", "0x0.0p+0"),
+     dict(quad_left="0x0.0p+0", quad_right="0x0.0p+0", quad_h="0x0.0p+0",
+          roundoff="0x1.c7b1f3cac766ap+970",
+          log_sensitivity="0x1.440cc41e6b909p+960",
+          curvature_sensitivity="inf", cutoff="0x0.0p+0"),
      42, False, ("tolerance",) * 3),
     ("step@0.3", dict(f=lambda x: 1.0 if x >= 0.3 else 0.0, tau=0.3),
      "nan",
-     ("inf", "inf", "inf", "0x1.be6db6db6db6ep-38", "0x1.b6db6db6db6dcp-55",
-      "0x1.0bdb6db6db6dcp-38", "0x0.0p+0"),
+     dict(quad_left="inf", quad_right="inf", quad_h="inf",
+          roundoff="0x1.be6db6db6db6ep-38",
+          log_sensitivity="0x1.b6db6db6db6dcp-55",
+          curvature_sensitivity="0x1.0bdb6db6db6dcp-38", cutoff="0x0.0p+0"),
      0, False, ("discontinuous_at_tau",) * 3),
     # the left piece is a few ulps wide and gets the one-point charge
     ("exp@1e-16", dict(f=math.exp, tau=1e-16),
      "0x1.0ea7fe4d67f7dp+1",
-     ("0x1.43a54e4e98864p-53", "0x0.0p+0", "0x1.0000000000000p-51",
-      "0x1.0000000728278p-50", "0x1.cd2b297d889bdp-107",
-      "0x1.cd2b29bbec015p-104", "0x0.0p+0"),
+     dict(quad_left="0x1.43a54e4e98864p-53", quad_right="0x0.0p+0",
+          quad_h="0x1.0000000000000p-51", roundoff="0x1.0000000728278p-50",
+          log_sensitivity="0x1.cd2b297d889bdp-107",
+          curvature_sensitivity="0x1.cd2b29bbec015p-104", cutoff="0x0.0p+0"),
      22, True, ("tolerance",) * 3),
     # two stress members that the engine returns from its first
     # applications: two pieces met the raised tolerance, and one
     ("1e150exp@0.5", dict(f=lambda x: 1e150 * math.exp(x), tau=0.5),
      "0x1.1ddb0e00fb134p+498",
-     ("0x1.0000000000000p+446", "0x0.0p+0", "0x1.0000000000000p+447",
-      "0x1.01e18a2b3c7f0p+449", "0x1.01e18a296f677p+446",
-      "0x1.6b5dc6e8fdc43p+198", "0x0.0p+0"),
+     dict(quad_left="0x1.0000000000000p+446", quad_right="0x0.0p+0",
+          quad_h="0x1.0000000000000p+447", roundoff="0x1.01e18a2b3c7f0p+449",
+          log_sensitivity="0x1.01e18a296f677p+446",
+          curvature_sensitivity="0x1.6b5dc6e8fdc43p+198", cutoff="0x0.0p+0"),
      42, True, ("floor", "tolerance", "floor")),
     ("sin(x-1e9)@1e9",
      dict(f=lambda x: math.sin(x - 1e9), tau=1e9, a=1e9 - 1.0, b=1e9 + 1.0),
      "0x1.e464fe932218dp+0",
-     ("0x0.0p+0", "0x0.0p+0", "0x1.a2962d5000000p-24",
-      "0x1.c9374029aad0cp-21", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+     dict(quad_left="0x0.0p+0", quad_right="0x0.0p+0",
+          quad_h="0x1.a2962d5000000p-24", roundoff="0x1.c9374029aad0cp-21",
+          log_sensitivity="0x0.0p+0", curvature_sensitivity="0x0.0p+0",
+          cutoff="0x0.0p+0"),
      21, True, ("tolerance", "tolerance", "floor")),
     # the battery at tol 1e-12, bit for bit; a change that moves a case's
     # value, budget or cost moves its row, and says why
     ("case1", _battery("case1"),
      "0x1.d3dbd0af9036ap-1",
-     ("0x1.0000000000000p-52", "0x0.0p+0", "0x1.0000000000000p-52",
-      "0x1.a61298e4d2190p-50", "0x1.a61298e1e069cp-53",
-      "0x1.48b5e39ea2bfbp-51", "0x0.0p+0"),
+     dict(quad_left="0x1.0000000000000p-52", quad_right="0x0.0p+0",
+          quad_h="0x1.0000000000000p-52", roundoff="0x1.a61298e4d2190p-50",
+          log_sensitivity="0x1.a61298e1e069cp-53",
+          curvature_sensitivity="0x1.48b5e39ea2bfbp-51", cutoff="0x0.0p+0"),
      42, True, ("tolerance",) * 3),
     ("case2", _battery("case2"),
      "0x1.8d1a4eccdb836p+1",
-     ("0x1.d650000000000p-49", "0x0.0p+0", "0x1.bf1f800000000p-42",
-      "0x1.0eb2582eecae0p-41", "0x1.68a9e459d6a85p-54",
-      "0x1.714a0d7b8a94fp-43", "0x0.0p+0"),
+     dict(quad_left="0x1.d650000000000p-49", quad_right="0x0.0p+0",
+          quad_h="0x1.bf1f800000000p-42", roundoff="0x1.0eb2582eecae0p-41",
+          log_sensitivity="0x1.68a9e459d6a85p-54",
+          curvature_sensitivity="0x1.714a0d7b8a94fp-43", cutoff="0x0.0p+0"),
      4_524, True, ("tolerance",) * 3),
     ("case3", _battery("case3"),
      "-0x1.c6d8259ec10d3p+1",
-     ("0x1.8ce5fb6800000p-41", "0x0.0p+0", "0x1.fb68000000000p-46",
-      "0x1.24126f96da5f2p-44", "0x1.90f25909efb14p-52",
-      "0x1.667d98bf91b8ep-46", "0x0.0p+0"),
+     dict(quad_left="0x1.8ce5fb6800000p-41", quad_right="0x0.0p+0",
+          quad_h="0x1.fb68000000000p-46", roundoff="0x1.24126f96da5f2p-44",
+          log_sensitivity="0x1.90f25909efb14p-52",
+          curvature_sensitivity="0x1.667d98bf91b8ep-46", cutoff="0x0.0p+0"),
      5_914, True, ("tolerance",) * 3),
     ("case4", _battery("case4"),
      "-0x1.9fa4048c59388p+1",
-     ("0x1.2400000000000p-40", "0x0.0p+0", "0x1.2b80000000000p-42",
-      "0x1.c6f8e934b687bp-41", "0x1.054fa1d7b960cp-42",
-      "0x1.47e5a0dc42682p-42", "0x0.0p+0"),
+     dict(quad_left="0x1.2400000000000p-40", quad_right="0x0.0p+0",
+          quad_h="0x1.2b80000000000p-42", roundoff="0x1.c6f8e934b687bp-41",
+          log_sensitivity="0x1.054fa1d7b960cp-42",
+          curvature_sensitivity="0x1.47e5a0dc42682p-42", cutoff="0x0.0p+0"),
      532, True, ("floor", "tolerance", "floor")),
     ("case5", _battery("case5"),
      "0x1.cd29798f33edcp+0",
-     ("0x0.0p+0", "0x1.0e0708a800000p-41", "0x1.099121a000000p-41",
-      "0x1.13780137151b4p-45", "0x1.f60088a3d3ab8p-56",
-      "0x1.a746bc69fb94ep-46", "0x0.0p+0"),
+     dict(quad_left="0x0.0p+0", quad_right="0x1.0e0708a800000p-41",
+          quad_h="0x1.099121a000000p-41", roundoff="0x1.13780137151b4p-45",
+          log_sensitivity="0x1.f60088a3d3ab8p-56",
+          curvature_sensitivity="0x1.a746bc69fb94ep-46", cutoff="0x0.0p+0"),
      20_534, True, ("tolerance",) * 3),
     ("case6", _battery("case6"),
      "0x1.6ca742c01d8fap-1",
-     ("0x1.5e9b6ea000000p-41", "0x0.0p+0", "0x1.2085f3a000000p-42",
-      "0x1.62a452759c66fp-46", "0x1.abdeeaacf2a23p-54",
-      "0x1.6e5b87cea9ccep-45", "0x0.0p+0"),
+     dict(quad_left="0x1.5e9b6ea000000p-41", quad_right="0x0.0p+0",
+          quad_h="0x1.2085f3a000000p-42", roundoff="0x1.62a452759c66fp-46",
+          log_sensitivity="0x1.abdeeaacf2a23p-54",
+          curvature_sensitivity="0x1.6e5b87cea9ccep-45", cutoff="0x0.0p+0"),
      2_326, True, ("tolerance",) * 3),
     ("case6b", _battery("case6b"),
      "-0x1.3c5a9c64b0792p+0",
-     ("0x1.e727d98800000p-42", "0x0.0p+0", "0x1.57e3ee3800000p-42",
-      "0x1.305892d3b475dp-45", "0x1.c1fef97318cbdp-53",
-      "0x1.5b5f52c8461e7p-45", "0x0.0p+0"),
+     dict(quad_left="0x1.e727d98800000p-42", quad_right="0x0.0p+0",
+          quad_h="0x1.57e3ee3800000p-42", roundoff="0x1.305892d3b475dp-45",
+          log_sensitivity="0x1.c1fef97318cbdp-53",
+          curvature_sensitivity="0x1.5b5f52c8461e7p-45", cutoff="0x0.0p+0"),
      2_260, True, ("tolerance",) * 3),
     ("case7", _battery("case7"),
      "-0x1.50e47a829f955p+5",
-     ("0x1.0000000000000p-50", "0x0.0p+0", "0x1.7793800000000p-52",
-      "0x1.5bf0a6737f2cep-49", "0x1.9ec6dcdcc1fd4p-29",
-      "0x1.a1e10d26abe47p-50", "0x0.0p+0"),
+     dict(quad_left="0x1.0000000000000p-50", quad_right="0x0.0p+0",
+          quad_h="0x1.7793800000000p-52", roundoff="0x1.5bf0a6737f2cep-49",
+          log_sensitivity="0x1.9ec6dcdcc1fd4p-29",
+          curvature_sensitivity="0x1.a1e10d26abe47p-50", cutoff="0x0.0p+0"),
      42, True, ("tolerance",) * 3),
     ("case8", _battery("case8"),
      "0x1.3cf01fba808f8p+1",
-     ("0x0.0p+0", "0x1.0000000000000p-52", "0x1.4a1881a5e9e8dp-40",
-      "0x1.da448c07c2c7ep-42", "0x1.aa6074c86bf52p-55",
-      "0x1.7c935c6dcf601p-43", "0x0.0p+0"),
+     dict(quad_left="0x0.0p+0", quad_right="0x1.0000000000000p-52",
+          quad_h="0x1.4a1881a5e9e8dp-40", roundoff="0x1.da448c07c2c7ep-42",
+          log_sensitivity="0x1.aa6074c86bf52p-55",
+          curvature_sensitivity="0x1.7c935c6dcf601p-43", cutoff="0x0.0p+0"),
      15_382, True, ("tolerance", "floor", "floor")),
 ]
 
@@ -697,7 +720,7 @@ def test_prologue_branches_keep_their_bits(
 ):
     result = cpv_standard(CpvProblem(**kwargs))
     assert result.value.hex() == value
-    assert tuple(v.hex() for v in result.budget) == terms
+    assert {k: v.hex() for k, v in result.budget._asdict().items()} == terms
     assert result.evaluations == evaluations
     assert result.converged is converged
     assert result.stop_reasons == reasons

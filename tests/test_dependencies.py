@@ -3,8 +3,9 @@
 Static checks of the package source sit here too: no module imports
 mpmath, no function takes a parameter it never reads, every name the
 package root exports and every function `cpvquad.error_model` exports (but
-the paper's bounds) has a caller outside the tests, and no node or weight
-of the quadrature rules is transcribed twice.
+the paper's bounds) has a caller outside the tests, no node or weight
+of the quadrature rules is transcribed twice, and no module but
+`cpvquad.error_model` names a term of the budget's roundoff floor.
 """
 
 import ast
@@ -160,3 +161,34 @@ def _repeated_long_floats(path: Path, length: int = 30) -> list[str]:
 def test_no_rule_literal_is_transcribed_twice():
     # a node shared by nested rules is one row of one table
     assert _repeated_long_floats(PACKAGE / "quadrature.py") == []
+
+
+def _floor_terms_named(path: Path) -> list[str]:
+    """``line:term`` for each use, in the source at `path`, of a term of the
+    budget's roundoff floor (the fields of ErrorBudget after the three
+    quadrature estimates) as a name, an attribute or a keyword.  A string
+    does not count: "cutoff" is also the name of a method."""
+    floor_terms = set(error_model.ErrorBudget._fields[3:])
+    named = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.keyword):
+            name = node.arg
+        else:
+            continue
+        if name in floor_terms:
+            named.append(f"{node.lineno}:{name}")
+    return named
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in PACKAGE.glob("*.py") if p.name != "error_model.py"),
+    ids=lambda p: p.name,
+)
+def test_only_error_model_names_a_floor_term(path):
+    # a new term of the budget is then an edit to error_model.py alone
+    assert _floor_terms_named(path) == []

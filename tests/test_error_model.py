@@ -24,6 +24,9 @@ from cpvquad.quadrature import NonfiniteIntegrandError
 
 from helpers import float32_quotient_errors, roundoff_floor, stencil_at
 
+#: The number of budget terms; a test that builds a budget takes this many.
+_TERMS = len(ErrorBudget._fields)
+
 
 class TestMachineEpsilon:
     def test_value(self):
@@ -485,19 +488,19 @@ class TestTotalErrorEstimate:
         assert budget.cutoff == 0.0
 
     def test_budget_total_is_field_sum(self):
-        budget = ErrorBudget(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0)
-        assert budget.total == 28.0
+        budget = ErrorBudget(*map(float, range(1, _TERMS + 1)))
+        assert budget.total == _TERMS * (_TERMS + 1) / 2
 
     def test_budget_total_adds_left_to_right_in_field_order(self):
         # 1.0 + 2**-53 rounds to 1.0, twice; adding from the right, or a
         # compensated sum (math.fsum, and from Python 3.12 on the builtin
         # sum() of floats), gives 1 + 2**-52, so `total` must stay an
         # explicit left-to-right addition
-        budget = ErrorBudget(1.0, 2**-53, 2**-53, 0.0, 0.0, 0.0, 0.0)
+        budget = ErrorBudget(1.0, 2**-53, 2**-53, *[0.0] * (_TERMS - 3))
         assert budget.total == 1.0
         assert math.fsum(budget) == 1.0 + 2**-52
 
-    @given(st.lists(st.floats(), min_size=7, max_size=7))
+    @given(st.lists(st.floats(), min_size=_TERMS, max_size=_TERMS))
     def test_budget_total_is_the_left_to_right_sum_bit_for_bit(self, terms):
         # st.floats() draws signed zeros, infinities and NaN
         expected = terms[0]
@@ -523,15 +526,17 @@ class TestTotalErrorEstimate:
         ]
 
     def test_as_dict_covers_every_field(self):
-        budget = ErrorBudget(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0)
+        budget = ErrorBudget(*map(float, range(1, _TERMS + 1)))
         assert budget._asdict() == dict(zip(ErrorBudget._fields, budget))
         assert list(budget.as_json_dict()) == list(ErrorBudget._fields)
 
     def test_as_json_dict_writes_nonfinite_terms_as_null(self):
-        budget = ErrorBudget(1.0, math.inf, 3.0, math.nan, 5.0, 6.0, 0.0)
+        zeros = [0.0] * (_TERMS - 6)
+        budget = ErrorBudget(1.0, math.inf, 3.0, math.nan, 5.0, 6.0, *zeros)
         json_terms = budget.as_json_dict()
         assert list(json_terms) == list(budget._asdict())
-        assert list(json_terms.values()) == [1.0, None, 3.0, None, 5.0, 6.0, 0.0]
+        assert list(json_terms.values()) == [1.0, None, 3.0, None, 5.0, 6.0,
+                                             *zeros]
 
     @pytest.mark.parametrize("v,expected", [
         (math.nan, None), (math.inf, None), (-math.inf, None),
