@@ -29,7 +29,7 @@ why each piece stopped (see :class:`StopReasons`).
 Every piece works in the caller's coordinates on any finite [a, b]; no
 change of variable is involved.  A quotient that overflows, or whose
 weighted sum over an interval overflows, while f stays finite is reported
-as :class:`QuotientOverflowError`.
+as :class:`~cpvquad.quadrature.QuotientOverflowError`.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from .error_model import (
 from .quadrature import (
     Integrand,
     NonfiniteIntegrandError,
-    QuotientOverflowError,
     adaptive_integrate,
 )
 
@@ -58,7 +57,6 @@ __all__ = [
     "CpvProblem",
     "CpvResult",
     "StopReasons",
-    "QuotientOverflowError",
     "cpv_standard",
     "cpv_general",
 ]
@@ -228,9 +226,9 @@ def cpv_standard(problem: CpvProblem) -> CpvResult:
     if not math.isfinite(f_tau):
         raise NonfiniteIntegrandError(tau)
 
-    deriv = derivative_estimates(f, tau, delta, f_tau, a, b)
-    floor = total_error_estimate(deriv, f_tau, tau, method, mu, a, b)
-    if jump_at_tau(f, deriv, f_tau, tau):
+    deriv = derivative_estimates(problem, f_tau)
+    floor = total_error_estimate(problem, deriv, f_tau)
+    if jump_at_tau(problem, deriv, f_tau):
         # the records check nothing, so tuple.__new__ builds them directly
         budget = tuple.__new__(ErrorBudget,
                                (math.inf, math.inf, math.inf, *floor[3:]))

@@ -10,10 +10,12 @@ attached to every computed integral.
 
 The paper's bounds take the relative rounding error bound ``eps``
 explicitly and default to :data:`EPS`, the bound for IEEE double
-arithmetic; the solver's jump test and budget floor use EPS itself.  Those
-that depend on the interval [a, b] take it as trailing ``a`` and ``b``,
-which default to the reference interval [-1, 1]; every quantity is in the
-units of x.
+arithmetic.  Those that depend on the interval [a, b] take it as trailing
+``a`` and ``b``, which default to the reference interval [-1, 1].  The
+solver's prologue (:func:`derivative_estimates`, :func:`jump_at_tau` and
+:func:`total_error_estimate`) takes the checked
+:class:`~cpvquad.cpv.CpvProblem` instead, checks none of its fields again,
+and uses EPS itself.  Every quantity is in the units of x.
 
 README.md ("Error budget") tabulates the budget's terms with their formulas
 and sources; no other module of the package names a floor term in code.
@@ -23,9 +25,12 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .quadrature import Integrand, NonfiniteIntegrandError
+
+if TYPE_CHECKING:
+    from .cpv import CpvProblem
 
 __all__ = [
     "EPS",
@@ -209,17 +214,13 @@ def _stencil(
 
 
 def derivative_estimates(
-    f: Integrand,
-    tau: float,
-    delta: float,
-    f_tau: float,
-    a: float = -1.0,
-    b: float = 1.0,
+    problem: CpvProblem, f_tau: float
 ) -> DerivativeEstimates:
     """Estimate f'(tau) and f''(tau) by central divided differences.
 
-    The default step is max(delta * 1e-4, EPS**(1/3) * max((b-a)/2, |tau|)),
-    clamped to delta / 2 so both sample points stay strictly inside (a, b).
+    With delta the distance from tau to the nearer endpoint, the step is
+    max(delta * 1e-4, EPS**(1/3) * max((b-a)/2, |tau|)), clamped to
+    delta / 2 so both sample points stay strictly inside (a, b).
     The cube-root floor balances truncation against rounding for the
     difference quotients; it scales with |tau| as well as the interval
     because tau +- step rounds at ulp(tau), and a step below that would
@@ -230,12 +231,15 @@ def derivative_estimates(
 
     `f_tau` is f(tau), which the caller already has.
     """
+    f, tau, a, b, _, _, _ = problem
+    left = tau - a
+    right = b - tau
+    delta = left if left < right else right
     step = min(max(delta * 1e-4, _CBRT_EPS * max(0.5 * (b - a), abs(tau))),
                0.5 * delta)
-    # a positive finite delta gives a finite step, positive unless
-    # delta / 2 underflows
-    if not 0.0 < step < math.inf:
-        _require_positive("delta", delta)
+    # a checked problem has a positive finite delta, which gives a finite
+    # step, positive unless delta / 2 underflows
+    if step == 0.0:
         raise ValueError(
             f"tau = {tau!r} lies too close to an endpoint of "
             f"[{a!r}, {b!r}] for a derivative stencil"
@@ -280,10 +284,7 @@ def _pair_looks_like_jump(
 
 
 def jump_at_tau(
-    f: Integrand,
-    deriv: DerivativeEstimates,
-    f_tau: float,
-    tau: float,
+    problem: CpvProblem, deriv: DerivativeEstimates, f_tau: float
 ) -> bool:
     """Whether f jumps at tau, by stencils at steps s, s/2, s/4 and s/8.
 
@@ -299,7 +300,8 @@ def jump_at_tau(
     resolve tau only to the finest step: a jump closer to tau than s/8 looks
     the same and is reported too.
     """
-    step, f1, f2 = deriv.step, deriv.f1, deriv.f2
+    f, tau, _, _, _, _, _ = problem
+    f1, f2, step = deriv
     for _ in range(3):
         fine_step = 0.5 * step
         if fine_step == 0.0:
@@ -313,7 +315,9 @@ def jump_at_tau(
 
 
 def _log_term(f_tau: float, tau: float, delta: float, eps: float) -> float:
-    return eps * abs(tau * f_tau) / delta
+    # |tau| / delta first: tau * f_tau can overflow, or underflow, where the
+    # bound itself is an ordinary number
+    return eps * abs(f_tau) * (abs(tau) / delta)
 
 
 def log_term_sensitivity(
@@ -335,13 +339,7 @@ def log_term_sensitivity(
 
 
 def total_error_estimate(
-    deriv: DerivativeEstimates,
-    f_tau: float,
-    tau: float,
-    method: str = "open",
-    mu: float = EPS,
-    a: float = -1.0,
-    b: float = 1.0,
+    problem: CpvProblem, deriv: DerivativeEstimates, f_tau: float
 ) -> ErrorBudget:
     """The roundoff floor of the error budget for one integral.
 
@@ -357,33 +355,30 @@ def total_error_estimate(
     and has the same form on every interval.
     Under ``method="cutoff"`` the cutoff budget for `mu`, a distance in the
     units of x, is added on the scale of the interval; under "open" it is
-    zero.  A cutoff `mu` that :class:`~cpvquad.cpv.CpvProblem` refuses, one
-    outside (0, delta] or at most 2**-1024 times (b - a)/2, is refused here
-    with the same ``ValueError``, naming `mu`.  A derivative estimate that
-    overflowed makes the terms built on it infinite rather than raising.
+    zero.  The problem's tau, method and `mu` are those
+    :class:`~cpvquad.cpv.CpvProblem` accepted, so only `f_tau` is checked
+    here.  A derivative estimate that overflowed makes the terms built on
+    it infinite rather than raising.
     """
+    _, tau, a, b, _, method, mu = problem
     f1, f2, _ = deriv
-    if not a < tau < b:
-        # endpoint_distance's check, inline
-        raise ValueError(f"tau must lie in ({a!r}, {b!r}), got {tau!r}")
     if not math.isfinite(f_tau):
         raise ValueError(f"f_tau must be finite, got {f_tau!r}")
+    left = tau - a
+    right = b - tau
     slope = abs(f1)
     half = 0.5 * (b - a)
     if method == "open":
         cutoff = 0.0
-    elif method == "cutoff":
-        _require_usable_cutoff(mu, min(tau - a, b - tau), half)
+    else:
         d1 = half * slope
         cutoff = cutoff_budget(mu / half, d1) if math.isfinite(d1) else math.inf
-    else:
-        raise ValueError(f"method must be 'open' or 'cutoff', got {method!r}")
     return tuple.__new__(ErrorBudget, (
         0.0,
         0.0,
         0.0,
         8.0 * EPS * slope * max(half, abs(tau)),
-        _log_term(f_tau, tau, min(tau - a, b - tau), EPS),
+        _log_term(f_tau, tau, left if left < right else right, EPS),
         (_CURVATURE_FACTOR * EPS * abs(tau) * math.sqrt(abs(f2))
          if math.isfinite(f2) else math.inf),
         cutoff,

@@ -9,11 +9,10 @@ import mpmath as mp
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cpvquad import cpv as cpv_module
+from cpvquad import QuotientOverflowError, cpv as cpv_module
 from cpvquad.cpv import (
     CpvProblem,
     CpvResult,
-    QuotientOverflowError,
     StopReasons,
     cpv_general,
     cpv_standard,
@@ -257,7 +256,7 @@ class TestProblemValidation:
     def test_nonfinite_f_on_the_half_step_stencil_reports_abscissa(self, side):
         # f is finite at tau and on the coarse stencil, so the jump test's
         # stencil at s/2 is the first to meet the NaN
-        s = derivative_estimates(math.exp, 0.5, 0.5, math.exp(0.5)).step
+        s = derivative_estimates(CpvProblem(math.exp, 0.5), math.exp(0.5)).step
         bad = 0.5 + side * (0.5 * s)
 
         def f(x):
@@ -417,9 +416,10 @@ class TestRecordsBuiltAsTuples:
                                 StopReasons(*result.stop_reasons))
 
     def test_derivative_estimates_are_ordinary_records(self):
-        deriv = derivative_estimates(math.exp, 0.5, 0.5, math.exp(0.5))
+        problem = CpvProblem(math.exp, 0.5)
+        deriv = derivative_estimates(problem, math.exp(0.5))
         _assert_ordinary_record(deriv, DerivativeEstimates(*deriv))
-        floor = total_error_estimate(deriv, math.exp(0.5), 0.5)
+        floor = total_error_estimate(problem, deriv, math.exp(0.5))
         _assert_ordinary_record(floor, ErrorBudget(*floor))
 
 
@@ -655,7 +655,7 @@ _PROLOGUE_PINS = [
      "0x1.8d1a4eccdb836p+1",
      dict(quad_left="0x1.d650000000000p-49", quad_right="0x0.0p+0",
           quad_h="0x1.bf1f800000000p-42", roundoff="0x1.0eb2582eecae0p-41",
-          log_sensitivity="0x1.68a9e459d6a85p-54",
+          log_sensitivity="0x1.68a9e459d6a84p-54",
           curvature_sensitivity="0x1.714a0d7b8a94fp-43", cutoff="0x0.0p+0"),
      4_524, True, ("tolerance",) * 3),
     ("case3", _battery("case3"),
@@ -676,7 +676,7 @@ _PROLOGUE_PINS = [
      "0x1.cd29798f33edcp+0",
      dict(quad_left="0x0.0p+0", quad_right="0x1.0e0708a800000p-41",
           quad_h="0x1.099121a000000p-41", roundoff="0x1.13780137151b4p-45",
-          log_sensitivity="0x1.f60088a3d3ab8p-56",
+          log_sensitivity="0x1.f60088a3d3ab7p-56",
           curvature_sensitivity="0x1.a746bc69fb94ep-46", cutoff="0x0.0p+0"),
      20_534, True, ("tolerance",) * 3),
     ("case6", _battery("case6"),
@@ -697,14 +697,14 @@ _PROLOGUE_PINS = [
      "-0x1.50e47a829f955p+5",
      dict(quad_left="0x1.0000000000000p-50", quad_right="0x0.0p+0",
           quad_h="0x1.7793800000000p-52", roundoff="0x1.5bf0a6737f2cep-49",
-          log_sensitivity="0x1.9ec6dcdcc1fd4p-29",
+          log_sensitivity="0x1.9ec6dcdcc1fd3p-29",
           curvature_sensitivity="0x1.a1e10d26abe47p-50", cutoff="0x0.0p+0"),
      42, True, ("tolerance",) * 3),
     ("case8", _battery("case8"),
      "0x1.3cf01fba808f8p+1",
      dict(quad_left="0x0.0p+0", quad_right="0x1.0000000000000p-52",
           quad_h="0x1.4a1881a5e9e8dp-40", roundoff="0x1.da448c07c2c7ep-42",
-          log_sensitivity="0x1.aa6074c86bf52p-55",
+          log_sensitivity="0x1.aa6074c86bf51p-55",
           curvature_sensitivity="0x1.7c935c6dcf601p-43", cutoff="0x0.0p+0"),
      15_382, True, ("tolerance", "floor", "floor")),
 ]
@@ -1107,6 +1107,20 @@ class TestRoundoffFloorStop:
         exact = 1e308 * (0.2 + 0.01 * math.log(0.9 / 1.1))
         assert result.value == pytest.approx(exact, rel=1e-12)
 
+    @pytest.mark.parametrize("tau,bound", [
+        (1e300, 1.1102230246251565e-06),
+        (1.5e300, 3.3306690738754696e-06),
+    ])
+    def test_log_term_bound_survives_an_overflowing_product(self, tau, bound):
+        # tau * f(tau) overflows, although eps |tau f(tau)| / delta is an
+        # ordinary number, so the term divides |tau| by delta first
+        result = cpv_general(lambda x: 1e10, tau, 0.0, 2e300, tol=1e-3)
+        assert result.budget.log_sensitivity == bound
+        assert result.converged
+        with mp.workdps(40):
+            reference = 1e10 * mp.log((mp.mpf(2e300) - tau) / tau)
+        assert _error(result.value, reference) <= result.error_estimate
+
 
 class TestJumpAtTau:
     @pytest.mark.parametrize("t", [0.3, -0.5, 0.1])
@@ -1122,7 +1136,7 @@ class TestJumpAtTau:
         assert result.stop_reasons == ("discontinuous_at_tau",) * 3
         assert result.evaluations == 0
         # f(tau) and the stencils at s, s/2, s/4 and s/8, nothing else
-        s = derivative_estimates(math.exp, t, 1.0 - abs(t), math.exp(t)).step
+        s = derivative_estimates(CpvProblem(math.exp, t), math.exp(t)).step
         assert calls == [t, t + s, t - s, t + s / 2, t - s / 2,
                          t + s / 4, t - s / 4, t + s / 8, t - s / 8]
         assert math.isnan(result.value)
@@ -1136,8 +1150,9 @@ class TestJumpAtTau:
         result = cpv_general(f, 5.0, 4.0, 9.0)
         assert result.stop_reasons == ("discontinuous_at_tau",) * 3
         # the budget keeps the floor's terms and charges each piece infinity
-        deriv = derivative_estimates(f, 5.0, 1.0, f_tau=3.0, a=4.0, b=9.0)
-        floor = total_error_estimate(deriv, 3.0, 5.0, a=4.0, b=9.0)
+        problem = CpvProblem(f, 5.0, 4.0, 9.0)
+        deriv = derivative_estimates(problem, f_tau=3.0)
+        floor = total_error_estimate(problem, deriv, 3.0)
         assert roundoff_floor(floor) > 0.0
         assert result.budget == floor._replace(
             quad_left=math.inf, quad_right=math.inf, quad_h=math.inf
@@ -1176,8 +1191,7 @@ class TestJumpAtTau:
     def test_oscillation_agreeing_at_one_pair_is_not_flagged(self, k, tau, a, b):
         # D(s) and D(s/2) agree here by chance, so the s/4 stencil decides
         f = lambda x: math.sin(k * x)
-        delta = endpoint_distance(tau, a, b)
-        coarse = derivative_estimates(f, tau, delta, f(tau), a=a, b=b)
+        coarse = derivative_estimates(CpvProblem(f, tau, a, b), f(tau))
         fine = stencil_at(f, tau, 0.5 * coarse.step)
         assert _pair_looks_like_jump(coarse.step, coarse.f1, coarse.f2, fine.f1,
                                      f(tau), tau)
@@ -1356,8 +1370,8 @@ _SUBNORMAL = ("rounding below the smallest normal double does not scale "
 @example(tree=parse("exp(x)"), k=20, case=(0.3, -1.0, 1.0))
 @example(tree=parse("1/x"), k=-3, case=(0.3, -1.0, 1.0))
 @example(tree=parse("log(x)"), k=3, case=(0.3, -1.0, 1.0))
-@example(tree=parse("1.1125369292536007e-308"), k=3,
-         case=(2.5, 1.0, 4.0)).xfail(raises=AssertionError, reason=_SUBNORMAL)
+# tau * f(tau) underflows here, so the log term divides |tau| by delta first
+@example(tree=parse("1.1125369292536007e-308"), k=3, case=(2.5, 1.0, 4.0))
 @example(tree=parse("x*5e-324"), k=20,
          case=(2.5, 1.0, 4.0)).xfail(raises=AssertionError, reason=_SUBNORMAL)
 @example(tree=parse("-(5e-324*409718.2741079658)/sin(x)"), k=-3,

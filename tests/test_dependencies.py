@@ -1,11 +1,12 @@
 """The product runs without mpmath: only the tests and perfbench/ need it.
 
 Static checks of the package source sit here too: no module imports
-mpmath, no function takes a parameter it never reads, every name the
-package root exports and every function `cpvquad.error_model` exports (but
-the paper's bounds) has a caller outside the tests, no node or weight
-of the quadrature rules is transcribed twice, and no module but
-`cpvquad.error_model` names a term of the budget's roundoff floor.
+mpmath, no module imports a name it never uses, no function takes a
+parameter it never reads, every name the package root exports and every
+function `cpvquad.error_model` exports (but the paper's bounds) has a
+caller outside the tests, no node or weight of the quadrature rules is
+transcribed twice, and no module but `cpvquad.error_model` names a term
+of the budget's roundoff floor.
 """
 
 import ast
@@ -68,6 +69,57 @@ def _imported_modules(path: Path) -> set[str]:
 def test_no_package_module_imports_mpmath(path):
     top_level = {name.split(".")[0] for name in _imported_modules(path)}
     assert "mpmath" not in top_level
+
+
+def _module_imports(tree: ast.Module) -> list[ast.stmt]:
+    """The import statements of a module body, those under ``if
+    TYPE_CHECKING:`` included."""
+    body = list(tree.body)
+    for node in tree.body:
+        if isinstance(node, ast.If) and ast.unparse(node.test) in (
+                "TYPE_CHECKING", "typing.TYPE_CHECKING"):
+            body.extend(node.body)
+    return [node for node in body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"]
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """The names listed in the module's ``__all__``, if it has one."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """``line:name`` for each name a module-level import binds that the
+    module at `path` never reads and its ``__all__`` does not list, unless
+    the import's line carries ``# noqa: F401``."""
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    used = read | _exported(tree)
+    unused = []
+    for node in _module_imports(tree):
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in used and "# noqa: F401" not in lines[
+                    alias.lineno - 1]:
+                unused.append(f"{alias.lineno}:{name}")
+    return unused
+
+
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name
+)
+def test_every_import_is_used(path):
+    # no linter runs on the package, so this stands in for pyflakes' F401
+    assert _unused_imports(path) == []
 
 
 def _unread_parameters(path: Path) -> list[str]:

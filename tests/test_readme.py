@@ -3,10 +3,12 @@
 The ``python`` block is executed as written, and every ``cpvquad integrate``
 and ``cpvquad bench`` line of its ``sh`` blocks goes through ``cli.main`` in
 process, so a README that names a removed function, flag or output key
-fails here.
+fails here.  The "Public names" paragraph is checked against the modules'
+``__all__``, so a public name the paragraph leaves out fails here too.
 """
 
 import csv
+import importlib
 import json
 import math
 import re
@@ -23,6 +25,23 @@ def _named_keys(lead):
     text = " ".join(README.read_text(encoding="utf-8").split())
     (sentence,) = re.findall(rf"{lead}(.*?)\.(?:\s|$)", text)
     return re.findall(r"`(\w+)`", sentence)
+
+
+def _paragraph_names(lead):
+    """The backquoted names of the README paragraph that starts with
+    `lead`."""
+    text = README.read_text(encoding="utf-8")
+    (paragraph,) = [p for p in text.split("\n\n") if p.startswith(lead)]
+    return set(re.findall(r"`(\w+)`", paragraph))
+
+
+@pytest.mark.parametrize("module", [
+    "cpvquad", "cpvquad.quadrature", "cpvquad.error_model",
+    "cpvquad.logbound", "cpvquad.expressions",
+])
+def test_public_names_paragraph_names_every_export(module):
+    exported = set(importlib.import_module(module).__all__)
+    assert exported - _paragraph_names("Public names.") == set()
 
 
 def test_library_block_runs_and_gives_log_3():
