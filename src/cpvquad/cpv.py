@@ -80,6 +80,9 @@ class CpvProblem(_ProblemFields):
     "cutoff" starts at ``mu`` instead and charges the skipped mass to the
     error budget.  ``mu`` is a distance in the units of x and is only
     consulted by the cutoff method.
+
+    Construction is the one place a problem is checked: the solver and its
+    prologue test none of the fields again.
     """
 
     __slots__ = ()
@@ -99,15 +102,17 @@ class CpvProblem(_ProblemFields):
                     f"interval [{a!r}, {b!r}] is wider than the largest double"
                 )
             raise ValueError(f"need finite a < b, got [{a!r}, {b!r}]")
-        if not (math.isfinite(tau) and a < tau < b):
+        # a and b are finite, so a tau between them is
+        if not a < tau < b:
             raise ValueError(
                 f"tau must lie strictly inside ({a!r}, {b!r}), got {tau!r}"
             )
-        if not (math.isfinite(tol) and tol > 0.0):
+        if not 0.0 < tol < math.inf:
             raise ValueError(f"tolerance must be positive, got {tol!r}")
-        if method not in ("open", "cutoff"):
-            raise ValueError(f"method must be 'open' or 'cutoff', got {method!r}")
-        if method == "cutoff":
+        if method != "open":
+            if method != "cutoff":
+                raise ValueError(
+                    f"method must be 'open' or 'cutoff', got {method!r}")
             _require_usable_cutoff(mu, endpoint_distance(tau, a, b),
                                    0.5 * (b - a))
         return self
@@ -207,6 +212,16 @@ def cpv_standard(problem: CpvProblem) -> CpvResult:
     enter the final budget.  A floor that overflowed leaves the tolerance at
     tol, and the result unconverged, as its budget is infinite.
 
+    The solver computes tau - a, b - tau and delta once, and each prologue
+    function computes what it reads once; nothing is built that the result
+    does not read.  A call that its first rule applications settle costs
+    those applications, the five calls of f above, and a fixed path that
+    builds no queue (see :func:`adaptive_integrate`).  The three names
+    ``derivative_estimates``, ``total_error_estimate`` and
+    ``adaptive_integrate`` are called as attributes of this module, once
+    each per call (the engine not at all on a jump), so a wrapper set on
+    them sees every call.
+
     On whichever side of tau the distance to the endpoint equals delta, the
     difference quotient piece is empty (the symmetric integral already covers
     it).  That side is chosen by comparing the two distances, not by
@@ -220,8 +235,6 @@ def cpv_standard(problem: CpvProblem) -> CpvResult:
     the offset from tau for the symmetric quotient.
     """
     f, tau, a, b, tol, method, mu = problem
-    # CpvProblem has checked a < tau < b
-    delta = min(tau - a, b - tau)
     f_tau = f(tau)
     if not math.isfinite(f_tau):
         raise NonfiniteIntegrandError(tau)
@@ -236,18 +249,29 @@ def cpv_standard(problem: CpvProblem) -> CpvResult:
         return tuple.__new__(CpvResult, (
             math.nan, budget, 0, False,
             tuple.__new__(StopReasons, (jump, jump, jump))))
-    # the floor's quadrature terms are 0, so its total is its roundoff terms
+    # the floor's quadrature terms are 0, so its total is its roundoff
+    # terms; it is never NaN, so this is max(tol, raised) where raised is
+    # finite, and tol where it overflowed
     raised = _FLOOR_FACTOR * floor.total
-    quad_tol = max(tol, raised) if math.isfinite(raised) else tol
+    quad_tol = raised if tol < raised < math.inf else tol
 
-    # the near side, and a far side whose rounded bounds are not ordered,
-    # are the empty pieces [a, a] and [b, b]
-    left_end = tau - delta
-    if not (b - tau < tau - a and a < left_end):
-        left_end = a
-    right_start = tau + delta
-    if not (tau - a < b - tau and right_start < b):
+    # CpvProblem has checked a < tau < b.  The near side, and a far side
+    # whose rounded bounds are not ordered, are the empty pieces [a, a] and
+    # [b, b]
+    below = tau - a
+    above = b - tau
+    if above < below:
+        delta = above
+        left_end = tau - delta
+        if not a < left_end:
+            left_end = a
         right_start = b
+    else:
+        delta = below
+        left_end = a
+        right_start = tau + delta
+        if not (below < above and right_start < b):
+            right_start = b
     lower = 0.0 if method == "open" else mu
     left = a < left_end
     right = right_start < b
@@ -259,12 +283,12 @@ def cpv_standard(problem: CpvProblem) -> CpvResult:
         f_tau,
     )
 
-    ratio = (b - tau) / (tau - a)
+    ratio = above / below
     if 0.0 < ratio < math.inf:
         log_term = f_tau * math.log(ratio)
     else:
         # tau lies so close to an endpoint that the ratio over- or underflowed
-        log_term = f_tau * (math.log(b - tau) - math.log(tau - a))
+        log_term = f_tau * (math.log(above) - math.log(below))
     value = log_term + values[0] + values[1] + values[2]
     converged = reason == "tolerance"
     if converged and estimates[0] + estimates[1] + estimates[2] > tol:

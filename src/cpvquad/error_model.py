@@ -189,28 +189,38 @@ def cutoff_budget(mu: float, d1: float, eps: float = EPS) -> float:
     return 16.0 * eps * d1 * math.log(1.0 / mu) + 2.0 * mu * d1
 
 
+def _require_finite_stencil(
+    tau: float, step: float, f_tau: float, up: float, down: float
+) -> None:
+    """Raise at the abscissa of the first non-finite of f(tau), f(tau +
+    step) and f(tau - step), the values `f_tau`, `up` and `down`.
+
+    A stencil calls this only when the sum of the three is not finite: one
+    test on the sum stands for a test per value, and a sum that overflowed
+    from finite values raises nothing.
+    """
+    for x, v in ((tau, f_tau), (tau + step, up), (tau - step, down)):
+        if not math.isfinite(v):
+            raise NonfiniteIntegrandError(x)
+
+
 def _stencil(
     f: Integrand, tau: float, step: float, f_tau: float
 ) -> tuple[float, float]:
     """Central differences (f1, f2) from f at tau and tau +- step.
 
-    f is called at tau + step, then tau - step.  One finiteness test on the
-    sum of the three values stands for a test per value; only when it fails
-    are they tested in turn, and a non-finite one is reported at its
-    abscissa (a sum that overflowed from finite values raises nothing).
-    Where step * step underflows, f2 divides by step twice instead.
+    f is called at tau + step, then tau - step, and a non-finite value is
+    reported at its abscissa (see :func:`_require_finite_stencil`).  Where
+    step * step underflows, f2 divides by step twice instead.
     """
     up = f(tau + step)
     down = f(tau - step)
     if not math.isfinite(f_tau + up + down):
-        for x, v in ((tau, f_tau), (tau + step, up), (tau - step, down)):
-            if not math.isfinite(v):
-                raise NonfiniteIntegrandError(x)
-    f1 = (up - down) / (2.0 * step)
+        _require_finite_stencil(tau, step, f_tau, up, down)
+    curve = up - 2.0 * f_tau + down
     square = step * step
-    if square < _MIN_NORMAL:
-        return f1, (up - 2.0 * f_tau + down) / step / step
-    return f1, (up - 2.0 * f_tau + down) / square
+    return ((up - down) / (2.0 * step),
+            curve / step / step if square < _MIN_NORMAL else curve / square)
 
 
 def derivative_estimates(
@@ -235,8 +245,17 @@ def derivative_estimates(
     left = tau - a
     right = b - tau
     delta = left if left < right else right
-    step = min(max(delta * 1e-4, _CBRT_EPS * max(0.5 * (b - a), abs(tau))),
-               0.5 * delta)
+    # min and max as conditionals: each keeps its first argument unless the
+    # second is strictly beyond it, as the builtins do
+    scale = abs(tau)
+    half = 0.5 * (b - a)
+    step = _CBRT_EPS * (scale if scale > half else half)
+    least = delta * 1e-4
+    if not step > least:
+        step = least
+    clamp = 0.5 * delta
+    if clamp < step:
+        step = clamp
     # a checked problem has a positive finite delta, which gives a finite
     # step, positive unless delta / 2 underflows
     if step == 0.0:
@@ -244,9 +263,19 @@ def derivative_estimates(
             f"tau = {tau!r} lies too close to an endpoint of "
             f"[{a!r}, {b!r}] for a derivative stencil"
         )
-    f1, f2 = _stencil(f, tau, step, f_tau)
+    # _stencil, inline
+    up = f(tau + step)
+    down = f(tau - step)
+    if not math.isfinite(f_tau + up + down):
+        _require_finite_stencil(tau, step, f_tau, up, down)
+    curve = up - 2.0 * f_tau + down
+    square = step * step
     # tuple.__new__ skips the generated __new__; the record checks nothing
-    return tuple.__new__(DerivativeEstimates, (f1, f2, step))
+    return tuple.__new__(DerivativeEstimates, (
+        (up - down) / (2.0 * step),
+        curve / step / step if square < _MIN_NORMAL else curve / square,
+        step,
+    ))
 
 
 def _pair_looks_like_jump(
@@ -269,18 +298,18 @@ def _pair_looks_like_jump(
     ulps of the sampled values, which the stencil reconstructs from f(tau),
     f1 and f2, plus the rounding of tau +- s at ulp(tau) times the
     one-sided slope.  A kink such as |x - tau| leaves D at rounding level
-    and does not look like a jump; a non-finite estimate never does.
+    and does not look like a jump; a non-finite estimate never does.  The
+    agreement is tested first: where f is differentiable D(s) is about
+    2 D(s/2), so that test alone settles almost every call.
     """
-    d_coarse = 2.0 * s * f1
     # 2 (s/2) is s: the stencils divided by s * s, so s/2 is exact
     d_fine = s * fine_f1
+    if not abs(2.0 * s * f1 - d_fine) <= 0.25 * abs(d_fine):
+        return False
     sampled = abs(f_tau) + s * abs(f1) + s * s * abs(f2)
     slope = abs(f1) + s * abs(f2)
     noise = EPS * (sampled + abs(tau) * slope)
-    return (
-        abs(d_fine) > 64.0 * noise
-        and abs(d_coarse - d_fine) <= 0.25 * abs(d_fine)
-    )
+    return abs(d_fine) > 64.0 * noise
 
 
 def jump_at_tau(
@@ -291,7 +320,8 @@ def jump_at_tau(
     `deriv` is the stencil at step s.  Every neighbouring pair of stencils
     must look like a jump; each halving costs two calls of f and runs only
     while every coarser pair did, so a problem without an apparent jump
-    costs one stencil.  One pair alone cannot tell a jump from an
+    costs one stencil, and the first pair's agreement test, inline here,
+    settles it.  One pair alone cannot tell a jump from an
     oscillation on the scale of s: for sin(Kx) at 0, D(s) = 2 sin(Ks) agrees
     with D(s/2) whenever cos(Ks/2) lies in [0.375, 0.625], bands that cover
     about 9 % of large K.  The bands of the next pair, cos(Ks/4) in the same
@@ -302,10 +332,31 @@ def jump_at_tau(
     """
     f, tau, _, _, _, _, _ = problem
     f1, f2, step = deriv
-    for _ in range(3):
+    fine_step = 0.5 * step
+    if fine_step == 0.0:
+        # no finer stencil exists to confirm the jump
+        return False
+    # the first pair inline, as far as its agreement test, which settles
+    # almost every problem without a jump (see _pair_looks_like_jump)
+    up = f(tau + fine_step)
+    down = f(tau - fine_step)
+    if not math.isfinite(f_tau + up + down):
+        _require_finite_stencil(tau, fine_step, f_tau, up, down)
+    fine_f1 = (up - down) / (2.0 * fine_step)
+    d_fine = step * fine_f1
+    if not abs(2.0 * step * f1 - d_fine) <= 0.25 * abs(d_fine):
+        return False
+    curve = up - 2.0 * f_tau + down
+    square = fine_step * fine_step
+    fine_f2 = (curve / fine_step / fine_step if square < _MIN_NORMAL
+               else curve / square)
+    if not _pair_looks_like_jump(step, f1, f2, fine_f1, f_tau, tau):
+        return False
+    # the pairs (s/2, s/4) and (s/4, s/8)
+    step, f1, f2 = fine_step, fine_f1, fine_f2
+    for _ in range(2):
         fine_step = 0.5 * step
         if fine_step == 0.0:
-            # no finer stencil exists to confirm the jump
             return False
         fine_f1, fine_f2 = _stencil(f, tau, fine_step, f_tau)
         if not _pair_looks_like_jump(step, f1, f2, fine_f1, f_tau, tau):
@@ -367,6 +418,7 @@ def total_error_estimate(
     left = tau - a
     right = b - tau
     slope = abs(f1)
+    scale = abs(tau)
     half = 0.5 * (b - a)
     if method == "open":
         cutoff = 0.0
@@ -377,9 +429,11 @@ def total_error_estimate(
         0.0,
         0.0,
         0.0,
-        8.0 * EPS * slope * max(half, abs(tau)),
-        _log_term(f_tau, tau, left if left < right else right, EPS),
-        (_CURVATURE_FACTOR * EPS * abs(tau) * math.sqrt(abs(f2))
+        # max(half, |tau|), as the builtin picks it
+        8.0 * EPS * slope * (scale if scale > half else half),
+        # _log_term, inline
+        EPS * abs(f_tau) * (scale / (left if left < right else right)),
+        (_CURVATURE_FACTOR * EPS * scale * math.sqrt(abs(f2))
          if math.isfinite(f2) else math.inf),
         cutoff,
     ))

@@ -749,8 +749,10 @@ def adaptive_integrate(
     summed estimate drops to ``tol``, the partition of all pieces reaches
     ``max_intervals`` intervals, or no interval is wide enough to split.
     Ties fall back on insertion order.  A call whose first applications
-    meet ``tol`` builds no queue: it returns their values and estimates as
-    they stand.
+    meet ``tol`` builds no queue, no heap entry and no list of settled
+    intervals: it returns their values and estimates as they stand, and
+    only a call that refines builds them, from what the first applications
+    kept.
 
     An interval's estimate is the embedded difference |K21 - G10|.  When it
     is at most ``_RESOLVED`` times QUADPACK's resasc, the interval looks
@@ -794,21 +796,14 @@ def adaptive_integrate(
         )
 
     n = len(pieces)
-    kernels = [None] * n
     values = [0.0] * n
     estimates = [0.0] * n
     evaluations = [0] * n
-    # Heap entries are (-estimate, sequence, a, b, value, piece, partial);
-    # the sequence number breaks ties deterministically, and partial is the
-    # 43-point sum over the 21 nodes of an interval that looks resolved and
-    # has not been extended, else None.  A first application keeps its
-    # values there instead, for the first pick to resolve, so a call whose
-    # first applications meet tol pays nothing for the decision.  Intervals
-    # too narrow to split migrate to `settled` as (piece, a, value,
-    # estimate) and keep contributing their estimate; one-point pieces start
-    # there, and `fixed` sums their charges.
-    heap: list[tuple[float, int, float, float, float, int, object]] = []
-    settled: list[tuple[int, float, float, float]] = []
+    # A piece's first application keeps its 21 values, for the interval's
+    # first pick to decide whether it looks resolved, so a call whose first
+    # applications meet tol pays nothing for the decision.  One-point pieces
+    # keep None, and `fixed` sums their charges.
+    kept: list[Optional[tuple]] = [None] * n
     err_sum = 0.0
     fixed = 0.0
     count = 0
@@ -826,7 +821,6 @@ def adaptive_integrate(
         if a == b:
             continue
         count += 1
-        kernel = kernels[piece] = _pair_kernel(form)
         mid = 0.5 * (a + b)  # _midpoint, inline
         if not math.isfinite(mid):
             mid = 0.5 * a + 0.5 * b
@@ -835,14 +829,14 @@ def adaptive_integrate(
         # nodes land strictly inside [a, b] when its two outermost nodes do
         reach = half * _PAIR_OUTERMOST
         if a < mid - reach and mid + reach < b:
-            value, err, partial = kernel(f, a, b, tau, f_tau, True)
+            value, err, kept[piece] = _pair_kernel(form)(
+                f, a, b, tau, f_tau, True
+            )
             evaluations[piece] = _PAIR_ORDER
-            heap.append((-err, len(heap), a, b, value, piece, partial))
         else:
             value, err, evaluations[piece] = _one_point(
                 form, f, a, b, tau, f_tau
             )
-            settled.append((piece, a, value, err))
             fixed += err
         values[piece] = 0.0 + value
         estimates[piece] = 0.0 + err
@@ -853,6 +847,26 @@ def adaptive_integrate(
         return tuple.__new__(
             AdaptiveResult, (values, estimates, evaluations, "tolerance")
         )
+
+    # Heap entries are (-estimate, sequence, a, b, value, piece, partial);
+    # the sequence number breaks ties deterministically, and partial is the
+    # 43-point sum over the 21 nodes of an interval that looks resolved and
+    # has not been extended, else None, or a first application's kept
+    # values.  Intervals too narrow to split migrate to `settled` as
+    # (piece, a, value, estimate) and keep contributing their estimate;
+    # one-point pieces start there.  A piece's value and estimate stand for
+    # its one interval: 0.0 + v differs from v only at -0.0, which every sum
+    # and difference below treats as 0.0.
+    kernels = [None] * n
+    heap: list[tuple[float, int, float, float, float, int, object]] = []
+    settled: list[tuple[int, float, float, float]] = []
+    for piece, (form, a, b) in enumerate(pieces):
+        if kept[piece] is not None:
+            kernels[piece] = _pair_kernel(form)
+            heap.append((-estimates[piece], len(heap), a, b, values[piece],
+                         piece, kept[piece]))
+        elif a != b:
+            settled.append((piece, a, values[piece], estimates[piece]))
     heapq.heapify(heap)
     seq = len(heap)
     # no bisection lowers a one-point charge

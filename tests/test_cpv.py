@@ -718,12 +718,167 @@ _PROLOGUE_PINS = [
 def test_prologue_branches_keep_their_bits(
     kwargs, value, terms, evaluations, converged, reasons
 ):
-    result = cpv_standard(CpvProblem(**kwargs))
+    _assert_pinned(cpv_standard(CpvProblem(**kwargs)), value, terms,
+                   evaluations, converged, reasons)
+
+
+def _assert_pinned(result, value, terms, evaluations, converged, reasons):
     assert result.value.hex() == value
     assert {k: v.hex() for k, v in result.budget._asdict().items()} == terms
     assert result.evaluations == evaluations
     assert result.converged is converged
     assert result.stop_reasons == reasons
+
+
+def _scaled_exp(k):
+    return lambda x: k * math.exp(x)
+
+
+def _shifted_sin(c):
+    return lambda x: math.sin(x - c)
+
+
+def _step(t):
+    return lambda x: 1.0 if x >= t else 0.0
+
+
+def _budget_row(quad_h, roundoff, quad_left="0x0.0p+0", log="0x0.0p+0",
+                curvature="0x0.0p+0"):
+    return dict(quad_left=quad_left, quad_right="0x0.0p+0", quad_h=quad_h,
+                roundoff=roundoff, log_sensitivity=log,
+                curvature_sensitivity=curvature, cutoff="0x0.0p+0")
+
+
+def _jump_row(roundoff, log, curvature):
+    return dict(quad_left="inf", quad_right="inf", quad_h="inf",
+                roundoff=roundoff, log_sensitivity=log,
+                curvature_sensitivity=curvature, cutoff="0x0.0p+0")
+
+
+_CASE8_ROW = (
+    "0x1.3cf01fba808f8p+1",
+    dict(quad_left="0x0.0p+0", quad_right="0x1.0000000000000p-52",
+         quad_h="0x1.4a1881a5e9e8dp-40", roundoff="0x1.da448c07c2c7ep-42",
+         log_sensitivity="0x1.aa6074c86bf51p-55",
+         curvature_sensitivity="0x1.7c935c6dcf601p-43", cutoff="0x0.0p+0"),
+    15_382, True, ("tolerance", "floor", "floor"),
+)
+
+_FIRST_PASS = ("floor", "tolerance", "floor")
+_SYMMETRIC_FLOOR = ("tolerance", "tolerance", "floor")
+_JUMP = ("discontinuous_at_tau",) * 3
+
+#: The 18 inputs of the benchmark's `stress` workload, written out: the
+#: value and each budget term as hex, then evaluations, converged and stop
+#: reasons.  All but case8 stop at their first application of the pair or
+#: before any quadrature, so these rows pin the solver's fixed per-call path.
+_STRESS_PINS = [
+    ("case8@1e-14", dict(_battery("case8"), tol=1e-14), *_CASE8_ROW),
+    ("case8@1e-15", dict(_battery("case8"), tol=1e-15), *_CASE8_ROW),
+    ("1e50exp@0.5", dict(f=_scaled_exp(1e50), tau=0.5),
+     "0x1.f430c099fa714p+165",
+     _budget_row("0x0.0p+0", "0x1.c33d877f31430p+116",
+                 quad_left="0x1.0000000000000p+114",
+                 log="0x1.c33d877c0c8b5p+113",
+                 curvature="0x1.53e0f2ac5f5c7p+32"),
+     42, True, _FIRST_PASS),
+    ("1e100exp@0.5", dict(f=_scaled_exp(1e100), tau=0.5),
+     "0x1.0b60d658a7011p+332",
+     _budget_row("0x0.0p+0", "0x1.e26c786375400p+282",
+                 quad_left="0x1.0000000000000p+280",
+                 log="0x1.e26c78601763ap+279",
+                 curvature="0x1.5f6d23bee042dp+115"),
+     42, True, _FIRST_PASS),
+    ("1e150exp@0.5", dict(f=_scaled_exp(1e150), tau=0.5),
+     "0x1.1ddb0e00fb134p+498",
+     _budget_row("0x1.0000000000000p+447", "0x1.01e18a2b3c7f0p+449",
+                 quad_left="0x1.0000000000000p+446",
+                 log="0x1.01e18a296f677p+446",
+                 curvature="0x1.6b5dc6e8fdc43p+198"),
+     42, True, _FIRST_PASS),
+    ("1e200exp@0.5", dict(f=_scaled_exp(1e200), tau=0.5),
+     "0x1.319c2870c3ebep+664",
+     _budget_row("0x1.0000000000000p+613", "0x1.13b3bd7b90fa0p+615",
+                 quad_left="0x1.0000000000000p+612",
+                 log="0x1.13b3bd79a348ep+612",
+                 curvature="0x1.77b64243a87f8p+281"),
+     42, True, _FIRST_PASS),
+    ("1e250exp@0.5", dict(f=_scaled_exp(1e250), tau=0.5),
+     "0x1.46babca0f2b91p+830",
+     _budget_row("0x1.0000000000000p+779", "0x1.26c1372b67390p+781",
+                 log="0x1.26c1372957853p+778",
+                 curvature="0x1.847a211965f14p+364"),
+     42, True, _FIRST_PASS),
+    ("1e300exp@0.5", dict(f=_scaled_exp(1e300), tau=0.5),
+     "0x1.5d4ef12da6c26p+996",
+     _budget_row("0x1.0000000000000p+946", "0x1.3b1fc0ca88c70p+947",
+                 quad_left="0x1.0000000000000p+944",
+                 log="0x1.3b1fc0c8566b7p+944",
+                 curvature="0x1.91ad073b9b5dcp+447"),
+     42, True, _FIRST_PASS),
+    ("sin(x-1e3)@1e3",
+     dict(f=_shifted_sin(1e3), tau=1e3, a=1e3 - 1.0, b=1e3 + 1.0),
+     "0x1.e465000d0de36p+0",
+     _budget_row("0x1.5a00000000000p-44", "0x1.f3ff81d844603p-41"),
+     21, True, ("tolerance",) * 3),
+    ("sin(x-1e4)@1e4",
+     dict(f=_shifted_sin(1e4), tau=1e4, a=1e4 - 1.0, b=1e4 + 1.0),
+     "0x1.e465000d10fe9p+0",
+     _budget_row("0x1.77b8000000000p-39", "0x1.386134343e83ap-37"),
+     21, True, _SYMMETRIC_FLOOR),
+    ("sin(x-1e5)@1e5",
+     dict(f=_shifted_sin(1e5), tau=1e5, a=1e5 - 1.0, b=1e5 + 1.0),
+     "0x1.e465000cf4229p+0",
+     _budget_row("0x1.4ec7000000000p-36", "0x1.77c244b63f471p-34"),
+     21, True, _SYMMETRIC_FLOOR),
+    ("sin(x-1e6)@1e6",
+     dict(f=_shifted_sin(1e6), tau=1e6, a=1e6 - 1.0, b=1e6 + 1.0),
+     "0x1.e465000dc24f4p+0",
+     _budget_row("0x1.5008000000000p-34", "0x1.d43062787dc36p-31"),
+     21, True, _SYMMETRIC_FLOOR),
+    ("sin(x-1e7)@1e7",
+     dict(f=_shifted_sin(1e7), tau=1e7, a=1e7 - 1.0, b=1e7 + 1.0),
+     "0x1.e465000920438p+0",
+     _budget_row("0x1.07e2f30000000p-28", "0x1.249e3d8b4e9a1p-27"),
+     21, True, _SYMMETRIC_FLOOR),
+    ("sin(x-1e8)@1e8",
+     dict(f=_shifted_sin(1e8), tau=1e8, a=1e8 - 1.0, b=1e8 + 1.0),
+     "0x1.e464ffec2f2bdp+0",
+     _budget_row("0x1.503ebee000000p-25", "0x1.6dc5ccee2240ap-24"),
+     21, True, _SYMMETRIC_FLOOR),
+    ("sin(x-1e9)@1e9",
+     dict(f=_shifted_sin(1e9), tau=1e9, a=1e9 - 1.0, b=1e9 + 1.0),
+     "0x1.e464fe932218dp+0",
+     _budget_row("0x1.a2962d5000000p-24", "0x1.c9374029aad0cp-21"),
+     21, True, _SYMMETRIC_FLOOR),
+    ("step@0.3", dict(f=_step(0.3), tau=0.3), "nan",
+     _jump_row("0x1.be6db6db6db6ep-38", "0x1.b6db6db6db6dcp-55",
+               "0x1.0bdb6db6db6dcp-38"),
+     0, False, _JUMP),
+    ("step@-0.5", dict(f=_step(-0.5), tau=-0.5), "nan",
+     _jump_row("0x1.3880000000000p-37", "0x1.0000000000000p-53",
+               "0x1.3880000000000p-37"),
+     0, False, _JUMP),
+    ("step@0.1", dict(f=_step(0.1), tau=0.1), "nan",
+     _jump_row("0x1.5b38e38e38e39p-38", "0x1.c71c71c71c71dp-57",
+               "0x1.15c71c71c71c7p-40"),
+     0, False, _JUMP),
+]
+
+
+@pytest.mark.parametrize(
+    "kwargs,value,terms,evaluations,converged,reasons",
+    [pin[1:] for pin in _STRESS_PINS],
+    ids=[pin[0] for pin in _STRESS_PINS],
+)
+def test_stress_members_keep_their_bits(
+    kwargs, value, terms, evaluations, converged, reasons
+):
+    # cpv_general, as the benchmark calls off [-1, 1], builds the same
+    # problem; both entry points must give these bits
+    general = cpv_general(**{"a": -1.0, "b": 1.0, **kwargs})
+    for result in (cpv_standard(CpvProblem(**kwargs)), general):
+        _assert_pinned(result, value, terms, evaluations, converged, reasons)
 
 
 def test_kink_costs_at_most_a_tenth_more_than_the_pair_alone():
@@ -868,6 +1023,50 @@ class TestDecompositionMechanics:
         assert left > 15 and right == 0
         assert calls[0] == left + right + 2 * symmetric + 5
         assert result.evaluations == left + right + symmetric
+
+    @pytest.mark.parametrize(
+        "kwargs,jump",
+        [
+            (dict(f=math.exp, tau=0.5), False),
+            (dict(f=math.exp, tau=0.0), False),
+            (dict(f=math.exp, tau=0.5, method="cutoff", mu=1e-6), False),
+            (dict(f=_shifted_sin(1e5), tau=1e5, a=1e5 - 1.0, b=1e5 + 1.0),
+             False),
+            (dict(f=math.exp, tau=1e-16), False),
+            (_battery("case2"), False),
+            (dict(f=_step(0.3), tau=0.3), True),
+        ],
+        ids=["exp@0.5", "exp@0", "cutoff", "sin(x-1e5)@1e5", "one-point",
+             "case2", "step@0.3"],
+    )
+    def test_each_call_goes_once_through_the_traced_names(
+        self, monkeypatch, kwargs, jump
+    ):
+        # the benchmark's tracer wraps these three names on the cpv module;
+        # a call that bypassed one, or went through it twice, would leave
+        # that layer's metrics wrong
+        counts = {}
+
+        def counting(name):
+            original = getattr(cpv_module, name)
+
+            def wrapper(*args, **kw):
+                counts[name] += 1
+                return original(*args, **kw)
+            return wrapper
+
+        names = ("derivative_estimates", "total_error_estimate",
+                 "adaptive_integrate")
+        for name in names:
+            monkeypatch.setattr(cpv_module, name, counting(name))
+        for call in (lambda: cpv_standard(CpvProblem(**kwargs)),
+                     lambda: cpv_general(**{"a": -1.0, "b": 1.0, **kwargs})):
+            counts.update(dict.fromkeys(names, 0))
+            result = call()
+            assert counts == dict(derivative_estimates=1,
+                                  total_error_estimate=1,
+                                  adaptive_integrate=0 if jump else 1)
+            assert (result.stop_reasons == _JUMP) is jump
 
     def test_deterministic_reruns(self):
         p = CpvProblem(f=lambda x: math.sin(3.0 * x) + x * x, tau=0.4)
