@@ -44,7 +44,6 @@ from .error_model import (
     derivative_estimates,
     endpoint_distance,
     json_number,
-    jump_at_tau,
     total_error_estimate,
 )
 from .quadrature import (
@@ -199,18 +198,20 @@ _AT_TOLERANCE = StopReasons("tolerance", "tolerance", "tolerance")
 def cpv_standard(problem: CpvProblem) -> CpvResult:
     """Compute a principal value integral over the problem's [a, b].
 
-    f(tau) and two derivative stencils, at step s and s/2, come first:
-    five calls of f, and up to four more when those two stencils look like
-    a jump and finer ones have to confirm it (see :func:`jump_at_tau`).
-    If f jumps at tau no principal value exists, and the result reports
-    ``discontinuous_at_tau`` without running any quadrature.  Otherwise the
-    roundoff floor of the budget (its terms after the three quadrature
-    estimates) is computed once from f(tau) and the coarse stencil, and
-    one engine call integrates the three quadrature pieces in one priority
-    queue until their summed estimate meets max(tol, 2 floor), so no piece
-    refines toward an accuracy the floor rules out; the same floor terms
-    enter the final budget.  A floor that overflowed leaves the tolerance at
-    tol, and the result unconverged, as its budget is infinite.
+    f(tau) and the derivative stencils at step s and s/2 come first: five
+    calls of f, and up to four more when those two stencils look like a
+    jump and finer ones have to confirm it, all made by
+    :func:`~cpvquad.error_model.derivative_estimates`, which also decides
+    the jump.  If f jumps at tau no principal value exists, and the result
+    reports ``discontinuous_at_tau`` without running any quadrature.
+    Otherwise the roundoff floor of the budget (its terms after the three
+    quadrature estimates) is computed once from f(tau) and the coarse
+    stencil, and one engine call integrates the three quadrature pieces in
+    one priority queue until their summed estimate meets max(tol, 2 floor),
+    so no piece refines toward an accuracy the floor rules out; the same
+    floor terms enter the final budget.  A floor that overflowed leaves the
+    tolerance at tol, and the result unconverged, as its budget is
+    infinite.
 
     The solver computes tau - a, b - tau and delta once, and each prologue
     function computes what it reads once; nothing is built that the result
@@ -241,7 +242,7 @@ def cpv_standard(problem: CpvProblem) -> CpvResult:
 
     deriv = derivative_estimates(problem, f_tau)
     floor = total_error_estimate(problem, deriv, f_tau)
-    if jump_at_tau(problem, deriv, f_tau):
+    if deriv.jump:
         # the records check nothing, so tuple.__new__ builds them directly
         budget = tuple.__new__(ErrorBudget,
                                (math.inf, math.inf, math.inf, *floor[3:]))

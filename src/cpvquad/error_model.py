@@ -12,7 +12,7 @@ The paper's bounds take the relative rounding error bound ``eps``
 explicitly and default to :data:`EPS`, the bound for IEEE double
 arithmetic.  Those that depend on the interval [a, b] take it as trailing
 ``a`` and ``b``, which default to the reference interval [-1, 1].  The
-solver's prologue (:func:`derivative_estimates`, :func:`jump_at_tau` and
+solver's prologue (:func:`derivative_estimates` and
 :func:`total_error_estimate`) takes the checked
 :class:`~cpvquad.cpv.CpvProblem` instead, checks none of its fields again,
 and uses EPS itself.  Every quantity is in the units of x.
@@ -27,7 +27,7 @@ import math
 import sys
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .quadrature import Integrand, NonfiniteIntegrandError
+from .quadrature import NonfiniteIntegrandError
 
 if TYPE_CHECKING:
     from .cpv import CpvProblem
@@ -42,7 +42,6 @@ __all__ = [
     "difference_quotient_roundoff",
     "cutoff_budget",
     "derivative_estimates",
-    "jump_at_tau",
     "log_term_sensitivity",
     "total_error_estimate",
 ]
@@ -111,11 +110,17 @@ class ErrorBudget(NamedTuple):
 
 
 class DerivativeEstimates(NamedTuple):
-    """Central difference estimates of f' and f'' at the singularity."""
+    """Central difference estimates of f' and f'' at the singularity.
+
+    ``f1`` and ``f2`` come from the stencil at ``step``; ``jump`` is whether
+    the finer stencils show f jumping at tau, where no f' exists (see
+    :func:`derivative_estimates`).
+    """
 
     f1: float
     f2: float
     step: float
+    jump: bool
 
 
 def _require_positive(name: str, v: float) -> None:
@@ -204,29 +209,11 @@ def _require_finite_stencil(
             raise NonfiniteIntegrandError(x)
 
 
-def _stencil(
-    f: Integrand, tau: float, step: float, f_tau: float
-) -> tuple[float, float]:
-    """Central differences (f1, f2) from f at tau and tau +- step.
-
-    f is called at tau + step, then tau - step, and a non-finite value is
-    reported at its abscissa (see :func:`_require_finite_stencil`).  Where
-    step * step underflows, f2 divides by step twice instead.
-    """
-    up = f(tau + step)
-    down = f(tau - step)
-    if not math.isfinite(f_tau + up + down):
-        _require_finite_stencil(tau, step, f_tau, up, down)
-    curve = up - 2.0 * f_tau + down
-    square = step * step
-    return ((up - down) / (2.0 * step),
-            curve / step / step if square < _MIN_NORMAL else curve / square)
-
-
 def derivative_estimates(
     problem: CpvProblem, f_tau: float
 ) -> DerivativeEstimates:
-    """Estimate f'(tau) and f''(tau) by central divided differences.
+    """Estimate f'(tau) and f''(tau) by central divided differences, and
+    whether f jumps at tau.
 
     With delta the distance from tau to the nearer endpoint, the step is
     max(delta * 1e-4, EPS**(1/3) * max((b-a)/2, |tau|)), clamped to
@@ -238,6 +225,22 @@ def derivative_estimates(
     keeps the step meaningful when the singularity sits very close to an
     endpoint.  These estimates feed error bounds only, so a few correct
     digits are plenty.
+
+    The jump is decided by stencils at steps s, s/2, s/4 and s/8: every
+    neighbouring pair must look like a jump (see
+    :func:`_pair_looks_like_jump`), and the walk halves the step only while
+    every coarser pair did.  Each stencil calls f at tau + step, then
+    tau - step, and a non-finite value is reported at its abscissa (see
+    :func:`_require_finite_stencil`); a problem without an apparent jump
+    costs the stencils at s and s/2, four calls of f.  One pair alone
+    cannot tell a jump from an oscillation on the scale of s: for sin(Kx)
+    at 0, D(s) = 2 sin(Ks) agrees with D(s/2) whenever cos(Ks/2) lies in
+    [0.375, 0.625], bands that cover about 9 % of large K.  The bands of
+    the next pair, cos(Ks/4) in the same range, are disjoint from these, so
+    no sinusoid passes two pairs; a sum of two can, and the third pair
+    rules most of those out.  The stencils resolve tau only to the finest
+    step: a jump closer to tau than s/8 looks the same and is reported too.
+    Where a step's square underflows, f2 divides by the step twice instead.
 
     `f_tau` is f(tau), which the caller already has.
     """
@@ -263,19 +266,32 @@ def derivative_estimates(
             f"tau = {tau!r} lies too close to an endpoint of "
             f"[{a!r}, {b!r}] for a derivative stencil"
         )
-    # _stencil, inline
-    up = f(tau + step)
-    down = f(tau - step)
-    if not math.isfinite(f_tau + up + down):
-        _require_finite_stencil(tau, step, f_tau, up, down)
-    curve = up - 2.0 * f_tau + down
-    square = step * step
-    # tuple.__new__ skips the generated __new__; the record checks nothing
-    return tuple.__new__(DerivativeEstimates, (
-        (up - down) / (2.0 * step),
-        curve / step / step if square < _MIN_NORMAL else curve / square,
-        step,
-    ))
+    s = step
+    for n in range(4):
+        if s == 0.0:
+            # no finer stencil exists to confirm the jump
+            break
+        up = f(tau + s)
+        down = f(tau - s)
+        if not math.isfinite(f_tau + up + down):
+            _require_finite_stencil(tau, s, f_tau, up, down)
+        s_f1 = (up - down) / (2.0 * s)
+        # the pair test reads the finer stencil's f1 alone, so f2 waits
+        if n and not _pair_looks_like_jump(coarse, coarse_f1, coarse_f2,
+                                           s_f1, f_tau, tau):
+            break
+        curve = up - 2.0 * f_tau + down
+        square = s * s
+        s_f2 = curve / s / s if square < _MIN_NORMAL else curve / square
+        if not n:
+            f1 = s_f1
+            f2 = s_f2
+        coarse, coarse_f1, coarse_f2 = s, s_f1, s_f2
+        s = 0.5 * s
+    else:
+        # tuple.__new__ skips the generated __new__; the record checks nothing
+        return tuple.__new__(DerivativeEstimates, (f1, f2, step, True))
+    return tuple.__new__(DerivativeEstimates, (f1, f2, step, False))
 
 
 def _pair_looks_like_jump(
@@ -312,65 +328,6 @@ def _pair_looks_like_jump(
     return abs(d_fine) > 64.0 * noise
 
 
-def jump_at_tau(
-    problem: CpvProblem, deriv: DerivativeEstimates, f_tau: float
-) -> bool:
-    """Whether f jumps at tau, by stencils at steps s, s/2, s/4 and s/8.
-
-    `deriv` is the stencil at step s.  Every neighbouring pair of stencils
-    must look like a jump; each halving costs two calls of f and runs only
-    while every coarser pair did, so a problem without an apparent jump
-    costs one stencil, and the first pair's agreement test, inline here,
-    settles it.  One pair alone cannot tell a jump from an
-    oscillation on the scale of s: for sin(Kx) at 0, D(s) = 2 sin(Ks) agrees
-    with D(s/2) whenever cos(Ks/2) lies in [0.375, 0.625], bands that cover
-    about 9 % of large K.  The bands of the next pair, cos(Ks/4) in the same
-    range, are disjoint from these, so no sinusoid passes two pairs; a sum
-    of two can, and the third pair rules most of those out.  The stencils
-    resolve tau only to the finest step: a jump closer to tau than s/8 looks
-    the same and is reported too.
-    """
-    f, tau, _, _, _, _, _ = problem
-    f1, f2, step = deriv
-    fine_step = 0.5 * step
-    if fine_step == 0.0:
-        # no finer stencil exists to confirm the jump
-        return False
-    # the first pair inline, as far as its agreement test, which settles
-    # almost every problem without a jump (see _pair_looks_like_jump)
-    up = f(tau + fine_step)
-    down = f(tau - fine_step)
-    if not math.isfinite(f_tau + up + down):
-        _require_finite_stencil(tau, fine_step, f_tau, up, down)
-    fine_f1 = (up - down) / (2.0 * fine_step)
-    d_fine = step * fine_f1
-    if not abs(2.0 * step * f1 - d_fine) <= 0.25 * abs(d_fine):
-        return False
-    curve = up - 2.0 * f_tau + down
-    square = fine_step * fine_step
-    fine_f2 = (curve / fine_step / fine_step if square < _MIN_NORMAL
-               else curve / square)
-    if not _pair_looks_like_jump(step, f1, f2, fine_f1, f_tau, tau):
-        return False
-    # the pairs (s/2, s/4) and (s/4, s/8)
-    step, f1, f2 = fine_step, fine_f1, fine_f2
-    for _ in range(2):
-        fine_step = 0.5 * step
-        if fine_step == 0.0:
-            return False
-        fine_f1, fine_f2 = _stencil(f, tau, fine_step, f_tau)
-        if not _pair_looks_like_jump(step, f1, f2, fine_f1, f_tau, tau):
-            return False
-        step, f1, f2 = fine_step, fine_f1, fine_f2
-    return True
-
-
-def _log_term(f_tau: float, tau: float, delta: float, eps: float) -> float:
-    # |tau| / delta first: tau * f_tau can overflow, or underflow, where the
-    # bound itself is an ordinary number
-    return eps * abs(f_tau) * (abs(tau) / delta)
-
-
 def log_term_sensitivity(
     f_tau: float, tau: float, eps: float = EPS, a: float = -1.0, b: float = 1.0
 ) -> float:
@@ -386,7 +343,9 @@ def log_term_sensitivity(
     _require_positive("eps", eps)
     if not math.isfinite(f_tau):
         raise ValueError(f"f_tau must be finite, got {f_tau!r}")
-    return _log_term(f_tau, tau, delta, eps)
+    # |tau| / delta first: tau * f_tau can overflow, or underflow, where the
+    # bound itself is an ordinary number
+    return eps * abs(f_tau) * (abs(tau) / delta)
 
 
 def total_error_estimate(
@@ -412,7 +371,7 @@ def total_error_estimate(
     it infinite rather than raising.
     """
     _, tau, a, b, _, method, mu = problem
-    f1, f2, _ = deriv
+    f1, f2, _, _ = deriv
     if not math.isfinite(f_tau):
         raise ValueError(f"f_tau must be finite, got {f_tau!r}")
     left = tau - a
@@ -431,7 +390,7 @@ def total_error_estimate(
         0.0,
         # max(half, |tau|), as the builtin picks it
         8.0 * EPS * slope * (scale if scale > half else half),
-        # _log_term, inline
+        # log_term_sensitivity's term, inline
         EPS * abs(f_tau) * (scale / (left if left < right else right)),
         (_CURVATURE_FACTOR * EPS * scale * math.sqrt(abs(f2))
          if math.isfinite(f2) else math.inf),

@@ -7,6 +7,7 @@ import math
 import operator
 import re
 import shlex
+import sys
 from pathlib import Path
 from typing import IO, Callable, NamedTuple
 
@@ -14,7 +15,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from cpvquad.benchmarks import _CSV_COLUMNS
-from cpvquad.error_model import DerivativeEstimates, _stencil
+from cpvquad.error_model import DerivativeEstimates
 from cpvquad.expressions import (
     _CONSTANTS,
     _FUNCTIONS,
@@ -122,11 +123,19 @@ def roundoff_floor(budget):
 
 
 def stencil_at(f, tau, step, f_tau=None):
-    """The derivative stencil of f at tau for a given `step`, which
-    ``derivative_estimates`` would otherwise choose itself."""
+    """The central differences of f at tau for a given `step`, which
+    ``derivative_estimates`` would otherwise choose itself, in the same
+    arithmetic: f is called at tau + step, then tau - step, and where
+    step * step underflows f2 divides by step twice.  The jump is not
+    decided here, so ``jump`` is False."""
     if f_tau is None:
         f_tau = f(tau)
-    return DerivativeEstimates(*_stencil(f, tau, step, f_tau), step)
+    up = f(tau + step)
+    down = f(tau - step)
+    curve = up - 2.0 * f_tau + down
+    square = step * step
+    f2 = curve / step / step if square < sys.float_info.min else curve / square
+    return DerivativeEstimates((up - down) / (2.0 * step), f2, step, False)
 
 
 def make_difference_quotient(f, tau, f_tau=None):

@@ -254,7 +254,7 @@ class TestProblemValidation:
 
     @pytest.mark.parametrize("side", [1.0, -1.0], ids=["tau+s/2", "tau-s/2"])
     def test_nonfinite_f_on_the_half_step_stencil_reports_abscissa(self, side):
-        # f is finite at tau and on the coarse stencil, so the jump test's
+        # f is finite at tau and on the coarse stencil, so the jump walk's
         # stencil at s/2 is the first to meet the NaN
         s = derivative_estimates(CpvProblem(math.exp, 0.5), math.exp(0.5)).step
         bad = 0.5 + side * (0.5 * s)
@@ -1321,7 +1321,85 @@ class TestRoundoffFloorStop:
         assert _error(result.value, reference) <= result.error_estimate
 
 
+def _holder(p, tau):
+    """sign(x - tau) |x - tau|^p: continuous, with no f'(tau) for p < 1."""
+    return lambda x: math.copysign(abs(x - tau) ** p, x - tau)
+
+
+def _step_after(d, tau):
+    """A unit step at tau + d."""
+    return lambda x: 1.0 if x >= tau + d else 0.0
+
+
+def _sine(k):
+    return lambda x: math.sin(k * x)
+
+
+#: The jump verdicts of the four-stencil walk and its calls of f, f(tau)
+#: included: (id, f, tau, a, b, jump, calls).  A verdict costs f(tau) and
+#: the stencil at s, and two calls per finer stencil while every pair so
+#: far looks like a jump.  The rows
+#: whose id ends in "D2" are the misclassifications of ROADMAP D2: Hölder
+#: points and steps off tau reported as a jump at tau, which item 5's walk
+#: toward ulp(tau) is to mend.
+_JUMP_VERDICTS = [
+    row
+    for tau, a, b in ((0.3, -1.0, 1.0), (1000.3, 999.0, 1001.0))
+    for row in (
+        (f"holder0.2@{tau}-D2", _holder(0.2, tau), tau, a, b, True, 9),
+        (f"holder0.3@{tau}-D2", _holder(0.3, tau), tau, a, b, True, 9),
+        (f"holder0.32@{tau}-D2", _holder(0.32, tau), tau, a, b, True, 9),
+        (f"holder0.35@{tau}", _holder(0.35, tau), tau, a, b, False, 5),
+        (f"holder0.5@{tau}", _holder(0.5, tau), tau, a, b, False, 5),
+        (f"step+0@{tau}", _step_after(0.0, tau), tau, a, b, True, 9),
+        (f"step+5e-6@{tau}-D2", _step_after(5e-6, tau), tau, a, b, True, 9),
+        # s/8 is about 8.75e-6 at 0.3 and 7.6e-4 at 1000.3
+        (f"step+1e-5@{tau}" + ("" if tau < 1.0 else "-D2"),
+         _step_after(1e-5, tau), tau, a, b, tau > 1.0, 9),
+        (f"step+1e-3@{tau}", _step_after(1e-3, tau), tau, a, b, False,
+         5 if tau < 1.0 else 9),
+    )
+] + [
+    # test_oscillation_agreeing_at_one_pair_is_not_flagged's three
+    ("sin200x@0[-100,100]", _sine(200.0), 0.0, -100.0, 100.0, False, 7),
+    ("sin2e4x@0", _sine(2e4), 0.0, -1.0, 1.0, False, 7),
+    ("sin3e4x@0.3", _sine(3e4), 0.3, -1.0, 1.0, False, 7),
+]
+
+
+class _EngineReached(Exception):
+    pass
+
+
 class TestJumpAtTau:
+    @pytest.mark.parametrize(
+        "f,tau,a,b,jump,calls",
+        [row[1:] for row in _JUMP_VERDICTS],
+        ids=[row[0] for row in _JUMP_VERDICTS],
+    )
+    def test_jump_verdicts_and_calls_of_f(
+        self, monkeypatch, f, tau, a, b, jump, calls
+    ):
+        # the engine is stubbed out, so every call of f is the prologue's
+        seen = []
+
+        def counted(x):
+            seen.append(x)
+            return f(x)
+
+        def engine(*args, **kw):
+            raise _EngineReached
+
+        monkeypatch.setattr(cpv_module, "adaptive_integrate", engine)
+        try:
+            result = cpv_standard(CpvProblem(counted, tau, a, b))
+        except _EngineReached:
+            assert not jump
+        else:
+            assert jump
+            assert result.stop_reasons == _JUMP
+        assert len(seen) == calls
+
     @pytest.mark.parametrize("t", [0.3, -0.5, 0.1])
     def test_step_is_reported_without_quadrature(self, t):
         calls = []

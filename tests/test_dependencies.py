@@ -4,9 +4,10 @@ Static checks of the package source sit here too: no module imports
 mpmath, no module imports a name it never uses, no function takes a
 parameter it never reads, every name the package root exports and every
 function `cpvquad.error_model` exports (but the paper's bounds) has a
-caller outside the tests, no node or weight of the quadrature rules is
-transcribed twice, and no module but `cpvquad.error_model` names a term
-of the budget's roundoff floor.
+caller outside the tests, every private module-level function is named
+in the package outside its own def, no node or weight of the quadrature
+rules is transcribed twice, and no module but `cpvquad.error_model` names
+a term of the budget's roundoff floor.
 """
 
 import ast
@@ -183,6 +184,41 @@ def test_every_root_name_has_a_caller_outside_the_tests(name):
     module = _root_exports()[name]
     assert _callers(name, module), (
         f"{name} is named only by {module}.py and the tests")
+
+
+#: Each package module's syntax tree, by file name.
+PACKAGE_TREES = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+                 for path in sorted(PACKAGE.glob("*.py"))}
+
+#: ``(module file name, def)`` for each module-level function of the
+#: package whose name starts with one underscore.
+PRIVATE_FUNCTIONS = [
+    (module, node) for module, tree in PACKAGE_TREES.items()
+    for node in tree.body
+    if isinstance(node, ast.FunctionDef)
+    and node.name.startswith("_") and not node.name.startswith("__")
+]
+
+
+def _package_readers(own: ast.FunctionDef) -> int:
+    """How many name nodes of the package name the function `own` defines,
+    outside its own def."""
+    inside = {id(node) for node in ast.walk(own)}
+    return sum(1 for tree in PACKAGE_TREES.values()
+               for node in ast.walk(tree)
+               if isinstance(node, ast.Name) and node.id == own.name
+               and id(node) not in inside)
+
+
+@pytest.mark.parametrize(
+    "own", [own for _, own in PRIVATE_FUNCTIONS],
+    ids=[f"{module}:{own.name}" for module, own in PRIVATE_FUNCTIONS],
+)
+def test_every_private_function_is_read_in_the_package(own):
+    # a private helper that only the tests call is dead code: the tests
+    # compute what they need themselves
+    assert _package_readers(own) > 0, (
+        f"{own.name} is named only inside its own def, or by the tests")
 
 
 # the paper's bounds, which README names as usable on their own

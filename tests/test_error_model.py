@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from cpvquad.benchmarks import builtin_problems
 from cpvquad.cpv import CpvProblem, cpv_standard
 from cpvquad.error_model import (
     EPS,
@@ -15,7 +16,6 @@ from cpvquad.error_model import (
     derivative_estimates,
     difference_quotient_roundoff,
     json_number,
-    jump_at_tau,
     log_term_sensitivity,
     symmetric_quotient_roundoff,
     total_error_estimate,
@@ -172,7 +172,10 @@ class TestDerivativeEstimates:
             return math.sin(x)
 
         d = derivative_estimates(CpvProblem(f, 0.2), f_tau=math.sin(0.2))
-        assert calls == [0.2 + d.step, 0.2 - d.step]
+        # the stencils at s and s/2, which show no jump
+        assert calls == [0.2 + d.step, 0.2 - d.step,
+                         0.2 + d.step / 2, 0.2 - d.step / 2]
+        assert not d.jump
 
     def test_nonfinite_sample_reports_abscissa(self):
         def f(x):
@@ -217,11 +220,19 @@ class TestDerivativeEstimates:
         assert d.step == 2.5e-5
         assert d.f1 == pytest.approx(1.0, rel=1e-8)
 
+    @pytest.mark.parametrize("case", builtin_problems(),
+                             ids=lambda case: case.name)
+    def test_helper_stencil_matches_bit_for_bit(self, case):
+        # the tests' own stencil is the one derivative_estimates takes
+        f, tau = case.integrand, case.tau
+        d = derivative_estimates(CpvProblem(f, tau), f(tau))
+        mine = stencil_at(f, tau, d.step)
+        assert (mine.f1.hex(), mine.f2.hex()) == (d.f1.hex(), d.f2.hex())
 
-def _stencil(f, tau):
-    """jump_at_tau's arguments for f at tau on [-1, 1]."""
-    problem = CpvProblem(f, tau)
-    return problem, derivative_estimates(problem, f(tau)), f(tau)
+
+def _estimates(f, tau):
+    """derivative_estimates for f at tau on [-1, 1]."""
+    return derivative_estimates(CpvProblem(f, tau), f(tau))
 
 
 class TestJumpAtTau:
@@ -231,13 +242,13 @@ class TestJumpAtTau:
         def step(x):
             return 2.0 + (size if x >= tau else 0.0)
 
-        assert jump_at_tau(*_stencil(step, tau))
+        assert _estimates(step, tau).jump
 
     def test_jump_riding_on_a_slope(self):
         def f(x):
             return math.exp(x) + (0.5 if x > 0.25 else -0.5)
 
-        assert jump_at_tau(*_stencil(f, 0.25))
+        assert _estimates(f, 0.25).jump
 
     def test_costs_two_calls_per_halving(self):
         calls = []
@@ -246,12 +257,11 @@ class TestJumpAtTau:
             calls.append(x)
             return 1.0 if x >= 0.3 else 0.0
 
-        args = _stencil(f, 0.3)
-        del calls[:]
-        assert jump_at_tau(*args)
-        s = args[1].step
-        assert calls == [0.3 + s / 2, 0.3 - s / 2, 0.3 + s / 4, 0.3 - s / 4,
-                         0.3 + s / 8, 0.3 - s / 8]
+        d = derivative_estimates(CpvProblem(f, 0.3), 1.0)
+        assert d.jump
+        s = d.step
+        assert calls == [0.3 + s, 0.3 - s, 0.3 + s / 2, 0.3 - s / 2,
+                         0.3 + s / 4, 0.3 - s / 4, 0.3 + s / 8, 0.3 - s / 8]
 
     # the solver-level negatives are in test_cpv.py::TestJumpAtTau; these
     # add a rounding-only difference, a Hölder-1/2 point whose quadrature
@@ -266,28 +276,29 @@ class TestJumpAtTau:
         ids=["flat-offset", "signed-sqrt", "1e300exp"],
     )
     def test_continuous_is_not_a_jump(self, f, tau):
-        assert not jump_at_tau(*_stencil(f, tau))
+        assert not _estimates(f, tau).jump
 
     def test_nonfinite_estimates_are_not_a_jump(self):
         # f(tau+s) - f(tau-s) overflows, so every f1 is infinite
         def f(x):
             return 1.7e308 if x >= 0.5 else -1.7e308
 
-        args = _stencil(f, 0.5)
-        assert args[1].f1 == math.inf
-        assert not jump_at_tau(*args)
+        d = _estimates(f, 0.5)
+        assert d.f1 == math.inf
+        assert not d.jump
 
     def test_no_sinusoid_is_flagged(self):
         # every K whose first pair agrees by chance is rejected by the next
         agreeing = 0
         for i in range(2000):
             k = 10.0 ** (1.0 + 5.0 * i / 2000.0)
-            problem, coarse, f_tau = _stencil(lambda x: math.sin(k * x), 0.0)
-            fine = stencil_at(problem.f, 0.0, 0.5 * coarse.step, f_tau)
+            f = lambda x: math.sin(k * x)
+            coarse = _estimates(f, 0.0)
+            fine = stencil_at(f, 0.0, 0.5 * coarse.step)
             agreeing += _pair_looks_like_jump(
-                coarse.step, coarse.f1, coarse.f2, fine.f1, f_tau, 0.0
+                coarse.step, coarse.f1, coarse.f2, fine.f1, f(0.0), 0.0
             )
-            assert not jump_at_tau(problem, coarse, f_tau)
+            assert not coarse.jump
         assert agreeing > 50
 
 
@@ -325,7 +336,7 @@ def _at(tau, a=-1.0, b=1.0, **options):
 
 def _curvature_term(tau, f2, a=-1.0, b=1.0):
     """The budget's curvature term for a stencil with the given f''."""
-    deriv = DerivativeEstimates(0.0, f2, 1e-4)
+    deriv = DerivativeEstimates(0.0, f2, 1e-4, False)
     budget = total_error_estimate(_at(tau, a, b), deriv, 0.0)
     return budget.curvature_sensitivity
 
@@ -410,7 +421,7 @@ class TestTotalErrorEstimate:
         assert budget.cutoff == cutoff_budget(EPS, abs(deriv.f1))
 
     def test_roundoff_scales_with_interval_and_tau(self):
-        deriv = DerivativeEstimates(2.0, 0.0, 1e-4)
+        deriv = DerivativeEstimates(2.0, 0.0, 1e-4, False)
         wide = total_error_estimate(_at(1.0, -3.0, 5.0), deriv, 0.0)
         assert wide.roundoff == 8.0 * EPS * 2.0 * 4.0
         # tau +- x round at ulp(tau): the scale is |tau| once it exceeds
@@ -419,7 +430,7 @@ class TestTotalErrorEstimate:
         assert offset.roundoff == 8.0 * EPS * 2.0 * 1000.0
 
     def test_cutoff_in_callers_units(self):
-        deriv = DerivativeEstimates(3.0, 0.0, 1e-4)
+        deriv = DerivativeEstimates(3.0, 0.0, 1e-4, False)
         budget = total_error_estimate(
             _at(2.0, 0.0, 4.0, method="cutoff", mu=1e-6), deriv, 1.0
         )
@@ -432,7 +443,7 @@ class TestTotalErrorEstimate:
         assert roundoff_floor(floor) == floor.total
 
     def test_overflowed_derivatives_give_infinite_terms(self):
-        deriv = DerivativeEstimates(math.inf, math.inf, 1e-4)
+        deriv = DerivativeEstimates(math.inf, math.inf, 1e-4, False)
         budget = total_error_estimate(
             _at(0.5, method="cutoff", mu=1e-8), deriv, 1.0
         )
@@ -447,19 +458,19 @@ class TestTotalErrorEstimate:
         ids=["f_tau"],
     )
     def test_rejects_each_bad_argument_by_name(self, f_tau, message):
-        deriv = DerivativeEstimates(1.0, 0.0, 1e-4)
+        deriv = DerivativeEstimates(1.0, 0.0, 1e-4, False)
         with pytest.raises(ValueError, match=message):
             total_error_estimate(_at(0.5), deriv, f_tau)
 
     def test_refuses_a_cutoff_beyond_delta(self):
         # the problem refuses it, before any budget is built
-        deriv = DerivativeEstimates(1.0, 0.0, 1e-4)
+        deriv = DerivativeEstimates(1.0, 0.0, 1e-4, False)
         with pytest.raises(ValueError, match=r"^cutoff mu must lie in "
                                              r"\(0, 0\.5\]"):
             total_error_estimate(_at(0.5, method="cutoff", mu=0.6), deriv, 1.0)
 
     def test_open_method_ignores_mu(self):
-        deriv = DerivativeEstimates(1.0, 0.0, 1e-4)
+        deriv = DerivativeEstimates(1.0, 0.0, 1e-4, False)
         budget = total_error_estimate(_at(0.5, method="open", mu=5e-324),
                                       deriv, 1.0)
         assert budget.cutoff == 0.0
