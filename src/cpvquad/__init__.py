@@ -19,7 +19,7 @@ from .cpv import (
     cpv_general,
     cpv_standard,
 )
-from .error_model import EPS, ErrorBudget
+from .error_model import ErrorBudget
 from .quadrature import NonfiniteIntegrandError, QuotientOverflowError
 # perfbench/run.py's set-up builds this rule through the package root
 from .quadrature import kronrod_pair_g7k15
@@ -27,7 +27,6 @@ from .quadrature import kronrod_pair_g7k15
 __all__ = [
     "CpvProblem",
     "CpvResult",
-    "EPS",
     "ErrorBudget",
     "NonfiniteIntegrandError",
     "QuotientOverflowError",

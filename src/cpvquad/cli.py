@@ -34,7 +34,6 @@ from . import __version__
 from .cpv import CpvProblem, CpvResult, cpv_standard
 # unused here, but perfbench/spans.py patches cli.cpv_general by name
 from .cpv import cpv_general  # noqa: F401
-from .error_model import EPS
 from .expressions import _NUMBER, ParseError, compile_expression
 from .quadrature import NonfiniteIntegrandError
 
@@ -59,11 +58,9 @@ _INTEGRATE_FLAGS = {
     "b": dict(type=float, default=1.0, help="upper endpoint (default 1)"),
     "tol": dict(type=float, default=1e-12,
                 help="requested tolerance (default 1e-12)"),
-    "method": dict(choices=("open", "cutoff"), default="open",
-                   help="treatment of the symmetric quotient near 0"),
-    "mu": dict(type=float, default=EPS,
-               help="cutoff radius for --method cutoff, in the units "
-                    "of x (default: the rounding unit)"),
+    "mu": dict(type=float, default=0.0,
+               help="cutoff radius of the symmetric quotient near 0, in the "
+                    "units of x (default 0, the open method)"),
     "json": dict(action="store_true", default=False,
                  help="print a JSON object instead of plain lines"),
 }
@@ -156,10 +153,10 @@ def _read_integrate(argv: list[str]) -> Optional[SimpleNamespace]:
     Read are the flags of `_INTEGRATE_FLAGS` by their full names: a valued
     one as ``--name=value`` or ``--name value``, where a value that begins
     with "-" must be a negative number, and ``--json`` bare; a repeated
-    flag's last value wins, and each value must convert and lie in its
-    choices.  Anything else returns None: help, an abbreviation, an unknown
-    flag or a word that is none, ``--`` as a word or as a value, a missing
-    or unusable value, a missing required flag.
+    flag's last value wins, and each value must convert.  Anything else
+    returns None: help, an abbreviation, an unknown flag or a word that is
+    none, ``--`` as a word or as a value, a missing or unusable value, a
+    missing required flag.
     """
     args = {}
     words = iter(argv)
@@ -186,8 +183,6 @@ def _read_integrate(argv: list[str]) -> Optional[SimpleNamespace]:
                     value = spec["type"](value)
                 except ValueError:
                     return None
-            if "choices" in spec and value not in spec["choices"]:
-                return None
         args[name] = value
     for name, spec in _INTEGRATE_FLAGS.items():
         if name not in args:
@@ -256,8 +251,7 @@ def _cmd_integrate(args: argparse.Namespace) -> int:
         return 2
     try:
         result = cpv_standard(CpvProblem(
-            f=f, tau=args.tau, a=args.a, b=args.b, tol=args.tol,
-            method=args.method, mu=args.mu,
+            f=f, tau=args.tau, a=args.a, b=args.b, tol=args.tol, mu=args.mu,
         ))
     except ValueError as exc:
         # a non-finite integrand or quotient exits with 1, an invalid

@@ -38,9 +38,7 @@ import math
 from typing import NamedTuple
 
 from .error_model import (
-    EPS,
     ErrorBudget,
-    _require_usable_cutoff,
     derivative_estimates,
     endpoint_distance,
     json_number,
@@ -67,18 +65,18 @@ class _ProblemFields(NamedTuple):
     a: float
     b: float
     tol: float
-    method: str
     mu: float
 
 
 class CpvProblem(_ProblemFields):
     """A principal value integral of f(x) / (x - tau) over [a, b].
 
-    ``method`` selects how the symmetric quotient is integrated near 0:
-    "open" integrates over (0, delta] relying on the open quadrature rule,
-    "cutoff" starts at ``mu`` instead and charges the skipped mass to the
-    error budget.  ``mu`` is a distance in the units of x and is only
-    consulted by the cutoff method.
+    ``mu``, a distance in the units of x, is where the symmetric quotient's
+    integral over (mu, delta] starts.  The default 0 is the open method,
+    which relies on the open quadrature rule never to sample the origin.  A
+    cutoff ``mu`` in (0, delta] starts there instead and charges the skipped
+    mass to the error budget; it must exceed 2**-1024 times (b - a) / 2,
+    where the budget's log(1 / (mu / ((b - a) / 2))) would overflow.
 
     Construction is the one place a problem is checked: the solver and its
     prologue test none of the fields again.
@@ -90,11 +88,10 @@ class CpvProblem(_ProblemFields):
     _make = classmethod(lambda cls, it: cls(*it))
 
     def __new__(cls, f: Integrand, tau: float, a: float = -1.0,
-                b: float = 1.0, tol: float = 1e-12, method: str = "open",
-                mu: float = EPS):
+                b: float = 1.0, tol: float = 1e-12, mu: float = 0.0):
         # tuple.__new__ skips the generated __new__, which would only bind
         # the same arguments again
-        self = tuple.__new__(cls, (f, tau, a, b, tol, method, mu))
+        self = tuple.__new__(cls, (f, tau, a, b, tol, mu))
         if not 0.0 < b - a < math.inf:
             if math.isfinite(a) and math.isfinite(b) and a < b:
                 raise ValueError(
@@ -108,12 +105,14 @@ class CpvProblem(_ProblemFields):
             )
         if not 0.0 < tol < math.inf:
             raise ValueError(f"tolerance must be positive, got {tol!r}")
-        if method != "open":
-            if method != "cutoff":
+        if mu != 0.0:
+            delta = endpoint_distance(tau, a, b)
+            if not (0.0 < mu <= delta and mu / (0.5 * (b - a)) > 2.0**-1024):
                 raise ValueError(
-                    f"method must be 'open' or 'cutoff', got {method!r}")
-            _require_usable_cutoff(mu, endpoint_distance(tau, a, b),
-                                   0.5 * (b - a))
+                    f"cutoff mu must lie in (0, {delta!r}] and exceed "
+                    f"2**-1024 times (b - a) / 2, or be 0 for the open "
+                    f"method, got {mu!r}"
+                )
         return self
 
     def __reduce__(self):
@@ -130,8 +129,9 @@ class StopReasons(NamedTuple):
     "interval_cap" or "width_floor" (see :func:`adaptive_integrate`), or, for
     every piece at once, "discontinuous_at_tau" when f jumps at tau and
     nothing was integrated.  A piece charged by the one-point rule is
-    non-empty; an empty piece (the near side, or a far side whose rounded
-    bounds are not ordered) reads "tolerance".
+    non-empty; an empty piece (the near side, a far side whose rounded
+    bounds are not ordered, or the symmetric piece at a cutoff mu = delta)
+    reads "tolerance".
     """
 
     quad_left: str
@@ -187,10 +187,6 @@ class CpvResult(NamedTuple):
 #: at most twice the floor to a budget the floor already bounds below.
 _FLOOR_FACTOR = 2.0
 
-#: The shared queue holds up to this many intervals per non-empty piece, the
-#: cap each piece had when integrated alone.
-_INTERVALS_PER_PIECE = 10_000
-
 #: The stop reasons of every call whose pieces all met tol.
 _AT_TOLERANCE = StopReasons("tolerance", "tolerance", "tolerance")
 
@@ -231,11 +227,14 @@ def cpv_standard(problem: CpvProblem) -> CpvResult:
     its rounded bounds are ordered; one too narrow for the rule, which tau
     a few ulps off the midpoint leaves, gets the engine's one-point charge
     (see :func:`adaptive_integrate`).  With tau at the midpoint both sides
-    are empty and the result is the symmetric integral alone.
+    are empty and the result is the symmetric integral alone.  The
+    symmetric piece runs over (mu, delta]: over (0, delta] for the open
+    method, and empty for a cutoff mu = delta.  The engine caps the shared
+    queue by the pieces it finds non-empty.
     A non-finite integrand or quotient is reported at the abscissa x, or at
     the offset from tau for the symmetric quotient.
     """
-    f, tau, a, b, tol, method, mu = problem
+    f, tau, a, b, tol, mu = problem
     f_tau = f(tau)
     if not math.isfinite(f_tau):
         raise NonfiniteIntegrandError(tau)
@@ -273,15 +272,10 @@ def cpv_standard(problem: CpvProblem) -> CpvResult:
         right_start = tau + delta
         if not (below < above and right_start < b):
             right_start = b
-    lower = 0.0 if method == "open" else mu
-    left = a < left_end
-    right = right_start < b
-    near = lower < delta
     values, estimates, evaluations, reason = adaptive_integrate(
         f, (("difference", a, left_end), ("difference", right_start, b),
-            ("symmetric", lower, delta)),
-        quad_tol, _INTERVALS_PER_PIECE * ((left + right + near) or 1), tau,
-        f_tau,
+            ("symmetric", mu, delta)),
+        quad_tol, tau, f_tau,
     )
 
     ratio = above / below
@@ -302,9 +296,9 @@ def cpv_standard(problem: CpvProblem) -> CpvResult:
         # a budget that overflowed bounds nothing
         converged and math.isfinite(budget.total),
         _AT_TOLERANCE if reason == "tolerance" else
-        tuple.__new__(StopReasons, (reason if left else "tolerance",
-                                    reason if right else "tolerance",
-                                    reason if near else "tolerance")),
+        tuple.__new__(StopReasons, (reason if a < left_end else "tolerance",
+                                    reason if right_start < b else "tolerance",
+                                    reason if mu < delta else "tolerance")),
     ))
 
 
@@ -314,12 +308,11 @@ def cpv_general(
     a: float,
     b: float,
     tol: float = 1e-12,
-    method: str = "open",
-    mu: float = EPS,
+    mu: float = 0.0,
 ) -> CpvResult:
     """Compute a principal value integral over [a, b] from loose arguments.
 
     The same computation as :func:`cpv_standard` on the equivalent
-    :class:`CpvProblem`; ``mu`` is in the units of x.
+    :class:`CpvProblem`; ``mu`` is in the units of x, 0 for the open method.
     """
-    return cpv_standard(CpvProblem(f, tau, a, b, tol, method, mu))
+    return cpv_standard(CpvProblem(f, tau, a, b, tol, mu))

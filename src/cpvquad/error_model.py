@@ -133,20 +133,6 @@ def _require_nonnegative(name: str, v: float) -> None:
         raise ValueError(f"{name} must be nonnegative and finite, got {v!r}")
 
 
-def _require_usable_cutoff(mu: float, delta: float, half: float) -> None:
-    """Refuse a cutoff `mu` outside (0, delta] or too small for the budget.
-
-    `delta` is the distance from tau to the nearer endpoint and `half` the
-    half-width (b - a) / 2.  The budget takes log(1 / (mu / half)), and that
-    reciprocal overflows where mu / half is at most 2**-1024.
-    """
-    if not (0.0 < mu <= delta and mu / half > 2.0**-1024):
-        raise ValueError(
-            f"cutoff mu must lie in (0, {delta!r}] and exceed "
-            f"2**-1024 times (b - a) / 2, got {mu!r}"
-        )
-
-
 def endpoint_distance(tau: float, a: float = -1.0, b: float = 1.0) -> float:
     """Distance from the singularity to the nearer endpoint of [a, b]."""
     if not a < tau < b:
@@ -244,7 +230,7 @@ def derivative_estimates(
 
     `f_tau` is f(tau), which the caller already has.
     """
-    f, tau, a, b, _, _, _ = problem
+    f, tau, a, b, _, _ = problem
     left = tau - a
     right = b - tau
     delta = left if left < right else right
@@ -363,14 +349,13 @@ def total_error_estimate(
     the paper's log-term bound, and the calibrated curvature term
     8 eps |tau| sqrt(|f''(tau)|), which is not one of the paper's bounds
     and has the same form on every interval.
-    Under ``method="cutoff"`` the cutoff budget for `mu`, a distance in the
-    units of x, is added on the scale of the interval; under "open" it is
-    zero.  The problem's tau, method and `mu` are those
-    :class:`~cpvquad.cpv.CpvProblem` accepted, so only `f_tau` is checked
-    here.  A derivative estimate that overflowed makes the terms built on
-    it infinite rather than raising.
+    A cutoff `mu`, a distance in the units of x, adds the cutoff budget
+    on the scale of the interval; ``mu = 0``, the open method, adds zero.
+    The problem's tau and `mu` are those :class:`~cpvquad.cpv.CpvProblem`
+    accepted, so only `f_tau` is checked here.  A derivative estimate that
+    overflowed makes the terms built on it infinite rather than raising.
     """
-    _, tau, a, b, _, method, mu = problem
+    _, tau, a, b, _, mu = problem
     f1, f2, _, _ = deriv
     if not math.isfinite(f_tau):
         raise ValueError(f"f_tau must be finite, got {f_tau!r}")
@@ -379,11 +364,11 @@ def total_error_estimate(
     slope = abs(f1)
     scale = abs(tau)
     half = 0.5 * (b - a)
-    if method == "open":
-        cutoff = 0.0
-    else:
+    if mu != 0.0:
         d1 = half * slope
         cutoff = cutoff_budget(mu / half, d1) if math.isfinite(d1) else math.inf
+    else:
+        cutoff = 0.0
     return tuple.__new__(ErrorBudget, (
         0.0,
         0.0,

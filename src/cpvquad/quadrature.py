@@ -719,6 +719,11 @@ def warm(forms) -> None:
     _resolver()
 
 
+#: The partition holds up to this many intervals per non-empty piece, the
+#: cap each piece had when integrated alone.
+_INTERVALS_PER_PIECE = 10_000
+
+
 def _wider_than(a: float, b: float, ulps: float) -> bool:
     """Whether [a, b] is wider than `ulps` ulps of its ends: with
     ``_MIN_WIDTH_ULPS``, whether it can be bisected, and with
@@ -731,7 +736,6 @@ def adaptive_integrate(
     f: Integrand,
     pieces: Sequence[tuple[str, float, float]],
     tol: float,
-    max_intervals: int,
     tau: float,
     f_tau: float,
 ) -> AdaptiveResult:
@@ -746,8 +750,9 @@ def adaptive_integrate(
     or bad bounds is refused when the walk reaches it, after f was called
     on the pieces before it.  Then one priority queue over the intervals of
     all pieces refines the interval with the largest estimate until the
-    summed estimate drops to ``tol``, the partition of all pieces reaches
-    ``max_intervals`` intervals, or no interval is wide enough to split.
+    summed estimate drops to ``tol``, the partition reaches
+    ``_INTERVALS_PER_PIECE`` intervals per non-empty piece, or no interval
+    is wide enough to split.
     Ties fall back on insertion order.  A call whose first applications
     meet ``tol`` builds no queue, no heap entry and no list of settled
     intervals: it returns their values and estimates as they stand, and
@@ -772,7 +777,7 @@ def adaptive_integrate(
 
     Returns an :class:`AdaptiveResult`, which unpacks as ``(values,
     estimates, piece_evaluations, stop_reason)``.  The one-integral call is
-    ``adaptive_integrate(f, (("plain", a, b),), tol, 10_000, 0.0, 0.0)``.
+    ``adaptive_integrate(f, (("plain", a, b),), tol, 0.0, 0.0)``.
 
     A piece too narrow for the rule's nodes to land strictly inside it gets
     the one-point midpoint rule: (b - a) times the form at the midpoint,
@@ -788,8 +793,6 @@ def adaptive_integrate(
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
-    if max_intervals < 1:
-        raise ValueError("interval cap must be at least 1")
     if not (math.isfinite(tau) and math.isfinite(f_tau)):
         raise ValueError(
             f"tau and f(tau) must be finite, got {tau!r} and {f_tau!r}"
@@ -869,7 +872,9 @@ def adaptive_integrate(
             settled.append((piece, a, values[piece], estimates[piece]))
     heapq.heapify(heap)
     seq = len(heap)
-    # no bisection lowers a one-point charge
+    # count is the number of non-empty pieces, at least 1 here, as an empty
+    # call met tol; no bisection lowers a one-point charge
+    max_intervals = _INTERVALS_PER_PIECE * count
     cap = count if fixed > tol else max_intervals
 
     while True:

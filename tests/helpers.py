@@ -414,10 +414,10 @@ class OnePieceResult(NamedTuple):
     stop_reason: str = "tolerance"
 
 
-def one_piece(f, a, b, tol, max_intervals=10_000) -> OnePieceResult:
+def one_piece(f, a, b, tol) -> OnePieceResult:
     """The engine's integral of f itself over [a, b], as one plain piece."""
     values, estimates, evaluations, reason = adaptive_integrate(
-        f, (("plain", a, b),), tol, max_intervals, 0.0, 0.0
+        f, (("plain", a, b),), tol, 0.0, 0.0
     )
     return OnePieceResult(values[0], estimates[0], evaluations[0],
                           reason == "tolerance", reason)

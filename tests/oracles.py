@@ -3,7 +3,10 @@
 The frozen reference values in :mod:`cpvquad.benchmarks` are regenerated
 and audited here: every reference is computed by two structurally different
 routes and, where special functions permit, by a closed form as a third.
-This module needs mpmath and imports nothing from cpvquad.
+This module needs mpmath and imports nothing from cpvquad.  The closed
+forms are the benchmark's, ``pv_exp`` and ``pv_sin`` of
+``perfbench/references.py``, loaded by path and re-exported here, so each
+closed form has one copy.
 
 Route one mirrors the production decomposition (log term, one-sided
 difference quotient integrals, symmetric quotient cut off at 1e-300) but in
@@ -17,10 +20,21 @@ Run ``python tests/oracles.py`` to print a regeneration table.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import mpmath as mp
+
+_REFERENCES = importlib.util.spec_from_file_location(
+    "perfbench_references",
+    Path(__file__).resolve().parent.parent / "perfbench" / "references.py",
+)
+_references = importlib.util.module_from_spec(_REFERENCES)
+_REFERENCES.loader.exec_module(_references)
+pv_exp = _references.pv_exp
+pv_sin = _references.pv_sin
 
 
 def pv_decomposed(
@@ -96,37 +110,6 @@ def pv_split(
         return +total
 
 
-def pv_exp_closed(tau, a=-1, b=1, dps: int = 60) -> mp.mpf:
-    """Principal value of e^x / (x - tau) over [a, b], as an mpf:
-    e^tau (Ei(b - tau) - Ei(a - tau)).
-
-    Arguments go through ``mp.mpf`` at `dps` digits, as in
-    :func:`pv_sin_interval`: a double is the problem the solver is given,
-    and a decimal string such as "0.5" the exact decimal problem.
-    """
-    with mp.workdps(dps):
-        tau = mp.mpf(tau)
-        return +(mp.exp(tau) * (mp.ei(mp.mpf(b) - tau) - mp.ei(mp.mpf(a) - tau)))
-
-
-def pv_sin_interval(k, tau, a, b, dps: int = 40) -> mp.mpf:
-    """Principal value of sin(k x) / (x - tau) over [a, b], as an mpf.
-
-    With A = tau - a and B = b - tau, u = x - tau splits sin(k x) into
-    cos(k tau) sin(k u) + sin(k tau) cos(k u), whose principal values are
-    Si(k B) + Si(k A) and Ci(k B) - Ci(k A).  Every argument goes through
-    ``mp.mpf`` at `dps` digits: a double is converted exactly, so this is
-    the problem the solver is given, and a decimal string such as "0.8" is
-    the exact decimal problem.
-    """
-    with mp.workdps(dps):
-        k, tau = mp.mpf(k), mp.mpf(tau)
-        A, B = tau - mp.mpf(a), mp.mpf(b) - tau
-        odd = mp.si(k * B) + mp.si(k * A)
-        even = mp.ci(k * B) - mp.ci(k * A)
-        return +(mp.cos(k * tau) * odd + mp.sin(k * tau) * even)
-
-
 def _uniform_breaks(step: float) -> tuple[float, ...]:
     n = round(2.0 / step)
     return tuple(-1.0 + step * k for k in range(1, n))
@@ -193,10 +176,12 @@ _TAUS: dict[str, str] = {
     "case8": "-0.41",
 }
 
-_CLOSED: dict[str, Callable[[int], mp.mpf]] = {
-    "case1": lambda dps: pv_exp_closed("0.5", dps=dps),
-    "case2": lambda dps: pv_sin_interval(550, "0.8", -1, 1, dps),
-    "case7": lambda dps: pv_exp_closed("0.9999999", dps=dps),
+#: The closed forms of the battery, at the decimal tau: the exact decimal
+#: problem, where a double would be the problem the solver is given.
+_CLOSED: dict[str, Callable[[], mp.mpf]] = {
+    "case1": lambda: pv_exp(1.0, "0.5"),
+    "case2": lambda: pv_sin(550, "0.8"),
+    "case7": lambda: pv_exp(1.0, "0.9999999"),
 }
 
 
@@ -226,7 +211,7 @@ def reference_table(
         breaks = _BREAKS[name]
         primary = pv_decomposed(f, tau_text, breaks, dps=dps_primary)
         secondary = pv_split(f, tau_text, breaks, dps=dps_secondary)
-        closed = _CLOSED[name](dps_primary) if name in _CLOSED else None
+        closed = _CLOSED[name]() if name in _CLOSED else None
         with mp.workdps(dps_primary):
             out[name] = {
                 "decomposed": mp.nstr(primary, 30),

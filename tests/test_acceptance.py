@@ -14,7 +14,7 @@ import pytest
 
 from cpvquad.benchmarks import run_benchmark
 from cpvquad.cpv import CpvProblem, cpv_standard
-from cpvquad.error_model import log_term_sensitivity
+from cpvquad.error_model import EPS, log_term_sensitivity
 from cpvquad.logbound import Partition, composite_ratio, sweep, write_sweep_csv
 from cpvquad.quadrature import (
     gauss_legendre_rule,
@@ -192,9 +192,7 @@ def test_criterion_8_method_agreement(battery_rows):
     disagreeing = []
     for case, open_row in zip(builtin_problems(), battery_rows):
         cut = cpv_standard(
-            CpvProblem(
-                f=case.integrand, tau=case.tau, tol=BATTERY_TOL, method="cutoff"
-            )
+            CpvProblem(f=case.integrand, tau=case.tau, tol=BATTERY_TOL, mu=EPS)
         )
         gap = abs(open_row.result.value - cut.value)
         slack = open_row.result.error_estimate + cut.error_estimate

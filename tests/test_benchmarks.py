@@ -34,8 +34,8 @@ from oracles import (
     oracle_breakpoints,
     oracle_integrand,
     pv_decomposed,
-    pv_exp_closed,
-    pv_sin_interval,
+    pv_exp,
+    pv_sin,
     pv_split,
 )
 
@@ -139,9 +139,9 @@ class TestReferenceRegeneration:
     def test_closed_forms(self):
         with mp.workdps(40):
             gaps = [
-                self._relative_gap(pv_exp_closed("0.5", dps=40), _case("case1").reference_text),
-                self._relative_gap(pv_sin_interval(550, "0.8", -1, 1), _case("case2").reference_text),
-                self._relative_gap(pv_exp_closed("0.9999999", dps=40), _case("case7").reference_text),
+                self._relative_gap(pv_exp(1.0, "0.5"), _case("case1").reference_text),
+                self._relative_gap(pv_sin(550, "0.8"), _case("case2").reference_text),
+                self._relative_gap(pv_exp(1.0, "0.9999999"), _case("case7").reference_text),
             ]
             assert all(gap <= mp.mpf("1e-24") for gap in gaps), gaps
 

@@ -142,12 +142,8 @@ class TestIntegrate:
         assert code == 0
 
     def test_cutoff_method(self, capsys):
-        code = main(
-            [
-                "integrate", "--f", "exp(x)", "--tau", "0.5",
-                "--method", "cutoff", "--mu", "1e-10",
-            ]
-        )
+        code = main(["integrate", "--f", "exp(x)", "--tau", "0.5",
+                     "--mu", "1e-10"])
         out = capsys.readouterr().out
         # cutoff budget dominates the default tolerance: result printed,
         # gate failed
@@ -206,7 +202,7 @@ class TestIntegrate:
     def test_mu_is_in_the_units_of_x(self, capsys):
         # delta = 0.25 on [2, 4]: mu = 0.2 is a valid cutoff, 0.3 is not
         base = ["integrate", "--f", "cos(x)", "--tau", "2.25", "--a", "2",
-                "--b", "4", "--method", "cutoff"]
+                "--b", "4"]
         assert main(base + ["--mu", "0.2"]) in (0, 1)
         assert main(base + ["--mu", "0.3"]) == 2
         assert "(0, 0.25]" in capsys.readouterr().err
@@ -219,18 +215,34 @@ class TestIntegrate:
         assert code == 0
 
     def test_bad_mu_is_usage_error(self, capsys):
-        code = main(
-            [
-                "integrate", "--f", "exp(x)", "--tau", "0.5",
-                "--method", "cutoff", "--mu", "0.9",
-            ]
-        )
+        code = main(["integrate", "--f", "exp(x)", "--tau", "0.5",
+                     "--mu", "0.9"])
         capsys.readouterr()
         assert code == 2
 
+    def test_nan_mu_is_usage_error(self, capsys):
+        # mu = 0 is the open method and (0, delta] a cutoff; NaN is neither
+        code = main(["integrate", "--f", "exp(x)", "--tau", "0.3",
+                     "--mu", "nan"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: cutoff mu ")
+        assert captured.err.endswith("got nan\n")
+
+    def test_method_flag_is_gone(self, capsys):
+        # mu alone chooses the method
+        code = main(["integrate", "--f", "exp(x)", "--tau", "0.5",
+                     "--method", "cutoff"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.endswith(
+            "error: unrecognized arguments: --method cutoff\n")
+
     def test_cutoff_too_small_for_the_interval_names_mu(self, capsys):
         code = main(["integrate", "--f", "sin(x)", "--tau", "0", "--a=-4",
-                     "--b", "4", "--method", "cutoff", "--mu", "5e-324"])
+                     "--b", "4", "--mu", "5e-324"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
@@ -263,7 +275,7 @@ class TestNegativeNumbers:
     def test_negative_value_reaches_the_problem_check(self, capsys, flag,
                                                       message):
         code = main(["integrate", "--f", "exp(x)", "--tau", "0.5",
-                     "--method", "cutoff", flag, "-1e-3"])
+                     flag, "-1e-3"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith(f"error: {message}")
@@ -285,8 +297,8 @@ _README_EXAMPLES = [
      {"f": "exp(-100*(x+0.4)^2)*sin(exp(-10*x))", "tau": -0.41}),
     (["--f", "1", "--tau", "1", "--a", "0", "--b", "4"],
      {"f": "1", "tau": 1.0, "a": 0.0, "b": 4.0}),
-    (["--f", "exp(x)", "--tau", "0.5", "--method", "cutoff", "--mu", "1e-10"],
-     {"f": "exp(x)", "tau": 0.5, "method": "cutoff", "mu": 1e-10}),
+    (["--f", "exp(x)", "--tau", "0.5", "--mu", "1e-10"],
+     {"f": "exp(x)", "tau": 0.5, "mu": 1e-10}),
 ]
 
 
@@ -331,8 +343,7 @@ class TestRepeatedCalls:
     def test_options_do_not_carry_over(self, capsys):
         main(self.PLAIN)
         first = capsys.readouterr().out
-        code = main(self.PLAIN + ["--method", "cutoff", "--mu", "1e-10",
-                                  "--json"])
+        code = main(self.PLAIN + ["--mu", "1e-10", "--json"])
         cutoff = json.loads(capsys.readouterr().out)
         assert code == 1
         assert main(self.PLAIN) == 0
@@ -344,8 +355,8 @@ class TestRepeatedCalls:
         main(self.PLAIN)
         first = capsys.readouterr()
         assert main(["integrate", "--f", "exp(x)", "--tau", "0.5",
-                     "--method", "midpoint"]) == 2
-        assert "invalid choice" in capsys.readouterr().err
+                     "--mu", "x"]) == 2
+        assert "invalid float value" in capsys.readouterr().err
         assert main(self.PLAIN) == 0
         again = capsys.readouterr()
         assert (again.out, again.err) == (first.out, first.err)
@@ -602,7 +613,7 @@ class TestTopLevel:
     @pytest.mark.parametrize(
         "argv",
         [["integrate", "--f", "x", "--tau=--"],
-         ["integrate", "--f", "x", "--tau", "0.5", "--method=--"],
+         ["integrate", "--f", "x", "--tau", "0.5", "--mu=--"],
          ["integrate", "--tau", "0.5", "--f=--"],
          ["bench", "--tol=--"],
          ["bench", "--json=--"],
@@ -725,13 +736,14 @@ def _same(x, y):
                       and math.isnan(x) and math.isnan(y))
 
 
-_FLAGS = ["--f", "--tau", "--a", "--b", "--tol", "--method", "--mu"]
+_FLAGS = ["--f", "--tau", "--a", "--b", "--tol", "--mu"]
 _NUMBERS = ["0.5", "-0.41", "-1e-3", "-.5", "-2.5E+2", "1e-10", "-1", "0",
             "inf", "nan", "1e999"]
 _VALUES = _NUMBERS + ["-inf", "x", "-x", "-2 * x", "exp(x)", "open",
                       "cutoff", "closed", "", "-", "--", "-h", "--json"]
 _WORDS = ["--json", "--json=1", "--json=", "-h", "--help", "--", "--ta",
-          "--js", "--t", "--m", "--fx", "--eps", "---f", "-f", "extra"]
+          "--js", "--t", "--m", "--fx", "--eps", "---f", "-f", "--method",
+          "extra"]
 
 
 def _flag_and_value(flags, values):
@@ -753,7 +765,6 @@ class TestFlagReader:
         st.lists(st.one_of(
             *[_flag_and_value(["--f", "--tau", "--a", "--b", "--tol", "--mu"],
                               _NUMBERS)] * 4,
-            _flag_and_value(["--method"], ["open", "cutoff"]),
             _flag_and_value(_FLAGS + ["--json", "--ta", "--t"], _VALUES),
             st.sampled_from(_WORDS + _VALUES).map(lambda word: [word]),
         ), max_size=5),
@@ -778,7 +789,7 @@ class TestFlagReader:
     @pytest.mark.parametrize("argv", [
         argv[2:] for argv in readme_commands("integrate")] + [
         ["--f=exp(x)", "--tau=-1e-3", "--a", "-2.5E+2", "--json", "--json"],
-        ["--tau", "0.1", "--f", "x", "--tau", "-.5", "--method=cutoff"],
+        ["--tau", "0.1", "--f", "x", "--tau", "-.5", "--mu=1e-3"],
     ], ids=" ".join)
     def test_well_formed_calls_are_read(self, argv):
         ours = cli._read_integrate(argv)

@@ -405,17 +405,16 @@ class TestTotalErrorEstimate:
 
     def test_cutoff_method_charges_cutoff_budget(self):
         deriv = derivative_estimates(CpvProblem(math.exp, 0.5), math.exp(0.5))
-        open_budget = total_error_estimate(
-            _at(0.5, method="open"), deriv, math.exp(0.5)
-        )
+        open_budget = total_error_estimate(_at(0.5), deriv, math.exp(0.5))
         cut_budget = total_error_estimate(
-            _at(0.5, method="cutoff", mu=1e-8), deriv, math.exp(0.5)
+            _at(0.5, mu=1e-8), deriv, math.exp(0.5)
         )
         assert open_budget.cutoff == 0.0
         assert cut_budget.cutoff == cutoff_budget(1e-8, abs(deriv.f1))
 
     def test_cutoff_defaults_to_machine_epsilon(self):
-        problem = CpvProblem(math.exp, 0.5, method="cutoff")
+        # a cutoff at the rounding unit
+        problem = CpvProblem(math.exp, 0.5, mu=EPS)
         deriv = derivative_estimates(problem, math.exp(0.5))
         budget = total_error_estimate(problem, deriv, math.exp(0.5))
         assert budget.cutoff == cutoff_budget(EPS, abs(deriv.f1))
@@ -432,7 +431,7 @@ class TestTotalErrorEstimate:
     def test_cutoff_in_callers_units(self):
         deriv = DerivativeEstimates(3.0, 0.0, 1e-4, False)
         budget = total_error_estimate(
-            _at(2.0, 0.0, 4.0, method="cutoff", mu=1e-6), deriv, 1.0
+            _at(2.0, 0.0, 4.0, mu=1e-6), deriv, 1.0
         )
         assert budget.cutoff == cutoff_budget(1e-6 / 2.0, 2.0 * 3.0)
 
@@ -444,9 +443,7 @@ class TestTotalErrorEstimate:
 
     def test_overflowed_derivatives_give_infinite_terms(self):
         deriv = DerivativeEstimates(math.inf, math.inf, 1e-4, False)
-        budget = total_error_estimate(
-            _at(0.5, method="cutoff", mu=1e-8), deriv, 1.0
-        )
+        budget = total_error_estimate(_at(0.5, mu=1e-8), deriv, 1.0)
         assert budget.roundoff == math.inf
         assert budget.curvature_sensitivity == math.inf
         assert budget.cutoff == math.inf
@@ -467,13 +464,14 @@ class TestTotalErrorEstimate:
         deriv = DerivativeEstimates(1.0, 0.0, 1e-4, False)
         with pytest.raises(ValueError, match=r"^cutoff mu must lie in "
                                              r"\(0, 0\.5\]"):
-            total_error_estimate(_at(0.5, method="cutoff", mu=0.6), deriv, 1.0)
+            total_error_estimate(_at(0.5, mu=0.6), deriv, 1.0)
 
     def test_open_method_ignores_mu(self):
+        # mu = 0, of either sign, is the open method and charges nothing
         deriv = DerivativeEstimates(1.0, 0.0, 1e-4, False)
-        budget = total_error_estimate(_at(0.5, method="open", mu=5e-324),
-                                      deriv, 1.0)
-        assert budget.cutoff == 0.0
+        for zero in (0.0, -0.0):
+            budget = total_error_estimate(_at(0.5, mu=zero), deriv, 1.0)
+            assert budget.cutoff == 0.0
 
     def test_budget_total_is_field_sum(self):
         budget = ErrorBudget(*map(float, range(1, _TERMS + 1)))
@@ -549,8 +547,8 @@ _NATIVE = [math.sin, math.cos, math.atan, math.tanh, lambda x: x,
 @st.composite
 def _accepted_problems(draw):
     """Problems CpvProblem accepts: offset and wide intervals, tau anywhere
-    inside, up to a few ulps of either end, both methods and mu anywhere in
-    (0, delta].  The floor does not depend on tol, and a loose one ends the
+    inside, up to a few ulps of either end, and mu = 0, the open method, or
+    anywhere in (0, delta].  The floor does not depend on tol, and a loose one ends the
     quadrature at its first application."""
     a = draw(st.one_of(st.just(0.0), st.floats(-1e300, 1e300)))
     width = draw(st.floats(1e-300, 1e300))
@@ -559,13 +557,12 @@ def _accepted_problems(draw):
     b = a + width
     tau = (b - fraction * (b - a) if draw(st.booleans())
            else a + fraction * (b - a))
-    method = draw(st.sampled_from(["open", "cutoff"]))
-    share = draw(st.one_of(st.floats(1e-300, 1.0),
+    share = draw(st.one_of(st.just(0.0), st.floats(1e-300, 1.0),
                            st.floats(5e-324, 1e-300)))
     try:
         mu = share * min(tau - a, b - tau)
         return CpvProblem(draw(st.sampled_from(_NATIVE)), tau, a, b,
-                          1e300, method, mu)
+                          1e300, mu)
     except ValueError:
         assume(False)
 
@@ -579,8 +576,7 @@ class TestPrologueOnAcceptedProblems:
     @given(problem=_accepted_problems())
     # delta / 2 underflows: both refuse the problem with the same error
     @example(problem=CpvProblem(math.sin, 5e-324, 0.0, 1.0, 1e300))
-    @example(problem=CpvProblem(math.atan, 3e9, -1e-3, 1e10, 1e300,
-                                "cutoff", 3e-299))
+    @example(problem=CpvProblem(math.atan, 3e9, -1e-3, 1e10, 1e300, 3e-299))
     def test_prologue_floor_is_the_solvers(self, problem):
         try:
             floor = _prologue_floor(problem)
